@@ -88,7 +88,12 @@ func (rt *Runtime) dropCarriedYielder(tid ThreadID, c *threatCarry) {
 // threat (threatCarry): if the index has not moved since that
 // evaluation, the first loop iteration adopts its yielder and blocker
 // set instead of re-matching and re-evaluating under rt.mu.
-func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack, carry *threatCarry) error {
+//
+// On a nil error the returned keys are the signature slots (tid, l, cs)
+// now occupies: the caller hands them to the hold or the waiter it
+// creates without releasing rt.mu, or unregisters them if it grants
+// nothing.
+func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack, carry *threatCarry) ([]slotKey, error) {
 	lastSigID := ""
 	timedOut := false
 	for {
@@ -118,15 +123,22 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 		if y == nil {
 			refs := rt.history.MatchOuter(cs)
 			if len(refs) == 0 {
-				return nil
+				return nil, nil
 			}
 			shards = rt.shardsForRefs(refs)
 			lockShards(shards)
 			var blockers map[ThreadID]struct{}
 			sigID, blockers = rt.instantiationThreat(refs, shards, tid, l)
 			if sigID == "" {
+				// No threat: occupy the slots inside the critical section
+				// that found them free. Registering after the shards are
+				// released would let a matched fast acquisition (which never
+				// takes rt.mu) find the slots empty in between, register,
+				// and publish — both threads past avoidance, and the
+				// signature instantiates.
+				keys := putPositions(nil, refs, shards, tid, l)
 				unlockShards(shards)
-				return nil
+				return keys, nil
 			}
 			y = &yielder{
 				thread:   tid,
@@ -166,11 +178,12 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 			rt.removeYielderLocked(tid, y, shards)
 			if rt.closed.Load() {
 				rt.fireWarning(warning)
-				return ErrClosed
+				return nil, ErrClosed
 			}
 			rt.stats.avoidanceBreak.Add(1)
 			rt.fireWarning(warning)
-			return nil
+			// Forced through: the slots are occupied despite the threat.
+			return rt.registerPositions(tid, l, cs), nil
 		}
 
 		rt.mu.Unlock()
@@ -187,11 +200,11 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 		timedOut = !y.woken.Load() && !y.proceed
 		rt.removeYielderLocked(tid, y, shards)
 		if rt.closed.Load() {
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		if y.proceed {
 			rt.stats.avoidanceBreak.Add(1)
-			return nil
+			return rt.registerPositions(tid, l, cs), nil
 		}
 		// Re-evaluate from scratch: the history may have changed while we
 		// slept.

@@ -317,3 +317,76 @@ func TestAvoidanceDistinctLocksRequired(t *testing.T) {
 	}
 	_ = rt.Release(2, shared)
 }
+
+// TestSlowGrantClosesCheckRegisterWindow: the slow path must occupy its
+// signature slots inside the shard critical section that found no
+// threat. The hook runs in the window the registration used to leave
+// open — avoidance has let t1 through, the grant has not happened — and
+// tries t2's matched fast acquisition of the signature's other slot
+// there. It must see t1's position and retreat; a fast grant would leave
+// both outer locks held and the signature instantiated.
+func TestSlowGrantClosesCheckRegisterWindow(t *testing.T) {
+	ps := newPairStacks()
+	h := NewHistory()
+	h.Add(ps.signature())
+	rt := warmedRuntime(t, h, ps.outerA, nil)
+	a, b := rt.NewLock("A"), rt.NewLock("B")
+
+	var (
+		hooked  bool
+		granted bool
+		carry   *threatCarry
+	)
+	rt.afterAvoidHook = func(tid ThreadID) {
+		if tid != 1 || hooked {
+			return
+		}
+		hooked = true
+		granted, carry = rt.fastAcquire(2, b, ps.outerB)
+		rt.dropCarriedYielder(2, carry)
+	}
+	if err := rt.acquireSlow(1, a, ps.outerA, nil); err != nil {
+		t.Fatal(err)
+	}
+	rt.afterAvoidHook = nil
+	if !hooked {
+		t.Fatal("the hook never ran")
+	}
+	if granted {
+		t.Fatal("t2 was fast-granted between t1's threat check and its slot registration: both outer slots held")
+	}
+	if carry == nil {
+		t.Error("t2's fast attempt should carry the threat t1's registered position poses")
+	}
+	if err := rt.Release(1, a); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.positionCount(); n != 0 {
+		t.Errorf("positions leaked: %d", n)
+	}
+}
+
+// TestSlowExitWithoutGrantDropsSlots: the slots avoidance registered
+// are in place before the grant, and an acquisition refused after
+// avoidance passed (the runtime closed in that window) unregisters them.
+func TestSlowExitWithoutGrantDropsSlots(t *testing.T) {
+	ps := newPairStacks()
+	h := NewHistory()
+	h.Add(ps.signature())
+	rt := warmedRuntime(t, h, ps.outerA, nil)
+	a := rt.NewLock("A")
+	n := -1
+	rt.afterAvoidHook = func(ThreadID) {
+		n = rt.positionCount()
+		rt.closed.Store(true)
+	}
+	if err := rt.acquireSlow(1, a, ps.outerA, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("acquireSlow = %v, want ErrClosed", err)
+	}
+	if n != 1 {
+		t.Errorf("positions between check and grant = %d, want 1", n)
+	}
+	if got := rt.positionCount(); got != 0 {
+		t.Errorf("positions after the refused acquisition = %d, want 0", got)
+	}
+}

@@ -195,6 +195,12 @@ type Runtime struct {
 	// uncontended cost of one refresh.
 	refreshDeltaMinNanos atomic.Int64
 	refreshFullMinNanos  atomic.Int64
+
+	// afterAvoidHook, when set by a test, runs in acquireSlow under rt.mu
+	// once avoidance has let the acquisition through and before it is
+	// granted or queued — the window the slot registration must not
+	// leave open.
+	afterAvoidHook func(tid ThreadID)
 }
 
 // storeMin lowers m to v unless a smaller nonzero value is already there.
@@ -564,15 +570,24 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 	}
 
 	// Avoidance: suspend while granting would let a history signature
-	// instantiate.
+	// instantiate. From here on (tid, l, cs) occupies its signature slots
+	// (keys), which pass to the hold or the waiter below under this same
+	// rt.mu critical section.
+	var keys []slotKey
 	if rt.cfg.AvoidanceDisabled {
 		rt.dropCarriedYielder(tid, carry)
+		keys = rt.registerPositions(tid, l, cs)
 	} else {
-		if err := rt.avoidLocked(tid, l, cs, carry); err != nil {
+		var err error
+		if keys, err = rt.avoidLocked(tid, l, cs, carry); err != nil {
 			rt.mu.Unlock()
 			return err
 		}
+		if rt.afterAvoidHook != nil {
+			rt.afterAvoidHook(tid)
+		}
 		if rt.closed.Load() {
+			rt.unregisterPositions(tid, l, keys)
 			rt.mu.Unlock()
 			return ErrClosed
 		}
@@ -585,16 +600,15 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 
 	// Fast path: free lock.
 	if l.owner == 0 && len(l.queue) == 0 {
-		rt.grantLocked(ts, l, cs)
+		rt.grantLocked(ts, l, cs, keys)
 		rt.stats.acquisitions.Add(1)
 		rt.mu.Unlock()
 		return nil
 	}
 
-	// Queue as a waiter; matching slots register immediately ("hold or
-	// are block waiting", §II-A).
-	w := &waiter{thread: tid, lock: l, stack: cs, grant: make(chan error, 1)}
-	w.slots = rt.registerPositions(tid, l, cs)
+	// Queue as a waiter; its slots are occupied already ("hold or are
+	// block waiting", §II-A).
+	w := &waiter{thread: tid, lock: l, stack: cs, slots: keys, grant: make(chan error, 1)}
 	l.queue = append(l.queue, w)
 	ts.wait = w
 	rt.stats.contended.Add(1)
@@ -697,11 +711,10 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	return nil
 }
 
-// grantLocked makes tid the owner of l with outer stack cs, registering
-// signature positions.
-func (rt *Runtime) grantLocked(ts *threadState, l *Lock, cs sig.Stack) {
-	h := &heldLock{lock: l, outer: cs}
-	h.slots = rt.registerPositions(ts.id, l, cs)
+// grantLocked makes tid the owner of l with outer stack cs, whose
+// signature slots keys are already registered.
+func (rt *Runtime) grantLocked(ts *threadState, l *Lock, cs sig.Stack, keys []slotKey) {
+	h := &heldLock{lock: l, outer: cs, slots: keys}
 	ts.held = append(ts.held, h)
 	l.owner = ts.id
 	l.ownerHold = h

@@ -176,6 +176,22 @@ func (rt *Runtime) registerPositions(tid ThreadID, l *Lock, cs sig.Stack) []slot
 	return keys
 }
 
+// putPositions records (tid, l) in every slot of refs and appends the
+// slot keys to dst. shards must be appendShards(refs), all held by the
+// caller — the same critical section that evaluated the threat, so no
+// other acquisition can find these slots free in between.
+func putPositions(dst []slotKey, refs []SlotRef, shards []*sigShard, tid ThreadID, l *Lock) []slotKey {
+	si := 0
+	for i, r := range refs {
+		if i > 0 && refs[i-1].Sig != r.Sig {
+			si++
+		}
+		shards[si].put(r.Slot, tid, l)
+		dst = append(dst, slotKey{shard: shards[si], slot: r.Slot})
+	}
+	return dst
+}
+
 // unregisterPositions removes (tid, l) from the given slots — l is the
 // lock the hold or wait the keys belong to was for. The keys carry
 // their shard pointers, so no table probe is needed; a key whose shard
@@ -350,15 +366,7 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 		unlockShards(shards)
 		return false, carry
 	}
-	keys := l.fastSlots[:0] // reuse the backing array across holds
-	si := 0
-	for i, r := range refs {
-		if i > 0 && refs[i-1].Sig != r.Sig {
-			si++
-		}
-		shards[si].put(r.Slot, tid, l)
-		keys = append(keys, slotKey{shard: shards[si], slot: r.Slot})
-	}
+	keys := putPositions(l.fastSlots[:0], refs, shards, tid, l) // reuse the backing array across holds
 	unlockShards(shards)
 	l.fastOuter = cs
 	l.fastSlots = keys

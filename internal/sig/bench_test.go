@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -19,6 +20,46 @@ func benchSig(d int) *Signature {
 	return New(mk("A"), mk("B"))
 }
 
+// protectSig mirrors the signatures of the benchmark's protect workload:
+// two threads with depth-24 outer and depth-12 inner stacks of generated
+// flow methods carrying 16-hex code-unit hashes, about 6 KB on the wire.
+// class, when non-empty, replaces the class of every frame.
+func protectSig(class string) *Signature {
+	const depth = 24
+	mk := func(tag string) ThreadSpec {
+		var outer, inner Stack
+		for i := 0; i < depth; i++ {
+			c := class
+			if c == "" {
+				c = fmt.Sprintf("app/proto/Flows%d", i%3)
+			}
+			h := fmt.Sprintf("%016x", i%3+1)
+			outer = append(outer, Frame{Class: c, Method: fmt.Sprintf("flow_%s_v1_%d", tag, i), Line: 100 + 7*i, Hash: h})
+			if i%2 == 0 {
+				inner = append(inner, Frame{Class: c, Method: fmt.Sprintf("flow_%s_tail_%d", tag, i), Line: 300 + 7*i, Hash: h})
+			}
+		}
+		return ThreadSpec{Outer: outer, Inner: inner}
+	}
+	return New(mk("a"), mk("b"))
+}
+
+type codecCase struct {
+	name string
+	sig  *Signature
+}
+
+// codecCases are the signatures the codec benchmarks run on: the
+// historical depth-15 case, a protect-sized one, and one whose non-ASCII
+// class names send Decode down the encoding/json fallback.
+func codecCases() []codecCase {
+	return []codecCase{
+		{"depth15", benchSig(15)},
+		{"protect", protectSig("")},
+		{"fallback", protectSig("app/proto/Flüsse")},
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	s := benchSig(15)
 	b.ReportAllocs()
@@ -30,23 +71,32 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	data, err := Encode(benchSig(15))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+	for _, c := range codecCases() {
+		data, err := Encode(c.sig)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkID(b *testing.B) {
-	s := benchSig(15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = s.ID()
+	for _, c := range codecCases() {
+		s := c.sig
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = s.ID()
+			}
+		})
 	}
 }
 

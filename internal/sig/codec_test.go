@@ -51,6 +51,33 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingBytes: a signature is exactly one JSON value;
+// the fast path and the encoding/json fallback both refuse anything but
+// whitespace after it.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	good, err := Encode(twoThreadSig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-ASCII class name forces the fallback decoder.
+	fallback := bytes.Replace(good, []byte(`"app/T1"`), []byte(`"app/Té"`), -1)
+	for name, data := range map[string][]byte{"fast": good, "fallback": fallback} {
+		if _, ok := decodeCanonical(data); ok != (name == "fast") {
+			t.Fatalf("%s input: decodeCanonical ok = %v", name, ok)
+		}
+		if _, err := Decode(append(append([]byte(" \n"), data...), " \t\r\n"...)); err != nil {
+			t.Errorf("%s: surrounding whitespace rejected: %v", name, err)
+		}
+		for _, tail := range []string{" garbage", "]]]", "}", "0", string(data)} {
+			in := append(append([]byte(nil), data...), tail...)
+			_, err := Decode(in)
+			if err == nil || !strings.Contains(err.Error(), "after top-level value") {
+				t.Errorf("%s + %q: err = %v, want trailing-bytes rejection", name, tail, err)
+			}
+		}
+	}
+}
+
 func TestDecodeEnforcesSizeLimit(t *testing.T) {
 	huge := append([]byte(`{"threads":[`), bytes.Repeat([]byte(" "), MaxEncodedSize)...)
 	if _, err := Decode(huge); err == nil || !strings.Contains(err.Error(), "exceeds limit") {

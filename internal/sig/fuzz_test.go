@@ -1,35 +1,106 @@
 package sig
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
+	"testing"
+)
+
+// DecodeCorpus returns the seed inputs shared by the decode fuzz targets
+// and the golden-ID test (exported for the external sig_test package).
+func DecodeCorpus() [][]byte {
+	var out [][]byte
+	add := func(s string) { out = append(out, []byte(s)) }
+	for _, s := range []*Signature{twoThreadSig(5), chanSig(5, KindChanSend), chanSig(5, KindChanRecv), chanSig(5, KindChanSelect), protectSig("")} {
+		data, err := Encode(s)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, data)
+	}
+	// Channel-kind corpus: valid signatures for every chan op kind, plus
+	// malformed kinds the decoder must reject (unknown kind, kind in the
+	// wrong case, empty-string kind encoded explicitly).
+	add(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"chan-send"}],"inner":[{"class":"C","method":"m","line":1,"kind":"chan-recv"}]},{"outer":[{"class":"D","method":"m","line":1,"kind":"chan-send"}],"inner":[{"class":"D","method":"m","line":1,"kind":"chan-select"}]}]}`)
+	add(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"chan-warp"}],"inner":[{"class":"C","method":"m","line":1}]}]}`)
+	add(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"CHAN-SEND"}],"inner":[{"class":"C","method":"m","line":1}]}]}`)
+	add(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":""}],"inner":[{"class":"C","method":"m","line":1}]}]}`)
+	add(`{}`)
+	add(`{"threads":[]}`)
+	add(`{"threads":[{"outer":[{"class":"C","method":"m","line":1}],"inner":[{"class":"C","method":"m","line":1}]}]}`)
+	add(`not json at all`)
+
+	// Inputs at the edge of the canonical subset the fast decoder takes:
+	// each must decode exactly as encoding/json decodes it.
+	const (
+		f1 = `{"class":"C","method":"m","line":1,"hash":"h"}`
+		f2 = `{"class":"D","method":"n","line":2,"hash":"h"}`
+	)
+	sig2 := func(a, b string) string {
+		return `{"threads":[{"outer":[` + a + `],"inner":[` + a + `]},{"outer":[` + b + `],"inner":[` + b + `]}]}`
+	}
+	good := sig2(f1, f2)
+	add(good + ` garbage`) // trailing bytes
+	add(good + `]]]`)
+	add(good + good)
+	add(good + " \t\r\n")
+	add(" \n" + good)
+	add(`{ "threads" : [ { "outer" : [ { "class" : "C" , "method" : "m" , "line" : 1 } ] , "inner" : [ ] } ] }`)
+	for _, f := range []string{
+		`{"CLASS":"C","method":"m","line":1}`,                              // case-folded key
+		"{\"cla\u017fs\":\"C\",\"method\":\"m\",\"line\":1}",               // ſ folds to s
+		"{\"class\":\"C\",\"method\":\"m\",\"line\":1,\"\u212aind\":\"\"}", // Kelvin sign folds to k
+		`{"class":"C\u0041","method":"m","line":1}`,                        // escapes
+		`{"class":"C\\D","method":"m","line":1}`,
+		`{"class":"C\/D","method":"m","line":1}`,
+		`{"class":"Cé","method":"m","line":1}`, // non-ASCII
+		"{\"class\":\"C\xff\",\"method\":\"m\",\"line\":1}",
+		"{\"class\":\"C\x7f\",\"method\":\"m\",\"line\":1}",
+		"{\"class\":\"C\tD\",\"method\":\"m\",\"line\":1}",
+		`{"class":null,"method":"m","line":1}`, // null
+		`{"class":"C","method":"m","line":null}`,
+		`{"class":"C","class":"D","method":"m","line":1}`, // duplicate key
+		`{"class":"C","method":"m","line":1,"line":2}`,
+		`{"class":"C","method":"m","line":-0}`, // number forms
+		`{"class":"C","method":"m","line":-1}`,
+		`{"class":"C","method":"m","line":0}`,
+		`{"class":"C","method":"m","line":01}`,
+		`{"class":"C","method":"m","line":1e2}`,
+		`{"class":"C","method":"m","line":1.0}`,
+		`{"class":"C","method":"m","line":999999999999999999}`,
+		`{"class":"C","method":"m","line":9223372036854775807}`,
+		`{"class":"C","method":"m","line":9223372036854775808}`, // int overflow
+		`{"class":"C","method":"m","line":"1"}`,
+		`{"class":1,"method":"m","line":1}`,
+		`{"method":"m","line":1}`, // missing fields
+		`{}`,
+		`{"class":"C","method":"m","line":1,}`,
+		`{"class":"C","method":"m","line":1,"evil":true}`,
+	} {
+		add(sig2(f, f2))
+	}
+	add(`{"threads":[{"outer":[],"inner":[]},{"outer":[],"inner":[]}]}`) // empty arrays
+	add(`{"threads":[{},{}]}`)
+	add(`{"threads":null}`)
+	add(`{"threads":[` + `{"outer":[` + f1 + `],"inner":[` + f1 + `]}` + `],"threads":[]}`)
+	add(`{"threads":[{"outer":[` + f1 + `],"outer":[` + f2 + `],"inner":[` + f1 + `]}]}`)
+	add(`{"Threads":[]}`)
+	add(`[]`)
+	add(``)
+	add(`   `)
+	return out
+}
 
 // FuzzDecode: the signature decoder consumes bytes from the network (via
 // GET replies); arbitrary input must never panic, and anything that
 // decodes must be valid, canonical, and re-encodable to an equal value.
 func FuzzDecode(f *testing.F) {
-	good, err := Encode(twoThreadSig(5))
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range DecodeCorpus() {
+		f.Add(seed)
 	}
-	f.Add(good)
-	// Channel-kind corpus: valid signatures for every chan op kind, plus
-	// malformed kinds the decoder must reject (unknown kind, kind in the
-	// wrong case, empty-string kind encoded explicitly).
-	for _, kind := range []string{KindChanSend, KindChanRecv, KindChanSelect} {
-		ch, err := Encode(chanSig(5, kind))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(ch)
-	}
-	f.Add([]byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"chan-send"}],"inner":[{"class":"C","method":"m","line":1,"kind":"chan-recv"}]},{"outer":[{"class":"D","method":"m","line":1,"kind":"chan-send"}],"inner":[{"class":"D","method":"m","line":1,"kind":"chan-select"}]}]}`))
-	f.Add([]byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"chan-warp"}],"inner":[{"class":"C","method":"m","line":1}]}]}`))
-	f.Add([]byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":"CHAN-SEND"}],"inner":[{"class":"C","method":"m","line":1}]}]}`))
-	f.Add([]byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1,"kind":""}],"inner":[{"class":"C","method":"m","line":1}]}]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"threads":[]}`))
-	f.Add([]byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1}],"inner":[{"class":"C","method":"m","line":1}]}]}`))
-	f.Add([]byte(`not json at all`))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
@@ -55,6 +126,72 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !back.Equal(s) {
 			t.Fatal("round trip changed the signature")
+		}
+	})
+}
+
+// oracleDecode is the reference the fast decoder is checked against:
+// encoding/json's strict decoder (unknown fields disallowed) and a
+// token-level check that nothing follows the value. trailing reports a
+// value that decoded but was followed by more input.
+func oracleDecode(data []byte) (s *Signature, trailing bool, err error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	s = new(Signature)
+	if err := dec.Decode(s); err != nil {
+		return nil, false, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return s, true, nil
+	}
+	return s, false, nil
+}
+
+// FuzzDecodeDifferential: the single-pass canonical decoder must agree
+// with encoding/json on every input it accepts, and Decode as a whole
+// must accept, reject, and decode exactly as the oracle does.
+func FuzzDecodeDifferential(f *testing.F) {
+	for _, seed := range DecodeCorpus() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > MaxEncodedSize {
+			return
+		}
+		want, trailing, oErr := oracleDecode(data)
+		if fast, ok := decodeCanonical(data); ok {
+			if oErr != nil || trailing {
+				t.Fatalf("fast path accepted %q; oracle: err %v, trailing %v", data, oErr, trailing)
+			}
+			if !reflect.DeepEqual(fast, want) {
+				t.Fatalf("fast path decoded %q as\n%#v\noracle:\n%#v", data, fast, want)
+			}
+		}
+		got, err := Decode(data)
+		switch {
+		case oErr != nil:
+			if err == nil || err.Error() != "decode signature: "+oErr.Error() {
+				t.Fatalf("Decode(%q) error %v; oracle %v", data, err, oErr)
+			}
+			return
+		case trailing:
+			if err == nil {
+				t.Fatalf("Decode(%q) accepted trailing bytes", data)
+			}
+			return
+		}
+		if vErr := want.Valid(); vErr != nil {
+			if err == nil || err.Error() != fmt.Sprintf("decode signature: %v", vErr) {
+				t.Fatalf("Decode(%q) error %v; oracle invalid: %v", data, err, vErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Decode(%q) = %v; oracle accepted", data, err)
+		}
+		want.Normalize()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Decode(%q) =\n%#v\noracle:\n%#v", data, got, want)
 		}
 	})
 }

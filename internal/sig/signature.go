@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -212,32 +213,61 @@ func (s *Signature) MinOuterDepth() int {
 // acceptable overhead; depth 1 is considerable).
 const MinRemoteOuterDepth = 5
 
-// ID returns a stable content hash of the signature (hex-encoded SHA-256
-// of the canonical wire encoding). The server and client repositories use
-// it for duplicate suppression.
+// ID returns a stable content hash of the signature (hex-encoded
+// SHA-256). The server and client repositories use it for duplicate
+// suppression.
+//
+// The hashed bytes are, per thread, the outer stack, 0xFE, the inner
+// stack, 0xFF; per frame "class\x00method\x00line\x00hash", then
+// "\x02kind" if the kind is set, then 0x01. They are built in one buffer
+// and hashed once.
 func (s *Signature) ID() string {
-	h := sha256.New()
+	n := 0
 	for _, t := range s.Threads {
-		hashStack(h, t.Outer)
-		h.Write([]byte{0xFE})
-		hashStack(h, t.Inner)
-		h.Write([]byte{0xFF})
+		n += stackIDSize(t.Outer) + stackIDSize(t.Inner) + 2
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, n)
+	for _, t := range s.Threads {
+		b = appendStackID(b, t.Outer)
+		b = append(b, 0xFE)
+		b = appendStackID(b, t.Inner)
+		b = append(b, 0xFF)
+	}
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-func hashStack(h interface{ Write(p []byte) (int, error) }, s Stack) {
+// stackIDSize bounds the bytes appendStackID appends for s.
+func stackIDSize(s Stack) int {
+	n := 0
 	for _, f := range s {
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s", f.Class, f.Method, f.Line, f.Hash)
+		n += len(f.Class) + len(f.Method) + len(f.Hash) + len(f.Kind) + 25 // 20 line digits, 5 separators
+	}
+	return n
+}
+
+func appendStackID(b []byte, s Stack) []byte {
+	for _, f := range s {
+		b = append(b, f.Class...)
+		b = append(b, 0)
+		b = append(b, f.Method...)
+		b = append(b, 0)
+		b = strconv.AppendInt(b, int64(f.Line), 10)
+		b = append(b, 0)
+		b = append(b, f.Hash...)
 		// The kind is hashed only when set so that every pre-channel
 		// signature keeps the ID it had before the field existed —
 		// server dedup state and client repositories must not churn
 		// across the upgrade.
 		if f.Kind != "" {
-			fmt.Fprintf(h, "\x02%s", f.Kind)
+			b = append(b, 0x02)
+			b = append(b, f.Kind...)
 		}
-		h.Write([]byte{0x01})
+		b = append(b, 0x01)
 	}
+	return b
 }
 
 // String renders the signature compactly for logs: the bug key plus stack
