@@ -87,7 +87,7 @@ func Open(path string) (*Repo, error) {
 	// Validate eagerly so corruption surfaces at open, not at first use.
 	r.decoded = make([]*sig.Signature, len(r.state.Sigs))
 	for i, raw := range r.state.Sigs {
-		s, err := sig.Decode(raw)
+		s, err := sig.DecodeShared(raw)
 		if err != nil {
 			return nil, fmt.Errorf("repo: open %s: signature %d: %w", path, i, err)
 		}
@@ -105,6 +105,9 @@ func Open(path string) (*Repo, error) {
 // by an earlier or concurrent sync (the background client's immediate
 // first sync can race an explicit SyncNow, both fetching the same
 // range) and are skipped, making overlapping Appends idempotent.
+//
+// The repository keeps the raw slices, and its decoded signatures share
+// their bytes: the caller must not modify them afterwards.
 func (r *Repo) Append(raw []json.RawMessage, next int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -114,7 +117,7 @@ func (r *Repo) Append(raw []json.RawMessage, next int) error {
 		raw = raw[skip:]
 	}
 	for _, data := range raw {
-		s, err := sig.Decode(data)
+		s, err := sig.DecodeShared(data)
 		if err != nil {
 			continue
 		}

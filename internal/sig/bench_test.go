@@ -61,12 +61,16 @@ func codecCases() []codecCase {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	s := benchSig(15)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(s); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range codecCases() {
+		s := c.sig
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

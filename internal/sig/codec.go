@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // MaxEncodedSize is the largest encoded signature the decoders accept.
@@ -12,16 +15,167 @@ import (
 // crafted inputs.
 const MaxEncodedSize = 1 << 20
 
-// Encode serializes the signature to its canonical JSON wire form.
+// Encode serializes the signature to its canonical JSON wire form: the
+// bytes json.Marshal writes for it, HTML escaping included.
+//
+// Signatures whose strings are ASCII are appended field by field into one
+// buffer sized up front; any other falls back to json.Marshal.
 func Encode(s *Signature) ([]byte, error) {
 	if err := s.Valid(); err != nil {
 		return nil, fmt.Errorf("encode signature: %w", err)
+	}
+	if data, ok := encodeCanonical(s); ok {
+		return data, nil
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("encode signature: %w", err)
 	}
 	return data, nil
+}
+
+// encodeCanonical writes the valid signature s as json.Marshal does,
+// into one buffer of the exact size. It reports false, and the caller marshals with
+// encoding/json, when a string holds a byte outside ASCII (invalid UTF-8
+// and U+2028/U+2029 need encoding/json's rewriting).
+func encodeCanonical(s *Signature) ([]byte, bool) {
+	n := len(`{"threads":[]}`) + len(s.Threads) - 1
+	var flags uint8
+	for _, t := range s.Threads {
+		n += len(`{"outer":,"inner":}`) + stackJSONSize(t.Outer, &flags) + stackJSONSize(t.Inner, &flags)
+		if flags&nonASCII != 0 {
+			return nil, false
+		}
+	}
+	escape := flags&escaped != 0
+	b := make([]byte, 0, n)
+	b = append(b, `{"threads":[`...)
+	for i, t := range s.Threads {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"outer":`...)
+		b = appendStackJSON(b, t.Outer, escape)
+		b = append(b, `,"inner":`...)
+		b = appendStackJSON(b, t.Inner, escape)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), true
+}
+
+// Flags stackJSONSize and jsonStringSize raise.
+const (
+	escaped  = 1 << iota // some string needs escapes
+	nonASCII             // some string holds a byte outside ASCII
+)
+
+// stackJSONSize is the encoded size of the non-empty stack s.
+func stackJSONSize(s Stack, flags *uint8) int {
+	n := len(`[]`) + len(s) - 1
+	for _, f := range s {
+		n += len(`{"class":,"method":,"line":}`) + jsonStringSize(f.Class, flags) +
+			jsonStringSize(f.Method, flags) + decimalLen(f.Line)
+		if f.Hash != "" {
+			n += len(`,"hash":`) + jsonStringSize(f.Hash, flags)
+		}
+		if f.Kind != "" {
+			n += len(`,"kind":`) + jsonStringSize(f.Kind, flags)
+		}
+		if *flags&nonASCII != 0 {
+			return n // the caller falls back; the size no longer matters
+		}
+	}
+	return n
+}
+
+// decimalLen is len(strconv.Itoa(n)).
+func decimalLen(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+func appendStackJSON(b []byte, s Stack, escape bool) []byte {
+	b = append(b, '[')
+	for i, f := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"class":`...)
+		b = appendJSONString(b, f.Class, escape)
+		b = append(b, `,"method":`...)
+		b = appendJSONString(b, f.Method, escape)
+		b = append(b, `,"line":`...)
+		b = strconv.AppendInt(b, int64(f.Line), 10)
+		if f.Hash != "" {
+			b = append(b, `,"hash":`...)
+			b = appendJSONString(b, f.Hash, escape)
+		}
+		if f.Kind != "" {
+			b = append(b, `,"kind":`...)
+			b = appendJSONString(b, f.Kind, escape)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// jsonEscapes[c] is how encoding/json writes the ASCII byte c inside a
+// string with HTML escaping on; "" means as itself.
+var jsonEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		if c < 0x20 || c == '<' || c == '>' || c == '&' {
+			t[c] = fmt.Sprintf(`\u%04x`, c)
+		}
+	}
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
+	t['"'], t['\\'] = `\"`, `\\`
+	return t
+}()
+
+// jsonExtra[c] is how many bytes escaping adds to c, or -1 for a byte
+// outside ASCII.
+var jsonExtra = func() (t [256]int8) {
+	for c := range t {
+		if c >= utf8.RuneSelf {
+			t[c] = -1
+		} else if esc := jsonEscapes[c]; esc != "" {
+			t[c] = int8(len(esc) - 1)
+		}
+	}
+	return t
+}()
+
+// jsonStringSize is the quoted, escaped size of s.
+func jsonStringSize(s string, flags *uint8) int {
+	n := len(s) + 2
+	for i := 0; i < len(s); i++ {
+		if e := jsonExtra[s[i]]; e > 0 {
+			n += int(e)
+			*flags |= escaped
+		} else if e < 0 {
+			*flags |= nonASCII
+		}
+	}
+	return n
+}
+
+// appendJSONString appends the ASCII string s quoted as encoding/json
+// does; escape false promises that s needs no escapes.
+func appendJSONString(b []byte, s string, escape bool) []byte {
+	b = append(b, '"')
+	if escape {
+		start := 0
+		for i := 0; i < len(s); i++ {
+			if esc := jsonEscapes[s[i]]; esc != "" {
+				b = append(b, s[start:i]...)
+				b = append(b, esc...)
+				start = i + 1
+			}
+		}
+		s = s[start:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Decode parses a signature from its JSON wire form, validates it, and
@@ -33,10 +187,22 @@ func Encode(s *Signature) ([]byte, error) {
 // encoding/json decoder, so both paths accept, reject and decode exactly
 // alike.
 func Decode(data []byte) (*Signature, error) {
+	return decode(data, false)
+}
+
+// DecodeShared is Decode for a caller that keeps data, unmodified, for as
+// long as the signature lives — the client repository, which retains
+// every received signature's bytes anyway. A signature in the canonical
+// subset then takes its strings from data itself instead of a copy.
+func DecodeShared(data []byte) (*Signature, error) {
+	return decode(data, true)
+}
+
+func decode(data []byte, shared bool) (*Signature, error) {
 	if len(data) > MaxEncodedSize {
 		return nil, fmt.Errorf("decode signature: %d bytes exceeds limit %d", len(data), MaxEncodedSize)
 	}
-	s, ok := decodeCanonical(data)
+	s, ok := decodeCanonical(data, shared)
 	if !ok {
 		var err error
 		if s, err = decodeStrict(data); err != nil {
@@ -74,10 +240,16 @@ func decodeStrict(data []byte) (*Signature, error) {
 // never an error of its own — and the caller falls back to decodeStrict,
 // which produces the identical value for every input this accepts.
 //
-// All strings of the result are substrings of one copy of data, so a
-// decode costs one string allocation plus one per stack.
-func decodeCanonical(data []byte) (*Signature, bool) {
-	d := canonDecoder{src: string(data), scratch: make([]Frame, 0, 32)}
+// All strings of the result are substrings of one copy of data (of data
+// itself when shared), so a decode costs one string allocation plus one
+// per stack.
+func decodeCanonical(data []byte, shared bool) (*Signature, bool) {
+	d := canonDecoder{scratch: make([]Frame, 0, 32)}
+	if shared {
+		d.src = unsafe.String(unsafe.SliceData(data), len(data))
+	} else {
+		d.src = string(data)
+	}
 	var s Signature
 	var seen bool
 	ok := d.object(func(key string) bool {

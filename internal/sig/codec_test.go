@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -62,7 +63,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	// A non-ASCII class name forces the fallback decoder.
 	fallback := bytes.Replace(good, []byte(`"app/T1"`), []byte(`"app/Té"`), -1)
 	for name, data := range map[string][]byte{"fast": good, "fallback": fallback} {
-		if _, ok := decodeCanonical(data); ok != (name == "fast") {
+		if _, ok := decodeCanonical(data, false); ok != (name == "fast") {
 			t.Fatalf("%s input: decodeCanonical ok = %v", name, ok)
 		}
 		if _, err := Decode(append(append([]byte(" \n"), data...), " \t\r\n"...)); err != nil {
@@ -75,6 +76,34 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 				t.Errorf("%s + %q: err = %v, want trailing-bytes rejection", name, tail, err)
 			}
 		}
+	}
+}
+
+// TestDecodeSharedAliasesInput: DecodeShared takes a canonical
+// signature's strings from the input bytes; Decode copies them.
+func TestDecodeSharedAliasesInput(t *testing.T) {
+	data, err := Encode(twoThreadSig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inData := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		start := uintptr(unsafe.Pointer(&data[0]))
+		return start <= p && p < start+uintptr(len(data))
+	}
+	shared, err := DecodeShared(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if class := shared.Threads[0].Outer[0].Class; !inData(class) {
+		t.Errorf("DecodeShared copied class %q", class)
+	}
+	if class := copied.Threads[0].Outer[0].Class; inData(class) {
+		t.Errorf("Decode aliased class %q into its input", class)
 	}
 }
 

@@ -159,7 +159,7 @@ func FuzzDecodeDifferential(f *testing.F) {
 			return
 		}
 		want, trailing, oErr := oracleDecode(data)
-		if fast, ok := decodeCanonical(data); ok {
+		if fast, ok := decodeCanonical(data, false); ok {
 			if oErr != nil || trailing {
 				t.Fatalf("fast path accepted %q; oracle: err %v, trailing %v", data, oErr, trailing)
 			}
@@ -168,6 +168,10 @@ func FuzzDecodeDifferential(f *testing.F) {
 			}
 		}
 		got, err := Decode(data)
+		shared, sErr := DecodeShared(data)
+		if !reflect.DeepEqual(shared, got) || fmt.Sprint(sErr) != fmt.Sprint(err) {
+			t.Fatalf("DecodeShared(%q) = %v, %v; Decode %v, %v", data, shared, sErr, got, err)
+		}
 		switch {
 		case oErr != nil:
 			if err == nil || err.Error() != "decode signature: "+oErr.Error() {

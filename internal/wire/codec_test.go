@@ -1,0 +1,321 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+
+	"communix/internal/ids"
+)
+
+// frameOf wraps a payload in its length prefix.
+func frameOf(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// checkDecode holds ReadMessage to json.Unmarshal on one payload, for a
+// zero Request and a zero Response target: the same accept or reject
+// (with the same error text) and a DeepEqual value.
+func checkDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	for _, pair := range [][2]any{{new(Request), new(Request)}, {new(Response), new(Response)}} {
+		got, want := pair[0], pair[1]
+		err := ReadMessage(bytes.NewReader(frameOf(payload)), got)
+		wantErr := json.Unmarshal(payload, want)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("ReadMessage(%q) into %T: err %v; json.Unmarshal: %v", payload, got, err, wantErr)
+		case err != nil && err.Error() != "wire: unmarshal: "+wantErr.Error():
+			t.Fatalf("ReadMessage(%q) into %T: err %q; json.Unmarshal: %q", payload, got, err, wantErr)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("ReadMessage(%q) =\n%#v\njson.Unmarshal:\n%#v", payload, got, want)
+		}
+	}
+}
+
+// checkEncode holds EncodeFrame to json.Marshal on one value: the same
+// payload bytes or an error from both, and a frame decoder that, on the
+// encoder's output, agrees with json.Unmarshal.
+func checkEncode(t *testing.T, v any) {
+	t.Helper()
+	want, wantErr := json.Marshal(v)
+	if f, ok := canonicalFrame(v); ok && (wantErr != nil || !bytes.Equal(f[4:], want)) {
+		t.Fatalf("frame encoder wrote %q for %#v; json.Marshal: %q, %v", f[4:], v, want, wantErr)
+	}
+	frame, err := EncodeFrame(v)
+	if wantErr != nil || len(want) > MaxFrameSize {
+		if err == nil {
+			t.Fatalf("EncodeFrame(%#v) succeeded; json.Marshal: %v (%d bytes)", v, wantErr, len(want))
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(frame[4:], want) {
+		t.Fatalf("EncodeFrame(%#v) = %q, %v; json.Marshal: %q", v, frame, err, want)
+	}
+	checkDecode(t, want)
+}
+
+// frameCorpus seeds FuzzFrameDifferential with payloads at the edges of
+// the canonical subset.
+func frameCorpus() []string {
+	const sigJSON = `{"threads":[{"outer":[{"class":"C","method":"m","line":1,"hash":"h"}],"inner":[{"class":"C","method":"m","line":2}]}]}`
+	escLT := `\` + `u003c` // how json.Marshal writes '<'
+	out := []string{
+		// Frames the program writes.
+		`{"type":1,"token":"00ff","sig":` + sigJSON + `}`,
+		`{"type":2,"id":7,"from":12}`,
+		`{"type":9,"id":3,"epoch":4,"node":"127.0.0.1:19201","cursor":40,"last_epoch":3}`,
+		`{"type":11,"id":2,"from":1,"raw":true,"offset":4096,"snap_version":7}`,
+		`{"status":1,"id":1,"version":2,"epoch":3,"role":"follower","primary":"127.0.0.1:19200","fence":12,"fences":[{"e":1,"n":0},{"e":3,"n":12}]}`,
+		`{"status":1,"type":6,"sigs":[` + sigJSON + `,` + sigJSON + `],"next":3}`,
+		`{"status":1,"type":6,"next":4,"more":true}`,
+		`{"status":1,"type":6,"entries":[{"user":5,"unix":1760000000,"sig":` + sigJSON + `}],"next":2}`,
+		`{"status":1,"id":4,"next":8193,"more":true,"data":"AAECAwQ=","snap_version":2}`,
+		`{"status":4,"id":9,"detail":"ingestion queue full, retry"}`,
+		`{"status":2,"epoch":3,"bootstrap":true,"cursor":17}`,
+		`{}`,
+		// Case-folded, duplicate and unknown keys.
+		`{"Status":1}`, `{"TYPE":2,"from":1}`, "{\"ſig\":1}", `{"status":1,"status":2}`,
+		`{"type":1,"sig":{},"sig":[]}`, `{"status":1,"evil":true}`, `{"type":2,"Type":3}`,
+		// null, empty and odd raw values.
+		`{"status":1,"sigs":null}`, `{"status":1,"sigs":[null]}`, `{"status":1,"sigs":[]}`,
+		`{"type":1,"sig":null}`, `{"type":1,"sig":""}`, `{"type":1,"sig":-0.5e+3}`, `{"status":1,"sigs":[1,"a",true,false,{},[]]}`,
+		`{"status":1,"entries":[{}]}`, `{"status":1,"entries":[null]}`, `{"status":1,"entries":[]}`,
+		`{"status":1,"fences":[{}]}`, `{"status":1,"fences":null}`, `{"status":null}`, `{"status":1,"detail":null}`,
+		`{"status":1,"entries":[{"user":1,"unix":2,"sig":null}]}`, `{"status":1,"data":""}`, `{"status":1,"data":null}`,
+		// Whitespace, inside raw values and between tokens.
+		`{"type":1,"sig":{ "threads" : [ ] }}`, `{"type":1,"sig": {}}`, ` {"type":1}`, `{"type":1} `, "{\"type\":1,\n\"from\":2}",
+		// Escapes.
+		`{"status":1,"sigs":["` + escLT + `init>"]}`, `{"status":1,"detail":"` + escLT + `"}`, `{"status":1,"detail":"a\"b"}`,
+		`{"status":1,"sigs":["\"\\\/\b\f\n\r\t"]}`, `{"status":1,"sigs":["\x"]}`, `{"status":1,"sigs":["\u12"]}`,
+		`{"status":1,"sigs":["` + `\` + `uD800"]}`, "{\"status\":1,\"sigs\":[\"\x01\"]}", `{"status":1,"detail":"<&>"}`,
+		// Non-ASCII.
+		`{"status":1,"detail":"é"}`, "{\"status\":1,\"detail\":\"\xff\"}", `{"status":1,"sigs":["é"]}`,
+		"{\"status\":1,\"sigs\":[\"\xe2\x80\xa8\"]}", "{\"status\":1,\"sigs\":[\"\xff\"]}",
+		// Number forms.
+		`{"status":1e2}`, `{"status":1.0}`, `{"status":-0}`, `{"status":-1}`, `{"status":01}`, `{"status":+1}`,
+		`{"id":-1}`, `{"id":18446744073709551615}`, `{"id":18446744073709551616}`, `{"next":9223372036854775808}`,
+		`{"id":999999999999999999}`, `{"id":1000000000000000000}`, `{"status":"1"}`, `{"more":1}`, `{"more":tru}`,
+		// Base64 data.
+		`{"status":1,"data":"AA=="}`, `{"status":1,"data":"AA"}`, `{"status":1,"data":"!!!!"}`, `{"status":1,"data":"QUJD\nREVG"}`,
+		// Trailing bytes and truncation.
+		`{"status":1}garbage`, `{"status":1}}`, `{"status":1}{"status":2}`, `{"status":1`, `{"status":`, `{"sigs":[1,]}`,
+		`{"status":1,}`, `{,}`, `[]`, `null`, `1`, `"x"`, ``, `{"status":1,"sigs":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
+	}
+	return out
+}
+
+// FuzzFrameDifferential holds the frame codec to encoding/json. For
+// arbitrary payload bytes, ReadMessage into a zero Request or Response
+// accepts or rejects as json.Unmarshal does and yields a DeepEqual value.
+// For Requests and Responses built from the inputs — the payload also
+// standing in as every raw value — EncodeFrame writes json.Marshal's
+// bytes.
+func FuzzFrameDifferential(f *testing.F) {
+	for _, p := range frameCorpus() {
+		f.Add([]byte(p), int64(1), uint64(0xFFFF), "token", true)
+	}
+	f.Add([]byte(`{}`), int64(-7), uint64(1<<63), "é", false)
+	f.Add([]byte(` [1, 2]`), int64(0), uint64(5), "a<b", true)
+	f.Fuzz(func(t *testing.T, payload []byte, n int64, u uint64, s string, flag bool) {
+		checkDecode(t, payload)
+
+		// u's bits choose which fields are set, so omitempty is exercised.
+		on := func(bit uint) bool { return u>>bit&1 != 0 }
+		req := Request{Type: MsgType(n)}
+		if on(0) {
+			req.ID, req.Token, req.Sig, req.From = u, ids.Token(s), payload, int(n)
+		}
+		if on(1) {
+			req.Version, req.Epoch, req.Bootstrap, req.Node = int(n>>8), u>>1, flag, s
+		}
+		if on(2) {
+			req.Cursor, req.LastEpoch, req.Raw, req.Offset, req.SnapVersion = -int(n), u>>3, !flag, n, u
+		}
+		checkEncode(t, req)
+
+		resp := Response{Status: Status(n)}
+		if on(0) {
+			resp.ID, resp.Type, resp.Detail, resp.Next, resp.More = u, MsgType(n>>4), s, int(n), flag
+			resp.Sigs = []json.RawMessage{payload}
+		}
+		if on(1) {
+			resp.Sigs = append(resp.Sigs, nil, payload)
+			resp.Version, resp.Epoch, resp.Role, resp.Primary, resp.Fence = int(n>>8), u, s, s, int(u>>2)
+			resp.Fences = []EpochFence{{E: u, N: int(n)}, {}}
+		}
+		if on(2) {
+			resp.Entries = []Entry{{User: ids.UserID(u), Unix: n, Sig: payload}, {}}
+			resp.Bootstrap, resp.Cursor, resp.Data, resp.SnapVersion = flag, int(n), []byte(s), u
+		}
+		checkEncode(t, resp)
+		checkEncode(t, &resp)
+	})
+}
+
+// TestSkipValue holds the skipper to json.Valid, and its compact verdict
+// to json.Marshal's treatment of a RawMessage.
+func TestSkipValue(t *testing.T) {
+	inputs := frameCorpus()
+	for _, p := range frameCorpus() {
+		for _, cut := range []int{1, 2, len(p) / 2, len(p) - 1} {
+			if cut > 0 && cut < len(p) {
+				inputs = append(inputs, p[cut:], p[:cut])
+			}
+		}
+	}
+	for _, p := range inputs {
+		b := []byte(p)
+		end, compact := skipValue(b, 0)
+		whole := end >= 0 && len(bytes.TrimLeft(b[end:], " \t\r\n")) == 0
+		// Deeper than maxSkipDepth the skipper declines valid JSON.
+		deep := strings.Count(p, "[")+strings.Count(p, "{") > maxSkipDepth
+		if valid := json.Valid(b); valid != whole && !(deep && end < 0) {
+			t.Errorf("skipValue(%q) = %d of %d; json.Valid %v", p, end, len(b), valid)
+		}
+		if end != len(b) {
+			continue
+		}
+		marshaled, err := json.Marshal(json.RawMessage(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := bytes.Equal(marshaled, b); compact != same {
+			t.Errorf("skipValue(%q) compact %v; json.Marshal writes %q", p, compact, marshaled)
+		}
+	}
+}
+
+// prevResponse is a Response holding a value in every field.
+func prevResponse() Response {
+	return Response{
+		Status: StatusBusy, ID: 9, Type: MsgPush, Detail: "old", Sigs: []json.RawMessage{[]byte(`1`), []byte(`2`)},
+		Next: 4, More: true, Version: 1, Epoch: 2, Role: "follower", Primary: "p:1", Fence: 3,
+		Fences: []EpochFence{{1, 0}}, Entries: []Entry{{User: 1, Unix: 2, Sig: []byte(`3`)}},
+		Bootstrap: true, Cursor: 5, Data: []byte{6}, SnapVersion: 7,
+	}
+}
+
+// TestReadMessageNonZeroTarget: a frame read into a value that already
+// holds data merges exactly as json.Unmarshal merges — fields the frame
+// omits keep their previous value.
+func TestReadMessageNonZeroTarget(t *testing.T) {
+	for _, p := range []string{
+		`{"status":1}`,
+		`{"status":1,"sigs":["x"],"next":8}`,
+		`{"status":1,"entries":[{"sig":null}],"fences":[{"e":4}]}`,
+		`{}`,
+	} {
+		got, want := prevResponse(), prevResponse()
+		if err := ReadMessage(bytes.NewReader(frameOf([]byte(p))), &got); err != nil {
+			t.Fatalf("ReadMessage(%s): %v", p, err)
+		}
+		if err := json.Unmarshal([]byte(p), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ReadMessage(%s) into a filled Response =\n%#v\njson.Unmarshal:\n%#v", p, got, want)
+		}
+		if got.Detail != "old" || got.Role != "follower" {
+			t.Errorf("ReadMessage(%s) dropped fields the frame omits: %+v", p, got)
+		}
+	}
+	prev := func() Request { return Request{Type: MsgAdd, Token: "t", Sig: []byte(`{}`), Node: "n", From: 3} }
+	got, want := prev(), prev()
+	p := []byte(`{"type":2,"from":9}`)
+	if err := ReadMessage(bytes.NewReader(frameOf(p)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(p, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Token != "t" || string(got.Sig) != `{}` {
+		t.Errorf("ReadMessage into a filled Request = %+v; json.Unmarshal %+v", got, want)
+	}
+}
+
+// sample returns a non-zero value of type typ with every field set.
+func sample(typ reflect.Type) reflect.Value {
+	v := reflect.New(typ).Elem()
+	switch {
+	case typ == reflect.TypeOf(json.RawMessage(nil)):
+		v.SetBytes([]byte(`{"k":[1,"s",null]}`))
+	case typ.Kind() == reflect.Slice && typ.Elem().Kind() == reflect.Uint8:
+		v.SetBytes([]byte{1, 2, 3})
+	case typ.Kind() == reflect.Slice:
+		v.Set(reflect.Append(v, sample(typ.Elem())))
+	case typ.Kind() == reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			v.Field(i).Set(sample(typ.Field(i).Type))
+		}
+	case typ.Kind() == reflect.String:
+		v.SetString("x")
+	case typ.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case v.CanInt():
+		v.SetInt(-7)
+	case v.CanUint():
+		v.SetUint(9)
+	default:
+		panic("no sample for " + typ.String())
+	}
+	return v
+}
+
+// TestCodecCoversEveryField: each field of Request and Response, set
+// alone and all together, takes the frame codec both ways and makes the
+// value non-zero — so a field added to the structs without the codec
+// learning it fails here rather than silently taking the fallback.
+func TestCodecCoversEveryField(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Request{}), reflect.TypeOf(Response{})} {
+		values := []reflect.Value{sample(typ)}
+		for i := 0; i < typ.NumField(); i++ {
+			v := reflect.New(typ).Elem()
+			v.Field(i).Set(sample(typ.Field(i).Type))
+			values = append(values, v)
+		}
+		for _, v := range values {
+			ptr := v.Addr().Interface()
+			if z, ok := ptr.(interface{ isZero() bool }); !ok || z.isZero() {
+				t.Fatalf("%#v reads as zero", ptr)
+			}
+			frame, ok := canonicalFrame(ptr)
+			want, err := json.Marshal(ptr)
+			if err != nil || !ok || !bytes.Equal(frame[4:], want) {
+				t.Fatalf("frame encoder on %#v: %q, %v; json.Marshal %q, %v", ptr, frame, ok, want, err)
+			}
+			got := reflect.New(typ).Interface()
+			if !decodeCanonical(want, got) {
+				t.Fatalf("frame decoder declined %s", want)
+			}
+			if !reflect.DeepEqual(got, ptr) {
+				t.Fatalf("frame decoder on %s = %#v, want %#v", want, got, ptr)
+			}
+		}
+	}
+}
+
+// TestDecodedRawAliasesPayload: decoded raw values share the payload
+// without exposing the bytes after them to an append.
+func TestDecodedRawAliasesPayload(t *testing.T) {
+	p := []byte(`{"status":1,"sigs":[{"a":1},{"b":2}],"entries":[{"user":1,"unix":2,"sig":[3]}]}`)
+	var r Response
+	if !decodeCanonical(p, &r) {
+		t.Fatal("frame decoder declined a canonical payload")
+	}
+	if &r.Sigs[0][0] != &p[bytes.Index(p, []byte(`{"a"`))] {
+		t.Error("decoded signature does not alias the payload")
+	}
+	for _, raw := range append(r.Sigs, r.Entries[0].Sig) {
+		if cap(raw) != len(raw) {
+			t.Errorf("raw value %s has capacity %d past its end", raw, cap(raw)-len(raw))
+		}
+	}
+	_ = append(r.Sigs[0], 'x')
+	if string(r.Sigs[1]) != `{"b":2}` {
+		t.Errorf("append to one raw value overwrote the next: %s", r.Sigs[1])
+	}
+}

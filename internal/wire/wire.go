@@ -17,6 +17,14 @@
 // Responses with ID 0 (an ID no request ever uses) and Type MsgPush. A
 // peer whose first frame is ADD or GET (no HELLO) is a v1 peer and is
 // served exactly as before.
+//
+// Every payload is the JSON json.Marshal writes and json.Unmarshal
+// reads. Requests and Responses in the canonical subset (codec.go) go
+// through a hand-written codec that writes the same bytes and reads the
+// same values; everything else goes through encoding/json. Signatures
+// cross the envelope verbatim: a decoded Sig, Sigs element or Entry.Sig
+// is a slice of the frame's payload, shared with its neighbours, and
+// must not be mutated.
 package wire
 
 import (
@@ -489,20 +497,12 @@ const (
 
 // WriteMessage writes v as one length-prefixed JSON frame.
 func WriteMessage(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+	frame, err := EncodeFrame(v)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return err
 	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write payload: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -513,21 +513,31 @@ func WriteMessage(w io.Writer, v any) error {
 // the identical bytes out to every subscriber at the same cursor
 // (pages of the append-only log are immutable, so an encoded frame for
 // a given index range never goes stale).
+//
+// The payload is json.Marshal's: a Request or Response in the canonical
+// subset (codec.go) is appended field by field, anything else marshaled
+// by encoding/json.
 func EncodeFrame(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
+	frame, ok := canonicalFrame(v)
+	if !ok {
+		payload, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("wire: marshal: %w", err)
+		}
+		frame = append(append(frame[:0], 0, 0, 0, 0), payload...)
 	}
-	if len(payload) > MaxFrameSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+	n := len(frame) - 4
+	if n > MaxFrameSize {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
 	return frame, nil
 }
 
-// ReadMessage reads one length-prefixed JSON frame into v.
+// ReadMessage reads one length-prefixed JSON frame into v, as
+// json.Unmarshal would. A zero Request or Response receiving a payload
+// in the canonical subset (codec.go) is filled by the frame decoder, and
+// its raw signatures then alias the payload: they must not be mutated.
 func ReadMessage(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -543,6 +553,9 @@ func ReadMessage(r io.Reader, v any) error {
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return fmt.Errorf("wire: read payload: %w", err)
+	}
+	if decodeCanonical(payload, v) {
+		return nil
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("wire: unmarshal: %w", err)
