@@ -7,7 +7,6 @@ package communix_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"communix/internal/bench"
 	"communix/internal/bytecode"
@@ -137,32 +136,6 @@ func BenchmarkTable2DoSOverhead(b *testing.B) {
 	b.Run("depth1", func(b *testing.B) { bench2(b, workload.AttackDepth1, true) })
 }
 
-// BenchmarkStoreContended measures contended ADD/GET throughput of the
-// signature database: the single-lock reference (store.Locked) versus the
-// sharded store, at increasing worker counts. The sharded store commits
-// commuting ADDs on distinct shard locks and serves GET from a lock-free
-// log snapshot; the gap widens with contention. The communix-bench binary
-// (-experiment store) runs the same sweep and can write BENCH_store.json.
-func BenchmarkStoreContended(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		for _, impl := range []string{"locked", "sharded"} {
-			b.Run(fmt.Sprintf("%s/workers=%d", impl, workers), func(b *testing.B) {
-				// One sweep with b.N folded into the op count (rather than
-				// b.N whole sweeps) so the ops/s metric reflects a single
-				// converged run; the headline number is ops/s, not ns/op.
-				points, err := bench.StoreBench(bench.StoreBenchConfig{
-					Workers: []int{workers}, OpsPerWorker: 500 * b.N,
-					Impls: []string{impl},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(points[0].OpsPerSec, "ops/s")
-			})
-		}
-	}
-}
-
 // BenchmarkProtectionTime runs the §IV-C fleet simulation (time to full
 // protection scales as 1/Nu with Communix).
 func BenchmarkProtectionTime(b *testing.B) {
@@ -200,38 +173,5 @@ func BenchmarkAgentValidationRate(b *testing.B) {
 		if res.Report.Inspected != 1000 {
 			b.Fatalf("inspected %d", res.Report.Inspected)
 		}
-	}
-}
-
-// BenchmarkFleet runs a smoke-sized cell of the fleet experiment in each
-// pusher mode: a short steady trace against one server with a small
-// subscriber fleet, reporting aggregate distribution throughput and p99
-// commit-to-delivery latency. The full sessions × throughput × latency
-// surface is the communix-bench fleet experiment (BENCH_fleet.json).
-func BenchmarkFleet(b *testing.B) {
-	trace, err := bench.Synthesize(bench.TraceConfig{
-		Profile: bench.TraceProfileSteady, Slots: 4,
-		SlotDur: 100 * time.Millisecond, TargetRPS: 100,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{bench.FleetModePooled, bench.FleetModeBaseline} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			var res bench.FleetCellResult
-			for i := 0; i < b.N; i++ {
-				res, err = bench.Fleet(bench.FleetConfig{
-					Mode: mode, Subscribers: 16, Trace: trace, TimeoutSec: 60,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Quiesced || res.GapErrors != 0 {
-					b.Fatalf("fleet degraded: %+v", res)
-				}
-			}
-			b.ReportMetric(res.DeliveriesPerSec, "deliveries/s")
-			b.ReportMetric(res.LatencyP99MS, "p99-ms")
-		})
 	}
 }

@@ -301,107 +301,6 @@ func TestDurableServerRestartAndInspect(t *testing.T) {
 	}
 }
 
-func TestBenchPersistExperiment(t *testing.T) {
-	bin := buildAll(t)
-	jsonPath := filepath.Join(t.TempDir(), "persist.json")
-	cmd := exec.Command(filepath.Join(bin, "communix-bench"),
-		"-experiment", "persist", "-persist-json", jsonPath)
-	msg, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("bench persist: %v\n%s", err, msg)
-	}
-	out := string(msg)
-	for _, want := range []string{"fsync", "memory", "always"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench persist output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("persist JSON not written: %v", err)
-	}
-	if !strings.Contains(string(data), "persist-fsync-policy-sweep") {
-		t.Errorf("persist JSON:\n%s", data)
-	}
-}
-
-func TestBenchRuntimeExperiment(t *testing.T) {
-	bin := buildAll(t)
-	jsonPath := filepath.Join(t.TempDir(), "runtime.json")
-	cmd := exec.Command(filepath.Join(bin, "communix-bench"),
-		"-experiment", "runtime", "-runtime-json", jsonPath)
-	msg, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("bench runtime: %v\n%s", err, msg)
-	}
-	out := string(msg)
-	for _, want := range []string{"sharded matched path", "goroutines", "vs-global"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench runtime output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("runtime JSON not written: %v", err)
-	}
-	if !strings.Contains(string(data), "runtime-sharded-sweep") {
-		t.Errorf("runtime JSON:\n%s", data)
-	}
-}
-
-func TestBenchE2EExperiment(t *testing.T) {
-	bin := buildAll(t)
-	jsonPath := filepath.Join(t.TempDir(), "e2e.json")
-	// Default mode is the push-vs-poll comparison; a short poll cadence
-	// keeps the poll leg fast (distribution latency scales with it).
-	cmd := exec.Command(filepath.Join(bin, "communix-bench"),
-		"-experiment", "e2e", "-e2e-workers", "1", "-e2e-sigs", "2",
-		"-e2e-poll-ms", "300", "-e2e-timeout", "60", "-e2e-json", jsonPath)
-	msg, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("bench e2e: %v\n%s", err, msg)
-	}
-	out := string(msg)
-	for _, want := range []string{"time-to-protection", "detected=2 uploaded=2", "push-vs-poll", "distribution latency"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench e2e output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("e2e JSON not written: %v", err)
-	}
-	for _, want := range []string{"e2e-push-vs-poll", "ttp_ratio"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("e2e JSON missing %q:\n%s", want, data)
-		}
-	}
-}
-
-func TestBenchE2EPushMode(t *testing.T) {
-	bin := buildAll(t)
-	jsonPath := filepath.Join(t.TempDir(), "e2e.json")
-	cmd := exec.Command(filepath.Join(bin, "communix-bench"),
-		"-experiment", "e2e", "-e2e-mode", "push", "-e2e-workers", "1",
-		"-e2e-sigs", "2", "-e2e-timeout", "60", "-e2e-json", jsonPath)
-	msg, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("bench e2e push: %v\n%s", err, msg)
-	}
-	if !strings.Contains(string(msg), "push distribution") {
-		t.Errorf("bench e2e push output:\n%s", msg)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("e2e JSON not written: %v", err)
-	}
-	for _, want := range []string{"e2e-cross-process", `"mode": "push"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("e2e push JSON missing %q:\n%s", want, data)
-		}
-	}
-}
-
 func TestClientFailsAgainstDeadServer(t *testing.T) {
 	bin := buildAll(t)
 	cmd := exec.Command(filepath.Join(bin, "communix-client"),

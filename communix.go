@@ -167,11 +167,6 @@ type ServerConfig struct {
 	// before the server downgrades it from push delivery to catch-up
 	// GETs (default 4 × GetBatch).
 	PushMaxLag int
-	// Pushers sizes the pooled pusher subsystem: that many shared worker
-	// goroutines drive every subscriber's push cursor. 0 = GOMAXPROCS;
-	// negative selects the baseline one-pusher-goroutine-per-session
-	// architecture (for comparison runs).
-	Pushers int
 	// MaxSessions caps concurrent v2 sessions; surplus HELLOs are
 	// downgraded to v1 poll mode. 0 = unlimited.
 	MaxSessions int
@@ -248,7 +243,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Fsync:           fsync,
 		GetBatch:        cfg.GetBatch,
 		PushMaxLag:      cfg.PushMaxLag,
-		Pushers:         cfg.Pushers,
 		MaxSessions:     cfg.MaxSessions,
 		MaxSubs:         cfg.MaxSubs,
 		MaxSubsPerUser:  cfg.MaxSubsPerUser,

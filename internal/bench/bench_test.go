@@ -202,181 +202,3 @@ func TestMaliciousHistoriesDiffer(t *testing.T) {
 		}
 	}
 }
-
-func TestRuntimeBenchSmallSweep(t *testing.T) {
-	points, err := RuntimeBench(RuntimeBenchConfig{
-		Goroutines:      []int{1, 2},
-		HistorySizes:    []int{0, 8},
-		MatchPercents:   []int{0, 50},
-		OpsPerGoroutine: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (g × hist × match) minus the skipped hist=0/match>0 combos, ×3 modes.
-	if want := 2 * 3 * 3; len(points) != want {
-		t.Fatalf("points = %d, want %d", len(points), want)
-	}
-	for i, p := range points {
-		if p.OpsPerSec <= 0 || p.Ops != p.Goroutines*200 {
-			t.Errorf("bad point %+v", p)
-		}
-		if p.Yields != 0 {
-			t.Errorf("point %+v yielded; the sweep workload must never yield", p)
-		}
-		if p.Contended != 0 {
-			t.Errorf("point %+v contended; locks are private per goroutine", p)
-		}
-		if want := runtimeModes[i%3]; p.Mode != want {
-			t.Errorf("point %d mode = %q, want %q", i, p.Mode, want)
-		}
-		if p.FastPath != (p.Mode != RuntimeModeReference) {
-			t.Errorf("point %+v: FastPath inconsistent with Mode", p)
-		}
-	}
-	var buf bytes.Buffer
-	WriteRuntimeBench(&buf, points)
-	if !strings.Contains(buf.String(), "sharded matched path") {
-		t.Error("renderer output missing header")
-	}
-	buf.Reset()
-	if err := WriteRuntimeBenchJSON(&buf, points, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"runtime-sharded-sweep"`) {
-		t.Error("JSON output missing experiment tag")
-	}
-}
-
-func TestHotSwapBenchSmallSweep(t *testing.T) {
-	points, err := HotSwapBench(HotSwapBenchConfig{
-		Goroutines:      []int{2},
-		HistorySizes:    []int{8},
-		SwapRates:       []int{0, 500},
-		MatchPercents:   []int{0, 100},
-		HeldLocks:       2,
-		OpsPerGoroutine: 300,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// g × hist × match × rate × 2 refresh arms.
-	if want := 1 * 1 * 2 * 2 * 2; len(points) != want {
-		t.Fatalf("points = %d, want %d", len(points), want)
-	}
-	for i, p := range points {
-		if p.OpsPerSec <= 0 || p.Ops != p.Goroutines*300 {
-			t.Errorf("bad point %+v", p)
-		}
-		if p.Yields != 0 {
-			t.Errorf("point %+v yielded; the sweep workload must never yield", p)
-		}
-		if want := hotSwapArms[i%2]; p.Refresh != want {
-			t.Errorf("point %d refresh = %q, want %q", i, p.Refresh, want)
-		}
-		// The full-rebuild arm must never take the incremental path, and
-		// the incremental arm must never fall back mid-churn: the ring
-		// covers a single alternating signature with room to spare.
-		if p.Refresh == RefreshFull && p.RefreshDelta != 0 {
-			t.Errorf("full-rebuild arm recorded %d delta refreshes: %+v", p.RefreshDelta, p)
-		}
-		if p.Refresh == RefreshIncremental && p.SwapsPerSec > 0 && p.MatchPercent > 0 && p.RefreshFull > 0 {
-			t.Errorf("incremental arm fell back to %d full rebuilds: %+v", p.RefreshFull, p)
-		}
-	}
-	var buf bytes.Buffer
-	WriteHotSwapBench(&buf, points)
-	if !strings.Contains(buf.String(), "incremental delta refresh vs full rebuild") {
-		t.Error("renderer output missing header")
-	}
-	buf.Reset()
-	if err := WriteRuntimeBenchJSON(&buf, nil, points, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"hot_swap"`) {
-		t.Error("JSON output missing hot_swap section")
-	}
-}
-
-// BenchmarkHotSwapRefresh is the CI bench-rot smoke hook for the
-// hot-swap arms: one churn-heavy configuration per refresh mode, so a
-// regression that breaks either refresh path fails the smoke run.
-func BenchmarkHotSwapRefresh(b *testing.B) {
-	for _, arm := range hotSwapArms {
-		b.Run(arm, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := hotSwapBenchPoint(4, 32, 100, 1000, 4, 2000, arm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if p.OpsPerSec <= 0 {
-					b.Fatalf("bad point %+v", p)
-				}
-			}
-		})
-	}
-}
-
-func TestRuntimeBenchFastBeatsReferenceUncontended(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation distorts the timing comparison")
-	}
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	// Not a strict benchmark — just the qualitative shape on a
-	// long-enough run: the lock-free path should never lose to the
-	// global mutex on unmatched acquisitions.
-	points, err := RuntimeBench(RuntimeBenchConfig{
-		Goroutines:      []int{4},
-		HistorySizes:    []int{16},
-		MatchPercents:   []int{0},
-		OpsPerGoroutine: 20000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
-	}
-	ref, fast := points[0], points[2]
-	if ref.Mode != RuntimeModeReference || fast.Mode != RuntimeModeSharded {
-		t.Fatalf("unexpected point order: %+v, %+v", ref, fast)
-	}
-	if fast.OpsPerSec <= ref.OpsPerSec {
-		t.Errorf("fast path (%.0f ops/s) did not beat the reference (%.0f ops/s)",
-			fast.OpsPerSec, ref.OpsPerSec)
-	}
-}
-
-func TestRuntimeBenchShardedBeatsGlobalMatched(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation distorts the timing comparison")
-	}
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	// The matched-heavy qualitative shape: with every acquisition
-	// matching a signature, the sharded matched path should never lose
-	// to funneling matched acquisitions through rt.mu.
-	points, err := RuntimeBench(RuntimeBenchConfig{
-		Goroutines:      []int{8},
-		HistorySizes:    []int{64},
-		MatchPercents:   []int{100},
-		OpsPerGoroutine: 20000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
-	}
-	glob, shard := points[1], points[2]
-	if glob.Mode != RuntimeModeGlobal || shard.Mode != RuntimeModeSharded {
-		t.Fatalf("unexpected point order: %+v, %+v", glob, shard)
-	}
-	if shard.OpsPerSec <= glob.OpsPerSec {
-		t.Errorf("sharded matched path (%.0f ops/s) did not beat the global-mutex matched path (%.0f ops/s)",
-			shard.OpsPerSec, glob.OpsPerSec)
-	}
-}

@@ -541,7 +541,7 @@ func TestSplitBrainQuorumRefusalAndFencedRejoin(t *testing.T) {
 // per-user cap across sessions, and frees the slot when the session
 // closes.
 func TestSubscribePerUserQuota(t *testing.T) {
-	_, addr, auth := v2TestServer(t, Config{MaxSubsPerUser: 1, Pushers: 2})
+	_, addr, auth := v2TestServer(t, Config{MaxSubsPerUser: 1})
 	_, token := auth.Issue()
 
 	subscribe := func(c *wire.Conn, tok ids.Token) wire.Response {
@@ -608,7 +608,7 @@ func TestSubscribePerUserQuota(t *testing.T) {
 // reservation — rotating tokens is neither a way to bypass a full
 // user's limit nor a way to hold slots under two users at once.
 func TestSubscribeQuotaTokenRotation(t *testing.T) {
-	_, addr, auth := v2TestServer(t, Config{MaxSubsPerUser: 1, Pushers: 2})
+	_, addr, auth := v2TestServer(t, Config{MaxSubsPerUser: 1})
 	_, tokenA := auth.Issue()
 	_, tokenB := auth.Issue()
 

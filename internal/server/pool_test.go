@@ -10,6 +10,21 @@ import (
 	"communix/internal/wire"
 )
 
+// handPlayedServer builds a server whose pusher pool has no workers:
+// the real workers are parked and enqueues accumulate until the test
+// pops and dispatches them by hand. Cleanup closes the server.
+func handPlayedServer(t *testing.T) *Server {
+	t.Helper()
+	srv, err := New(Config{Key: testKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.pool.close()
+	srv.pool = newPusherPool(srv, 0)
+	return srv
+}
+
 // Regression: a subscriber that disconnects while sitting in the
 // readiness queue must not leave a dangling cursor in the hub, and the
 // worker that later pops the dead entry must not produce frames for (or
@@ -17,15 +32,7 @@ import (
 // deterministically by swapping the server's pool for one with no
 // workers, so the queue only moves when the test plays the worker.
 func TestDisconnectWhileQueuedInReadinessQueue(t *testing.T) {
-	srv, err := New(Config{Key: testKey, Pushers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	// Park the real worker and install a worker-less pool: enqueues
-	// accumulate until the test pops them by hand.
-	srv.pool.close()
-	srv.pool = &pusherPool{srv: srv, wakeCh: make(chan struct{}, 1), stop: make(chan struct{})}
+	srv := handPlayedServer(t)
 
 	client, serverEnd := net.Pipe()
 	defer client.Close()
@@ -85,13 +92,7 @@ func TestDisconnectWhileQueuedInReadinessQueue(t *testing.T) {
 // A commit arriving after a subscriber's teardown wakes nobody: the hub
 // no longer knows the session, so the readiness queue stays empty.
 func TestCommitAfterTeardownWakesNobody(t *testing.T) {
-	srv, err := New(Config{Key: testKey, Pushers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.pool.close()
-	srv.pool = &pusherPool{srv: srv, wakeCh: make(chan struct{}, 1), stop: make(chan struct{})}
+	srv := handPlayedServer(t)
 
 	client, serverEnd := net.Pipe()
 	defer client.Close()
@@ -171,7 +172,7 @@ func TestPageCache(t *testing.T) {
 // The readiness queue is FIFO and recycles its backing array when
 // drained.
 func TestReadinessQueueFIFO(t *testing.T) {
-	p := &pusherPool{wakeCh: make(chan struct{}, 1), stop: make(chan struct{})}
+	p := newPusherPool(nil, 0)
 	a, b := &session{}, &session{}
 	p.enqueue(a)
 	p.enqueue(b)

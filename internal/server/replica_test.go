@@ -175,41 +175,41 @@ func TestFollowerServesReadsRedirectsWrites(t *testing.T) {
 // distribution node — its SUBSCRIBE clients receive deltas pushed at
 // replication speed when the write lands on the primary.
 func TestSubscribeOnFollowerReceivesPrimaryWrites(t *testing.T) {
-	forEachPushMode(t, func(t *testing.T, pushers int) {
-		primary := startNode(t, Config{Pushers: pushers})
-		cfg := follow(primary)
-		cfg.Pushers = pushers
-		f := startNode(t, cfg)
-		auth, _ := ids.NewAuthority(testKey)
-		waitReplicated(t, primary.srv, f.srv)
+	pooled(t, testSubscribeOnFollowerReceivesPrimaryWrites)
+}
 
-		conn, c := dialV2(t, f.addr)
-		defer conn.Close()
-		if err := c.Send(wire.NewSubscribe(2, 1)); err != nil {
-			t.Fatal(err)
-		}
-		var ack wire.Response
-		if err := c.Recv(&ack); err != nil {
-			t.Fatal(err)
-		}
-		if ack.Status != wire.StatusOK || ack.ID != 2 {
-			t.Fatalf("SUBSCRIBE ack = %+v", ack)
-		}
+func testSubscribeOnFollowerReceivesPrimaryWrites(t *testing.T) {
+	primary := startNode(t, Config{})
+	f := startNode(t, follow(primary))
+	auth, _ := ids.NewAuthority(testKey)
+	waitReplicated(t, primary.srv, f.srv)
 
-		seedServer(t, primary.srv, auth, 3, 3)
-		received := 0
-		deadline := time.Now().Add(10 * time.Second)
-		for received < 3 {
-			_ = conn.SetReadDeadline(deadline)
-			var f wire.Response
-			if err := c.Recv(&f); err != nil {
-				t.Fatalf("waiting for pushed delta (got %d/3): %v", received, err)
-			}
-			if f.ID == 0 && f.Type == wire.MsgPush {
-				received += len(f.Sigs)
-			}
+	conn, c := dialV2(t, f.addr)
+	defer conn.Close()
+	if err := c.Send(wire.NewSubscribe(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var ack wire.Response
+	if err := c.Recv(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Status != wire.StatusOK || ack.ID != 2 {
+		t.Fatalf("SUBSCRIBE ack = %+v", ack)
+	}
+
+	seedServer(t, primary.srv, auth, 3, 3)
+	received := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for received < 3 {
+		_ = conn.SetReadDeadline(deadline)
+		var f wire.Response
+		if err := c.Recv(&f); err != nil {
+			t.Fatalf("waiting for pushed delta (got %d/3): %v", received, err)
 		}
-	})
+		if f.ID == 0 && f.Type == wire.MsgPush {
+			received += len(f.Sigs)
+		}
+	}
 }
 
 // TestReplicationDifferentialChurn is the flagship differential: under
@@ -220,86 +220,87 @@ func TestSubscribeOnFollowerReceivesPrimaryWrites(t *testing.T) {
 // byte-for-byte: state digest (log, dup set, adjacency tops, budget)
 // and client-visible GET snapshot.
 func TestReplicationDifferentialChurn(t *testing.T) {
-	forEachPushMode(t, func(t *testing.T, pushers int) {
-		pcfg := Config{
-			DataDir:   t.TempDir(),
-			Fsync:     store.FsyncOff,
-			GetBatch:  7, // force multi-page shipping
-			MaxPerDay: 10_000,
-			Pushers:   pushers,
-		}
-		primary := startNode(t, pcfg)
-		auth, err := ids.NewAuthority(testKey)
-		if err != nil {
-			t.Fatal(err)
-		}
+	pooled(t, testReplicationDifferentialChurn)
+}
 
-		fDir := t.TempDir()
-		fcfg := follow(primary)
-		fcfg.DataDir, fcfg.Fsync, fcfg.Pushers = fDir, store.FsyncOff, pushers
-		restarted := startNode(t, fcfg)
-		steady := startNode(t, follow(primary))
+func testReplicationDifferentialChurn(t *testing.T) {
+	pcfg := Config{
+		DataDir:   t.TempDir(),
+		Fsync:     store.FsyncOff,
+		GetBatch:  7, // force multi-page shipping
+		MaxPerDay: 10_000,
+	}
+	primary := startNode(t, pcfg)
+	auth, err := ids.NewAuthority(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		const writers, perWriter = 4, 40
-		var wg sync.WaitGroup
-		for g := 0; g < writers; g++ {
-			_, token := auth.Issue()
-			wg.Add(1)
-			go func(g int, token ids.Token) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(100 + g)))
-				for i := 0; i < perWriter; i++ {
-					s := sigtest.DistinctTops(r, sigtest.DefaultVocabulary, g*1_000_000+i, 6, 9)
-					if resp := primary.srv.Process(addReq(t, token, s)); resp.Status != wire.StatusOK {
-						t.Errorf("writer %d ADD %d: %+v", g, i, resp)
-						return
-					}
-					if i%16 == 15 {
-						time.Sleep(time.Millisecond) // let replication interleave
-					}
+	fDir := t.TempDir()
+	fcfg := follow(primary)
+	fcfg.DataDir, fcfg.Fsync = fDir, store.FsyncOff
+	restarted := startNode(t, fcfg)
+	steady := startNode(t, follow(primary))
+
+	const writers, perWriter = 4, 40
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		_, token := auth.Issue()
+		wg.Add(1)
+		go func(g int, token ids.Token) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(100 + g)))
+			for i := 0; i < perWriter; i++ {
+				s := sigtest.DistinctTops(r, sigtest.DefaultVocabulary, g*1_000_000+i, 6, 9)
+				if resp := primary.srv.Process(addReq(t, token, s)); resp.Status != wire.StatusOK {
+					t.Errorf("writer %d ADD %d: %+v", g, i, resp)
+					return
 				}
-			}(g, token)
-		}
-
-		// Mid-churn fault injection: kill the durable follower, advance the
-		// primary's snapshot boundary, then bring the follower back on the
-		// same data directory. Its WAL-recovered cursor may now predate the
-		// boundary — forcing the bootstrap path — or not — forcing cursor
-		// resumption; both must converge.
-		time.Sleep(30 * time.Millisecond)
-		restarted.stop()
-		if err := primary.srv.Store().ForceCompact(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-		restarted = startNode(t, fcfg)
-
-		wg.Wait()
-		if primary.srv.Store().Len() != writers*perWriter {
-			t.Fatalf("primary has %d entries, want %d", primary.srv.Store().Len(), writers*perWriter)
-		}
-		waitReplicated(t, primary.srv, restarted.srv)
-		waitReplicated(t, primary.srv, steady.srv)
-
-		wantDigest := primary.srv.Store().StateDigest()
-		for name, n := range map[string]*node{"restarted": restarted, "steady": steady} {
-			if d := n.srv.Store().StateDigest(); d != wantDigest {
-				t.Errorf("%s follower digest diverges:\n  primary %s\n  %s %s", name, wantDigest, name, d)
-			}
-		}
-		want := getSnapshot(t, primary.addr)
-		for name, n := range map[string]*node{"restarted": restarted, "steady": steady} {
-			got := getSnapshot(t, n.addr)
-			if len(got) != len(want) {
-				t.Fatalf("%s snapshot has %d sigs, want %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("%s snapshot differs at index %d", name, i)
+				if i%16 == 15 {
+					time.Sleep(time.Millisecond) // let replication interleave
 				}
 			}
+		}(g, token)
+	}
+
+	// Mid-churn fault injection: kill the durable follower, advance the
+	// primary's snapshot boundary, then bring the follower back on the
+	// same data directory. Its WAL-recovered cursor may now predate the
+	// boundary — forcing the bootstrap path — or not — forcing cursor
+	// resumption; both must converge.
+	time.Sleep(30 * time.Millisecond)
+	restarted.stop()
+	if err := primary.srv.Store().ForceCompact(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	restarted = startNode(t, fcfg)
+
+	wg.Wait()
+	if primary.srv.Store().Len() != writers*perWriter {
+		t.Fatalf("primary has %d entries, want %d", primary.srv.Store().Len(), writers*perWriter)
+	}
+	waitReplicated(t, primary.srv, restarted.srv)
+	waitReplicated(t, primary.srv, steady.srv)
+
+	wantDigest := primary.srv.Store().StateDigest()
+	for name, n := range map[string]*node{"restarted": restarted, "steady": steady} {
+		if d := n.srv.Store().StateDigest(); d != wantDigest {
+			t.Errorf("%s follower digest diverges:\n  primary %s\n  %s %s", name, wantDigest, name, d)
 		}
-	})
+	}
+	want := getSnapshot(t, primary.addr)
+	for name, n := range map[string]*node{"restarted": restarted, "steady": steady} {
+		got := getSnapshot(t, n.addr)
+		if len(got) != len(want) {
+			t.Fatalf("%s snapshot has %d sigs, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(want[i], got[i]) {
+				t.Fatalf("%s snapshot differs at index %d", name, i)
+			}
+		}
+	}
 }
 
 // TestFailoverPromotionZeroLossZeroDup: the primary dies mid-burst, the

@@ -80,13 +80,6 @@ type Config struct {
 	// catch-up GETs (default 4 × GetBatch). Pushing resumes when a GET
 	// reply comes back complete.
 	PushMaxLag int
-	// Pushers sizes the pooled pusher subsystem (pool.go): that many
-	// shared worker goroutines drive every subscribed session's log
-	// cursor. 0 means GOMAXPROCS. Negative selects the baseline
-	// per-session architecture — one dedicated pusher goroutine per
-	// session — kept runnable so the pool's scaling claims stay
-	// measurable against it.
-	Pushers int
 	// MaxSessions caps concurrent v2 sessions. A HELLO past the cap is
 	// answered with a v1 downgrade, shedding the peer into poll mode
 	// (well-behaved clients fall back automatically). 0 = unlimited.
@@ -200,10 +193,9 @@ type Server struct {
 	db    *store.Store
 
 	// Session layer (protocol v2): hub tracks subscribed sessions and
-	// their push admission, pool is the shared pusher worker pool (nil
-	// in the baseline per-session-pusher architecture);
-	// getBatch/pushMaxLag/maxSessions/maxSubs are the resolved Config
-	// knobs.
+	// their push admission, pool is the shared pusher worker pool
+	// (GOMAXPROCS workers); getBatch/pushMaxLag/maxSessions/maxSubs are
+	// the resolved Config knobs.
 	hub         hub
 	pool        *pusherPool
 	getBatch    int
@@ -307,13 +299,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.maxSessions = cfg.MaxSessions
 	s.maxSubs = cfg.MaxSubs
-	if cfg.Pushers >= 0 {
-		workers := cfg.Pushers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s.pool = newPusherPool(s, workers)
-	}
+	s.pool = newPusherPool(s, runtime.GOMAXPROCS(0))
 	if cfg.IngestWorkers > 0 {
 		queue := cfg.IngestQueue
 		if queue <= 0 {
@@ -755,11 +741,9 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.pool != nil {
-		// After wg.Wait every session is fully torn down, so no enqueue
-		// can race the pool shutdown.
-		s.pool.close()
-	}
+	// After wg.Wait every session is fully torn down, so no enqueue can
+	// race the pool shutdown.
+	s.pool.close()
 	s.closeIngest()
 	_ = s.db.Close()
 }

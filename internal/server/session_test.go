@@ -11,13 +11,11 @@ import (
 	"communix/internal/wire"
 )
 
-// forEachPushMode runs a push-path test under both pusher
-// architectures: the pooled subsystem (the default) and the baseline
-// per-session pusher goroutines (Pushers < 0), which PR-1-style stays
-// runnable exactly so correctness and scaling claims remain comparable.
-func forEachPushMode(t *testing.T, fn func(t *testing.T, pushers int)) {
-	t.Run("pooled", func(t *testing.T) { fn(t, 2) })
-	t.Run("baseline", func(t *testing.T) { fn(t, -1) })
+// pooled runs a push-path test as the "pooled" subtest. The pusher pool
+// is the server's only push path; the subtest keeps the names these
+// tests have always reported under.
+func pooled(t *testing.T, fn func(t *testing.T)) {
+	t.Run("pooled", fn)
 }
 
 // v2TestServer spins up a TCP server with session knobs; cleanup stops
@@ -144,11 +142,11 @@ func TestHelloDowngradeToV1(t *testing.T) {
 }
 
 func TestSubscribeStreamsBacklogAndLiveDeltas(t *testing.T) {
-	forEachPushMode(t, testSubscribeStreamsBacklogAndLiveDeltas)
+	pooled(t, testSubscribeStreamsBacklogAndLiveDeltas)
 }
 
-func testSubscribeStreamsBacklogAndLiveDeltas(t *testing.T, pushers int) {
-	srv, addr, auth := v2TestServer(t, Config{Pushers: pushers})
+func testSubscribeStreamsBacklogAndLiveDeltas(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{})
 	seedServer(t, srv, auth, 1, 3)
 
 	_, c := dialV2(t, addr)
@@ -191,11 +189,11 @@ func testSubscribeStreamsBacklogAndLiveDeltas(t *testing.T, pushers int) {
 }
 
 func TestSubscriberFanOut(t *testing.T) {
-	forEachPushMode(t, testSubscriberFanOut)
+	pooled(t, testSubscriberFanOut)
 }
 
-func testSubscriberFanOut(t *testing.T, pushers int) {
-	srv, addr, auth := v2TestServer(t, Config{Pushers: pushers})
+func testSubscriberFanOut(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{})
 	const subs = 3
 	conns := make([]*wire.Conn, subs)
 	for i := range conns {
@@ -279,11 +277,11 @@ func TestGetSizeProbeSurvivesPagination(t *testing.T) {
 }
 
 func TestLaggingSubscriberDowngradedToCatchup(t *testing.T) {
-	forEachPushMode(t, testLaggingSubscriberDowngradedToCatchup)
+	pooled(t, testLaggingSubscriberDowngradedToCatchup)
 }
 
-func testLaggingSubscriberDowngradedToCatchup(t *testing.T, pushers int) {
-	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 2, Pushers: pushers})
+func testLaggingSubscriberDowngradedToCatchup(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 2})
 	// 6 committed signatures: any subscriber starting from 1 lags by 6 >
 	// PushMaxLag and must be downgraded instead of pushed at.
 	seedServer(t, srv, auth, 6, 6)
@@ -414,11 +412,11 @@ func TestV1ClientAgainstV2Server(t *testing.T) {
 }
 
 func TestUploaderReceivesOwnSignatureViaPush(t *testing.T) {
-	forEachPushMode(t, testUploaderReceivesOwnSignatureViaPush)
+	pooled(t, testUploaderReceivesOwnSignatureViaPush)
 }
 
-func testUploaderReceivesOwnSignatureViaPush(t *testing.T, pushers int) {
-	_, addr, auth := v2TestServer(t, Config{Pushers: pushers})
+func testUploaderReceivesOwnSignatureViaPush(t *testing.T) {
+	_, addr, auth := v2TestServer(t, Config{})
 	_, c := dialV2(t, addr)
 	if err := c.Send(wire.NewSubscribe(2, 1)); err != nil {
 		t.Fatal(err)
@@ -468,12 +466,12 @@ func testUploaderReceivesOwnSignatureViaPush(t *testing.T, pushers int) {
 // contiguous: a resumed PUSH overtaking its re-arming GET reply would
 // appear here as a frame starting past what the client holds.
 func TestCatchupResumeOrderingUnderStress(t *testing.T) {
-	forEachPushMode(t, testCatchupResumeOrderingUnderStress)
+	pooled(t, testCatchupResumeOrderingUnderStress)
 }
 
-func testCatchupResumeOrderingUnderStress(t *testing.T, pushers int) {
+func testCatchupResumeOrderingUnderStress(t *testing.T) {
 	const total = 120
-	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 1, MaxPerDay: 1000, Pushers: pushers})
+	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 1, MaxPerDay: 1000})
 
 	// Commit in the background while the subscriber tries to keep up.
 	// (t.Errorf, not seedServer's Fatalf: Fatal must stay on the test
@@ -559,15 +557,13 @@ func testCatchupResumeOrderingUnderStress(t *testing.T, pushers int) {
 // Tearing a subscriber down mid-stream must leave the server healthy:
 // the session's cursor is dropped, no pusher touches the dead session,
 // and fresh subscribers still get full service.
-func TestSessionTeardownMidPush(t *testing.T) {
-	forEachPushMode(t, testSessionTeardownMidPush)
-}
+func TestSessionTeardownMidPush(t *testing.T) { pooled(t, testSessionTeardownMidPush) }
 
-func testSessionTeardownMidPush(t *testing.T, pushers int) {
+func testSessionTeardownMidPush(t *testing.T) {
 	// PushMaxLag above the backlog so the whole stream really is pushed
 	// page by page (GetBatch 1) — the teardowns happen mid-push, not in
 	// catch-up mode.
-	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 1000, MaxPerDay: 1000, Pushers: pushers})
+	srv, addr, auth := v2TestServer(t, Config{GetBatch: 1, PushMaxLag: 1000, MaxPerDay: 1000})
 	seedServer(t, srv, auth, 9, 30)
 
 	for i := 0; i < 5; i++ {
@@ -613,12 +609,10 @@ func testSessionTeardownMidPush(t *testing.T, pushers int) {
 // MaxSubs shedding: a subscriber over the quota is accepted but
 // receives only catch-up markers; it drains via paginated GETs, and is
 // promoted to full push delivery once an admitted subscriber departs.
-func TestMaxSubsShedsIntoCatchup(t *testing.T) {
-	forEachPushMode(t, testMaxSubsShedsIntoCatchup)
-}
+func TestMaxSubsShedsIntoCatchup(t *testing.T) { pooled(t, testMaxSubsShedsIntoCatchup) }
 
-func testMaxSubsShedsIntoCatchup(t *testing.T, pushers int) {
-	srv, addr, auth := v2TestServer(t, Config{MaxSubs: 1, Pushers: pushers})
+func testMaxSubsShedsIntoCatchup(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{MaxSubs: 1})
 
 	subscribe := func(c *wire.Conn) {
 		t.Helper()

@@ -12,9 +12,8 @@ import (
 
 // Locked is the reference signature database: every ADD and GET
 // serializes behind one mutex. It predates the sharded Store and is kept
-// as the semantic baseline — the differential tests check Store against
-// it operation by operation, and the contention benchmarks measure the
-// sharded store's speedup over it. It is safe for concurrent use.
+// as the semantic baseline: the differential tests check Store against
+// it operation by operation. It is safe for concurrent use.
 type Locked struct {
 	maxPerDay int
 	clock     func() time.Time
