@@ -135,11 +135,12 @@ func New(cfg Config) (*Agent, error) {
 // signature is analyzed once (§III-B).
 func (a *Agent) RunStartup() (Report, error) {
 	entries := a.cfg.Repo.NewSince(a.cfg.AppKey)
+	nested := a.nestedSites(entries)
 	var rep Report
 	var pending []int
 	through := 0
 	for _, e := range entries {
-		verdict := a.inspect(e.Sig, &rep)
+		verdict := a.inspect(e.Sig, nested, &rep)
 		if verdict == VerdictPendingNesting {
 			pending = append(pending, e.Index)
 		}
@@ -160,11 +161,12 @@ func (a *Agent) RunStartup() (Report, error) {
 // look).
 func (a *Agent) OnClassesLoaded() (Report, error) {
 	entries := a.cfg.Repo.PendingNesting(a.cfg.AppKey)
+	nested := a.nestedSites(entries)
 	var rep Report
 	var resolved []int
 	for _, e := range entries {
 		// Hash and depth were already validated; only nesting pends.
-		trimmed, verdict := a.validate(e.Sig)
+		trimmed, verdict := a.validate(e.Sig, nested)
 		if verdict == VerdictPendingNesting {
 			continue // still unproven; keep pending
 		}
@@ -185,10 +187,22 @@ func (a *Agent) OnClassesLoaded() (Report, error) {
 	return rep, nil
 }
 
-// inspect validates one signature and installs it if accepted, updating
-// the report.
-func (a *Agent) inspect(s *sig.Signature, rep *Report) Verdict {
-	trimmed, verdict := a.validate(s)
+// nestedSites fetches the application's nested-site set once for a pass
+// over entries (nil when there are none): an implementation may build
+// the set per call (bytecode.View copies it), and a class load during
+// the pass can only add sites, which OnClassesLoaded's recheck of
+// pending signatures picks up.
+func (a *Agent) nestedSites(entries []repo.Entry) map[string]struct{} {
+	if len(entries) == 0 {
+		return nil
+	}
+	return a.cfg.App.NestedSiteKeys()
+}
+
+// inspect validates one signature against the pass's nested-site set and
+// installs it if accepted, updating the report.
+func (a *Agent) inspect(s *sig.Signature, nested map[string]struct{}, rep *Report) Verdict {
+	trimmed, verdict := a.validate(s, nested)
 	switch verdict {
 	case VerdictAccepted:
 		a.install(trimmed, rep)
@@ -210,9 +224,9 @@ func countRejection(v Verdict, rep *Report) {
 	}
 }
 
-// validate runs the three §III-C3 checks, returning the (possibly
-// trimmed) signature and the verdict.
-func (a *Agent) validate(s *sig.Signature) (*sig.Signature, Verdict) {
+// validate runs the three §III-C3 checks against the nested-site set,
+// returning the (possibly trimmed) signature and the verdict.
+func (a *Agent) validate(s *sig.Signature, nested map[string]struct{}) (*sig.Signature, Verdict) {
 	out := s.Clone()
 	out.Origin = sig.OriginRemote
 
@@ -237,7 +251,6 @@ func (a *Agent) validate(s *sig.Signature) (*sig.Signature, Verdict) {
 	}
 
 	// 3. Outer stacks must end in proved-nested sync sites.
-	nested := a.cfg.App.NestedSiteKeys()
 	for _, th := range out.Threads {
 		if _, ok := nested[th.Outer.Top().Key()]; !ok {
 			return nil, VerdictPendingNesting

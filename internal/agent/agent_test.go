@@ -11,10 +11,11 @@ import (
 )
 
 // fakeApp is a minimal Application with controllable hashes and nested
-// sites.
+// sites. It counts NestedSiteKeys calls.
 type fakeApp struct {
-	hashes map[string]string
-	nested map[string]struct{}
+	hashes      map[string]string
+	nested      map[string]struct{}
+	nestedCalls int
 }
 
 func newFakeApp() *fakeApp {
@@ -33,6 +34,7 @@ func (f *fakeApp) UnitHash(unit string) (string, bool) {
 }
 
 func (f *fakeApp) NestedSiteKeys() map[string]struct{} {
+	f.nestedCalls++
 	out := make(map[string]struct{}, len(f.nested))
 	for k := range f.nested {
 		out[k] = struct{}{}
@@ -311,6 +313,49 @@ func TestAgentPendingStaysPending(t *testing.T) {
 	}
 	if len(h.repo.PendingNesting("test-app")) != 1 {
 		t.Error("signature should remain in the pending set")
+	}
+}
+
+// TestAgentFetchesNestedSitesOncePerPass: the nested-site set is a copy
+// per call, so each pass fetches it once however many signatures it
+// validates, and a pass with nothing to validate not at all.
+func TestAgentFetchesNestedSitesOncePerPass(t *testing.T) {
+	h := newHarness(t)
+	var pending []*sig.Signature
+	for i := 0; i < 3; i++ {
+		s := validSig(h.app, fmt.Sprintf("p%d", i), 7)
+		delete(h.app.nested, s.Threads[0].Outer.Top().Key())
+		pending = append(pending, s)
+		h.put(t, s, validSig(h.app, fmt.Sprintf("a%d", i), 7))
+	}
+	rep, err := h.agent.RunStartup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted != 3 || rep.PendingNesting != 3 || h.app.nestedCalls != 1 {
+		t.Fatalf("startup: report %+v after %d NestedSiteKeys calls; want 3 accepted, 3 pending, 1 call",
+			rep, h.app.nestedCalls)
+	}
+
+	for _, s := range pending {
+		h.app.markNested(s.Threads[0].Outer.Top())
+	}
+	if rep, err = h.agent.OnClassesLoaded(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted != 3 || h.app.nestedCalls != 2 {
+		t.Fatalf("recheck: report %+v after %d NestedSiteKeys calls; want 3 accepted, 2 calls",
+			rep, h.app.nestedCalls)
+	}
+
+	if _, err := h.agent.RunStartup(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.agent.OnClassesLoaded(); err != nil {
+		t.Fatal(err)
+	}
+	if h.app.nestedCalls != 2 {
+		t.Fatalf("empty passes made %d NestedSiteKeys calls; want none", h.app.nestedCalls-2)
 	}
 }
 

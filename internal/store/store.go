@@ -79,8 +79,11 @@ type Config struct {
 	// SegmentMaxBytes caps one WAL segment before it is sealed; <= 0
 	// selects DefaultSegmentMaxBytes.
 	SegmentMaxBytes int64
-	// CompactSegments is how many sealed segments trigger snapshot
-	// compaction; <= 0 selects DefaultCompactSegments.
+	// CompactSegments is the fewest sealed segments snapshot compaction
+	// folds; <= 0 selects DefaultCompactSegments. It is a minimum: the
+	// first fold runs once this many segments are sealed, every later
+	// one waits until the sealed segments' bytes also reach the
+	// snapshot's, so each fold at least doubles the snapshot.
 	CompactSegments int
 	// ReadOnly opens DataDir for inspection only: recovery runs, reads
 	// work, every mutation returns ErrReadOnly, and no file is created
@@ -717,8 +720,8 @@ func (st *Store) ResetReplica() error {
 }
 
 // ForceCompact seals the active WAL segment and folds everything sealed
-// into the snapshot immediately, regardless of the CompactSegments
-// threshold — the deterministic trigger the replication tests use to
+// into the snapshot immediately, regardless of the compaction trigger
+// (see Config.CompactSegments) — the deterministic trigger the replication tests use to
 // move the snapshot boundary mid-run. A no-op on an ephemeral store.
 func (st *Store) ForceCompact() error {
 	if st.readOnly {

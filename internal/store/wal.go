@@ -107,9 +107,14 @@ const (
 // and becomes eligible for snapshot compaction.
 const DefaultSegmentMaxBytes = 4 << 20
 
-// DefaultCompactSegments is how many sealed segments accumulate before
-// compaction folds them into the snapshot.
+// DefaultCompactSegments is the fewest sealed segments compaction folds
+// into the snapshot. It is a minimum, not a period: a fold also waits
+// until the sealed segments hold at least as many bytes as the snapshot.
 const DefaultCompactSegments = 4
+
+// copyBufSize is compaction's streaming buffer: the largest record fits
+// whole, so every refill completes at least one record.
+const copyBufSize = recordHeaderSize + maxRecordPayload
 
 // ErrReadOnly is returned by mutating operations on a store opened with
 // Config.ReadOnly (offline inspection of a data directory).
@@ -198,6 +203,7 @@ type sealedSeg struct {
 	path  string
 	first uint64 // global index of the first record
 	count uint64 // records in the segment
+	bytes int64  // file size: header plus records
 }
 
 // persistConfig parameterizes openPersister; Config.withDefaults fills
@@ -238,6 +244,14 @@ type persister struct {
 	sealed      []sealedSeg
 	snapVersion uint64
 	snapCount   uint64
+	snapBytes   int64 // live snapshot file size; 0 when none
+
+	// Process-lifetime counters reported by stats: every fsync issued
+	// (file or directory), and every fold with the snapshot bytes it
+	// wrote.
+	fsyncs      uint64
+	folds       uint64
+	foldedBytes int64
 
 	// roTail notes (read-only mode only) that a tail segment exists and
 	// its size, so stats can report it without an open file handle.
@@ -274,6 +288,18 @@ type PersistStats struct {
 	SealedSegments int `json:"sealed_segments"`
 	// ActiveSegmentBytes is the active segment's current size.
 	ActiveSegmentBytes int64 `json:"active_segment_bytes"`
+	// SnapshotBytes is the live snapshot file's size (0 without one).
+	SnapshotBytes int64 `json:"snapshot_bytes"`
+	// SealedBytes is the sealed segments' total size. Compaction waits
+	// until it reaches SnapshotBytes.
+	SealedBytes int64 `json:"sealed_bytes"`
+	// Fsyncs counts every fsync the WAL issued since Open, file or
+	// directory.
+	Fsyncs uint64 `json:"fsyncs"`
+	// Folds counts compactions since Open, ForceCompact included.
+	Folds uint64 `json:"folds"`
+	// FoldedBytes is the total size of the snapshots those folds wrote.
+	FoldedBytes int64 `json:"folded_bytes"`
 }
 
 // openPersister opens (creating if needed) the data directory, recovers
@@ -367,12 +393,14 @@ func (p *persister) recoverSnapshot(names []string, apply func(walEntry) error) 
 		if err != nil {
 			continue // fall back to the previous version
 		}
+		size := int64(snapHeaderSize)
 		for _, e := range entries {
 			if err := apply(e); err != nil {
 				return fmt.Errorf("store: snapshot %s: %w", names[i], err)
 			}
+			size += int64(e.encodedSize())
 		}
-		p.snapVersion, p.snapCount = version, count
+		p.snapVersion, p.snapCount, p.snapBytes = version, count, size
 		p.next = count + 1
 		if !p.cfg.readOnly {
 			for _, stale := range names[:i] {
@@ -479,7 +507,7 @@ func (p *persister) recoverSegments(names []string, apply func(walEntry) error) 
 				return nil, fmt.Errorf("store: truncate torn tail: %w", err)
 			}
 		}
-		seg := sealedSeg{path: path, first: first, count: idx - first}
+		seg := sealedSeg{path: path, first: first, count: idx - first, bytes: int64(valid)}
 		if seg.count > 0 && seg.first+seg.count-1 <= p.snapCount {
 			// Every record is already folded into the snapshot (the crash
 			// hit compaction after the rename, before the deletes). The
@@ -508,16 +536,13 @@ func (p *persister) recoverSegments(names []string, apply func(walEntry) error) 
 // sealed instead.
 func (p *persister) openActive(tail *sealedSeg) error {
 	if tail != nil {
-		info, err := os.Stat(tail.path)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if info.Size() < p.cfg.segMax {
+		// Recovery truncated the tail to its valid length, tail.bytes.
+		if tail.bytes < p.cfg.segMax {
 			f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("store: %w", err)
 			}
-			p.f, p.fFirst, p.size = f, tail.first, info.Size()
+			p.f, p.fFirst, p.size = f, tail.first, tail.bytes
 			return nil
 		}
 		p.sealed = append(p.sealed, *tail)
@@ -549,11 +574,11 @@ func (p *persister) newSegment() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	if p.cfg.policy != FsyncOff {
-		if err := f.Sync(); err != nil {
+		if err := p.fsync(f); err != nil {
 			f.Close()
 			return fmt.Errorf("store: %w", err)
 		}
-		if err := syncDir(p.cfg.dir); err != nil {
+		if err := p.syncDir(); err != nil {
 			f.Close()
 			return err
 		}
@@ -615,7 +640,7 @@ func (p *persister) append(batch []walEntry) error {
 // be promised durable (the "fsyncgate" lesson — retrying fsync and
 // getting success proves nothing).
 func (p *persister) sync() error {
-	if err := p.f.Sync(); err != nil {
+	if err := p.fsync(p.f); err != nil {
 		p.failed = fmt.Errorf("store: wal poisoned (failed fsync): %w", err)
 		return fmt.Errorf("store: wal sync: %w", err)
 	}
@@ -623,41 +648,77 @@ func (p *persister) sync() error {
 	return nil
 }
 
-// roll seals the active segment (sync + close — skipped under FsyncOff,
-// whose contract is "never fsync"), starts a new one, and runs
-// compaction when enough sealed segments have accumulated. roll is
-// re-entrant after a failure: each stage leaves the persister in a state
-// where the next append retries exactly the stages that have not
-// completed (the seal is guarded by p.f != nil, compaction by the sealed
-// count, and a nil p.f always forces a new segment), so a transient
-// error — ENOSPC during compaction, say — heals once its cause clears
-// instead of wedging every later append.
+// roll seals the active segment, starts a new one, and folds the sealed
+// segments into the snapshot once they have caught up with it (see
+// foldDue). roll is re-entrant after a failure: each stage leaves the
+// persister in a state where the next append retries exactly the stages
+// that have not completed (the seal is guarded by p.f != nil, compaction
+// by the sealed list, and a nil p.f always forces a new segment), so a
+// transient error — ENOSPC during compaction, say — heals once its cause
+// clears instead of wedging every later append.
 func (p *persister) roll() error {
 	if p.f != nil {
-		if p.cfg.policy != FsyncOff {
-			if err := p.f.Sync(); err != nil {
-				// Same fsyncgate hazard as sync(): the kernel may have
-				// dropped the dirty pages, and a retried Sync would
-				// spuriously succeed and seal a segment with lost bytes
-				// mid-file — which recovery would refuse as mid-sequence
-				// corruption. Poison instead.
-				p.failed = fmt.Errorf("store: wal poisoned (failed seal fsync): %w", err)
-				return fmt.Errorf("store: seal: %w", err)
-			}
+		if err := p.seal(); err != nil {
+			return err
 		}
-		if err := p.f.Close(); err != nil {
-			return fmt.Errorf("store: seal: %w", err)
-		}
-		p.sealed = append(p.sealed, sealedSeg{path: p.f.Name(), first: p.fFirst, count: p.next - p.fFirst})
-		p.f = nil
-		p.size = 0
 	}
-	if len(p.sealed) >= p.cfg.compactN {
+	if p.foldDue() {
 		if err := p.compact(); err != nil {
 			return err
 		}
 	}
 	return p.newSegment()
+}
+
+// seal syncs (skipped under FsyncOff, whose contract is "never fsync")
+// and closes the active segment and appends it to the sealed list. An
+// empty segment has nothing to fold: its file is dropped instead, so
+// compaction inputs are never empty and the next segment can reuse the
+// name.
+func (p *persister) seal() error {
+	if p.cfg.policy != FsyncOff {
+		if err := p.fsync(p.f); err != nil {
+			// Same fsyncgate hazard as sync(): the kernel may have dropped
+			// the dirty pages, and a retried Sync would spuriously succeed
+			// and seal a segment with lost bytes mid-file — which recovery
+			// would refuse as mid-sequence corruption. Poison instead.
+			p.failed = fmt.Errorf("store: wal poisoned (failed seal fsync): %w", err)
+			return fmt.Errorf("store: seal: %w", err)
+		}
+	}
+	if err := p.f.Close(); err != nil {
+		return fmt.Errorf("store: seal: %w", err)
+	}
+	seg := sealedSeg{path: p.f.Name(), first: p.fFirst, count: p.next - p.fFirst, bytes: p.size}
+	p.f, p.size = nil, 0
+	if seg.count == 0 {
+		if err := os.Remove(seg.path); err != nil {
+			return fmt.Errorf("store: seal: %w", err)
+		}
+		return nil
+	}
+	p.sealed = append(p.sealed, seg)
+	return nil
+}
+
+// foldDue reports whether roll should compact: at least compactN sealed
+// segments, holding at least as many bytes as the live snapshot. The
+// size condition makes every fold at least double the snapshot, so the
+// number of folds grows with the logarithm of the database and the
+// bytes all folds ever write stay within twice the bytes appended —
+// each record is rewritten O(1) times, not once per fold for the rest
+// of the server's life.
+func (p *persister) foldDue() bool {
+	return len(p.sealed) >= p.cfg.compactN && p.sealedBytes() >= p.snapBytes
+}
+
+// sealedBytes is the sealed segments' total size.
+func (p *persister) sealedBytes() int64 {
+	var n int64
+	for _, s := range p.sealed {
+		n += s.bytes
+	}
+	return n
 }
 
 // compact folds the current snapshot and every sealed segment into a new
@@ -686,21 +747,27 @@ func (p *persister) compact() error {
 		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
+	size := int64(snapHeaderSize)
+	buf := make([]byte, copyBufSize)
 	var oldSnap string
 	if p.snapVersion > 0 {
 		oldSnap = filepath.Join(p.cfg.dir, snapshotName(p.snapVersion))
-		if err := copyRecords(tmp, oldSnap, snapHeaderSize); err != nil {
+		n, err := copyRecords(tmp, oldSnap, snapHeaderSize, buf)
+		if err != nil {
 			tmp.Close()
 			return err
 		}
+		size += n
 	}
 	for _, s := range p.sealed {
-		if err := copyRecords(tmp, s.path, segHeaderSize); err != nil {
+		n, err := copyRecords(tmp, s.path, segHeaderSize, buf)
+		if err != nil {
 			tmp.Close()
 			return err
 		}
+		size += n
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := p.fsync(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
@@ -711,7 +778,7 @@ func (p *persister) compact() error {
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	if err := syncDir(p.cfg.dir); err != nil {
+	if err := p.syncDir(); err != nil {
 		return err
 	}
 	// The new snapshot is durable; the folded inputs are now redundant.
@@ -721,34 +788,73 @@ func (p *persister) compact() error {
 	for _, s := range p.sealed {
 		os.Remove(s.path)
 	}
-	p.snapVersion, p.snapCount, p.sealed = version, count, nil
+	p.snapVersion, p.snapCount, p.snapBytes, p.sealed = version, count, size, nil
+	p.folds++
+	p.foldedBytes += size
 	return nil
 }
 
-// copyRecords re-validates every record of src past its header and
-// streams the raw bytes into dst. Validation (rather than a blind byte
-// copy) keeps a latent bad sector from propagating into every future
-// snapshot generation.
-func copyRecords(dst io.Writer, src string, headerSize int) error {
-	b, err := os.ReadFile(src)
+// copyRecords streams every record of src past its header into dst
+// through buf (at least copyBufSize bytes), re-validating each record on
+// the way, and returns the bytes copied. Validation (rather than a blind
+// byte copy) keeps a latent bad sector from propagating into every
+// future snapshot generation; streaming keeps a fold's memory at one
+// buffer however large the snapshot grows.
+func copyRecords(dst io.Writer, src string, headerSize int, buf []byte) (int64, error) {
+	f, err := os.Open(src)
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+		return 0, fmt.Errorf("store: compact: %w", err)
 	}
-	if len(b) < headerSize {
-		return fmt.Errorf("store: compact: %s: short header", src)
-	}
-	rest := b[headerSize:]
-	for len(rest) > 0 {
-		_, n, err := decodeRecord(rest)
-		if err != nil {
-			return fmt.Errorf("store: compact: %s: %w", src, err)
+	defer f.Close()
+	if _, err := io.ReadFull(f, buf[:headerSize]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return 0, fmt.Errorf("store: compact: %s: short header", src)
 		}
-		rest = rest[n:]
+		return 0, fmt.Errorf("store: compact: %w", err)
 	}
-	if _, err := dst.Write(b[headerSize:]); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
+	var copied int64
+	filled := 0 // buf[:filled] was read but not yet copied
+	for {
+		n, rerr := f.Read(buf[filled:])
+		filled += n
+		valid := 0
+		for {
+			_, m, err := decodeRecord(buf[valid:filled])
+			if errors.Is(err, errShortRecord) {
+				break // the record continues past what was read
+			}
+			if err != nil {
+				return copied, fmt.Errorf("store: compact: %s: %w", src, err)
+			}
+			valid += m
+		}
+		if _, err := dst.Write(buf[:valid]); err != nil {
+			return copied, fmt.Errorf("store: compact: %w", err)
+		}
+		copied += int64(valid)
+		filled = copy(buf, buf[valid:filled])
+		if rerr == io.EOF {
+			if filled > 0 {
+				return copied, fmt.Errorf("store: compact: %s: %w", src, errShortRecord)
+			}
+			return copied, nil
+		}
+		if rerr != nil {
+			return copied, fmt.Errorf("store: compact: %w", rerr)
+		}
 	}
-	return nil
+}
+
+// fsync syncs f and counts it.
+func (p *persister) fsync(f *os.File) error {
+	p.fsyncs++
+	return f.Sync()
+}
+
+// syncDir fsyncs the data directory and counts it.
+func (p *persister) syncDir() error {
+	p.fsyncs++
+	return syncDir(p.cfg.dir)
 }
 
 // syncDir fsyncs a directory so renames and deletes within it are
@@ -766,9 +872,8 @@ func syncDir(dir string) error {
 }
 
 // forceCompact seals the active segment and folds every sealed segment
-// into the snapshot now, regardless of the compactN threshold, then
-// opens a fresh active segment. The caller serializes it against
-// append.
+// into the snapshot now, regardless of foldDue, then opens a fresh
+// active segment. The caller serializes it against append.
 func (p *persister) forceCompact() error {
 	if p.cfg.readOnly {
 		return ErrReadOnly
@@ -777,28 +882,9 @@ func (p *persister) forceCompact() error {
 		return p.failed
 	}
 	if p.f != nil {
-		if p.cfg.policy != FsyncOff {
-			if err := p.f.Sync(); err != nil {
-				p.failed = fmt.Errorf("store: wal poisoned (failed seal fsync): %w", err)
-				return fmt.Errorf("store: seal: %w", err)
-			}
+		if err := p.seal(); err != nil {
+			return err
 		}
-		if err := p.f.Close(); err != nil {
-			return fmt.Errorf("store: seal: %w", err)
-		}
-		seg := sealedSeg{path: p.f.Name(), first: p.fFirst, count: p.next - p.fFirst}
-		if seg.count > 0 {
-			p.sealed = append(p.sealed, seg)
-		} else {
-			// An empty active segment has nothing to fold; drop the file so
-			// compaction inputs are never empty and the fresh segment below
-			// can reuse the name.
-			if err := os.Remove(seg.path); err != nil {
-				return fmt.Errorf("store: seal: %w", err)
-			}
-		}
-		p.f = nil
-		p.size = 0
 	}
 	if len(p.sealed) > 0 {
 		if err := p.compact(); err != nil {
@@ -834,12 +920,12 @@ func (p *persister) reset() error {
 		}
 	}
 	if p.cfg.policy != FsyncOff {
-		if err := syncDir(p.cfg.dir); err != nil {
+		if err := p.syncDir(); err != nil {
 			return err
 		}
 	}
 	p.sealed = nil
-	p.snapVersion, p.snapCount = 0, 0
+	p.snapVersion, p.snapCount, p.snapBytes = 0, 0, 0
 	p.next = 1
 	p.size, p.unsynced = 0, 0
 	p.failed = nil
@@ -857,6 +943,11 @@ func (p *persister) stats() PersistStats {
 		SnapshotEntries: p.snapCount,
 		SealedSegments:  len(p.sealed),
 		Segments:        len(p.sealed),
+		SnapshotBytes:   p.snapBytes,
+		SealedBytes:     p.sealedBytes(),
+		Fsyncs:          p.fsyncs,
+		Folds:           p.folds,
+		FoldedBytes:     p.foldedBytes,
 	}
 	if p.f != nil {
 		st.Segments++
@@ -875,7 +966,7 @@ func (p *persister) close() error {
 	var err error
 	if p.f != nil {
 		if p.cfg.policy != FsyncOff {
-			if serr := p.f.Sync(); serr != nil {
+			if serr := p.fsync(p.f); serr != nil {
 				err = fmt.Errorf("store: close: %w", serr)
 			}
 		}
