@@ -198,10 +198,7 @@ func TestFailoverFenceResetsRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, next, _, err := a.Store().EntryPage(1, 10, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, next, _ := a.Store().EntryPage(1, 10, 0)
 	if _, err := bst.ApplyReplicated(next-len(entries), entries); err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestCursorRequiresReplicateSession(t *testing.T) {
 	// served (read replicas need no membership) and its reports are
 	// acked, but they must never feed the quorum index.
 	rc, hello := helloResp(t, addr, 1)
-	rep := wire.NewReplicate(2, 1, hello.Epoch, false)
+	rep := wire.NewReplicate(2, 1, hello.Epoch)
 	rep.Node = "intruder"
 	if err := rc.Send(rep); err != nil {
 		t.Fatal(err)

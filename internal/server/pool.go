@@ -359,18 +359,12 @@ func (s *Server) encodedPushPage(cur int) ([]byte, int, error) {
 
 // encodedReplPage is encodedPushPage for the replication plane: the
 // PUSH frame carries full entries (user + timestamp + signature) read
-// through the store's EntryPage. Bootstrap mode is always set — the
-// admission check at REPLICATE time is the only snapshot-boundary
-// gate, so a compaction landing mid-stream can never wedge a follower
-// that was admitted above the old boundary.
+// through the store's EntryPage, which serves any cursor.
 func (s *Server) encodedReplPage(cur int) ([]byte, int, error) {
 	if enc, next := s.pool.entryCache.get(cur); enc != nil {
 		return enc, next, nil
 	}
-	entries, next, _, err := s.db.EntryPage(cur, s.getBatch, wire.MaxGetBytes, true)
-	if err != nil {
-		return nil, 0, err
-	}
+	entries, next, _ := s.db.EntryPage(cur, s.getBatch, wire.MaxGetBytes)
 	if len(entries) == 0 {
 		return nil, 0, nil
 	}

@@ -18,8 +18,8 @@
 // guaranteed identical and replication continues from its cursor;
 // above it, its tail may contain commits the failed primary never
 // shipped, so it discards everything (ResetReplica) and re-replicates
-// from index 1 with Bootstrap set. Client sessions on a resetting
-// follower are dropped so they re-HELLO and run the same fence check.
+// from index 1. Client sessions on a resetting follower are dropped so
+// they re-HELLO and run the same fence check.
 package server
 
 import (
@@ -260,10 +260,8 @@ var errStalePrimary = errors.New("primary is at an older epoch than this followe
 
 // followOnce runs one replication session: dial the primary, HELLO with
 // our epoch, fence ourselves if the primary's epoch is newer, REPLICATE
-// from our cursor (bootstrapping from index 1 when told our cursor
-// predates the primary's snapshot boundary), then apply the entry
-// stream until the connection dies. A nil return means the follower was
-// stopped deliberately.
+// from our cursor, then apply the entry stream until the connection
+// dies. A nil return means the follower was stopped deliberately.
 func (s *Server) followOnce(stop chan struct{}) error {
 	conn, err := s.followDial()
 	if err != nil {
@@ -316,39 +314,20 @@ func (s *Server) followOnce(stop chan struct{}) error {
 	// failure detector must not count them once we vote past it.
 	sessEpoch := s.db.Epoch()
 
-	// REPLICATE from our cursor. A Bootstrap demand means our cursor
-	// predates the primary's snapshot boundary (or a fence reset emptied
-	// us): pull the folded snapshot plus tail through paged SNAPSHOT
-	// fetches — catch-up work bounded by the delta, not by replaying the
-	// upload history — then re-REPLICATE from the new cursor.
-	for attempt := 0; ; attempt++ {
-		reqID++
-		from := s.db.Len() + 1
-		rep := wire.NewReplicate(reqID, from, s.db.Epoch(), attempt > 0)
-		rep.Node = s.nodeID // binds this session to our node id for CURSOR reports
-		if err := c.Send(rep); err != nil {
-			return fmt.Errorf("replicate: %w", err)
-		}
-		var ack wire.Response
-		if err := c.Recv(&ack); err != nil {
-			return fmt.Errorf("replicate reply: %w", err)
-		}
-		if ack.Status != wire.StatusOK {
-			return fmt.Errorf("primary refused REPLICATE (status %v): %s", ack.Status, ack.Detail)
-		}
-		if !ack.Bootstrap {
-			break
-		}
-		if attempt > 0 {
-			return fmt.Errorf("primary demanded bootstrap twice in one session")
-		}
-		s.logfSafe("cursor %d predates primary snapshot boundary, bootstrapping via snapshot fetch", from)
-		if err := s.resetReplica(); err != nil {
-			return err
-		}
-		if err := s.fetchSnapshot(c, &reqID); err != nil {
-			return err
-		}
+	// REPLICATE from our cursor, whatever it is: the primary's log keeps
+	// every committed entry, so the stream is the only catch-up path.
+	reqID++
+	rep := wire.NewReplicate(reqID, s.db.Len()+1, s.db.Epoch())
+	rep.Node = s.nodeID // binds this session to our node id for CURSOR reports
+	if err := c.Send(rep); err != nil {
+		return fmt.Errorf("replicate: %w", err)
+	}
+	var ack wire.Response
+	if err := c.Recv(&ack); err != nil {
+		return fmt.Errorf("replicate reply: %w", err)
+	}
+	if ack.Status != wire.StatusOK {
+		return fmt.Errorf("primary refused REPLICATE (status %v): %s", ack.Status, ack.Detail)
 	}
 
 	// Keepalive: a dedicated goroutine is the session's sole writer from
@@ -427,107 +406,6 @@ func (s *Server) followOnce(stop chan struct{}) error {
 	}
 }
 
-// fetchSnapshot drains the primary's authoritative prefix into the
-// local store: first the folded snapshot as raw byte pages (the fast
-// path — the primary serves file bytes verbatim), then the live tail as
-// entry pages. Against a primary with nothing folded, or one predating
-// raw paging, the whole pull happens entry-paged. Runs in followOnce's
-// synchronous phase: this goroutine is still the session's only writer.
-func (s *Server) fetchSnapshot(c *wire.Conn, reqID *uint64) error {
-	raw, err := s.fetchSnapshotRaw(c, reqID)
-	if err != nil {
-		return err
-	}
-	if raw {
-		s.logfSafe("bootstrapped %d entries from raw snapshot pages, pulling tail", s.db.Len())
-	}
-	for {
-		*reqID++
-		from := s.db.Len() + 1
-		if err := c.Send(wire.NewSnapshotFetch(*reqID, from)); err != nil {
-			return fmt.Errorf("snapshot fetch: %w", err)
-		}
-		var page wire.Response
-		if err := c.Recv(&page); err != nil {
-			return fmt.Errorf("snapshot page: %w", err)
-		}
-		if page.Status != wire.StatusOK {
-			return fmt.Errorf("primary refused SNAPSHOT (status %v): %s", page.Status, page.Detail)
-		}
-		s.contactFrom(s.db.Epoch())
-		if len(page.Entries) > 0 {
-			if _, err := s.db.ApplyReplicated(from, entriesFromWire(page.Entries)); err != nil {
-				return fmt.Errorf("apply snapshot [%d,%d): %w", from, page.Next, err)
-			}
-			s.wakeSubscribers()
-		}
-		if !page.More {
-			return nil
-		}
-		if len(page.Entries) == 0 {
-			return fmt.Errorf("empty snapshot page with more set")
-		}
-	}
-}
-
-// fetchSnapshotRaw attempts the raw-page bootstrap: pull the primary's
-// folded snapshot file as verbatim byte chunks, decode the record
-// stream incrementally (CRC-checking every record, exactly as local
-// recovery would), and apply the entries. Returns false — with the
-// local store untouched past any entries the fallback reply carried —
-// when the primary has nothing folded or predates raw paging, in which
-// case the caller continues entry-paged.
-func (s *Server) fetchSnapshotRaw(c *wire.Conn, reqID *uint64) (bool, error) {
-	parser := store.NewSnapshotParser()
-	var version uint64
-	var offset int64
-	for {
-		*reqID++
-		if err := c.Send(wire.NewRawSnapshotFetch(*reqID, version, offset)); err != nil {
-			return false, fmt.Errorf("raw snapshot fetch: %w", err)
-		}
-		var page wire.Response
-		if err := c.Recv(&page); err != nil {
-			return false, fmt.Errorf("raw snapshot page: %w", err)
-		}
-		if page.Status != wire.StatusOK {
-			return false, fmt.Errorf("primary refused raw SNAPSHOT (status %v): %s", page.Status, page.Detail)
-		}
-		s.contactFrom(s.db.Epoch())
-		if page.SnapVersion == 0 {
-			// Nothing folded to ship, or an old server that read the
-			// request as a plain SNAPSHOT: the reply is an entry page
-			// from index 1. Apply it and continue entry-paged.
-			if len(page.Entries) > 0 {
-				if _, err := s.db.ApplyReplicated(1, entriesFromWire(page.Entries)); err != nil {
-					return false, fmt.Errorf("apply snapshot fallback page: %w", err)
-				}
-				s.wakeSubscribers()
-			}
-			return false, nil
-		}
-		version = page.SnapVersion
-		entries, err := parser.Feed(page.Data)
-		if err != nil {
-			return false, err
-		}
-		if len(entries) > 0 {
-			from := s.db.Len() + 1
-			if _, err := s.db.ApplyReplicated(from, entries); err != nil {
-				return false, fmt.Errorf("apply raw snapshot entries from %d: %w", from, err)
-			}
-			s.wakeSubscribers()
-		}
-		offset = int64(page.Next)
-		if !page.More {
-			return true, parser.Close()
-		}
-		if len(page.Data) == 0 {
-			return false, fmt.Errorf("empty raw snapshot page with more set")
-		}
-	}
-}
-
 // resetReplica discards the follower's local store state (log, shards,
 // WAL segments and snapshots) and severs client sessions, whose peers
 // hold positions into the discarded log.
@@ -555,13 +433,10 @@ func (s *Server) decorateHello(resp *wire.Response, peerEpoch uint64) {
 
 // admitReplicate decides one REPLICATE request. The epoch was
 // negotiated at HELLO; a mismatch here means a promotion raced the
-// handshake, and the follower must redial to renegotiate. A cursor at
-// or below the snapshot boundary (entries only retained as folded
-// snapshot state) is answered with Bootstrap without registering: the
-// follower resets and re-REPLICATEs from index 1 with Bootstrap set,
-// which is served from the in-memory log regardless of the boundary.
-// A nil response means the session is registered as a replica and the
-// caller should ack and arm it.
+// handshake, and the follower must redial to renegotiate. Any cursor is
+// admitted — the in-memory log holds every committed entry — and the
+// request's Bootstrap bit is ignored. A nil response means the session
+// is registered as a replica and the caller should ack and arm it.
 func (s *Server) admitReplicate(sess *session, req wire.Request) *wire.Response {
 	epoch := s.db.Epoch()
 	if req.Epoch != epoch {
@@ -571,17 +446,7 @@ func (s *Server) admitReplicate(sess *session, req wire.Request) *wire.Response 
 			Detail: fmt.Sprintf("epoch mismatch: session negotiated %d, server at %d; redial", req.Epoch, epoch),
 		}
 	}
-	from := req.From
-	if from < 1 {
-		from = 1
-	}
-	if !req.Bootstrap && from <= s.db.CompactedThrough() {
-		return &wire.Response{
-			Status: wire.StatusOK, ID: req.ID, Bootstrap: true,
-			Epoch: epoch, Fences: fencesToWire(s.db.Fences()),
-			Detail: "cursor predates snapshot boundary; reset and re-replicate from 1",
-		}
-	}
+	from := max(req.From, 1)
 	// Bind the replica's node identity to the session — CURSOR reports on
 	// this session are attributed to it. Only configured peers get an
 	// identity; an unknown node still replicates (read replicas outside

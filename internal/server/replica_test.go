@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,8 +217,8 @@ func testSubscribeOnFollowerReceivesPrimaryWrites(t *testing.T) {
 
 // TestReplicationDifferentialChurn is the flagship differential: under
 // concurrent ADD churn the follower is restarted mid-stream (resuming
-// from its WAL-recovered cursor) and the primary's snapshot boundary is
-// forcibly advanced mid-stream (compaction). A second, never-restarted
+// from its WAL-recovered cursor) and the primary folds its log into a
+// snapshot mid-stream (compaction). A second, never-restarted
 // follower replicates the same run. Afterwards every store must agree
 // byte-for-byte: state digest (log, dup set, adjacency tops, budget)
 // and client-visible GET snapshot.
@@ -263,11 +266,10 @@ func testReplicationDifferentialChurn(t *testing.T) {
 		}(g, token)
 	}
 
-	// Mid-churn fault injection: kill the durable follower, advance the
-	// primary's snapshot boundary, then bring the follower back on the
-	// same data directory. Its WAL-recovered cursor may now predate the
-	// boundary — forcing the bootstrap path — or not — forcing cursor
-	// resumption; both must converge.
+	// Mid-churn fault injection: kill the durable follower, fold the
+	// primary's log, then bring the follower back on the same data
+	// directory. Its WAL-recovered cursor is usually below the fold; it
+	// resumes from that cursor like any restart and must converge.
 	time.Sleep(30 * time.Millisecond)
 	restarted.stop()
 	if err := primary.srv.Store().ForceCompact(); err != nil {
@@ -500,53 +502,93 @@ func TestFollowerRefusesStalePrimary(t *testing.T) {
 	}
 }
 
-// TestSnapshotBootstrapCatchUp: a fresh follower joining a primary
-// whose log has been compacted cannot page from index 1 incrementally —
-// the REPLICATE admission answers Bootstrap and the follower resyncs
-// from the in-memory log. A follower restarting with a cursor behind
-// the boundary takes the same path.
-func TestSnapshotBootstrapCatchUp(t *testing.T) {
+// TestFollowerCatchUpAcrossCompaction: a fold never moves a replication
+// boundary. A fresh follower joining a compacted primary streams the log
+// from index 1, and a durable follower restarted with its cursor below
+// the primary's newest fold resumes from that cursor: no reset, no
+// bootstrap, and its store never reads empty on the way.
+func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	primary := startNode(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000, GetBatch: 7})
 	auth, _ := ids.NewAuthority(testKey)
 	seedServer(t, primary.srv, auth, 13, 30)
 	if err := primary.srv.Store().ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
-	if primary.srv.Store().CompactedThrough() != 30 {
-		t.Fatalf("CompactedThrough = %d", primary.srv.Store().CompactedThrough())
+	if got := primary.srv.Store().PersistStats().SnapshotEntries; got != 30 {
+		t.Fatalf("snapshot folds %d entries, want 30", got)
 	}
 
-	// Fresh follower: cursor 1 predates the boundary -> bootstrap.
-	fDir := t.TempDir()
+	// The follower dials only once release is closed, so the restarted
+	// store is watched from its recovered cursor on.
+	var logMu sync.Mutex
+	var logs []string
+	var release chan struct{}
 	fcfg := follow(primary)
-	fcfg.DataDir, fcfg.Fsync = fDir, store.FsyncOff
+	fcfg.DataDir, fcfg.Fsync = t.TempDir(), store.FsyncOff
+	fcfg.FollowDial = func() (net.Conn, error) {
+		<-release
+		return net.DialTimeout("tcp", primary.addr, 5*time.Second)
+	}
+	fcfg.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+
+	// Fresh follower: cursor 1 is below the fold.
+	release = make(chan struct{})
+	close(release)
 	f := startNode(t, fcfg)
 	waitReplicated(t, primary.srv, f.srv)
 
-	// Stop the follower at cursor 30; grow and re-compact the primary so
-	// the stored cursor is once again behind the boundary on restart.
+	// Stop the follower at cursor 30, grow the primary to 50 and fold
+	// again, so the recovered cursor is below the newest fold.
 	f.stop()
 	seedServer(t, primary.srv, auth, 14, 20)
 	if err := primary.srv.Store().ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
+	if got := primary.srv.Store().PersistStats().SnapshotEntries; got != 50 {
+		t.Fatalf("snapshot folds %d entries, want 50", got)
+	}
+
+	release = make(chan struct{})
 	f2 := startNode(t, fcfg)
+	if got := f2.srv.Store().Len(); got != 30 {
+		close(release)
+		t.Fatalf("restarted follower recovered %d entries, want 30", got)
+	}
+	close(release)
+	deadline := time.Now().Add(15 * time.Second)
+	for n := f2.srv.Store().Len(); n != 50; n = f2.srv.Store().Len() {
+		if n == 0 {
+			t.Fatal("restarted follower's store read empty: it reset instead of resuming")
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted follower stuck at %d entries, want 50", n)
+		}
+		runtime.Gosched()
+	}
 	waitReplicated(t, primary.srv, f2.srv)
-	if got := f2.srv.Store().Len(); got != 50 {
-		t.Fatalf("restarted follower has %d entries, want 50", got)
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "bootstrap") || strings.Contains(l, "reset") || strings.Contains(l, "resynchroniz") {
+			t.Errorf("follower log shows a reset: %q", l)
+		}
 	}
 }
 
 // TestReplicateAdmissionRules: wire-level REPLICATE contract — v2
-// session required, negotiated epoch must match, and a pre-boundary
-// cursor without Bootstrap gets the bootstrap demand rather than a
-// registration.
+// session required, negotiated epoch must match, and any cursor streams,
+// however far below the last fold and whether or not the request sets
+// bootstrap.
 func TestReplicateAdmissionRules(t *testing.T) {
 	srv, addr, auth := v2TestServer(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000})
 	seedServer(t, srv, auth, 17, 10)
 
 	// Direct (v1-style) REPLICATE: no session to stream into.
-	if resp := srv.Process(wire.NewReplicate(1, 1, 1, false)); resp.Status != wire.StatusError {
+	if resp := srv.Process(wire.NewReplicate(1, 1, 1)); resp.Status != wire.StatusError {
 		t.Fatalf("v1 REPLICATE = %+v, want StatusError", resp)
 	}
 
@@ -555,7 +597,7 @@ func TestReplicateAdmissionRules(t *testing.T) {
 	if hello.Epoch != 1 || hello.Fence != 0 {
 		t.Fatalf("HELLO at matching epoch = %+v", hello)
 	}
-	if err := c.Send(wire.NewReplicate(2, 1, 9, false)); err != nil {
+	if err := c.Send(wire.NewReplicate(2, 1, 9)); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
@@ -566,52 +608,167 @@ func TestReplicateAdmissionRules(t *testing.T) {
 		t.Fatalf("mismatched REPLICATE = %+v, want StatusRejected at epoch 1", resp)
 	}
 
-	// Pre-boundary cursor: compact, then REPLICATE from 1 without
-	// Bootstrap — answered with the bootstrap demand, not a stream.
+	// Below the fold: REPLICATE(1) streams all 10 entries, carrying full
+	// user/unix/sig triples, with or without bootstrap. The ack is read
+	// raw: a reset demand would show as a bootstrap key.
 	if err := srv.Store().ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(wire.NewReplicate(3, 1, 1, false)); err != nil {
-		t.Fatal(err)
-	}
-	resp = wire.Response{} // omitempty fields: decode into a fresh value
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || !resp.Bootstrap {
-		t.Fatalf("pre-boundary REPLICATE = %+v, want Bootstrap demand", resp)
-	}
-
-	// With Bootstrap set the same cursor streams: ack then entry pages
-	// carrying full user/unix/sig triples.
-	if err := c.Send(wire.NewReplicate(4, 1, 1, true)); err != nil {
-		t.Fatal(err)
-	}
-	resp = wire.Response{}
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || resp.ID != 4 || resp.Bootstrap {
-		t.Fatalf("bootstrap REPLICATE ack = %+v", resp)
-	}
-	got := 0
-	for got < 10 {
-		var page wire.Response
-		if err := c.Recv(&page); err != nil {
+	for i, bootstrap := range []bool{false, true} {
+		c, _ := helloResp(t, addr, 1)
+		req := wire.NewReplicate(uint64(3+i), 1, 1)
+		req.Bootstrap = bootstrap
+		if err := c.Send(req); err != nil {
 			t.Fatal(err)
 		}
-		if page.ID != 0 || page.Type != wire.MsgPush {
-			continue
+		var raw json.RawMessage
+		if err := c.Recv(&raw); err != nil {
+			t.Fatal(err)
 		}
-		for _, e := range page.Entries {
-			if e.User == 0 || e.Unix == 0 || len(e.Sig) == 0 {
-				t.Fatalf("replication entry missing metadata: %+v", e)
+		var ack wire.Response
+		if err := json.Unmarshal(raw, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Status != wire.StatusOK || ack.ID != req.ID || bytes.Contains(raw, []byte(`"bootstrap"`)) {
+			t.Fatalf("REPLICATE(1) bootstrap=%v ack = %s, want a plain ok", bootstrap, raw)
+		}
+		got := 0
+		for got < 10 {
+			var page wire.Response
+			if err := c.Recv(&page); err != nil {
+				t.Fatal(err)
+			}
+			if page.ID != 0 || page.Type != wire.MsgPush {
+				continue
+			}
+			for _, e := range page.Entries {
+				if e.User == 0 || e.Unix == 0 || len(e.Sig) == 0 {
+					t.Fatalf("replication entry missing metadata: %+v", e)
+				}
+			}
+			got += len(page.Entries)
+		}
+		if got != 10 {
+			t.Fatalf("bootstrap=%v streamed %d entries, want 10", bootstrap, got)
+		}
+	}
+}
+
+// oldPrimary plays a primary from before SNAPSHOT's removal, for the
+// REPLICATE exchange only. It applies that version's admission rule: a
+// cursor at or below its compaction boundary is answered with a reset
+// demand unless the request sets bootstrap. Otherwise it acks and
+// streams src's log from the cursor. It counts the demands it sends.
+type oldPrimary struct {
+	src      *store.Store
+	boundary atomic.Int64
+	demands  atomic.Int32
+}
+
+func (p *oldPrimary) serve(conn net.Conn) {
+	defer conn.Close()
+	c := wire.NewConn(conn)
+	var mu sync.Mutex
+	send := func(v any) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return c.Send(v)
+	}
+	for {
+		var req wire.Request
+		if err := c.Recv(&req); err != nil {
+			return
+		}
+		var err error
+		switch {
+		case req.Type == wire.MsgHello:
+			err = send(wire.Response{Status: wire.StatusOK, ID: req.ID, Version: wire.V2, Epoch: 1, Role: rolePrimary})
+		case req.Type == wire.MsgReplicate && !req.Bootstrap && int64(req.From) <= p.boundary.Load():
+			p.demands.Add(1)
+			err = send(struct {
+				wire.Response
+				Bootstrap bool `json:"bootstrap"`
+			}{wire.Response{Status: wire.StatusOK, ID: req.ID, Epoch: 1}, true})
+		case req.Type == wire.MsgReplicate:
+			if err = send(wire.Response{Status: wire.StatusOK, ID: req.ID, Epoch: 1}); err == nil {
+				go func(from int) {
+					for {
+						entries, next, _ := p.src.EntryPage(from, 7, wire.MaxGetBytes)
+						if len(entries) == 0 || send(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush,
+							Entries: entriesToWire(entries), Next: next}) != nil {
+							return
+						}
+						from = next
+					}
+				}(req.From)
+			}
+		default: // CURSOR reports
+			err = send(wire.Response{Status: wire.StatusOK, ID: req.ID})
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// TestFollowerConvergesAgainstPreChangePrimary: mixed-version cells keep
+// converging. Against a primary that still demands a reset below its
+// compaction boundary, a fresh follower and a durable follower restarted
+// below the boundary both stream from their cursors, because REPLICATE
+// always sets bootstrap; no demand is ever sent.
+func TestFollowerConvergesAgainstPreChangePrimary(t *testing.T) {
+	src := store.New(store.Config{MaxPerDay: 10_000})
+	r := rand.New(rand.NewSource(15))
+	grow := func(n int) {
+		t.Helper()
+		for i := src.Len(); n > 0; i, n = i+1, n-1 {
+			if _, err := src.Add(ids.UserID(i%3+1), sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		got += len(page.Entries)
 	}
-	if got != 10 {
-		t.Fatalf("streamed %d entries, want 10", got)
+	old := &oldPrimary{src: src}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go old.serve(conn)
+		}
+	}()
+	converge := func(f *node) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for f.srv.Store().Len() != src.Len() || f.srv.Store().StateDigest() != src.StateDigest() {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower did not converge: %d of %d entries, %d demands sent",
+					f.srv.Store().Len(), src.Len(), old.demands.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	// Fresh follower, cursor 1, below a boundary at 30.
+	grow(30)
+	old.boundary.Store(30)
+	fcfg := Config{Follow: l.Addr().String(), DataDir: t.TempDir(), Fsync: store.FsyncOff}
+	f := startNode(t, fcfg)
+	converge(f)
+	f.stop()
+
+	// Restarted follower, cursor 31, below a boundary at 50.
+	grow(20)
+	old.boundary.Store(50)
+	f2 := startNode(t, fcfg)
+	converge(f2)
+	if n := old.demands.Load(); n != 0 {
+		t.Fatalf("the pre-change primary sent %d reset demands, want none", n)
 	}
 }
 
@@ -625,69 +782,5 @@ func TestPromoteIdempotentOnPrimary(t *testing.T) {
 	}
 	if resp := srv.Process(wire.NewPromote(1)); resp.Status != wire.StatusOK || resp.Epoch != 1 {
 		t.Fatalf("wire PROMOTE on primary = %+v", resp)
-	}
-}
-
-// TestRawSnapshotPages: the SNAPSHOT wire contract for raw byte pages.
-// A compacted durable primary ships its snapshot file verbatim (Data +
-// SnapVersion, Next as a byte offset); the paged bytes decode through
-// the store's stream parser to exactly the folded entries. A stale
-// version pin is refused, and a server with nothing folded degrades to
-// an entry page with SnapVersion zero — the follower's fallback signal.
-func TestRawSnapshotPages(t *testing.T) {
-	srv, _, auth := v2TestServer(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000})
-	seedServer(t, srv, auth, 19, 12)
-	if err := srv.Store().ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
-	seedServer(t, srv, auth, 20, 3) // live tail past the boundary
-
-	parser := store.NewSnapshotParser()
-	var applied int
-	var version uint64
-	var offset int64
-	for {
-		resp := srv.Process(wire.NewRawSnapshotFetch(1, version, offset))
-		if resp.Status != wire.StatusOK {
-			t.Fatalf("raw SNAPSHOT(%d) = %+v", offset, resp)
-		}
-		if resp.SnapVersion == 0 || len(resp.Data) == 0 {
-			t.Fatalf("raw SNAPSHOT(%d) degraded: version=%d data=%d bytes", offset, resp.SnapVersion, len(resp.Data))
-		}
-		if len(resp.Entries) != 0 {
-			t.Fatalf("raw page also carries %d re-serialized entries", len(resp.Entries))
-		}
-		if got := int64(resp.Next); got != offset+int64(len(resp.Data)) {
-			t.Fatalf("raw page Next = %d, want byte offset %d", got, offset+int64(len(resp.Data)))
-		}
-		version = resp.SnapVersion
-		entries, err := parser.Feed(resp.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		applied += len(entries)
-		offset = int64(resp.Next)
-		if !resp.More {
-			break
-		}
-	}
-	if err := parser.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if applied != 12 {
-		t.Fatalf("raw pages decoded %d entries, want the 12 folded ones", applied)
-	}
-
-	if resp := srv.Process(wire.Request{Type: wire.MsgSnapshot, ID: 2, From: 1, Raw: true, SnapVersion: version + 7}); resp.Status != wire.StatusRejected {
-		t.Fatalf("stale version pin = %+v, want StatusRejected", resp)
-	}
-
-	// Ephemeral server: nothing folded, raw degrades to entry paging.
-	eph, _, eauth := v2TestServer(t, Config{MaxPerDay: 10_000})
-	seedServer(t, eph, eauth, 21, 5)
-	resp := eph.Process(wire.NewRawSnapshotFetch(3, 0, 0))
-	if resp.Status != wire.StatusOK || resp.SnapVersion != 0 || len(resp.Data) != 0 || len(resp.Entries) != 5 {
-		t.Fatalf("ephemeral raw SNAPSHOT = status=%v version=%d data=%d entries=%d, want 5-entry fallback page",
-			resp.Status, resp.SnapVersion, len(resp.Data), len(resp.Entries))
 	}
 }

@@ -426,8 +426,6 @@ func (s *Server) Process(req wire.Request) wire.Response {
 			Detail: "CURSOR requires an established REPLICATE session"}
 	case wire.MsgVote:
 		return s.handleVote(req)
-	case wire.MsgSnapshot:
-		return s.snapshotPage(req)
 	case wire.MsgPromote:
 		epoch, err := s.Promote()
 		if err != nil {
@@ -441,34 +439,6 @@ func (s *Server) Process(req wire.Request) wire.Response {
 	default:
 		return wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("unknown message type %d", req.Type)}
 	}
-}
-
-// snapshotPage serves one page of a bootstrapping replica's snapshot
-// pull. A Raw request ships the folded on-disk snapshot file as
-// verbatim byte pages — no log walk, no per-entry re-serialization; the
-// records' CRCs travel with the bytes. When there is nothing folded to
-// ship (ephemeral store, or no compaction yet) the reply degrades to an
-// entry page exactly like a server that predates raw paging, which the
-// follower detects by the zero SnapVersion. Entry pages serve full
-// entries from 1-based req.From, including the snapshot-folded prefix,
-// so a fenced or boundary-lagged follower rebuilds the authoritative
-// log without replaying client uploads.
-func (s *Server) snapshotPage(req wire.Request) wire.Response {
-	if req.Raw {
-		data, version, more, err := s.db.SnapshotChunk(req.SnapVersion, req.Offset, wire.MaxGetBytes)
-		if err != nil {
-			return wire.Response{Status: wire.StatusRejected, Detail: err.Error()}
-		}
-		if version != 0 {
-			return wire.Response{Status: wire.StatusOK, Data: data, SnapVersion: version,
-				Next: int(req.Offset) + len(data), More: more}
-		}
-	}
-	entries, next, more, err := s.db.EntryPage(req.From, s.getBatch, wire.MaxGetBytes, true)
-	if err != nil {
-		return wire.Response{Status: wire.StatusError, Detail: err.Error()}
-	}
-	return wire.Response{Status: wire.StatusOK, Entries: entriesToWire(entries), Next: next, More: more}
 }
 
 // enqueueAdd hands an ADD to the ingestion pipeline and waits for its

@@ -142,10 +142,7 @@ func TestCompactionWriteAmplification(t *testing.T) {
 			firstFold = st.PersistStats().FoldedBytes
 		}
 	}
-	entries, _, _, err := st.EntryPage(1, 0, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, _, _ := st.EntryPage(1, 0, 0)
 	var recordBytes int64
 	for _, e := range entries {
 		recordBytes += int64(recordHeaderSize + recordMetaSize + len(e.Data))

@@ -87,7 +87,7 @@ func (l *appendLog) Append(batch []Entry) int {
 
 // Reset atomically replaces the log with an empty one. Readers holding
 // an older header keep their frozen snapshot; new reads see the empty
-// log. Only a replica bootstrapping from scratch calls this.
+// log. Only a fenced replica resetting to re-replicate calls this.
 func (l *appendLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

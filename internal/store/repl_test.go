@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -17,10 +18,7 @@ import (
 func applyAll(t *testing.T, src, dst *Store) {
 	t.Helper()
 	for {
-		entries, next, more, err := src.EntryPage(dst.Len()+1, 64, 0, false)
-		if err != nil {
-			t.Fatalf("EntryPage: %v", err)
-		}
+		entries, next, more := src.EntryPage(dst.Len()+1, 64, 0)
 		if len(entries) > 0 {
 			if _, err := dst.ApplyReplicated(next-len(entries), entries); err != nil {
 				t.Fatalf("ApplyReplicated: %v", err)
@@ -93,10 +91,7 @@ func TestApplyReplicatedRebuildsIdenticalState(t *testing.T) {
 
 	// Idempotent overlap: re-shipping an already-applied page changes
 	// nothing (the divergent Adds above are local; rebuild a fresh pair).
-	entries, next, _, err := primary.EntryPage(1, 50, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, next, _ := primary.EntryPage(1, 50, 0)
 	before := follower.Len()
 	n, err := follower.ApplyReplicated(next-len(entries), entries)
 	if err != nil || n != 0 {
@@ -122,10 +117,7 @@ func TestApplyReplicatedRejectsForeignDuplicate(t *testing.T) {
 	mustAdd(t, primary, 1, distinctSig(r, 1))
 
 	follower := New(Config{MaxPerDay: 100})
-	entries, _, _, err := primary.EntryPage(1, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, _, _ := primary.EntryPage(1, 0, 0)
 	// Ship entry 2 as if it were index 1: content duplicate at the wrong
 	// position once the real stream arrives.
 	if _, err := follower.ApplyReplicated(1, entries[1:2]); err != nil {
@@ -214,10 +206,10 @@ func TestSafeLenFencingRules(t *testing.T) {
 	}
 }
 
-// TestEntryPageCompactedBoundary: once entries are folded into the
-// snapshot, an incremental cursor into the folded range is refused with
-// ErrCompacted — unless the reader declared a bootstrap, which is
-// served from the complete in-memory log.
+// TestEntryPageCompactedBoundary: folding entries into the snapshot
+// never takes them out of the log. Every cursor — below, at and past the
+// fold — is served from memory, before and after a reopen replays the
+// snapshot, so a follower can resume from wherever it stopped.
 func TestEntryPageCompactedBoundary(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
@@ -226,30 +218,45 @@ func TestEntryPageCompactedBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	for i := 0; i < 6; i++ {
 		mustAdd(t, st, ids.UserID(i+1), distinctSig(r, i))
 	}
 	if err := st.ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.CompactedThrough(); got != 6 {
-		t.Fatalf("CompactedThrough = %d, want 6", got)
+	if got := st.PersistStats().SnapshotEntries; got != 6 {
+		t.Fatalf("snapshot folds %d entries, want 6", got)
 	}
-	if _, _, _, err := st.EntryPage(1, 0, 0, false); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("EntryPage below boundary = %v, want ErrCompacted", err)
+	want, _, _ := st.EntryPage(1, 0, 0)
+	check := func(st *Store, when string) {
+		t.Helper()
+		for from := 1; from <= 7; from++ {
+			entries, next, more := st.EntryPage(from, 0, 0)
+			if len(entries) != 7-from || next != 7 || more {
+				t.Fatalf("%s: EntryPage(%d) = (%d entries, next %d, more %v), want %d entries to 7",
+					when, from, len(entries), next, more, 7-from)
+			}
+			for i, e := range entries {
+				w := want[from-1+i]
+				if e.User != w.User || e.Unix != w.Unix || !bytes.Equal(e.Data, w.Data) {
+					t.Fatalf("%s: EntryPage(%d) entry %d differs", when, from, i)
+				}
+			}
+		}
 	}
-	if _, _, _, err := st.EntryPage(6, 0, 0, false); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("EntryPage at boundary = %v, want ErrCompacted", err)
+	if len(want) != 6 {
+		t.Fatalf("EntryPage(1) after the fold = %d entries, want 6", len(want))
 	}
-	entries, next, _, err := st.EntryPage(7, 0, 0, false)
-	if err != nil || len(entries) != 0 || next != 7 {
-		t.Fatalf("EntryPage past boundary = (%d,%d,%v)", len(entries), next, err)
+	check(st, "after the fold")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	boot, next, _, err := st.EntryPage(1, 0, 0, true)
-	if err != nil || len(boot) != 6 || next != 7 {
-		t.Fatalf("bootstrap EntryPage = (%d,%d,%v), want the full log", len(boot), next, err)
+	re, err := Open(persistCfg(dir, clock))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer re.Close()
+	check(re, "after reopen")
 }
 
 // TestResetReplicaWipesDiskState: a reset follower is empty in memory
@@ -275,8 +282,8 @@ func TestResetReplicaWipesDiskState(t *testing.T) {
 	if err := st.ResetReplica(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 0 || st.CompactedThrough() != 0 {
-		t.Fatalf("after reset: Len=%d compacted=%d", st.Len(), st.CompactedThrough())
+	if ps := st.PersistStats(); st.Len() != 0 || ps.SnapshotVersion != 0 {
+		t.Fatalf("after reset: Len=%d snapshot version=%d", st.Len(), ps.SnapshotVersion)
 	}
 	// The store is immediately usable: replicate fresh entries in.
 	// (Same clock: StateDigest normalizes budget to the current day.)
@@ -339,10 +346,7 @@ func TestFollowerDurableReplicationSurvivesRestart(t *testing.T) {
 	}
 	// Ship half, then "crash" (close flushes; torn-tail variants are
 	// covered by TestReplicaTornWALRestart below).
-	entries, next, _, err := primary.EntryPage(1, 25, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, next, _ := primary.EntryPage(1, 25, 0)
 	if _, err := follower.ApplyReplicated(next-len(entries), entries); err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +443,9 @@ func TestReplicaTornWALRestart(t *testing.T) {
 	}
 }
 
-// TestCompactionDuringCatchUp: the snapshot boundary moving while a
-// bootstrap reader is mid-stream must not wedge it — bootstrap pages
-// are served from the in-memory log, the boundary is only an admission
-// gate.
+// TestCompactionDuringCatchUp: a fold landing while a reader is
+// mid-stream must not wedge it — pages are served from the in-memory
+// log, which a fold never trims.
 func TestCompactionDuringCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
@@ -458,23 +461,20 @@ func TestCompactionDuringCatchUp(t *testing.T) {
 	follower := New(Config{MaxPerDay: 1 << 30, Clock: clock.Now})
 
 	for page := 0; ; page++ {
-		entries, next, more, err := primary.EntryPage(follower.Len()+1, 10, 0, true)
-		if err != nil {
-			t.Fatalf("page %d: %v", page, err)
-		}
+		entries, next, more := primary.EntryPage(follower.Len()+1, 10, 0)
 		if len(entries) > 0 {
 			if _, err := follower.ApplyReplicated(next-len(entries), entries); err != nil {
 				t.Fatalf("page %d: %v", page, err)
 			}
 		}
 		if page == 1 {
-			// Compaction lands mid-catch-up, moving the boundary past the
-			// reader's cursor. The stream must continue regardless.
+			// Compaction lands mid-catch-up, folding past the reader's
+			// cursor. The stream must continue regardless.
 			if err := primary.ForceCompact(); err != nil {
 				t.Fatal(err)
 			}
-			if primary.CompactedThrough() != 30 {
-				t.Fatalf("CompactedThrough = %d, want 30", primary.CompactedThrough())
+			if got := primary.PersistStats().SnapshotEntries; got != 30 {
+				t.Fatalf("snapshot folds %d entries, want 30", got)
 			}
 		}
 		if !more {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"communix/internal/ids"
@@ -208,13 +207,6 @@ type Store struct {
 	walMu sync.Mutex
 	wal   *persister
 
-	// compacted is the snapshot boundary: every entry with index ≤
-	// compacted has been folded into the on-disk snapshot. The
-	// replication contract treats indexes at or below it as served
-	// "from the snapshot" (see EntryPage / docs/ARCHITECTURE.md,
-	// "Replication"); always 0 on an ephemeral store.
-	compacted atomic.Int64
-
 	// replMu serializes replicated applies (a follower's single
 	// replication loop in practice; the lock makes the cursor arithmetic
 	// safe regardless).
@@ -324,7 +316,6 @@ func Open(cfg Config) (*Store, error) {
 	}
 	st.wal = wal
 	st.log.Append(recovered)
-	st.compacted.Store(int64(wal.snapCount))
 	return st, nil
 }
 
@@ -459,11 +450,7 @@ func (st *Store) commit(entries []walEntry) (int, error) {
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
 	err := st.wal.append(entries)
-	first := st.log.Append(batch)
-	// append may have rolled segments and compacted; publish the new
-	// snapshot boundary for the replication read path.
-	st.compacted.Store(int64(st.wal.snapCount))
-	return first, err
+	return st.log.Append(batch), err
 }
 
 // admit runs every ADD step except the commit: signature validation,
@@ -588,34 +575,13 @@ func (st *Store) Close() error {
 // primary computed, then commits through the same WAL path an ADD
 // takes. See docs/ARCHITECTURE.md ("Replication").
 
-// ErrCompacted is returned by EntryPage when the requested cursor
-// predates the snapshot boundary: the range is only retained as folded
-// snapshot state, so an incremental tail from there cannot be served —
-// the follower must bootstrap (reset and resynchronize from index 1).
-var ErrCompacted = errors.New("store: cursor predates snapshot boundary")
-
-// CompactedThrough returns the snapshot boundary: the highest log index
-// folded into the on-disk snapshot (0 when none, and always 0 on an
-// ephemeral store).
-func (st *Store) CompactedThrough() int {
-	return int(st.compacted.Load())
-}
-
 // EntryPage returns one page of full log entries from 1-based index
-// from, under the same paging contract as GetPage. A cursor at or below
-// the snapshot boundary returns ErrCompacted unless bootstrap is set:
-// a bootstrapping follower has discarded its local state and reads the
-// authoritative prefix — the snapshot-covered range first, then the
-// live log — from the beginning.
-func (st *Store) EntryPage(from, maxCount, maxBytes int, bootstrap bool) ([]Entry, int, bool, error) {
-	if from < 1 {
-		from = 1
-	}
-	if !bootstrap && from <= st.CompactedThrough() {
-		return nil, 0, false, ErrCompacted
-	}
-	entries, next, more := st.log.EntryPage(from, maxCount, maxBytes)
-	return entries, next, more, nil
+// from, under the same paging contract as GetPage. Any cursor can be
+// served: Open replays the snapshot and the segments into the in-memory
+// log and nothing ever trims it, so compaction only changes how the
+// prefix is stored on disk.
+func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
+	return st.log.EntryPage(from, maxCount, maxBytes)
 }
 
 // ApplyReplicated applies a contiguous run of replicated entries whose
@@ -686,9 +652,9 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 
 // ResetReplica discards the store's entire contents — in-memory shards,
 // log, and (when durable) every WAL segment and snapshot — leaving an
-// empty store at the same epoch, ready for a bootstrap
-// resynchronization. Only a follower whose cursor was fenced off or
-// compacted away calls this; the caller is responsible for making sure
+// empty store at the same epoch, ready to re-replicate from index 1.
+// Only a follower whose log is longer than its fence calls this; the
+// caller is responsible for making sure
 // no concurrent writers are active (a follower rejects ADDs, and the
 // server drops client sessions around a reset).
 func (st *Store) ResetReplica() error {
@@ -712,7 +678,6 @@ func (st *Store) ResetReplica() error {
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
 	st.log.Reset()
-	st.compacted.Store(0)
 	if st.wal == nil {
 		return nil
 	}
@@ -721,8 +686,10 @@ func (st *Store) ResetReplica() error {
 
 // ForceCompact seals the active WAL segment and folds everything sealed
 // into the snapshot immediately, regardless of the compaction trigger
-// (see Config.CompactSegments) — the deterministic trigger the replication tests use to
-// move the snapshot boundary mid-run. A no-op on an ephemeral store.
+// (see Config.CompactSegments) — the deterministic trigger tests use to
+// fold mid-run. Folding rewrites only the on-disk form: the in-memory
+// log keeps every entry, so reads and replication from any cursor are
+// unaffected. A no-op on an ephemeral store.
 func (st *Store) ForceCompact() error {
 	if st.readOnly {
 		return ErrReadOnly
@@ -732,11 +699,7 @@ func (st *Store) ForceCompact() error {
 	}
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
-	if err := st.wal.forceCompact(); err != nil {
-		return err
-	}
-	st.compacted.Store(int64(st.wal.snapCount))
-	return nil
+	return st.wal.forceCompact()
 }
 
 // StateDigest returns a deterministic digest of the store's observable

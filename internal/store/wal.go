@@ -895,7 +895,7 @@ func (p *persister) forceCompact() error {
 }
 
 // reset deletes every segment and snapshot and starts the log over at
-// record 1 — the durable half of a replica bootstrap. The directory
+// record 1 — the durable half of a fenced replica's reset. The directory
 // lock is kept; the poison flag is cleared (every poisoned file is
 // gone). The caller serializes it against append.
 func (p *persister) reset() error {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -384,9 +383,6 @@ func (e *frameEncoder) request(r *Request) {
 	e.string("node", r.Node)
 	e.int("cursor", int64(r.Cursor), true)
 	e.uint("last_epoch", r.LastEpoch, true)
-	e.bool("raw", r.Raw)
-	e.int("offset", r.Offset, true)
-	e.uint("snap_version", r.SnapVersion, true)
 	e.close()
 }
 
@@ -444,15 +440,7 @@ func (e *frameEncoder) response(r *Response) {
 		}
 		e.b = append(e.b, ']')
 	}
-	e.bool("bootstrap", r.Bootstrap)
 	e.int("cursor", int64(r.Cursor), true)
-	if len(r.Data) > 0 {
-		e.key("data")
-		e.b = append(e.b, '"')
-		e.b = base64.StdEncoding.AppendEncode(e.b, r.Data)
-		e.b = append(e.b, '"')
-	}
-	e.uint("snap_version", r.SnapVersion, true)
 	e.close()
 }
 
@@ -493,7 +481,7 @@ func requestFrame(r *Request) ([]byte, bool) {
 
 func responseFrame(r *Response) ([]byte, bool) {
 	n := responseEnvelope + len(r.Detail) + len(r.Role) + len(r.Primary) +
-		base64.StdEncoding.EncodedLen(len(r.Data)) + elementEnvelope*(len(r.Fences)+len(r.Entries))
+		elementEnvelope*(len(r.Fences)+len(r.Entries))
 	for _, s := range r.Sigs {
 		n += len(s) + 1
 	}
@@ -664,9 +652,6 @@ const (
 	fNode
 	fCursor
 	fLastEpoch
-	fRaw
-	fOffset
-	fSnapVersion
 	fStatus
 	fDetail
 	fSigs
@@ -677,7 +662,6 @@ const (
 	fFence
 	fFences
 	fEntries
-	fData
 	fUser
 	fUnix
 	fE
@@ -708,12 +692,6 @@ func requestBit(key []byte) uint32 {
 		return fCursor
 	case "last_epoch":
 		return fLastEpoch
-	case "raw":
-		return fRaw
-	case "offset":
-		return fOffset
-	case "snap_version":
-		return fSnapVersion
 	}
 	return 0
 }
@@ -748,14 +726,8 @@ func responseBit(key []byte) uint32 {
 		return fFences
 	case "entries":
 		return fEntries
-	case "bootstrap":
-		return fBootstrap
 	case "cursor":
 		return fCursor
-	case "data":
-		return fData
-	case "snap_version":
-		return fSnapVersion
 	}
 	return 0
 }
@@ -813,12 +785,6 @@ func decodeRequest(p []byte, r *Request) bool {
 			r.Cursor, ok = d.goInt()
 		case fLastEpoch:
 			r.LastEpoch, ok = d.uint()
-		case fRaw:
-			r.Raw, ok = d.bool()
-		case fOffset:
-			r.Offset, ok = d.int(true)
-		case fSnapVersion:
-			r.SnapVersion, ok = d.uint()
 		}
 		return ok
 	})
@@ -897,19 +863,8 @@ func decodeResponse(p []byte, r *Response) bool {
 				r.Entries = append(r.Entries, en)
 				return ok
 			})
-		case fBootstrap:
-			r.Bootstrap, ok = d.bool()
 		case fCursor:
 			r.Cursor, ok = d.goInt()
-		case fData:
-			var s []byte
-			if s, ok = d.str(); ok {
-				buf := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
-				m, err := base64.StdEncoding.Decode(buf, s)
-				r.Data, ok = buf[:m], err == nil
-			}
-		case fSnapVersion:
-			r.SnapVersion, ok = d.uint()
 		}
 		return ok
 	})
@@ -921,7 +876,7 @@ func decodeResponse(p []byte, r *Response) bool {
 func (r *Request) isZero() bool {
 	return r.Type == 0 && r.ID == 0 && r.Token == "" && r.Sig == nil && r.From == 0 &&
 		r.Version == 0 && r.Epoch == 0 && !r.Bootstrap && r.Node == "" && r.Cursor == 0 &&
-		r.LastEpoch == 0 && !r.Raw && r.Offset == 0 && r.SnapVersion == 0
+		r.LastEpoch == 0
 }
 
 // isZero reports whether r is the zero Response.
@@ -929,7 +884,7 @@ func (r *Response) isZero() bool {
 	return r.Status == 0 && r.ID == 0 && r.Type == 0 && r.Detail == "" && r.Sigs == nil &&
 		r.Next == 0 && !r.More && r.Version == 0 && r.Epoch == 0 && r.Role == "" &&
 		r.Primary == "" && r.Fence == 0 && r.Fences == nil && r.Entries == nil &&
-		!r.Bootstrap && r.Cursor == 0 && r.Data == nil && r.SnapVersion == 0
+		r.Cursor == 0
 }
 
 // decodeCanonical decodes payload into v when v is a pointer to a zero

@@ -9,11 +9,11 @@ import (
 )
 
 func TestReplicateRoundTrip(t *testing.T) {
-	req := NewReplicate(3, 17, 4, true)
+	req := NewReplicate(3, 17, 4)
 	if req.Type != MsgReplicate || req.From != 17 || req.Epoch != 4 || !req.Bootstrap {
 		t.Fatalf("NewReplicate = %+v", req)
 	}
-	if got := NewReplicate(1, 0, 1, false); got.From != 1 {
+	if got := NewReplicate(1, 0, 1); got.From != 1 {
 		t.Errorf("NewReplicate clamps From to 1, got %d", got.From)
 	}
 	var buf bytes.Buffer
@@ -55,8 +55,7 @@ func TestReplicationResponseFieldsRoundTrip(t *testing.T) {
 		Entries: []Entry{
 			{User: 7, Unix: 1_700_000_000, Sig: json.RawMessage(`{"threads":[]}`)},
 		},
-		Bootstrap: true,
-		Next:      2,
+		Next: 2,
 	}
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, resp); err != nil {
@@ -79,7 +78,7 @@ func TestReplicationFieldsOmittedWhenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"epoch", "role", "primary", "fence", "entries", "bootstrap"} {
+	for _, field := range []string{"epoch", "role", "primary", "fence", "entries"} {
 		if strings.Contains(string(b), `"`+field+`"`) {
 			t.Errorf("empty response leaks %q: %s", field, b)
 		}

@@ -89,10 +89,9 @@ func TestFastPathCoversTraffic(t *testing.T) {
 	tok := codec.Mint(7)
 	for _, req := range []wire.Request{
 		wire.NewGet(1), wire.NewGet(2049), wire.NewHello(1), wire.NewHelloAt(1, 3), wire.NewPing(9),
-		wire.NewSubscribe(2, 1), wire.NewSubscribeUser(2, 40, tok), wire.NewReplicate(3, 1, 2, true),
-		wire.NewReplicate(3, 77, 2, false), wire.NewPromote(0), wire.NewVote(1, 4, 120, 3, "127.0.0.1:19201"),
-		wire.NewCursorReport(12, 300, 3), wire.NewSnapshotFetch(5, 1), wire.NewRawSnapshotFetch(6, 0, 0),
-		wire.NewRawSnapshotFetch(7, 9, 1<<20),
+		wire.NewSubscribe(2, 1), wire.NewSubscribeUser(2, 40, tok), wire.NewReplicate(3, 1, 2),
+		wire.NewReplicate(3, 77, 2), wire.NewPromote(0), wire.NewVote(1, 4, 120, 3, "127.0.0.1:19201"),
+		wire.NewCursorReport(12, 300, 3),
 	} {
 		add(req.Type.String(), req)
 	}
@@ -109,7 +108,6 @@ func TestFastPathCoversTraffic(t *testing.T) {
 			entries[i] = wire.Entry{User: ids.UserID(from + i), Unix: 1760000000 + int64(i), Sig: raw}
 		}
 		add("entries PUSH", wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Entries: entries, Next: next})
-		add("SNAPSHOT reply", wire.Response{Status: wire.StatusOK, ID: 5, Entries: entries, Next: next, More: true})
 	}
 
 	// Every shape of HELLO reply decorateHello stamps: both versions and
@@ -140,9 +138,7 @@ func TestFastPathCoversTraffic(t *testing.T) {
 		{Status: wire.StatusOK, Type: wire.MsgPush, Next: 300, More: true},
 		{Status: wire.StatusOK, ID: 2},
 		{Status: wire.StatusOK, ID: 2, Epoch: 3, Fences: histories[2]},
-		{Status: wire.StatusOK, ID: 2, Epoch: 3, Bootstrap: true, Detail: "cursor predates snapshot boundary; reset and re-replicate from 1"},
 		{Status: wire.StatusRejected, Epoch: 4, Cursor: 120, Detail: "already voted in epoch 4"},
-		{Status: wire.StatusOK, ID: 6, Data: bytes.Repeat([]byte{0, 1, 2, 0xFF}, 1024), Next: 4096, More: true, SnapVersion: 9},
 	} {
 		add("reply", resp)
 	}

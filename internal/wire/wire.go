@@ -69,10 +69,9 @@ const (
 	// every log entry with index ≥ from as PUSH frames carrying full
 	// Entries (signature plus the user/timestamp metadata a replica needs
 	// to rebuild dup-set and budget state identically). The request
-	// carries the follower's epoch; the ack carries the primary's epoch,
-	// fence history, and — when the requested cursor predates the
-	// primary's snapshot boundary — Bootstrap, telling the follower to
-	// reset and re-replicate from index 1.
+	// carries the follower's epoch; the ack carries the primary's epoch
+	// and fence history. Any cursor is served: the primary's log keeps
+	// every committed entry, so this is a follower's only catch-up path.
 	MsgReplicate
 	// MsgPromote asks a follower to promote itself to primary: it stops
 	// following, bumps the epoch (fencing stale peers), and starts
@@ -107,14 +106,10 @@ const (
 	// outside a REPLICATE session are rejected; the node identity is the
 	// one the session registered, never the frame's.
 	MsgCursor
-	// MsgSnapshot is SNAPSHOT(from): a bulk pull of full log entries for
-	// replica bootstrap. Unlike the push-plane REPLICATE stream it is
-	// request/reply paged (the follower pulls as fast as it can apply),
-	// and unlike GET it carries full Entries including the snapshot-folded
-	// prefix below the primary's compaction boundary. A bootstrapping
-	// follower drains SNAPSHOT pages to the log head, then REPLICATEs the
-	// live tail from its new cursor.
-	MsgSnapshot
+	// 11 was SNAPSHOT, a bulk pull for replica bootstrap. It stays
+	// reserved: followers from before its removal may still send it, and
+	// it is answered as an unknown type.
+	_
 )
 
 // String names the message type.
@@ -140,8 +135,6 @@ func (m MsgType) String() string {
 		return "VOTE"
 	case MsgCursor:
 		return "CURSOR"
-	case MsgSnapshot:
-		return "SNAPSHOT"
 	}
 	return fmt.Sprintf("msg(%d)", int(m))
 }
@@ -226,10 +219,10 @@ type Request struct {
 	// adopted epoch and any epoch it has voted in — which the primary
 	// requires to equal its own epoch before counting the report.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Bootstrap marks a REPLICATE that restarts replication from scratch
-	// after the primary answered Bootstrap: the follower has reset its
-	// local store and asks for the full authoritative prefix — the
-	// snapshot-covered range first, then the live log — from index 1.
+	// Bootstrap is a compatibility bit every REPLICATE sets and current
+	// servers ignore. A server from before SNAPSHOT's removal demands a
+	// reset from a follower whose cursor predates its compaction
+	// boundary unless the bit is set; set, it streams from the cursor.
 	Bootstrap bool `json:"bootstrap,omitempty"`
 	// Node identifies the sending replica (REPLICATE) or the candidate
 	// (VOTE) in a replicated cell: its advertised address. Quorum
@@ -245,22 +238,6 @@ type Request struct {
 	// comparison, derived from the fence history (store.LastEntryEpoch).
 	// 0 (a pre-field peer) is read as the initial epoch.
 	LastEpoch uint64 `json:"last_epoch,omitempty"`
-	// Raw asks SNAPSHOT to serve the primary's folded on-disk snapshot
-	// file as verbatim byte pages (Response.Data) instead of
-	// re-serialized log entries — the bootstrap fast path. A server with
-	// no folded snapshot, or one predating the field, answers with an
-	// entry page instead (Entries set, SnapVersion zero); the follower
-	// detects that and continues entry-paged.
-	Raw bool `json:"raw,omitempty"`
-	// Offset is the byte offset of the requested raw snapshot page
-	// (SNAPSHOT with Raw).
-	Offset int64 `json:"offset,omitempty"`
-	// SnapVersion pins the snapshot version across a raw page sequence:
-	// 0 on the first page (serve the current snapshot), then the version
-	// the first reply reported. A compaction that retires the pinned
-	// version mid-pull is answered StatusRejected — pages from different
-	// versions must never be mixed.
-	SnapVersion uint64 `json:"snap_version,omitempty"`
 }
 
 // Response is one server reply, or (ID 0, Type MsgPush) one
@@ -276,7 +253,7 @@ type Response struct {
 	Detail string `json:"detail,omitempty"`
 	// Sigs carries the requested signatures (GET, PUSH).
 	Sigs []json.RawMessage `json:"sigs,omitempty"`
-	// Next is the index to request next time (GET, PUSH, SNAPSHOT). With
+	// Next is the index to request next time (GET, PUSH). With
 	// More unset this is database size + 1; with More set the reply was
 	// truncated at the page cap and Next is where the following page
 	// starts. On a StatusOK ADD reply Next is instead the committed log
@@ -317,28 +294,14 @@ type Response struct {
 	// replies), shipped so a follower adopting a new epoch can later
 	// fence its own peers correctly after being promoted itself.
 	Fences []EpochFence `json:"fences,omitempty"`
-	// Entries carries full log entries on replication PUSH frames and
-	// REPLICATE catch-up pages — the signature bytes plus the
-	// user/timestamp metadata a replica needs to rebuild dup-set,
-	// adjacency, and per-user budget state identically.
+	// Entries carries full log entries on replication PUSH frames — the
+	// signature bytes plus the user/timestamp metadata a replica needs to
+	// rebuild dup-set, adjacency, and per-user budget state identically.
 	Entries []Entry `json:"entries,omitempty"`
-	// Bootstrap on a REPLICATE reply tells the follower its cursor
-	// predates the primary's snapshot boundary (the log below it is only
-	// retained as folded snapshot state): it must reset its local store
-	// and re-REPLICATE from index 1 with Request.Bootstrap set.
-	Bootstrap bool `json:"bootstrap,omitempty"`
 	// Cursor is the replying server's own durable log length (VOTE
 	// replies): on a rejection it tells the candidate which cursor beat
 	// it; on a grant it is informational.
 	Cursor int `json:"cursor,omitempty"`
-	// Data carries one verbatim page of the snapshot file on a raw
-	// SNAPSHOT reply. Next is then the following byte offset rather than
-	// a log index, and More marks further pages of the same file.
-	Data []byte `json:"data,omitempty"`
-	// SnapVersion is the snapshot version the raw pages come from; 0
-	// means the server had no folded snapshot to ship (or predates raw
-	// paging) and answered with Entries instead.
-	SnapVersion uint64 `json:"snap_version,omitempty"`
 }
 
 // Entry is one replicated log record: the signature exactly as stored
@@ -394,13 +357,13 @@ func NewHelloAt(id uint64, epoch uint64) Request {
 }
 
 // NewReplicate builds a REPLICATE request: ship log entries from index
-// from (1-based) on, to a follower at the given epoch. bootstrap marks
-// a from-scratch resynchronization after a Bootstrap reply.
-func NewReplicate(id uint64, from int, epoch uint64, bootstrap bool) Request {
+// from (1-based) on, to a follower at the given epoch. It always sets
+// Bootstrap, so older servers stream from the cursor too.
+func NewReplicate(id uint64, from int, epoch uint64) Request {
 	if from < 1 {
 		from = 1
 	}
-	return Request{Type: MsgReplicate, ID: id, From: from, Epoch: epoch, Bootstrap: bootstrap}
+	return Request{Type: MsgReplicate, ID: id, From: from, Epoch: epoch, Bootstrap: true}
 }
 
 // NewPromote builds a PROMOTE request.
@@ -422,24 +385,6 @@ func NewVote(id uint64, epoch uint64, cursor int, lastEpoch uint64, node string)
 // the session registered at REPLICATE time.
 func NewCursorReport(id uint64, cursor int, bar uint64) Request {
 	return Request{Type: MsgCursor, ID: id, Cursor: cursor, Epoch: bar}
-}
-
-// NewSnapshotFetch builds a SNAPSHOT request pulling full log entries
-// from index from (1-based) on.
-func NewSnapshotFetch(id uint64, from int) Request {
-	if from < 1 {
-		from = 1
-	}
-	return Request{Type: MsgSnapshot, ID: id, From: from}
-}
-
-// NewRawSnapshotFetch builds a SNAPSHOT request pulling the folded
-// snapshot file as verbatim byte pages from the given offset. version 0
-// means "the current snapshot"; later pages pin the version the first
-// reply reported. From stays 1 so a server that predates raw paging
-// answers with a useful entry page from the log head.
-func NewRawSnapshotFetch(id, version uint64, offset int64) Request {
-	return Request{Type: MsgSnapshot, ID: id, From: 1, Raw: true, SnapVersion: version, Offset: offset}
 }
 
 // NewSubscribe builds a SUBSCRIBE request for deltas from index from
