@@ -51,9 +51,6 @@ func run() int {
 	keyHex := flag.String("key", "", "predefined AES-128 key, 32 hex chars (required)")
 	mint := flag.Int("mint", 0, "print N user tokens at startup")
 	maxPerDay := flag.Int("max-per-day", 10, "signatures accepted per user per day")
-	shards := flag.Int("shards", 0, "signature store partitions (0 = default 16)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "batched-ingestion workers (0 = synchronous ADDs)")
-	ingestQueue := flag.Int("ingest-queue", 0, "pending-ADD queue bound (0 = default 4096)")
 	dataDir := flag.String("data-dir", "", "durable database directory (empty = in-memory only)")
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always|batch|off (with -data-dir)")
 	getBatch := flag.Int("get-batch", 0, "signatures per GET/PUSH page (0 = protocol max 256)")
@@ -90,9 +87,6 @@ func run() int {
 	srv, err := communix.NewServer(communix.ServerConfig{
 		Key:             key,
 		MaxPerDay:       *maxPerDay,
-		Shards:          *shards,
-		IngestWorkers:   *ingestWorkers,
-		IngestQueue:     *ingestQueue,
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
 		GetBatch:        *getBatch,

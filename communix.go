@@ -138,15 +138,6 @@ type ServerConfig struct {
 	// MaxPerDay caps accepted signatures per user per day (default 10,
 	// §III-C1).
 	MaxPerDay int
-	// Shards partitions the signature store so commuting ADDs commit in
-	// parallel (default 16).
-	Shards int
-	// IngestWorkers enables batched asynchronous ADD ingestion with this
-	// many workers; 0 processes ADDs synchronously per request.
-	IngestWorkers int
-	// IngestQueue bounds the pending-ADD queue when ingestion is enabled;
-	// a full queue is answered with a busy status (backpressure).
-	IngestQueue int
 	// DataDir makes the signature database durable: accepted signatures
 	// are written ahead to a segment log in this directory and recovered
 	// on the next NewServer. Empty (the default) keeps the database in
@@ -236,9 +227,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(server.Config{
 		Key:             cfg.Key,
 		MaxPerDay:       cfg.MaxPerDay,
-		Shards:          cfg.Shards,
-		IngestWorkers:   cfg.IngestWorkers,
-		IngestQueue:     cfg.IngestQueue,
 		DataDir:         cfg.DataDir,
 		Fsync:           fsync,
 		GetBatch:        cfg.GetBatch,

@@ -91,7 +91,7 @@ func TestNodeMutexLifecycle(t *testing.T) {
 func TestServerDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := communix.ServerConfig{
-		Key: testKey, DataDir: dir, Fsync: "always", IngestWorkers: 2,
+		Key: testKey, DataDir: dir, Fsync: "always",
 	}
 	srv, err := communix.NewServer(cfg)
 	if err != nil {

@@ -426,7 +426,7 @@ const uploadBusyRetries = 3
 // encrypted user id — the Communix plugin calls this right after
 // Dimmunix produces a signature (§III-B). The server's verdict is
 // returned: nil for accepted (or duplicate), an error describing the
-// rejection otherwise. A busy server (full ingestion queue) is retried a
+// rejection otherwise. A busy server (quorum not yet reached) is retried a
 // few times with short backoff on the same managed connection — an
 // overloaded server is the one peer that must not be greeted with extra
 // dial/teardown cycles per attempt. Signatures are rare and small, so

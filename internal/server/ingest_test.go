@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"communix/internal/ids"
+	"communix/internal/sig"
 	"communix/internal/sig/sigtest"
 	"communix/internal/wire"
 )
 
-// newIngestServer builds a server with the batched ingestion pipeline on.
+// newIngestServer builds a server over cfg with the test key.
 func newIngestServer(t *testing.T, cfg Config) (*Server, *ids.Authority) {
 	t.Helper()
 	cfg.Key = testKey
@@ -28,41 +31,60 @@ func newIngestServer(t *testing.T, cfg Config) (*Server, *ids.Authority) {
 	return srv, auth
 }
 
-// TestIngestPipelineCommitsConcurrentAdds: many concurrent ADDs ride the
-// queue, every one is answered OK, and the store ends up with all of them
-// visible to GET.
-func TestIngestPipelineCommitsConcurrentAdds(t *testing.T) {
-	srv, auth := newIngestServer(t, Config{IngestWorkers: 2, IngestBatch: 8})
+// distinctAdds builds n ADDs, each from a fresh user, of distinct
+// signatures.
+func distinctAdds(t *testing.T, auth *ids.Authority, r *rand.Rand, base, n int) ([]wire.Request, []*sig.Signature) {
+	t.Helper()
+	reqs := make([]wire.Request, n)
+	sigs := make([]*sig.Signature, n)
+	for i := range reqs {
+		_, token := auth.Issue()
+		sigs[i] = sigtest.DistinctTops(r, sigtest.DefaultVocabulary, base+i, 6, 8)
+		reqs[i] = addReq(t, token, sigs[i])
+	}
+	return reqs, sigs
+}
+
+// processAll runs every request on its own goroutine and returns the
+// replies, failing the test if any Process call is still blocked after
+// a generous deadline.
+func processAll(t *testing.T, srv *Server, reqs []wire.Request, during func()) []wire.Response {
+	t.Helper()
+	resps := make([]wire.Response, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = srv.Process(req)
+		}()
+	}
+	if during != nil {
+		during()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an ADD never answered")
+	}
+	return resps
+}
+
+// TestConcurrentAddsAllCommit: concurrent ADDs all commit on their
+// request goroutines (the store groups them), every one is answered OK,
+// and GET serves all of them.
+func TestConcurrentAddsAllCommit(t *testing.T) {
+	srv, auth := newIngestServer(t, Config{DataDir: t.TempDir()})
 	defer srv.Close()
 
 	const n = 60
-	r := rand.New(rand.NewSource(1))
-	reqs := make([]wire.Request, n)
-	for i := 0; i < n; i++ {
-		_, token := auth.Issue()
-		req, err := wire.NewAdd(token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 8))
-		if err != nil {
-			t.Fatal(err)
+	reqs, _ := distinctAdds(t, auth, rand.New(rand.NewSource(1)), 0, n)
+	for i, resp := range processAll(t, srv, reqs, nil) {
+		if resp.Status != wire.StatusOK {
+			t.Errorf("add %d: %s (%s)", i, resp.Status, resp.Detail)
 		}
-		reqs[i] = req
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp := srv.Process(reqs[i])
-			if resp.Status != wire.StatusOK {
-				errs <- fmt.Sprintf("add %d: %s (%s)", i, resp.Status, resp.Detail)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
 	}
 	if got := srv.Store().Len(); got != n {
 		t.Errorf("store len = %d, want %d", got, n)
@@ -73,120 +95,92 @@ func TestIngestPipelineCommitsConcurrentAdds(t *testing.T) {
 	}
 }
 
-// TestIngestQueueFullAnswersBusy pins the single worker inside a store
-// commit (via a blocking clock), fills the one-slot queue, and checks
-// that the next ADD is answered StatusBusy instead of blocking — the
-// pipeline's backpressure contract.
-func TestIngestQueueFullAnswersBusy(t *testing.T) {
-	entered := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	clock := func() time.Time {
-		entered <- struct{}{}
-		<-gate
-		return time.Unix(1_700_000_000, 0)
-	}
-	srv, auth := newIngestServer(t, Config{
-		IngestWorkers: 1, IngestQueue: 1, IngestBatch: 1, Clock: clock,
-	})
-	defer srv.Close()
+// TestAddsInFlightAtCloseSettle: ADDs racing Close are either answered
+// OK — and then recovered by a server reopened on the directory — or
+// answered with a terminal error; none hang.
+func TestAddsInFlightAtCloseSettle(t *testing.T) {
+	dir := t.TempDir()
+	srv, auth := newIngestServer(t, Config{DataDir: dir})
 
-	r := rand.New(rand.NewSource(2))
-	mkAdd := func(i int) wire.Request {
-		_, token := auth.Issue()
-		req, err := wire.NewAdd(token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 8))
-		if err != nil {
-			t.Fatal(err)
+	const n = 40
+	reqs, sigs := distinctAdds(t, auth, rand.New(rand.NewSource(3)), 0, n)
+	resps := processAll(t, srv, reqs, srv.Close)
+
+	var acked []string
+	for i, resp := range resps {
+		switch resp.Status {
+		case wire.StatusOK:
+			data, err := sig.Encode(sigs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, string(data))
+		case wire.StatusError:
+			// Terminal: reached the store after Close.
+		default:
+			t.Errorf("add %d: unexpected status %s (%s)", i, resp.Status, resp.Detail)
 		}
-		return req
+	}
+	if got := srv.Store().Len(); got != len(acked) {
+		t.Errorf("store len = %d but %d adds were acknowledged OK", got, len(acked))
 	}
 
-	add0, add1, add2 := mkAdd(0), mkAdd(1), mkAdd(2)
-
-	// First ADD: taken by the worker, which blocks in the clock.
-	resp1 := make(chan wire.Response, 1)
-	go func() { resp1 <- srv.Process(add0) }()
-	<-entered
-
-	// Second ADD: sits in the (size-1) queue.
-	resp2 := make(chan wire.Response, 1)
-	go func() { resp2 <- srv.Process(add1) }()
-	for len(srv.ingestCh) == 0 {
-		time.Sleep(time.Millisecond)
+	re, _ := newIngestServer(t, Config{DataDir: dir})
+	defer re.Close()
+	raw, _ := re.Store().Get(1)
+	recovered := make(map[string]bool, len(raw))
+	for _, s := range raw {
+		recovered[string(s)] = true
 	}
-
-	// Third ADD: queue full -> immediate busy.
-	if resp := srv.Process(add2); resp.Status != wire.StatusBusy {
-		t.Fatalf("third add = %s (%s), want busy", resp.Status, resp.Detail)
-	}
-
-	// Unblock the worker; both queued ADDs commit.
-	close(gate)
-	if r1 := <-resp1; r1.Status != wire.StatusOK {
-		t.Errorf("first add = %s (%s)", r1.Status, r1.Detail)
-	}
-	if r2 := <-resp2; r2.Status != wire.StatusOK {
-		t.Errorf("second add = %s (%s)", r2.Status, r2.Detail)
-	}
-	if got := srv.Store().Len(); got != 2 {
-		t.Errorf("store len = %d, want 2", got)
+	for _, s := range acked {
+		if !recovered[s] {
+			t.Fatalf("an acknowledged ADD is missing after reopen (%d acked, %d recovered)", len(acked), len(raw))
+		}
 	}
 }
 
-// TestIngestCloseDrainsQueue: ADDs already queued at Close time are still
-// committed and answered; ADDs arriving after Close get a terminal error
-// instead of hanging.
-func TestIngestCloseDrainsQueue(t *testing.T) {
-	srv, auth := newIngestServer(t, Config{IngestWorkers: 1, IngestBatch: 4})
-
-	r := rand.New(rand.NewSource(3))
-	const n = 20
-	var wg sync.WaitGroup
-	results := make(chan wire.Response, n)
-	for i := 0; i < n; i++ {
-		_, token := auth.Issue()
-		req, err := wire.NewAdd(token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results <- srv.Process(req)
-		}()
+// TestAddAfterCloseWritesNothing: once Close has released the data
+// directory, an ADD is refused with StatusError and neither the store
+// nor the directory changes — a reopened server may own it by now.
+func TestAddAfterCloseWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv, auth := newIngestServer(t, Config{DataDir: dir})
+	reqs, _ := distinctAdds(t, auth, rand.New(rand.NewSource(5)), 0, 2)
+	if resp := srv.Process(reqs[0]); resp.Status != wire.StatusOK {
+		t.Fatalf("add before Close = %s (%s)", resp.Status, resp.Detail)
 	}
 	srv.Close()
-	wg.Wait()
-	close(results)
+	before := dirNames(t, dir)
 
-	committed := 0
-	for resp := range results {
-		switch resp.Status {
-		case wire.StatusOK:
-			committed++
-		case wire.StatusError, wire.StatusBusy:
-			// Terminal: raced Close (or a full queue); never hangs.
-		default:
-			t.Errorf("unexpected status %s (%s)", resp.Status, resp.Detail)
-		}
+	if resp := srv.Process(reqs[1]); resp.Status != wire.StatusError {
+		t.Errorf("add after Close = %s next=%d (%s), want error", resp.Status, resp.Next, resp.Detail)
 	}
-	if got := srv.Store().Len(); got != committed {
-		t.Errorf("store len = %d but %d adds were acknowledged OK", got, committed)
+	if got := srv.Store().Len(); got != 1 {
+		t.Errorf("store len after refused add = %d, want 1", got)
 	}
+	if after := dirNames(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("add after Close changed the data dir: %v -> %v", before, after)
+	}
+}
 
-	// After Close the pipeline answers immediately.
-	_, token := auth.Issue()
-	req, err := wire.NewAdd(token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 999, 6, 8))
+// dirNames lists a directory's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := srv.Process(req); resp.Status != wire.StatusError {
-		t.Errorf("post-Close add = %s, want error", resp.Status)
+	names := make([]string, len(des))
+	for i, de := range des {
+		names[i] = de.Name()
 	}
+	sort.Strings(names)
+	return names
 }
 
-// TestIngestOverTCP runs the pipeline under the real wire layer.
+// TestIngestOverTCP runs ADD then GET under the real wire layer.
 func TestIngestOverTCP(t *testing.T) {
-	srv, auth := newIngestServer(t, Config{IngestWorkers: 2, Shards: 4})
+	srv, auth := newIngestServer(t, Config{})
 	bound := make(chan net.Addr, 1)
 	go func() { _ = srv.ListenAndServe("127.0.0.1:0", bound) }()
 	addr := (<-bound).String()
@@ -199,13 +193,8 @@ func TestIngestOverTCP(t *testing.T) {
 	defer conn.Close()
 	wc := wire.NewConn(conn)
 
-	r := rand.New(rand.NewSource(4))
-	_, token := auth.Issue()
-	req, err := wire.NewAdd(token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Send(req); err != nil {
+	reqs, _ := distinctAdds(t, auth, rand.New(rand.NewSource(4)), 0, 1)
+	if err := wc.Send(reqs[0]); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response

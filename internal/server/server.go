@@ -26,15 +26,10 @@ import (
 	"communix/internal/wire"
 )
 
-// Ingestion pipeline defaults.
-const (
-	// DefaultIngestQueue bounds the pending-ADD channel when ingestion
-	// workers are enabled.
-	DefaultIngestQueue = 4096
-	// DefaultIngestBatch caps how many queued ADDs one worker commits per
-	// store batch.
-	DefaultIngestBatch = 64
-)
+// DefaultIngestBatch is a store.AddBatch size for callers that batch
+// uploads themselves. Its only remaining use is the store probe of the
+// system benchmark (benchmark/layers.go); the server never batches.
+const DefaultIngestBatch = 64
 
 // Config parameterizes a Server.
 type Config struct {
@@ -46,22 +41,6 @@ type Config struct {
 	MaxPerDay int
 	// Clock injects time for the rate limiter.
 	Clock func() time.Time
-	// Shards partitions the signature store (default store.DefaultShards).
-	Shards int
-	// IngestWorkers enables the asynchronous ingestion pipeline: decoded
-	// ADD requests are queued on a bounded channel and drained by this
-	// many worker goroutines that batch-commit to the store. 0 (the
-	// default) processes every ADD synchronously on the request
-	// goroutine — the paper's direct-invocation model.
-	IngestWorkers int
-	// IngestQueue bounds the pending-ADD channel (default
-	// DefaultIngestQueue). When the queue is full the server answers
-	// StatusBusy — backpressure is surfaced to the wire layer instead of
-	// queueing without bound.
-	IngestQueue int
-	// IngestBatch caps the per-worker commit batch (default
-	// DefaultIngestBatch).
-	IngestBatch int
 	// DataDir makes the signature database durable: accepted signatures
 	// are written ahead to a segment log in this directory, and New
 	// recovers the directory on startup. Empty keeps the database in
@@ -241,23 +220,6 @@ type Server struct {
 	quorum          quorumTracker
 
 	maxSubsPerUser int
-
-	// Ingestion pipeline (nil channel = synchronous ADDs). ingestMu
-	// serializes enqueues against pipeline shutdown: producers hold it
-	// shared around the closed-check + try-send pair, Close holds it
-	// exclusively while marking the pipeline closed, so after Close
-	// acquires it no new job can enter and draining the channel is final.
-	ingestCh     chan *addJob
-	ingestMu     sync.RWMutex
-	ingestClosed bool
-	ingestBatch  int
-	ingestWG     sync.WaitGroup
-}
-
-// addJob is one queued ADD awaiting a worker's verdict.
-type addJob struct {
-	req  wire.Request
-	resp chan wire.Response // buffered(1): the worker never blocks
 }
 
 // New builds a server. With cfg.DataDir set it recovers the signature
@@ -272,7 +234,6 @@ func New(cfg Config) (*Server, error) {
 	db, err := store.Open(store.Config{
 		MaxPerDay: cfg.MaxPerDay,
 		Clock:     cfg.Clock,
-		Shards:    cfg.Shards,
 		DataDir:   cfg.DataDir,
 		Fsync:     cfg.Fsync,
 	})
@@ -300,21 +261,6 @@ func New(cfg Config) (*Server, error) {
 	s.maxSessions = cfg.MaxSessions
 	s.maxSubs = cfg.MaxSubs
 	s.pool = newPusherPool(s, runtime.GOMAXPROCS(0))
-	if cfg.IngestWorkers > 0 {
-		queue := cfg.IngestQueue
-		if queue <= 0 {
-			queue = DefaultIngestQueue
-		}
-		s.ingestBatch = cfg.IngestBatch
-		if s.ingestBatch <= 0 {
-			s.ingestBatch = DefaultIngestBatch
-		}
-		s.ingestCh = make(chan *addJob, queue)
-		s.ingestWG.Add(cfg.IngestWorkers)
-		for i := 0; i < cfg.IngestWorkers; i++ {
-			go s.ingestLoop()
-		}
-	}
 	s.advertise = cfg.Advertise
 	s.logf = cfg.Logf
 	s.followPing = cfg.FollowPing
@@ -385,9 +331,8 @@ func (s *Server) Store() *store.Store { return s.db }
 // Process handles one request — the direct-invocation path. GETs are
 // answered inline from the store's lock-free snapshot, paginated at the
 // GetBatch/wire.MaxGetBytes caps (truncated replies set More); ADDs
-// either commit synchronously (no ingestion workers) or ride the batched
-// ingestion queue, in which case Process blocks until a worker delivers
-// the verdict, or answers StatusBusy immediately when the queue is full.
+// commit on the calling goroutine, where the store groups concurrent
+// commits into one WAL append.
 // HELLO and SUBSCRIBE are session-layer exchanges and answered with
 // StatusError here — exactly what a v1 server says to them, which is how
 // v2 clients detect the fallback.
@@ -397,18 +342,12 @@ func (s *Server) Process(req wire.Request) wire.Response {
 		if addr, isFollower := s.followerOf(); isFollower {
 			return wire.Response{Status: wire.StatusNotPrimary, Primary: addr, Detail: "follower replica: uploads go to the primary"}
 		}
-		var resp wire.Response
-		if s.ingestCh != nil {
-			resp = s.enqueueAdd(req)
-		} else {
-			resp = s.processAdd(req)
-		}
+		resp := s.processAdd(req)
 		if s.ackMode == AckQuorum && resp.Status == wire.StatusOK {
 			// Quorum gate: hold the OK until the committed index (carried
 			// in Next) is durable on a majority. This blocks only the
-			// request's own goroutine — the ingest workers already moved
-			// on — and degrades to StatusBusy on timeout, never lying
-			// about durability.
+			// request's own goroutine and degrades to StatusBusy on
+			// timeout, never lying about durability.
 			resp = s.awaitQuorum(resp)
 		}
 		return resp
@@ -441,105 +380,25 @@ func (s *Server) Process(req wire.Request) wire.Response {
 	}
 }
 
-// enqueueAdd hands an ADD to the ingestion pipeline and waits for its
-// response. A full queue is answered with StatusBusy at once — that is
-// the backpressure contract with the wire layer.
-func (s *Server) enqueueAdd(req wire.Request) wire.Response {
-	job := &addJob{req: req, resp: make(chan wire.Response, 1)}
-	s.ingestMu.RLock()
-	if s.ingestClosed {
-		s.ingestMu.RUnlock()
-		return wire.Response{Status: wire.StatusError, Detail: "server closed"}
-	}
-	select {
-	case s.ingestCh <- job:
-		s.ingestMu.RUnlock()
-	default:
-		s.ingestMu.RUnlock()
-		return wire.Response{Status: wire.StatusBusy, Detail: "ingestion queue full, retry"}
-	}
-	return <-job.resp
-}
-
-// ingestLoop is one ingestion worker: it blocks for a first job, then
-// opportunistically drains more pending jobs up to the batch cap, decodes
-// and verifies each, and commits the valid ones with one batched store
-// publish.
-func (s *Server) ingestLoop() {
-	defer s.ingestWG.Done()
-	for job := range s.ingestCh {
-		batch := []*addJob{job}
-		for len(batch) < s.ingestBatch {
-			select {
-			case more, ok := <-s.ingestCh:
-				if !ok {
-					s.processAddBatch(batch)
-					return
-				}
-				batch = append(batch, more)
-			default:
-				goto commit
-			}
-		}
-	commit:
-		s.processAddBatch(batch)
-	}
-}
-
-// processAddBatch validates each job's token and signature, batch-commits
-// the well-formed ones, and answers every job.
-func (s *Server) processAddBatch(jobs []*addJob) {
-	uploads := make([]store.Upload, 0, len(jobs))
-	pending := make([]*addJob, 0, len(jobs))
-	for _, job := range jobs {
-		user, uploaded, reject := s.decodeAdd(job.req)
-		if reject != nil {
-			job.resp <- *reject
-			continue
-		}
-		uploads = append(uploads, store.Upload{User: user, Sig: uploaded})
-		pending = append(pending, job)
-	}
-	committed := 0
-	for i, res := range s.db.AddBatch(uploads) {
-		if res.Added {
-			committed++
-		}
-		pending[i].resp <- s.addVerdict(res.Added, res.Err, res.Index)
-	}
-	if committed > 0 {
-		// The batch is published; fan it out to subscribed sessions.
-		// One wake covers the whole batch — the pushers read the log.
-		s.wakeSubscribers()
-	}
-}
-
+// processAdd runs the ADD gates — the encrypted sender id must verify
+// under the predefined key (§III-C2) and the signature must decode —
+// then commits the upload and maps the outcome to its reply. The store
+// groups concurrent commits into one WAL append; a closed store refuses
+// the commit, which answers StatusError.
 func (s *Server) processAdd(req wire.Request) wire.Response {
-	user, uploaded, reject := s.decodeAdd(req)
-	if reject != nil {
-		return *reject
+	user, err := s.codec.Verify(req.Token)
+	if err != nil {
+		return wire.Response{Status: wire.StatusRejected, Detail: "invalid user token"}
+	}
+	uploaded, err := sig.Decode(req.Sig)
+	if err != nil {
+		return wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("malformed signature: %v", err)}
 	}
 	res := s.db.AddBatch([]store.Upload{{User: user, Sig: uploaded}})[0]
 	if res.Added {
 		s.wakeSubscribers()
 	}
 	return s.addVerdict(res.Added, res.Err, res.Index)
-}
-
-// decodeAdd runs the pre-store gates shared by the synchronous and
-// batched ADD paths: the encrypted sender id must verify under the
-// predefined key (§III-C2), and the signature must decode. A non-nil
-// response is the rejection to send.
-func (s *Server) decodeAdd(req wire.Request) (ids.UserID, *sig.Signature, *wire.Response) {
-	user, err := s.codec.Verify(req.Token)
-	if err != nil {
-		return 0, nil, &wire.Response{Status: wire.StatusRejected, Detail: "invalid user token"}
-	}
-	uploaded, err := sig.Decode(req.Sig)
-	if err != nil {
-		return 0, nil, &wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("malformed signature: %v", err)}
-	}
-	return user, uploaded, nil
 }
 
 // addVerdict maps a store ADD outcome to the wire response. An accepted
@@ -684,9 +543,9 @@ func (s *Server) serveV1(c *wire.Conn) {
 }
 
 // Close stops the accept loop, closes all connections, waits for handler
-// goroutines to drain, shuts the ingestion pipeline down — queued ADDs
-// are still committed and answered before the workers exit — and finally
-// flushes and closes the database's write-ahead log.
+// goroutines (and the ADDs they have in flight) to drain, and finally
+// flushes and closes the database's write-ahead log. An ADD that reaches
+// the store after that is answered StatusError.
 func (s *Server) Close() {
 	s.failoverOff.Do(func() {
 		s.roleMu.Lock()
@@ -714,23 +573,5 @@ func (s *Server) Close() {
 	// After wg.Wait every session is fully torn down, so no enqueue can
 	// race the pool shutdown.
 	s.pool.close()
-	s.closeIngest()
 	_ = s.db.Close()
-}
-
-// closeIngest marks the pipeline closed (no producer can enqueue once the
-// exclusive lock is held: enqueues happen entirely under the shared lock),
-// closes the channel, and waits for the workers to drain what was queued.
-func (s *Server) closeIngest() {
-	if s.ingestCh == nil {
-		return
-	}
-	s.ingestMu.Lock()
-	already := s.ingestClosed
-	if !already {
-		s.ingestClosed = true
-		close(s.ingestCh)
-	}
-	s.ingestMu.Unlock()
-	s.ingestWG.Wait()
 }

@@ -372,7 +372,7 @@ func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
 		}
 		switch req.Type {
 		case wire.MsgAdd:
-			// ADD verdicts can wait on the ingestion pipeline; dispatch
+			// ADD verdicts can wait on a commit or a quorum; dispatch
 			// so GETs, PINGs, and pushes keep flowing meanwhile. IDs
 			// match responses back to requests, order is unspecified.
 			sem <- struct{}{}

@@ -53,7 +53,7 @@ func TestPersistReopenServesIdenticalSequence(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustAdd(t, st, ids.UserID(i+1), distinctSig(r, i))
 	}
-	// A batched commit too — the ingestion pipeline's path.
+	// A batched commit too.
 	batch := make([]Upload, 4)
 	for i := range batch {
 		batch[i] = Upload{User: ids.UserID(i + 1), Sig: distinctSig(r, 100+i)}

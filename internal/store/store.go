@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"communix/internal/ids"
@@ -190,9 +191,10 @@ type userShard struct {
 // the directory on startup — the database outlives the process. It is
 // safe for concurrent use.
 //
-// Locking order is sigShard -> userShard -> walMu -> log; an ADD takes
-// exactly one shard of each kind, so ADDs over different signatures and
-// users never contend outside the shared commit step.
+// Locking order is sigShard -> userShard -> walMu -> groupMu/log; an ADD
+// takes exactly one shard of each kind, so ADDs over different
+// signatures and users never contend outside the shared commit step, and
+// that step is a group commit (see commit).
 type Store struct {
 	maxPerDay  int
 	clock      func() time.Time
@@ -206,6 +208,13 @@ type Store struct {
 	// nil wal = ephemeral store, commits go straight to the log.
 	walMu sync.Mutex
 	wal   *persister
+	// groupMu guards group, the commit group that durable commits join
+	// while an earlier one holds walMu (see commit).
+	groupMu sync.Mutex
+	group   *commitGroup
+	// closed is set under walMu by Close; every mutation after it fails
+	// with ErrClosed.
+	closed atomic.Bool
 
 	// replMu serializes replicated applies (a follower's single
 	// replication loop in practice; the lock makes the cursor arithmetic
@@ -353,15 +362,27 @@ func (st *Store) userShardOf(user ids.UserID) *userShard {
 // and published in memory but whose WAL write failed — the caller keeps
 // serving it, durability is degraded.
 func (st *Store) Add(user ids.UserID, s *sig.Signature) (bool, error) {
-	if st.readOnly {
-		return false, ErrReadOnly
+	if err := st.writable(); err != nil {
+		return false, err
 	}
 	added, entry, err := st.admit(user, s)
 	if !added {
 		return added, err
 	}
-	_, err = st.commit([]walEntry{entry})
-	return true, err
+	first, err := st.commit([]walEntry{entry})
+	return first > 0, err
+}
+
+// writable returns the error every mutation of a read-only or closed
+// store fails with, nil otherwise.
+func (st *Store) writable() error {
+	if st.readOnly {
+		return ErrReadOnly
+	}
+	if st.closed.Load() {
+		return ErrClosed
+	}
+	return nil
 }
 
 // Upload is one (user, signature) pair for AddBatch.
@@ -386,17 +407,17 @@ type AddResult struct {
 }
 
 // AddBatch validates and stores a batch of uploads, committing every
-// accepted signature to the WAL and the log with a single append each —
-// the batched ingestion path (one fsync covers the whole batch under
-// FsyncAlways). Results are positional. Validation runs per upload under
-// the relevant shard locks only; the commit locks are taken once for the
-// whole batch. A WAL write failure is reported on every accepted upload
-// of the batch, with Added still true (see Add).
+// accepted signature to the WAL and the log as one contiguous run.
+// Results are positional. Validation runs per upload under the relevant
+// shard locks only; the batch then makes one commit. A WAL write failure
+// is reported on every accepted upload of the batch, with Added still
+// true (see Add); a store that closed before the commit reports
+// ErrClosed with Added false.
 func (st *Store) AddBatch(batch []Upload) []AddResult {
 	results := make([]AddResult, len(batch))
-	if st.readOnly {
+	if err := st.writable(); err != nil {
 		for i := range results {
-			results[i] = AddResult{Err: ErrReadOnly}
+			results[i] = AddResult{Err: err}
 		}
 		return results
 	}
@@ -408,49 +429,113 @@ func (st *Store) AddBatch(batch []Upload) []AddResult {
 			entries = append(entries, entry)
 		}
 	}
-	first, err := st.commit(entries)
-	if first > 0 {
-		idx := first
-		for i := range results {
-			if results[i].Added {
-				results[i].Index = idx
+	idx, err := st.commit(entries)
+	for i := range results {
+		if r := &results[i]; r.Added {
+			// idx == 0: the store closed first and published nothing.
+			r.Added, r.Index, r.Err = idx > 0, idx, err
+			if idx > 0 {
 				idx++
-			}
-		}
-	}
-	if err != nil {
-		for i := range results {
-			if results[i].Added {
-				results[i].Err = err
 			}
 		}
 	}
 	return results
 }
 
+// commitGroup is one group commit: the entries of every durable commit
+// that queued behind the previous group, in arrival order. The commit
+// that opened it (the leader) writes and publishes them; the others
+// wait on done.
+type commitGroup struct {
+	entries []walEntry
+	done    sync.WaitGroup
+	first   int // 1-based index of entries[0]; 0 when nothing was published
+	err     error
+}
+
 // commit makes a batch of accepted entries visible: WAL append first
 // (write-ahead: nothing is acknowledged before it is on the log), then
 // one atomic publish to the in-memory GET log. Both happen under walMu
 // so the on-disk record order always matches the in-memory index order.
+//
+// Durable commits are grouped. A commit that finds walMu free writes
+// alone. One that finds it held joins the open group, or opens one and
+// waits for walMu as its leader; commits arriving meanwhile join too.
+// Once the leader holds walMu it closes the group, writes it with one
+// WAL append (one write, at most one fsync under FsyncAlways),
+// publishes it in the same order, and hands every member its index. A
+// group is exactly the commits that queued behind the previous one: an
+// idle store commits alone, a busy one spreads each append over its
+// backlog.
+//
 // The in-memory publish is unconditional — even when the WAL write
 // fails, readers of this process see the batch and the error only
-// reports lost durability. It returns the 1-based log index assigned to
-// the batch's first entry (0 for an empty batch).
+// reports lost durability — except on a closed store, which publishes
+// nothing and returns ErrClosed. It returns the 1-based log index
+// assigned to the batch's first entry (0 when nothing was published).
 func (st *Store) commit(entries []walEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
+	if st.wal == nil {
+		if st.closed.Load() {
+			return 0, ErrClosed
+		}
+		return st.log.Append(logEntries(entries)), nil
+	}
+	if st.walMu.TryLock() {
+		defer st.walMu.Unlock()
+		return st.writeGroup(entries)
+	}
+	st.groupMu.Lock()
+	g, off := st.group, 0
+	leader := g == nil
+	if leader {
+		// Capped so a member's append never writes into the caller's
+		// spare capacity.
+		g = &commitGroup{entries: entries[:len(entries):len(entries)]}
+		g.done.Add(1)
+		st.group = g
+	} else {
+		off = len(g.entries)
+		g.entries = append(g.entries, entries...)
+	}
+	st.groupMu.Unlock()
+
+	if leader {
+		st.walMu.Lock()
+		st.groupMu.Lock()
+		st.group = nil // later commits queue as the next group
+		st.groupMu.Unlock()
+		g.first, g.err = st.writeGroup(g.entries)
+		st.walMu.Unlock()
+		g.done.Done()
+	} else {
+		g.done.Wait()
+	}
+	if g.first == 0 {
+		return 0, g.err
+	}
+	return g.first + off, g.err
+}
+
+// writeGroup appends a commit group to the WAL and publishes it. The
+// caller holds walMu, which is also what Close takes to set closed.
+func (st *Store) writeGroup(entries []walEntry) (int, error) {
+	if st.closed.Load() {
+		return 0, ErrClosed
+	}
+	err := st.wal.append(entries)
+	return st.log.Append(logEntries(entries)), err
+}
+
+// logEntries converts WAL entries to the log's exported form.
+func logEntries(entries []walEntry) []Entry {
 	batch := make([]Entry, len(entries))
 	for i, e := range entries {
 		batch[i] = Entry{User: e.user, Unix: e.unix, Data: e.data}
 	}
-	if st.wal == nil {
-		return st.log.Append(batch), nil
-	}
-	st.walMu.Lock()
-	defer st.walMu.Unlock()
-	err := st.wal.append(entries)
-	return st.log.Append(batch), err
+	return batch
 }
 
 // admit runs every ADD step except the commit: signature validation,
@@ -555,14 +640,17 @@ func (st *Store) PersistStats() PersistStats {
 	return st.wal.stats()
 }
 
-// Close flushes and closes the write-ahead log (a no-op for an ephemeral
-// store). The store must not be mutated afterwards; reads keep working.
+// Close flushes and closes the write-ahead log and releases the data
+// directory. Every later mutation fails with ErrClosed, so nothing can
+// write to the directory once another process may own it; reads keep
+// working.
 func (st *Store) Close() error {
+	st.walMu.Lock()
+	defer st.walMu.Unlock()
+	st.closed.Store(true)
 	if st.wal == nil {
 		return nil
 	}
-	st.walMu.Lock()
-	defer st.walMu.Unlock()
 	return st.wal.close()
 }
 
@@ -595,8 +683,8 @@ func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 // re-shippable like a primary's. It returns how many entries were
 // newly applied.
 func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
-	if st.readOnly {
-		return 0, ErrReadOnly
+	if err := st.writable(); err != nil {
+		return 0, err
 	}
 	st.replMu.Lock()
 	defer st.replMu.Unlock()
@@ -644,10 +732,11 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 		us.mu.Unlock()
 		batch = append(batch, walEntry{user: e.User, unix: e.Unix, data: e.Data})
 	}
-	if _, err := st.commit(batch); err != nil {
-		return len(batch), err
+	first, err := st.commit(batch)
+	if first == 0 {
+		return 0, err // nothing new, or the store closed first
 	}
-	return len(batch), nil
+	return len(batch), err
 }
 
 // ResetReplica discards the store's entire contents — in-memory shards,
@@ -658,8 +747,8 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 // no concurrent writers are active (a follower rejects ADDs, and the
 // server drops client sessions around a reset).
 func (st *Store) ResetReplica() error {
-	if st.readOnly {
-		return ErrReadOnly
+	if err := st.writable(); err != nil {
+		return err
 	}
 	st.replMu.Lock()
 	defer st.replMu.Unlock()
@@ -677,6 +766,9 @@ func (st *Store) ResetReplica() error {
 	}
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
+	if st.closed.Load() {
+		return ErrClosed
+	}
 	st.log.Reset()
 	if st.wal == nil {
 		return nil
@@ -691,14 +783,17 @@ func (st *Store) ResetReplica() error {
 // log keeps every entry, so reads and replication from any cursor are
 // unaffected. A no-op on an ephemeral store.
 func (st *Store) ForceCompact() error {
-	if st.readOnly {
-		return ErrReadOnly
+	if err := st.writable(); err != nil {
+		return err
 	}
 	if st.wal == nil {
 		return nil
 	}
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
+	if st.closed.Load() {
+		return ErrClosed
+	}
 	return st.wal.forceCompact()
 }
 

@@ -120,6 +120,9 @@ const copyBufSize = recordHeaderSize + maxRecordPayload
 // Config.ReadOnly (offline inspection of a data directory).
 var ErrReadOnly = errors.New("store: read-only store")
 
+// ErrClosed is returned by mutating operations on a closed store.
+var ErrClosed = errors.New("store: closed")
+
 // Record-scan sentinel errors.
 var (
 	// errShortRecord: the buffer ends before the record does — a torn

@@ -163,10 +163,11 @@ const (
 	StatusRejected
 	// StatusError: the request was malformed.
 	StatusError
-	// StatusBusy: the server's ingestion queue is full; the client should
-	// back off and retry the upload. This is the batched-ingestion
-	// pipeline's backpressure signal — overload is surfaced to the wire
-	// instead of growing an unbounded in-server queue.
+	// StatusBusy: a quorum-mode server could not (yet) acknowledge the
+	// upload — its window of ADDs awaiting a majority is full, or the
+	// majority did not arrive in time; the entry is committed locally
+	// and the client should back off and retry. Overload is surfaced to
+	// the wire instead of growing an unbounded in-server queue.
 	StatusBusy
 	// StatusNotPrimary: the request (ADD, or anything else that mutates)
 	// reached a follower replica. The reply's Primary field carries the
