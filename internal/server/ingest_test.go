@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -212,5 +213,42 @@ func TestIngestOverTCP(t *testing.T) {
 	}
 	if resp.Status != wire.StatusOK || len(resp.Sigs) != 1 {
 		t.Fatalf("GET over TCP = %s, %d sigs", resp.Status, len(resp.Sigs))
+	}
+}
+
+// TestExactAddStoresItsOwnCopy: an exact ADD read off the wire from a
+// frame padded with a large field ADD never reads is stored as a copy,
+// so the entry neither keeps the frame's payload alive nor changes when
+// the request's bytes do.
+func TestExactAddStoresItsOwnCopy(t *testing.T) {
+	srv, auth := newIngestServer(t, Config{})
+	defer srv.Close()
+	reqs, _ := distinctAdds(t, auth, rand.New(rand.NewSource(14)), 0, 1)
+	padded := reqs[0]
+	padded.Node = string(bytes.Repeat([]byte("n"), 1<<20))
+	frame, err := wire.EncodeFrame(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req wire.Request
+	if err := wire.ReadMessage(bytes.NewReader(frame), &req); err != nil {
+		t.Fatal(err)
+	}
+	if _, exact, err := sig.DecodeVerbatim(req.Sig); err != nil || !exact {
+		t.Fatalf("DecodeVerbatim = exact %v, %v; want an exact upload", exact, err)
+	}
+	sent := bytes.Clone(req.Sig)
+	if resp := srv.Process(req); resp.Status != wire.StatusOK {
+		t.Fatalf("ADD = %+v", resp)
+	}
+	for i := range req.Sig {
+		req.Sig[i] = 'x'
+	}
+	entries, _, _ := srv.Store().EntryPage(1, 0, 0)
+	if len(entries) != 1 {
+		t.Fatalf("stored %d entries, want 1", len(entries))
+	}
+	if !bytes.Equal(entries[0].Data, sent) {
+		t.Fatalf("stored entry %.40q… changed with the request frame; want the sent %.40q…", entries[0].Data, sent)
 	}
 }

@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -336,6 +337,9 @@ func (s *Server) Store() *store.Store { return s.db }
 // HELLO and SUBSCRIBE are session-layer exchanges and answered with
 // StatusError here — exactly what a v1 server says to them, which is how
 // v2 clients detect the fallback.
+//
+// An accepted ADD keeps no reference to req.Sig: signature bytes that
+// are already canonical are stored as a copy, any others re-encoded.
 func (s *Server) Process(req wire.Request) wire.Response {
 	switch req.Type {
 	case wire.MsgAdd:
@@ -384,17 +388,25 @@ func (s *Server) Process(req wire.Request) wire.Response {
 // under the predefined key (§III-C2) and the signature must decode —
 // then commits the upload and maps the outcome to its reply. The store
 // groups concurrent commits into one WAL append; a closed store refuses
-// the commit, which answers StatusError.
+// the commit, which answers StatusError. Upload bytes that are already
+// the canonical encoding are stored as a copy; only others are
+// re-encoded.
 func (s *Server) processAdd(req wire.Request) wire.Response {
 	user, err := s.codec.Verify(req.Token)
 	if err != nil {
 		return wire.Response{Status: wire.StatusRejected, Detail: "invalid user token"}
 	}
-	uploaded, err := sig.Decode(req.Sig)
+	uploaded, exact, err := sig.DecodeVerbatim(req.Sig)
 	if err != nil {
 		return wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("malformed signature: %v", err)}
 	}
-	res := s.db.AddBatch([]store.Upload{{User: user, Sig: uploaded}})[0]
+	up := store.Upload{User: user, Sig: uploaded}
+	if exact {
+		// A copy: req.Sig may share its array with the rest of the
+		// request frame, which the stored entry must not keep alive.
+		up.Data = bytes.Clone(req.Sig)
+	}
+	res := s.db.AddBatch([]store.Upload{up})[0]
 	if res.Added {
 		s.wakeSubscribers()
 	}

@@ -43,8 +43,9 @@ const (
 	// Frames past it apply backpressure to their producer (reader
 	// dispatch), never unbounded server memory.
 	sessionOutQueue = 16
-	// sessionMaxInflightAdds bounds concurrently processed ADDs per
-	// session; further ADD frames wait in the kernel socket buffer.
+	// sessionMaxInflightAdds bounds one session's ADD workers, and so its
+	// concurrently processed ADDs; further ADD frames wait in the kernel
+	// socket buffer.
 	sessionMaxInflightAdds = 32
 )
 
@@ -241,7 +242,7 @@ type session struct {
 	// pstate is the pool's per-session scheduling state (pool.go).
 	pstate int8
 
-	wg sync.WaitGroup // writer + in-flight ADD handlers
+	wg sync.WaitGroup // writer + ADD workers
 }
 
 func newSession(conn net.Conn, wc *wire.Conn) *session {
@@ -364,7 +365,16 @@ func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
 		return
 	}
 
-	sem := make(chan struct{}, sessionMaxInflightAdds)
+	// ADD verdicts can wait on a commit or a quorum, so ADDs run on the
+	// session's workers while this reader keeps answering GETs, PINGs
+	// and pushes. A worker starts only when every running one is busy,
+	// up to sessionMaxInflightAdds; past that the reader blocks on the
+	// hand-off. IDs match responses back to requests, order is
+	// unspecified. Closing adds on return stops the workers (the
+	// teardown above waits for them).
+	adds := make(chan wire.Request)
+	defer close(adds)
+	workers := 0
 	for {
 		var req wire.Request
 		if err := c.Recv(&req); err != nil {
@@ -372,17 +382,17 @@ func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
 		}
 		switch req.Type {
 		case wire.MsgAdd:
-			// ADD verdicts can wait on a commit or a quorum; dispatch
-			// so GETs, PINGs, and pushes keep flowing meanwhile. IDs
-			// match responses back to requests, order is unspecified.
-			sem <- struct{}{}
-			sess.wg.Add(1)
-			go func(req wire.Request) {
-				defer func() { <-sem; sess.wg.Done() }()
-				resp := s.Process(req)
-				resp.ID = req.ID
-				sess.send(resp)
-			}(req)
+			select {
+			case adds <- req:
+			default:
+				if workers < sessionMaxInflightAdds {
+					workers++
+					sess.wg.Add(1)
+					go s.addWorker(sess, req, adds)
+				} else {
+					adds <- req
+				}
+			}
 		case wire.MsgGet:
 			resp := s.Process(req)
 			resp.ID = req.ID
@@ -463,6 +473,18 @@ func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
 				return
 			}
 		}
+	}
+}
+
+// addWorker is one of a session's ADD workers: it answers req, then
+// every ADD handed over on adds until the reader closes it. A worker
+// lives as long as its session, so its stack grows once, not per ADD.
+func (s *Server) addWorker(sess *session, req wire.Request, adds <-chan wire.Request) {
+	defer sess.wg.Done()
+	for ok := true; ok; req, ok = <-adds {
+		resp := s.Process(req)
+		resp.ID = req.ID
+		sess.send(resp)
 	}
 }
 

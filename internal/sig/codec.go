@@ -187,7 +187,8 @@ func appendJSONString(b []byte, s string, escape bool) []byte {
 // encoding/json decoder, so both paths accept, reject and decode exactly
 // alike.
 func Decode(data []byte) (*Signature, error) {
-	return decode(data, false)
+	s, _, err := decode(data, false)
+	return s, err
 }
 
 // DecodeShared is Decode for a caller that keeps data, unmodified, for as
@@ -195,25 +196,39 @@ func Decode(data []byte) (*Signature, error) {
 // every received signature's bytes anyway. A signature in the canonical
 // subset then takes its strings from data itself instead of a copy.
 func DecodeShared(data []byte) (*Signature, error) {
+	s, _, err := decode(data, true)
+	return s, err
+}
+
+// DecodeVerbatim is DecodeShared that also reports whether data is
+// exact: byte for byte what Encode writes for the result. A caller
+// holding exact bytes may keep them as the signature's encoding instead
+// of re-encoding it — the server's ADD path does. Not-exact is always
+// safe to report; the encoding/json fallback never reports exact.
+func DecodeVerbatim(data []byte) (s *Signature, exact bool, err error) {
 	return decode(data, true)
 }
 
-func decode(data []byte, shared bool) (*Signature, error) {
+func decode(data []byte, shared bool) (*Signature, bool, error) {
 	if len(data) > MaxEncodedSize {
-		return nil, fmt.Errorf("decode signature: %d bytes exceeds limit %d", len(data), MaxEncodedSize)
+		return nil, false, fmt.Errorf("decode signature: %d bytes exceeds limit %d", len(data), MaxEncodedSize)
 	}
-	s, ok := decodeCanonical(data, shared)
-	if !ok {
+	s, ok, exact := decodeCanonical(data, shared)
+	if !ok { // exact is false too
 		var err error
 		if s, err = decodeStrict(data); err != nil {
-			return nil, fmt.Errorf("decode signature: %w", err)
+			return nil, false, fmt.Errorf("decode signature: %w", err)
 		}
 	}
 	if err := s.Valid(); err != nil {
-		return nil, fmt.Errorf("decode signature: %w", err)
+		return nil, false, fmt.Errorf("decode signature: %w", err)
 	}
-	s.Normalize()
-	return s, nil
+	if !s.normalized() {
+		// Encode writes the threads in canonical order.
+		exact = false
+		s.Normalize()
+	}
+	return s, exact, nil
 }
 
 // decodeStrict is the reference decoder: encoding/json with unknown
@@ -236,23 +251,28 @@ func decodeStrict(data []byte) (*Signature, error) {
 // pass: exact lowercase keys, each at most once per object; strings of
 // printable ASCII without escapes; line numbers as plain non-negative
 // integers of at most 18 digits; no null. JSON whitespace may appear
-// between tokens. It reports false for anything outside the subset —
+// between tokens. It reports ok false for anything outside the subset —
 // never an error of its own — and the caller falls back to decodeStrict,
 // which produces the identical value for every input this accepts.
+//
+// exact reports that data is what encodeCanonical writes for the
+// result: no whitespace; keys in struct order, each present except an
+// empty hash or kind, which must be omitted; no '<', '>' or '&', which
+// Encode escapes. Thread order is left to the caller.
 //
 // All strings of the result are substrings of one copy of data (of data
 // itself when shared), so a decode costs one string allocation plus one
 // per stack.
-func decodeCanonical(data []byte, shared bool) (*Signature, bool) {
+func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
 	d := canonDecoder{scratch: make([]Frame, 0, 32)}
 	if shared {
 		d.src = unsafe.String(unsafe.SliceData(data), len(data))
 	} else {
 		d.src = string(data)
 	}
-	var s Signature
+	s = new(Signature)
 	var seen bool
-	ok := d.object(func(key string) bool {
+	ok = d.object(func(key string) bool {
 		if key != "threads" || seen {
 			return false
 		}
@@ -269,9 +289,9 @@ func decodeCanonical(data []byte, shared bool) (*Signature, bool) {
 	})
 	d.skipSpace()
 	if !ok || d.pos != len(d.src) {
-		return nil, false
+		return nil, false, false
 	}
-	return &s, true
+	return s, true, seen && !d.inexact
 }
 
 // canonDecoder is decodeCanonical's cursor over the input.
@@ -279,16 +299,21 @@ type canonDecoder struct {
 	src     string
 	pos     int
 	scratch []Frame // frames of the stack being decoded, reused per stack
+	// inexact is set on the first byte Encode would have written
+	// differently.
+	inexact bool
 }
 
 func (d *canonDecoder) skipSpace() {
+	start := d.pos
 	for d.pos < len(d.src) {
-		switch d.src[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
+		if c := d.src[d.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			break
 		}
+		d.pos++
+	}
+	if d.pos > start {
+		d.inexact = true // Encode writes no whitespace
 	}
 }
 
@@ -354,6 +379,8 @@ func (d *canonDecoder) str() (string, bool) {
 			return d.src[start:i], true
 		case c < 0x20 || c >= 0x80 || c == '\\':
 			return "", false
+		case c == '<' || c == '>' || c == '&':
+			d.inexact = true // Encode escapes these
 		}
 	}
 	return "", false
@@ -379,10 +406,11 @@ func (d *canonDecoder) line() (int, bool) {
 
 func (d *canonDecoder) thread(t *ThreadSpec) bool {
 	var outer, inner bool
-	return d.object(func(key string) bool {
+	ok := d.object(func(key string) bool {
 		switch {
 		case key == "outer" && !outer:
 			outer = true
+			d.inexact = d.inexact || inner
 			return d.stack(&t.Outer)
 		case key == "inner" && !inner:
 			inner = true
@@ -390,6 +418,8 @@ func (d *canonDecoder) thread(t *ThreadSpec) bool {
 		}
 		return false
 	})
+	d.inexact = d.inexact || !outer || !inner
+	return ok
 }
 
 func (d *canonDecoder) stack(dst *Stack) bool {
@@ -409,6 +439,7 @@ func (d *canonDecoder) stack(dst *Stack) bool {
 }
 
 func (d *canonDecoder) frame(f *Frame) bool {
+	// The bits ascend in the order Encode writes the keys.
 	const (
 		hasClass = 1 << iota
 		hasMethod
@@ -417,7 +448,7 @@ func (d *canonDecoder) frame(f *Frame) bool {
 		hasKind
 	)
 	var seen int
-	return d.object(func(key string) bool {
+	ok := d.object(func(key string) bool {
 		var bit int
 		var dst *string
 		switch key {
@@ -437,15 +468,21 @@ func (d *canonDecoder) frame(f *Frame) bool {
 		if seen&bit != 0 {
 			return false
 		}
+		d.inexact = d.inexact || seen > bit // a later key came first
 		seen |= bit
 		var ok bool
 		if dst == nil {
 			f.Line, ok = d.line()
 		} else {
 			*dst, ok = d.str()
+			// Encode omits an empty hash or kind.
+			d.inexact = d.inexact || *dst == "" && bit&(hasHash|hasKind) != 0
 		}
 		return ok
 	})
+	const required = hasClass | hasMethod | hasLine
+	d.inexact = d.inexact || seen&required != required
+	return ok
 }
 
 // EncodedSize returns the size in bytes of the signature's wire form.

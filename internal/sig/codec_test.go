@@ -63,7 +63,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	// A non-ASCII class name forces the fallback decoder.
 	fallback := bytes.Replace(good, []byte(`"app/T1"`), []byte(`"app/Té"`), -1)
 	for name, data := range map[string][]byte{"fast": good, "fallback": fallback} {
-		if _, ok := decodeCanonical(data, false); ok != (name == "fast") {
+		if _, ok, _ := decodeCanonical(data, false); ok != (name == "fast") {
 			t.Fatalf("%s input: decodeCanonical ok = %v", name, ok)
 		}
 		if _, err := Decode(append(append([]byte(" \n"), data...), " \t\r\n"...)); err != nil {
@@ -79,8 +79,9 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeSharedAliasesInput: DecodeShared takes a canonical
-// signature's strings from the input bytes; Decode copies them.
+// TestDecodeSharedAliasesInput: DecodeShared and DecodeVerbatim take a
+// canonical signature's strings from the input bytes; Decode copies
+// them.
 func TestDecodeSharedAliasesInput(t *testing.T) {
 	data, err := Encode(twoThreadSig(5))
 	if err != nil {
@@ -101,6 +102,13 @@ func TestDecodeSharedAliasesInput(t *testing.T) {
 	}
 	if class := shared.Threads[0].Outer[0].Class; !inData(class) {
 		t.Errorf("DecodeShared copied class %q", class)
+	}
+	verbatim, exact, err := DecodeVerbatim(data)
+	if err != nil || !exact {
+		t.Fatalf("DecodeVerbatim(Encode(s)) = exact %v, %v", exact, err)
+	}
+	if class := verbatim.Threads[0].Outer[0].Class; !inData(class) {
+		t.Errorf("DecodeVerbatim copied class %q", class)
 	}
 	if class := copied.Threads[0].Outer[0].Class; inData(class) {
 		t.Errorf("Decode aliased class %q into its input", class)

@@ -35,13 +35,6 @@ func DecodeCorpus() [][]byte {
 
 	// Inputs at the edge of the canonical subset the fast decoder takes:
 	// each must decode exactly as encoding/json decodes it.
-	const (
-		f1 = `{"class":"C","method":"m","line":1,"hash":"h"}`
-		f2 = `{"class":"D","method":"n","line":2,"hash":"h"}`
-	)
-	sig2 := func(a, b string) string {
-		return `{"threads":[{"outer":[` + a + `],"inner":[` + a + `]},{"outer":[` + b + `],"inner":[` + b + `]}]}`
-	}
 	good := sig2(f1, f2)
 	add(good + ` garbage`) // trailing bytes
 	add(good + `]]]`)
@@ -91,7 +84,82 @@ func DecodeCorpus() [][]byte {
 	add(`[]`)
 	add(``)
 	add(`   `)
+	for _, seed := range inexactCorpus() {
+		add(seed.data)
+	}
 	return out
+}
+
+// Frames and a two-thread signature builder for hand-written seeds; f1
+// sorts before f2, so sig2(f1, f2) is in canonical order.
+const (
+	f1 = `{"class":"C","method":"m","line":1,"hash":"h"}`
+	f2 = `{"class":"D","method":"n","line":2,"hash":"h"}`
+)
+
+func sig2(a, b string) string {
+	return `{"threads":[{"outer":[` + a + `],"inner":[` + a + `]},{"outer":[` + b + `],"inner":[` + b + `]}]}`
+}
+
+// inexactSeed is an input that decodes, or at least scans, but is not
+// byte for byte what Encode writes for the result.
+type inexactSeed struct{ rule, data string }
+
+// inexactCorpus holds one seed per rule that clears DecodeVerbatim's
+// exact flag. Seeds that are invalid signatures (a missing field) can
+// only be checked in the scanner.
+func inexactCorpus() []inexactSeed {
+	frame := func(fields string) string { return sig2(`{`+fields+`}`, f2) }
+	return []inexactSeed{
+		{"whitespace", frame(`"class":"C", "method":"m","line":1,"hash":"h"`)},
+		{"trailing whitespace", sig2(f1, f2) + " "},
+		{"frame key order", frame(`"method":"m","class":"C","line":1,"hash":"h"`)},
+		{"kind before hash", frame(`"class":"C","method":"m","line":1,"kind":"chan-send","hash":"h"`)},
+		{"missing class", frame(`"method":"m","line":1,"hash":"h"`)},
+		{"missing method", frame(`"class":"C","line":1,"hash":"h"`)},
+		{"missing line", frame(`"class":"C","method":"m","hash":"h"`)},
+		{"empty hash", frame(`"class":"C","method":"m","line":1,"hash":""`)},
+		{"empty kind", frame(`"class":"C","method":"m","line":1,"hash":"h","kind":""`)},
+		{"inner before outer", `{"threads":[{"inner":[` + f1 + `],"outer":[` + f1 + `]},{"outer":[` + f2 + `],"inner":[` + f2 + `]}]}`},
+		{"missing outer", `{"threads":[{"inner":[` + f1 + `]},{"outer":[` + f2 + `],"inner":[` + f2 + `]}]}`},
+		{"missing inner", `{"threads":[{"outer":[` + f1 + `]},{"outer":[` + f2 + `],"inner":[` + f2 + `]}]}`},
+		{"missing threads", `{}`},
+		{"<", frame(`"class":"C<D","method":"m","line":1,"hash":"h"`)},
+		{">", frame(`"class":"C","method":"m>","line":1,"hash":"h"`)},
+		{"&", frame(`"class":"C","method":"m","line":1,"hash":"h&"`)},
+		{"thread order", sig2(f2, f1)},
+		// Canonical bytes (Encode escapes a backslash just so) that only
+		// the encoding/json fallback decodes: not-exact is the safe answer.
+		{"fallback", frame(`"class":"C\\D","method":"m","line":1,"hash":"h"`)},
+	}
+}
+
+// TestDecodeVerbatimInexactSeeds: every clearing rule has a seed that
+// comes out not-exact — from DecodeVerbatim when the seed is a valid
+// signature, from the scanner when only the scanner can see it.
+func TestDecodeVerbatimInexactSeeds(t *testing.T) {
+	for _, seed := range inexactCorpus() {
+		data := []byte(seed.data)
+		_, exact, err := DecodeVerbatim(data)
+		switch {
+		case err == nil && exact:
+			t.Errorf("%s: DecodeVerbatim(%s) reported exact", seed.rule, data)
+		case err != nil:
+			if _, ok, exact := decodeCanonical(data, true); !ok || exact {
+				t.Errorf("%s: invalid seed %s: scanner ok %v, exact %v; want ok and not exact", seed.rule, data, ok, exact)
+			}
+		}
+	}
+	// Encode's own output is exact.
+	for _, s := range []*Signature{twoThreadSig(5), chanSig(5, KindChanSend), protectSig("")} {
+		data, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, exact, err := DecodeVerbatim(data); err != nil || !exact {
+			t.Errorf("DecodeVerbatim(Encode(s)) = exact %v, %v", exact, err)
+		}
+	}
 }
 
 // FuzzDecode: the signature decoder consumes bytes from the network (via
@@ -149,7 +217,8 @@ func oracleDecode(data []byte) (s *Signature, trailing bool, err error) {
 
 // FuzzDecodeDifferential: the single-pass canonical decoder must agree
 // with encoding/json on every input it accepts, and Decode as a whole
-// must accept, reject, and decode exactly as the oracle does.
+// must accept, reject, and decode exactly as the oracle does. Input
+// reported exact must be exactly what the encoder writes.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, seed := range DecodeCorpus() {
 		f.Add(seed)
@@ -159,18 +228,32 @@ func FuzzDecodeDifferential(f *testing.F) {
 			return
 		}
 		want, trailing, oErr := oracleDecode(data)
-		if fast, ok := decodeCanonical(data, false); ok {
+		if fast, ok, exact := decodeCanonical(data, false); ok {
 			if oErr != nil || trailing {
 				t.Fatalf("fast path accepted %q; oracle: err %v, trailing %v", data, oErr, trailing)
 			}
 			if !reflect.DeepEqual(fast, want) {
 				t.Fatalf("fast path decoded %q as\n%#v\noracle:\n%#v", data, fast, want)
 			}
+			// Exactness, one way: the scanner may call exact bytes
+			// inexact, never the reverse.
+			if enc, _ := encodeCanonical(fast); exact && !bytes.Equal(enc, data) {
+				t.Fatalf("fast path reported %q exact; the encoder writes %q", data, enc)
+			}
 		}
 		got, err := Decode(data)
 		shared, sErr := DecodeShared(data)
 		if !reflect.DeepEqual(shared, got) || fmt.Sprint(sErr) != fmt.Sprint(err) {
 			t.Fatalf("DecodeShared(%q) = %v, %v; Decode %v, %v", data, shared, sErr, got, err)
+		}
+		verbatim, exact, vErr := DecodeVerbatim(data)
+		if !reflect.DeepEqual(verbatim, got) || fmt.Sprint(vErr) != fmt.Sprint(err) {
+			t.Fatalf("DecodeVerbatim(%q) = %v, %v; Decode %v, %v", data, verbatim, vErr, got, err)
+		}
+		if exact {
+			if enc, err := Encode(verbatim); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("DecodeVerbatim reported %q exact; Encode writes %q, %v", data, enc, err)
+			}
 		}
 		switch {
 		case oErr != nil:

@@ -103,6 +103,17 @@ func (s *Signature) Normalize() {
 	})
 }
 
+// normalized reports whether the thread specs are already in canonical
+// order.
+func (s *Signature) normalized() bool {
+	for i := 1; i < len(s.Threads); i++ {
+		if s.Threads[i-1].compare(s.Threads[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Size returns the number of thread specs.
 func (s *Signature) Size() int { return len(s.Threads) }
 

@@ -21,7 +21,15 @@ type Locked struct {
 	mu      sync.RWMutex
 	encoded []json.RawMessage // index i holds signature i+1, pre-encoded
 	present map[string]struct{}
-	users   map[ids.UserID]*userState
+	users   map[ids.UserID]*lockedUser
+}
+
+// lockedUser is Locked's per-user validation state, kept apart from the
+// Store's so the oracle checks adjacency its own way: on top-frame maps.
+type lockedUser struct {
+	tops []map[string]struct{}
+	day  int64
+	used int
 }
 
 // NewLocked builds a single-lock store.
@@ -31,7 +39,7 @@ func NewLocked(cfg Config) *Locked {
 		maxPerDay: cfg.MaxPerDay,
 		clock:     cfg.Clock,
 		present:   make(map[string]struct{}),
-		users:     make(map[ids.UserID]*userState),
+		users:     make(map[ids.UserID]*lockedUser),
 	}
 }
 
@@ -54,13 +62,26 @@ func (st *Locked) Add(user ids.UserID, s *sig.Signature) (bool, error) {
 
 	u, ok := st.users[user]
 	if !ok {
-		u = &userState{}
+		u = &lockedUser{}
 		st.users[user] = u
 	}
 
-	today := st.clock().UTC().Unix() / 86400
-	if err := u.check(tops, today, st.maxPerDay); err != nil {
-		return false, err
+	if today := st.clock().UTC().Unix() / 86400; u.day != today {
+		u.day, u.used = today, 0
+	}
+	if u.used >= st.maxPerDay {
+		return false, ErrRateLimited
+	}
+	for _, prev := range u.tops {
+		common := 0
+		for k := range tops {
+			if _, ok := prev[k]; ok {
+				common++
+			}
+		}
+		if common != 0 && (common != len(tops) || common != len(prev)) {
+			return false, ErrAdjacent
+		}
 	}
 
 	data, err := sig.Encode(s)
@@ -69,7 +90,8 @@ func (st *Locked) Add(user ids.UserID, s *sig.Signature) (bool, error) {
 	}
 	st.encoded = append(st.encoded, data)
 	st.present[id] = struct{}{}
-	u.commit(tops)
+	u.tops = append(u.tops, tops)
+	u.used++
 	return true, nil
 }
 

@@ -29,7 +29,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,8 +115,9 @@ func (cfg Config) withDefaults() Config {
 
 // userState is the per-user validation state.
 type userState struct {
-	// tops holds the top-frame set of every accepted signature.
-	tops []map[string]struct{}
+	// tops holds the top-frame set of every accepted signature, each a
+	// sorted slice without duplicates (topKeys).
+	tops [][]string
 	// day is the UTC day of the current budget window.
 	day int64
 	// used counts accepted signatures within the window. Rejected
@@ -126,7 +129,7 @@ type userState struct {
 // check rolls the budget window to today and reports whether a signature
 // with the given top frames would be rejected. The caller holds the lock
 // guarding u.
-func (u *userState) check(tops map[string]struct{}, today int64, maxPerDay int) error {
+func (u *userState) check(tops []string, today int64, maxPerDay int) error {
 	if u.day != today {
 		u.day = today
 		u.used = 0
@@ -146,18 +149,37 @@ func (u *userState) check(tops map[string]struct{}, today int64, maxPerDay int) 
 
 // commit records an accepted signature against the budget. The caller
 // holds the lock guarding u and has called check.
-func (u *userState) commit(tops map[string]struct{}) {
+func (u *userState) commit(tops []string) {
 	u.tops = append(u.tops, tops)
 	u.used++
 }
 
-// partialOverlap reports whether the two top-frame sets intersect without
-// being equal — the paper's "adjacent" relation.
-func partialOverlap(a, b map[string]struct{}) bool {
+// topKeys returns the signature's top-frame set (sig.Signature.TopFrames)
+// as a sorted slice without duplicates.
+func topKeys(s *sig.Signature) []string {
+	keys := make([]string, 0, 2*len(s.Threads))
+	for _, t := range s.Threads {
+		keys = append(keys, t.Outer.Top().Key(), t.Inner.Top().Key())
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// partialOverlap reports whether the two top-frame sets (sorted, without
+// duplicates) intersect without being equal — the paper's "adjacent"
+// relation. It merges the two slices.
+func partialOverlap(a, b []string) bool {
 	common := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			common++
+			i++
+			j++
 		}
 	}
 	if common == 0 {
@@ -292,7 +314,8 @@ func Open(cfg Config) (*Store, error) {
 		compactN: cfg.CompactSegments,
 		readOnly: cfg.ReadOnly,
 	}, func(e walEntry) error {
-		s, err := sig.Decode(e.data)
+		// The log keeps e.data, so the signature may share it.
+		s, err := sig.DecodeShared(e.data)
 		if err != nil {
 			return err
 		}
@@ -308,7 +331,7 @@ func Open(cfg Config) (*Store, error) {
 			u = &userState{}
 			us.users[e.user] = u
 		}
-		u.tops = append(u.tops, s.TopFrames())
+		u.tops = append(u.tops, topKeys(s))
 		// Rebuild the daily budget: only records accepted during the
 		// current UTC day still count against it.
 		if day := e.unix / 86400; day == today {
@@ -365,7 +388,7 @@ func (st *Store) Add(user ids.UserID, s *sig.Signature) (bool, error) {
 	if err := st.writable(); err != nil {
 		return false, err
 	}
-	added, entry, err := st.admit(user, s)
+	added, entry, err := st.admit(user, s, nil)
 	if !added {
 		return added, err
 	}
@@ -391,6 +414,14 @@ type Upload struct {
 	User ids.UserID
 	// Sig is the uploaded signature.
 	Sig *sig.Signature
+	// Data, when set, is Sig's canonical encoding — byte for byte what
+	// sig.Encode writes for it, which the caller vouches for (the server
+	// passes a copy of upload bytes sig.DecodeVerbatim reported exact).
+	// An accepted upload stores and serves Data itself, keeping its whole
+	// backing array alive, so the caller must not modify it afterwards
+	// and should not pass a slice of a larger buffer. Nil makes the store
+	// encode Sig.
+	Data json.RawMessage
 }
 
 // AddResult mirrors Add's return values for one AddBatch element.
@@ -423,7 +454,7 @@ func (st *Store) AddBatch(batch []Upload) []AddResult {
 	}
 	entries := make([]walEntry, 0, len(batch))
 	for i, up := range batch {
-		added, entry, err := st.admit(up.User, up.Sig)
+		added, entry, err := st.admit(up.User, up.Sig, up.Data)
 		results[i] = AddResult{Added: added, Err: err}
 		if added {
 			entries = append(entries, entry)
@@ -542,19 +573,20 @@ func logEntries(entries []walEntry) []Entry {
 // duplicate detection (sig shard), and rate-limit + adjacency checks
 // (user shard). On acceptance it marks the signature present and returns
 // the WAL entry (uploader, accept time, encoding) for the caller to
-// commit.
+// commit. The encoding is data when set (see Upload.Data), else
+// sig.Encode's.
 //
 // Between admit marking a signature present and the caller publishing it
 // there is a small window where a concurrent identical upload is
 // acknowledged as a duplicate before GET exposes the signature; the
 // publish always lands (admit's caller commits unconditionally), so the
 // window only delays visibility, it never loses the signature.
-func (st *Store) admit(user ids.UserID, s *sig.Signature) (bool, walEntry, error) {
+func (st *Store) admit(user ids.UserID, s *sig.Signature, data json.RawMessage) (bool, walEntry, error) {
 	if err := s.Valid(); err != nil {
 		return false, walEntry{}, fmt.Errorf("store: %w", err)
 	}
 	id := s.ID()
-	tops := s.TopFrames()
+	tops := topKeys(s)
 	now := st.clock().UTC().Unix()
 	today := now / 86400
 
@@ -582,11 +614,13 @@ func (st *Store) admit(user ids.UserID, s *sig.Signature) (bool, walEntry, error
 	// uploads (the DoS case the daily limit exists for) never pay a
 	// marshal. The encode runs under the two shard locks, which only
 	// serializes it against same-shard traffic.
-	data, err := sig.Encode(s)
-	if err != nil {
-		us.mu.Unlock()
-		sh.mu.Unlock()
-		return false, walEntry{}, fmt.Errorf("store: %w", err)
+	if data == nil {
+		var err error
+		if data, err = sig.Encode(s); err != nil {
+			us.mu.Unlock()
+			sh.mu.Unlock()
+			return false, walEntry{}, fmt.Errorf("store: %w", err)
+		}
 	}
 	u.commit(tops)
 	us.mu.Unlock()
@@ -701,7 +735,8 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	today := st.clock().UTC().Unix() / 86400
 	batch := make([]walEntry, 0, len(entries))
 	for _, e := range entries {
-		s, err := sig.Decode(e.Data)
+		// The log keeps e.Data, so the signature may share it.
+		s, err := sig.DecodeShared(e.Data)
 		if err != nil {
 			return 0, fmt.Errorf("store: replicated entry: %w", err)
 		}
@@ -722,7 +757,7 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 			u = &userState{}
 			us.users[e.User] = u
 		}
-		u.tops = append(u.tops, s.TopFrames())
+		u.tops = append(u.tops, topKeys(s))
 		if day := e.Unix / 86400; day == today {
 			if u.day != today {
 				u.day, u.used = today, 0
@@ -857,12 +892,7 @@ func (st *Store) StateDigest() string {
 		for id, u := range us.users {
 			d := userDump{id: id}
 			for _, set := range u.tops {
-				frames := make([]string, 0, len(set))
-				for f := range set {
-					frames = append(frames, f)
-				}
-				sort.Strings(frames)
-				d.tops = append(d.tops, joinFrames(frames))
+				d.tops = append(d.tops, joinFrames(set))
 			}
 			sort.Strings(d.tops)
 			if u.day == today {

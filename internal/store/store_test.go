@@ -305,3 +305,53 @@ func ExampleStore_Get() {
 	fmt.Println(next)
 	// Output: 2
 }
+
+// TestPartialOverlapMatchesAdjacent: the merge over sorted top keys
+// decides adjacency exactly as sig.Adjacent does over top-frame maps,
+// including signatures with repeated top frames.
+func TestPartialOverlapMatchesAdjacent(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	tiny := sigtest.Vocabulary{Classes: 2, Methods: 2, Lines: 2}
+	adjacent := 0
+	for i := 0; i < 5000; i++ {
+		a := sigtest.SignatureN(r, tiny, 2+r.Intn(2), 1, 3)
+		b := sigtest.SignatureN(r, tiny, 2+r.Intn(2), 1, 3)
+		ka, kb := topKeys(a), topKeys(b)
+		if len(ka) != len(a.TopFrames()) {
+			t.Fatalf("topKeys(%v) = %q; TopFrames has %d", a, ka, len(a.TopFrames()))
+		}
+		want := sig.Adjacent(a, b)
+		if got := partialOverlap(ka, kb); got != want {
+			t.Fatalf("partialOverlap(%q, %q) = %v; sig.Adjacent %v", ka, kb, got, want)
+		}
+		if want {
+			adjacent++
+		}
+	}
+	if adjacent == 0 {
+		t.Fatal("no adjacent pair generated")
+	}
+}
+
+// TestAddBatchStoresUploadData: an upload carrying its encoding is
+// stored and served as exactly those bytes; one without is encoded.
+func TestAddBatchStoresUploadData(t *testing.T) {
+	st := New(Config{})
+	r := rand.New(rand.NewSource(2))
+	a, b := distinctSig(r, 1), distinctSig(r, 2)
+	data, err := sig.Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := st.AddBatch([]Upload{{User: 1, Sig: a, Data: data}, {User: 2, Sig: b}})
+	if !res[0].Added || !res[1].Added {
+		t.Fatalf("AddBatch = %+v", res)
+	}
+	got, _ := st.Get(1)
+	if &got[0][0] != &data[0] {
+		t.Error("the store copied Upload.Data instead of keeping it")
+	}
+	if want, _ := sig.Encode(b); string(got[1]) != string(want) {
+		t.Errorf("upload without Data stored %s, want %s", got[1], want)
+	}
+}
