@@ -10,12 +10,11 @@
 //	communix-client -addr 127.0.0.1:9123 -repo /var/lib/communix/repo.json -subscribe
 //	communix-client -addr primary:9123 -peers replica1:9123,replica2:9123 -subscribe
 //
-// With -subscribe the client holds one protocol-v2 session open and the
-// server pushes new signatures the moment other users contribute them —
+// With -subscribe the client holds one session open and the server
+// pushes new signatures the moment other users contribute them —
 // time-to-protection drops from poll-interval scale to sub-second. The
 // session is kept alive with PINGs and re-established with jittered
-// backoff; against a server that only speaks protocol v1 the client
-// falls back to polling at -interval.
+// backoff capped at -interval.
 //
 // -peers lists the other servers of a replicated deployment: the client
 // reads from whichever peer answers (rotating away from a dead one) and
@@ -44,9 +43,9 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:9123", "Communix server address")
 	repoPath := flag.String("repo", "communix-repo.json", "local signature repository file")
-	interval := flag.Duration("interval", 24*time.Hour, "sync period (the paper syncs once a day; v1 fallback cadence with -subscribe)")
+	interval := flag.Duration("interval", 24*time.Hour, "sync period (the paper syncs once a day); with -subscribe, the reconnect backoff cap")
 	once := flag.Bool("once", false, "sync once and exit")
-	subscribe := flag.Bool("subscribe", false, "hold a v2 session open and receive pushed deltas instead of polling")
+	subscribe := flag.Bool("subscribe", false, "hold a session open and receive pushed deltas instead of polling")
 	peers := flag.String("peers", "", "comma-separated additional server addresses (replicated deployment)")
 	flag.Parse()
 

@@ -92,24 +92,50 @@ func run() int {
 // (wire.MsgPromote). Like -mint, this is an operator endpoint; front it
 // with transport-level auth in production deployments.
 func promoteServer(addr string) error {
-	conn, err := net.Dial("tcp", addr)
+	conn, c, _, err := openSession(addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	c := wire.NewConn(conn)
-	if err := c.Send(wire.NewPromote(0)); err != nil {
-		return err
-	}
-	var resp wire.Response
-	if err := c.Recv(&resp); err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("server %s: %s: %s", addr, resp.Status, resp.Detail)
+	resp, err := request(c, wire.NewPromote(2))
+	if err != nil {
+		return fmt.Errorf("server %s: %w", addr, err)
 	}
 	fmt.Printf("server %s: promoted, now %s at epoch %d\n", addr, resp.Role, resp.Epoch)
 	return nil
+}
+
+// openSession dials addr and opens a session with HELLO naming the node
+// at addr, so a server at its -max-sessions cap still admits its
+// operator; the reply carries the server's role, epoch and primary. The
+// caller closes conn and numbers its next request 2.
+func openSession(addr string) (net.Conn, *wire.Conn, wire.Response, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, nil, wire.Response{}, err
+	}
+	c := wire.NewConn(conn)
+	hello, err := c.Hello(0, addr)
+	if err != nil {
+		conn.Close()
+		return nil, nil, wire.Response{}, fmt.Errorf("server %s: %w", addr, err)
+	}
+	return conn, c, hello, nil
+}
+
+// request sends req and reads its reply, which must be StatusOK.
+func request(c *wire.Conn, req wire.Request) (wire.Response, error) {
+	if err := c.Send(req); err != nil {
+		return wire.Response{}, err
+	}
+	var resp wire.Response
+	if err := c.Recv(&resp); err != nil {
+		return wire.Response{}, err
+	}
+	if resp.Status != wire.StatusOK {
+		return resp, fmt.Errorf("%s: %s", resp.Status, resp.Detail)
+	}
+	return resp, nil
 }
 
 // inspectDataDir recovers a server data directory read-only and reports
@@ -149,37 +175,20 @@ func inspectDataDir(dir string, verbose bool) error {
 const sizeProbeFrom = 1 << 30
 
 // probeServer reports a live server's replication role, epoch, and
-// database size. The probe opens a v2 session so the HELLO reply carries
-// role/epoch/primary, then measures size without downloading the
-// database: GET(sizeProbeFrom) returns no signatures, only Next.
+// database size. The HELLO reply carries role/epoch/primary; the size
+// is measured without downloading the database: GET(sizeProbeFrom)
+// returns no signatures, only Next.
 func probeServer(addr string) error {
-	conn, err := net.Dial("tcp", addr)
+	conn, c, hello, err := openSession(addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	c := wire.NewConn(conn)
-	if err := c.Send(wire.NewHello(1)); err != nil {
-		return err
-	}
-	var hello wire.Response
-	if err := c.Recv(&hello); err != nil {
-		return err
-	}
-	if hello.Status != wire.StatusOK {
-		return fmt.Errorf("server %s: %s: %s", addr, hello.Status, hello.Detail)
-	}
 	get := wire.NewGet(sizeProbeFrom)
 	get.ID = 2
-	if err := c.Send(get); err != nil {
-		return err
-	}
-	var resp wire.Response
-	if err := c.Recv(&resp); err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("server %s: %s: %s", addr, resp.Status, resp.Detail)
+	resp, err := request(c, get)
+	if err != nil {
+		return fmt.Errorf("server %s: %w", addr, err)
 	}
 	role := hello.Role
 	if role == "" {

@@ -21,12 +21,13 @@
 // communix-inspect -promote) promotes a follower to primary during a
 // failover; see the README's "Replicated deployment" section.
 //
-// The server speaks wire protocol v2: clients opening with HELLO get a
-// persistent session and may SUBSCRIBE for pushed signature deltas
-// (session page size and the slow-subscriber downgrade threshold are
-// tuned with -get-batch and -push-lag); v1 one-shot clients are served
-// unchanged. See the Operations section of the README,
-// docs/PROTOCOL.md, and docs/ARCHITECTURE.md.
+// Every connection opens with HELLO and becomes a persistent session
+// that may SUBSCRIBE for pushed signature deltas (session page size and
+// the slow-subscriber downgrade threshold are tuned with -get-batch and
+// -push-lag); a client HELLO past -max-sessions is answered busy and
+// closed (cell peers and communix-inspect are exempt).
+// See the Operations section of the README, docs/PROTOCOL.md, and
+// docs/ARCHITECTURE.md.
 package main
 
 import (
@@ -55,7 +56,7 @@ func run() int {
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always|batch|off (with -data-dir)")
 	getBatch := flag.Int("get-batch", 0, "signatures per GET/PUSH page (0 = protocol max 256)")
 	pushLag := flag.Int("push-lag", 0, "subscriber lag before downgrade to catch-up GETs (0 = 4×get-batch)")
-	maxSessions := flag.Int("max-sessions", 0, "concurrent v2 session cap; surplus HELLOs downgrade to v1 polling (0 = unlimited)")
+	maxSessions := flag.Int("max-sessions", 0, "concurrent client session cap; a surplus HELLO is answered busy and closed, cell peers are exempt (0 = unlimited)")
 	maxSubs := flag.Int("max-subs", 0, "push-admitted subscriber cap; surplus subscribers shed to catch-up GETs (0 = unlimited)")
 	follow := flag.String("follow", "", "run as a follower replica of the primary at this address (SIGUSR1 promotes to primary)")
 	advertise := flag.String("advertise", "", "address clients should upload to when this server is primary (defaults to -addr)")

@@ -158,8 +158,9 @@ type ServerConfig struct {
 	// before the server downgrades it from push delivery to catch-up
 	// GETs (default 4 × GetBatch).
 	PushMaxLag int
-	// MaxSessions caps concurrent v2 sessions; surplus HELLOs are
-	// downgraded to v1 poll mode. 0 = unlimited.
+	// MaxSessions caps concurrent client sessions; a surplus HELLO is
+	// answered busy and its connection closed. Cell members' own sessions
+	// (peers, the operator's promote) are not counted. 0 = unlimited.
 	MaxSessions int
 	// MaxSubs caps push-admitted subscribers; surplus SUBSCRIBEs are
 	// shed to catch-up markers + paginated GETs until a slot frees.
@@ -278,8 +279,8 @@ type NodeConfig struct {
 	// to "default".
 	AppKey string
 	// SyncInterval is the background download period (default 24h, the
-	// paper's once-a-day). In Subscribe mode it is the polling cadence
-	// used only while the server speaks protocol v1.
+	// paper's once-a-day). In Subscribe mode it only caps the backoff
+	// between reconnects.
 	SyncInterval time.Duration
 	// Subscribe switches the node from periodic polling to push
 	// delivery: the client holds one session open to the server and new
@@ -287,7 +288,7 @@ type NodeConfig struct {
 	// deadlock, not at the next poll. When the node has an application
 	// view (App), each pushed batch is validated and generalized into
 	// the history automatically, so protection is live without any call
-	// from the application. Falls back to polling against a v1 server.
+	// from the application.
 	Subscribe bool
 	// OnSignatures observes every batch of remote signatures the
 	// background loop lands in the repository (after automatic agent

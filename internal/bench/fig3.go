@@ -127,11 +127,17 @@ func fig3Point(clients, seqs int) (Fig3Point, error) {
 			}
 			defer conn.Close()
 			wc := wire.NewConn(conn)
+			if _, err := wc.Hello(0, ""); err != nil {
+				errs <- err
+				return
+			}
 			<-start
 			var local int64
 			for s := 0; s < seqs; s++ {
 				var resp wire.Response
-				if err := wc.Send(reqs[c][s]); err != nil {
+				add := reqs[c][s]
+				add.ID = uint64(2*s + 2)
+				if err := wc.Send(add); err != nil {
 					errs <- err
 					return
 				}
@@ -143,7 +149,9 @@ func fig3Point(clients, seqs int) (Fig3Point, error) {
 					errs <- fmt.Errorf("fig3: ADD rejected: %s", resp.Detail)
 					return
 				}
-				if err := wc.Send(wire.NewGet(0)); err != nil {
+				get := wire.NewGet(0)
+				get.ID = uint64(2*s + 3)
+				if err := wc.Send(get); err != nil {
 					errs <- err
 					return
 				}

@@ -86,12 +86,13 @@ func UploadBurst(cfg UploadBurstConfig, out io.Writer) (int, error) {
 				}
 				_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 				c := wire.NewConn(conn)
-				if c.Send(req) != nil {
-					conn.Close()
-					continue
-				}
 				var resp wire.Response
-				err = c.Recv(&resp)
+				if _, err = c.Hello(0, ""); err == nil {
+					req.ID = 2
+					if err = c.Send(req); err == nil {
+						err = c.Recv(&resp)
+					}
+				}
 				conn.Close()
 				if err != nil {
 					continue

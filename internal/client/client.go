@@ -5,14 +5,13 @@
 // plugin uses to publish freshly detected signatures.
 //
 // All traffic rides one managed persistent connection (re-dialed
-// transparently when it dies). Against a protocol-v2 server the
-// connection is a negotiated session with multiplexed request IDs; in
-// Subscribe mode the client SUBSCRIBEs and the server pushes signature
-// deltas the moment other users contribute them, cutting
+// transparently when it dies): a session opened by HELLO, with
+// multiplexed request IDs. By default the client polls at the sync
+// interval; in Subscribe mode it SUBSCRIBEs and the server pushes
+// signature deltas the moment other users contribute them, cutting
 // time-to-protection from poll-interval scale to sub-second, with
 // keepalive PINGs and jittered-backoff reconnects keeping the session
-// standing. Against a v1 server (detected by the HELLO handshake being
-// refused) everything degrades to the classic periodic polling loop.
+// standing.
 package client
 
 import (
@@ -70,7 +69,8 @@ type Config struct {
 	Repo *repo.Repo
 	// Token is the user's encrypted id, attached to uploads.
 	Token ids.Token
-	// SyncInterval overrides DefaultSyncInterval.
+	// SyncInterval overrides DefaultSyncInterval, the polling cadence
+	// (without Subscribe) and the cap on reconnect backoff.
 	SyncInterval time.Duration
 	// RetryMin overrides DefaultRetryMin, the starting delay of the
 	// exponential backoff applied after consecutive sync failures (and,
@@ -84,9 +84,7 @@ type Config struct {
 	// the client holds one session open, SUBSCRIBEs, and appends pushed
 	// signature deltas to the repository as they arrive. Keepalive PINGs
 	// detect dead sessions; reconnects use the jittered RetryMin
-	// backoff. When the server only speaks protocol v1 the client falls
-	// back to polling at SyncInterval, re-probing for v2 on every
-	// reconnect.
+	// backoff.
 	Subscribe bool
 	// OnSignatures, if set, observes every batch of signatures the
 	// background loop lands in the repository — pushed deltas in
@@ -200,8 +198,7 @@ func New(cfg Config) (*Client, error) {
 }
 
 // getSession returns the cached managed session, dialing (and running
-// the HELLO version handshake) when there is none or the cached one
-// died.
+// the HELLO handshake) when there is none or the cached one died.
 func (c *Client) getSession() (*session, error) {
 	c.sessMu.Lock()
 	defer c.sessMu.Unlock()
@@ -221,19 +218,26 @@ func (c *Client) getSession() (*session, error) {
 	}
 	// Rotate across the peer set starting from the sticky index: the
 	// peer that last worked is retried first, and a failure (dial error,
-	// or a server fenced out as stale) moves on to the next.
+	// a refused or busy HELLO, or a server fenced out as stale) moves on
+	// to the next. If no peer admits us, a busy refusal outranks other
+	// errors whatever the rotation order, so Upload backs off and retries
+	// instead of failing on a dead peer listed after a busy one.
 	var lastErr error
 	n := len(c.dialers)
 	for i := 0; i < n; i++ {
 		idx := (c.dialIdx + i) % n
 		s, err := dialSession(c.dialers[idx], c.handlePush, c.cfg.Repo.Epoch())
 		if err != nil {
-			lastErr = err
+			if !errors.Is(lastErr, errServerBusy) {
+				lastErr = err
+			}
 			continue
 		}
 		if err := c.adoptSession(s); err != nil {
 			s.close()
-			lastErr = err
+			if !errors.Is(lastErr, errServerBusy) {
+				lastErr = err
+			}
 			continue
 		}
 		c.dialIdx = idx
@@ -252,9 +256,6 @@ func (c *Client) getSession() (*session, error) {
 // or below the fence (the minimum log length promoted over the missed
 // epochs); past it, the repository resets and re-downloads from 1.
 func (c *Client) adoptSession(s *session) error {
-	if s.version < wire.V2 || s.epoch == 0 {
-		return nil // pre-epoch server: nothing to fence against
-	}
 	repoEpoch := c.cfg.Repo.Epoch()
 	switch {
 	case s.epoch == repoEpoch:
@@ -304,64 +305,62 @@ func (c *Client) closeSession() {
 	}
 }
 
-// do performs one round trip on the managed session. A transport error
-// on the first attempt is retried once on a freshly dialed session: the
-// common cause is a connection that idled long enough (hours between
-// polls) for the far side or a middlebox to drop it silently. Requests
-// are idempotent (ADD answers "duplicate", GET is a read), so the retry
-// is always safe.
-func (c *Client) do(req wire.Request) (wire.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		s, err := c.getSession()
-		if err != nil {
-			return wire.Response{}, err
-		}
-		resp, err := s.roundTrip(req, syncIOTimeout)
-		if err == nil {
-			return resp, nil
-		}
-		c.invalidate(s)
-		lastErr = err
-	}
-	return wire.Response{}, lastErr
+// A pick returns the session a round trip should run on, and how to
+// discard that session if the round trip fails on it.
+type pick func() (*session, func(*session), error)
+
+// rotated picks the read rotation's managed session.
+func (c *Client) rotated() (*session, func(*session), error) {
+	s, err := c.getSession()
+	return s, c.invalidate, err
 }
 
-// doGet performs one GET round trip, reading the repository cursor only
-// AFTER the session is established: establishing it runs epoch adoption,
-// which may reset the repository and rewind the cursor (a fenced
-// failover). Building GET(from) before the dial would capture the stale
-// pre-reset cursor — the sync would skip the re-download entirely and
-// strand the repository empty with its cursor past the new primary's
-// log. A live read-your-writes pin routes the GET to the pinned primary
-// (falling back to the rotation if it is unreachable — availability
-// beats the pin mid-failover).
-func (c *Client) doGet() (wire.Response, error) {
+// leader picks the managed session to the primary at addr.
+func (c *Client) leader(addr string) pick {
+	return func() (*session, func(*session), error) {
+		s, err := c.leaderSession(addr)
+		return s, c.invalidateLeader, err
+	}
+}
+
+// reader picks where reads go: the pinned primary while a
+// read-your-writes pin is live, the rotation otherwise — and also when
+// the pinned primary is unreachable, because availability beats the pin
+// mid-failover.
+func (c *Client) reader() (*session, func(*session), error) {
+	if pinned := c.readPin(); pinned != "" {
+		if s, err := c.leaderSession(pinned); err == nil {
+			return s, c.invalidateLeader, nil
+		}
+	}
+	return c.rotated()
+}
+
+// do performs one round trip on the session p picks. A transport error
+// on the first attempt discards that session and retries once on a
+// freshly picked one: the common cause is a connection that idled long
+// enough (hours between polls) for the far side or a middlebox to drop
+// it silently. Requests are idempotent (ADD answers "duplicate", GET is
+// a read), so the retry is always safe.
+//
+// req builds the request only after the session is established:
+// establishing it runs epoch adoption, which may reset the repository
+// and rewind the cursor (a fenced failover). A GET(from) built before
+// the dial would capture the stale pre-reset cursor — the sync would
+// skip the re-download entirely and strand the repository empty with
+// its cursor past the new primary's log.
+func (c *Client) do(p pick, req func() wire.Request) (wire.Response, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		var s *session
-		var err error
-		pinned := c.readPin()
-		if pinned != "" {
-			if s, err = c.leaderSession(pinned); err != nil {
-				pinned = ""
-			}
-		}
-		if pinned == "" {
-			s, err = c.getSession()
-		}
+		s, discard, err := p()
 		if err != nil {
 			return wire.Response{}, err
 		}
-		resp, err := s.roundTrip(wire.NewGet(c.cfg.Repo.Next()), syncIOTimeout)
+		resp, err := s.roundTrip(req(), syncIOTimeout)
 		if err == nil {
 			return resp, nil
 		}
-		if pinned != "" {
-			c.invalidateLeader(s)
-		} else {
-			c.invalidate(s)
-		}
+		discard(s)
 		lastErr = err
 	}
 	return wire.Response{}, lastErr
@@ -399,8 +398,9 @@ func (c *Client) readPin() string {
 // signatures arrived.
 func (c *Client) SyncOnce() (int, error) {
 	added := 0
+	get := func() wire.Request { return wire.NewGet(c.cfg.Repo.Next()) }
 	for {
-		resp, err := c.doGet()
+		resp, err := c.do(c.reader, get)
 		if err != nil {
 			return added, fmt.Errorf("client: sync: %w", err)
 		}
@@ -419,7 +419,8 @@ func (c *Client) SyncOnce() (int, error) {
 }
 
 // uploadBusyRetries is how many times Upload retries a StatusBusy
-// verdict (the server's ingestion-queue backpressure) before giving up.
+// verdict (a quorum not yet reached, or a HELLO refused at the session
+// cap) before giving up.
 const uploadBusyRetries = 3
 
 // Upload publishes one signature to the server with the client's
@@ -429,25 +430,28 @@ const uploadBusyRetries = 3
 // rejection otherwise. A busy server (quorum not yet reached) is retried a
 // few times with short backoff on the same managed connection — an
 // overloaded server is the one peer that must not be greeted with extra
-// dial/teardown cycles per attempt. Signatures are rare and small, so
-// losing one to sustained overload only delays, and never prevents,
-// collective immunity — some other user's upload will carry the same
-// deadlock.
+// dial/teardown cycles per attempt. A server refusing the session
+// itself as busy gets the same backoff and budget. Signatures are rare
+// and small, so losing one to sustained overload only delays, and never
+// prevents, collective immunity — some other user's upload will carry
+// the same deadlock.
 func (c *Client) Upload(s *sig.Signature) error {
 	req, err := wire.NewAdd(c.cfg.Token, s)
 	if err != nil {
 		return fmt.Errorf("client: upload: %w", err)
 	}
+	add := func() wire.Request { return req }
 	backoff := 10 * time.Millisecond
 	leaderAddr := "" // set once a follower redirects us to the primary
 	redirects := 0
 	for attempt := 0; ; attempt++ {
-		var resp wire.Response
-		var err error
+		p := c.rotated
 		if leaderAddr != "" {
-			resp, err = c.doLeader(req, leaderAddr)
-		} else {
-			resp, err = c.do(req)
+			p = c.leader(leaderAddr)
+		}
+		resp, err := c.do(p, add)
+		if errors.Is(err, errServerBusy) {
+			resp, err = wire.Response{Status: wire.StatusBusy, Detail: err.Error()}, nil
 		}
 		if err != nil {
 			if leaderAddr == "" {
@@ -520,7 +524,7 @@ func (c *Client) leaderSession(addr string) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.version >= wire.V2 && s.epoch != 0 && s.epoch < c.cfg.Repo.Epoch() {
+	if s.epoch < c.cfg.Repo.Epoch() {
 		// A stale ex-primary still advertising itself: uploads committed
 		// there would be fenced away. Refuse.
 		s.close()
@@ -539,25 +543,6 @@ func (c *Client) invalidateLeader(s *session) {
 	}
 	c.leaderMu.Unlock()
 	s.close()
-}
-
-// doLeader performs one round trip on the leader session, with the same
-// single redial-and-retry as do.
-func (c *Client) doLeader(req wire.Request, addr string) (wire.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		s, err := c.leaderSession(addr)
-		if err != nil {
-			return wire.Response{}, err
-		}
-		resp, err := s.roundTrip(req, syncIOTimeout)
-		if err == nil {
-			return resp, nil
-		}
-		c.invalidateLeader(s)
-		lastErr = err
-	}
-	return wire.Response{}, lastErr
 }
 
 // Start launches the background distribution loop: push delivery when
@@ -600,8 +585,7 @@ func (c *Client) loop() {
 
 // pollCycle performs one poll — SyncOnce, callbacks, failure
 // accounting — then sleeps the jittered cadence. It returns false when
-// Close fired during the sleep. Shared by the plain polling loop and
-// the subscribe loop's v1 fallback so the two modes cannot drift.
+// Close fired during the sleep.
 func (c *Client) pollCycle(rng *rand.Rand, failures *int) bool {
 	added, err := c.SyncOnce()
 	c.notifySync(added, err)
@@ -630,9 +614,7 @@ func (c *Client) sleep(d time.Duration) bool {
 
 // subscribeLoop keeps a subscription standing: establish a session,
 // SUBSCRIBE, service pushes and keepalives until the session dies, then
-// reconnect with the jittered failure backoff. A server that only speaks
-// v1 is polled at the sync interval instead, with the handshake re-probed
-// on every cycle so a server upgrade is picked up without a restart.
+// reconnect with the jittered failure backoff.
 func (c *Client) subscribeLoop() {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	failures := 0
@@ -643,29 +625,15 @@ func (c *Client) subscribeLoop() {
 		default:
 		}
 		s, err := c.getSession()
-		if err != nil {
-			c.notifySync(0, err)
-			failures++
-			if !c.sleep(c.nextDelay(failures, rng.Float64())) {
-				return
-			}
-			continue
-		}
-		if s.version >= wire.V2 {
-			err := c.runSubscription(s)
-			if err == nil {
+		if err == nil {
+			if err = c.runSubscription(s); err == nil {
 				return // Close fired
 			}
 			c.invalidate(s)
-			c.notifySync(0, err)
-			failures++
-			if !c.sleep(c.nextDelay(failures, rng.Float64())) {
-				return
-			}
-			continue
 		}
-		// v1 fallback: one poll now, then sleep the poll cadence.
-		if !c.pollCycle(rng, &failures) {
+		c.notifySync(0, err)
+		failures++
+		if !c.sleep(c.nextDelay(failures, rng.Float64())) {
 			return
 		}
 	}

@@ -1,11 +1,9 @@
-// Managed connection: the client side of a protocol-v2 session
-// (docs/PROTOCOL.md). dialSession opens a connection and probes the
-// server with HELLO: a v2 server negotiates a session (request IDs, a
-// reader goroutine demultiplexing responses and server-initiated PUSH
-// frames), a v1 server answers HELLO with an error and the same
-// connection degrades gracefully to sequential one-shot round trips —
-// still persistent, so busy retries and paginated syncs reuse it instead
-// of re-dialing.
+// Managed connection: the client side of a session (docs/PROTOCOL.md).
+// dialSession opens a connection and negotiates the session with HELLO;
+// a reader goroutine then matches responses to round trips by request
+// ID and hands server-initiated PUSH frames to the caller. A server that
+// refuses the HELLO fails the dial, so the caller's rotation moves on to
+// the next peer.
 package client
 
 import (
@@ -21,24 +19,24 @@ import (
 // errSessionClosed reports use of a session after close or failure.
 var errSessionClosed = errors.New("client: session closed")
 
+// errServerBusy marks a HELLO the server refused with StatusBusy: it is
+// at its session cap. Upload treats it as a busy ADD.
+var errServerBusy = errors.New("server busy")
+
 // session is one managed connection to the server.
 type session struct {
 	conn net.Conn
 	wc   *wire.Conn
-	// version is the negotiated protocol version: wire.V2 for a
-	// session-capable server, wire.V1 for the one-shot fallback.
-	version int
-	// Replication fields from the HELLO reply (zero against pre-epoch
-	// servers): the server's promotion epoch, its role ("primary" or
-	// "follower"), the primary's advertised address, and — when our
-	// epoch was older — the fence our local state must not exceed.
+	// Replication fields from the HELLO reply: the server's promotion
+	// epoch, its role ("primary" or "follower"), the primary's advertised
+	// address, and — when our epoch was older — the fence our local
+	// state must not exceed.
 	epoch   uint64
 	role    string
 	primary string
 	fence   int
 
-	// writeMu serializes frame writes; in v1 mode it serializes whole
-	// round trips (the v1 server answers strictly in order).
+	// writeMu serializes frame writes.
 	writeMu sync.Mutex
 
 	mu      sync.Mutex
@@ -58,9 +56,10 @@ type session struct {
 // handshakeTimeout bounds the HELLO round trip on a fresh connection.
 const handshakeTimeout = 30 * time.Second
 
-// dialSession establishes a connection and negotiates the protocol
-// version, announcing the caller's last-adopted promotion epoch in the
-// HELLO. onPush may be nil when the caller never subscribes.
+// dialSession establishes a connection and opens a session, announcing
+// the caller's last-adopted promotion epoch in the HELLO. Any HELLO
+// reply but ok at version 2 or later fails the dial; a busy one wraps
+// errServerBusy. onPush may be nil when the caller never subscribes.
 func dialSession(dial func() (net.Conn, error), onPush func(wire.Response), epoch uint64) (*session, error) {
 	conn, err := dial()
 	if err != nil {
@@ -75,28 +74,17 @@ func dialSession(dial func() (net.Conn, error), onPush func(wire.Response), epoc
 		onPush:  onPush,
 		done:    make(chan struct{}),
 	}
-	if err := s.wc.Send(wire.NewHelloAt(1, epoch)); err != nil {
+	hello, err := s.wc.Hello(epoch, "")
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("client: hello: %w", err)
-	}
-	var resp wire.Response
-	if err := s.wc.Recv(&resp); err != nil {
-		conn.Close()
+		if hello.Status == wire.StatusBusy {
+			return nil, fmt.Errorf("client: hello: %w: %s", errServerBusy, hello.Detail)
+		}
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	s.epoch, s.role, s.primary, s.fence = resp.Epoch, resp.Role, resp.Primary, resp.Fence
-	switch {
-	case resp.Status == wire.StatusOK && resp.Version >= wire.V2:
-		s.version = wire.V2
-		go s.readLoop()
-	default:
-		// A v1 server answers HELLO with StatusError ("unknown message
-		// type") and keeps the connection usable; an explicit OK with
-		// Version 1 is a v2 server honoring a downgrade. Either way:
-		// one-shot mode on this same connection.
-		s.version = wire.V1
-	}
+	s.epoch, s.role, s.primary, s.fence = hello.Epoch, hello.Role, hello.Primary, hello.Fence
+	go s.readLoop()
 	return s, nil
 }
 
@@ -134,8 +122,8 @@ func (s *session) failErr() error {
 	return s.err
 }
 
-// readLoop (v2 only) demultiplexes inbound frames: responses are matched
-// to their round trip by ID, ID-0 frames are server pushes.
+// readLoop demultiplexes inbound frames: responses are matched to their
+// round trip by ID, ID-0 frames are server pushes.
 func (s *session) readLoop() {
 	for {
 		var resp wire.Response
@@ -163,35 +151,6 @@ func (s *session) readLoop() {
 // Any transport failure (including the timeout) kills the session — the
 // caller discards it and dials a fresh one.
 func (s *session) roundTrip(req wire.Request, timeout time.Duration) (wire.Response, error) {
-	if s.version >= wire.V2 {
-		return s.roundTripV2(req, timeout)
-	}
-	return s.roundTripV1(req, timeout)
-}
-
-func (s *session) roundTripV1(req wire.Request, timeout time.Duration) (wire.Response, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if !s.alive() {
-		return wire.Response{}, s.failErr()
-	}
-	req.ID = 0 // v1 servers neither use nor echo IDs
-	_ = s.conn.SetDeadline(time.Now().Add(timeout))
-	if err := s.wc.Send(req); err != nil {
-		err = fmt.Errorf("client: send: %w", err)
-		s.fail(err)
-		return wire.Response{}, err
-	}
-	var resp wire.Response
-	if err := s.wc.Recv(&resp); err != nil {
-		err = fmt.Errorf("client: recv: %w", err)
-		s.fail(err)
-		return wire.Response{}, err
-	}
-	return resp, nil
-}
-
-func (s *session) roundTripV2(req wire.Request, timeout time.Duration) (wire.Response, error) {
 	ch := make(chan wire.Response, 1)
 	s.mu.Lock()
 	if s.err != nil {

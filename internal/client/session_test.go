@@ -1,10 +1,10 @@
 package client
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,53 +16,40 @@ import (
 	"communix/internal/wire"
 )
 
-// v1Server is a minimal reimplementation of the pre-v2 Communix server:
-// strictly sequential request/response, ADD and GET only, everything
-// else — HELLO included — answered with StatusError while the
-// connection stays open. It is the fixed point the v2 client's fallback
-// is tested against.
-type v1Server struct {
-	l     net.Listener
-	codec *ids.Codec
-	sigs  atomic.Pointer[[]sigRecord]
-	dials atomic.Int32
-	// busyFirst answers this many ADDs with StatusBusy before accepting
-	// (backpressure simulation).
+// busyServer is a minimal session server: HELLO is answered ok at
+// version 2, the first busyFirst ADDs busy and every later one ok, each
+// reply echoing its request's ID. It counts the connections it accepts.
+type busyServer struct {
+	l         net.Listener
+	dials     atomic.Int32
 	busyFirst atomic.Int32
 }
 
-type sigRecord struct{ raw []byte }
-
-func newV1Server(t *testing.T) (*v1Server, string) {
+func newBusyServer(t *testing.T, busyFirst int32) (*busyServer, string) {
 	t.Helper()
-	codec, err := ids.NewCodec(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := &v1Server{l: l, codec: codec}
-	empty := []sigRecord{}
-	v.sigs.Store(&empty)
-	go v.serve()
+	b := &busyServer{l: l}
+	b.busyFirst.Store(busyFirst)
+	go b.serve()
 	t.Cleanup(func() { l.Close() })
-	return v, l.Addr().String()
+	return b, l.Addr().String()
 }
 
-func (v *v1Server) serve() {
+func (b *busyServer) serve() {
 	for {
-		conn, err := v.l.Accept()
+		conn, err := b.l.Accept()
 		if err != nil {
 			return
 		}
-		v.dials.Add(1)
-		go v.handle(conn)
+		b.dials.Add(1)
+		go b.handle(conn)
 	}
 }
 
-func (v *v1Server) handle(conn net.Conn) {
+func (b *busyServer) handle(conn net.Conn) {
 	defer conn.Close()
 	c := wire.NewConn(conn)
 	for {
@@ -70,37 +57,16 @@ func (v *v1Server) handle(conn net.Conn) {
 		if err := c.Recv(&req); err != nil {
 			return
 		}
-		var resp wire.Response
-		switch req.Type {
-		case wire.MsgAdd:
-			if v.busyFirst.Load() > 0 {
-				v.busyFirst.Add(-1)
-				resp = wire.Response{Status: wire.StatusBusy, Detail: "queue full"}
-				break
-			}
-			if _, err := v.codec.Verify(req.Token); err != nil {
-				resp = wire.Response{Status: wire.StatusRejected, Detail: "invalid user token"}
-				break
-			}
-			cur := *v.sigs.Load()
-			grown := append(append([]sigRecord{}, cur...), sigRecord{raw: req.Sig})
-			v.sigs.Store(&grown)
-			resp = wire.Response{Status: wire.StatusOK}
-		case wire.MsgGet:
-			cur := *v.sigs.Load()
-			from := req.From
-			if from < 1 {
-				from = 1
-			}
-			out := make([]json.RawMessage, 0)
-			for i := from - 1; i < len(cur); i++ {
-				out = append(out, cur[i].raw)
-			}
-			resp = wire.Response{Status: wire.StatusOK, Sigs: out, Next: len(cur) + 1}
+		resp := wire.Response{Status: wire.StatusOK, ID: req.ID}
+		switch {
+		case req.Type == wire.MsgHello:
+			resp.Version, resp.Epoch, resp.Role = wire.V2, 1, "primary"
+		case req.Type == wire.MsgAdd && b.busyFirst.Add(-1) >= 0:
+			resp.Status, resp.Detail = wire.StatusBusy, "quorum ack timeout"
+		case req.Type == wire.MsgAdd:
+			resp.Next = 1
 		default:
-			// The v1 compatibility contract: unknown types get an
-			// error, the connection survives. No ID echo, no More.
-			resp = wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("unknown message type %d", req.Type)}
+			resp.Status = wire.StatusError
 		}
 		if err := c.Send(resp); err != nil {
 			return
@@ -108,83 +74,9 @@ func (v *v1Server) handle(conn net.Conn) {
 	}
 }
 
-// v2-client ↔ v1-server: one-shot operations fall back transparently.
-func TestV2ClientFallsBackToV1Server(t *testing.T) {
-	v1, addr := newV1Server(t)
-	auth, err := ids.NewAuthority(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, token := auth.Issue()
-	rp, _ := repo.Open("")
-	c := newClient(t, addr, token, rp)
-	defer c.Close()
-
-	r := rand.New(rand.NewSource(1))
-	if err := c.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9)); err != nil {
-		t.Fatalf("Upload against v1 server: %v", err)
-	}
-	added, err := c.SyncOnce()
-	if err != nil {
-		t.Fatalf("SyncOnce against v1 server: %v", err)
-	}
-	if added != 1 || rp.Len() != 1 {
-		t.Errorf("added=%d repoLen=%d, want 1/1", added, rp.Len())
-	}
-	// One HELLO probe, one connection: upload + sync share it.
-	if d := v1.dials.Load(); d != 1 {
-		t.Errorf("dials = %d, want 1 (one persistent fallback connection)", d)
-	}
-}
-
-// v2-client in Subscribe mode ↔ v1-server: degrades to polling at the
-// sync interval and still fills the repository.
-func TestSubscribeFallsBackToPollingAgainstV1Server(t *testing.T) {
-	v1, addr := newV1Server(t)
-	auth, err := ids.NewAuthority(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, token := auth.Issue()
-
-	// Seed the v1 server.
-	seederRepo, _ := repo.Open("")
-	seeder := newClient(t, addr, token, seederRepo)
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 3; i++ {
-		if err := seeder.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seeder.Close()
-
-	rp, _ := repo.Open("")
-	var pushed atomic.Int32
-	c := newClient(t, addr, token, rp, func(cfg *Config) {
-		cfg.Subscribe = true
-		cfg.SyncInterval = 20 * time.Millisecond
-		cfg.OnSignatures = func(added int) { pushed.Add(int32(added)) }
-	})
-	c.Start()
-	defer c.Close()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && rp.Len() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	if rp.Len() != 3 {
-		t.Fatalf("repo len = %d, want 3 (poll fallback must fill it)", rp.Len())
-	}
-	if pushed.Load() != 3 {
-		t.Errorf("OnSignatures saw %d, want 3", pushed.Load())
-	}
-	_ = v1
-}
-
 // Busy retries ride one connection instead of dialing per attempt.
 func TestUploadBusyRetriesReuseConnection(t *testing.T) {
-	v1, addr := newV1Server(t)
-	v1.busyFirst.Store(2)
+	b, addr := newBusyServer(t, 2)
 	auth, err := ids.NewAuthority(testKey)
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +90,105 @@ func TestUploadBusyRetriesReuseConnection(t *testing.T) {
 	if err := c.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9)); err != nil {
 		t.Fatalf("Upload: %v", err)
 	}
-	if d := v1.dials.Load(); d != 1 {
+	if d := b.dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1 (busy retries must not re-dial)", d)
 	}
 }
 
-// v2-client ↔ v2-server: Subscribe mode receives deltas pushed by the
-// server without polling.
+// fullServer starts a real server with one session slot and takes it,
+// so every further HELLO is refused busy.
+func fullServer(t *testing.T) (*server.Server, string) {
+	t.Helper()
+	srv, addr, _ := startServerCfg(t, server.Config{MaxSessions: 1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := wire.NewConn(conn).Hello(0, ""); err != nil {
+		t.Fatal(err)
+	}
+	return srv, addr
+}
+
+// A busy HELLO moves the rotation on: reads and uploads land on the
+// next peer, and the full server sees neither.
+func TestRotationSkipsBusyPeer(t *testing.T) {
+	full, fullAddr := fullServer(t)
+	free, freeAddr, _ := startServerCfg(t, server.Config{})
+	auth, err := ids.NewAuthority(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, token := auth.Issue()
+	seedDirect(t, free, token, 21, 2)
+
+	rp, _ := repo.Open("")
+	c := newClient(t, fullAddr, token, rp, func(cfg *Config) { cfg.Peers = []string{freeAddr} })
+	defer c.Close()
+	if added, err := c.SyncOnce(); err != nil || added != 2 {
+		t.Fatalf("SyncOnce past a busy peer = (%d, %v), want (2, nil)", added, err)
+	}
+	r := rand.New(rand.NewSource(22))
+	if err := c.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 100, 6, 9)); err != nil {
+		t.Fatalf("Upload past a busy peer: %v", err)
+	}
+	if full.Store().Len() != 0 || free.Store().Len() != 3 {
+		t.Errorf("full server holds %d, free server %d; want 0 and 3", full.Store().Len(), free.Store().Len())
+	}
+}
+
+// A server refusing the session busy is a busy upload: same backoff,
+// same retry budget, same error.
+func TestUploadAgainstFullServerReportsBusy(t *testing.T) {
+	_, addr := fullServer(t)
+	auth, err := ids.NewAuthority(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, token := auth.Issue()
+	rp, _ := repo.Open("")
+	c := newClient(t, addr, token, rp)
+	defer c.Close()
+
+	r := rand.New(rand.NewSource(23))
+	err = c.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9))
+	want := fmt.Sprintf("server busy after %d retries", uploadBusyRetries)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Upload against a full server = %v, want %q", err, want)
+	}
+}
+
+// A busy peer outranks a dead one in either rotation order: Upload
+// backs off and spends its busy budget instead of failing on the dial
+// error of whichever peer the rotation tried last.
+func TestUploadBusyAndDeadPeersReportsBusy(t *testing.T) {
+	_, fullAddr := fullServer(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := l.Addr().String()
+	l.Close()
+	auth, err := ids.NewAuthority(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, token := auth.Issue()
+	want := fmt.Sprintf("server busy after %d retries", uploadBusyRetries)
+	for i, order := range [][2]string{{fullAddr, deadAddr}, {deadAddr, fullAddr}} {
+		rp, _ := repo.Open("")
+		c := newClient(t, order[0], token, rp, func(cfg *Config) { cfg.Peers = []string{order[1]} })
+		r := rand.New(rand.NewSource(int64(24 + i)))
+		err := c.Upload(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9))
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Upload with peers %v (busy %s) = %v, want %q", order, fullAddr, err, want)
+		}
+	}
+}
+
+// Subscribe mode receives deltas pushed by the server without polling.
 func TestSubscribeReceivesPushedDeltas(t *testing.T) {
 	_, addr, auth := testServer(t)
 	_, token := auth.Issue()
@@ -330,7 +314,7 @@ func TestSubscribeReconnectsAfterServerRestart(t *testing.T) {
 }
 
 // SyncOnce pages through a capped server until drained — one call, the
-// whole database, no 64 MiB frames.
+// whole database, every frame within wire.MaxFrameSize.
 func TestSyncOncePaginates(t *testing.T) {
 	srv, err := server.New(server.Config{Key: testKey, GetBatch: 2})
 	if err != nil {

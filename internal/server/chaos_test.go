@@ -68,7 +68,7 @@ func cellListeners(t *testing.T, n int) ([]net.Listener, []string) {
 
 // chaosUpload pushes one ADD until some cell member acknowledges it —
 // the client retry discipline (chase NotPrimary redirects, ride out
-// Busy and dead-connection windows) reduced to one-shot exchanges the
+// Busy and dead-connection windows) reduced to one ADD per session the
 // test controls.
 func chaosUpload(t *testing.T, addrs []string, req wire.Request, timeout time.Duration) {
 	t.Helper()
@@ -86,12 +86,13 @@ func chaosUpload(t *testing.T, addrs []string, req wire.Request, timeout time.Du
 			}
 			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 			c := wire.NewConn(conn)
-			if c.Send(req) != nil {
-				conn.Close()
-				continue
-			}
 			var resp wire.Response
-			err = c.Recv(&resp)
+			if _, err = c.Hello(0, ""); err == nil {
+				req.ID = 2
+				if err = c.Send(req); err == nil {
+					err = c.Recv(&resp)
+				}
+			}
 			conn.Close()
 			if err != nil {
 				continue
@@ -294,6 +295,117 @@ func TestChaosAutoFailoverZeroLossZeroDup(t *testing.T) {
 	waitReplicated(t, winner.srv, rejoined.srv)
 	if got, want := rejoined.srv.Store().Epoch(), winner.srv.Store().Epoch(); got != want {
 		t.Fatalf("rejoined epoch = %d, want %d", got, want)
+	}
+}
+
+// TestCellAtSessionCapKeepsControlTraffic: every node of a 3-node cell
+// has its single client slot (MaxSessions 1) held by a client, yet the
+// cell's own traffic gets through, because a HELLO naming a cell member
+// is not counted: followers replicate from the saturated primary; a
+// follower whose stream drops probes the live primary and refollows it
+// instead of electing; when the primary dies a survivor collects votes
+// and is elected; and the operator's promote still reaches the other.
+func TestCellAtSessionCapKeepsControlTraffic(t *testing.T) {
+	ls, addrs := cellListeners(t, 3)
+	p21 := newChaosProxy(t, addrs[0]) // n2's cuttable replication link
+	cellCfg := func(i int) Config {
+		var peers []string
+		for j, a := range addrs {
+			if j != i {
+				peers = append(peers, a)
+			}
+		}
+		return Config{
+			MaxPerDay:       10_000,
+			MaxSessions:     1,
+			ElectionTimeout: 150 * time.Millisecond,
+			Advertise:       addrs[i],
+			NodeID:          addrs[i],
+			Peers:           peers,
+			Logf:            t.Logf,
+		}
+	}
+	n1cfg, n2cfg, n3cfg := cellCfg(0), cellCfg(1), cellCfg(2)
+	n2cfg.Follow, n3cfg.Follow = p21.addr(), addrs[0]
+	n1 := startCellNode(t, n1cfg, ls[0])
+	dialV2(t, addrs[0]) // the primary is full before any follower dials
+	n2 := startCellNode(t, n2cfg, ls[1])
+	n3 := startCellNode(t, n3cfg, ls[2])
+	dialV2(t, addrs[1])
+	dialV2(t, addrs[2])
+	for _, addr := range addrs {
+		// A client is refused, but the busy reply still says who we are.
+		_, c, resp := rawHello(t, addr, wire.NewHello(1))
+		if resp.Status != wire.StatusBusy || resp.Role == "" || resp.Epoch != 1 {
+			t.Fatalf("client HELLO to full node %s = %+v, want busy with role and epoch 1", addr, resp)
+		}
+		expectClosed(t, c)
+	}
+
+	auth, _ := ids.NewAuthority(testKey)
+	seedServer(t, n1.srv, auth, 31, 10)
+	waitReplicated(t, n1.srv, n2.srv)
+	waitReplicated(t, n1.srv, n3.srv)
+
+	// n2 loses its stream; its election probe must find the live primary
+	// through the cap and refollow it directly.
+	p21.setCut(true)
+	seedServer(t, n1.srv, auth, 32, 5)
+	waitReplicated(t, n1.srv, n2.srv)
+	for _, n := range []*node{n1, n2, n3} {
+		if epoch := n.srv.Store().Epoch(); epoch != 1 {
+			t.Fatalf("%s at epoch %d after a dropped stream, want 1: a live primary was deposed", n.addr, epoch)
+		}
+	}
+	if n1.srv.Role() != "primary" {
+		t.Fatalf("primary became %s", n1.srv.Role())
+	}
+
+	// The primary dies: votes must reach the saturated survivors.
+	n1.stop()
+	var winner, other *node
+	deadline := time.Now().Add(15 * time.Second)
+	for winner == nil {
+		switch {
+		case n2.srv.Role() == "primary":
+			winner, other = n2, n3
+		case n3.srv.Role() == "primary":
+			winner, other = n3, n2
+		case time.Now().After(deadline):
+			t.Fatal("no survivor was elected with every slot held")
+		default:
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	// Once the other survivor follows the winner, the operator promotes
+	// it past the winner's epoch, its slot still held: communix-inspect
+	// names the node it dials.
+	seedServer(t, winner.srv, auth, 33, 3)
+	waitReplicated(t, winner.srv, other.srv)
+	epoch := winner.srv.Store().Epoch()
+	if got := other.srv.Store().Epoch(); got != epoch {
+		t.Fatalf("survivor at epoch %d, winner at %d", got, epoch)
+	}
+	conn, err := net.Dial("tcp", other.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	c := wire.NewConn(conn)
+	if _, err := c.Hello(0, other.addr); err != nil {
+		t.Fatalf("operator HELLO to a full node: %v", err)
+	}
+	if err := c.Send(wire.NewPromote(2)); err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := c.Recv(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusOK || resp.Role != "primary" || resp.Epoch != epoch+1 {
+		t.Fatalf("PROMOTE on a full follower = %+v, want ok as primary at epoch %d", resp, epoch+1)
 	}
 }
 

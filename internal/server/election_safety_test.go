@@ -132,7 +132,7 @@ func TestVoteSeversQuorumAck(t *testing.T) {
 // TestCursorRequiresReplicateSession pins the quorum tracker's
 // admission: durable-cursor reports count only when attributed to a
 // configured peer on an established REPLICATE session. A sessionless
-// CURSOR is rejected outright; a session that never replicated is
+// CURSOR is refused outright; a session that never replicated is
 // rejected; an established replica under an unconfigured name is
 // tolerated as keepalive but never counted — none of them can release a
 // quorum-parked ADD.
@@ -144,12 +144,13 @@ func TestCursorRequiresReplicateSession(t *testing.T) {
 		Peers:      []string{"f1"},
 	})
 
-	// Sessionless (v1-style) CURSOR: no identity to bind, rejected.
-	if resp := srv.Process(wire.NewCursorReport(1, 99, 1)); resp.Status != wire.StatusRejected {
-		t.Fatalf("v1 CURSOR = %+v, want StatusRejected", resp)
+	// Sessionless CURSOR: Process serves no session state, so it is an
+	// error there.
+	if resp := srv.Process(wire.NewCursorReport(1, 99, 1)); resp.Status != wire.StatusError {
+		t.Fatalf("sessionless CURSOR = %+v, want StatusError", resp)
 	}
 
-	// A v2 session that never sent REPLICATE: rejected.
+	// A session that never sent REPLICATE: rejected.
 	_, c := dialV2(t, addr)
 	if err := c.Send(wire.NewCursorReport(2, 99, 1)); err != nil {
 		t.Fatal(err)

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"net"
 	"time"
 
 	"communix/internal/wire"
@@ -161,25 +162,39 @@ func (s *Server) probePeers() []peerProbe {
 	return out
 }
 
-// probePeer runs one HELLO round-trip against a peer, bounded by the
-// election timeout.
-func (s *Server) probePeer(addr string) peerProbe {
-	p := peerProbe{addr: addr}
+// dialPeer opens a session to a cell peer: dial, then HELLO at our
+// epoch naming our node, which a peer admits past its session cap; the
+// whole exchange and whatever the caller sends next are bounded by the
+// election timeout. The caller closes conn; its next request uses ID 2.
+// A refused HELLO's reply is returned with the error.
+func (s *Server) dialPeer(addr string) (net.Conn, *wire.Conn, wire.Response, error) {
 	conn, err := s.dialTo(addr)()
 	if err != nil {
-		return p
+		return nil, nil, wire.Response{}, err
 	}
-	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(s.electionTimeout))
 	c := wire.NewConn(conn)
-	if c.Send(wire.NewHelloAt(1, s.db.Epoch())) != nil {
+	hello, err := c.Hello(s.db.Epoch(), s.nodeID)
+	if err != nil {
+		conn.Close()
+		return nil, nil, hello, err
+	}
+	return conn, c, hello, nil
+}
+
+// probePeer runs one HELLO round-trip against a peer. A busy reply
+// still carries the peer's epoch and role (a peer whose membership list
+// lacks us caps us like a client), so it counts as reachable: a node at
+// its cap is alive, and deposing a live primary for it would be wrong.
+func (s *Server) probePeer(addr string) peerProbe {
+	p := peerProbe{addr: addr}
+	conn, _, hello, err := s.dialPeer(addr)
+	if err == nil {
+		conn.Close()
+	} else if hello.Status != wire.StatusBusy || hello.Role == "" {
 		return p
 	}
-	var resp wire.Response
-	if c.Recv(&resp) != nil || resp.Status != wire.StatusOK {
-		return p
-	}
-	p.ok, p.epoch, p.role, p.primary = true, resp.Epoch, resp.Role, resp.Primary
+	p.ok, p.epoch, p.role, p.primary = true, hello.Epoch, hello.Role, hello.Primary
 	return p
 }
 
@@ -310,17 +325,15 @@ func (s *Server) requestVotes(target uint64, cursor int, lastEpoch uint64) []vot
 	return out
 }
 
-// requestVote runs one VOTE round-trip (a v1 one-shot exchange).
+// requestVote runs one VOTE round-trip on a fresh session.
 func (s *Server) requestVote(addr string, target uint64, cursor int, lastEpoch uint64) voteResult {
 	var r voteResult
-	conn, err := s.dialTo(addr)()
+	conn, c, _, err := s.dialPeer(addr)
 	if err != nil {
 		return r
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(s.electionTimeout))
-	c := wire.NewConn(conn)
-	if c.Send(wire.NewVote(1, target, cursor, lastEpoch, s.nodeID)) != nil {
+	if c.Send(wire.NewVote(2, target, cursor, lastEpoch, s.nodeID)) != nil {
 		return r
 	}
 	var resp wire.Response

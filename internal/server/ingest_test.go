@@ -187,14 +187,10 @@ func TestIngestOverTCP(t *testing.T) {
 	addr := (<-bound).String()
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wc := wire.NewConn(conn)
+	_, wc := dialV2(t, addr)
 
 	reqs, _ := distinctAdds(t, auth, rand.New(rand.NewSource(4)), 0, 1)
+	reqs[0].ID = 2
 	if err := wc.Send(reqs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +201,7 @@ func TestIngestOverTCP(t *testing.T) {
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("ADD over TCP = %s (%s)", resp.Status, resp.Detail)
 	}
-	if err := wc.Send(wire.NewGet(1)); err != nil {
+	if err := wc.Send(wire.Request{Type: wire.MsgGet, ID: 3, From: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wc.Recv(&resp); err != nil {

@@ -72,6 +72,14 @@ func (s *Server) isPeer(node string) bool {
 	return false
 }
 
+// isMember reports whether node names a cell member: a configured peer
+// or this node itself (what the operator's promote names). Sessions
+// opened for a member bypass Config.MaxSessions — the same claimed-id
+// trust VOTE already extends.
+func (s *Server) isMember(node string) bool {
+	return node != "" && (node == s.nodeID || node == s.advertise || s.isPeer(node))
+}
+
 // recordCursor ingests one follower cursor report, re-derives the
 // quorum index, and releases every waiter it now covers. Reports are
 // taken at face value (latest wins, even backwards — a reset follower

@@ -2,7 +2,7 @@
 // failover (docs/ARCHITECTURE.md, "Replication").
 //
 // A follower is a full Server whose store is rebuilt from the primary's
-// log instead of from client ADDs. It opens one v2 session to the
+// log instead of from client ADDs. It opens one session to the
 // primary and REPLICATEs from its own WAL-recovered cursor; the primary
 // serves the session through the same pooled pusher machinery that
 // drives SUBSCRIBE, except the frames carry full entries (signature
@@ -200,7 +200,7 @@ func (s *Server) promoteTo(target uint64) (uint64, error) {
 	return epoch, nil
 }
 
-// dropClientSessions severs every live client connection (v1 and v2).
+// dropClientSessions severs every live client connection.
 // Used after a promotion or a replica reset, when sessions negotiated
 // under the previous epoch (or against discarded state) must re-HELLO
 // and fence themselves. The accept loop keeps running; clients
@@ -276,18 +276,12 @@ func (s *Server) followOnce(stop chan struct{}) error {
 	}()
 	c := wire.NewConn(conn)
 
-	// HELLO at our epoch. The reply tells us the primary's epoch and the
+	// HELLO at our epoch, naming our node so a primary at its session
+	// cap still admits us. The reply tells us the primary's epoch and the
 	// fence we must respect if it is newer than ours.
-	var reqID uint64 = 1
-	if err := c.Send(wire.NewHelloAt(reqID, s.db.Epoch())); err != nil {
+	hello, err := c.Hello(s.db.Epoch(), s.nodeID)
+	if err != nil {
 		return fmt.Errorf("hello: %w", err)
-	}
-	var hello wire.Response
-	if err := c.Recv(&hello); err != nil {
-		return fmt.Errorf("hello reply: %w", err)
-	}
-	if hello.Status != wire.StatusOK || hello.Version < wire.V2 {
-		return fmt.Errorf("primary refused session (status %v, version %d): %s", hello.Status, hello.Version, hello.Detail)
 	}
 	s.contactFrom(hello.Epoch)
 
@@ -316,9 +310,8 @@ func (s *Server) followOnce(stop chan struct{}) error {
 
 	// REPLICATE from our cursor, whatever it is: the primary's log keeps
 	// every committed entry, so the stream is the only catch-up path.
-	reqID++
-	rep := wire.NewReplicate(reqID, s.db.Len()+1, s.db.Epoch())
-	rep.Node = s.nodeID // binds this session to our node id for CURSOR reports
+	rep := wire.NewReplicate(2, s.db.Len()+1, s.db.Epoch()) // HELLO used ID 1
+	rep.Node = s.nodeID                                     // binds this session to our node id for CURSOR reports
 	if err := c.Send(rep); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
@@ -434,9 +427,9 @@ func (s *Server) decorateHello(resp *wire.Response, peerEpoch uint64) {
 // admitReplicate decides one REPLICATE request. The epoch was
 // negotiated at HELLO; a mismatch here means a promotion raced the
 // handshake, and the follower must redial to renegotiate. Any cursor is
-// admitted — the in-memory log holds every committed entry — and the
-// request's Bootstrap bit is ignored. A nil response means the session
-// is registered as a replica and the caller should ack and arm it.
+// admitted: the in-memory log holds every committed entry. A nil
+// response means the session is registered as a replica and the caller
+// should ack and arm it.
 func (s *Server) admitReplicate(sess *session, req wire.Request) *wire.Response {
 	epoch := s.db.Epoch()
 	if req.Epoch != epoch {

@@ -2,14 +2,12 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,6 +114,14 @@ func getSnapshot(t *testing.T, addr string) [][]byte {
 // returns the decorated reply plus the live session conn.
 func helloResp(t *testing.T, addr string, epoch uint64) (*wire.Conn, wire.Response) {
 	t.Helper()
+	_, c, resp := rawHello(t, addr, wire.NewHelloAt(1, epoch))
+	return c, resp
+}
+
+// rawHello sends hello as the first frame of a fresh connection and
+// returns the connection with the reply.
+func rawHello(t *testing.T, addr string, hello wire.Request) (net.Conn, *wire.Conn, wire.Response) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +129,14 @@ func helloResp(t *testing.T, addr string, epoch uint64) (*wire.Conn, wire.Respon
 	t.Cleanup(func() { conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	c := wire.NewConn(conn)
-	if err := c.Send(wire.NewHelloAt(1, epoch)); err != nil {
+	if err := c.Send(hello); err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.Response
 	if err := c.Recv(&resp); err != nil {
 		t.Fatal(err)
 	}
-	return c, resp
+	return conn, c, resp
 }
 
 // TestFollowerServesReadsRedirectsWrites: the basic replica contract —
@@ -339,13 +345,7 @@ func TestFailoverPromotionZeroLossZeroDup(t *testing.T) {
 	primary.stop()
 
 	// Operator failover: promote the follower over the wire.
-	conn, err := net.Dial("tcp", f.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	c := wire.NewConn(conn)
+	c, _ := helloResp(t, f.addr, 0)
 	if err := c.Send(wire.NewPromote(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -579,17 +579,16 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestReplicateAdmissionRules: wire-level REPLICATE contract — v2
-// session required, negotiated epoch must match, and any cursor streams,
-// however far below the last fold and whether or not the request sets
-// bootstrap.
+// TestReplicateAdmissionRules: wire-level REPLICATE contract — session
+// required, negotiated epoch must match, and any cursor streams, however
+// far below the last fold.
 func TestReplicateAdmissionRules(t *testing.T) {
 	srv, addr, auth := v2TestServer(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000})
 	seedServer(t, srv, auth, 17, 10)
 
-	// Direct (v1-style) REPLICATE: no session to stream into.
+	// Direct REPLICATE: no session to stream into.
 	if resp := srv.Process(wire.NewReplicate(1, 1, 1)); resp.Status != wire.StatusError {
-		t.Fatalf("v1 REPLICATE = %+v, want StatusError", resp)
+		t.Fatalf("sessionless REPLICATE = %+v, want StatusError", resp)
 	}
 
 	// Epoch mismatch: the server is at epoch 1, the request claims 9.
@@ -609,166 +608,39 @@ func TestReplicateAdmissionRules(t *testing.T) {
 	}
 
 	// Below the fold: REPLICATE(1) streams all 10 entries, carrying full
-	// user/unix/sig triples, with or without bootstrap. The ack is read
-	// raw: a reset demand would show as a bootstrap key.
+	// user/unix/sig triples.
 	if err := srv.Store().ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
-	for i, bootstrap := range []bool{false, true} {
-		c, _ := helloResp(t, addr, 1)
-		req := wire.NewReplicate(uint64(3+i), 1, 1)
-		req.Bootstrap = bootstrap
-		if err := c.Send(req); err != nil {
-			t.Fatal(err)
-		}
-		var raw json.RawMessage
-		if err := c.Recv(&raw); err != nil {
-			t.Fatal(err)
-		}
-		var ack wire.Response
-		if err := json.Unmarshal(raw, &ack); err != nil {
-			t.Fatal(err)
-		}
-		if ack.Status != wire.StatusOK || ack.ID != req.ID || bytes.Contains(raw, []byte(`"bootstrap"`)) {
-			t.Fatalf("REPLICATE(1) bootstrap=%v ack = %s, want a plain ok", bootstrap, raw)
-		}
-		got := 0
-		for got < 10 {
-			var page wire.Response
-			if err := c.Recv(&page); err != nil {
-				t.Fatal(err)
-			}
-			if page.ID != 0 || page.Type != wire.MsgPush {
-				continue
-			}
-			for _, e := range page.Entries {
-				if e.User == 0 || e.Unix == 0 || len(e.Sig) == 0 {
-					t.Fatalf("replication entry missing metadata: %+v", e)
-				}
-			}
-			got += len(page.Entries)
-		}
-		if got != 10 {
-			t.Fatalf("bootstrap=%v streamed %d entries, want 10", bootstrap, got)
-		}
-	}
-}
-
-// oldPrimary plays a primary from before SNAPSHOT's removal, for the
-// REPLICATE exchange only. It applies that version's admission rule: a
-// cursor at or below its compaction boundary is answered with a reset
-// demand unless the request sets bootstrap. Otherwise it acks and
-// streams src's log from the cursor. It counts the demands it sends.
-type oldPrimary struct {
-	src      *store.Store
-	boundary atomic.Int64
-	demands  atomic.Int32
-}
-
-func (p *oldPrimary) serve(conn net.Conn) {
-	defer conn.Close()
-	c := wire.NewConn(conn)
-	var mu sync.Mutex
-	send := func(v any) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return c.Send(v)
-	}
-	for {
-		var req wire.Request
-		if err := c.Recv(&req); err != nil {
-			return
-		}
-		var err error
-		switch {
-		case req.Type == wire.MsgHello:
-			err = send(wire.Response{Status: wire.StatusOK, ID: req.ID, Version: wire.V2, Epoch: 1, Role: rolePrimary})
-		case req.Type == wire.MsgReplicate && !req.Bootstrap && int64(req.From) <= p.boundary.Load():
-			p.demands.Add(1)
-			err = send(struct {
-				wire.Response
-				Bootstrap bool `json:"bootstrap"`
-			}{wire.Response{Status: wire.StatusOK, ID: req.ID, Epoch: 1}, true})
-		case req.Type == wire.MsgReplicate:
-			if err = send(wire.Response{Status: wire.StatusOK, ID: req.ID, Epoch: 1}); err == nil {
-				go func(from int) {
-					for {
-						entries, next, _ := p.src.EntryPage(from, 7, wire.MaxGetBytes)
-						if len(entries) == 0 || send(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush,
-							Entries: entriesToWire(entries), Next: next}) != nil {
-							return
-						}
-						from = next
-					}
-				}(req.From)
-			}
-		default: // CURSOR reports
-			err = send(wire.Response{Status: wire.StatusOK, ID: req.ID})
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// TestFollowerConvergesAgainstPreChangePrimary: mixed-version cells keep
-// converging. Against a primary that still demands a reset below its
-// compaction boundary, a fresh follower and a durable follower restarted
-// below the boundary both stream from their cursors, because REPLICATE
-// always sets bootstrap; no demand is ever sent.
-func TestFollowerConvergesAgainstPreChangePrimary(t *testing.T) {
-	src := store.New(store.Config{MaxPerDay: 10_000})
-	r := rand.New(rand.NewSource(15))
-	grow := func(n int) {
-		t.Helper()
-		for i := src.Len(); n > 0; i, n = i+1, n-1 {
-			if _, err := src.Add(ids.UserID(i%3+1), sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	old := &oldPrimary{src: src}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	c, _ = helloResp(t, addr, 1)
+	if err := c.Send(wire.NewReplicate(3, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go old.serve(conn)
-		}
-	}()
-	converge := func(f *node) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for f.srv.Store().Len() != src.Len() || f.srv.Store().StateDigest() != src.StateDigest() {
-			if time.Now().After(deadline) {
-				t.Fatalf("follower did not converge: %d of %d entries, %d demands sent",
-					f.srv.Store().Len(), src.Len(), old.demands.Load())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	var ack wire.Response
+	if err := c.Recv(&ack); err != nil {
+		t.Fatal(err)
 	}
-
-	// Fresh follower, cursor 1, below a boundary at 30.
-	grow(30)
-	old.boundary.Store(30)
-	fcfg := Config{Follow: l.Addr().String(), DataDir: t.TempDir(), Fsync: store.FsyncOff}
-	f := startNode(t, fcfg)
-	converge(f)
-	f.stop()
-
-	// Restarted follower, cursor 31, below a boundary at 50.
-	grow(20)
-	old.boundary.Store(50)
-	f2 := startNode(t, fcfg)
-	converge(f2)
-	if n := old.demands.Load(); n != 0 {
-		t.Fatalf("the pre-change primary sent %d reset demands, want none", n)
+	if ack.Status != wire.StatusOK || ack.ID != 3 {
+		t.Fatalf("REPLICATE(1) ack = %+v, want ok", ack)
+	}
+	got := 0
+	for got < 10 {
+		var page wire.Response
+		if err := c.Recv(&page); err != nil {
+			t.Fatal(err)
+		}
+		if page.ID != 0 || page.Type != wire.MsgPush {
+			continue
+		}
+		for _, e := range page.Entries {
+			if e.User == 0 || e.Unix == 0 || len(e.Sig) == 0 {
+				t.Fatalf("replication entry missing metadata: %+v", e)
+			}
+		}
+		got += len(page.Entries)
+	}
+	if got != 10 {
+		t.Fatalf("streamed %d entries, want 10", got)
 	}
 }
 

@@ -55,14 +55,16 @@ type Config struct {
 	// through Next. 0 means the protocol maximum, wire.MaxGetBatch;
 	// larger values are clamped to it.
 	GetBatch int
-	// PushMaxLag is how many signatures behind a subscribed v2 session
+	// PushMaxLag is how many signatures behind a subscribed session
 	// may fall before the server downgrades it from PUSH delivery to
 	// catch-up GETs (default 4 × GetBatch). Pushing resumes when a GET
 	// reply comes back complete.
 	PushMaxLag int
-	// MaxSessions caps concurrent v2 sessions. A HELLO past the cap is
-	// answered with a v1 downgrade, shedding the peer into poll mode
-	// (well-behaved clients fall back automatically). 0 = unlimited.
+	// MaxSessions caps concurrent client sessions. A HELLO past the cap
+	// is answered StatusBusy and its connection closed; clients back off
+	// or rotate to another server. A HELLO naming a cell member (a peer
+	// in Peers, or this node — what communix-inspect -promote sends) is
+	// not counted. 0 = unlimited.
 	MaxSessions int
 	// MaxSubs caps push-admitted subscribers. A SUBSCRIBE past the quota
 	// is accepted but shed: the session receives only catch-up markers
@@ -71,7 +73,7 @@ type Config struct {
 	// are infrastructure and never count against it.
 	MaxSubs int
 	// Follow starts the server as a follower replica of the primary at
-	// this address: it opens a v2 session there, REPLICATEs from its own
+	// this address: it opens a session there, REPLICATEs from its own
 	// WAL-recovered cursor, applies shipped entries through the store's
 	// commit path, and serves GET/SUBSCRIBE to clients while answering
 	// ADDs with StatusNotPrimary (carrying this address). Empty = primary.
@@ -172,7 +174,7 @@ type Server struct {
 	codec *ids.Codec
 	db    *store.Store
 
-	// Session layer (protocol v2): hub tracks subscribed sessions and
+	// Session layer: hub tracks subscribed sessions and
 	// their push admission, pool is the shared pusher worker pool
 	// (GOMAXPROCS workers); getBatch/pushMaxLag/maxSessions/maxSubs are
 	// the resolved Config knobs.
@@ -186,7 +188,7 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
-	sessions int // live v2 sessions, capped by maxSessions
+	sessions int // live sessions, capped by maxSessions
 	wg       sync.WaitGroup
 	closed   bool
 
@@ -329,14 +331,14 @@ func (s *Server) Role() string { return s.roleName() }
 // benchmarks).
 func (s *Server) Store() *store.Store { return s.db }
 
-// Process handles one request — the direct-invocation path. GETs are
-// answered inline from the store's lock-free snapshot, paginated at the
+// Process handles one ADD, GET, VOTE or PROMOTE — the direct-invocation
+// path, and what a session runs for those four. GETs are answered
+// inline from the store's lock-free snapshot, paginated at the
 // GetBatch/wire.MaxGetBytes caps (truncated replies set More); ADDs
 // commit on the calling goroutine, where the store groups concurrent
-// commits into one WAL append.
-// HELLO and SUBSCRIBE are session-layer exchanges and answered with
-// StatusError here — exactly what a v1 server says to them, which is how
-// v2 clients detect the fallback.
+// commits into one WAL append. Every other type is session state
+// (HELLO, SUBSCRIBE, REPLICATE, CURSOR, PING) or unknown, and is
+// answered StatusError here.
 //
 // An accepted ADD keeps no reference to req.Sig: signature bytes that
 // are already canonical are stored as a copy, any others re-encoded.
@@ -358,15 +360,6 @@ func (s *Server) Process(req wire.Request) wire.Response {
 	case wire.MsgGet:
 		sigs, next, more := s.db.GetPage(req.From, s.getBatch, wire.MaxGetBytes)
 		return wire.Response{Status: wire.StatusOK, Sigs: sigs, Next: next, More: more}
-	case wire.MsgPing:
-		return wire.Response{Status: wire.StatusOK}
-	case wire.MsgCursor:
-		// Cursor reports feed the quorum tracker and must be attributed to
-		// a session-bound replica identity (session.go); over v1 or any
-		// other sessionless path there is no identity to bind, so the
-		// report cannot count — reject instead of silently dropping it.
-		return wire.Response{Status: wire.StatusRejected,
-			Detail: "CURSOR requires an established REPLICATE session"}
 	case wire.MsgVote:
 		return s.handleVote(req)
 	case wire.MsgPromote:
@@ -375,10 +368,6 @@ func (s *Server) Process(req wire.Request) wire.Response {
 			return wire.Response{Status: wire.StatusError, Detail: err.Error()}
 		}
 		return wire.Response{Status: wire.StatusOK, Epoch: epoch, Role: rolePrimary}
-	case wire.MsgSubscribe:
-		return wire.Response{Status: wire.StatusError, Detail: "SUBSCRIBE requires a v2 session (open with HELLO)"}
-	case wire.MsgReplicate:
-		return wire.Response{Status: wire.StatusError, Detail: "REPLICATE requires a v2 session (open with HELLO)"}
 	default:
 		return wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("unknown message type %d", req.Type)}
 	}
@@ -442,8 +431,8 @@ func (s *Server) addVerdict(added bool, err error, index int) wire.Response {
 	}
 }
 
-// Serve accepts connections on l until Close. Each connection carries a
-// sequence of length-prefixed requests, answered in order.
+// Serve accepts connections on l until Close. Each connection is one
+// session opened by HELLO.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -494,10 +483,9 @@ func (s *Server) ListenAndServe(addr string, bound chan<- net.Addr) error {
 	return s.Serve(l)
 }
 
-// handle serves one connection. The first frame selects the protocol:
-// HELLO opens a negotiated v2 session (request IDs, SUBSCRIBE/PUSH),
-// anything else is a v1 one-shot peer served by the original sequential
-// loop — existing clients keep working against this server unchanged.
+// handle serves one connection. Its first frame must be HELLO, which
+// opens the session; any other frame is answered StatusError, echoing
+// its ID, and the connection is closed.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -511,18 +499,16 @@ func (s *Server) handle(conn net.Conn) {
 	if err := c.Recv(&req); err != nil {
 		return // EOF or protocol error: drop the connection
 	}
-	if req.Type == wire.MsgHello {
-		s.serveSession(conn, c, req)
+	if req.Type != wire.MsgHello {
+		_ = c.Send(wire.Response{Status: wire.StatusError, ID: req.ID,
+			Detail: fmt.Sprintf("%s before HELLO: every session opens with HELLO", req.Type)})
 		return
 	}
-	if err := c.Send(s.Process(req)); err != nil {
-		return
-	}
-	s.serveV1(c)
+	s.serveSession(conn, c, req)
 }
 
-// reserveSession claims a v2 session slot against Config.MaxSessions.
-// A false return means the cap is reached and the peer must be shed.
+// reserveSession claims a session slot against Config.MaxSessions. A
+// false return means the cap is reached and the HELLO is answered busy.
 func (s *Server) reserveSession() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,25 +519,11 @@ func (s *Server) reserveSession() bool {
 	return true
 }
 
-// releaseSession returns a v2 session slot.
+// releaseSession returns a session slot.
 func (s *Server) releaseSession() {
 	s.mu.Lock()
 	s.sessions--
 	s.mu.Unlock()
-}
-
-// serveV1 is the original sequential request/response loop: one frame
-// in, one frame out, in order, until the peer hangs up.
-func (s *Server) serveV1(c *wire.Conn) {
-	for {
-		var req wire.Request
-		if err := c.Recv(&req); err != nil {
-			return
-		}
-		if err := c.Send(s.Process(req)); err != nil {
-			return
-		}
-	}
 }
 
 // Close stops the accept loop, closes all connections, waits for handler

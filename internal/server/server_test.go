@@ -137,12 +137,7 @@ func TestServeOverTCP(t *testing.T) {
 		}
 	}()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := wire.NewConn(conn)
+	_, c := dialV2(t, l.Addr().String())
 
 	_, token := auth.Issue()
 	r := rand.New(rand.NewSource(5))
@@ -154,6 +149,7 @@ func TestServeOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		req.ID = uint64(2*i + 2)
 		if err := c.Send(req); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +161,9 @@ func TestServeOverTCP(t *testing.T) {
 			t.Fatalf("ADD %d: %+v", i, resp)
 		}
 
-		if err := c.Send(wire.NewGet(0)); err != nil {
+		get := wire.NewGet(0)
+		get.ID = uint64(2*i + 3)
+		if err := c.Send(get); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Recv(&resp); err != nil {
@@ -199,6 +197,10 @@ func TestServeManyConcurrentClients(t *testing.T) {
 			}
 			defer conn.Close()
 			c := wire.NewConn(conn)
+			if _, err := c.Hello(0, ""); err != nil {
+				t.Errorf("hello: %v", err)
+				return
+			}
 			_, token := auth.Issue()
 			r := rand.New(rand.NewSource(int64(i)))
 			for j := 0; j < 5; j++ {
@@ -208,6 +210,7 @@ func TestServeManyConcurrentClients(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				req.ID = uint64(2*j + 2)
 				var resp wire.Response
 				if err := c.Send(req); err != nil {
 					t.Errorf("send: %v", err)
@@ -217,7 +220,9 @@ func TestServeManyConcurrentClients(t *testing.T) {
 					t.Errorf("recv: %v", err)
 					return
 				}
-				if err := c.Send(wire.NewGet(0)); err != nil {
+				get := wire.NewGet(0)
+				get.ID = req.ID + 1
+				if err := c.Send(get); err != nil {
 					t.Errorf("send get: %v", err)
 					return
 				}

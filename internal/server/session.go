@@ -1,6 +1,6 @@
-// Session layer: protocol-v2 persistent connections (docs/PROTOCOL.md).
+// Session layer: persistent connections (docs/PROTOCOL.md).
 //
-// A connection whose first frame is HELLO becomes a session: a reader
+// Every connection opens with HELLO and becomes a session: a reader
 // (the connection's handler goroutine) dispatches ID-tagged requests
 // and a writer goroutine serializes all outbound frames. Push delivery
 // — streaming signature deltas to a SUBSCRIBEd peer — is driven by the
@@ -20,9 +20,9 @@
 // that permits it therefore cannot exist, regardless of how the writer
 // interleaves its two sources.
 //
-// Admission limits: Config.MaxSessions caps concurrent v2 sessions —
-// a HELLO over the cap is answered with a v1 downgrade, which existing
-// clients already handle by falling back to polling. Config.MaxSubs
+// Admission limits: Config.MaxSessions caps concurrent sessions — a
+// HELLO over the cap is answered busy and its connection closed, and
+// clients back off or rotate to another server. Config.MaxSubs
 // caps push-admitted subscribers — a SUBSCRIBE over the quota is
 // accepted but shed: the session receives only catch-up markers (so it
 // still learns when the database grows) and drains via paginated GETs;
@@ -31,6 +31,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"sync"
 
@@ -189,7 +190,7 @@ type outFrame struct {
 	onWrite func()
 }
 
-// session is one v2 connection's server-side state.
+// session is one connection's server-side state.
 type session struct {
 	conn net.Conn
 	wc   *wire.Conn
@@ -323,32 +324,31 @@ func (s *Server) writeLoop(sess *session) {
 	}
 }
 
-// serveSession negotiates and runs one v2 session; it returns when the
+// serveSession negotiates and runs one session; it returns when the
 // connection dies (peer hangup, write error, server Close). hello is the
-// already-read opening frame.
+// already-read opening frame. A HELLO asking for a version below V2 is
+// answered StatusError, and one past the session cap StatusBusy (still
+// stamped with our epoch and role, so a probing peer learns them);
+// either way the connection then closes, so a refused peer holds no
+// socket or goroutine here. A HELLO naming a cell member skips the cap:
+// the cell's own probes, votes, replication streams and the operator's
+// promote must get through a node saturated with clients.
 func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
-	version := hello.Version
-	if version > wire.MaxVersion {
-		version = wire.MaxVersion
-	}
-	if version >= wire.V2 && !s.reserveSession() {
-		// Session cap reached: shed the peer into the stateless protocol.
-		// Answering the HELLO with v1 makes a well-behaved client fall
-		// back to polling — service degrades to pull, it doesn't stop.
-		version = wire.V1
-	}
-	if version < wire.V2 {
-		// The peer asked for v1 (or nonsense), or the cap downgraded it:
-		// acknowledge the downgrade and serve the plain sequential loop.
-		ack := wire.Response{Status: wire.StatusOK, ID: hello.ID, Version: wire.V1}
-		s.decorateHello(&ack, hello.Epoch)
-		if c.Send(ack) != nil {
-			return
-		}
-		s.serveV1(c)
+	if hello.Version < wire.V2 {
+		_ = c.Send(wire.Response{Status: wire.StatusError, ID: hello.ID,
+			Detail: fmt.Sprintf("unsupported protocol version %d (want %d)", hello.Version, wire.V2)})
 		return
 	}
-	defer s.releaseSession()
+	if !s.isMember(hello.Node) {
+		if !s.reserveSession() {
+			busy := wire.Response{Status: wire.StatusBusy, ID: hello.ID, Detail: "session limit reached; retry later"}
+			s.decorateHello(&busy, hello.Epoch)
+			_ = c.Send(busy)
+			return
+		}
+		defer s.releaseSession()
+	}
+	version := min(hello.Version, wire.MaxVersion)
 
 	sess := newSession(conn, c)
 	sess.wg.Add(1)

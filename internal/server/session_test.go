@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"testing"
@@ -49,20 +50,7 @@ func v2TestServer(t *testing.T, cfg Config) (*Server, string, *ids.Authority) {
 // dialV2 opens a raw v2 session: HELLO exchanged, ready for requests.
 func dialV2(t *testing.T, addr string) (net.Conn, *wire.Conn) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	c := wire.NewConn(conn)
-	if err := c.Send(wire.NewHello(1)); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
+	conn, c, resp := rawHello(t, addr, wire.NewHello(1))
 	if resp.Status != wire.StatusOK || resp.ID != 1 || resp.Version != wire.V2 {
 		t.Fatalf("HELLO reply = %+v, want ok/id=1/version=2", resp)
 	}
@@ -106,38 +94,6 @@ func TestHelloNegotiatesV2(t *testing.T) {
 	}
 	if !seen[5] || !seen[6] {
 		t.Errorf("responses did not echo request IDs: %v", seen)
-	}
-}
-
-func TestHelloDowngradeToV1(t *testing.T) {
-	_, addr, _ := v2TestServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	c := wire.NewConn(conn)
-	// A hypothetical peer that only speaks v1 but sends HELLO anyway.
-	if err := c.Send(wire.Request{Type: wire.MsgHello, ID: 1, Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || resp.Version != wire.V1 {
-		t.Fatalf("downgrade reply = %+v, want ok/version=1", resp)
-	}
-	// The connection then serves plain sequential v1 requests.
-	if err := c.Send(wire.NewGet(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || resp.Next != 1 {
-		t.Fatalf("v1 GET after downgrade: %+v", resp)
 	}
 }
 
@@ -335,79 +291,6 @@ func testLaggingSubscriberDowngradedToCatchup(t *testing.T) {
 	}
 	if push.Type != wire.MsgPush || len(push.Sigs) != 1 || push.Next != 8 {
 		t.Fatalf("push after catch-up = %+v", push)
-	}
-}
-
-// v1-client ↔ v2-server compatibility: a peer that never says HELLO gets
-// the original sequential protocol, including ADD and incremental GET.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	srv, addr, auth := v2TestServer(t, Config{GetBatch: 2})
-	seedServer(t, srv, auth, 8, 5)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	c := wire.NewConn(conn)
-
-	// First frame is ADD — the v1 opening. No HELLO anywhere.
-	_, token := auth.Issue()
-	r := rand.New(rand.NewSource(99))
-	s := sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 1000, 6, 9)
-	if err := c.Send(addReq(t, token, s)); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("v1 ADD: %+v", resp)
-	}
-
-	// A v1 client ignores More and trusts Next as "request this next
-	// time": repeated incremental GETs still drain the database, one
-	// page per sync, with positions aligned.
-	total, from := 0, 1
-	for total < 6 {
-		if err := c.Send(wire.NewGet(from)); err != nil {
-			t.Fatal(err)
-		}
-		var page wire.Response
-		if err := c.Recv(&page); err != nil {
-			t.Fatal(err)
-		}
-		if page.Status != wire.StatusOK {
-			t.Fatalf("v1 GET: %+v", page)
-		}
-		if len(page.Sigs) == 0 {
-			t.Fatalf("v1 GET(%d) returned nothing with %d/%d fetched", from, total, 6)
-		}
-		total += len(page.Sigs)
-		from = page.Next
-	}
-	if total != 6 || srv.Store().Len() != 6 {
-		t.Errorf("v1 client drained %d signatures, server has %d; want 6/6", total, srv.Store().Len())
-	}
-
-	// A v2 verb on the v1 path is answered with error and the
-	// connection survives — the capability-probe contract.
-	if err := c.Send(wire.NewSubscribe(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusError {
-		t.Fatalf("SUBSCRIBE on v1 connection = %+v, want error", resp)
-	}
-	if err := c.Send(wire.NewGet(from)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Recv(&resp); err != nil {
-		t.Fatalf("connection did not survive the rejected SUBSCRIBE: %v", err)
 	}
 }
 
@@ -747,104 +630,128 @@ func testMaxSubsShedsIntoCatchup(t *testing.T) {
 	}
 }
 
-// A plain v1 client is untouched by subscription quotas: with MaxSubs
-// saturated it still drains the database via paginated GETs.
-func TestMaxSubsV1ClientStillDrains(t *testing.T) {
-	srv, addr, auth := v2TestServer(t, Config{MaxSubs: 1, GetBatch: 2})
-	_, cA := dialV2(t, addr)
-	if err := cA.Send(wire.NewSubscribe(2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := cA.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	seedServer(t, srv, auth, 13, 5)
+// helloAsking is a HELLO asking for version.
+func helloAsking(version int) wire.Request {
+	return wire.Request{Type: wire.MsgHello, ID: 1, Version: version}
+}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	c := wire.NewConn(conn)
-	total, from := 0, 1
-	for total < 5 {
-		if err := c.Send(wire.NewGet(from)); err != nil {
-			t.Fatal(err)
-		}
-		var page wire.Response
-		if err := c.Recv(&page); err != nil {
-			t.Fatal(err)
-		}
-		if page.Status != wire.StatusOK || len(page.Sigs) == 0 {
-			t.Fatalf("v1 GET(%d) under saturated quota: %+v", from, page)
-		}
-		total += len(page.Sigs)
-		from = page.Next
+// expectClosed asserts the server hangs up after its last reply.
+func expectClosed(t *testing.T, c *wire.Conn) {
+	t.Helper()
+	var resp wire.Response
+	if err := c.Recv(&resp); err == nil {
+		t.Fatalf("connection still open, server sent %+v", resp)
 	}
 }
 
-// MaxSessions sheds surplus HELLOs into v1 poll mode, and frees slots
-// when sessions end.
-func TestMaxSessionsDowngradesSurplusHellos(t *testing.T) {
-	srv, addr, auth := v2TestServer(t, Config{MaxSessions: 1})
-	seedServer(t, srv, auth, 14, 2)
-
-	connA, _ := dialV2(t, addr) // holds the only session slot
-
-	// The second HELLO is answered with a v1 downgrade…
-	connB, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer connB.Close()
-	_ = connB.SetDeadline(time.Now().Add(10 * time.Second))
-	cB := wire.NewConn(connB)
-	if err := cB.Send(wire.NewHello(1)); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := cB.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || resp.Version != wire.V1 {
-		t.Fatalf("over-cap HELLO reply = %+v, want ok/version=1", resp)
-	}
-	// …and the connection serves v1 polls: service degraded, not denied.
-	if err := cB.Send(wire.NewGet(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cB.Recv(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || len(resp.Sigs) == 0 {
-		t.Fatalf("v1 GET on shed connection: %+v", resp)
-	}
-
-	// The slot frees once A departs; a fresh HELLO negotiates v2 again.
-	connA.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+// Every session opens with HELLO: a first frame of any other type is
+// answered error, echoing its ID, and the connection is closed.
+func TestFirstFrameMustBeHello(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{})
+	_, token := auth.Issue()
+	r := rand.New(rand.NewSource(99))
+	add := addReq(t, token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9))
+	add.ID = 7
+	for _, req := range []wire.Request{add, {Type: wire.MsgGet, ID: 8, From: 1}, wire.NewPing(9)} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 		c := wire.NewConn(conn)
-		if err := c.Send(wire.NewHello(1)); err != nil {
+		if err := c.Send(req); err != nil {
 			t.Fatal(err)
 		}
+		var resp wire.Response
 		if err := c.Recv(&resp); err != nil {
 			t.Fatal(err)
 		}
+		if resp.Status != wire.StatusError || resp.ID != req.ID {
+			t.Fatalf("%s as first frame: reply %+v, want error echoing id %d", req.Type, resp, req.ID)
+		}
+		expectClosed(t, c)
 		conn.Close()
-		if resp.Version == wire.V2 {
+	}
+	if n := srv.Store().Len(); n != 0 {
+		t.Fatalf("an ADD sent before HELLO was committed: %d signatures", n)
+	}
+}
+
+// A HELLO asking for a version below 2 is refused, not downgraded.
+func TestHelloVersion1Refused(t *testing.T) {
+	_, addr, _ := v2TestServer(t, Config{})
+	for _, version := range []int{0, 1} {
+		_, c, resp := rawHello(t, addr, helloAsking(version))
+		if resp.Status != wire.StatusError || resp.ID != 1 {
+			t.Fatalf("HELLO version %d: reply %+v, want error echoing id 1", version, resp)
+		}
+		expectClosed(t, c)
+	}
+	// A HELLO beyond this server's version negotiates down to it.
+	if _, _, resp := rawHello(t, addr, helloAsking(wire.MaxVersion+1)); resp.Status != wire.StatusOK || resp.Version != wire.MaxVersion {
+		t.Fatalf("HELLO version %d: reply %+v, want ok at %d", wire.MaxVersion+1, resp, wire.MaxVersion)
+	}
+}
+
+// MaxSessions refuses surplus HELLOs busy and closes them, so a shed
+// peer holds no socket or handler; a slot freed by a departing session
+// admits the next HELLO.
+func TestMaxSessionsRefusesSurplusHellosBusy(t *testing.T) {
+	_, addr, _ := v2TestServer(t, Config{MaxSessions: 1})
+	connA, _ := dialV2(t, addr) // holds the only session slot
+
+	_, cB, resp := rawHello(t, addr, wire.NewHello(1))
+	if resp.Status != wire.StatusBusy || resp.ID != 1 {
+		t.Fatalf("over-cap HELLO reply = %+v, want busy echoing id 1", resp)
+	}
+	expectClosed(t, cB)
+
+	connA.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, _, resp := rawHello(t, addr, wire.NewHello(1))
+		conn.Close()
+		if resp.Status == wire.StatusOK && resp.Version == wire.V2 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("session slot never freed after the holder disconnected")
+		if resp.Status != wire.StatusBusy || time.Now().After(deadline) {
+			t.Fatalf("HELLO after the holder left: %+v, want the freed slot", resp)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// One frame bound for reads and writes: a peer announcing a 9 MiB frame
+// is disconnected before its payload is allocated, and a concurrent
+// session keeps being answered.
+func TestOversizedFrameDisconnectsOnlyItsPeer(t *testing.T) {
+	srv, addr, auth := v2TestServer(t, Config{})
+	seedServer(t, srv, auth, 15, 3)
+	_, good := dialV2(t, addr)
+	conn, _ := dialV2(t, addr)
+
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 9<<20)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server kept the connection after a 9 MiB header (read %d bytes)", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server neither answered nor closed the oversized peer")
+	}
+
+	for id := uint64(2); id < 5; id++ {
+		if err := good.Send(wire.Request{Type: wire.MsgGet, ID: id, From: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := good.Recv(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != wire.StatusOK || resp.ID != id || len(resp.Sigs) != 3 {
+			t.Fatalf("concurrent session GET: %+v", resp)
+		}
 	}
 }

@@ -9,9 +9,9 @@
 // signatures from different users) proceed on distinct shard locks in
 // parallel. Accepted signatures funnel into one append-only log that
 // assigns the global 1-based indexes; GET reads a lock-free snapshot of
-// that log and never blocks writers. The Locked type in this package is
-// the original single-mutex implementation, kept as the semantic
-// reference and benchmark baseline.
+// that log and never blocks writers. The package's tests hold this
+// store to Locked (locked_test.go), the original single-mutex
+// implementation, which lives only there as a test oracle.
 //
 // With Config.DataDir set (use Open, not New), the database is durable:
 // every committed batch is written ahead to a CRC-checked segment log
@@ -67,8 +67,8 @@ type Config struct {
 	Clock func() time.Time
 	// Shards is the number of hash partitions for the duplicate set and
 	// the per-user validation state; <= 0 selects DefaultShards. One
-	// shard degenerates to (and must behave exactly like) the Locked
-	// reference store.
+	// shard degenerates to (and must behave exactly like) the
+	// single-mutex oracle the tests compare against (locked_test.go).
 	Shards int
 	// DataDir enables durability: accepted signatures are appended to a
 	// write-ahead segment log in this directory before they are
@@ -609,10 +609,9 @@ func (st *Store) admit(user ids.UserID, s *sig.Signature, data json.RawMessage) 
 		sh.mu.Unlock()
 		return false, walEntry{}, err
 	}
-	// Encode only after every check has passed, matching the Locked
-	// reference's ordering and cost profile: duplicates and rejected
-	// uploads (the DoS case the daily limit exists for) never pay a
-	// marshal. The encode runs under the two shard locks, which only
+	// Encode only after every check has passed, in the test oracle's
+	// order (locked_test.go): duplicates and rejected uploads (the DoS
+	// case the daily limit exists for) never pay a marshal. The encode runs under the two shard locks, which only
 	// serializes it against same-shard traffic.
 	if data == nil {
 		var err error

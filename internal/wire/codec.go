@@ -379,7 +379,6 @@ func (e *frameEncoder) request(r *Request) {
 	e.int("from", int64(r.From), true)
 	e.int("version", int64(r.Version), true)
 	e.uint("epoch", r.Epoch, true)
-	e.bool("bootstrap", r.Bootstrap)
 	e.string("node", r.Node)
 	e.int("cursor", int64(r.Cursor), true)
 	e.uint("last_epoch", r.LastEpoch, true)
@@ -648,7 +647,6 @@ const (
 	fFrom
 	fVersion
 	fEpoch
-	fBootstrap
 	fNode
 	fCursor
 	fLastEpoch
@@ -684,8 +682,6 @@ func requestBit(key []byte) uint32 {
 		return fVersion
 	case "epoch":
 		return fEpoch
-	case "bootstrap":
-		return fBootstrap
 	case "node":
 		return fNode
 	case "cursor":
@@ -777,8 +773,6 @@ func decodeRequest(p []byte, r *Request) bool {
 			r.Version, ok = d.goInt()
 		case fEpoch:
 			r.Epoch, ok = d.uint()
-		case fBootstrap:
-			r.Bootstrap, ok = d.bool()
 		case fNode:
 			r.Node, ok = d.string()
 		case fCursor:
@@ -875,7 +869,7 @@ func decodeResponse(p []byte, r *Response) bool {
 // decoder fills, because json.Unmarshal merges into what is there.
 func (r *Request) isZero() bool {
 	return r.Type == 0 && r.ID == 0 && r.Token == "" && r.Sig == nil && r.From == 0 &&
-		r.Version == 0 && r.Epoch == 0 && !r.Bootstrap && r.Node == "" && r.Cursor == 0 &&
+		r.Version == 0 && r.Epoch == 0 && r.Node == "" && r.Cursor == 0 &&
 		r.LastEpoch == 0
 }
 

@@ -68,7 +68,7 @@ func frameCorpus() []string {
 		`{"type":1,"token":"00ff","sig":` + sigJSON + `}`,
 		`{"type":2,"id":7,"from":12}`,
 		`{"type":9,"id":3,"epoch":4,"node":"127.0.0.1:19201","cursor":40,"last_epoch":3}`,
-		`{"type":7,"id":2,"from":31,"epoch":1,"bootstrap":true,"node":"127.0.0.1:19201"}`,
+		`{"type":7,"id":2,"from":31,"epoch":1,"node":"127.0.0.1:19201"}`,
 		`{"status":1,"id":1,"version":2,"epoch":3,"role":"follower","primary":"127.0.0.1:19200","fence":12,"fences":[{"e":1,"n":0},{"e":3,"n":12}]}`,
 		`{"status":1,"type":6,"sigs":[` + sigJSON + `,` + sigJSON + `],"next":3}`,
 		`{"status":1,"type":6,"next":4,"more":true}`,
@@ -77,9 +77,10 @@ func frameCorpus() []string {
 		`{"status":2,"epoch":3,"cursor":17}`,
 		`{}`,
 		// Frames peers from before SNAPSHOT's removal write: a raw SNAPSHOT
-		// request and reply, and a REPLICATE reply demanding a reset. Their
-		// keys are unknown now.
+		// request and reply, a REPLICATE with the bootstrap bit, and a
+		// REPLICATE reply demanding a reset. Their keys are unknown now.
 		`{"type":11,"id":2,"from":1,"raw":true,"offset":4096,"snap_version":7}`,
+		`{"type":7,"id":2,"from":31,"epoch":1,"bootstrap":true,"node":"127.0.0.1:19201"}`,
 		`{"status":1,"id":4,"next":8193,"more":true,"data":"AAECAwQ=","snap_version":2}`,
 		`{"status":1,"id":3,"epoch":3,"bootstrap":true,"detail":"cursor predates snapshot boundary; reset and re-replicate from 1"}`,
 		// Case-folded, duplicate and unknown keys.
@@ -135,7 +136,7 @@ func FuzzFrameDifferential(f *testing.F) {
 			req.ID, req.Token, req.Sig, req.From = u, ids.Token(s), payload, int(n)
 		}
 		if on(1) {
-			req.Version, req.Epoch, req.Bootstrap, req.Node = int(n>>8), u>>1, flag, s
+			req.Version, req.Epoch, req.Node = int(n>>8), u>>1, s
 		}
 		if on(2) {
 			req.Cursor, req.LastEpoch = -int(n), u>>3

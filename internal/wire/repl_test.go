@@ -10,7 +10,7 @@ import (
 
 func TestReplicateRoundTrip(t *testing.T) {
 	req := NewReplicate(3, 17, 4)
-	if req.Type != MsgReplicate || req.From != 17 || req.Epoch != 4 || !req.Bootstrap {
+	if req.Type != MsgReplicate || req.From != 17 || req.Epoch != 4 {
 		t.Fatalf("NewReplicate = %+v", req)
 	}
 	if got := NewReplicate(1, 0, 1); got.From != 1 {
@@ -87,10 +87,8 @@ func TestReplicationFieldsOmittedWhenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"epoch", "bootstrap"} {
-		if strings.Contains(string(rb), `"`+field+`"`) {
-			t.Errorf("GET request leaks %q: %s", field, rb)
-		}
+	if strings.Contains(string(rb), `"epoch"`) {
+		t.Errorf("GET request leaks \"epoch\": %s", rb)
 	}
 }
 

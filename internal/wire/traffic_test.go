@@ -110,17 +110,15 @@ func TestFastPathCoversTraffic(t *testing.T) {
 		add("entries PUSH", wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Entries: entries, Next: next})
 	}
 
-	// Every shape of HELLO reply decorateHello stamps: both versions and
-	// roles, with and without a primary address and a fence.
+	// Every shape of HELLO reply decorateHello stamps: both roles, with
+	// and without a primary address and a fence.
 	histories := [][]wire.EpochFence{nil, {{E: 1, N: 0}}, {{E: 1, N: 0}, {E: 2, N: 40}, {E: 3, N: 41}}}
-	for _, version := range []int{wire.V1, wire.V2} {
-		for _, role := range []string{"primary", "follower"} {
-			for _, primary := range []string{"", "127.0.0.1:19200", "replica.example:9124"} {
-				for _, fence := range []int{0, 40} {
-					for _, fences := range histories {
-						add("HELLO reply", wire.Response{Status: wire.StatusOK, ID: 1, Version: version,
-							Epoch: uint64(len(fences)), Role: role, Primary: primary, Fence: fence, Fences: fences})
-					}
+	for _, role := range []string{"primary", "follower"} {
+		for _, primary := range []string{"", "127.0.0.1:19200", "replica.example:9124"} {
+			for _, fence := range []int{0, 40} {
+				for _, fences := range histories {
+					add("HELLO reply", wire.Response{Status: wire.StatusOK, ID: 1, Version: wire.V2,
+						Epoch: uint64(len(fences)), Role: role, Primary: primary, Fence: fence, Fences: fences})
 				}
 			}
 		}

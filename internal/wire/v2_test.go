@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"net"
+	"strings"
 	"testing"
 )
 
@@ -53,29 +55,6 @@ func TestResponseV2FieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// A v1 peer (this codebase before v2, or any strict JSON decoder using
-// encoding/json defaults) must be able to read v2 frames: the new
-// fields are additive and ignorable.
-func TestV2FramesDecodeAsV1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, NewHello(1)); err != nil {
-		t.Fatal(err)
-	}
-	// The v1 Request shape: only type/token/sig/from understood. Decode
-	// into a struct without the v2 fields.
-	var v1req struct {
-		Type  MsgType `json:"type"`
-		Token string  `json:"token,omitempty"`
-		From  int     `json:"from,omitempty"`
-	}
-	if err := ReadMessage(&buf, &v1req); err != nil {
-		t.Fatalf("v1 decode of HELLO: %v", err)
-	}
-	if v1req.Type != MsgHello {
-		t.Errorf("v1 peer saw type %v", v1req.Type)
-	}
-}
-
 func TestV2TypeStrings(t *testing.T) {
 	for want, m := range map[string]MsgType{
 		"HELLO":     MsgHello,
@@ -93,5 +72,41 @@ func TestPingHasNoPayload(t *testing.T) {
 	req := NewPing(3)
 	if req.Type != MsgPing || req.ID != 3 || req.From != 0 || req.Sig != nil {
 		t.Errorf("NewPing = %+v", req)
+	}
+}
+
+// Conn.Hello accepts only an ok at version 2 or later, and hands a
+// refusal's reply back with the error so callers can tell busy apart.
+func TestConnHelloAcceptsOnlyV2(t *testing.T) {
+	for _, tc := range []struct {
+		reply Response
+		ok    bool
+	}{
+		{Response{Status: StatusOK, ID: 1, Version: V2, Epoch: 3}, true},
+		{Response{Status: StatusOK, ID: 1, Version: 1}, false},
+		{Response{Status: StatusBusy, ID: 1, Detail: "session limit reached"}, false},
+		{Response{Status: StatusError, ID: 1, Detail: "unsupported protocol version 1"}, false},
+	} {
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			c := NewConn(server)
+			var req Request
+			if c.Recv(&req) != nil || req.Type != MsgHello || req.ID != 1 || req.Epoch != 7 || req.Node != "n1" {
+				return
+			}
+			_ = c.Send(tc.reply)
+		}()
+		resp, err := NewConn(client).Hello(7, "n1")
+		client.Close()
+		if (err == nil) != tc.ok {
+			t.Errorf("Hello against %+v: err = %v, want ok=%v", tc.reply, err, tc.ok)
+		}
+		if resp.Status != tc.reply.Status || resp.Detail != tc.reply.Detail {
+			t.Errorf("Hello returned %+v, want the reply %+v", resp, tc.reply)
+		}
+		if !tc.ok && err != nil && !strings.Contains(err.Error(), tc.reply.Status.String()) {
+			t.Errorf("refusal error %q does not name the status %s", err, tc.reply.Status)
+		}
 	}
 }

@@ -1,22 +1,20 @@
 // Package wire defines the Communix client↔server protocol (§III-B).
 //
-// Protocol v1 has two requests: ADD(sig) uploads a newly discovered
+// The protocol has two requests: ADD(sig) uploads a newly discovered
 // deadlock signature together with the sender's encrypted user id, and
 // GET(k) asks for database signatures starting from index k (1-based; a
 // client holding n signatures sends GET(n+1), making downloads
-// incremental). Messages are length-prefixed JSON over any byte stream,
-// answered strictly in order, one response per request.
+// incremental). Messages are length-prefixed JSON over any byte stream.
 //
-// Protocol v2 turns the same framing into a session: a client that opens
-// with HELLO negotiates a version, after which every request carries a
-// client-assigned ID echoed by the matching response (so several
-// requests can be in flight on one connection and answered out of
-// order), and two new exchanges exist — SUBSCRIBE(from) registers the
-// session for server-initiated PUSH frames carrying signature deltas,
-// and PING keeps an idle session verifiably alive. PUSH frames are
-// Responses with ID 0 (an ID no request ever uses) and Type MsgPush. A
-// peer whose first frame is ADD or GET (no HELLO) is a v1 peer and is
-// served exactly as before.
+// Every connection opens with HELLO, which negotiates the session
+// version. After it every request carries a client-assigned ID echoed by
+// the matching response, so several requests can be in flight on one
+// connection and be answered out of order. Sessions add SUBSCRIBE(from),
+// which registers the session for server-initiated PUSH frames carrying
+// signature deltas, and PING, which keeps an idle session verifiably
+// alive. PUSH frames are Responses with ID 0 (an ID no request ever
+// uses) and Type MsgPush. A server answers a connection whose first
+// frame is not HELLO with StatusError and closes it.
 //
 // Every payload is the JSON json.Marshal writes and json.Unmarshal
 // reads. Requests and Responses in the canonical subset (codec.go) go
@@ -41,30 +39,28 @@ import (
 // MsgType enumerates protocol messages.
 type MsgType int
 
-// Message types. Values are append-only and frozen once released: v1
-// peers answer 3+ with StatusError, which is exactly how a v2 client
-// detects a v1 server (see Hello).
+// Message types. Values are append-only and frozen once released.
 const (
 	// MsgAdd is ADD(sig): store a signature.
 	MsgAdd MsgType = iota + 1
 	// MsgGet is GET(k): fetch signatures from index k (1-based).
 	MsgGet
-	// MsgHello opens a v2 session: it carries the highest protocol
+	// MsgHello opens every session: it carries the highest protocol
 	// version the client speaks, and the server answers with the version
 	// the session will use (the minimum of both sides' maxima).
 	MsgHello
-	// MsgSubscribe is SUBSCRIBE(from), v2 only: register this session to
+	// MsgSubscribe is SUBSCRIBE(from): register this session to
 	// receive every database signature with index ≥ from as
 	// server-initiated PUSH frames — the backlog first, then live deltas
 	// seconds after other users contribute them.
 	MsgSubscribe
-	// MsgPing is a v2 keepalive: the server answers StatusOK, proving
+	// MsgPing is a keepalive: the server answers StatusOK, proving
 	// the session (and the server behind it) is still alive.
 	MsgPing
 	// MsgPush never appears in a request: it tags server-initiated
 	// Response frames (ID 0) carrying signature deltas to a subscriber.
 	MsgPush
-	// MsgReplicate is REPLICATE(from), v2 only: the replication analogue
+	// MsgReplicate is REPLICATE(from): the replication analogue
 	// of SUBSCRIBE. A follower replica registers its session to receive
 	// every log entry with index ≥ from as PUSH frames carrying full
 	// Entries (signature plus the user/timestamp metadata a replica needs
@@ -75,7 +71,7 @@ const (
 	MsgReplicate
 	// MsgPromote asks a follower to promote itself to primary: it stops
 	// following, bumps the epoch (fencing stale peers), and starts
-	// accepting ADDs. Works on v1 and v2 connections. Like -mint, this
+	// accepting ADDs. Like -mint, this
 	// is an operator endpoint; production deployments front it with
 	// transport-level auth.
 	MsgPromote
@@ -107,8 +103,7 @@ const (
 	// one the session registered, never the frame's.
 	MsgCursor
 	// 11 was SNAPSHOT, a bulk pull for replica bootstrap. It stays
-	// reserved: followers from before its removal may still send it, and
-	// it is answered as an unknown type.
+	// reserved and is answered as an unknown type.
 	_
 )
 
@@ -139,12 +134,9 @@ func (m MsgType) String() string {
 	return fmt.Sprintf("msg(%d)", int(m))
 }
 
-// Protocol versions.
+// Protocol versions. A HELLO asking for a version below V2 is refused.
 const (
-	// V1 is the original one-shot protocol: no HELLO, no request IDs,
-	// requests answered strictly in order.
-	V1 = 1
-	// V2 adds the negotiated session: request IDs, SUBSCRIBE/PUSH delta
+	// V2 is the negotiated session: request IDs, SUBSCRIBE/PUSH delta
 	// distribution, PING keepalives, and paginated GET replies.
 	V2 = 2
 	// MaxVersion is the highest version this implementation speaks.
@@ -166,8 +158,10 @@ const (
 	// StatusBusy: a quorum-mode server could not (yet) acknowledge the
 	// upload — its window of ADDs awaiting a majority is full, or the
 	// majority did not arrive in time; the entry is committed locally
-	// and the client should back off and retry. Overload is surfaced to
-	// the wire instead of growing an unbounded in-server queue.
+	// and the client should back off and retry. A HELLO past the
+	// server's session cap gets it too, and the connection is closed.
+	// Overload is surfaced to the wire instead of growing an unbounded
+	// in-server queue.
 	StatusBusy
 	// StatusNotPrimary: the request (ADD, or anything else that mutates)
 	// reached a follower replica. The reply's Primary field carries the
@@ -197,9 +191,8 @@ func (s Status) String() string {
 // Request is one client request.
 type Request struct {
 	Type MsgType `json:"type"`
-	// ID matches this request to its response on a v2 session. Client
-	// IDs start at 1; 0 is reserved for server-initiated PUSH frames.
-	// Absent (zero) on v1 connections, where responses arrive in order.
+	// ID matches this request to its response. Client IDs start at 1;
+	// 0 is reserved for server-initiated PUSH frames.
 	ID uint64 `json:"id,omitempty"`
 	// Token is the sender's encrypted user id; required for ADD, and for
 	// SUBSCRIBE when the server enforces per-user subscription quotas.
@@ -220,15 +213,12 @@ type Request struct {
 	// adopted epoch and any epoch it has voted in — which the primary
 	// requires to equal its own epoch before counting the report.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Bootstrap is a compatibility bit every REPLICATE sets and current
-	// servers ignore. A server from before SNAPSHOT's removal demands a
-	// reset from a follower whose cursor predates its compaction
-	// boundary unless the bit is set; set, it streams from the cursor.
-	Bootstrap bool `json:"bootstrap,omitempty"`
-	// Node identifies the sending replica (REPLICATE) or the candidate
-	// (VOTE) in a replicated cell: its advertised address. Quorum
-	// tracking and vote granting only honor nodes named in the
-	// receiving server's configured peer list.
+	// Node identifies the sending replica (REPLICATE), the candidate
+	// (VOTE) or the cell member a session speaks for (HELLO) in a
+	// replicated cell: its advertised address. Quorum tracking and vote
+	// granting only honor nodes named in the receiving server's
+	// configured peer list; a HELLO naming a peer or the receiving node
+	// itself is admitted past its session cap.
 	Node string `json:"node,omitempty"`
 	// Cursor is the sender's durable log length: on CURSOR it is the
 	// follower's applied cursor, on VOTE the candidate's — the length
@@ -242,11 +232,10 @@ type Request struct {
 }
 
 // Response is one server reply, or (ID 0, Type MsgPush) one
-// server-initiated PUSH frame on a subscribed v2 session.
+// server-initiated PUSH frame on a subscribed session.
 type Response struct {
 	Status Status `json:"status"`
-	// ID echoes the request's ID on a v2 session; 0 marks a
-	// server-initiated PUSH frame.
+	// ID echoes the request's ID; 0 marks a server-initiated PUSH frame.
 	ID uint64 `json:"id,omitempty"`
 	// Type is MsgPush on server-initiated frames, zero otherwise.
 	Type MsgType `json:"type,omitempty"`
@@ -346,7 +335,7 @@ func NewGet(from int) Request {
 	return Request{Type: MsgGet, From: from}
 }
 
-// NewHello builds the v2 session-opening handshake request.
+// NewHello builds the session-opening handshake request.
 func NewHello(id uint64) Request {
 	return Request{Type: MsgHello, ID: id, Version: MaxVersion}
 }
@@ -358,13 +347,12 @@ func NewHelloAt(id uint64, epoch uint64) Request {
 }
 
 // NewReplicate builds a REPLICATE request: ship log entries from index
-// from (1-based) on, to a follower at the given epoch. It always sets
-// Bootstrap, so older servers stream from the cursor too.
+// from (1-based) on, to a follower at the given epoch.
 func NewReplicate(id uint64, from int, epoch uint64) Request {
 	if from < 1 {
 		from = 1
 	}
-	return Request{Type: MsgReplicate, ID: id, From: from, Epoch: epoch, Bootstrap: true}
+	return Request{Type: MsgReplicate, ID: id, From: from, Epoch: epoch}
 }
 
 // NewPromote builds a PROMOTE request.
@@ -410,22 +398,13 @@ func NewPing(id uint64) Request {
 	return Request{Type: MsgPing, ID: id}
 }
 
-// MaxFrameSize bounds one *written* length-prefixed frame. Since GET
-// replies are paginated (MaxGetBatch/MaxGetBytes), no legitimate frame
-// comes close to this: the worst case is one page of MaxGetBytes plus a
-// single oversized signature (the signature codec caps one encoded
-// signature at 1 MiB) plus envelope overhead. 8 MiB leaves generous
-// slack — an order of magnitude tighter than the historical 64 MiB
-// single-frame-full-database bound.
+// MaxFrameSize bounds one length-prefixed frame, written or read. Since
+// GET replies are paginated (MaxGetBatch/MaxGetBytes), no legitimate
+// frame comes close to this: the worst case is one page of MaxGetBytes
+// plus a single oversized signature (the signature codec caps one
+// encoded signature at 1 MiB) plus envelope overhead. A peer announcing
+// a larger frame is refused before its payload is allocated.
 const MaxFrameSize = 8 << 20
-
-// MaxReadFrameSize bounds one *read* frame. It stays at the historical
-// 64 MiB for one compatibility cycle: a v2 client falling back against
-// a pre-pagination v1 server receives the whole database as a single
-// frame, which must not be refused just because this side would never
-// send one. Hostile-peer allocation is still bounded; tighten this to
-// MaxFrameSize once pre-pagination servers are extinct.
-const MaxReadFrameSize = 64 << 20
 
 // Pagination caps for GET replies and PUSH frames. A server reply stops
 // adding signatures at whichever cap is hit first and sets More; the
@@ -493,7 +472,7 @@ func ReadMessage(r io.Reader, v any) error {
 		return fmt.Errorf("wire: read header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxReadFrameSize {
+	if n > MaxFrameSize {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	payload := make([]byte, n)
@@ -547,4 +526,26 @@ func (c *Conn) SendEncoded(frame []byte) error {
 // Recv reads one frame.
 func (c *Conn) Recv(v any) error {
 	return ReadMessage(c.r, v)
+}
+
+// Hello opens a session on a fresh connection: it sends HELLO with ID 1,
+// announcing the caller's last-adopted promotion epoch and the cell
+// member it speaks for (node; "" for a client), and reads the reply, so
+// the caller's next request uses ID 2. Any reply other than StatusOK at
+// version V2 or later is an error; the reply is returned with it, so a
+// caller can tell a busy server from a refusal.
+func (c *Conn) Hello(epoch uint64, node string) (Response, error) {
+	req := NewHelloAt(1, epoch)
+	req.Node = node
+	if err := c.Send(req); err != nil {
+		return Response{}, err
+	}
+	var resp Response
+	if err := c.Recv(&resp); err != nil {
+		return Response{}, err
+	}
+	if resp.Status != StatusOK || resp.Version < V2 {
+		return resp, fmt.Errorf("wire: hello refused: %s: %s", resp.Status, resp.Detail)
+	}
+	return resp, nil
 }

@@ -62,23 +62,22 @@ func TestNewGetClampsIndex(t *testing.T) {
 
 func TestReadMessageRejectsOversizedFrame(t *testing.T) {
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxReadFrameSize+1)
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
 	err := ReadMessage(bytes.NewReader(hdr[:]), &Request{})
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized frame error = %v", err)
 	}
 }
 
-// A frame too large to write but within the read bound must still be
-// accepted on read: a pre-pagination v1 server legitimately sends its
-// whole database as one frame up to the historical 64 MiB.
-func TestReadAcceptsLegacyOversizedWriteFrame(t *testing.T) {
+// Reads and writes share one bound: a complete, well-formed frame one
+// byte over MaxFrameSize is refused on read.
+func TestReadRefusesFrameOverMaxFrameSize(t *testing.T) {
 	payload, err := json.Marshal(Request{Type: MsgGet, From: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pad the payload with JSON whitespace past the write bound.
-	padded := append(make([]byte, 0, MaxFrameSize+16), payload...)
+	// Pad the payload with JSON whitespace to one byte past the bound.
+	padded := append(make([]byte, 0, MaxFrameSize+1), payload...)
 	for len(padded) <= MaxFrameSize {
 		padded = append(padded, ' ')
 	}
@@ -88,11 +87,9 @@ func TestReadAcceptsLegacyOversizedWriteFrame(t *testing.T) {
 	buf.Write(hdr[:])
 	buf.Write(padded)
 	var got Request
-	if err := ReadMessage(&buf, &got); err != nil {
-		t.Fatalf("read of legacy-sized frame failed: %v", err)
-	}
-	if got.Type != MsgGet || got.From != 1 {
-		t.Errorf("round trip: %+v", got)
+	err = ReadMessage(&buf, &got)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("read of a %d-byte frame = %v, want the size refusal", len(padded), err)
 	}
 }
 
