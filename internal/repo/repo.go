@@ -260,8 +260,10 @@ func (r *Repo) ResolvePending(appKey string, positions []int) error {
 	return r.saveLocked()
 }
 
-// saveLocked persists atomically (temp file + rename); in-memory repos
-// skip persistence.
+// saveLocked persists atomically and durably: temp file, fsync, rename,
+// fsync of the directory. Without the first fsync a crash can leave the
+// renamed file empty, which Open refuses; without the second the rename
+// itself can be lost. In-memory repos skip persistence.
 func (r *Repo) saveLocked() error {
 	if r.path == "" {
 		return nil
@@ -270,12 +272,18 @@ func (r *Repo) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("repo: save: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(r.path), ".repo-*")
+	dir := filepath.Dir(r.path)
+	tmp, err := os.CreateTemp(dir, ".repo-*")
 	if err != nil {
 		return fmt.Errorf("repo: save: %w", err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("repo: save: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("repo: save: %w", err)
@@ -287,6 +295,14 @@ func (r *Repo) saveLocked() error {
 	if err := os.Rename(tmpName, r.path); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("repo: save: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("repo: save: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("repo: save: sync dir: %w", err)
 	}
 	return nil
 }

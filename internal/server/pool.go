@@ -274,7 +274,7 @@ func (s *Server) dispatchPush(sess *session) {
 			// downgrade. Either way the client drains via paginated GETs
 			// and the completing reply re-arms (or, for shed sessions,
 			// re-attempts admission).
-			frame, err := wire.EncodeFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Next: cur, More: true})
+			frame, err := wire.EncodeStoredFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Next: cur, More: true})
 			if err != nil {
 				sess.shutdown()
 				return
@@ -349,7 +349,7 @@ func (s *Server) encodedPushPage(cur int) ([]byte, int, error) {
 	if len(sigs) == 0 {
 		return nil, 0, nil
 	}
-	enc, err := wire.EncodeFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Sigs: sigs, Next: next})
+	enc, err := wire.EncodeStoredFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Sigs: sigs, Next: next})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -368,7 +368,7 @@ func (s *Server) encodedReplPage(cur int) ([]byte, int, error) {
 	if len(entries) == 0 {
 		return nil, 0, nil
 	}
-	enc, err := wire.EncodeFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Entries: entriesToWire(entries), Next: next})
+	enc, err := wire.EncodeStoredFrame(wire.Response{Status: wire.StatusOK, Type: wire.MsgPush, Entries: entriesToWire(entries), Next: next})
 	if err != nil {
 		return nil, 0, err
 	}

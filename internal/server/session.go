@@ -297,12 +297,18 @@ func (sess *session) shutdown() {
 // pushes alike — leaves through here, so interleaving is frame-atomic.
 // After each written PUSH it clears inflight and re-wakes the pusher,
 // which is what clocks page production to the subscriber's socket.
+// Responses are encoded with EncodeStoredFrame: the only signatures a
+// reply carries are GetPage's store entries.
 func (s *Server) writeLoop(sess *session) {
 	defer sess.wg.Done()
 	for {
 		select {
 		case f := <-sess.out:
-			if err := sess.wc.Send(f.resp); err != nil {
+			enc, err := wire.EncodeStoredFrame(f.resp)
+			if err == nil {
+				err = sess.wc.SendEncoded(enc)
+			}
+			if err != nil {
 				sess.shutdown()
 				return
 			}

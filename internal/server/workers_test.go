@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,10 +104,29 @@ func TestSessionPipelinedAddsAnsweredByID(t *testing.T) {
 	}
 }
 
+// addWorkers counts the goroutines running (*Server).addWorker in the
+// goroutine profile. Unlike a NumGoroutine delta, the count ignores
+// goroutines the runtime and the rest of the process start and stop
+// meanwhile.
+func addWorkers(t *testing.T) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 2); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, g := range strings.Split(b.String(), "\n\n") {
+		if strings.Contains(g, ".(*Server).addWorker(") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSessionWorkersParkedStillAnswerGetAndPing: with every worker held
 // by a quorum-parked ADD, the session still answers GET and PING, a
 // further ADD waits instead of starting a 33rd worker, and the session
-// has grown by exactly the workers.
+// runs exactly that many workers.
 func TestSessionWorkersParkedStillAnswerGetAndPing(t *testing.T) {
 	srv, addr, auth := v2TestServer(t, parkingConfig())
 	_, c := dialV2(t, addr)
@@ -128,8 +150,8 @@ func TestSessionWorkersParkedStillAnswerGetAndPing(t *testing.T) {
 		t.Fatalf("GET while parked = %+v (%d sigs), %v", resp, len(resp.Sigs), err)
 	}
 	roundTrip(t, c, 3)
-	if grew := runtime.NumGoroutine() - base; grew != sessionMaxInflightAdds {
-		t.Errorf("goroutines grew by %d with every worker parked, want %d", grew, sessionMaxInflightAdds)
+	if got := addWorkers(t); got != sessionMaxInflightAdds {
+		t.Errorf("%d ADD workers with every worker parked, want %d", got, sessionMaxInflightAdds)
 	}
 
 	// One more ADD: the reader holds it until a worker frees up.

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"unicode/utf8"
 	"unsafe"
+
+	"communix/internal/jsonscan"
 )
 
 // MaxEncodedSize is the largest encoded signature the decoders accept.
@@ -366,13 +368,18 @@ func (d *canonDecoder) array(elem func() bool) bool {
 	}
 }
 
-// str parses a string of printable ASCII without escapes.
+// str parses a string of printable ASCII without escapes. Runs of
+// plain bytes are skipped a word at a time; every other byte takes the
+// switch.
 func (d *canonDecoder) str() (string, bool) {
 	if !d.consume('"') {
 		return "", false
 	}
 	start := d.pos
 	for i := start; i < len(d.src); i++ {
+		if i += jsonscan.Plain(d.src[i:]); i == len(d.src) {
+			break
+		}
 		switch c := d.src[i]; {
 		case c == '"':
 			d.pos = i + 1

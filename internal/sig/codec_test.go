@@ -162,3 +162,47 @@ func TestEncodedSizeZeroForInvalid(t *testing.T) {
 		t.Errorf("EncodedSize(invalid) = %d, want 0", n)
 	}
 }
+
+// strBytewise is canonDecoder.str's byte-at-a-time reference, from the
+// opening quote at d.src[d.pos].
+func strBytewise(d *canonDecoder) (string, bool) {
+	d.pos++
+	start := d.pos
+	for i := start; i < len(d.src); i++ {
+		switch c := d.src[i]; {
+		case c == '"':
+			d.pos = i + 1
+			return d.src[start:i], true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return "", false
+		case c == '<' || c == '>' || c == '&':
+			d.inexact = true
+		}
+	}
+	return "", false
+}
+
+// TestStrEveryByteEveryOffset puts each byte value at each offset 0–15
+// of a plain string body, of every length up to 24, closed by a quote or
+// cut short, and holds the word-at-a-time str to its byte-at-a-time
+// reference: the same string, verdict, position and exactness.
+func TestStrEveryByteEveryOffset(t *testing.T) {
+	for n := 1; n <= 24; n++ {
+		for off := 0; off < 16 && off < n; off++ {
+			for c := 0; c < 256; c++ {
+				body := bytes.Repeat([]byte{'a'}, n)
+				body[off] = byte(c)
+				for _, tail := range []string{`"`, `<"`, ``} {
+					src := `"` + string(body) + tail
+					got, want := canonDecoder{src: src}, canonDecoder{src: src}
+					s, ok := got.str()
+					ws, wok := strBytewise(&want)
+					if s != ws || ok != wok || got.pos != want.pos || got.inexact != want.inexact {
+						t.Fatalf("str(%q) = %q, %v, pos %d, inexact %v; byte by byte %q, %v, %d, %v",
+							src, s, ok, got.pos, got.inexact, ws, wok, want.pos, want.inexact)
+					}
+				}
+			}
+		}
+	}
+}

@@ -153,7 +153,11 @@ var goroutinePrefix = []byte("goroutine ")
 // GoroutineID returns the runtime id of the calling goroutine, parsed from
 // the first line of its stack dump ("goroutine N [running]:"). Go offers
 // no supported accessor for goroutine identity; the textual header is the
-// conventional, stable workaround and costs one bounded Stack call.
+// conventional, stable workaround. It is not cheap: runtime.Stack walks
+// and formats every frame of the goroutine's stack whatever the size of
+// the buffer, so one call costs microseconds and grows with call depth
+// (BenchmarkGoroutineID: about 5, 14 and 42 µs at depths 1, 16 and 64 on
+// a 2-core x86-64 VM).
 func GoroutineID() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)

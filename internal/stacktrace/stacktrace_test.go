@@ -1,9 +1,12 @@
 package stacktrace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"communix/internal/sig"
 )
 
 //go:noinline
@@ -169,5 +172,29 @@ func TestShortFuncName(t *testing.T) {
 		if got := shortFuncName(in); got != want {
 			t.Errorf("shortFuncName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+var idSink uint64
+
+// BenchmarkGoroutineID measures GoroutineID on a goroutine whose call
+// chain is depth frames deep. runtime.Stack walks and formats the whole
+// stack whatever the size of the buffer it fills, so the cost grows
+// with depth.
+func BenchmarkGoroutineID(b *testing.B) {
+	for _, depth := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				deepChain(depth-1, func() sig.Stack {
+					for i := 0; i < b.N; i++ {
+						idSink = GoroutineID()
+					}
+					return nil
+				})
+			}()
+			<-done
+		})
 	}
 }

@@ -2,15 +2,18 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"communix/internal/ids"
+	"communix/internal/sig"
 )
 
 // applyAll pages src's full log into dst through the replication
@@ -483,5 +486,69 @@ func TestCompactionDuringCatchUp(t *testing.T) {
 	}
 	if follower.StateDigest() != primary.StateDigest() {
 		t.Fatal("follower diverges after compaction-during-catch-up")
+	}
+}
+
+// TestNonExactEntriesServedAsEncoded: a WAL record and a replicated
+// entry whose bytes are a valid signature but not what sig.Encode writes
+// (whitespace between tokens, threads out of canonical order) are both
+// served as sig.Encode's bytes — after Open's replay, after
+// ApplyReplicated, and after a reopen of the follower's own WAL.
+func TestNonExactEntriesServedAsEncoded(t *testing.T) {
+	clock := newTestClock()
+	r := rand.New(rand.NewSource(30))
+	s1, s2 := distinctSig(r, 0), distinctSig(r, 1)
+	spaced, err := json.MarshalIndent(s1, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := &sig.Signature{Threads: []sig.ThreadSpec{s2.Threads[1], s2.Threads[0]}}
+	reordered, err := json.Marshal(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, 2)
+	for i, s := range []*sig.Signature{s1, s2} {
+		enc, err := sig.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = string(enc)
+	}
+	for _, raw := range [][]byte{spaced, reordered} {
+		if _, exact, err := sig.DecodeVerbatim(raw); err != nil || exact {
+			t.Fatalf("DecodeVerbatim(%s) = exact %v, %v; the test needs valid non-exact bytes", raw, exact, err)
+		}
+	}
+
+	dir := t.TempDir()
+	writeSegmentFile(t, dir, 1, []walEntry{{user: 1, unix: clock.Now().Unix(), data: spaced}})
+	st, err := Open(persistCfg(dir, clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := getAll(t, st); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("replayed WAL record served as %q, want %q", got, want[:1])
+	}
+	if _, err := st.ApplyReplicated(2, []Entry{{User: 2, Unix: clock.Now().Unix(), Data: reordered}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := getAll(t, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after ApplyReplicated served %q, want %q", got, want)
+	}
+	if entries, _, _ := st.EntryPage(1, 0, 0); string(entries[1].Data) != want[1] {
+		t.Fatalf("EntryPage served %s, want %s", entries[1].Data, want[1])
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(persistCfg(dir, clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := getAll(t, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after reopen served %q, want %q", got, want)
 	}
 }

@@ -314,8 +314,7 @@ func Open(cfg Config) (*Store, error) {
 		compactN: cfg.CompactSegments,
 		readOnly: cfg.ReadOnly,
 	}, func(e walEntry) error {
-		// The log keeps e.data, so the signature may share it.
-		s, err := sig.DecodeShared(e.data)
+		s, data, err := decodeEntry(e.data)
 		if err != nil {
 			return err
 		}
@@ -340,7 +339,7 @@ func Open(cfg Config) (*Store, error) {
 			}
 			u.used++
 		}
-		recovered = append(recovered, Entry{User: e.user, Unix: e.unix, Data: e.data})
+		recovered = append(recovered, Entry{User: e.user, Unix: e.unix, Data: data})
 		return nil
 	})
 	if err != nil {
@@ -560,6 +559,20 @@ func (st *Store) writeGroup(entries []walEntry) (int, error) {
 	return st.log.Append(logEntries(entries)), err
 }
 
+// decodeEntry decodes a signature read back from the WAL or received
+// from the primary. It returns the bytes the log is to keep: data itself
+// (which the signature may share) when it is exactly what sig.Encode
+// writes, else sig.Encode's bytes. With admit storing only canonical
+// bytes, the log holds nothing else (see Get).
+func decodeEntry(data []byte) (*sig.Signature, []byte, error) {
+	s, exact, err := sig.DecodeVerbatim(data)
+	if err != nil || exact {
+		return s, data, err
+	}
+	data, err = sig.Encode(s)
+	return s, data, err
+}
+
 // logEntries converts WAL entries to the log's exported form.
 func logEntries(entries []walEntry) []Entry {
 	batch := make([]Entry, len(entries))
@@ -634,6 +647,13 @@ func (st *Store) admit(user ids.UserID, s *sig.Signature, data json.RawMessage) 
 // treated as 1 (the paper's worst-case GET(0): send everything). Get is
 // lock-free: it reads an atomic snapshot of the log and never blocks or
 // is blocked by concurrent ADDs.
+//
+// Every signature Get, GetPage and EntryPage return is byte for byte what
+// sig.Encode writes for it, and never changes: admit stores only such
+// bytes, and Open's replay and ApplyReplicated re-encode any entry that
+// is not. A server may therefore write them without checking them again
+// (wire.EncodeStoredFrame). They are shared with the log: callers must
+// not modify them.
 func (st *Store) Get(from int) ([]json.RawMessage, int) {
 	return st.log.ReadFrom(from)
 }
@@ -642,7 +662,8 @@ func (st *Store) Get(from int) ([]json.RawMessage, int) {
 // summing at most maxBytes encoded bytes (a single oversized signature
 // still ships alone, so pages always make progress). It returns the
 // page, the next index to request, and whether signatures remain past
-// it. Zero caps mean unbounded. Like Get it is lock-free.
+// it. Zero caps mean unbounded. Like Get it is lock-free, and its
+// signatures are sig.Encode's bytes.
 func (st *Store) GetPage(from, maxCount, maxBytes int) ([]json.RawMessage, int, bool) {
 	return st.log.ReadPage(from, maxCount, maxBytes)
 }
@@ -697,10 +718,11 @@ func (st *Store) Close() error {
 // takes. See docs/ARCHITECTURE.md ("Replication").
 
 // EntryPage returns one page of full log entries from 1-based index
-// from, under the same paging contract as GetPage. Any cursor can be
-// served: Open replays the snapshot and the segments into the in-memory
-// log and nothing ever trims it, so compaction only changes how the
-// prefix is stored on disk.
+// from, under the same paging contract as GetPage; each Data is
+// sig.Encode's bytes, as Get's are. Any cursor can be served: Open
+// replays the snapshot and the segments into the in-memory log and
+// nothing ever trims it, so compaction only changes how the prefix is
+// stored on disk.
 func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 	return st.log.EntryPage(from, maxCount, maxBytes)
 }
@@ -734,8 +756,7 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	today := st.clock().UTC().Unix() / 86400
 	batch := make([]walEntry, 0, len(entries))
 	for _, e := range entries {
-		// The log keeps e.Data, so the signature may share it.
-		s, err := sig.DecodeShared(e.Data)
+		s, data, err := decodeEntry(e.Data)
 		if err != nil {
 			return 0, fmt.Errorf("store: replicated entry: %w", err)
 		}
@@ -764,7 +785,7 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 			u.used++
 		}
 		us.mu.Unlock()
-		batch = append(batch, walEntry{user: e.User, unix: e.Unix, data: e.Data})
+		batch = append(batch, walEntry{user: e.User, unix: e.Unix, data: data})
 	}
 	first, err := st.commit(batch)
 	if first == 0 {

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"communix/internal/ids"
+	"communix/internal/jsonscan"
 )
 
 // This file is the hand-written frame codec for Request and Response
@@ -31,7 +32,8 @@ import (
 // (reports false) and the caller hands the whole frame to encoding/json,
 // so accept/reject decisions and error text stay encoding/json's.
 
-// Byte classes of the string scanner.
+// Byte classes of the string scanner. The strPlain bytes are exactly
+// jsonscan's plain bytes.
 const (
 	strPlain   = iota // printable ASCII with no special meaning
 	strHigh           // a byte outside ASCII other than 0xE2
@@ -177,13 +179,12 @@ func skipKey(b []byte, i int, compact *bool) int {
 	return i + 1
 }
 
-// skipString skips the string whose opening quote is b[i].
+// skipString skips the string whose opening quote is b[i]. Runs of
+// strPlain bytes are skipped a word at a time; every other byte takes
+// the switch.
 func skipString(b []byte, i int, compact *bool) int {
 	for i++; i < len(b); i++ {
-		for i < len(b) && strClass[b[i]] == strPlain {
-			i++
-		}
-		if i == len(b) {
+		if i += jsonscan.Plain(b[i:]); i == len(b) {
 			return -1
 		}
 		switch strClass[b[i]] {
@@ -271,12 +272,7 @@ func skipDigits(b []byte, i int) int {
 
 // plainString reports whether s is in the subset's string form.
 func plainString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if strClass[s[i]] != strPlain {
-			return false
-		}
-	}
-	return true
+	return jsonscan.Plain(s) == len(s)
 }
 
 // compactRaw reports whether json.Marshal writes the raw value v
@@ -295,6 +291,9 @@ type frameEncoder struct {
 	b     []byte
 	ok    bool
 	first bool // no member written yet in the innermost object
+	// stored: every raw value is a store entry, which compactRaw always
+	// passes, so raw copies it unchecked.
+	stored bool
 }
 
 // newFrameEncoder starts a frame whose payload should take about size
@@ -358,7 +357,7 @@ func (e *frameEncoder) raw(v json.RawMessage) {
 	if !e.ok {
 		return
 	}
-	if !compactRaw(v) {
+	if !e.stored && !compactRaw(v) {
 		e.ok = false
 	} else if v == nil {
 		e.b = append(e.b, "null"...)
@@ -463,10 +462,10 @@ func canonicalFrame(v any) ([]byte, bool) {
 			return requestFrame(m)
 		}
 	case Response:
-		return responseFrame(&m)
+		return responseFrame(&m, false)
 	case *Response:
 		if m != nil {
-			return responseFrame(m)
+			return responseFrame(m, false)
 		}
 	}
 	return nil, false
@@ -478,7 +477,9 @@ func requestFrame(r *Request) ([]byte, bool) {
 	return e.b, e.ok
 }
 
-func responseFrame(r *Response) ([]byte, bool) {
+// responseFrame encodes r; stored skips the raw-value checks (see
+// frameEncoder).
+func responseFrame(r *Response, stored bool) ([]byte, bool) {
 	n := responseEnvelope + len(r.Detail) + len(r.Role) + len(r.Primary) +
 		elementEnvelope*(len(r.Fences)+len(r.Entries))
 	for _, s := range r.Sigs {
@@ -488,6 +489,7 @@ func responseFrame(r *Response) ([]byte, bool) {
 		n += len(en.Sig)
 	}
 	e := newFrameEncoder(n)
+	e.stored = stored
 	e.response(r)
 	return e.b, e.ok
 }
@@ -558,18 +560,13 @@ func (d *frameDecoder) str() ([]byte, bool) {
 	if !d.consume('"') {
 		return nil, false
 	}
-	for i := d.i; i < len(d.b); i++ {
-		switch strClass[d.b[i]] {
-		case strPlain:
-		case strQuote:
-			s := d.b[d.i:i]
-			d.i = i + 1
-			return s, true
-		default:
-			return nil, false
-		}
+	i := d.i + jsonscan.Plain(d.b[d.i:])
+	if i == len(d.b) || d.b[i] != '"' {
+		return nil, false
 	}
-	return nil, false
+	s := d.b[d.i:i]
+	d.i = i + 1
+	return s, true
 }
 
 // maxPlainDigits keeps every plain integer inside int64 and uint64.

@@ -159,7 +159,30 @@ func FuzzFrameDifferential(f *testing.F) {
 		}
 		checkEncode(t, resp)
 		checkEncode(t, &resp)
+		checkStored(t, resp)
 	})
+}
+
+// checkStored holds EncodeStoredFrame to EncodeFrame on a Response
+// whose raw values are all ones json.Marshal writes unchanged (or nil,
+// written as null) — the values a store holds: the same frame, or an
+// error from both.
+func checkStored(t *testing.T, r Response) {
+	t.Helper()
+	raws := append([]json.RawMessage(nil), r.Sigs...)
+	for _, en := range r.Entries {
+		raws = append(raws, en.Sig)
+	}
+	for _, v := range raws {
+		if m, err := json.Marshal(v); v != nil && (err != nil || !bytes.Equal(m, v)) {
+			return
+		}
+	}
+	want, wantErr := EncodeFrame(r)
+	got, err := EncodeStoredFrame(r)
+	if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("EncodeStoredFrame(%#v) = %q, %v; EncodeFrame %q, %v", r, got, err, want, wantErr)
+	}
 }
 
 // TestSkipValue holds the skipper to json.Valid, and its compact verdict
@@ -191,6 +214,79 @@ func TestSkipValue(t *testing.T) {
 		}
 		if same := bytes.Equal(marshaled, b); compact != same {
 			t.Errorf("skipValue(%q) compact %v; json.Marshal writes %q", p, compact, marshaled)
+		}
+	}
+}
+
+// skipStringBytewise is skipString's byte-at-a-time reference.
+func skipStringBytewise(b []byte, i int, compact *bool) int {
+	for i++; i < len(b); i++ {
+		switch strClass[b[i]] {
+		case strPlain, strHigh:
+		case strQuote:
+			return i + 1
+		case strEscape:
+			if i++; i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return -1
+				}
+				i += 4
+			default:
+				return -1
+			}
+		case strHTML:
+			*compact = false
+		case strE2:
+			if i+2 < len(b) && b[i+1] == 0x80 && b[i+2]&^1 == 0xA8 {
+				*compact = false
+			}
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
+// TestStringScansEveryByteEveryOffset puts each byte value at each
+// offset 0–15 of a plain string body, of every length up to 24, and
+// holds the word-at-a-time scanners to their byte-at-a-time references:
+// skipString's end and compact verdict, plainString, and the frame
+// decoder's string. Each body is tried closed by a quote, followed by
+// what may complete an escape or a U+2028, and cut short.
+func TestStringScansEveryByteEveryOffset(t *testing.T) {
+	for n := 1; n <= 24; n++ {
+		for off := 0; off < 16 && off < n; off++ {
+			for c := 0; c < 256; c++ {
+				body := bytes.Repeat([]byte{'a'}, n)
+				body[off] = byte(c)
+				if want, got := strClass[c] == strPlain, plainString(string(body)); got != want {
+					t.Fatalf("plainString(%q) = %v, want %v", body, got, want)
+				}
+				for _, tail := range []string{`"`, "\x80\xa8\"", `u0041"`, ``} {
+					b := append(append([]byte{'"'}, body...), tail...)
+					gotCompact, wantCompact := true, true
+					got := skipString(b, 0, &gotCompact)
+					want := skipStringBytewise(b, 0, &wantCompact)
+					if got != want || gotCompact != wantCompact {
+						t.Fatalf("skipString(%q) = %d, compact %v; byte by byte %d, %v", b, got, gotCompact, want, wantCompact)
+					}
+					end := 1
+					for end < len(b) && strClass[b[end]] == strPlain {
+						end++
+					}
+					wantOK := end < len(b) && b[end] == '"'
+					d := frameDecoder{b: b}
+					s, ok := d.str()
+					if ok != wantOK || ok && (string(s) != string(b[1:end]) || d.i != end+1) {
+						t.Fatalf("frameDecoder.str(%q) = %q, %v at %d; want ok %v", b, s, ok, d.i, wantOK)
+					}
+				}
+			}
 		}
 	}
 }

@@ -433,11 +433,7 @@ func WriteMessage(w io.Writer, v any) error {
 }
 
 // EncodeFrame marshals v into one complete length-prefixed frame —
-// header and payload in a single byte slice, ready for SendEncoded. The
-// server's pooled pusher uses this to marshal a PUSH page once and fan
-// the identical bytes out to every subscriber at the same cursor
-// (pages of the append-only log are immutable, so an encoded frame for
-// a given index range never goes stale).
+// header and payload in a single byte slice, ready for SendEncoded.
 //
 // The payload is json.Marshal's: a Request or Response in the canonical
 // subset (codec.go) is appended field by field, anything else marshaled
@@ -445,12 +441,42 @@ func WriteMessage(w io.Writer, v any) error {
 func EncodeFrame(v any) ([]byte, error) {
 	frame, ok := canonicalFrame(v)
 	if !ok {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal: %w", err)
-		}
-		frame = append(append(frame[:0], 0, 0, 0, 0), payload...)
+		return marshalFrame(frame, v)
 	}
+	return finishFrame(frame)
+}
+
+// EncodeStoredFrame is EncodeFrame for a Response whose raw values —
+// every Sigs element and Entries[].Sig — are store entries: the bytes
+// sig.Encode writes, which json.Marshal copies unchanged and the store
+// never modifies after admitting them. It copies them without the
+// per-value scan EncodeFrame runs, which is why the server writes every
+// reply and PUSH page with it (pages of the append-only log are
+// immutable, so the pooled pusher encodes a page once and fans the
+// bytes out to every subscriber at the same cursor). For such a
+// Response it writes EncodeFrame's bytes; any other raw value breaks
+// the contract and may put invalid JSON on the wire. Envelope strings
+// are checked as in EncodeFrame.
+func EncodeStoredFrame(r Response) ([]byte, error) {
+	frame, ok := responseFrame(&r, true)
+	if !ok {
+		return marshalFrame(frame, r)
+	}
+	return finishFrame(frame)
+}
+
+// marshalFrame encodes v with encoding/json, reusing the storage of buf
+// (the canonical encoder's declined attempt).
+func marshalFrame(buf []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("wire: marshal: %w", err)
+	}
+	return finishFrame(append(append(buf[:0], 0, 0, 0, 0), payload...))
+}
+
+// finishFrame bounds a frame's payload and writes its length prefix.
+func finishFrame(frame []byte) ([]byte, error) {
 	n := len(frame) - 4
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
@@ -511,8 +537,8 @@ func (c *Conn) Send(v any) error {
 	return nil
 }
 
-// SendEncoded writes one pre-encoded frame (from EncodeFrame) and
-// flushes.
+// SendEncoded writes one pre-encoded frame (from EncodeFrame or
+// EncodeStoredFrame) and flushes.
 func (c *Conn) SendEncoded(frame []byte) error {
 	if _, err := c.w.Write(frame); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
