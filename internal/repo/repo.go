@@ -98,36 +98,52 @@ func Open(path string) (*Repo, error) {
 }
 
 // Append stores newly downloaded signatures and advances the server
-// cursor. Undecodable signatures are skipped (the server is not trusted
-// blindly); duplicates by content are kept — positions must stay aligned
-// with server indexes. The batch covers server indexes
-// [next-len(raw), next); entries already below the cursor were appended
-// by an earlier or concurrent sync (the background client's immediate
-// first sync can race an explicit SyncNow, both fetching the same
-// range) and are skipped, making overlapping Appends idempotent.
+// cursor. The batch covers server indexes [next-len(raw), next); entries
+// already below the cursor were appended by an earlier or concurrent
+// sync (the background client's immediate first sync can race an
+// explicit SyncNow, both fetching the same range) and are skipped,
+// making overlapping Appends idempotent. An Append that adds nothing
+// and leaves the cursor where it was writes nothing.
+//
+// Append is where downloaded signatures are validated: the frame
+// decoder only delimits them. The whole page is checked before any of
+// it is kept. A value that is not JSON rejects the page, leaving the
+// repository unchanged; a JSON value that is not a valid signature is
+// skipped (the server is not trusted blindly). Duplicates by content
+// are kept — positions must stay aligned with server indexes.
 //
 // The repository keeps the raw slices, and its decoded signatures share
 // their bytes: the caller must not modify them afterwards.
 func (r *Repo) Append(raw []json.RawMessage, next int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if next <= r.state.Next {
-		raw = nil // entirely covered by a previous sync
-	} else if skip := r.state.Next - (next - len(raw)); skip > 0 {
-		raw = raw[skip:]
-	}
-	for _, data := range raw {
+	covered := min(max(r.state.Next-(next-len(raw)), 0), len(raw))
+	keep := make([]json.RawMessage, 0, len(raw)-covered)
+	decoded := make([]*sig.Signature, 0, len(raw)-covered)
+	for i, data := range raw {
+		if i < covered {
+			if !json.Valid(data) {
+				return fmt.Errorf("repo: append: signature %d of the page is not JSON", i)
+			}
+			continue
+		}
 		s, err := sig.DecodeShared(data)
 		if err != nil {
+			if !json.Valid(data) {
+				return fmt.Errorf("repo: append: signature %d of the page: %w", i, err)
+			}
 			continue
 		}
 		s.Origin = sig.OriginRemote
-		r.state.Sigs = append(r.state.Sigs, data)
-		r.decoded = append(r.decoded, s)
+		keep = append(keep, data)
+		decoded = append(decoded, s)
 	}
-	if next > r.state.Next {
-		r.state.Next = next
+	if len(keep) == 0 && next <= r.state.Next {
+		return nil
 	}
+	r.state.Sigs = append(r.state.Sigs, keep...)
+	r.decoded = append(r.decoded, decoded...)
+	r.state.Next = max(r.state.Next, next)
 	return r.saveLocked()
 }
 

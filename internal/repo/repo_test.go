@@ -318,3 +318,104 @@ func TestEpochAdoptionAndReset(t *testing.T) {
 		t.Fatalf("reopened: len=%d epoch=%d", re.Len(), re.Epoch())
 	}
 }
+
+// TestAppendRejectsPageWithNonJSON: the repository is the one validator
+// of downloaded signatures, and a value that is not JSON rejects the
+// whole page — below the cursor too — with nothing kept and the cursor
+// unmoved, while a JSON value that is not a signature is still skipped.
+func TestAppendRejectsPageWithNonJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "repo.json")
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := someSigs(t, 4, 4)
+	if err := r.Append(sigs[:1], 2); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notJSON := json.RawMessage(`{"threads":[1}]`)
+	for name, page := range map[string][]json.RawMessage{
+		"new":     {sigs[1], notJSON, sigs[2]},
+		"covered": {notJSON, sigs[1], sigs[2]},
+	} {
+		if err := r.Append(page, 4); err == nil {
+			t.Errorf("%s: Append accepted a page with a value that is not JSON", name)
+		}
+		if r.Len() != 1 || r.Next() != 2 {
+			t.Errorf("%s: after a rejected page len=%d next=%d, want 1/2", name, r.Len(), r.Next())
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Errorf("a rejected page rewrote the file: %v", err)
+	}
+	if err := r.Append([]json.RawMessage{sigs[1], json.RawMessage(`{"threads":[]}`), sigs[3]}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 3 || r.Next() != 5 {
+		t.Errorf("after a page with an invalid signature len=%d next=%d, want 3/5", r.Len(), r.Next())
+	}
+}
+
+// TestAppendNothingNewWritesNothing: a repeated page, or a stale empty
+// one, changes nothing and must not rewrite the file.
+func TestAppendNothingNewWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "repo.json")
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := someSigs(t, 3, 5)
+	if err := r.Append(sigs, 4); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, page := range []struct {
+		raw  []json.RawMessage
+		next int
+	}{{sigs, 4}, {sigs[1:], 4}, {nil, 2}, {nil, 4}} {
+		if err := r.Append(page.raw, page.next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("an Append that changed nothing rewrote the file")
+	}
+	if r.Len() != 3 || r.Next() != 4 {
+		t.Errorf("len=%d next=%d, want 3/4", r.Len(), r.Next())
+	}
+}
+
+// BenchmarkRepoAppend: one full page of signatures into an in-memory
+// repository — the client's share of catch-up, decode included.
+func BenchmarkRepoAppend(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	page := make([]json.RawMessage, 256)
+	for i := range page {
+		data, err := sig.Encode(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9))
+		if err != nil {
+			b.Fatal(err)
+		}
+		page[i] = data
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rp, err := Open("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rp.Append(page, len(page)+1); err != nil || rp.Len() != len(page) {
+			b.Fatalf("Append: %v, len %d", err, rp.Len())
+		}
+	}
+}

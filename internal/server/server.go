@@ -375,7 +375,10 @@ func (s *Server) Process(req wire.Request) wire.Response {
 
 // processAdd runs the ADD gates — the encrypted sender id must verify
 // under the predefined key (§III-C2) and the signature must decode —
-// then commits the upload and maps the outcome to its reply. The store
+// then commits the upload and maps the outcome to its reply. The frame
+// decoder only delimits req.Sig, so DecodeVerbatim is its one
+// validation: a sig that is not JSON is answered StatusError like any
+// malformed signature. The store
 // groups concurrent commits into one WAL append; a closed store refuses
 // the commit, which answers StatusError. Upload bytes that are already
 // the canonical encoding are stored as a copy; only others are

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -753,5 +754,49 @@ func TestOversizedFrameDisconnectsOnlyItsPeer(t *testing.T) {
 		if resp.Status != wire.StatusOK || resp.ID != id || len(resp.Sigs) != 3 {
 			t.Fatalf("concurrent session GET: %+v", resp)
 		}
+	}
+}
+
+// processAdd is the one validator of an uploaded signature: the frame
+// decoder only delimits it, so an ADD whose sig is not JSON reaches the
+// session, is answered error, and leaves the session serving. The same
+// sig in an envelope outside the canonical subset (a space after the
+// opening brace) is read by encoding/json, which rejects the frame, and
+// the connection is dropped — the two outcomes PROTOCOL allows.
+func TestAddWithNonJSONSigAnsweredOnLiveSession(t *testing.T) {
+	_, addr, auth := v2TestServer(t, Config{})
+	_, token := auth.Issue()
+	addFrame := func(open string) []byte {
+		payload := open + `"type":1,"id":2,"token":"` + string(token) + `","sig":{"threads":[1}]}`
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+
+	conn, c := dialV2(t, addr)
+	if _, err := conn.Write(addFrame("{")); err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.Response
+	if err := c.Recv(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 2 || resp.Status != wire.StatusError || !strings.HasPrefix(resp.Detail, "malformed signature: ") {
+		t.Fatalf("ADD with a sig that is not JSON: %+v", resp)
+	}
+	if err := c.Send(wire.NewPing(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Recv(&resp); err != nil || resp.ID != 3 || resp.Status != wire.StatusOK {
+		t.Fatalf("PING after the refused ADD: %+v, %v", resp, err)
+	}
+
+	conn, c = dialV2(t, addr)
+	if _, err := conn.Write(addFrame("{ ")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := c.Recv(&resp); err == nil {
+		t.Fatalf("non-canonical ADD with a sig that is not JSON was answered: %+v", resp)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server neither answered nor closed the connection")
 	}
 }

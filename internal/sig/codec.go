@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
+	"sync"
 	"unicode/utf8"
 	"unsafe"
 
@@ -262,11 +264,15 @@ func decodeStrict(data []byte) (*Signature, error) {
 // empty hash or kind, which must be omitted; no '<', '>' or '&', which
 // Encode escapes. Thread order is left to the caller.
 //
-// All strings of the result are substrings of one copy of data (of data
-// itself when shared), so a decode costs one string allocation plus one
-// per stack.
+// Each frame is first matched against the exact layout Encode writes
+// (exactFrame); only a frame laid out any other way takes the generic
+// member loop. All strings of the result are substrings of one copy of
+// data (of data itself when shared), and all frames share one array, so
+// a decode allocates the signature, its threads, its frames and, unless
+// shared, the copy.
 func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
-	d := canonDecoder{scratch: make([]Frame, 0, 32)}
+	d := decoders.Get().(*canonDecoder)
+	defer d.release()
 	if shared {
 		d.src = unsafe.String(unsafe.SliceData(data), len(data))
 	} else {
@@ -281,29 +287,72 @@ func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
 		seen = true
 		s.Threads = make([]ThreadSpec, 0, 2)
 		return d.array(func() bool {
-			var t ThreadSpec
-			if !d.thread(&t) {
-				return false
-			}
-			s.Threads = append(s.Threads, t)
-			return true
+			s.Threads = append(s.Threads, ThreadSpec{})
+			return d.thread(len(s.Threads) - 1)
 		})
 	})
 	d.skipSpace()
 	if !ok || d.pos != len(d.src) {
 		return nil, false, false
 	}
+	d.attach(s)
 	return s, true, seen && !d.inexact
 }
 
+// decoders holds canonDecoders between decodes, so the frame scratch is
+// allocated once per pooled decoder rather than once per decode.
+var decoders = sync.Pool{New: func() any { return new(canonDecoder) }}
+
+// maxPooledFrames bounds the scratch a pooled decoder keeps: a decode of
+// more frames than this drops its scratch instead of pinning it.
+const maxPooledFrames = 1 << 12
+
 // canonDecoder is decodeCanonical's cursor over the input.
 type canonDecoder struct {
-	src     string
-	pos     int
-	scratch []Frame // frames of the stack being decoded, reused per stack
+	src string
+	pos int
+	// frames holds every frame decoded so far, in input order; spans
+	// says which thread's stack each run of them is.
+	frames []Frame
+	spans  []span
 	// inexact is set on the first byte Encode would have written
 	// differently.
 	inexact bool
+}
+
+// span places one decoded stack: frames[start:end] are the outer or
+// inner stack of thread number thread.
+type span struct {
+	thread, start, end int
+	inner              bool
+}
+
+// release clears d's references into the input and returns it to the
+// pool.
+func (d *canonDecoder) release() {
+	clear(d.frames)
+	frames, spans := d.frames[:0], d.spans[:0]
+	if cap(frames) > maxPooledFrames {
+		frames, spans = nil, nil
+	}
+	*d = canonDecoder{frames: frames, spans: spans}
+	decoders.Put(d)
+}
+
+// attach gives s's threads their stacks. One array holds every frame;
+// each stack is a slice of it whose capacity ends with the stack, so an
+// append to one stack never writes into the next.
+func (d *canonDecoder) attach(s *Signature) {
+	frames := make([]Frame, len(d.frames))
+	copy(frames, d.frames)
+	for _, sp := range d.spans {
+		st := Stack(frames[sp.start:sp.end:sp.end])
+		if t := &s.Threads[sp.thread]; sp.inner {
+			t.Inner = st
+		} else {
+			t.Outer = st
+		}
+	}
 }
 
 func (d *canonDecoder) skipSpace() {
@@ -411,17 +460,17 @@ func (d *canonDecoder) line() (int, bool) {
 	return n, d.pos > start && d.pos-start <= maxCanonDigits
 }
 
-func (d *canonDecoder) thread(t *ThreadSpec) bool {
+func (d *canonDecoder) thread(i int) bool {
 	var outer, inner bool
 	ok := d.object(func(key string) bool {
 		switch {
 		case key == "outer" && !outer:
 			outer = true
 			d.inexact = d.inexact || inner
-			return d.stack(&t.Outer)
+			return d.stack(i, false)
 		case key == "inner" && !inner:
 			inner = true
-			return d.stack(&t.Inner)
+			return d.stack(i, true)
 		}
 		return false
 	})
@@ -429,20 +478,83 @@ func (d *canonDecoder) thread(t *ThreadSpec) bool {
 	return ok
 }
 
-func (d *canonDecoder) stack(dst *Stack) bool {
-	d.scratch = d.scratch[:0]
+// stack decodes one stack of thread number thread into d.frames.
+func (d *canonDecoder) stack(thread int, inner bool) bool {
+	start := len(d.frames)
 	ok := d.array(func() bool {
-		var f Frame
-		if !d.frame(&f) {
-			return false
-		}
-		d.scratch = append(d.scratch, f)
-		return true
+		d.frames = append(d.frames, Frame{})
+		f := &d.frames[len(d.frames)-1]
+		return d.exactFrame(f) || d.frame(f)
 	})
-	if ok {
-		*dst = append(make(Stack, 0, len(d.scratch)), d.scratch...)
-	}
+	d.spans = append(d.spans, span{thread: thread, start: start, end: len(d.frames), inner: inner})
 	return ok
+}
+
+// exactFrame decodes the frame at the cursor if its bytes are laid out
+// exactly as appendStackJSON writes them: the keys in order, no
+// whitespace, non-empty strings of plain bytes, a line without a
+// leading zero, a hash and a kind only when non-empty. Otherwise it
+// reports false with the cursor and the zero f untouched, and the caller
+// runs frame, which decodes and judges any other layout.
+func (d *canonDecoder) exactFrame(f *Frame) bool {
+	var g Frame
+	i := d.literal(d.pos, `{"class":`)
+	g.Class, i = d.plain(i)
+	i = d.literal(i, `,"method":`)
+	g.Method, i = d.plain(i)
+	i = d.literal(i, `,"line":`)
+	g.Line, i = d.positive(i)
+	if j := d.literal(i, `,"hash":`); j >= 0 {
+		g.Hash, i = d.plain(j)
+	}
+	if j := d.literal(i, `,"kind":`); j >= 0 {
+		g.Kind, i = d.plain(j)
+	}
+	if i = d.literal(i, `}`); i < 0 {
+		return false
+	}
+	*f, d.pos = g, i
+	return true
+}
+
+// literal returns the index just past lit if d.src holds it at i, else
+// -1. Like plain and positive, it passes a negative i through, so a
+// chain of them fails as a whole.
+func (d *canonDecoder) literal(i int, lit string) int {
+	if i < 0 || !strings.HasPrefix(d.src[i:], lit) {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// plain returns the non-empty string of plain bytes quoted at i and the
+// index past its closing quote.
+func (d *canonDecoder) plain(i int) (string, int) {
+	if i < 0 || i >= len(d.src) || d.src[i] != '"' {
+		return "", -1
+	}
+	start := i + 1
+	end := start + jsonscan.Plain(d.src[start:])
+	if end == start || end == len(d.src) || d.src[end] != '"' {
+		return "", -1
+	}
+	return d.src[start:end], end + 1
+}
+
+// positive returns the integer of at most maxCanonDigits digits, without
+// a leading zero, at i and the index past it.
+func (d *canonDecoder) positive(i int) (int, int) {
+	if i < 0 || i >= len(d.src) || d.src[i] < '1' || d.src[i] > '9' {
+		return 0, -1
+	}
+	n, start := 0, i
+	for ; i < len(d.src) && d.src[i]-'0' <= 9; i++ {
+		n = n*10 + int(d.src[i]-'0')
+	}
+	if i-start > maxCanonDigits {
+		return 0, -1
+	}
+	return n, i
 }
 
 func (d *canonDecoder) frame(f *Frame) bool {

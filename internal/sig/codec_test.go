@@ -206,3 +206,28 @@ func TestStrEveryByteEveryOffset(t *testing.T) {
 		}
 	}
 }
+
+// TestExactFrameTakesOnlyEncodersLayout: exactFrame decodes every frame
+// Encode writes, and declines each near-exact frame with the cursor and
+// the frame untouched, so the member loop judges it.
+func TestExactFrameTakesOnlyEncodersLayout(t *testing.T) {
+	for _, s := range []*Signature{twoThreadSig(5), chanSig(5, KindChanSelect), protectSig("")} {
+		for _, th := range s.Threads {
+			for _, f := range append(append(Stack(nil), th.Outer...), th.Inner...) {
+				data := string(appendStackJSON(nil, Stack{f}, false))
+				d := canonDecoder{src: data[1 : len(data)-1]}
+				var got Frame
+				if !d.exactFrame(&got) || got != f || d.pos != len(d.src) {
+					t.Fatalf("exactFrame(%s) = %+v at %d, want %+v at the end", d.src, got, d.pos, f)
+				}
+			}
+		}
+	}
+	for _, src := range nearExactFrames() {
+		d := canonDecoder{src: src}
+		var got Frame
+		if d.exactFrame(&got) || got != (Frame{}) || d.pos != 0 {
+			t.Errorf("exactFrame(%s) took it: %+v at %d", src, got, d.pos)
+		}
+	}
+}

@@ -87,7 +87,37 @@ func DecodeCorpus() [][]byte {
 	for _, seed := range inexactCorpus() {
 		add(seed.data)
 	}
+	for _, f := range nearExactFrames() {
+		add(sig2(f, f2))
+	}
 	return out
+}
+
+// nearExactFrames are frames one step from the layout Encode writes:
+// each must leave exactFrame's literal-key path for the member loop,
+// and decode there as the oracle does.
+func nearExactFrames() []string {
+	return []string{
+		`{"method":"m","class":"C","line":1,"hash":"h"}`, // swapped keys
+		`{"class":"C","method":"m","line":1,"hash":""}`,  // empty hash
+		`{"class":"C","method":"m","line":1,"hash":"h","kind":""}`,
+		`{"class":"C","method":"m","line":1,"kind":"chan-send","hash":"h"}`,
+		`{"class":"C", "method":"m","line":1,"hash":"h"}`, // whitespace
+		`{ "class":"C","method":"m","line":1,"hash":"h"}`,
+		`{"class":"C","method":"m","line":1 ,"hash":"h"}`,
+		`{"class":"C","method":"m","line":1,"hash":"h" }`,
+		`{"class":"C","method":"m","line":007,"hash":"h"}`, // leading zeros
+		`{"class":"C","method":"m","line":0,"hash":"h"}`,
+		`{"class":"C","method":"m","line":1234567890123456789,"hash":"h"}`,
+		`{"class":"C","class":"D","method":"m","line":1}`, // repeated class
+		`{"class":"C","method":"m","line":1,"class":"D"}`,
+		`{"class":"C","method":"m<n","line":1,"hash":"h"}`, // HTML bytes
+		`{"class":"C","method":"m&n","line":1,"hash":"h"}`,
+		`{"class":"C","line":1,"hash":"h"}`, // missing method
+		`{"class":"","method":"m","line":1}`,
+		`{"class":"C","method":"m","line":1,"hash":"h","evil":1}`,
+		`{"class":"C\u0041","method":"m","line":1}`,
+	}
 }
 
 // Frames and a two-thread signature builder for hand-written seeds; f1

@@ -131,6 +131,45 @@ func TestApplyReplicatedRejectsForeignDuplicate(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedRejectsPageWithBadSignature: the frame decoder
+// only delimits replicated signatures, so ApplyReplicated validates the
+// whole page before applying any of it. A page with one value that is
+// not JSON, or one that is not a signature, applies nothing and leaves
+// no trace: the same page without it then applies in full.
+func TestApplyReplicatedRejectsPageWithBadSignature(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	primary := New(Config{MaxPerDay: 100})
+	for i := 0; i < 4; i++ {
+		mustAdd(t, primary, 1, distinctSig(r, i))
+	}
+	entries, _, _ := primary.EntryPage(1, 0, 0)
+	follower := New(Config{MaxPerDay: 100})
+	if _, err := follower.ApplyReplicated(1, entries[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]string{"not JSON": `{"threads":[1}]`, "not a signature": `{"threads":[]}`} {
+		for _, at := range []int{0, 2} { // below the cursor, and new
+			if at == 0 && name == "not a signature" {
+				continue // a skipped entry is only checked for JSON
+			}
+			page := append([]Entry(nil), entries...)
+			page[at].Data = []byte(bad)
+			if n, err := follower.ApplyReplicated(1, page); err == nil || n != 0 {
+				t.Errorf("%s at %d: applied %d, err %v; want an error and nothing applied", name, at, n, err)
+			}
+			if follower.Len() != 1 {
+				t.Errorf("%s at %d: follower holds %d entries, want 1", name, at, follower.Len())
+			}
+		}
+	}
+	if n, err := follower.ApplyReplicated(1, entries); err != nil || n != 3 {
+		t.Fatalf("the good page after the refused ones: applied %d, %v; want 3", n, err)
+	}
+	if got, want := follower.StateDigest(), primary.StateDigest(); got != want {
+		t.Errorf("follower digest %s, primary %s", got, want)
+	}
+}
+
 // TestEpochMetaPersistsAcrossReopen: promotions bump a durable epoch
 // with a fence at the promoted length, and a reopen recovers both.
 func TestEpochMetaPersistsAcrossReopen(t *testing.T) {

@@ -730,13 +730,15 @@ func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 // ApplyReplicated applies a contiguous run of replicated entries whose
 // first element has global index from. Entries at or below the current
 // length are skipped (idempotent overlap, mirroring repo.Append); a gap
-// past the current length is an error. Each new entry rebuilds the
+// past the current length is an error. Every entry is validated before
+// any is applied: one that is not a valid signature (the frame decoder
+// only delimits them), and even a skipped one that is not JSON, fails
+// the run with nothing applied. Each new entry then rebuilds the
 // validation state exactly as recovery does — duplicate set, per-user
 // adjacency tops, and the daily budget using the primary's commit
-// timestamps — and the batch then commits through the WAL like any
-// accepted upload, so a follower's directory is recoverable and
-// re-shippable like a primary's. It returns how many entries were
-// newly applied.
+// timestamps — and the batch commits through the WAL like any accepted
+// upload, so a follower's directory is recoverable and re-shippable like
+// a primary's. It returns how many entries were newly applied.
 func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if err := st.writable(); err != nil {
 		return 0, err
@@ -747,19 +749,29 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if from > cur+1 {
 		return 0, fmt.Errorf("store: replication gap: have %d entries, page starts at %d", cur, from)
 	}
-	if skip := cur + 1 - from; skip > 0 {
-		if skip >= len(entries) {
-			return 0, nil
+	skip := min(max(cur+1-from, 0), len(entries))
+	for _, e := range entries[:skip] {
+		if !json.Valid(e.Data) {
+			return 0, errors.New("store: replicated entry: signature is not JSON")
 		}
-		entries = entries[skip:]
 	}
-	today := st.clock().UTC().Unix() / 86400
-	batch := make([]walEntry, 0, len(entries))
-	for _, e := range entries {
+	entries = entries[skip:]
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	sigs := make([]*sig.Signature, len(entries))
+	batch := make([]walEntry, len(entries))
+	for i, e := range entries {
 		s, data, err := decodeEntry(e.Data)
 		if err != nil {
 			return 0, fmt.Errorf("store: replicated entry: %w", err)
 		}
+		sigs[i] = s
+		batch[i] = walEntry{user: e.User, unix: e.Unix, data: data}
+	}
+	today := st.clock().UTC().Unix() / 86400
+	for i, e := range entries {
+		s := sigs[i]
 		id := s.ID()
 		sh := st.sigShardOf(id)
 		sh.mu.Lock()
@@ -785,7 +797,6 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 			u.used++
 		}
 		us.mu.Unlock()
-		batch = append(batch, walEntry{user: e.User, unix: e.Unix, data: data})
 	}
 	first, err := st.commit(batch)
 	if first == 0 {

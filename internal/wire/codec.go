@@ -22,15 +22,23 @@ import (
 //   - strings of printable ASCII other than '"', '\\', '<', '>' and '&'
 //     (those need escapes);
 //   - booleans true or false, no null outside raw values;
-//   - raw values (Sig, Sigs, Entries[].Sig) any valid JSON, checked by one
-//     table-driven pass (skipValue). To encode, a raw value must also be
-//     in the form json.Marshal's compactor leaves unchanged.
+//   - raw values (Sig, Sigs, Entries[].Sig): to encode, any valid JSON in
+//     the form json.Marshal's compactor leaves unchanged, checked by one
+//     table-driven pass (skipValue); to decode, any bytes that rawEnd
+//     delimits (see below).
 //
 // Inside the subset, encoding writes json.Marshal's bytes and decoding
 // yields json.Unmarshal's value, except that decoded raw values alias the
 // frame payload instead of being copied. Outside it, the codec declines
 // (reports false) and the caller hands the whole frame to encoding/json,
 // so accept/reject decisions and error text stay encoding/json's.
+//
+// The decoder does not validate raw values: it only finds where each one
+// ends, and the consumer that decodes the value is its one validator
+// (every raw value is a signature, and the signature decoder rejects
+// anything that is not JSON). A payload json.Unmarshal rejects can
+// therefore decode here, but only if one of its raw values is not valid
+// JSON.
 
 // Byte classes of the string scanner. The strPlain bytes are exactly
 // jsonscan's plain bytes.
@@ -621,18 +629,66 @@ func (d *frameDecoder) string() (string, bool) {
 
 // raw returns the raw value at the cursor, aliasing the payload with its
 // capacity cut at the value's end, so an append never writes into the
-// bytes after it.
+// bytes after it. The value is delimited, not validated (rawEnd).
 func (d *frameDecoder) raw() (json.RawMessage, bool) {
 	if d.i < len(d.b) && strings.IndexByte(" \t\n\r", d.b[d.i]) >= 0 {
 		return nil, false // json.Unmarshal would drop the space
 	}
-	end, _ := skipValue(d.b, d.i)
-	if end < 0 {
+	end := rawEnd(d.b, d.i)
+	if end <= d.i {
 		return nil, false
 	}
 	v := d.b[d.i:end:end]
 	d.i = end
 	return v, true
+}
+
+// rawEnd returns the index just past the value starting at b[i], or -1
+// if b ends inside it. It tracks only strings, escapes and bracket
+// depth, skipping runs of plain string bytes with jsonscan: a string or
+// a container ends where its quote or its bracket at depth zero closes
+// it, and any other value at the first ',', '}', ']' or whitespace. On
+// valid JSON that is exactly where the value ends; on any other bytes
+// the end it finds is unspecified, and the value is for its consumer to
+// reject.
+func rawEnd(b []byte, i int) int {
+	depth := 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; ; i++ {
+				if i += jsonscan.Plain(b[i:]); i >= len(b) {
+					return -1
+				}
+				if b[i] == '"' {
+					break
+				}
+				if b[i] == '\\' {
+					// The escaped byte cannot close the string.
+					if i++; i >= len(b) {
+						return -1
+					}
+				}
+			}
+			if depth == 0 {
+				return i + 1
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i // the envelope's bracket ends a scalar
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Field bits of the frame decoder, one per key of each struct.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"communix/internal/ids"
+	"communix/internal/sig"
 )
 
 // frameOf wraps a payload in its length prefix.
@@ -17,8 +18,13 @@ func frameOf(payload []byte) []byte {
 }
 
 // checkDecode holds ReadMessage to json.Unmarshal on one payload, for a
-// zero Request and a zero Response target: the same accept or reject
-// (with the same error text) and a DeepEqual value.
+// zero Request and a zero Response target:
+//   - where json.Unmarshal accepts, ReadMessage accepts with a DeepEqual
+//     value;
+//   - where json.Unmarshal rejects and ReadMessage accepts, some raw
+//     value is not valid JSON, and the signature decoders every consumer
+//     validates with reject it;
+//   - where both reject, the error text is json.Unmarshal's.
 func checkDecode(t *testing.T, payload []byte) {
 	t.Helper()
 	for _, pair := range [][2]any{{new(Request), new(Request)}, {new(Response), new(Response)}} {
@@ -26,13 +32,48 @@ func checkDecode(t *testing.T, payload []byte) {
 		err := ReadMessage(bytes.NewReader(frameOf(payload)), got)
 		wantErr := json.Unmarshal(payload, want)
 		switch {
-		case (err == nil) != (wantErr == nil):
-			t.Fatalf("ReadMessage(%q) into %T: err %v; json.Unmarshal: %v", payload, got, err, wantErr)
+		case wantErr == nil && err != nil:
+			t.Fatalf("ReadMessage(%q) into %T: %v; json.Unmarshal accepts", payload, got, err)
+		case wantErr == nil && !reflect.DeepEqual(got, want):
+			t.Fatalf("ReadMessage(%q) =\n%#v\njson.Unmarshal:\n%#v", payload, got, want)
 		case err != nil && err.Error() != "wire: unmarshal: "+wantErr.Error():
 			t.Fatalf("ReadMessage(%q) into %T: err %q; json.Unmarshal: %q", payload, got, err, wantErr)
-		case !reflect.DeepEqual(got, want):
-			t.Fatalf("ReadMessage(%q) =\n%#v\njson.Unmarshal:\n%#v", payload, got, want)
+		case wantErr != nil && err == nil:
+			checkConsumersReject(t, payload, got, wantErr)
 		}
+	}
+}
+
+// checkConsumersReject: ReadMessage decoded into v a payload that
+// json.Unmarshal rejects with wantErr, so one of v's raw values must be
+// invalid JSON that both consumer-side signature decoders refuse.
+func checkConsumersReject(t *testing.T, payload []byte, v any, wantErr error) {
+	t.Helper()
+	var raws []json.RawMessage
+	switch m := v.(type) {
+	case *Request:
+		raws = append(raws, m.Sig)
+	case *Response:
+		raws = append(raws, m.Sigs...)
+		for _, en := range m.Entries {
+			raws = append(raws, en.Sig)
+		}
+	}
+	invalid := false
+	for _, raw := range raws {
+		if raw == nil || json.Valid(raw) {
+			continue
+		}
+		invalid = true
+		if _, err := sig.DecodeShared(raw); err == nil {
+			t.Fatalf("DecodeShared accepted the invalid raw value %q of %q", raw, payload)
+		}
+		if _, _, err := sig.DecodeVerbatim(raw); err == nil {
+			t.Fatalf("DecodeVerbatim accepted the invalid raw value %q of %q", raw, payload)
+		}
+	}
+	if !invalid {
+		t.Fatalf("ReadMessage(%q) into %T accepted with every raw value valid JSON; json.Unmarshal: %v", payload, v, wantErr)
 	}
 }
 
@@ -107,6 +148,14 @@ func frameCorpus() []string {
 		`{"id":999999999999999999}`, `{"id":1000000000000000000}`, `{"status":"1"}`, `{"more":1}`, `{"more":tru}`,
 		// Base64 data, the removed raw SNAPSHOT page.
 		`{"status":1,"data":"AA=="}`, `{"status":1,"data":"AA"}`, `{"status":1,"data":"!!!!"}`, `{"status":1,"data":"QUJD\nREVG"}`,
+		// Raw values at the edges of delimiting: brackets that do not pair
+		// up, a bracket inside a string, a string left open or closed only
+		// by an escaped quote, a cut literal, a scalar run into a string,
+		// and a space inside a value.
+		`{"sig":{[]}}`, `{"sigs":[{"k":[1}]}]}`, `{"sigs":[{"a":"]"}]}`, `{"status":1,"sigs":[{"a":"b}]}`,
+		`{"type":1,"sig":{"a":"\"}}`, `{"type":1,"sig":tru}`, `{"type":1,"sig":1"a"}`, `{"status":1,"entries":[{"user":1,"unix":2,"sig":{"a" 1}}]}`,
+		// A payload that ends on the backslash of an escape inside a raw value.
+		`{"sig":"\`, `{"sigs":["a\`, `{"sig":{"a":"\`, `{"entries":[{"sig":"a\`,
 		// Trailing bytes and truncation.
 		`{"status":1}garbage`, `{"status":1}}`, `{"status":1}{"status":2}`, `{"status":1`, `{"status":`, `{"sigs":[1,]}`,
 		`{"status":1,}`, `{,}`, `[]`, `null`, `1`, `"x"`, ``, `{"status":1,"sigs":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
@@ -116,7 +165,9 @@ func frameCorpus() []string {
 
 // FuzzFrameDifferential holds the frame codec to encoding/json. For
 // arbitrary payload bytes, ReadMessage into a zero Request or Response
-// accepts or rejects as json.Unmarshal does and yields a DeepEqual value.
+// meets checkDecode's contract: it accepts what json.Unmarshal accepts,
+// with a DeepEqual value, and what else it accepts carries a raw value
+// that is not JSON and that every consumer rejects.
 // For Requests and Responses built from the inputs — the payload also
 // standing in as every raw value — EncodeFrame writes json.Marshal's
 // bytes.
@@ -214,6 +265,48 @@ func TestSkipValue(t *testing.T) {
 		}
 		if same := bytes.Equal(marshaled, b); compact != same {
 			t.Errorf("skipValue(%q) compact %v; json.Marshal writes %q", p, compact, marshaled)
+		}
+	}
+}
+
+// TestRawEndDelimitsValidJSON: on every valid JSON value of the corpus
+// and its cuts, followed by each byte that may end a value, rawEnd finds
+// the end skipValue finds.
+func TestRawEndDelimitsValidJSON(t *testing.T) {
+	var inputs []string
+	for _, p := range frameCorpus() {
+		for _, cut := range []int{0, 1, 2, len(p) / 2, len(p) - 1} {
+			if cut >= 0 && cut < len(p) {
+				inputs = append(inputs, p[cut:], p[:cut])
+			}
+		}
+	}
+	for _, p := range inputs {
+		if len(p) == 0 || strings.IndexByte(" \t\r\n", p[0]) >= 0 || !json.Valid([]byte(p)) {
+			continue
+		}
+		for _, tail := range []string{"}", "]", ",", " "} {
+			b := []byte(strings.TrimRight(p, " \t\r\n") + tail)
+			want, _ := skipValue(b, 0)
+			if got := rawEnd(b, 0); got != want && want >= 0 {
+				t.Errorf("rawEnd(%q) = %d; the value ends at %d", b, got, want)
+			}
+		}
+	}
+}
+
+// TestRawEndStaysInBounds: on every prefix of every corpus payload,
+// valid JSON or not, and from every start index, rawEnd returns -1 or an
+// index within the payload, without panicking.
+func TestRawEndStaysInBounds(t *testing.T) {
+	for _, p := range frameCorpus() {
+		for n := 0; n <= len(p); n++ {
+			b := []byte(p[:n])
+			for i := 0; i < len(b); i++ {
+				if got := rawEnd(b, i); got < -1 || got > len(b) {
+					t.Errorf("rawEnd(%q, %d) = %d; out of range", b, i, got)
+				}
+			}
 		}
 	}
 }

