@@ -150,9 +150,8 @@ func inspectDataDir(dir string, verbose bool) error {
 	}
 	ps := st.PersistStats()
 	fmt.Printf("data dir %s: %d signature(s) from %d user(s)\n", dir, st.Len(), st.Users())
-	fmt.Printf("  snapshot version %d (%d signature(s) folded)\n", ps.SnapshotVersion, ps.SnapshotEntries)
-	fmt.Printf("  %d segment file(s), %d sealed awaiting compaction (%d bytes sealed, %d bytes snapshot)\n",
-		ps.Segments, ps.SealedSegments, ps.SealedBytes, ps.SnapshotBytes)
+	fmt.Printf("  %d segment file(s): %d bytes sealed, %d bytes active\n",
+		ps.Segments, ps.SealedBytes, ps.ActiveSegmentBytes)
 	if !verbose {
 		return nil
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // BenchmarkFollowerCatchUp times a fresh durable follower joining a
-// durable primary whose 20,000 signatures are all folded into its
-// snapshot. One op is New on an empty directory until the follower holds
-// every entry. Both sides run with FsyncOff, so the number is the
-// replication path's CPU and syscall cost, not the disk's.
+// durable primary that holds 20,000 signatures. One op is New on an
+// empty directory until the follower holds every entry. Both sides run
+// with FsyncOff, so the number is the replication path's CPU and
+// syscall cost, not the disk's.
 func BenchmarkFollowerCatchUp(b *testing.B) {
 	const n = 20_000
 	primary, err := New(Config{Key: testKey, DataDir: b.TempDir(), Fsync: store.FsyncOff})
@@ -33,9 +33,6 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 		if !res.Added || res.Err != nil {
 			b.Fatalf("seed %d: added=%v err=%v", i, res.Added, res.Err)
 		}
-	}
-	if err := primary.Store().ForceCompact(); err != nil {
-		b.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

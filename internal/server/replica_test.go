@@ -222,10 +222,9 @@ func testSubscribeOnFollowerReceivesPrimaryWrites(t *testing.T) {
 }
 
 // TestReplicationDifferentialChurn is the flagship differential: under
-// concurrent ADD churn the follower is restarted mid-stream (resuming
-// from its WAL-recovered cursor) and the primary folds its log into a
-// snapshot mid-stream (compaction). A second, never-restarted
-// follower replicates the same run. Afterwards every store must agree
+// concurrent ADD churn the follower is restarted mid-stream, resuming
+// from its WAL-recovered cursor. A second, never-restarted follower
+// replicates the same run. Afterwards every store must agree
 // byte-for-byte: state digest (log, dup set, adjacency tops, budget)
 // and client-visible GET snapshot.
 func TestReplicationDifferentialChurn(t *testing.T) {
@@ -272,15 +271,11 @@ func testReplicationDifferentialChurn(t *testing.T) {
 		}(g, token)
 	}
 
-	// Mid-churn fault injection: kill the durable follower, fold the
-	// primary's log, then bring the follower back on the same data
-	// directory. Its WAL-recovered cursor is usually below the fold; it
-	// resumes from that cursor like any restart and must converge.
+	// Mid-churn fault injection: kill the durable follower, then bring
+	// it back on the same data directory. It resumes from its
+	// WAL-recovered cursor like any restart and must converge.
 	time.Sleep(30 * time.Millisecond)
 	restarted.stop()
-	if err := primary.srv.Store().ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(20 * time.Millisecond)
 	restarted = startNode(t, fcfg)
 
@@ -502,21 +497,15 @@ func TestFollowerRefusesStalePrimary(t *testing.T) {
 	}
 }
 
-// TestFollowerCatchUpAcrossCompaction: a fold never moves a replication
-// boundary. A fresh follower joining a compacted primary streams the log
-// from index 1, and a durable follower restarted with its cursor below
-// the primary's newest fold resumes from that cursor: no reset, no
-// bootstrap, and its store never reads empty on the way.
-func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
+// TestFollowerCatchUpFromAnyCursor: a fresh follower joining a durable
+// primary streams the log from index 1, and a durable follower
+// restarted with its cursor below the primary's end resumes from that
+// cursor: no reset, no bootstrap, and its store never reads empty on
+// the way.
+func TestFollowerCatchUpFromAnyCursor(t *testing.T) {
 	primary := startNode(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000, GetBatch: 7})
 	auth, _ := ids.NewAuthority(testKey)
 	seedServer(t, primary.srv, auth, 13, 30)
-	if err := primary.srv.Store().ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := primary.srv.Store().PersistStats().SnapshotEntries; got != 30 {
-		t.Fatalf("snapshot folds %d entries, want 30", got)
-	}
 
 	// The follower dials only once release is closed, so the restarted
 	// store is watched from its recovered cursor on.
@@ -535,22 +524,16 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 		logMu.Unlock()
 	}
 
-	// Fresh follower: cursor 1 is below the fold.
+	// Fresh follower: cursor 1.
 	release = make(chan struct{})
 	close(release)
 	f := startNode(t, fcfg)
 	waitReplicated(t, primary.srv, f.srv)
 
-	// Stop the follower at cursor 30, grow the primary to 50 and fold
-	// again, so the recovered cursor is below the newest fold.
+	// Stop the follower at cursor 30 and grow the primary to 50, so the
+	// recovered cursor is below the primary's end.
 	f.stop()
 	seedServer(t, primary.srv, auth, 14, 20)
-	if err := primary.srv.Store().ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := primary.srv.Store().PersistStats().SnapshotEntries; got != 50 {
-		t.Fatalf("snapshot folds %d entries, want 50", got)
-	}
 
 	release = make(chan struct{})
 	f2 := startNode(t, fcfg)
@@ -580,8 +563,7 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 }
 
 // TestReplicateAdmissionRules: wire-level REPLICATE contract — session
-// required, negotiated epoch must match, and any cursor streams, however
-// far below the last fold.
+// required, negotiated epoch must match, and any cursor streams.
 func TestReplicateAdmissionRules(t *testing.T) {
 	srv, addr, auth := v2TestServer(t, Config{DataDir: t.TempDir(), Fsync: store.FsyncOff, MaxPerDay: 10_000})
 	seedServer(t, srv, auth, 17, 10)
@@ -607,11 +589,8 @@ func TestReplicateAdmissionRules(t *testing.T) {
 		t.Fatalf("mismatched REPLICATE = %+v, want StatusRejected at epoch 1", resp)
 	}
 
-	// Below the fold: REPLICATE(1) streams all 10 entries, carrying full
-	// user/unix/sig triples.
-	if err := srv.Store().ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
+	// REPLICATE(1) streams all 10 entries, carrying full user/unix/sig
+	// triples.
 	c, _ = helloResp(t, addr, 1)
 	if err := c.Send(wire.NewReplicate(3, 1, 1)); err != nil {
 		t.Fatal(err)

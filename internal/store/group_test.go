@@ -126,17 +126,15 @@ func TestGroupCommitSharesOneFsync(t *testing.T) {
 	reopenMatches(t, st, cfg)
 }
 
-// TestGroupCommitAcrossSealAndFold: with tiny segments every group's
-// append seals the active segment and may fold, and a ForceCompact
-// queues on the same lock mid-group; indexes stay contiguous, the fsync
-// count per group stays independent of its size, and a reopen serves
-// what GET served.
-func TestGroupCommitAcrossSealAndFold(t *testing.T) {
+// TestGroupCommitAcrossSeal: with tiny segments every group's append
+// seals the active segment and starts a new one; indexes stay
+// contiguous, each group costs the same fsyncs whatever its size, every
+// group lands in its own segment, and a reopen serves what GET served.
+func TestGroupCommitAcrossSeal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := persistCfg(dir, newTestClock())
 	cfg.Fsync = FsyncAlways
-	cfg.SegmentMaxBytes = 1
-	cfg.CompactSegments = 1
+	cfg.segmentMaxBytes = 1
 	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,31 +146,17 @@ func TestGroupCommitAcrossSealAndFold(t *testing.T) {
 		for i := range sigs {
 			sigs[i] = distinctSig(r, round*n+i)
 		}
-		var compacted sync.WaitGroup
-		compact := func() {
-			compacted.Add(1)
-			go func() {
-				defer compacted.Done()
-				if err := st.ForceCompact(); err != nil {
-					t.Errorf("ForceCompact: %v", err)
-				}
-			}()
-			// Give it time to queue on walMu behind the group's leader;
-			// the test holds in either order.
-			time.Sleep(5 * time.Millisecond)
-		}
 		before := st.PersistStats().Fsyncs
-		idx := groupCommit(t, st, sigs, round*n, compact)
-		compacted.Wait()
-		// The group: seal 1 + fold 2 + new segment 2 + sync 1; the
-		// ForceCompact: seal 1 + fold 2 + new segment 2.
-		if d := st.PersistStats().Fsyncs - before; d > 11 {
-			t.Errorf("round %d: %d ADDs issued %d fsyncs", round, n, d)
+		idx := groupCommit(t, st, sigs, round*n, nil)
+		// Seal 1 + new segment 2 (file and directory) + commit 1.
+		if d := st.PersistStats().Fsyncs - before; d != 4 {
+			t.Errorf("round %d: %d ADDs issued %d fsyncs, want 4", round, n, d)
 		}
 		checkIndexes(t, st, sigs, idx, round*n+1)
 	}
-	if ps := st.PersistStats(); ps.Folds == 0 {
-		t.Fatal("no fold ran")
+	// Open's segment was still empty at the first seal and is gone.
+	if ps := st.PersistStats(); ps.Segments != rounds {
+		t.Fatalf("%d segments after %d groups, want %d", ps.Segments, rounds, rounds)
 	}
 	reopenMatches(t, st, cfg)
 }
@@ -205,9 +189,6 @@ func TestClosedStoreRefusesMutations(t *testing.T) {
 	}
 	if n, err := st.ApplyReplicated(2, []Entry{{User: 4, Unix: 1, Data: data}}); n != 0 || !errors.Is(err, ErrClosed) {
 		t.Errorf("ApplyReplicated after Close = %d, %v; want 0, ErrClosed", n, err)
-	}
-	if err := st.ForceCompact(); !errors.Is(err, ErrClosed) {
-		t.Errorf("ForceCompact after Close = %v, want ErrClosed", err)
 	}
 	if err := st.ResetReplica(); !errors.Is(err, ErrClosed) {
 		t.Errorf("ResetReplica after Close = %v, want ErrClosed", err)

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -251,13 +253,15 @@ func TestTruncationRecoversLongestValidPrefix(t *testing.T) {
 	}
 }
 
-func TestSegmentRollAndSnapshotCompaction(t *testing.T) {
+// TestSegmentRollAndMultiSegmentReopen: with small segments the WAL
+// rolls into many files, the stats count them and their bytes, and a
+// reopen serves the identical sequence from all of them.
+func TestSegmentRollAndMultiSegmentReopen(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
 	r := rand.New(rand.NewSource(13))
 	cfg := persistCfg(dir, clock)
-	cfg.SegmentMaxBytes = 2048 // ~1 signature per segment
-	cfg.CompactSegments = 2
+	cfg.segmentMaxBytes = 2048 // ~1 signature per segment
 	cfg.MaxPerDay = 1 << 30
 
 	st, err := Open(cfg)
@@ -273,39 +277,36 @@ func TestSegmentRollAndSnapshotCompaction(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if ps.SnapshotVersion == 0 {
-		t.Fatalf("no compaction ran: %+v", ps)
-	}
-	if ps.SnapshotEntries == 0 || ps.SnapshotEntries >= uint64(n) {
-		t.Fatalf("snapshot folds %d entries, want within (0, %d)", ps.SnapshotEntries, n)
-	}
 	if ps.Entries != uint64(n) {
 		t.Fatalf("stats report %d entries, want %d", ps.Entries, n)
 	}
-	// Compaction deleted the folded inputs: only the live snapshot plus
-	// the unfolded segments remain.
+	if ps.Segments < n/2 {
+		t.Fatalf("%d segments for %d records; the test needs many", ps.Segments, n)
+	}
+	// Segments are the only file kind, and the stats add up to them.
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, segs := 0, 0
+	var segs int
+	var size int64
 	for _, de := range des {
-		switch filepath.Ext(de.Name()) {
-		case ".snap":
-			snaps++
-		case ".seg":
-			segs++
+		if de.Name() == "LOCK" {
+			continue
 		}
+		if !isSegment(de.Name()) {
+			t.Errorf("unexpected file %s", de.Name())
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs++
+		size += info.Size()
 	}
-	if snaps != 1 {
-		t.Errorf("%d snapshot files on disk, want 1", snaps)
-	}
-	if segs != ps.Segments {
-		t.Errorf("%d segment files on disk, stats say %d", segs, ps.Segments)
-	}
-	if segs >= n {
-		t.Errorf("%d segment files for %d records; compaction should have folded most", segs, n)
+	if segs != ps.Segments || size != ps.SealedBytes+ps.ActiveSegmentBytes {
+		t.Errorf("%d segment files of %d bytes on disk; stats say %d files, %d sealed + %d active bytes",
+			segs, size, ps.Segments, ps.SealedBytes, ps.ActiveSegmentBytes)
 	}
 
 	re, err := Open(cfg)
@@ -313,14 +314,8 @@ func TestSegmentRollAndSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got := getAll(t, re)
-	if len(got) != len(want) {
-		t.Fatalf("reopen after compaction: %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("reopen after compaction: record %d differs", i+1)
-		}
+	if got := getAll(t, re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen serves %d records, want the %d GET served", len(got), len(want))
 	}
 }
 
@@ -343,149 +338,6 @@ func writeSegmentFile(t *testing.T, dir string, first uint64, entries []walEntry
 		t.Fatal(err)
 	}
 	return path
-}
-
-// compactedDir builds a data directory in which compaction has run at
-// least once and returns it together with the snapshot's records.
-func compactedDir(t *testing.T, clock *testClock, seedBase int) (string, Config, []walEntry, int) {
-	t.Helper()
-	dir := t.TempDir()
-	cfg := persistCfg(dir, clock)
-	cfg.SegmentMaxBytes = 2048
-	cfg.CompactSegments = 2
-	cfg.MaxPerDay = 1 << 30
-
-	st, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(int64(seedBase)))
-	const n = 12
-	for i := 0; i < n; i++ {
-		mustAdd(t, st, ids.UserID(i%3+1), distinctSig(r, seedBase*10000+i))
-	}
-	ps := st.PersistStats()
-	if ps.SnapshotVersion == 0 {
-		t.Fatalf("setup: compaction never ran: %+v", ps)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, snapEntries, err := readSnapshot(filepath.Join(dir, snapshotName(ps.SnapshotVersion)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, cfg, snapEntries, n
-}
-
-// TestInterruptedCompactionLeftoverSegmentIgnored reproduces the crash
-// window compaction's comment promises to survive: the new snapshot was
-// renamed into place but the folded segment files were not yet deleted.
-// Recovery must discard such a segment — wherever it sorts, including
-// as the LAST segment — and never re-fold its records into the next
-// snapshot (which would brick the store on the Open after that).
-func TestInterruptedCompactionLeftoverSegmentIgnored(t *testing.T) {
-	clock := newTestClock()
-
-	t.Run("not-last", func(t *testing.T) {
-		dir, cfg, snapEntries, n := compactedDir(t, clock, 31)
-		// Resurrect a folded segment below the live ones. Its final
-		// record index equals the snapshot count exactly — the boundary
-		// case.
-		leftover := writeSegmentFile(t, dir, 1, snapEntries)
-
-		st, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Len() != n {
-			t.Fatalf("recovered %d records, want %d", st.Len(), n)
-		}
-		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-			t.Errorf("folded leftover segment not deleted: %v", err)
-		}
-		// Push through another compaction and reopen: the store must not
-		// have folded anything twice.
-		r := rand.New(rand.NewSource(99))
-		v0 := st.PersistStats().SnapshotVersion
-		for i := 0; st.PersistStats().SnapshotVersion == v0; i++ {
-			mustAdd(t, st, 1, distinctSig(r, 5000+i))
-		}
-		total := st.Len()
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("reopen after re-compaction: %v", err)
-		}
-		defer re.Close()
-		if re.Len() != total {
-			t.Fatalf("reopen: %d records, want %d", re.Len(), total)
-		}
-	})
-
-	t.Run("last", func(t *testing.T) {
-		// The folded leftover is the ONLY (hence last) segment: it must
-		// not become the active tail, or the next roll re-seals and
-		// re-folds it.
-		_, _, snapEntries, _ := compactedDir(t, clock, 32)
-		dir2 := t.TempDir()
-		cfg2 := persistCfg(dir2, clock)
-		cfg2.SegmentMaxBytes = 2048
-		cfg2.CompactSegments = 2
-		cfg2.MaxPerDay = 1 << 30
-		// Rebuild dir2 as: snapshot v1 covering 1..S + leftover segment
-		// with the same records 1..S.
-		snapBytes := make([]byte, 0, snapHeaderSize)
-		snapBytes = append(snapBytes, snapMagic...)
-		var u [8]byte
-		for i := range u {
-			u[i] = 0
-		}
-		u[7] = 1 // version 1
-		snapBytes = append(snapBytes, u[:]...)
-		cnt := uint64(len(snapEntries))
-		for i := uint64(0); i < 8; i++ {
-			snapBytes = append(snapBytes, byte(cnt>>(56-8*i)))
-		}
-		for _, e := range snapEntries {
-			snapBytes = appendRecord(snapBytes, e)
-		}
-		if err := os.WriteFile(filepath.Join(dir2, snapshotName(1)), snapBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		leftover := writeSegmentFile(t, dir2, 1, snapEntries)
-
-		st, err := Open(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Len() != len(snapEntries) {
-			t.Fatalf("recovered %d records, want %d", st.Len(), len(snapEntries))
-		}
-		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-			t.Errorf("folded last segment not deleted: %v", err)
-		}
-		// Drive rolls + a compaction, then reopen cleanly.
-		r := rand.New(rand.NewSource(98))
-		v0 := st.PersistStats().SnapshotVersion
-		for i := 0; st.PersistStats().SnapshotVersion == v0; i++ {
-			mustAdd(t, st, 1, distinctSig(r, 6000+i))
-		}
-		total := st.Len()
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(cfg2)
-		if err != nil {
-			t.Fatalf("reopen after re-compaction: %v", err)
-		}
-		defer re.Close()
-		if re.Len() != total {
-			t.Fatalf("reopen: %d records, want %d", re.Len(), total)
-		}
-	})
 }
 
 // TestWALWriteFailureIsStickyAndServesFromMemory pins the degraded-disk
@@ -561,98 +413,10 @@ func TestDataDirSingleWriter(t *testing.T) {
 	re.Close()
 }
 
-// TestCorruptSnapshotCountFallsBack pins that a snapshot whose count
-// field is garbage (huge) is treated as invalid — no makeslice panic —
-// and recovery falls back instead of crashing Open.
-func TestCorruptSnapshotCountFallsBack(t *testing.T) {
-	clock := newTestClock()
-	dir, cfg, _, _ := compactedDir(t, clock, 36)
-	ps := func() PersistStats {
-		ro := cfg
-		ro.ReadOnly = true
-		st, err := Open(ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		return st.PersistStats()
-	}()
-	snapPath := filepath.Join(dir, snapshotName(ps.SnapshotVersion))
-	b, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		b[len(snapMagic)+8+i] = 0xff // count = 2^64-1
-	}
-	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The snapshot is now invalid and its records unreachable (the
-	// folded segments were deleted), so Open must fail cleanly with the
-	// missing-segment error — not panic.
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("open succeeded over a snapshot with a corrupt count")
-	}
-}
-
-// TestStaleSnapshotSwept pins the rename-but-no-delete crash window:
-// an older superseded snapshot left on disk is removed by the next
-// read-write open.
-func TestStaleSnapshotSwept(t *testing.T) {
-	clock := newTestClock()
-	dir, cfg, snapEntries, n := compactedDir(t, clock, 37)
-	live, err := func() (uint64, error) {
-		ro := cfg
-		ro.ReadOnly = true
-		st, err := Open(ro)
-		if err != nil {
-			return 0, err
-		}
-		defer st.Close()
-		return st.PersistStats().SnapshotVersion, nil
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fabricate the superseded older snapshot the crash would have left
-	// behind: a lower version holding a prefix of the records.
-	staleVersion := live - 1
-	stale := filepath.Join(dir, snapshotName(staleVersion))
-	var b []byte
-	b = append(b, snapMagic...)
-	b = binaryAppendUint64(b, staleVersion)
-	b = binaryAppendUint64(b, 1)
-	b = appendRecord(b, snapEntries[0])
-	if err := os.WriteFile(stale, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Len() != n {
-		t.Fatalf("Len = %d, want %d", st.Len(), n)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale snapshot not swept: %v", err)
-	}
-}
-
-// binaryAppendUint64 is a tiny big-endian append helper for test file
-// fabrication.
-func binaryAppendUint64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(56-8*i)))
-	}
-	return b
-}
-
-// TestOrphanSnapshotTempSwept pins the cleanup of compactions that
-// crashed before their rename: the leftover snap-*.tmp must be deleted
-// by the next read-write open (and left alone by a read-only one).
+// TestOrphanSnapshotTempSwept pins the cleanup an older version's
+// crashed folds need: a snap-*.tmp left behind before its rename is
+// deleted by the next read-write open (and left alone by a read-only
+// one).
 func TestOrphanSnapshotTempSwept(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
@@ -739,8 +503,7 @@ func TestCorruptEarlierSegmentFailsOpen(t *testing.T) {
 	clock := newTestClock()
 	r := rand.New(rand.NewSource(15))
 	cfg := persistCfg(dir, clock)
-	cfg.SegmentMaxBytes = 2048
-	cfg.CompactSegments = 1 << 30 // never compact: keep all segments
+	cfg.segmentMaxBytes = 2048
 
 	st, err := Open(cfg)
 	if err != nil {
@@ -887,8 +650,7 @@ func TestConcurrentDurableAddsRecoverCompletely(t *testing.T) {
 	clock := newTestClock()
 	cfg := persistCfg(dir, clock)
 	cfg.MaxPerDay = 1 << 30
-	cfg.SegmentMaxBytes = 8 << 10
-	cfg.CompactSegments = 2
+	cfg.segmentMaxBytes = 8 << 10
 
 	st, err := Open(cfg)
 	if err != nil {
@@ -935,5 +697,76 @@ func TestConcurrentDurableAddsRecoverCompletely(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d differs after concurrent durable adds", i+1)
 		}
+	}
+}
+
+// TestPersistCountersExact scripts appends over one-record segments, a
+// Close and a reopen, and checks every PersistStats field against a
+// hand count, under each fsync policy.
+func TestPersistCountersExact(t *testing.T) {
+	data := json.RawMessage(`{"n":1}`)
+	seg := int64(segHeaderSize + recordHeaderSize + recordMetaSize + len(data)) // a one-record segment
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncBatch, FsyncOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			// One record already fills a segment, so every append after
+			// the first seals the active segment and starts a new one.
+			cfg := persistConfig{dir: t.TempDir(), policy: policy, segMax: int64(segHeaderSize) + 1}
+			open := func() *persister {
+				t.Helper()
+				p, err := openPersister(cfg, func(walEntry) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			check := func(p *persister, step string, want PersistStats) {
+				t.Helper()
+				want.Enabled, want.Dir = true, cfg.dir
+				if got := p.stats(); got != want {
+					t.Fatalf("%s: stats %+v\nwant %+v", step, got, want)
+				}
+			}
+			// onSeal counts a seal's fsync; a segment's creation syncs the
+			// file and the directory, so it costs two of them.
+			onSeal, onCommit := uint64(0), uint64(0)
+			if policy != FsyncOff {
+				onSeal = 1
+			}
+			if policy == FsyncAlways {
+				onCommit = 1
+			}
+
+			p := open()
+			want := PersistStats{Segments: 1, ActiveSegmentBytes: int64(segHeaderSize), Fsyncs: 2 * onSeal}
+			check(p, "open", want)
+			for i := 1; i <= 9; i++ {
+				if err := p.append([]walEntry{{user: ids.UserID(i), unix: 1_700_000_000, data: data}}); err != nil {
+					t.Fatal(err)
+				}
+				if i > 1 {
+					want.Fsyncs += 3 * onSeal // seal, then create the next segment
+					want.Segments++
+					want.SealedBytes += seg
+				}
+				want.Entries++
+				want.ActiveSegmentBytes = seg
+				want.Fsyncs += onCommit
+				check(p, fmt.Sprintf("append %d", i), want)
+			}
+			if err := p.close(); err != nil {
+				t.Fatal(err)
+			}
+			want.Fsyncs += onSeal
+			check(p, "close", want)
+
+			// Recovery counts every segment; the full tail is sealed and
+			// a fresh one is created, which is all the new process syncs.
+			p = open()
+			defer p.close()
+			check(p, "reopen", PersistStats{
+				Entries: 9, Segments: 10, SealedBytes: 9 * seg,
+				ActiveSegmentBytes: int64(segHeaderSize), Fsyncs: 2 * onSeal,
+			})
+		})
 	}
 }

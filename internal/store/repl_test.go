@@ -248,26 +248,26 @@ func TestSafeLenFencingRules(t *testing.T) {
 	}
 }
 
-// TestEntryPageCompactedBoundary: folding entries into the snapshot
-// never takes them out of the log. Every cursor — below, at and past the
-// fold — is served from memory, before and after a reopen replays the
-// snapshot, so a follower can resume from wherever it stopped.
-func TestEntryPageCompactedBoundary(t *testing.T) {
+// TestEntryPageBelowTheTailAcrossRestart: entries in sealed segments
+// stay in the log. Every cursor — in a sealed segment, in the active
+// tail, and past the end — is served from memory, before and after a
+// reopen replays every segment, so a follower can resume from wherever
+// it stopped.
+func TestEntryPageBelowTheTailAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
 	r := rand.New(rand.NewSource(25))
-	st, err := Open(persistCfg(dir, clock))
+	cfg := persistCfg(dir, clock)
+	cfg.segmentMaxBytes = 2048 // ~1 signature per segment
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
 		mustAdd(t, st, ids.UserID(i+1), distinctSig(r, i))
 	}
-	if err := st.ForceCompact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.PersistStats().SnapshotEntries; got != 6 {
-		t.Fatalf("snapshot folds %d entries, want 6", got)
+	if got := st.PersistStats().Segments; got < 3 {
+		t.Fatalf("%d segments, want most entries below the tail", got)
 	}
 	want, _, _ := st.EntryPage(1, 0, 0)
 	check := func(st *Store, when string) {
@@ -287,13 +287,13 @@ func TestEntryPageCompactedBoundary(t *testing.T) {
 		}
 	}
 	if len(want) != 6 {
-		t.Fatalf("EntryPage(1) after the fold = %d entries, want 6", len(want))
+		t.Fatalf("EntryPage(1) = %d entries, want 6", len(want))
 	}
-	check(st, "after the fold")
+	check(st, "before the restart")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(persistCfg(dir, clock))
+	re, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,20 +302,14 @@ func TestEntryPageCompactedBoundary(t *testing.T) {
 }
 
 // TestResetReplicaWipesDiskState: a reset follower is empty in memory
-// AND on disk (no WAL segment or snapshot resurrects old entries on
-// reopen), while the epoch survives — identity is not state.
+// AND on disk (no WAL segment or legacy snapshot resurrects old entries
+// on reopen), while the epoch survives — identity is not state.
 func TestResetReplicaWipesDiskState(t *testing.T) {
-	dir := t.TempDir()
+	dir, _ := legacyDir(t)
 	clock := newTestClock()
 	r := rand.New(rand.NewSource(26))
 	st, err := Open(persistCfg(dir, clock))
 	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		mustAdd(t, st, 1, distinctSig(r, i))
-	}
-	if err := st.ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AdoptEpoch(3, []Fence{{E: 2, N: 1}, {E: 3, N: 2}}); err != nil {
@@ -324,8 +318,8 @@ func TestResetReplicaWipesDiskState(t *testing.T) {
 	if err := st.ResetReplica(); err != nil {
 		t.Fatal(err)
 	}
-	if ps := st.PersistStats(); st.Len() != 0 || ps.SnapshotVersion != 0 {
-		t.Fatalf("after reset: Len=%d snapshot version=%d", st.Len(), ps.SnapshotVersion)
+	if ps := st.PersistStats(); st.Len() != 0 || ps.Entries != 0 || ps.Segments != 1 {
+		t.Fatalf("after reset: Len=%d stats %+v", st.Len(), ps)
 	}
 	// The store is immediately usable: replicate fresh entries in.
 	// (Same clock: StateDigest normalizes budget to the current day.)
@@ -362,8 +356,8 @@ func TestResetReplicaWipesDiskState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if strings.HasSuffix(f.Name(), ".tmp") {
-			t.Errorf("leftover temp file %s", f.Name())
+		if isSnapshot(f.Name()) || strings.HasSuffix(f.Name(), ".tmp") {
+			t.Errorf("leftover file %s", f.Name())
 		}
 	}
 }
@@ -485,18 +479,21 @@ func TestReplicaTornWALRestart(t *testing.T) {
 	}
 }
 
-// TestCompactionDuringCatchUp: a fold landing while a reader is
-// mid-stream must not wedge it — pages are served from the in-memory
-// log, which a fold never trims.
-func TestCompactionDuringCatchUp(t *testing.T) {
+// TestPrimaryRestartDuringCatchUp: a primary that restarts while a
+// reader is mid-stream serves the rest from the reader's cursor, which
+// sits below the tail — the reopened log replays every segment and
+// nothing trims it.
+func TestPrimaryRestartDuringCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	clock := newTestClock()
 	r := rand.New(rand.NewSource(29))
-	primary, err := Open(persistCfg(dir, clock))
+	cfg := persistCfg(dir, clock)
+	cfg.segmentMaxBytes = 4096
+	primary, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer primary.Close()
+	defer func() { primary.Close() }() // the reopened store
 	for i := 0; i < 30; i++ {
 		mustAdd(t, primary, ids.UserID(i%4+1), distinctSig(r, i))
 	}
@@ -510,13 +507,13 @@ func TestCompactionDuringCatchUp(t *testing.T) {
 			}
 		}
 		if page == 1 {
-			// Compaction lands mid-catch-up, folding past the reader's
-			// cursor. The stream must continue regardless.
-			if err := primary.ForceCompact(); err != nil {
+			// The primary restarts with the reader's cursor in a sealed
+			// segment. The stream must continue regardless.
+			if err := primary.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := primary.PersistStats().SnapshotEntries; got != 30 {
-				t.Fatalf("snapshot folds %d entries, want 30", got)
+			if primary, err = Open(cfg); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if !more {
@@ -524,7 +521,7 @@ func TestCompactionDuringCatchUp(t *testing.T) {
 		}
 	}
 	if follower.StateDigest() != primary.StateDigest() {
-		t.Fatal("follower diverges after compaction-during-catch-up")
+		t.Fatal("follower diverges after a primary restart during catch-up")
 	}
 }
 

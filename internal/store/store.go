@@ -15,11 +15,11 @@
 //
 // With Config.DataDir set (use Open, not New), the database is durable:
 // every committed batch is written ahead to a CRC-checked segment log
-// before it is acknowledged, sealed segments are periodically folded
-// into a snapshot, and Open recovers the directory — tolerating a torn
-// final record from a crash mid-write — so the accumulated community
-// database outlives the process. See docs/ARCHITECTURE.md
-// ("Persistence") for the format and invariants.
+// before it is acknowledged, and Open recovers the directory —
+// tolerating a torn final record from a crash mid-write — so the
+// accumulated community database outlives the process. The segments are
+// the database: none is ever merged or rewritten. See
+// docs/ARCHITECTURE.md ("Persistence") for the format and invariants.
 package store
 
 import (
@@ -78,19 +78,14 @@ type Config struct {
 	// Fsync selects when the write-ahead log fsyncs (FsyncBatch,
 	// FsyncAlways, FsyncOff); meaningful only with DataDir.
 	Fsync FsyncPolicy
-	// SegmentMaxBytes caps one WAL segment before it is sealed; <= 0
-	// selects DefaultSegmentMaxBytes.
-	SegmentMaxBytes int64
-	// CompactSegments is the fewest sealed segments snapshot compaction
-	// folds; <= 0 selects DefaultCompactSegments. It is a minimum: the
-	// first fold runs once this many segments are sealed, every later
-	// one waits until the sealed segments' bytes also reach the
-	// snapshot's, so each fold at least doubles the snapshot.
-	CompactSegments int
 	// ReadOnly opens DataDir for inspection only: recovery runs, reads
 	// work, every mutation returns ErrReadOnly, and no file is created
 	// or modified. Requires DataDir.
 	ReadOnly bool
+
+	// segmentMaxBytes caps one WAL segment before it is sealed; <= 0
+	// selects defaultSegmentMaxBytes. Only tests set it.
+	segmentMaxBytes int64
 }
 
 // withDefaults fills zero fields.
@@ -104,11 +99,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.SegmentMaxBytes <= 0 {
-		cfg.SegmentMaxBytes = DefaultSegmentMaxBytes
-	}
-	if cfg.CompactSegments <= 0 {
-		cfg.CompactSegments = DefaultCompactSegments
+	if cfg.segmentMaxBytes <= 0 {
+		cfg.segmentMaxBytes = defaultSegmentMaxBytes
 	}
 	return cfg
 }
@@ -268,8 +260,8 @@ func New(cfg Config) *Store {
 }
 
 // Open builds a store. With cfg.DataDir set it recovers the directory's
-// durable record sequence — newest valid snapshot first, then the WAL
-// segments, tolerating a torn record at the tail of the last segment —
+// durable record sequence — every WAL segment (and legacy snapshot) in
+// order, tolerating a torn record at the tail of the last segment —
 // and replays it into the shards, the per-user validation state, and the
 // GET log, so a restarted server serves the identical signature sequence
 // and still enforces duplicate, adjacency, and budget decisions made
@@ -310,8 +302,7 @@ func Open(cfg Config) (*Store, error) {
 	wal, err := openPersister(persistConfig{
 		dir:      cfg.DataDir,
 		policy:   cfg.Fsync,
-		segMax:   cfg.SegmentMaxBytes,
-		compactN: cfg.CompactSegments,
+		segMax:   cfg.segmentMaxBytes,
 		readOnly: cfg.ReadOnly,
 	}, func(e walEntry) error {
 		s, data, err := decodeEntry(e.data)
@@ -589,11 +580,15 @@ func logEntries(entries []walEntry) []Entry {
 // commit. The encoding is data when set (see Upload.Data), else
 // sig.Encode's.
 //
-// Between admit marking a signature present and the caller publishing it
-// there is a small window where a concurrent identical upload is
-// acknowledged as a duplicate before GET exposes the signature; the
-// publish always lands (admit's caller commits unconditionally), so the
-// window only delays visibility, it never loses the signature.
+// Between admit marking a signature present and the caller's commit
+// returning, a concurrent identical upload gets (false, nil), a
+// duplicate, while the original is neither published nor on the log.
+// The in-memory publish always lands, but durability may not: if the
+// WAL write fails, or the process dies before the original is durable
+// (on disk, or under -ack quorum on a majority of the cell), the
+// duplicate's uploader was told a signature is stored that is then
+// lost. ROADMAP.md's item "Acknowledge a duplicate only once its
+// original is safe" tracks the fix.
 func (st *Store) admit(user ids.UserID, s *sig.Signature, data json.RawMessage) (bool, walEntry, error) {
 	if err := s.Valid(); err != nil {
 		return false, walEntry{}, fmt.Errorf("store: %w", err)
@@ -720,9 +715,8 @@ func (st *Store) Close() error {
 // EntryPage returns one page of full log entries from 1-based index
 // from, under the same paging contract as GetPage; each Data is
 // sig.Encode's bytes, as Get's are. Any cursor can be served: Open
-// replays the snapshot and the segments into the in-memory log and
-// nothing ever trims it, so compaction only changes how the prefix is
-// stored on disk.
+// replays the whole WAL into the in-memory log and nothing ever trims
+// it.
 func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 	return st.log.EntryPage(from, maxCount, maxBytes)
 }
@@ -806,8 +800,9 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 }
 
 // ResetReplica discards the store's entire contents — in-memory shards,
-// log, and (when durable) every WAL segment and snapshot — leaving an
-// empty store at the same epoch, ready to re-replicate from index 1.
+// log, and (when durable) every WAL segment and legacy snapshot —
+// leaving an empty store at the same epoch, ready to re-replicate from
+// index 1.
 // Only a follower whose log is longer than its fence calls this; the
 // caller is responsible for making sure
 // no concurrent writers are active (a follower rejects ADDs, and the
@@ -840,27 +835,6 @@ func (st *Store) ResetReplica() error {
 		return nil
 	}
 	return st.wal.reset()
-}
-
-// ForceCompact seals the active WAL segment and folds everything sealed
-// into the snapshot immediately, regardless of the compaction trigger
-// (see Config.CompactSegments) — the deterministic trigger tests use to
-// fold mid-run. Folding rewrites only the on-disk form: the in-memory
-// log keeps every entry, so reads and replication from any cursor are
-// unaffected. A no-op on an ephemeral store.
-func (st *Store) ForceCompact() error {
-	if err := st.writable(); err != nil {
-		return err
-	}
-	if st.wal == nil {
-		return nil
-	}
-	st.walMu.Lock()
-	defer st.walMu.Unlock()
-	if st.closed.Load() {
-		return ErrClosed
-	}
-	return st.wal.forceCompact()
 }
 
 // StateDigest returns a deterministic digest of the store's observable

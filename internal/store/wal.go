@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -75,8 +74,10 @@ const (
 	// segMagic opens every WAL segment file, followed by the big-endian
 	// uint64 global index of the segment's first record.
 	segMagic = "CMXWAL1\n"
-	// snapMagic opens every snapshot file, followed by the big-endian
-	// uint64 snapshot version and record count.
+	// snapMagic opens every legacy snapshot file, followed by the
+	// big-endian uint64 snapshot version and record count. Older
+	// versions folded sealed segments into such files; this one only
+	// reads them (see recoverFiles).
 	snapMagic = "CMXSNAP\n"
 
 	segHeaderSize  = len(segMagic) + 8
@@ -100,21 +101,12 @@ const (
 	// batchSyncBytes is the FsyncBatch threshold: accumulate this many
 	// unsynced bytes, then fsync.
 	batchSyncBytes = 256 << 10
+
+	// defaultSegmentMaxBytes caps one WAL segment (4 MiB ≈ 2,400 of the
+	// paper's 1.7 KB signatures). A segment that reaches the cap is
+	// sealed and never written again.
+	defaultSegmentMaxBytes = 4 << 20
 )
-
-// DefaultSegmentMaxBytes caps one WAL segment (4 MiB ≈ 2,400 of the
-// paper's 1.7 KB signatures). A segment that reaches the cap is sealed
-// and becomes eligible for snapshot compaction.
-const DefaultSegmentMaxBytes = 4 << 20
-
-// DefaultCompactSegments is the fewest sealed segments compaction folds
-// into the snapshot. It is a minimum, not a period: a fold also waits
-// until the sealed segments hold at least as many bytes as the snapshot.
-const DefaultCompactSegments = 4
-
-// copyBufSize is compaction's streaming buffer: the largest record fits
-// whole, so every refill completes at least one record.
-const copyBufSize = recordHeaderSize + maxRecordPayload
 
 // ErrReadOnly is returned by mutating operations on a store opened with
 // Config.ReadOnly (offline inspection of a data directory).
@@ -141,11 +133,6 @@ type walEntry struct {
 	user ids.UserID
 	unix int64
 	data json.RawMessage
-}
-
-// encodedSize returns the on-disk size of the entry's record.
-func (e walEntry) encodedSize() int {
-	return recordHeaderSize + recordMetaSize + len(e.data)
 }
 
 // appendRecord appends e's record encoding to buf and returns the
@@ -196,70 +183,65 @@ func decodeRecord(b []byte) (walEntry, int, error) {
 // directory order equals log order.
 func segmentName(first uint64) string { return fmt.Sprintf("wal-%016d.seg", first) }
 
-// snapshotName returns the file name of the snapshot with the given
-// version.
-func snapshotName(version uint64) string { return fmt.Sprintf("snap-%016d.snap", version) }
+// isSegment, isSnapshot and isSnapshotTemp recognize the names of
+// segments, legacy snapshots, and an older version's crashed fold.
+func isSegment(name string) bool      { return affixed(name, "wal-", ".seg") }
+func isSnapshot(name string) bool     { return affixed(name, "snap-", ".snap") }
+func isSnapshotTemp(name string) bool { return affixed(name, "snap-", ".tmp") }
 
-// sealedSeg describes one full (no longer appended-to) segment awaiting
-// compaction.
-type sealedSeg struct {
-	path  string
-	first uint64 // global index of the first record
-	count uint64 // records in the segment
-	bytes int64  // file size: header plus records
+func affixed(name, prefix, suffix string) bool {
+	return strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix)
 }
 
-// persistConfig parameterizes openPersister; Config.withDefaults fills
-// it from the public knobs.
+// tailSeg describes the last segment recovery read: the candidate
+// active segment.
+type tailSeg struct {
+	path  string
+	first uint64 // global index of the first record
+	bytes int64  // valid length: header plus whole records
+}
+
+// persistConfig parameterizes openPersister; Open fills it from Config.
 type persistConfig struct {
 	dir      string
 	policy   FsyncPolicy
 	segMax   int64
-	compactN int
 	readOnly bool
 }
 
-// persister owns a store's data directory: the active WAL segment, the
-// sealed segments awaiting compaction, and the current snapshot. The
-// caller (Store.commit) serializes all mutations, so persister needs no
-// internal locking.
+// persister owns a store's data directory: the active WAL segment and
+// the sealed files before it. The caller (Store.commit) serializes all
+// mutations, so persister needs no internal locking.
 //
 // Directory contents:
 //
-//	snap-<version>.snap   at most one live snapshot: records 1..count
 //	wal-<first>.seg       segments, each holding records from index <first>
+//	snap-<version>.snap   legacy snapshots from older versions: records
+//	                      1..count, read as sealed segments
 //
-// Invariants: the snapshot covers a prefix of the global record sequence;
-// segments cover contiguous ranges that extend it (compaction only folds
-// whole segments, so the snapshot boundary is always a segment boundary);
-// only the last segment may end in a torn record, and only recovery may
-// observe one.
+// Invariants: the files, in name order, cover contiguous ranges of the
+// global record sequence that start at 1 and may overlap (an overlap is
+// a crashed fold of an older version; recovery skips it); only the last
+// segment may end in a torn record, and only recovery may observe one.
+// Only reset deletes a file that holds a record.
 type persister struct {
 	cfg persistConfig
 
 	lock     *os.File // lockDir-held LOCK file (nil when readOnly)
 	f        *os.File // active segment (nil when readOnly)
 	fFirst   uint64   // global index of the active segment's first record
-	size     int64    // bytes written to the active segment
+	size     int64    // active segment's size (read-only: the tail's)
 	unsynced int64    // bytes written since the last fsync
 	next     uint64   // global index the next record will get (1-based)
 
-	sealed      []sealedSeg
-	snapVersion uint64
-	snapCount   uint64
-	snapBytes   int64 // live snapshot file size; 0 when none
+	// sealedFiles and sealedBytes count the files that are never
+	// written again — sealed segments and legacy snapshots — and their
+	// total size.
+	sealedFiles int
+	sealedBytes int64
 
-	// Process-lifetime counters reported by stats: every fsync issued
-	// (file or directory), and every fold with the snapshot bytes it
-	// wrote.
-	fsyncs      uint64
-	folds       uint64
-	foldedBytes int64
-
-	// roTail notes (read-only mode only) that a tail segment exists and
-	// its size, so stats can report it without an open file handle.
-	roTail      bool
-	roTailBytes int64
+	// fsyncs counts every fsync issued since open, file or directory.
+	fsyncs uint64
 
 	// failed poisons the persister: set when the active segment may hold
 	// a partial record that could not be rolled back (a failed append
@@ -278,38 +260,26 @@ type PersistStats struct {
 	Enabled bool `json:"enabled"`
 	// Dir is the data directory path.
 	Dir string `json:"dir,omitempty"`
-	// Entries is the number of durable records (snapshot + segments).
+	// Entries is the number of durable records.
 	Entries uint64 `json:"entries"`
-	// SnapshotVersion is the live snapshot's version; 0 means no
-	// snapshot has been written yet.
-	SnapshotVersion uint64 `json:"snapshot_version"`
-	// SnapshotEntries is how many records the live snapshot folds.
-	SnapshotEntries uint64 `json:"snapshot_entries"`
-	// Segments counts WAL segment files, including the active one.
+	// Segments counts the record files: sealed segments, legacy
+	// snapshots, and the active segment.
 	Segments int `json:"segments"`
-	// SealedSegments counts full segments awaiting compaction.
-	SealedSegments int `json:"sealed_segments"`
+	// SealedBytes is the total size of the sealed segments and legacy
+	// snapshots.
+	SealedBytes int64 `json:"sealed_bytes"`
 	// ActiveSegmentBytes is the active segment's current size.
 	ActiveSegmentBytes int64 `json:"active_segment_bytes"`
-	// SnapshotBytes is the live snapshot file's size (0 without one).
-	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// SealedBytes is the sealed segments' total size. Compaction waits
-	// until it reaches SnapshotBytes.
-	SealedBytes int64 `json:"sealed_bytes"`
 	// Fsyncs counts every fsync the WAL issued since Open, file or
 	// directory.
 	Fsyncs uint64 `json:"fsyncs"`
-	// Folds counts compactions since Open, ForceCompact included.
-	Folds uint64 `json:"folds"`
-	// FoldedBytes is the total size of the snapshots those folds wrote.
-	FoldedBytes int64 `json:"folded_bytes"`
 }
 
 // openPersister opens (creating if needed) the data directory, recovers
-// the durable record sequence — snapshot first, then segments in order,
-// tolerating a torn record at the tail of the last segment — and invokes
-// apply for every recovered entry in log order. On return the persister
-// is ready to append (unless readOnly).
+// the durable record sequence — every record file in name order,
+// tolerating a torn record at the tail of the last segment — and
+// invokes apply for every recovered entry in log order. On return the
+// persister is ready to append (unless readOnly).
 func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, error) {
 	if !cfg.readOnly {
 		if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
@@ -318,11 +288,10 @@ func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, e
 	}
 	p := &persister{cfg: cfg, next: 1}
 	if !cfg.readOnly {
-		// Two writers interleaving appends and compactions in one
-		// directory corrupt the log unrecoverably; refuse up front (see
-		// lockDir). Read-only opens take no lock: inspecting a live
-		// directory mutates nothing, though a concurrent compaction can
-		// make one inspection attempt fail transiently — retry.
+		// Two writers interleaving appends in one directory corrupt the
+		// log unrecoverably; refuse up front (see lockDir). Read-only
+		// opens take no lock: inspecting a live directory mutates
+		// nothing, and a writer deletes record files only in reset.
 		lock, err := lockDir(cfg.dir)
 		if err != nil {
 			return nil, err
@@ -341,37 +310,27 @@ func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, e
 	if err != nil {
 		return fail(fmt.Errorf("store: data dir: %w", err))
 	}
-	var snaps, segs []string
+	var files []string
 	for _, de := range names {
 		name := de.Name()
 		switch {
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			segs = append(segs, name)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".tmp") && !cfg.readOnly:
-			// A compaction that crashed before its rename; without this
-			// sweep, every crashed compaction would leak a file of up to
-			// full-database size forever.
+		case isSegment(name) || isSnapshot(name):
+			files = append(files, name)
+		case isSnapshotTemp(name) && !cfg.readOnly:
+			// Without this sweep, each crashed fold of an older version
+			// would leak a file of up to full-database size forever.
 			os.Remove(filepath.Join(cfg.dir, name))
 		}
 	}
-	sort.Strings(snaps)
-	sort.Strings(segs)
+	sort.Strings(files) // "snap-" sorts before "wal-"
 
-	if err := p.recoverSnapshot(snaps, apply); err != nil {
-		return fail(err)
-	}
-	tail, err := p.recoverSegments(segs, apply)
+	tail, err := p.recoverFiles(files, apply)
 	if err != nil {
 		return fail(err)
 	}
 	if cfg.readOnly {
 		if tail != nil {
-			p.roTail = true
-			if info, err := os.Stat(tail.path); err == nil {
-				p.roTailBytes = info.Size()
-			}
+			p.size = tail.bytes // for stats only: nothing is appended
 		}
 		return p, nil
 	}
@@ -381,91 +340,34 @@ func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, e
 	return p, nil
 }
 
-// recoverSnapshot replays the newest fully valid snapshot. Older
-// versions and invalid files are ignored (a torn snapshot means the
-// crash hit compaction before it deleted the folded inputs, so the
-// records are still recoverable from older files). Superseded older
-// snapshots — left behind when a crash hit compaction between the
-// rename and the deletes — are swept in read-write mode so each such
-// crash cannot leak a database-sized file forever; newer-but-invalid
-// files are kept for forensics, recovery cannot use them anyway.
-func (p *persister) recoverSnapshot(names []string, apply func(walEntry) error) error {
-	for i := len(names) - 1; i >= 0; i-- {
-		path := filepath.Join(p.cfg.dir, names[i])
-		version, count, entries, err := readSnapshot(path)
-		if err != nil {
-			continue // fall back to the previous version
-		}
-		size := int64(snapHeaderSize)
-		for _, e := range entries {
-			if err := apply(e); err != nil {
-				return fmt.Errorf("store: snapshot %s: %w", names[i], err)
-			}
-			size += int64(e.encodedSize())
-		}
-		p.snapVersion, p.snapCount, p.snapBytes = version, count, size
-		p.next = count + 1
-		if !p.cfg.readOnly {
-			for _, stale := range names[:i] {
-				os.Remove(filepath.Join(p.cfg.dir, stale))
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
-// readSnapshot reads and fully validates one snapshot file.
-func readSnapshot(path string) (version, count uint64, entries []walEntry, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(b) < snapHeaderSize || string(b[:len(snapMagic)]) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("store: %s: bad snapshot header", path)
-	}
-	version = binary.BigEndian.Uint64(b[len(snapMagic):])
-	count = binary.BigEndian.Uint64(b[len(snapMagic)+8:])
-	// Bound the count against the smallest possible record before using
-	// it as an allocation hint: a corrupted count field must make the
-	// snapshot invalid (so recovery falls back), not panic makeslice.
-	if count > uint64(len(b)-snapHeaderSize)/(recordHeaderSize+recordMetaSize) {
-		return 0, 0, nil, fmt.Errorf("store: %s: impossible record count %d for %d bytes", path, count, len(b))
-	}
-	rest := b[snapHeaderSize:]
-	entries = make([]walEntry, 0, count)
-	for len(rest) > 0 {
-		e, n, err := decodeRecord(rest)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("store: %s: %w", path, err)
-		}
-		entries = append(entries, e)
-		rest = rest[n:]
-	}
-	if uint64(len(entries)) != count {
-		return 0, 0, nil, fmt.Errorf("store: %s: %d records, header says %d", path, len(entries), count)
-	}
-	return version, count, entries, nil
-}
-
-// recoverSegments replays every segment record with a global index past
-// the snapshot, enforcing contiguity. The last segment tolerates a torn
-// tail: the first short or corrupt record ends recovery and (in
-// read-write mode) the file is truncated to the valid prefix. The same
-// condition in any earlier segment is unrecoverable corruption. It
-// returns a descriptor of the last segment (recovery's candidate active
-// segment), or nil when there are no usable segments.
-func (p *persister) recoverSegments(names []string, apply func(walEntry) error) (*sealedSeg, error) {
-	var tail *sealedSeg
+// recoverFiles replays, in name order, every record with a global index
+// past those already recovered, enforcing contiguity. Legacy snapshots
+// sort before every segment and read as sealed segments whose first
+// record is 1; a record an earlier file already holds (an older
+// snapshot, or a folded segment, that a crashed fold left behind) is
+// skipped. The last segment tolerates a torn tail: the first short or
+// corrupt record ends recovery and (in read-write mode) the file is
+// truncated to the valid prefix. The same condition in any other file —
+// a legacy snapshot included, which its writer fsynced before renaming
+// it into place — is unrecoverable corruption. It returns the last
+// segment (recovery's candidate active segment), or nil when there is
+// none.
+func (p *persister) recoverFiles(names []string, apply func(walEntry) error) (*tailSeg, error) {
+	var tail *tailSeg
 	for i, name := range names {
 		path := filepath.Join(p.cfg.dir, name)
-		last := i == len(names)-1
+		snap := isSnapshot(name)
+		last := i == len(names)-1 && !snap
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if len(b) < segHeaderSize || string(b[:len(segMagic)]) != segMagic {
-			if last && len(b) < segHeaderSize {
+		magic, headerSize := segMagic, segHeaderSize
+		if snap {
+			magic, headerSize = snapMagic, snapHeaderSize
+		}
+		if len(b) < headerSize || string(b[:len(magic)]) != magic {
+			if last && len(b) < headerSize {
 				// Torn segment creation: the header never fully landed, so
 				// no record in it was ever acknowledged. Discard.
 				if !p.cfg.readOnly {
@@ -475,15 +377,18 @@ func (p *persister) recoverSegments(names []string, apply func(walEntry) error) 
 				}
 				continue
 			}
-			return nil, fmt.Errorf("store: %s: bad segment header", path)
+			return nil, fmt.Errorf("store: %s: bad header", path)
 		}
-		first := binary.BigEndian.Uint64(b[len(segMagic):])
+		first := uint64(1)
+		if !snap {
+			first = binary.BigEndian.Uint64(b[len(segMagic):])
+		}
 		if first > p.next {
 			return nil, fmt.Errorf("store: %s: starts at record %d, want %d (missing segment)", path, first, p.next)
 		}
 		idx := first
-		valid := segHeaderSize
-		rest := b[segHeaderSize:]
+		valid := headerSize
+		rest := b[headerSize:]
 		for len(rest) > 0 {
 			e, n, err := decodeRecord(rest)
 			if err != nil {
@@ -505,31 +410,23 @@ func (p *persister) recoverSegments(names []string, apply func(walEntry) error) 
 			valid += n
 			rest = rest[n:]
 		}
-		if last && valid < len(b) && !p.cfg.readOnly {
+		if snap {
+			// Compared, never allocated by: a corrupt count fails Open.
+			if count := binary.BigEndian.Uint64(b[len(snapMagic)+8:]); count != idx-1 {
+				return nil, fmt.Errorf("store: %s: %d records, header says %d", path, idx-1, count)
+			}
+		}
+		if !last {
+			p.sealedFiles++
+			p.sealedBytes += int64(valid)
+			continue
+		}
+		if valid < len(b) && !p.cfg.readOnly {
 			if err := os.Truncate(path, int64(valid)); err != nil {
 				return nil, fmt.Errorf("store: truncate torn tail: %w", err)
 			}
 		}
-		seg := sealedSeg{path: path, first: first, count: idx - first, bytes: int64(valid)}
-		if seg.count > 0 && seg.first+seg.count-1 <= p.snapCount {
-			// Every record is already folded into the snapshot (the crash
-			// hit compaction after the rename, before the deletes). The
-			// file must not survive — and in particular must never become
-			// the tail or re-enter the sealed list, or the next compaction
-			// would fold its records a second time and the Open after that
-			// would refuse the duplicate-carrying snapshot.
-			if !p.cfg.readOnly {
-				if err := os.Remove(path); err != nil {
-					return nil, fmt.Errorf("store: %w", err)
-				}
-			}
-			continue
-		}
-		if !last {
-			p.sealed = append(p.sealed, seg)
-			continue
-		}
-		tail = &seg
+		tail = &tailSeg{path: path, first: first, bytes: int64(valid)}
 	}
 	return tail, nil
 }
@@ -537,7 +434,7 @@ func (p *persister) recoverSegments(names []string, apply func(walEntry) error) 
 // openActive makes the recovered tail segment (or a fresh one) the
 // append target. A recovered tail that already reached the size cap is
 // sealed instead.
-func (p *persister) openActive(tail *sealedSeg) error {
+func (p *persister) openActive(tail *tailSeg) error {
 	if tail != nil {
 		// Recovery truncated the tail to its valid length, tail.bytes.
 		if tail.bytes < p.cfg.segMax {
@@ -548,7 +445,8 @@ func (p *persister) openActive(tail *sealedSeg) error {
 			p.f, p.fFirst, p.size = f, tail.first, tail.bytes
 			return nil
 		}
-		p.sealed = append(p.sealed, *tail)
+		p.sealedFiles++
+		p.sealedBytes += tail.bytes
 	}
 	return p.newSegment()
 }
@@ -590,8 +488,8 @@ func (p *persister) newSegment() error {
 	return nil
 }
 
-// append writes one committed batch to the active segment, rolling and
-// compacting as configured, and applies the fsync policy. The caller
+// append writes one committed batch to the active segment, rolling to a
+// new one at the size cap, and applies the fsync policy. The caller
 // serializes appends and has assigned the batch the global indexes
 // p.next..p.next+len(batch)-1.
 func (p *persister) append(batch []walEntry) error {
@@ -651,22 +549,14 @@ func (p *persister) sync() error {
 	return nil
 }
 
-// roll seals the active segment, starts a new one, and folds the sealed
-// segments into the snapshot once they have caught up with it (see
-// foldDue). roll is re-entrant after a failure: each stage leaves the
-// persister in a state where the next append retries exactly the stages
-// that have not completed (the seal is guarded by p.f != nil, compaction
-// by the sealed list, and a nil p.f always forces a new segment), so a
-// transient error — ENOSPC during compaction, say — heals once its cause
-// clears instead of wedging every later append.
+// roll seals the active segment and starts a new one. It is re-entrant
+// after a failure: a sealed segment leaves p.f nil, so the next append
+// retries only the stage that has not completed, and a transient error
+// — ENOSPC creating the new segment, say — heals once its cause clears
+// instead of wedging every later append.
 func (p *persister) roll() error {
 	if p.f != nil {
 		if err := p.seal(); err != nil {
-			return err
-		}
-	}
-	if p.foldDue() {
-		if err := p.compact(); err != nil {
 			return err
 		}
 	}
@@ -674,10 +564,8 @@ func (p *persister) roll() error {
 }
 
 // seal syncs (skipped under FsyncOff, whose contract is "never fsync")
-// and closes the active segment and appends it to the sealed list. An
-// empty segment has nothing to fold: its file is dropped instead, so
-// compaction inputs are never empty and the next segment can reuse the
-// name.
+// and closes the active segment, which is never written again. An empty
+// segment is dropped instead, so the next segment can reuse its name.
 func (p *persister) seal() error {
 	if p.cfg.policy != FsyncOff {
 		if err := p.fsync(p.f); err != nil {
@@ -692,160 +580,17 @@ func (p *persister) seal() error {
 	if err := p.f.Close(); err != nil {
 		return fmt.Errorf("store: seal: %w", err)
 	}
-	seg := sealedSeg{path: p.f.Name(), first: p.fFirst, count: p.next - p.fFirst, bytes: p.size}
+	path, empty, size := p.f.Name(), p.next == p.fFirst, p.size
 	p.f, p.size = nil, 0
-	if seg.count == 0 {
-		if err := os.Remove(seg.path); err != nil {
+	if empty {
+		if err := os.Remove(path); err != nil {
 			return fmt.Errorf("store: seal: %w", err)
 		}
 		return nil
 	}
-	p.sealed = append(p.sealed, seg)
+	p.sealedFiles++
+	p.sealedBytes += size
 	return nil
-}
-
-// foldDue reports whether roll should compact: at least compactN sealed
-// segments, holding at least as many bytes as the live snapshot. The
-// size condition makes every fold at least double the snapshot, so the
-// number of folds grows with the logarithm of the database and the
-// bytes all folds ever write stay within twice the bytes appended —
-// each record is rewritten O(1) times, not once per fold for the rest
-// of the server's life.
-func (p *persister) foldDue() bool {
-	return len(p.sealed) >= p.cfg.compactN && p.sealedBytes() >= p.snapBytes
-}
-
-// sealedBytes is the sealed segments' total size.
-func (p *persister) sealedBytes() int64 {
-	var n int64
-	for _, s := range p.sealed {
-		n += s.bytes
-	}
-	return n
-}
-
-// compact folds the current snapshot and every sealed segment into a new
-// snapshot version, then deletes the folded inputs. The new snapshot is
-// written to a temp file, synced, and renamed before anything is
-// deleted, so a crash at any point leaves a recoverable directory: the
-// old snapshot + segments until the rename, duplicate coverage (which
-// recovery skips) after it.
-func (p *persister) compact() error {
-	count := p.snapCount
-	for _, s := range p.sealed {
-		count += s.count
-	}
-	version := p.snapVersion + 1
-	tmp, err := os.CreateTemp(p.cfg.dir, "snap-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-
-	hdr := make([]byte, 0, snapHeaderSize)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.BigEndian.AppendUint64(hdr, version)
-	hdr = binary.BigEndian.AppendUint64(hdr, count)
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	size := int64(snapHeaderSize)
-	buf := make([]byte, copyBufSize)
-	var oldSnap string
-	if p.snapVersion > 0 {
-		oldSnap = filepath.Join(p.cfg.dir, snapshotName(p.snapVersion))
-		n, err := copyRecords(tmp, oldSnap, snapHeaderSize, buf)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		size += n
-	}
-	for _, s := range p.sealed {
-		n, err := copyRecords(tmp, s.path, segHeaderSize, buf)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		size += n
-	}
-	if err := p.fsync(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	final := filepath.Join(p.cfg.dir, snapshotName(version))
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := p.syncDir(); err != nil {
-		return err
-	}
-	// The new snapshot is durable; the folded inputs are now redundant.
-	if oldSnap != "" {
-		os.Remove(oldSnap)
-	}
-	for _, s := range p.sealed {
-		os.Remove(s.path)
-	}
-	p.snapVersion, p.snapCount, p.snapBytes, p.sealed = version, count, size, nil
-	p.folds++
-	p.foldedBytes += size
-	return nil
-}
-
-// copyRecords streams every record of src past its header into dst
-// through buf (at least copyBufSize bytes), re-validating each record on
-// the way, and returns the bytes copied. Validation (rather than a blind
-// byte copy) keeps a latent bad sector from propagating into every
-// future snapshot generation; streaming keeps a fold's memory at one
-// buffer however large the snapshot grows.
-func copyRecords(dst io.Writer, src string, headerSize int, buf []byte) (int64, error) {
-	f, err := os.Open(src)
-	if err != nil {
-		return 0, fmt.Errorf("store: compact: %w", err)
-	}
-	defer f.Close()
-	if _, err := io.ReadFull(f, buf[:headerSize]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, fmt.Errorf("store: compact: %s: short header", src)
-		}
-		return 0, fmt.Errorf("store: compact: %w", err)
-	}
-	var copied int64
-	filled := 0 // buf[:filled] was read but not yet copied
-	for {
-		n, rerr := f.Read(buf[filled:])
-		filled += n
-		valid := 0
-		for {
-			_, m, err := decodeRecord(buf[valid:filled])
-			if errors.Is(err, errShortRecord) {
-				break // the record continues past what was read
-			}
-			if err != nil {
-				return copied, fmt.Errorf("store: compact: %s: %w", src, err)
-			}
-			valid += m
-		}
-		if _, err := dst.Write(buf[:valid]); err != nil {
-			return copied, fmt.Errorf("store: compact: %w", err)
-		}
-		copied += int64(valid)
-		filled = copy(buf, buf[valid:filled])
-		if rerr == io.EOF {
-			if filled > 0 {
-				return copied, fmt.Errorf("store: compact: %s: %w", src, errShortRecord)
-			}
-			return copied, nil
-		}
-		if rerr != nil {
-			return copied, fmt.Errorf("store: compact: %w", rerr)
-		}
-	}
 }
 
 // fsync syncs f and counts it.
@@ -860,7 +605,7 @@ func (p *persister) syncDir() error {
 	return syncDir(p.cfg.dir)
 }
 
-// syncDir fsyncs a directory so renames and deletes within it are
+// syncDir fsyncs a directory so creations and deletions within it are
 // durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -874,33 +619,10 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// forceCompact seals the active segment and folds every sealed segment
-// into the snapshot now, regardless of foldDue, then opens a fresh
-// active segment. The caller serializes it against append.
-func (p *persister) forceCompact() error {
-	if p.cfg.readOnly {
-		return ErrReadOnly
-	}
-	if p.failed != nil {
-		return p.failed
-	}
-	if p.f != nil {
-		if err := p.seal(); err != nil {
-			return err
-		}
-	}
-	if len(p.sealed) > 0 {
-		if err := p.compact(); err != nil {
-			return err
-		}
-	}
-	return p.newSegment()
-}
-
-// reset deletes every segment and snapshot and starts the log over at
-// record 1 — the durable half of a fenced replica's reset. The directory
-// lock is kept; the poison flag is cleared (every poisoned file is
-// gone). The caller serializes it against append.
+// reset deletes every segment and legacy snapshot and starts the log
+// over at record 1 — the durable half of a fenced replica's reset. The
+// directory lock is kept; the poison flag is cleared (every poisoned
+// file is gone). The caller serializes it against append.
 func (p *persister) reset() error {
 	if p.cfg.readOnly {
 		return ErrReadOnly
@@ -914,9 +636,7 @@ func (p *persister) reset() error {
 		return fmt.Errorf("store: reset: %w", err)
 	}
 	for _, de := range names {
-		name := de.Name()
-		if (strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg")) ||
-			(strings.HasPrefix(name, "snap-") && (strings.HasSuffix(name, ".snap") || strings.HasSuffix(name, ".tmp"))) {
+		if name := de.Name(); isSegment(name) || isSnapshot(name) || isSnapshotTemp(name) {
 			if err := os.Remove(filepath.Join(p.cfg.dir, name)); err != nil {
 				return fmt.Errorf("store: reset: %w", err)
 			}
@@ -927,8 +647,7 @@ func (p *persister) reset() error {
 			return err
 		}
 	}
-	p.sealed = nil
-	p.snapVersion, p.snapCount, p.snapBytes = 0, 0, 0
+	p.sealedFiles, p.sealedBytes = 0, 0
 	p.next = 1
 	p.size, p.unsynced = 0, 0
 	p.failed = nil
@@ -939,25 +658,16 @@ func (p *persister) reset() error {
 // append.
 func (p *persister) stats() PersistStats {
 	st := PersistStats{
-		Enabled:         true,
-		Dir:             p.cfg.dir,
-		Entries:         p.next - 1,
-		SnapshotVersion: p.snapVersion,
-		SnapshotEntries: p.snapCount,
-		SealedSegments:  len(p.sealed),
-		Segments:        len(p.sealed),
-		SnapshotBytes:   p.snapBytes,
-		SealedBytes:     p.sealedBytes(),
-		Fsyncs:          p.fsyncs,
-		Folds:           p.folds,
-		FoldedBytes:     p.foldedBytes,
+		Enabled:     true,
+		Dir:         p.cfg.dir,
+		Entries:     p.next - 1,
+		Segments:    p.sealedFiles,
+		SealedBytes: p.sealedBytes,
+		Fsyncs:      p.fsyncs,
 	}
-	if p.f != nil {
+	if p.size > 0 {
 		st.Segments++
 		st.ActiveSegmentBytes = p.size
-	} else if p.roTail {
-		st.Segments++
-		st.ActiveSegmentBytes = p.roTailBytes
 	}
 	return st
 }
