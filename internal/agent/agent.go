@@ -225,23 +225,23 @@ func countRejection(v Verdict, rep *Report) {
 }
 
 // validate runs the three §III-C3 checks against the nested-site set,
-// returning the (possibly trimmed) signature and the verdict.
+// returning the (possibly trimmed) signature and the verdict. It never
+// writes to s, which is the repository's: the trimmed signature is a new
+// Threads slice whose stacks are suffixes of s's, shared read-only.
 func (a *Agent) validate(s *sig.Signature, nested map[string]struct{}) (*sig.Signature, Verdict) {
-	out := s.Clone()
-	out.Origin = sig.OriginRemote
+	out := &sig.Signature{Threads: make([]sig.ThreadSpec, len(s.Threads)), Origin: sig.OriginRemote}
 
 	// 1. Hash check on every stack (outer and inner).
-	for i := range out.Threads {
-		outer, ok := a.validateStack(out.Threads[i].Outer)
+	for i, t := range s.Threads {
+		outer, ok := a.validateStack(t.Outer)
 		if !ok {
 			return nil, VerdictRejectedHash
 		}
-		inner, ok := a.validateStack(out.Threads[i].Inner)
+		inner, ok := a.validateStack(t.Inner)
 		if !ok {
 			return nil, VerdictRejectedHash
 		}
-		out.Threads[i].Outer = outer
-		out.Threads[i].Inner = inner
+		out.Threads[i] = sig.ThreadSpec{Outer: outer, Inner: inner}
 	}
 	out.Normalize()
 
@@ -261,7 +261,8 @@ func (a *Agent) validate(s *sig.Signature, nested map[string]struct{}) (*sig.Sig
 
 // validateStack is the §III-C3 per-stack hash check: scanning from the
 // top frame, the top must match the application or the signature is
-// rejected; below it, the longest suffix whose hashes match is kept.
+// rejected; below it, the longest suffix whose hashes match is kept. The
+// kept suffix is a subslice of cs.
 func (a *Agent) validateStack(cs sig.Stack) (sig.Stack, bool) {
 	if cs.Depth() == 0 {
 		return nil, false
@@ -280,32 +281,16 @@ func (a *Agent) validateStack(cs sig.Stack) (sig.Stack, bool) {
 		}
 		keep++
 	}
-	return cs.Suffix(keep).Clone(), true
+	return cs.Suffix(keep), true
 }
 
-// install generalizes the validated signature into the history: merge it
-// with an existing same-bug signature when the policy allows, add it
-// otherwise (§III-D). Only same-bug signatures can merge, so the
-// history's bug index narrows the scan.
+// install generalizes the validated signature into the history, which
+// takes it over: merged with an existing same-bug signature when the
+// policy allows, added otherwise (§III-D).
 func (a *Agent) install(s *sig.Signature, rep *Report) {
-	for _, candidate := range a.cfg.History.SameBug(s) {
-		merged, ok := a.policy.Merge(candidate.Sig, s)
-		if !ok {
-			continue
-		}
-		if merged.ID() == candidate.ID {
-			// The incoming signature is subsumed; nothing to change.
-			rep.Merged++
-			return
-		}
-		if a.cfg.History.Replace(candidate.ID, merged) {
-			rep.Merged++
-			return
-		}
-	}
-	if a.cfg.History.Add(s) {
+	if a.cfg.History.Generalize(s, a.policy) {
 		rep.Added++
 	} else {
-		rep.Merged++ // identical signature already present
+		rep.Merged++
 	}
 }

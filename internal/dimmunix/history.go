@@ -84,7 +84,7 @@ type History struct {
 }
 
 // historyDelta is one mutation's signature churn. The recorded instances
-// are the history's own stable normalized clones (instance identity is
+// are the history's own stable normalized instances (instance identity is
 // signature identity — the position-shard table is keyed by them).
 type historyDelta struct {
 	version uint64
@@ -178,7 +178,7 @@ func (h *History) resizeDeltaRingLocked() {
 // must fall back to a full rebuild. A signature added and then removed
 // within the gap cancels out — the consumer never saw it, so nothing
 // needs touching; the reverse order cannot occur because a re-added
-// signature is always a fresh clone instance.
+// signature is always a fresh instance.
 func (h *History) DeltaSince(from, to uint64) (added, removed []*sig.Signature, ok bool) {
 	if from > to {
 		return nil, nil, false
@@ -299,31 +299,45 @@ func (h *History) Add(s *sig.Signature) bool {
 }
 
 func (h *History) addLocked(s *sig.Signature) bool {
-	stored := h.insertLocked(s)
+	stored := h.insertLocked(s, s.ID())
 	if stored == nil {
 		return false
 	}
-	h.version++
-	h.idxDirty.Store(true)
-	h.recordDeltaLocked([]*sig.Signature{stored}, nil)
-	return true
+	return h.commitLocked([]*sig.Signature{stored}, nil)
 }
 
-// insertLocked stores a normalized clone of s unless its ID is already
-// present, returning the stored instance (nil if it was a duplicate).
-// It does not bump the version — callers decide how the insertion folds
-// into a changelog entry.
-func (h *History) insertLocked(s *sig.Signature) *sig.Signature {
-	id := s.ID()
+// insertLocked stores a normalized clone of s under id unless id is
+// already present, returning the stored instance (nil if it was a
+// duplicate). It does not bump the version — callers decide how the
+// insertion folds into a changelog entry.
+func (h *History) insertLocked(s *sig.Signature, id string) *sig.Signature {
 	if _, ok := h.sigs[id]; ok {
 		return nil
 	}
 	s = s.Clone()
 	s.Normalize()
-	h.sigs[id] = s
-	bug := s.BugKey()
-	h.byBug[bug] = append(h.byBug[bug], id)
+	h.storeLocked(s, id, s.BugKey())
 	return s
+}
+
+// storeLocked stores s itself under id and bug, which the caller
+// computed from it and checked absent.
+func (h *History) storeLocked(s *sig.Signature, id, bug string) {
+	h.sigs[id] = s
+	h.byBug[bug] = append(h.byBug[bug], id)
+}
+
+// commitLocked folds one mutation — the instances it added and removed —
+// into one version bump and one changelog entry, reporting whether there
+// was anything to fold.
+func (h *History) commitLocked(added, removed []*sig.Signature) bool {
+	if added == nil && removed == nil {
+		return false
+	}
+	h.version++
+	h.idxDirty.Store(true)
+	h.recordDeltaLocked(added, removed)
+	return true
 }
 
 // rebuildIndexLocked publishes a fresh immutable avoidance index
@@ -360,9 +374,10 @@ func (h *History) Index() *AvoidIndex {
 	return h.idx.Load()
 }
 
-// dropBugLocked removes id from the bug index.
-func (h *History) dropBugLocked(s *sig.Signature, id string) {
-	bug := s.BugKey()
+// deleteLocked removes the signature stored under id, whose bug key is
+// bug, from the signature map and the bug index.
+func (h *History) deleteLocked(id, bug string) {
+	delete(h.sigs, id)
 	ids := h.byBug[bug]
 	out := ids[:0]
 	for _, other := range ids {
@@ -387,12 +402,8 @@ func (h *History) Remove(id string) bool {
 	if !ok {
 		return false
 	}
-	delete(h.sigs, id)
-	h.dropBugLocked(s, id)
-	h.version++
-	h.idxDirty.Store(true)
-	h.recordDeltaLocked(nil, []*sig.Signature{s})
-	return true
+	h.deleteLocked(id, s.BugKey())
+	return h.commitLocked(nil, []*sig.Signature{s})
 }
 
 // Replace swaps an existing signature (by ID) for another in one step —
@@ -406,28 +417,71 @@ func (h *History) Replace(oldID string, s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s.ID() == oldID {
+	id := s.ID()
+	if id == oldID {
 		return false
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	var removed []*sig.Signature
 	if old, ok := h.sigs[oldID]; ok {
-		delete(h.sigs, oldID)
-		h.dropBugLocked(old, oldID)
+		h.deleteLocked(oldID, old.BugKey())
 		removed = []*sig.Signature{old}
 	}
 	var added []*sig.Signature
-	if stored := h.insertLocked(s); stored != nil {
+	if stored := h.insertLocked(s, id); stored != nil {
 		added = []*sig.Signature{stored}
 	}
-	if removed == nil && added == nil {
+	return h.commitLocked(added, removed)
+}
+
+// Generalize installs a validated signature into the history (§III-D):
+// it merges s into the first same-bug signature the policy lets it merge
+// with — replacing that signature by the merge in one mutation, as
+// Replace does, or changing nothing when the merge is that signature
+// already (s is subsumed) — and adds s when no merge applies. It reports
+// whether s became a new entry; false means s was merged, was already
+// present, or is invalid.
+//
+// Generalize takes ownership of s, which must be canonical: it may store
+// s itself, so the caller must neither modify s afterwards nor hand it
+// to the history again. The stacks of s may be shared with other
+// read-only signatures (the agent's trimmed signatures alias the
+// repository's), since the history never writes to a signature it
+// stores. The step runs under one hold of the lock, computes the bug key
+// once, and hashes only the signature it stores.
+func (h *History) Generalize(s *sig.Signature, p sig.MergePolicy) (added bool) {
+	if err := s.Valid(); err != nil {
 		return false
 	}
-	h.version++
-	h.idxDirty.Store(true)
-	h.recordDeltaLocked(added, removed)
-	return true
+	bug := s.BugKey()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, oldID := range h.byBug[bug] {
+		old := h.sigs[oldID]
+		merged, ok := p.Merge(old, s)
+		if !ok {
+			continue
+		}
+		if merged.Equal(old) {
+			return false // subsumed: old already covers s
+		}
+		// A merge keeps old's top frames, so it has old's bug key.
+		h.deleteLocked(oldID, bug)
+		var stored []*sig.Signature
+		if id := merged.ID(); h.sigs[id] == nil {
+			h.storeLocked(merged, id, bug)
+			stored = []*sig.Signature{merged}
+		}
+		h.commitLocked(stored, []*sig.Signature{old})
+		return false
+	}
+	id := s.ID()
+	if h.sigs[id] != nil {
+		return false // identical signature already present
+	}
+	h.storeLocked(s, id, bug)
+	return h.commitLocked([]*sig.Signature{s}, nil)
 }
 
 // Get returns the signature with the given ID, or nil.
@@ -477,25 +531,6 @@ func (h *History) HasBug(s *sig.Signature) bool {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.byBug[key]) > 0
-}
-
-// SameBug returns the history signatures fingerprinting the same deadlock
-// bug as s — the generalization candidates (§III-D) — together with their
-// IDs. The returned signatures are the history's own instances: callers
-// must treat them as read-only. The bug index makes this O(candidates),
-// keeping the agent's startup pass linear in inspected signatures.
-func (h *History) SameBug(s *sig.Signature) []SlotRef {
-	key := s.BugKey()
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	ids := h.byBug[key]
-	out := make([]SlotRef, 0, len(ids))
-	for _, id := range ids {
-		if existing, ok := h.sigs[id]; ok {
-			out = append(out, SlotRef{Sig: existing, ID: id})
-		}
-	}
-	return out
 }
 
 // Save persists the history to its bound path (no-op for in-memory

@@ -80,6 +80,50 @@ func TestHistoryReplace(t *testing.T) {
 	}
 }
 
+// TestHistoryGeneralize: the signature Generalize adds is stored as
+// handed over, not copied; a signature the history already covers
+// changes nothing; a merge replaces its candidate in one mutation.
+func TestHistoryGeneralize(t *testing.T) {
+	h := NewHistory()
+	ps := newPairStacks()
+	s := ps.signature()
+	var policy sig.MergePolicy
+	if !h.Generalize(s, policy) {
+		t.Fatal("a fresh signature should be added")
+	}
+	if h.Get(s.ID()) != s {
+		t.Error("Generalize must store the signature it was handed")
+	}
+	v := h.Version()
+	if h.Generalize(s.Clone(), policy) || h.Version() != v {
+		t.Error("an identical signature must be subsumed without a mutation")
+	}
+	if h.Generalize(&sig.Signature{}, policy) || h.Version() != v {
+		t.Error("an invalid signature must change nothing")
+	}
+
+	// Another manifestation: every outer stack differs in its bottom
+	// frame, so the merge keeps the top five.
+	m := s.Clone()
+	for i := range m.Threads {
+		m.Threads[i].Outer[0].Method = "otherCaller"
+	}
+	m.Origin = sig.OriginRemote
+	if h.Generalize(m, policy) {
+		t.Fatal("a mergeable manifestation must not be added")
+	}
+	if h.Version() != v+1 || h.Len() != 1 || h.Get(s.ID()) != nil {
+		t.Fatalf("merge: version +%d, %d signatures; want one replacement", h.Version()-v, h.Len())
+	}
+	added, removed, ok := h.DeltaSince(v, v+1)
+	if !ok || len(added) != 1 || len(removed) != 1 || removed[0] != s {
+		t.Fatalf("merge delta = +%d/-%d ok=%v, want one swap removing s", len(added), len(removed), ok)
+	}
+	if got := added[0].MinOuterDepth(); got != 5 || h.Get(added[0].ID()) != added[0] {
+		t.Errorf("stored merge has outer depth %d, want 5, or is not the delta's instance", got)
+	}
+}
+
 func TestHistoryMatchOuter(t *testing.T) {
 	h := NewHistory()
 	ps := newPairStacks()

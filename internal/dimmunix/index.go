@@ -27,7 +27,7 @@ func topKeyOf(f sig.Frame) topKey {
 // with two atomic loads and one map probe — no lock, no allocation.
 //
 // An AvoidIndex is never mutated after publication; the signatures it
-// references are the history's own normalized clones, which are
+// references are the history's own normalized instances, which are
 // immutable once inserted.
 type AvoidIndex struct {
 	version uint64
@@ -110,7 +110,7 @@ func (ix *AvoidIndex) Version() uint64 { return ix.version }
 func (ix *AvoidIndex) Len() int { return len(ix.byTop) }
 
 // HasSigInstance reports whether the index reflects this exact
-// signature instance (the history's normalized clone).
+// signature instance (the history's normalized instance).
 func (ix *AvoidIndex) HasSigInstance(s *sig.Signature) bool {
 	_, ok := ix.live[s]
 	return ok

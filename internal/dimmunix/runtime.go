@@ -149,7 +149,7 @@ type Runtime struct {
 
 	// shards is the per-signature position table (see shard.go): one
 	// sigShard per live signature instance (the history's stable
-	// normalized clone — instance identity is signature identity),
+	// normalized instance — instance identity is signature identity),
 	// created on demand, pruned of removed signatures by
 	// refreshPositionsLocked. A sync.Map keyed by *sig.Signature: the
 	// matched fast path resolves its shard with one lock-free

@@ -22,7 +22,8 @@ import (
 type Entry struct {
 	// Index is the signature's 0-based position in download order.
 	Index int
-	// Sig is a decoded copy; callers may mutate it.
+	// Sig is the repository's own decoded signature, shared with every
+	// caller: read-only.
 	Sig *sig.Signature
 }
 
@@ -113,7 +114,8 @@ func Open(path string) (*Repo, error) {
 // are kept — positions must stay aligned with server indexes.
 //
 // The repository keeps the raw slices, and its decoded signatures share
-// their bytes: the caller must not modify them afterwards.
+// their bytes: the caller must not modify them afterwards. Each kept
+// signature is decoded here, once; nothing changes it after that.
 func (r *Repo) Append(raw []json.RawMessage, next int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,14 +205,15 @@ func (r *Repo) Len() int {
 }
 
 // NewSince returns the signatures not yet inspected for the application,
-// in download order.
+// in download order. The entries carry the repository's own decoded
+// signatures, not copies: callers must not modify them.
 func (r *Repo) NewSince(appKey string) []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	from := r.state.Inspected[appKey]
 	out := make([]Entry, 0, len(r.decoded)-from)
 	for i := from; i < len(r.decoded); i++ {
-		out = append(out, Entry{Index: i, Sig: r.decoded[i].Clone()})
+		out = append(out, Entry{Index: i, Sig: r.decoded[i]})
 	}
 	return out
 }
@@ -235,7 +238,7 @@ func (r *Repo) MarkInspected(appKey string, through int, pendingNesting []int) e
 }
 
 // PendingNesting returns the signatures awaiting a nesting re-check for
-// the application.
+// the application. Like NewSince's, they are read-only.
 func (r *Repo) PendingNesting(appKey string) []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -243,7 +246,7 @@ func (r *Repo) PendingNesting(appKey string) []Entry {
 	out := make([]Entry, 0, len(positions))
 	for _, i := range positions {
 		if i >= 0 && i < len(r.decoded) {
-			out = append(out, Entry{Index: i, Sig: r.decoded[i].Clone()})
+			out = append(out, Entry{Index: i, Sig: r.decoded[i]})
 		}
 	}
 	return out

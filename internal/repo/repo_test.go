@@ -160,19 +160,46 @@ func TestOpenCorruptFile(t *testing.T) {
 	}
 }
 
-func TestNewSinceReturnsClones(t *testing.T) {
+// TestNewSinceSharesDecodedSignatures pins the read-only contract: every
+// listing hands out the signature Append decoded, not a copy, and that
+// signature still encodes to the bytes it was appended as.
+func TestNewSinceSharesDecodedSignatures(t *testing.T) {
 	r, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Append(someSigs(t, 1, 4), 2); err != nil {
+	raw := someSigs(t, 4, 4)
+	if err := r.Append(raw[:2], 3); err != nil {
 		t.Fatal(err)
 	}
-	a := r.NewSince("app")
-	a[0].Sig.Threads[0].Outer[0].Class = "MUTATED"
-	b := r.NewSince("app")
-	if b[0].Sig.Threads[0].Outer[0].Class == "MUTATED" {
-		t.Error("NewSince must return independent clones")
+	first := r.NewSince("app")
+	if err := r.Append(raw[2:], 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.MarkInspected("app", 0, []int{1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	all := r.NewSince("app")
+	if len(first) != 2 || len(all) != 4 {
+		t.Fatalf("NewSince listed %d then %d entries, want 2 then 4", len(first), len(all))
+	}
+	for i, e := range first {
+		if all[i].Sig != e.Sig {
+			t.Errorf("entry %d: a later Append or listing replaced its signature", i)
+		}
+	}
+	for _, e := range r.PendingNesting("app") {
+		if e.Sig != all[e.Index].Sig {
+			t.Errorf("PendingNesting entry %d is not NewSince's signature", e.Index)
+		}
+	}
+	for i, e := range all {
+		if got := encodeSig(t, e.Sig); string(got) != string(raw[i]) {
+			t.Errorf("entry %d encodes to %s, appended as %s", i, got, raw[i])
+		}
+		if e.Sig.Origin != sig.OriginRemote {
+			t.Errorf("entry %d has origin %s, want remote", i, e.Sig.Origin)
+		}
 	}
 }
 

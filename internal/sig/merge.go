@@ -1,7 +1,5 @@
 package sig
 
-import "sort"
-
 // MergePolicy controls which pairs of signatures generalization may merge
 // (§III-D). Two signatures are mergeable iff they fingerprint the same
 // deadlock bug (identical top frames) and either both are local, or — when
@@ -19,13 +17,6 @@ func (p MergePolicy) minDepth() int {
 		return MinRemoteOuterDepth
 	}
 	return p.MinDepth
-}
-
-// CanMerge reports whether the policy allows merging a and b, without
-// performing the merge.
-func (p MergePolicy) CanMerge(a, b *Signature) bool {
-	_, ok := p.Merge(a, b)
-	return ok
 }
 
 // Merge generalizes a and b into one signature whose call stacks are the
@@ -110,30 +101,4 @@ func alignByTopKey(a, b *Signature) []ThreadSpec {
 func sameTops(t, u ThreadSpec) bool {
 	return t.Outer.Top().SameSite(u.Outer.Top()) &&
 		t.Inner.Top().SameSite(u.Inner.Top())
-}
-
-// MergeAll folds a set of same-bug signatures into the minimal set that the
-// policy permits: repeatedly merges mergeable pairs until a fixpoint.
-// Signatures of distinct bugs pass through untouched. The result is
-// deterministic: inputs are processed in canonical (ID) order.
-func (p MergePolicy) MergeAll(sigs []*Signature) []*Signature {
-	pending := make([]*Signature, len(sigs))
-	copy(pending, sigs)
-	sort.Slice(pending, func(i, j int) bool { return pending[i].ID() < pending[j].ID() })
-
-	var out []*Signature
-	for _, s := range pending {
-		merged := false
-		for i, existing := range out {
-			if m, ok := p.Merge(existing, s); ok {
-				out[i] = m
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			out = append(out, s)
-		}
-	}
-	return out
 }

