@@ -408,7 +408,7 @@ func (c *Client) SyncOnce() (int, error) {
 			return added, fmt.Errorf("client: sync: server said %s: %s", resp.Status, resp.Detail)
 		}
 		before := c.cfg.Repo.Len()
-		if err := c.cfg.Repo.Append(resp.Sigs, resp.Next); err != nil {
+		if err := c.cfg.Repo.AppendDecoded(resp.Sigs, resp.DecodedSigs(), resp.Next); err != nil {
 			return added, fmt.Errorf("client: sync: %w", err)
 		}
 		added += c.cfg.Repo.Len() - before
@@ -696,7 +696,7 @@ func (c *Client) handlePush(resp wire.Response) {
 	added := 0
 	if len(resp.Sigs) > 0 {
 		before := c.cfg.Repo.Len()
-		if err := c.cfg.Repo.Append(resp.Sigs, resp.Next); err != nil {
+		if err := c.cfg.Repo.AppendDecoded(resp.Sigs, resp.DecodedSigs(), resp.Next); err != nil {
 			// A dropped page must not be silent: the server's push
 			// cursor has already moved past it, so the only safe
 			// recovery is killing the session — the reconnect

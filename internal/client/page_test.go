@@ -1,10 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -104,33 +110,91 @@ func pageToken(t *testing.T) ids.Token {
 	return token
 }
 
+// mixedPage returns a page that mixes a canonical signature, one laid
+// out with whitespace, one that is JSON but invalid (a line 0) and
+// another canonical one: the frame decoder decodes the first, second and
+// fourth on read, and the repository skips the third.
+func mixedPage(t *testing.T) []string {
+	t.Helper()
+	sigs := pageSigs(t, 3, "")
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, []byte(sigs[2]), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	lineZero := regexp.MustCompile(`"line":[0-9]+`).ReplaceAllString(sigs[3], `"line":0`)
+	return []string{sigs[0], spaced.String(), lineZero, sigs[3]}
+}
+
+// checkSameAsAppend: the file-backed repository rp at path holds exactly
+// what Append(sigs, next) puts in a fresh one at rp's epoch — the same
+// persisted bytes
+// (so the same raw signatures and cursor), and the same decoded
+// signatures.
+func checkSameAsAppend(t *testing.T, name string, rp *repo.Repo, path string, sigs []string, next int) {
+	t.Helper()
+	refPath := filepath.Join(t.TempDir(), "ref.json")
+	ref, err := repo.Open(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetEpoch(rp.Epoch()); err != nil { // adopted from the HELLO ack
+		t.Fatal(err)
+	}
+	raw := make([]json.RawMessage, len(sigs))
+	for i, s := range sigs {
+		raw[i] = json.RawMessage(s)
+	}
+	_ = ref.Append(raw, next) // a rejected page is compared too
+	got, gotErr := os.ReadFile(path)
+	want, wantErr := os.ReadFile(refPath)
+	if !bytes.Equal(got, want) || (gotErr == nil) != (wantErr == nil) {
+		t.Errorf("%s: repository file %.300q (%v); Append writes %.300q (%v)", name, got, gotErr, want, wantErr)
+	}
+	if rp.Next() != ref.Next() || rp.Len() != ref.Len() {
+		t.Errorf("%s: len=%d next=%d; Append gives %d/%d", name, rp.Len(), rp.Next(), ref.Len(), ref.Next())
+	}
+	if g, w := rp.NewSince("check"), ref.NewSince("check"); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: decoded signatures %v; Append decodes %v", name, g, w)
+	}
+}
+
 // A GET reply is validated where the repository decodes it: one value
 // that is not JSON fails the sync with nothing kept and the cursor
-// unmoved; a JSON value that is not a signature is skipped.
+// unmoved; a JSON value that is not a signature is skipped. Signatures
+// the frame decoder decoded on read land exactly as Append would have
+// decoded them.
 func TestSyncValidatesPageInRepo(t *testing.T) {
 	for _, tc := range []struct {
-		bad     string
+		name    string
+		sigs    []string
 		wantErr bool
 		wantLen int
 	}{
-		{`{"threads":[1}]`, true, 0},
-		{`{"threads":"x"}`, false, 3},
+		{"not JSON", pageSigs(t, 3, `{"threads":[1}]`), true, 0},
+		{"not a signature", pageSigs(t, 3, `{"threads":"x"}`), false, 3},
+		{"mixed", mixedPage(t), false, 3},
 	} {
-		addr := newPageServer(t, pageSigs(t, 3, tc.bad), 5)
-		rp, _ := repo.Open("")
+		next := len(tc.sigs) + 1
+		addr := newPageServer(t, tc.sigs, next)
+		path := filepath.Join(t.TempDir(), "repo.json")
+		rp, err := repo.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := newClient(t, addr, pageToken(t), rp)
-		_, err := c.SyncOnce()
+		_, err = c.SyncOnce()
 		c.Close()
 		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: SyncOnce err = %v, want error %v", tc.bad, err, tc.wantErr)
+			t.Errorf("%s: SyncOnce err = %v, want error %v", tc.name, err, tc.wantErr)
 		}
-		wantNext := 5
+		wantNext := next
 		if tc.wantErr {
 			wantNext = 1
 		}
 		if rp.Len() != tc.wantLen || rp.Next() != wantNext {
-			t.Errorf("%s: len=%d next=%d, want %d/%d", tc.bad, rp.Len(), rp.Next(), tc.wantLen, wantNext)
+			t.Errorf("%s: len=%d next=%d, want %d/%d", tc.name, rp.Len(), rp.Next(), tc.wantLen, wantNext)
 		}
+		checkSameAsAppend(t, tc.name, rp, path, tc.sigs, next)
 	}
 }
 
@@ -139,14 +203,20 @@ func TestSyncValidatesPageInRepo(t *testing.T) {
 // the unmoved cursor); a JSON value that is not a signature is skipped.
 func TestPushValidatesPageInRepo(t *testing.T) {
 	for _, tc := range []struct {
-		bad     string
+		name    string
+		sigs    []string
 		wantErr bool
 	}{
-		{`{"threads":[1}]`, true},
-		{`[]`, false},
+		{"not JSON", pageSigs(t, 3, `{"threads":[1}]`), true},
+		{"not a signature", pageSigs(t, 3, `[]`), false},
+		{"mixed", mixedPage(t), false},
 	} {
-		addr := newPageServer(t, pageSigs(t, 3, tc.bad), 5)
-		rp, _ := repo.Open("")
+		addr := newPageServer(t, tc.sigs, 5)
+		path := filepath.Join(t.TempDir(), "repo.json")
+		rp, err := repo.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		errs := make(chan error, 16)
 		added := make(chan int, 16)
 		c := newClient(t, addr, pageToken(t), rp, func(cfg *Config) {
@@ -170,18 +240,19 @@ func TestPushValidatesPageInRepo(t *testing.T) {
 		select {
 		case err := <-errs:
 			if !tc.wantErr || !strings.Contains(err.Error(), "push append") {
-				t.Errorf("%s: session failed: %v", tc.bad, err)
+				t.Errorf("%s: session failed: %v", tc.name, err)
 			}
 			if rp.Len() != 0 || rp.Next() != 1 {
-				t.Errorf("%s: after a rejected push len=%d next=%d, want 0/1", tc.bad, rp.Len(), rp.Next())
+				t.Errorf("%s: after a rejected push len=%d next=%d, want 0/1", tc.name, rp.Len(), rp.Next())
 			}
 		case n := <-added:
 			if tc.wantErr || n != 3 || rp.Next() != 5 {
-				t.Errorf("%s: push added %d, next %d; want 3 of 4 kept, next 5", tc.bad, n, rp.Next())
+				t.Errorf("%s: push added %d, next %d; want 3 of 4 kept, next 5", tc.name, n, rp.Next())
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: the pushed page was neither applied nor refused", tc.bad)
+			t.Fatalf("%s: the pushed page was neither applied nor refused", tc.name)
 		}
 		c.Close()
+		checkSameAsAppend(t, tc.name, rp, path, tc.sigs, 5)
 	}
 }

@@ -524,15 +524,6 @@ func (h *History) MatchOuter(cs sig.Stack) []SlotRef {
 	return h.Index().Match(cs)
 }
 
-// HasBug reports whether some history signature fingerprints the same
-// deadlock bug as s.
-func (h *History) HasBug(s *sig.Signature) bool {
-	key := s.BugKey()
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.byBug[key]) > 0
-}
-
 // Save persists the history to its bound path (no-op for in-memory
 // histories). The write is atomic: temp file then rename.
 func (h *History) Save() error {

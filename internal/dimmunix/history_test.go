@@ -234,28 +234,6 @@ func TestHistorySaveInMemoryIsNoop(t *testing.T) {
 	}
 }
 
-func TestHistoryHasBug(t *testing.T) {
-	h := NewHistory()
-	ps := newPairStacks()
-	h.Add(ps.signature())
-
-	// Another manifestation: same tops, different chains.
-	variant := sig.New(
-		sig.ThreadSpec{Outer: append(mkStack("V", "v", 4), ps.outerA[len(ps.outerA)-2:]...), Inner: ps.innerAB},
-		sig.ThreadSpec{Outer: ps.outerB, Inner: ps.innerBA},
-	)
-	if !h.HasBug(variant) {
-		t.Error("manifestation of a recorded bug should be recognized")
-	}
-	other := sig.New(
-		sig.ThreadSpec{Outer: mkStack("X", "nope1", 5), Inner: mkStack("X", "nope2", 5)},
-		sig.ThreadSpec{Outer: mkStack("X", "nope3", 5), Inner: mkStack("X", "nope4", 5)},
-	)
-	if h.HasBug(other) {
-		t.Error("unrelated bug should not be recognized")
-	}
-}
-
 // deltaTestSig builds a distinct valid two-thread signature per tag.
 func deltaTestSig(tag string) *sig.Signature {
 	return sig.New(

@@ -106,8 +106,10 @@ func Open(path string) (*Repo, error) {
 // making overlapping Appends idempotent. An Append that adds nothing
 // and leaves the cursor where it was writes nothing.
 //
-// Append is where downloaded signatures are validated: the frame
-// decoder only delimits them. The whole page is checked before any of
+// Append is where downloaded signatures are validated, except those the
+// frame decoder already decoded (AppendDecoded): canonical page
+// signatures are decoded where they are delimited; everything else is
+// delimited and decoded here. The whole page is checked before any of
 // it is kept. A value that is not JSON rejects the page, leaving the
 // repository unchanged; a JSON value that is not a valid signature is
 // skipped (the server is not trusted blindly). Duplicates by content
@@ -115,36 +117,53 @@ func Open(path string) (*Repo, error) {
 //
 // The repository keeps the raw slices, and its decoded signatures share
 // their bytes: the caller must not modify them afterwards. Each kept
-// signature is decoded here, once; nothing changes it after that.
+// signature is decoded once, here or by the frame decoder; nothing
+// changes it after that.
 func (r *Repo) Append(raw []json.RawMessage, next int) error {
+	return r.AppendDecoded(raw, nil, next)
+}
+
+// AppendDecoded is Append for a page some of whose signatures were
+// decoded where the page was read (wire.Response.DecodedSigs): a
+// non-nil decoded[i] must be sig.DecodeShared(raw[i])'s value, and the
+// repository takes it instead of decoding raw[i] again. Nil slots, and
+// slots past the end of decoded, are decoded and judged as Append
+// judges them.
+func (r *Repo) AppendDecoded(raw []json.RawMessage, decoded []*sig.Signature, next int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	covered := min(max(r.state.Next-(next-len(raw)), 0), len(raw))
 	keep := make([]json.RawMessage, 0, len(raw)-covered)
-	decoded := make([]*sig.Signature, 0, len(raw)-covered)
+	sigs := make([]*sig.Signature, 0, len(raw)-covered)
 	for i, data := range raw {
+		var s *sig.Signature
+		if i < len(decoded) {
+			s = decoded[i]
+		}
 		if i < covered {
-			if !json.Valid(data) {
+			if s == nil && !json.Valid(data) {
 				return fmt.Errorf("repo: append: signature %d of the page is not JSON", i)
 			}
 			continue
 		}
-		s, err := sig.DecodeShared(data)
-		if err != nil {
-			if !json.Valid(data) {
-				return fmt.Errorf("repo: append: signature %d of the page: %w", i, err)
+		if s == nil {
+			var err error
+			if s, err = sig.DecodeShared(data); err != nil {
+				if !json.Valid(data) {
+					return fmt.Errorf("repo: append: signature %d of the page: %w", i, err)
+				}
+				continue
 			}
-			continue
 		}
 		s.Origin = sig.OriginRemote
 		keep = append(keep, data)
-		decoded = append(decoded, s)
+		sigs = append(sigs, s)
 	}
 	if len(keep) == 0 && next <= r.state.Next {
 		return nil
 	}
 	r.state.Sigs = append(r.state.Sigs, keep...)
-	r.decoded = append(r.decoded, decoded...)
+	r.decoded = append(r.decoded, sigs...)
 	r.state.Next = max(r.state.Next, next)
 	return r.saveLocked()
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -444,5 +445,63 @@ func BenchmarkRepoAppend(b *testing.B) {
 		if err := rp.Append(page, len(page)+1); err != nil || rp.Len() != len(page) {
 			b.Fatalf("Append: %v, len %d", err, rp.Len())
 		}
+	}
+}
+
+// TestAppendDecodedTakesDecodedSlots: AppendDecoded keeps the
+// signatures it is handed instead of decoding their bytes again, decodes
+// and judges the nil slots and those past the end of decoded as Append
+// does, and so ends in Append's state.
+func TestAppendDecodedTakesDecodedSlots(t *testing.T) {
+	sigs := someSigs(t, 5, 7)
+	page := []json.RawMessage{sigs[0], sigs[1], json.RawMessage(`{"threads":[]}`), sigs[2], sigs[3], sigs[4]}
+	decoded := make([]*sig.Signature, 4) // the last two slots are past its end
+	for _, i := range []int{0, 3} {
+		s, err := sig.DecodeShared(page[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[i] = s
+	}
+	ref, _ := Open("")
+	if err := ref.Append(page[:1], 2); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Open("")
+	if err := got.Append(page[:1], 2); err != nil {
+		t.Fatal(err)
+	}
+	// The first slot is below the cursor: covered, not kept twice.
+	if err := ref.Append(page, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AppendDecoded(page, decoded, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 5 || got.Next() != 7 || ref.Len() != got.Len() || ref.Next() != got.Next() {
+		t.Fatalf("len=%d next=%d; Append gives %d/%d, want 5/7", got.Len(), got.Next(), ref.Len(), ref.Next())
+	}
+	gotEntries, refEntries := got.NewSince("app"), ref.NewSince("app")
+	if !reflect.DeepEqual(gotEntries, refEntries) {
+		t.Fatalf("decoded signatures differ from Append's:\n%v\n%v", gotEntries, refEntries)
+	}
+	if gotEntries[2].Sig != decoded[3] {
+		t.Error("AppendDecoded decoded a signature it was handed again")
+	}
+	if decoded[3].Origin != sig.OriginRemote {
+		t.Errorf("a handed-in signature kept origin %v", decoded[3].Origin)
+	}
+	// A decoded slot stands for valid JSON, below the cursor too; a nil
+	// slot holding a value that is not JSON still rejects the page.
+	notJSON := json.RawMessage(`{"threads":[1}]`)
+	last, err := sig.DecodeShared(sigs[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AppendDecoded([]json.RawMessage{sigs[4], notJSON}, []*sig.Signature{last, nil}, 8); err == nil {
+		t.Error("AppendDecoded accepted a page with a value that is not JSON")
+	}
+	if got.Len() != 5 || got.Next() != 7 {
+		t.Errorf("after a rejected page len=%d next=%d, want 5/7", got.Len(), got.Next())
 	}
 }

@@ -180,6 +180,7 @@ type Server struct {
 	// the resolved Config knobs.
 	hub         hub
 	pool        *pusherPool
+	replyBufs   replyBuffers
 	getBatch    int
 	pushMaxLag  int
 	maxSessions int

@@ -293,21 +293,57 @@ func (sess *session) shutdown() {
 	})
 }
 
+// replyBuffers holds the frame buffers writers encode replies into,
+// server-wide: a GET reply's page is encoded, written and done with
+// before the writer takes its next frame, so one buffer serves reply
+// after reply instead of each reply allocating its own.
+type replyBuffers struct{ pool sync.Pool }
+
+// maxPooledReply bounds the buffers put back: the largest frame the
+// protocol allows, header included.
+const maxPooledReply = wire.MaxFrameSize + 4
+
+func (p *replyBuffers) get() *[]byte {
+	if buf, ok := p.pool.Get().(*[]byte); ok {
+		return buf
+	}
+	return new([]byte)
+}
+
+// put returns buf to the pool holding frame's storage (buf's own when
+// frame is nil), and reports whether it did: storage past
+// maxPooledReply is dropped.
+func (p *replyBuffers) put(buf *[]byte, frame []byte) bool {
+	if frame != nil {
+		*buf = frame[:0]
+	}
+	if cap(*buf) > maxPooledReply {
+		return false
+	}
+	p.pool.Put(buf)
+	return true
+}
+
 // writeLoop is the session's single writer: every frame — responses and
 // pushes alike — leaves through here, so interleaving is frame-atomic.
 // After each written PUSH it clears inflight and re-wakes the pusher,
 // which is what clocks page production to the subscriber's socket.
-// Responses are encoded with EncodeStoredFrame: the only signatures a
-// reply carries are GetPage's store entries.
+// Responses are encoded with AppendStoredFrame, into a buffer from the
+// server's replyBufs that goes back once the frame is written: the only
+// signatures a reply carries are GetPage's store entries. PUSH pages
+// are not recycled: the pusher caches a page's frame and shares it with
+// every subscriber at the same cursor.
 func (s *Server) writeLoop(sess *session) {
 	defer sess.wg.Done()
 	for {
 		select {
 		case f := <-sess.out:
-			enc, err := wire.EncodeStoredFrame(f.resp)
+			buf := s.replyBufs.get()
+			enc, err := wire.AppendStoredFrame((*buf)[:0], f.resp)
 			if err == nil {
 				err = sess.wc.SendEncoded(enc)
 			}
+			s.replyBufs.put(buf, enc)
 			if err != nil {
 				sess.shutdown()
 				return

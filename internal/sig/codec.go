@@ -251,6 +251,31 @@ func decodeStrict(data []byte) (*Signature, error) {
 	return &s, nil
 }
 
+// DecodePrefix decodes the signature at the start of data and returns
+// it with the index just past its closing brace; the bytes after it are
+// not looked at. It is DecodeShared for a signature whose extent is not
+// known yet — the frame decoder's, which finds each page signature's
+// end by decoding it — and applies DecodeShared's checks: the
+// MaxEncodedSize bound, Valid, and normalization. It decodes only the
+// canonical subset (decodeCanonical), and reports nil for anything
+// else, valid or not; such a value is for its consumer to decode.
+//
+// The result is DecodeShared(data[:end])'s, strings taken from data.
+func DecodePrefix(data []byte) (s *Signature, end int) {
+	if len(data) > MaxEncodedSize {
+		// A signature past the bound cannot close inside it.
+		data = data[:MaxEncodedSize]
+	}
+	s, end, _ = canonicalPrefix(data, true)
+	if s == nil || s.Valid() != nil {
+		return nil, 0
+	}
+	if !s.normalized() {
+		s.Normalize()
+	}
+	return s, end
+}
+
 // decodeCanonical decodes the canonical subset of the wire form in one
 // pass: exact lowercase keys, each at most once per object; strings of
 // printable ASCII without escapes; line numbers as plain non-negative
@@ -264,13 +289,37 @@ func decodeStrict(data []byte) (*Signature, error) {
 // empty hash or kind, which must be omitted; no '<', '>' or '&', which
 // Encode escapes. Thread order is left to the caller.
 //
+// It is canonicalPrefix plus the check that only whitespace follows the
+// object.
+func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
+	s, end, exact := canonicalPrefix(data, shared)
+	if s == nil {
+		return nil, false, false
+	}
+	i := end
+	for i < len(data) && isSpace(data[i]) {
+		i++
+	}
+	if i != len(data) {
+		return nil, false, false
+	}
+	return s, true, exact && i == end // Encode writes no whitespace
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// canonicalPrefix is the canonical subset's one parser. It decodes the
+// object at the start of data, after optional whitespace, and returns
+// it with the index just past its closing brace, or nil for anything
+// outside the subset. exact is decodeCanonical's, for the object alone.
+//
 // Each frame is first matched against the exact layout Encode writes
 // (exactFrame); only a frame laid out any other way takes the generic
 // member loop. All strings of the result are substrings of one copy of
 // data (of data itself when shared), and all frames share one array, so
 // a decode allocates the signature, its threads, its frames and, unless
 // shared, the copy.
-func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
+func canonicalPrefix(data []byte, shared bool) (s *Signature, end int, exact bool) {
 	d := decoders.Get().(*canonDecoder)
 	defer d.release()
 	if shared {
@@ -280,7 +329,7 @@ func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
 	}
 	s = new(Signature)
 	var seen bool
-	ok = d.object(func(key string) bool {
+	ok := d.object(func(key string) bool {
 		if key != "threads" || seen {
 			return false
 		}
@@ -291,12 +340,11 @@ func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
 			return d.thread(len(s.Threads) - 1)
 		})
 	})
-	d.skipSpace()
-	if !ok || d.pos != len(d.src) {
-		return nil, false, false
+	if !ok {
+		return nil, 0, false
 	}
 	d.attach(s)
-	return s, true, seen && !d.inexact
+	return s, d.pos, seen && !d.inexact
 }
 
 // decoders holds canonDecoders between decodes, so the frame scratch is
@@ -358,7 +406,7 @@ func (d *canonDecoder) attach(s *Signature) {
 func (d *canonDecoder) skipSpace() {
 	start := d.pos
 	for d.pos < len(d.src) {
-		if c := d.src[d.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+		if !isSpace(d.src[d.pos]) {
 			break
 		}
 		d.pos++

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -229,5 +230,74 @@ func TestExactFrameTakesOnlyEncodersLayout(t *testing.T) {
 		if d.exactFrame(&got) || got != (Frame{}) || d.pos != 0 {
 			t.Errorf("exactFrame(%s) took it: %+v at %d", src, got, d.pos)
 		}
+	}
+}
+
+// TestDecodePrefix: a canonical signature followed by whatever a page
+// puts after it decodes as DecodeShared decodes the signature alone;
+// anything outside the canonical subset, invalid or over the size bound
+// is declined.
+func TestDecodePrefix(t *testing.T) {
+	s := benchSig(6)
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeShared(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := bytes.ReplaceAll(data, []byte(`,`), []byte(`, `))
+	for _, sigBytes := range [][]byte{data, spaced} {
+		for _, tail := range []string{"", ",", "]", "}", `,{"threads":[]}]`, "garbage", " "} {
+			in := append(append([]byte(nil), sigBytes...), tail...)
+			got, end := DecodePrefix(in)
+			if got == nil || end != len(sigBytes) || !reflect.DeepEqual(got, want) {
+				t.Errorf("DecodePrefix(%.40q…%q) = %v, %d; want the signature up to %d", sigBytes, tail, got, end, len(sigBytes))
+			}
+		}
+	}
+	// Threads out of canonical order decode normalized, as DecodeShared's do.
+	rev, err := Encode(&Signature{Threads: []ThreadSpec{s.Threads[1], s.Threads[0]}})
+	if err != nil || bytes.Equal(rev, data) {
+		t.Fatalf("reversed encoding %q, %v", rev, err)
+	}
+	if got, _ := DecodePrefix(rev); got == nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("DecodePrefix(%q) = %v, want it normalized to %v", rev, got, want)
+	}
+	escaped := bytes.Replace(data, []byte(`"class":"`), []byte(`"class":"\u0041`), 1)
+	big := append(append([]byte(`{"threads":[{"outer":[{"class":"`), bytes.Repeat([]byte("x"), MaxEncodedSize)...), data[len(`{"threads":[{"outer":[{"class":"`):]...)
+	for name, in := range map[string][]byte{
+		"escape":         escaped,
+		"one thread":     []byte(`{"threads":[{"outer":[{"class":"C","method":"m","line":1}],"inner":[{"class":"C","method":"m","line":2}]}]}`),
+		"no threads":     []byte(`{}`),
+		"unknown key":    []byte(`{"threads":[],"x":1}`),
+		"cut":            data[:len(data)-1],
+		"leading zero":   bytes.Replace(data, []byte(`"line":1`), []byte(`"line":01`), 1),
+		"over the bound": big,
+		"not an object":  []byte(`[1]`),
+		"empty":          nil,
+	} {
+		if got, end := DecodePrefix(in); got != nil || end != 0 {
+			t.Errorf("%s: DecodePrefix accepted %.60q… up to %d", name, in, end)
+		}
+	}
+	if _, err := DecodeShared(escaped); err != nil {
+		t.Errorf("the escaped signature is valid and must be left to DecodeShared: %v", err)
+	}
+}
+
+// TestIDAllocs: ID's hash input comes from a pool, so the returned
+// string is its one allocation in the steady state; one more is allowed
+// for a pool miss.
+func TestIDAllocs(t *testing.T) {
+	s := protectSig("")
+	want := s.ID()
+	if n := testing.AllocsPerRun(200, func() {
+		if s.ID() != want {
+			t.Fatal("ID changed between calls")
+		}
+	}); n > 2 {
+		t.Errorf("ID allocates %.1f times per call, want at most 2", n)
 	}
 }

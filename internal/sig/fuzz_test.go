@@ -271,6 +271,7 @@ func FuzzDecodeDifferential(f *testing.F) {
 				t.Fatalf("fast path reported %q exact; the encoder writes %q", data, enc)
 			}
 		}
+		checkPrefix(t, data)
 		got, err := Decode(data)
 		shared, sErr := DecodeShared(data)
 		if !reflect.DeepEqual(shared, got) || fmt.Sprint(sErr) != fmt.Sprint(err) {
@@ -311,4 +312,24 @@ func FuzzDecodeDifferential(f *testing.F) {
 			t.Fatalf("Decode(%q) =\n%#v\noracle:\n%#v", data, got, want)
 		}
 	})
+}
+
+// checkPrefix holds DecodePrefix to DecodeShared on data: what it
+// decodes is DecodeShared's value for the bytes up to the end it
+// reports, and it declines nothing that decodeCanonical takes whole as a
+// valid signature.
+func checkPrefix(t *testing.T, data []byte) {
+	t.Helper()
+	if s, end := DecodePrefix(data); s != nil {
+		want, err := DecodeShared(data[:end])
+		if err != nil || !reflect.DeepEqual(s, want) {
+			t.Fatalf("DecodePrefix(%q) = %v up to %d; DecodeShared of those bytes %v, %v", data, s, end, want, err)
+		}
+	}
+	if whole, ok, _ := decodeCanonical(data, true); ok && whole.Valid() == nil {
+		s, end := DecodePrefix(data)
+		if trimmed := len(bytes.TrimRight(data, " \t\r\n")); s == nil || end != trimmed {
+			t.Fatalf("DecodePrefix(%q) = %v up to %d; the canonical signature ends at %d", data, s, end, trimmed)
+		}
+	}
 }

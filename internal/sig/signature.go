@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Origin records where a signature came from. Generalization treats local
@@ -230,14 +231,23 @@ const MinRemoteOuterDepth = 5
 //
 // The hashed bytes are, per thread, the outer stack, 0xFE, the inner
 // stack, 0xFF; per frame "class\x00method\x00line\x00hash", then
-// "\x02kind" if the kind is set, then 0x01. They are built in one buffer
-// and hashed once.
+// "\x02kind" if the kind is set, then 0x01. They are built in one pooled
+// buffer and hashed once, so the returned string is ID's only
+// allocation once the pool is warm.
 func (s *Signature) ID() string {
 	n := 0
 	for _, t := range s.Threads {
 		n += stackIDSize(t.Outer) + stackIDSize(t.Inner) + 2
 	}
-	b := make([]byte, 0, n)
+	buf, _ := idBuffers.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	b := *buf
+	if cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	b = b[:0]
 	for _, t := range s.Threads {
 		b = appendStackID(b, t.Outer)
 		b = append(b, 0xFE)
@@ -245,10 +255,21 @@ func (s *Signature) ID() string {
 		b = append(b, 0xFF)
 	}
 	sum := sha256.Sum256(b)
+	if cap(b) <= maxPooledID {
+		*buf = b
+		idBuffers.Put(buf)
+	}
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])
 	return string(out[:])
 }
+
+// idBuffers holds ID's hash-input buffers between calls.
+var idBuffers sync.Pool
+
+// maxPooledID bounds the buffer a call returns to idBuffers: the hash
+// input of a signature larger than this is built in a buffer of its own.
+const maxPooledID = 64 << 10
 
 // stackIDSize bounds the bytes appendStackID appends for s.
 func stackIDSize(s Stack) int {

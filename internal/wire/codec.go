@@ -2,12 +2,14 @@ package wire
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 
 	"communix/internal/ids"
 	"communix/internal/jsonscan"
+	"communix/internal/sig"
 )
 
 // This file is the hand-written frame codec for Request and Response
@@ -33,12 +35,17 @@ import (
 // (reports false) and the caller hands the whole frame to encoding/json,
 // so accept/reject decisions and error text stay encoding/json's.
 //
-// The decoder does not validate raw values: it only finds where each one
-// ends, and the consumer that decodes the value is its one validator
-// (every raw value is a signature, and the signature decoder rejects
-// anything that is not JSON). A payload json.Unmarshal rejects can
-// therefore decode here, but only if one of its raw values is not valid
-// JSON.
+// Canonical page signatures are decoded where they are delimited;
+// everything else is delimited and decoded by its consumer. Each Sigs
+// element that opens with '{' is first handed to sig.DecodePrefix, which
+// decodes a valid signature in sig's canonical subset and reports where
+// it ends; the Response keeps that signature beside the raw value
+// (Response.DecodedSigs). Every other raw value — a Sigs element
+// DecodePrefix declines, Sig, Entries[].Sig — is only delimited
+// (rawEnd), and the consumer that decodes it is its one validator (every
+// raw value is a signature, and the signature decoder rejects anything
+// that is not JSON). A payload json.Unmarshal rejects can therefore
+// decode here, but only if one of its raw values is not valid JSON.
 
 // Byte classes of the string scanner. The strPlain bytes are exactly
 // jsonscan's plain bytes.
@@ -304,10 +311,10 @@ type frameEncoder struct {
 	stored bool
 }
 
-// newFrameEncoder starts a frame whose payload should take about size
-// bytes.
-func newFrameEncoder(size int) frameEncoder {
-	return frameEncoder{b: make([]byte, 4, 4+size), ok: true}
+// newFrameEncoder starts a frame after dst's bytes, growing dst for a
+// payload of about size bytes.
+func newFrameEncoder(dst []byte, size int) frameEncoder {
+	return frameEncoder{b: append(slices.Grow(dst, 4+size), 0, 0, 0, 0), ok: true}
 }
 
 func (e *frameEncoder) key(k string) {
@@ -470,24 +477,24 @@ func canonicalFrame(v any) ([]byte, bool) {
 			return requestFrame(m)
 		}
 	case Response:
-		return responseFrame(&m, false)
+		return responseFrame(nil, &m, false)
 	case *Response:
 		if m != nil {
-			return responseFrame(m, false)
+			return responseFrame(nil, m, false)
 		}
 	}
 	return nil, false
 }
 
 func requestFrame(r *Request) ([]byte, bool) {
-	e := newFrameEncoder(requestEnvelope + len(r.Token) + len(r.Sig) + len(r.Node))
+	e := newFrameEncoder(nil, requestEnvelope+len(r.Token)+len(r.Sig)+len(r.Node))
 	e.request(r)
 	return e.b, e.ok
 }
 
-// responseFrame encodes r; stored skips the raw-value checks (see
-// frameEncoder).
-func responseFrame(r *Response, stored bool) ([]byte, bool) {
+// responseFrame appends r's frame to dst; stored skips the raw-value
+// checks (see frameEncoder).
+func responseFrame(dst []byte, r *Response, stored bool) ([]byte, bool) {
 	n := responseEnvelope + len(r.Detail) + len(r.Role) + len(r.Primary) +
 		elementEnvelope*(len(r.Fences)+len(r.Entries))
 	for _, s := range r.Sigs {
@@ -496,7 +503,7 @@ func responseFrame(r *Response, stored bool) ([]byte, bool) {
 	for _, en := range r.Entries {
 		n += len(en.Sig)
 	}
-	e := newFrameEncoder(n)
+	e := newFrameEncoder(dst, n)
 	e.stored = stored
 	e.response(r)
 	return e.b, e.ok
@@ -634,13 +641,33 @@ func (d *frameDecoder) raw() (json.RawMessage, bool) {
 	if d.i < len(d.b) && strings.IndexByte(" \t\n\r", d.b[d.i]) >= 0 {
 		return nil, false // json.Unmarshal would drop the space
 	}
-	end := rawEnd(d.b, d.i)
+	return d.rawTo(rawEnd(d.b, d.i))
+}
+
+// rawTo returns the raw value from the cursor to end, as raw does.
+func (d *frameDecoder) rawTo(end int) (json.RawMessage, bool) {
 	if end <= d.i {
 		return nil, false
 	}
 	v := d.b[d.i:end:end]
 	d.i = end
 	return v, true
+}
+
+// pageSig returns the page signature at the cursor: the raw value, as
+// raw returns it, and the signature decoded from it where it is a valid
+// signature in sig's canonical subset, nil elsewhere. On valid JSON the
+// end sig.DecodePrefix reports is the one rawEnd finds, so the raw value
+// is the same either way.
+func (d *frameDecoder) pageSig() (json.RawMessage, *sig.Signature, bool) {
+	if d.i < len(d.b) && d.b[d.i] == '{' {
+		if s, n := sig.DecodePrefix(d.b[d.i:]); s != nil {
+			v, ok := d.rawTo(d.i + n)
+			return v, s, ok
+		}
+	}
+	v, ok := d.raw()
+	return v, nil, ok
 }
 
 // rawEnd returns the index just past the value starting at b[i], or -1
@@ -857,8 +884,14 @@ func decodeResponse(p []byte, r *Response) bool {
 		case fSigs:
 			r.Sigs = []json.RawMessage{}
 			ok = d.array(func() bool {
-				s, ok := d.raw()
-				r.Sigs = append(r.Sigs, s)
+				raw, s, ok := d.pageSig()
+				if s != nil && r.decoded == nil {
+					r.decoded = make([]*sig.Signature, len(r.Sigs), cap(r.Sigs)+1)
+				}
+				r.Sigs = append(r.Sigs, raw)
+				if r.decoded != nil {
+					r.decoded = append(r.decoded, s)
+				}
 				return ok
 			})
 		case fNext:
@@ -936,7 +969,9 @@ func (r *Response) isZero() bool {
 
 // decodeCanonical decodes payload into v when v is a pointer to a zero
 // Request or Response and payload is in the canonical subset. On false v
-// is still zero.
+// is still zero, apart from a Response's decoded signatures, which are
+// dropped whatever the outcome: they describe the Sigs of an earlier
+// read.
 func decodeCanonical(payload []byte, v any) bool {
 	switch m := v.(type) {
 	case *Request:
@@ -948,7 +983,11 @@ func decodeCanonical(payload []byte, v any) bool {
 			return false
 		}
 	case *Response:
-		if m == nil || !m.isZero() {
+		if m == nil {
+			return false
+		}
+		m.decoded = nil
+		if !m.isZero() {
 			return false
 		}
 		if !decodeResponse(payload, m) {

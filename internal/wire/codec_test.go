@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"communix/internal/ids"
 	"communix/internal/sig"
@@ -20,7 +22,9 @@ func frameOf(payload []byte) []byte {
 // checkDecode holds ReadMessage to json.Unmarshal on one payload, for a
 // zero Request and a zero Response target:
 //   - where json.Unmarshal accepts, ReadMessage accepts with a DeepEqual
-//     value;
+//     value, once the Response's decoded signatures, which
+//     json.Unmarshal never sets, are held to checkDecodedSigs and
+//     cleared;
 //   - where json.Unmarshal rejects and ReadMessage accepts, some raw
 //     value is not valid JSON, and the signature decoders every consumer
 //     validates with reject it;
@@ -30,6 +34,10 @@ func checkDecode(t *testing.T, payload []byte) {
 	for _, pair := range [][2]any{{new(Request), new(Request)}, {new(Response), new(Response)}} {
 		got, want := pair[0], pair[1]
 		err := ReadMessage(bytes.NewReader(frameOf(payload)), got)
+		if r, ok := got.(*Response); ok && err == nil {
+			checkDecodedSigs(t, payload, r)
+			r.decoded = nil
+		}
 		wantErr := json.Unmarshal(payload, want)
 		switch {
 		case wantErr == nil && err != nil:
@@ -40,6 +48,48 @@ func checkDecode(t *testing.T, payload []byte) {
 			t.Fatalf("ReadMessage(%q) into %T: err %q; json.Unmarshal: %q", payload, got, err, wantErr)
 		case wantErr != nil && err == nil:
 			checkConsumersReject(t, payload, got, wantErr)
+		}
+	}
+}
+
+// checkDecodedSigs holds the signatures ReadMessage decoded on read
+// into r to the delimit-then-decode path they replace: each decoded slot
+// is sig.DecodeShared's value for its raw value, that raw value is the
+// one rawEnd delimits in payload, and a slot is left nil only where
+// sig.DecodePrefix declines the raw value.
+func checkDecodedSigs(t *testing.T, payload []byte, r *Response) {
+	t.Helper()
+	if len(r.decoded) != 0 && len(r.decoded) != len(r.Sigs) {
+		t.Fatalf("ReadMessage(%q) decoded %d signatures for %d raw values", payload, len(r.decoded), len(r.Sigs))
+	}
+	decoded := make([]*sig.Signature, len(r.Sigs))
+	copy(decoded, r.DecodedSigs())
+	// The same payload decoded in place, so raw values alias it.
+	var direct Response
+	if !decodeCanonical(payload, &direct) {
+		if r.decoded != nil {
+			t.Fatalf("ReadMessage(%q) decoded signatures through encoding/json", payload)
+		}
+		return
+	}
+	for i, raw := range r.Sigs {
+		d := direct.Sigs[i]
+		if !bytes.Equal(raw, d) {
+			t.Fatalf("sigs[%d] of %q: ReadMessage %q, in place %q", i, payload, raw, d)
+		}
+		if s, _ := sig.DecodePrefix(raw); (s == nil) != (decoded[i] == nil) {
+			t.Fatalf("sigs[%d] of %q: decoded on read %v; DecodePrefix %v", i, payload, decoded[i], s)
+		}
+		if decoded[i] == nil {
+			continue
+		}
+		want, err := sig.DecodeShared(raw)
+		if err != nil || !reflect.DeepEqual(decoded[i], want) {
+			t.Fatalf("sigs[%d] of %q decoded on read as %v; DecodeShared %v, %v", i, payload, decoded[i], want, err)
+		}
+		off := int(uintptr(unsafe.Pointer(unsafe.SliceData(d))) - uintptr(unsafe.Pointer(unsafe.SliceData(payload))))
+		if end := rawEnd(payload, off); end != off+len(d) {
+			t.Fatalf("sigs[%d] of %q decoded on read up to %d; rawEnd delimits it at %d", i, payload, off+len(d), end)
 		}
 	}
 }
@@ -163,11 +213,40 @@ func frameCorpus() []string {
 	return out
 }
 
+// pageCorpus seeds FuzzFrameDifferential with pages of valid signatures,
+// which the frame decoder decodes on read: canonical ones, one laid out
+// with whitespace, one with its threads out of order, one with an escape
+// (left to the consumer), beside values that are not signatures.
+func pageCorpus() []string {
+	frame := func(class string, line int) string {
+		return fmt.Sprintf(`{"class":"%s","method":"m","line":%d,"hash":"h"}`, class, line)
+	}
+	thread := func(class string) string {
+		return `{"outer":[` + frame(class, 1) + `,` + frame(class, 2) + `],"inner":[` + frame(class, 3) + `]}`
+	}
+	canonical := `{"threads":[` + thread("A") + `,` + thread("B") + `]}`
+	spaced := `{ "threads" : [` + thread("C") + ` , ` + thread("D") + `] }`
+	reversed := `{"threads":[` + thread("F") + `,` + thread("E") + `]}`
+	escaped := strings.Replace(canonical, `"A"`, `"\u0041"`, 1)
+	oneThread := `{"threads":[` + thread("G") + `]}`
+	return []string{
+		`{"status":1,"id":4,"sigs":[` + canonical + `],"next":2}`,
+		`{"status":1,"type":6,"sigs":[` + canonical + `,` + spaced + `,` + oneThread + `,` + reversed + `],"next":5}`,
+		`{"status":1,"id":4,"sigs":[` + escaped + `,` + canonical + `,[1],"x",null],"next":6,"more":true}`,
+		`{"status":1,"id":4,"sigs":[` + canonical + `,{"threads":[1}]],"next":3}`,
+		`{"status":1,"id":4,"sigs":[` + canonical + `,` + canonical[:len(canonical)-2] + `],"next":3}`,
+		`{"status":1,"id":4,"sigs":[` + canonical + `]}garbage`,
+		`{"status":1,"id":4,"sigs":[` + canonical + ` ],"next":2}`,
+	}
+}
+
 // FuzzFrameDifferential holds the frame codec to encoding/json. For
 // arbitrary payload bytes, ReadMessage into a zero Request or Response
 // meets checkDecode's contract: it accepts what json.Unmarshal accepts,
 // with a DeepEqual value, and what else it accepts carries a raw value
-// that is not JSON and that every consumer rejects.
+// that is not JSON and that every consumer rejects. Every page
+// signature it decodes on read is the one the consumer would decode
+// from the raw value rawEnd delimits (checkDecodedSigs).
 // For Requests and Responses built from the inputs — the payload also
 // standing in as every raw value — EncodeFrame writes json.Marshal's
 // bytes.
@@ -177,6 +256,9 @@ func FuzzFrameDifferential(f *testing.F) {
 	}
 	f.Add([]byte(`{}`), int64(-7), uint64(1<<63), "é", false)
 	f.Add([]byte(` [1, 2]`), int64(0), uint64(5), "a<b", true)
+	for _, p := range pageCorpus() {
+		f.Add([]byte(p), int64(1), uint64(0xFFFF), "token", true)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, n int64, u uint64, s string, flag bool) {
 		checkDecode(t, payload)
 
@@ -233,6 +315,14 @@ func checkStored(t *testing.T, r Response) {
 	got, err := EncodeStoredFrame(r)
 	if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
 		t.Fatalf("EncodeStoredFrame(%#v) = %q, %v; EncodeFrame %q, %v", r, got, err, want, wantErr)
+	}
+	// Appended after other bytes, in storage with room to spare or none.
+	for _, room := range []int{0, len(want) + 64} {
+		dst := append(make([]byte, 0, 3+room), "dst"...)
+		appended, aErr := AppendStoredFrame(dst, r)
+		if (aErr == nil) != (err == nil) || aErr == nil && !bytes.Equal(appended, append([]byte("dst"), got...)) || string(dst) != "dst" {
+			t.Fatalf("AppendStoredFrame(%q, %#v) = %q, %v; EncodeStoredFrame %q, %v", dst, r, appended, aErr, got, err)
+		}
 	}
 }
 
@@ -442,7 +532,9 @@ func sample(typ reflect.Type) reflect.Value {
 		v.Set(reflect.Append(v, sample(typ.Elem())))
 	case typ.Kind() == reflect.Struct:
 		for i := 0; i < typ.NumField(); i++ {
-			v.Field(i).Set(sample(typ.Field(i).Type))
+			if typ.Field(i).IsExported() {
+				v.Field(i).Set(sample(typ.Field(i).Type))
+			}
 		}
 	case typ.Kind() == reflect.String:
 		v.SetString("x")
@@ -458,14 +550,18 @@ func sample(typ reflect.Type) reflect.Value {
 	return v
 }
 
-// TestCodecCoversEveryField: each field of Request and Response, set
-// alone and all together, takes the frame codec both ways and makes the
-// value non-zero — so a field added to the structs without the codec
-// learning it fails here rather than silently taking the fallback.
+// TestCodecCoversEveryField: each wire field of Request and Response
+// (every exported one), set alone and all together, takes the frame
+// codec both ways and makes the value non-zero — so a field added to the
+// structs without the codec learning it fails here rather than silently
+// taking the fallback.
 func TestCodecCoversEveryField(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(Request{}), reflect.TypeOf(Response{})} {
 		values := []reflect.Value{sample(typ)}
 		for i := 0; i < typ.NumField(); i++ {
+			if !typ.Field(i).IsExported() {
+				continue
+			}
 			v := reflect.New(typ).Elem()
 			v.Field(i).Set(sample(typ.Field(i).Type))
 			values = append(values, v)

@@ -159,12 +159,42 @@ func TestFastPathCoversTraffic(t *testing.T) {
 			t.Errorf("%s: the frame decoder declines %.200s", name, want)
 			continue
 		}
+		if resp, ok := got.(*wire.Response); ok {
+			checkStoredSigsDecoded(t, name, resp)
+			wire.ClearDecoded(resp)
+		}
 		ref := reflect.New(reflect.TypeOf(v)).Interface()
 		if err := json.Unmarshal(want, ref); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s: frame decoder value differs from json.Unmarshal's", name)
+		}
+	}
+}
+
+// checkStoredSigsDecoded: the frame decoder decodes every page
+// signature the store serves on read, except one holding an escape
+// (the store spells '<', '>' and '&' as escapes), which is outside the
+// signature codec's canonical subset and left to the consumer; what it
+// decodes is DecodeShared's value.
+func checkStoredSigsDecoded(t *testing.T, name string, resp *wire.Response) {
+	t.Helper()
+	decoded := resp.DecodedSigs()
+	for i, raw := range resp.Sigs {
+		var s *sig.Signature
+		if decoded != nil {
+			s = decoded[i]
+		}
+		if s == nil {
+			if bytes.IndexByte(raw, '\\') < 0 {
+				t.Fatalf("%s: sigs[%d] was not decoded on read: %.200s", name, i, raw)
+			}
+			continue
+		}
+		want, err := sig.DecodeShared(raw)
+		if err != nil || !reflect.DeepEqual(s, want) {
+			t.Fatalf("%s: sigs[%d] decoded on read as %v; DecodeShared %v, %v", name, i, s, want, err)
 		}
 	}
 }

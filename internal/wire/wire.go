@@ -22,8 +22,9 @@
 // same values; everything else goes through encoding/json. Signatures
 // cross the envelope verbatim: a decoded Sig, Sigs element or Entry.Sig
 // is a slice of the frame's payload, shared with its neighbours, and
-// must not be mutated. The codec delimits them without validating them;
-// whoever decodes a signature validates it (see ReadMessage).
+// must not be mutated. Canonical page signatures are decoded where they
+// are delimited (Response.DecodedSigs); everything else is delimited and
+// decoded by its consumer, which validates it (see ReadMessage).
 package wire
 
 import (
@@ -293,6 +294,26 @@ type Response struct {
 	// replies): on a rejection it tells the candidate which cursor beat
 	// it; on a grant it is informational.
 	Cursor int `json:"cursor,omitempty"`
+
+	// decoded holds the signatures the frame decoder decoded from Sigs,
+	// index for index; see DecodedSigs.
+	decoded []*sig.Signature
+}
+
+// DecodedSigs returns the page signatures ReadMessage decoded while
+// reading Sigs, index for index: slot i is sig.DecodeShared(Sigs[i])'s
+// value, its strings shared with the payload, or nil where the frame
+// decoder left Sigs[i] for its consumer to decode — a value outside the
+// signature codec's canonical subset, an invalid signature, or anything
+// that is not JSON. It returns nil when no signature was decoded, and
+// when Sigs no longer has the length ReadMessage gave it. The
+// signatures belong to whoever consumes the Response; the client
+// repository keeps them.
+func (r *Response) DecodedSigs() []*sig.Signature {
+	if len(r.decoded) != len(r.Sigs) {
+		return nil
+	}
+	return r.decoded
 }
 
 // Entry is one replicated log record: the signature exactly as stored
@@ -442,9 +463,9 @@ func WriteMessage(w io.Writer, v any) error {
 func EncodeFrame(v any) ([]byte, error) {
 	frame, ok := canonicalFrame(v)
 	if !ok {
-		return marshalFrame(frame, v)
+		return marshalFrame(frame[:0], v)
 	}
-	return finishFrame(frame)
+	return finishFrame(frame, 0)
 }
 
 // EncodeStoredFrame is EncodeFrame for a Response whose raw values —
@@ -459,42 +480,56 @@ func EncodeFrame(v any) ([]byte, error) {
 // the contract and may put invalid JSON on the wire. Envelope strings
 // are checked as in EncodeFrame.
 func EncodeStoredFrame(r Response) ([]byte, error) {
-	frame, ok := responseFrame(&r, true)
-	if !ok {
-		return marshalFrame(frame, r)
-	}
-	return finishFrame(frame)
+	return AppendStoredFrame(nil, r)
 }
 
-// marshalFrame encodes v with encoding/json, reusing the storage of buf
-// (the canonical encoder's declined attempt).
-func marshalFrame(buf []byte, v any) ([]byte, error) {
+// AppendStoredFrame is EncodeStoredFrame appending the frame to dst, so
+// a writer can encode every reply into one buffer it reuses. It returns
+// the extended slice; on error the slice is nil and dst's bytes are
+// unchanged.
+func AppendStoredFrame(dst []byte, r Response) ([]byte, error) {
+	frame, ok := responseFrame(dst, &r, true)
+	if !ok {
+		return marshalFrame(frame[:len(dst)], r)
+	}
+	return finishFrame(frame, len(dst))
+}
+
+// marshalFrame appends v's frame, encoded with encoding/json, to dst
+// (whose spare capacity may hold the canonical encoder's declined
+// attempt).
+func marshalFrame(dst []byte, v any) ([]byte, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
-	return finishFrame(append(append(buf[:0], 0, 0, 0, 0), payload...))
+	return finishFrame(append(append(dst, 0, 0, 0, 0), payload...), len(dst))
 }
 
-// finishFrame bounds a frame's payload and writes its length prefix.
-func finishFrame(frame []byte) ([]byte, error) {
-	n := len(frame) - 4
+// finishFrame bounds the payload of the frame starting at frame[start]
+// and writes its length prefix.
+func finishFrame(frame []byte, start int) ([]byte, error) {
+	n := len(frame) - start - 4
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	binary.BigEndian.PutUint32(frame[start:start+4], uint32(n))
 	return frame, nil
 }
 
 // ReadMessage reads one length-prefixed JSON frame into v. A zero
 // Request or Response receiving a payload in the canonical subset
 // (codec.go) is filled by the frame decoder, and its raw signatures then
-// alias the payload: they must not be mutated. The frame decoder only
-// delimits raw signatures, so it also accepts a payload whose only fault
-// is a signature that is not JSON; the consumer's signature decoder
-// (repo.Append, processAdd, ApplyReplicated) rejects that value. Every
-// other payload reads as json.Unmarshal reads it: the same value where
-// json.Unmarshal accepts, its error where it rejects.
+// alias the payload: they must not be mutated. Canonical page signatures
+// are decoded where they are delimited: each Sigs element that is a
+// valid signature in the signature codec's canonical subset is decoded
+// as it is read, and kept for the consumer (Response.DecodedSigs).
+// Everything else is delimited and decoded by its consumer, so the frame
+// decoder also accepts a payload whose only fault is a signature that is
+// not JSON; the consumer's signature decoder (repo.Append, processAdd,
+// ApplyReplicated) rejects that value. Every other payload reads as
+// json.Unmarshal reads it: the same value where json.Unmarshal accepts,
+// its error where it rejects.
 func ReadMessage(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
