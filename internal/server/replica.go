@@ -399,9 +399,9 @@ func (s *Server) followOnce(stop chan struct{}) error {
 	}
 }
 
-// resetReplica discards the follower's local store state (log, shards,
-// WAL segments and snapshots) and severs client sessions, whose peers
-// hold positions into the discarded log.
+// resetReplica discards the follower's local store state (log,
+// validation state, WAL segments and snapshots) and severs client
+// sessions, whose peers hold positions into the discarded log.
 func (s *Server) resetReplica() error {
 	if err := s.db.ResetReplica(); err != nil {
 		return fmt.Errorf("reset replica: %w", err)

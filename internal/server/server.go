@@ -407,21 +407,26 @@ func (s *Server) processAdd(req wire.Request) wire.Response {
 }
 
 // addVerdict maps a store ADD outcome to the wire response. An accepted
-// upload whose WAL write failed (added && err != nil, the durable
-// store's degraded mode) is still answered ok — the signature IS in the
-// database and served by GET; StatusError is reserved for malformed
-// requests per docs/PROTOCOL.md — with a detail flagging the lost
-// durability for operators watching client logs.
+// upload whose WAL write failed (the durable store's degraded mode) is
+// still answered ok — the signature IS in the database and served by
+// GET; StatusError is reserved for malformed requests per
+// docs/PROTOCOL.md — with a detail flagging the lost durability for
+// operators watching client logs. So is a duplicate of it written in the
+// same failed append.
 //
 // StatusOK replies carry the committed log index in Next — the
 // watermark the quorum gate holds the ACK on and the client pins
-// read-your-writes against. A duplicate's original index is unknown, so
-// it reports the current log length: conservative (never below the real
-// index), which keeps both uses sound.
+// read-your-writes against. A duplicate carries its original's index:
+// the store answers it only once the original is published, and the
+// quorum gate then holds it until the original is on a majority.
 func (s *Server) addVerdict(added bool, err error, index int) wire.Response {
 	switch {
-	case added && err != nil:
-		return wire.Response{Status: wire.StatusOK, Next: index, Detail: "accepted; server durability degraded"}
+	case index > 0 && err != nil:
+		detail := "accepted; server durability degraded"
+		if !added {
+			detail = "duplicate; server durability degraded"
+		}
+		return wire.Response{Status: wire.StatusOK, Next: index, Detail: detail}
 	case errors.Is(err, store.ErrRateLimited):
 		return wire.Response{Status: wire.StatusRejected, Detail: "daily signature limit reached"}
 	case errors.Is(err, store.ErrAdjacent):
@@ -429,7 +434,7 @@ func (s *Server) addVerdict(added bool, err error, index int) wire.Response {
 	case err != nil:
 		return wire.Response{Status: wire.StatusError, Detail: err.Error()}
 	case !added:
-		return wire.Response{Status: wire.StatusOK, Next: s.db.Len(), Detail: "duplicate"}
+		return wire.Response{Status: wire.StatusOK, Next: index, Detail: "duplicate"}
 	default:
 		return wire.Response{Status: wire.StatusOK, Next: index}
 	}

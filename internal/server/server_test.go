@@ -122,6 +122,28 @@ func TestProcessDuplicateIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestProcessDuplicateCarriesOriginalIndex: a duplicate's reply names
+// its original's index in Next, not the database size, so the quorum
+// gate holds it on the original's watermark.
+func TestProcessDuplicateCarriesOriginalIndex(t *testing.T) {
+	srv, auth := newTestServer(t)
+	_, token := auth.Issue()
+	r := rand.New(rand.NewSource(5))
+	a := sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 0, 6, 9)
+	b := sigtest.DistinctTops(r, sigtest.DefaultVocabulary, 1, 6, 9)
+	first := srv.Process(addReq(t, token, a))
+	if first.Status != wire.StatusOK || first.Next != 1 {
+		t.Fatalf("A: %+v, want ok at index 1", first)
+	}
+	if resp := srv.Process(addReq(t, token, b)); resp.Status != wire.StatusOK || resp.Next != 2 {
+		t.Fatalf("B: %+v, want ok at index 2", resp)
+	}
+	resp := srv.Process(addReq(t, token, a))
+	if resp.Status != wire.StatusOK || resp.Detail != "duplicate" || resp.Next != first.Next {
+		t.Errorf("A again: %+v, want ok duplicate with Next %d", resp, first.Next)
+	}
+}
+
 func TestServeOverTCP(t *testing.T) {
 	srv, auth := newTestServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

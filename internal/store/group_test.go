@@ -12,14 +12,18 @@ import (
 	"communix/internal/sig"
 )
 
-// queued returns how many entries the open commit group holds.
+// queued returns how many uploads the open commit group holds.
 func queued(st *Store) int {
 	st.groupMu.Lock()
 	defer st.groupMu.Unlock()
 	if st.group == nil {
 		return 0
 	}
-	return len(st.group.entries)
+	n := 0
+	for _, req := range st.group.reqs {
+		n += len(req.ups)
+	}
+	return n
 }
 
 // groupCommit starts one single-upload AddBatch per signature while the
@@ -198,5 +202,55 @@ func TestClosedStoreRefusesMutations(t *testing.T) {
 	}
 	if got := dirContents(t, dir); string(got) != string(files) {
 		t.Errorf("closed store touched its directory:\nbefore %s\nafter  %s", files, got)
+	}
+}
+
+// TestDuplicateWaitsForOriginal: a duplicate of an upload still queued
+// for commit is not answered until that commit is published, and then
+// carries its original's index, so a quorum gate holding its reply on
+// that index holds it on the original's durability.
+func TestDuplicateWaitsForOriginal(t *testing.T) {
+	st, err := Open(persistCfg(t.TempDir(), newTestClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := distinctSig(rand.New(rand.NewSource(34)), 0)
+	add := func(user ids.UserID) <-chan AddResult {
+		done := make(chan AddResult, 1)
+		go func() { done <- st.AddBatch([]Upload{{User: user, Sig: s}})[0] }()
+		return done
+	}
+
+	st.walMu.Lock()
+	orig := add(1)
+	for queued(st) < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	dup := add(2)
+	for queued(st) < 2 {
+		select {
+		case res := <-dup:
+			st.walMu.Unlock()
+			t.Fatalf("duplicate answered %+v while its original was uncommitted (Len %d)", res, st.Len())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	select {
+	case res := <-dup:
+		t.Errorf("duplicate answered %+v while walMu was held", res)
+	case <-time.After(10 * time.Millisecond):
+	}
+	st.walMu.Unlock()
+
+	o, d := <-orig, <-dup
+	if !o.Added || o.Err != nil || o.Index != 1 {
+		t.Fatalf("original = %+v, want added at index 1", o)
+	}
+	if d.Added || d.Err != nil || d.Index != o.Index {
+		t.Fatalf("duplicate = %+v, want not added, no error, index %d", d, o.Index)
+	}
+	if st.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", st.Len())
 	}
 }

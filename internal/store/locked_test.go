@@ -11,9 +11,9 @@ import (
 )
 
 // Locked is the reference signature database: every ADD and GET
-// serializes behind one mutex. It predates the sharded Store and is kept
-// as the semantic baseline: the differential tests check Store against
-// it operation by operation. It is safe for concurrent use.
+// serializes behind one mutex, and every verdict is reached
+// synchronously inside Add. It is kept as the semantic baseline: the
+// differential tests check Store against it operation by operation. It is safe for concurrent use.
 type Locked struct {
 	maxPerDay int
 	clock     func() time.Time

@@ -15,41 +15,6 @@ import (
 	"communix/internal/sig/sigtest"
 )
 
-// TestRateLimitEnforcedAcrossShards: one user's uploads hash to many
-// different signature shards, but the daily budget is a single per-user
-// counter and must hold globally.
-func TestRateLimitEnforcedAcrossShards(t *testing.T) {
-	clock := newTestClock()
-	st := New(Config{MaxPerDay: 5, Shards: 16, Clock: clock.Now})
-	r := rand.New(rand.NewSource(41))
-
-	// Verify the uploads really spread over multiple sig shards —
-	// otherwise this test degenerates to the single-shard case.
-	shardsHit := make(map[*sigShard]struct{})
-	for i := 0; i < 5; i++ {
-		s := distinctSig(r, i)
-		shardsHit[st.sigShardOf(s.ID())] = struct{}{}
-		if ok, err := st.Add(1, s); !ok || err != nil {
-			t.Fatalf("add %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if len(shardsHit) < 2 {
-		t.Fatalf("test signatures hit %d shard(s); want a cross-shard spread", len(shardsHit))
-	}
-	if _, err := st.Add(1, distinctSig(r, 99)); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("6th add = %v, want ErrRateLimited", err)
-	}
-	// The budget is per user, not per shard: another user proceeds.
-	if ok, err := st.Add(2, distinctSig(r, 100)); !ok || err != nil {
-		t.Fatalf("other user: ok=%v err=%v", ok, err)
-	}
-	// Day rollover restores the budget.
-	clock.Advance(25 * time.Hour)
-	if ok, err := st.Add(1, distinctSig(r, 101)); !ok || err != nil {
-		t.Fatalf("after rollover: ok=%v err=%v", ok, err)
-	}
-}
-
 // storeOps is a scripted operation mix that exercises every verdict:
 // accepts, duplicates, adjacency rejections, rate limiting, day
 // rollover, and invalid signatures.
@@ -83,48 +48,43 @@ func storeOps(r *rand.Rand, n int) []func(clock *testClock) (ids.UserID, *sig.Si
 	return ops
 }
 
-// TestShardedMatchesLockedReference runs the same operation sequence
-// against the Locked reference, a Shards=1 store, and a Shards=16 store,
-// and demands identical observable behavior: per-op verdicts, final log
-// contents and order, Len, and Users.
-func TestShardedMatchesLockedReference(t *testing.T) {
-	for _, shards := range []int{1, 16} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			clockA, clockB := newTestClock(), newTestClock()
-			ref := NewLocked(Config{MaxPerDay: 4, Clock: clockA.Now})
-			st := New(Config{MaxPerDay: 4, Shards: shards, Clock: clockB.Now})
+// TestStoreMatchesLockedReference runs the same operation sequence
+// against the Locked reference and a Store, and demands identical
+// observable behavior: per-op verdicts, final log contents and order,
+// Len, and Users.
+func TestStoreMatchesLockedReference(t *testing.T) {
+	clockA, clockB := newTestClock(), newTestClock()
+	ref := NewLocked(Config{MaxPerDay: 4, Clock: clockA.Now})
+	st := New(Config{MaxPerDay: 4, Clock: clockB.Now})
 
-			ops := storeOps(rand.New(rand.NewSource(7)), 160)
-			for k, op := range ops {
-				userA, sigA, _ := op(clockA)
-				userB, sigB, _ := op(clockB)
-				okA, errA := ref.Add(userA, sigA)
-				okB, errB := st.Add(userB, sigB)
-				if okA != okB || !errors.Is(errB, unwrapVerdict(errA)) {
-					t.Fatalf("op %d diverged: locked=(%v,%v) sharded=(%v,%v)", k, okA, errA, okB, errB)
-				}
-			}
+	ops := storeOps(rand.New(rand.NewSource(7)), 160)
+	for k, op := range ops {
+		userA, sigA, _ := op(clockA)
+		userB, sigB, _ := op(clockB)
+		okA, errA := ref.Add(userA, sigA)
+		okB, errB := st.Add(userB, sigB)
+		if okA != okB || !errors.Is(errB, unwrapVerdict(errA)) {
+			t.Fatalf("op %d diverged: locked=(%v,%v) store=(%v,%v)", k, okA, errA, okB, errB)
+		}
+	}
 
-			if ref.Len() != st.Len() {
-				t.Fatalf("Len: locked=%d sharded=%d", ref.Len(), st.Len())
+	if ref.Len() != st.Len() {
+		t.Fatalf("Len: locked=%d store=%d", ref.Len(), st.Len())
+	}
+	if ref.Users() != st.Users() {
+		t.Fatalf("Users: locked=%d store=%d", ref.Users(), st.Users())
+	}
+	for _, from := range []int{0, 1, 2, ref.Len() / 2, ref.Len(), ref.Len() + 1} {
+		sigsA, nextA := ref.Get(from)
+		sigsB, nextB := st.Get(from)
+		if nextA != nextB || len(sigsA) != len(sigsB) {
+			t.Fatalf("Get(%d): locked=(%d,%d) store=(%d,%d)", from, len(sigsA), nextA, len(sigsB), nextB)
+		}
+		for i := range sigsA {
+			if !bytes.Equal(sigsA[i], sigsB[i]) {
+				t.Fatalf("Get(%d) entry %d differs", from, i)
 			}
-			if ref.Users() != st.Users() {
-				t.Fatalf("Users: locked=%d sharded=%d", ref.Users(), st.Users())
-			}
-			for _, from := range []int{0, 1, 2, ref.Len() / 2, ref.Len(), ref.Len() + 1} {
-				sigsA, nextA := ref.Get(from)
-				sigsB, nextB := st.Get(from)
-				if nextA != nextB || len(sigsA) != len(sigsB) {
-					t.Fatalf("Get(%d): locked=(%d,%d) sharded=(%d,%d)", from, len(sigsA), nextA, len(sigsB), nextB)
-				}
-				for i := range sigsA {
-					if !bytes.Equal(sigsA[i], sigsB[i]) {
-						t.Fatalf("Get(%d) entry %d differs", from, i)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -149,7 +109,7 @@ func unwrapVerdict(err error) error {
 func TestAddBatchMatchesIndividualAdds(t *testing.T) {
 	clockA, clockB := newTestClock(), newTestClock()
 	ref := NewLocked(Config{MaxPerDay: 3, Clock: clockA.Now})
-	st := New(Config{MaxPerDay: 3, Shards: 16, Clock: clockB.Now})
+	st := New(Config{MaxPerDay: 3, Clock: clockB.Now})
 
 	r := rand.New(rand.NewSource(9))
 	v := sigtest.Vocabulary{Classes: 5, Methods: 2, Lines: 5}
@@ -184,7 +144,7 @@ func TestAddBatchMatchesIndividualAdds(t *testing.T) {
 // append-only; published entries never change). Run under -race this is
 // also the memory-safety proof for the lock-free read path.
 func TestConcurrentAddGetSnapshots(t *testing.T) {
-	st := New(Config{MaxPerDay: 1 << 30, Shards: 8})
+	st := New(Config{MaxPerDay: 1 << 30})
 	const writers, perWriter = 4, 120
 
 	var readers, writersWG sync.WaitGroup
@@ -304,15 +264,5 @@ func TestAppendLogChunkBoundaries(t *testing.T) {
 	}
 	if l.Len() != n {
 		t.Fatalf("Len after empty append = %d", l.Len())
-	}
-}
-
-// TestShardsAccessor covers the Shards introspection helper.
-func TestShardsAccessor(t *testing.T) {
-	if got := New(Config{}).Shards(); got != DefaultShards {
-		t.Errorf("default Shards() = %d, want %d", got, DefaultShards)
-	}
-	if got := New(Config{Shards: 3}).Shards(); got != 3 {
-		t.Errorf("Shards() = %d, want 3", got)
 	}
 }

@@ -44,8 +44,8 @@ func applyAll(t *testing.T, src, dst *Store) {
 // must be refused.
 func TestApplyReplicatedRebuildsIdenticalState(t *testing.T) {
 	clockA, clockB := newTestClock(), newTestClock()
-	primary := New(Config{MaxPerDay: 5, Shards: 8, Clock: clockA.Now})
-	follower := New(Config{MaxPerDay: 5, Shards: 8, Clock: clockB.Now})
+	primary := New(Config{MaxPerDay: 5, Clock: clockA.Now})
+	follower := New(Config{MaxPerDay: 5, Clock: clockB.Now})
 
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 120; i++ {
@@ -164,6 +164,30 @@ func TestApplyReplicatedRejectsPageWithBadSignature(t *testing.T) {
 	}
 	if n, err := follower.ApplyReplicated(1, entries); err != nil || n != 3 {
 		t.Fatalf("the good page after the refused ones: applied %d, %v; want 3", n, err)
+	}
+	if got, want := follower.StateDigest(), primary.StateDigest(); got != want {
+		t.Errorf("follower digest %s, primary %s", got, want)
+	}
+}
+
+// TestApplyReplicatedRejectedPageLeavesNoTrace: a page that repeats a
+// signature, [A, B, A], is refused before any of it is recorded. Had A
+// and B entered the duplicate set, every later re-ship of [A, B] would
+// fail as a duplicate and wedge the follower.
+func TestApplyReplicatedRejectedPageLeavesNoTrace(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	primary := New(Config{MaxPerDay: 100})
+	mustAdd(t, primary, 1, distinctSig(r, 0))
+	mustAdd(t, primary, 2, distinctSig(r, 1))
+	entries, _, _ := primary.EntryPage(1, 0, 0)
+
+	follower := New(Config{MaxPerDay: 100})
+	page := []Entry{entries[0], entries[1], entries[0]}
+	if n, err := follower.ApplyReplicated(1, page); err == nil || n != 0 {
+		t.Fatalf("[A, B, A] applied %d, err %v; want an error and nothing applied", n, err)
+	}
+	if n, err := follower.ApplyReplicated(1, entries); err != nil || n != 2 {
+		t.Fatalf("[A, B] after the refused page: applied %d, %v; want 2", n, err)
 	}
 	if got, want := follower.StateDigest(), primary.StateDigest(); got != want {
 		t.Errorf("follower digest %s, primary %s", got, want)

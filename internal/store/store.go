@@ -2,16 +2,15 @@
 // the server-side validation state of §III-C2: per-user adjacency
 // rejection and the per-user daily rate limit.
 //
-// The database must absorb uploads "from tens of thousands of
-// simultaneous threads" (§III-A), so the hot path is partitioned: the
-// duplicate-detection set is sharded by signature ID, the per-user
-// validation state is sharded by user ID, and commuting ADDs (different
-// signatures from different users) proceed on distinct shard locks in
-// parallel. Accepted signatures funnel into one append-only log that
-// assigns the global 1-based indexes; GET reads a lock-free snapshot of
-// that log and never blocks writers. The package's tests hold this
-// store to Locked (locked_test.go), the original single-mutex
-// implementation, which lives only there as a test oracle.
+// Every ADD is admitted in the step that assigns its log index: one
+// lock guards the duplicate set, the per-user validation state and the
+// append, and concurrent ADDs share it through a group commit whose
+// leader admits every member's uploads in arrival order. A duplicate is
+// therefore answered only once its original is published, and carries
+// its original's index. GET reads a lock-free snapshot of the log and
+// never blocks writers. The package's tests hold this store to Locked
+// (locked_test.go), a single-mutex implementation that lives only there
+// as a test oracle.
 //
 // With Config.DataDir set (use Open, not New), the database is durable:
 // every committed batch is written ahead to a CRC-checked segment log
@@ -44,11 +43,6 @@ import (
 // processes only up to 10 signatures per day from one user" (§III-C1).
 const DefaultMaxPerDay = 10
 
-// DefaultShards is the default partition count for the sharded store.
-// Sixteen shards keep commuting ADDs from tens of workers conflict-free
-// while the per-shard maps stay dense.
-const DefaultShards = 16
-
 // Rejection reasons.
 var (
 	// ErrRateLimited: the user exceeded the daily signature budget.
@@ -65,11 +59,6 @@ type Config struct {
 	MaxPerDay int
 	// Clock injects time for the rate limiter; default time.Now.
 	Clock func() time.Time
-	// Shards is the number of hash partitions for the duplicate set and
-	// the per-user validation state; <= 0 selects DefaultShards. One
-	// shard degenerates to (and must behave exactly like) the
-	// single-mutex oracle the tests compare against (locked_test.go).
-	Shards int
 	// DataDir enables durability: accepted signatures are appended to a
 	// write-ahead segment log in this directory before they are
 	// published, and Open replays the directory on startup. Empty (the
@@ -96,9 +85,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.segmentMaxBytes <= 0 {
 		cfg.segmentMaxBytes = defaultSegmentMaxBytes
 	}
@@ -119,8 +105,7 @@ type userState struct {
 }
 
 // check rolls the budget window to today and reports whether a signature
-// with the given top frames would be rejected. The caller holds the lock
-// guarding u.
+// with the given top frames would be rejected. The caller holds walMu.
 func (u *userState) check(tops []string, today int64, maxPerDay int) error {
 	if u.day != today {
 		u.day = today
@@ -137,13 +122,6 @@ func (u *userState) check(tops []string, today int64, maxPerDay int) error {
 		}
 	}
 	return nil
-}
-
-// commit records an accepted signature against the budget. The caller
-// holds the lock guarding u and has called check.
-func (u *userState) commit(tops []string) {
-	u.tops = append(u.tops, tops)
-	u.used++
 }
 
 // topKeys returns the signature's top-frame set (sig.Signature.TopFrames)
@@ -180,47 +158,34 @@ func partialOverlap(a, b []string) bool {
 	return common != len(a) || common != len(b)
 }
 
-// sigShard is one partition of the duplicate-detection set. The pad
-// brings the struct to 64 bytes (8 mutex + 8 map + 48) so adjacent
-// shards' locks sit on distinct cache lines and never false-share.
-type sigShard struct {
-	mu      sync.Mutex
-	present map[string]struct{}
-	_       [48]byte
-}
-
-// userShard is one partition of the per-user validation state.
-type userShard struct {
-	mu    sync.Mutex
-	users map[ids.UserID]*userState
-	_     [48]byte
-}
-
-// Store is the sharded signature database. Accepted signatures get
-// consecutive 1-based indexes from a shared append-only log; GET(k)
-// returns everything from index k over a lock-free snapshot, making
-// client downloads incremental (§III-B) and reads wait-free with respect
-// to writers. With Config.DataDir set, every committed batch is appended
-// to a write-ahead segment log before it is published, and Open replays
-// the directory on startup — the database outlives the process. It is
-// safe for concurrent use.
+// Store is the signature database. Accepted signatures get consecutive
+// 1-based indexes from an append-only log; GET(k) returns everything from
+// index k over a lock-free snapshot, making client downloads incremental
+// (§III-B) and reads wait-free with respect to writers. With
+// Config.DataDir set, every committed batch is appended to a write-ahead
+// segment log before it is published, and Open replays the directory on
+// startup — the database outlives the process. It is safe for concurrent
+// use.
 //
-// Locking order is sigShard -> userShard -> walMu -> groupMu/log; an ADD
-// takes exactly one shard of each kind, so ADDs over different
-// signatures and users never contend outside the shared commit step, and
-// that step is a group commit (see commit).
+// Lock order is replMu -> walMu -> groupMu/log. walMu is the admission
+// lock: every ADD is decided, indexed, written and published under it,
+// and concurrent ADDs share it through a group commit (see commit).
 type Store struct {
-	maxPerDay  int
-	clock      func() time.Time
-	readOnly   bool
-	sigShards  []sigShard
-	userShards []userShard
-	log        *appendLog
+	maxPerDay int
+	clock     func() time.Time
+	readOnly  bool
+	log       *appendLog
 
-	// walMu serializes committed batches through the persister and keeps
-	// the on-disk record order identical to the in-memory index order.
-	// nil wal = ephemeral store, commits go straight to the log.
+	// walMu guards present and users, assigns log indexes, serializes
+	// committed batches through the persister, and keeps the on-disk
+	// record order identical to the in-memory index order. nil wal =
+	// ephemeral store, commits go straight to the log.
 	walMu sync.Mutex
+	// present is the duplicate set: every committed signature's ID,
+	// mapped to its 1-based log index.
+	present map[string]int
+	// users is the per-user validation state.
+	users map[ids.UserID]*userState
 	wal   *persister
 	// groupMu guards group, the commit group that durable commits join
 	// while an earlier one holds walMu (see commit).
@@ -262,25 +227,19 @@ func New(cfg Config) *Store {
 // Open builds a store. With cfg.DataDir set it recovers the directory's
 // durable record sequence — every WAL segment (and legacy snapshot) in
 // order, tolerating a torn record at the tail of the last segment —
-// and replays it into the shards, the per-user validation state, and the
-// GET log, so a restarted server serves the identical signature sequence
-// and still enforces duplicate, adjacency, and budget decisions made
-// before the restart.
+// and replays it into the duplicate set, the per-user validation state,
+// and the GET log, so a restarted server serves the identical signature
+// sequence and still enforces duplicate, adjacency, and budget decisions
+// made before the restart.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{
-		maxPerDay:  cfg.MaxPerDay,
-		clock:      cfg.Clock,
-		readOnly:   cfg.ReadOnly,
-		sigShards:  make([]sigShard, cfg.Shards),
-		userShards: make([]userShard, cfg.Shards),
-		log:        newAppendLog(),
-	}
-	for i := range st.sigShards {
-		st.sigShards[i].present = make(map[string]struct{})
-	}
-	for i := range st.userShards {
-		st.userShards[i].users = make(map[ids.UserID]*userState)
+		maxPerDay: cfg.MaxPerDay,
+		clock:     cfg.Clock,
+		readOnly:  cfg.ReadOnly,
+		log:       newAppendLog(),
+		present:   make(map[string]int),
+		users:     make(map[ids.UserID]*userState),
 	}
 	st.epoch = epochStart
 	if cfg.DataDir == "" {
@@ -310,27 +269,11 @@ func Open(cfg Config) (*Store, error) {
 			return err
 		}
 		id := s.ID()
-		sh := st.sigShardOf(id)
-		if _, dup := sh.present[id]; dup {
+		if _, dup := st.present[id]; dup {
 			return fmt.Errorf("duplicate record %s", id)
 		}
-		sh.present[id] = struct{}{}
-		us := st.userShardOf(e.user)
-		u, ok := us.users[e.user]
-		if !ok {
-			u = &userState{}
-			us.users[e.user] = u
-		}
-		u.tops = append(u.tops, topKeys(s))
-		// Rebuild the daily budget: only records accepted during the
-		// current UTC day still count against it.
-		if day := e.unix / 86400; day == today {
-			if u.day != today {
-				u.day, u.used = today, 0
-			}
-			u.used++
-		}
 		recovered = append(recovered, Entry{User: e.user, Unix: e.unix, Data: data})
+		st.record(id, len(recovered), e.user, e.unix, topKeys(s), today)
 		return nil
 	})
 	if err != nil {
@@ -341,31 +284,32 @@ func Open(cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// Shards returns the partition count.
-func (st *Store) Shards() int { return len(st.sigShards) }
-
-// sigShardOf picks the duplicate-set partition for a signature ID.
-// Inline FNV-1a: a hash.Hash32 would heap-allocate on every ADD.
-func (st *Store) sigShardOf(id string) *sigShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
+// record enters a committed entry into the duplicate set, at its 1-based
+// log index, and into its uploader's validation state: its top frames
+// for adjacency and, when it was accepted on day today, one unit of that
+// day's budget. Admission, Open's replay and ApplyReplicated all record
+// through it. The caller holds walMu, or owns the store alone.
+func (st *Store) record(id string, index int, user ids.UserID, unix int64, tops []string, today int64) {
+	st.present[id] = index
+	u := st.userOf(user)
+	u.tops = append(u.tops, tops)
+	if unix/86400 == today {
+		if u.day != today {
+			u.day, u.used = today, 0
+		}
+		u.used++
 	}
-	return &st.sigShards[h%uint32(len(st.sigShards))]
 }
 
-// userShardOf picks the validation-state partition for a user. The user
-// id is mixed (splitmix64 finalizer) so sequentially issued ids spread
-// across shards.
-func (st *Store) userShardOf(user ids.UserID) *userShard {
-	x := uint64(user)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return &st.userShards[x%uint64(len(st.userShards))]
+// userOf returns a user's validation state, creating it on first use.
+// The caller holds walMu, or owns the store alone.
+func (st *Store) userOf(user ids.UserID) *userState {
+	u, ok := st.users[user]
+	if !ok {
+		u = &userState{}
+		st.users[user] = u
+	}
+	return u
 }
 
 // Add validates and stores a signature from the given user. It returns
@@ -375,15 +319,8 @@ func (st *Store) userShardOf(user ids.UserID) *userShard {
 // and published in memory but whose WAL write failed — the caller keeps
 // serving it, durability is degraded.
 func (st *Store) Add(user ids.UserID, s *sig.Signature) (bool, error) {
-	if err := st.writable(); err != nil {
-		return false, err
-	}
-	added, entry, err := st.admit(user, s, nil)
-	if !added {
-		return added, err
-	}
-	first, err := st.commit([]walEntry{entry})
-	return first > 0, err
+	res := st.AddBatch([]Upload{{User: user, Sig: s}})[0]
+	return res.Added, res.Err
 }
 
 // writable returns the error every mutation of a read-only or closed
@@ -418,22 +355,26 @@ type Upload struct {
 type AddResult struct {
 	// Added reports whether the signature entered the database.
 	Added bool
-	// Index is the 1-based log index the accepted signature was committed
-	// at (0 for duplicates and rejections) — the watermark quorum
-	// acknowledgement and client read-your-writes pin against.
+	// Index is the 1-based log index the signature was committed at: the
+	// upload's own when Added, its original's for a duplicate, 0 for a
+	// rejection — the watermark quorum acknowledgement and client
+	// read-your-writes pin against.
 	Index int
 	// Err is the rejection (or, on a durable store, the WAL failure) for
-	// this upload; nil for accepts and idempotent duplicates.
+	// this upload; nil for accepts and idempotent duplicates. A WAL
+	// failure is also reported on a duplicate whose original was written
+	// in the same failed append.
 	Err error
 }
 
 // AddBatch validates and stores a batch of uploads, committing every
 // accepted signature to the WAL and the log as one contiguous run.
-// Results are positional. Validation runs per upload under the relevant
-// shard locks only; the batch then makes one commit. A WAL write failure
-// is reported on every accepted upload of the batch, with Added still
-// true (see Add); a store that closed before the commit reports
-// ErrClosed with Added false.
+// Results are positional. Signature validation, IDs and top frames are
+// computed first, without any lock; the batch then makes one commit,
+// which admits its uploads in order (see commit). A WAL write failure is
+// reported on every accepted upload of the batch, with Added still true
+// (see Add); a store that closed before the commit reports ErrClosed
+// with Added false.
 func (st *Store) AddBatch(batch []Upload) []AddResult {
 	results := make([]AddResult, len(batch))
 	if err := st.writable(); err != nil {
@@ -442,112 +383,181 @@ func (st *Store) AddBatch(batch []Upload) []AddResult {
 		}
 		return results
 	}
-	entries := make([]walEntry, 0, len(batch))
+	now := st.clock().UTC().Unix()
+	req := &request{ups: make([]admission, len(batch)), res: results}
 	for i, up := range batch {
-		added, entry, err := st.admit(up.User, up.Sig, up.Data)
-		results[i] = AddResult{Added: added, Err: err}
-		if added {
-			entries = append(entries, entry)
+		if err := up.Sig.Valid(); err != nil {
+			results[i].Err = fmt.Errorf("store: %w", err)
+			continue
 		}
+		req.ups[i] = admission{Upload: up, id: up.Sig.ID(), tops: topKeys(up.Sig), unix: now}
 	}
-	idx, err := st.commit(entries)
-	for i := range results {
-		if r := &results[i]; r.Added {
-			// idx == 0: the store closed first and published nothing.
-			r.Added, r.Index, r.Err = idx > 0, idx, err
-			if idx > 0 {
-				idx++
-			}
-		}
-	}
+	st.commit(req)
 	return results
 }
 
-// commitGroup is one group commit: the entries of every durable commit
-// that queued behind the previous group, in arrival order. The commit
-// that opened it (the leader) writes and publishes them; the others
-// wait on done.
-type commitGroup struct {
-	entries []walEntry
-	done    sync.WaitGroup
-	first   int // 1-based index of entries[0]; 0 when nothing was published
-	err     error
+// admission is one upload prepared for admit outside walMu.
+type admission struct {
+	Upload
+	id   string
+	tops []string
+	unix int64 // accept time
 }
 
-// commit makes a batch of accepted entries visible: WAL append first
-// (write-ahead: nothing is acknowledged before it is on the log), then
-// one atomic publish to the in-memory GET log. Both happen under walMu
-// so the on-disk record order always matches the in-memory index order.
+// request is one AddBatch call on its way through commit: its uploads
+// and their positional results, which the holder of walMu fills in.
+// Uploads whose result already carries an error are not admitted.
+type request struct {
+	ups []admission
+	res []AddResult
+}
+
+// commitGroup is one group commit: the requests of every durable commit
+// that queued behind the previous group, in arrival order. The commit
+// that opened it (the leader) admits, writes and publishes them; the
+// others wait on done.
+type commitGroup struct {
+	reqs []*request
+	done sync.WaitGroup
+}
+
+// commit admits a request's uploads and makes the accepted ones visible,
+// all under walMu: the admission decisions, the index assignment, the
+// WAL append (write-ahead: nothing is acknowledged before it is on the
+// log) and one atomic publish to the in-memory GET log. So the on-disk
+// record order always matches the in-memory index order, and a
+// duplicate is answered only once its original is published.
 //
 // Durable commits are grouped. A commit that finds walMu free writes
 // alone. One that finds it held joins the open group, or opens one and
 // waits for walMu as its leader; commits arriving meanwhile join too.
-// Once the leader holds walMu it closes the group, writes it with one
-// WAL append (one write, at most one fsync under FsyncAlways),
-// publishes it in the same order, and hands every member its index. A
-// group is exactly the commits that queued behind the previous one: an
-// idle store commits alone, a busy one spreads each append over its
-// backlog.
-//
-// The in-memory publish is unconditional — even when the WAL write
-// fails, readers of this process see the batch and the error only
-// reports lost durability — except on a closed store, which publishes
-// nothing and returns ErrClosed. It returns the 1-based log index
-// assigned to the batch's first entry (0 when nothing was published).
-func (st *Store) commit(entries []walEntry) (int, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
+// Once the leader holds walMu it closes the group, admits every member's
+// uploads in arrival order, writes the accepted ones with one WAL append
+// (one write, at most one fsync under FsyncAlways), publishes them in
+// the same order, and releases the members, whose results it has filled
+// in. A group is exactly the commits that queued behind the previous
+// one: an idle store commits alone, a busy one spreads each append over
+// its backlog. An ephemeral store takes walMu with no group.
+func (st *Store) commit(req *request) {
 	if st.wal == nil {
-		if st.closed.Load() {
-			return 0, ErrClosed
-		}
-		return st.log.Append(logEntries(entries)), nil
-	}
-	if st.walMu.TryLock() {
-		defer st.walMu.Unlock()
-		return st.writeGroup(entries)
-	}
-	st.groupMu.Lock()
-	g, off := st.group, 0
-	leader := g == nil
-	if leader {
-		// Capped so a member's append never writes into the caller's
-		// spare capacity.
-		g = &commitGroup{entries: entries[:len(entries):len(entries)]}
-		g.done.Add(1)
-		st.group = g
-	} else {
-		off = len(g.entries)
-		g.entries = append(g.entries, entries...)
-	}
-	st.groupMu.Unlock()
-
-	if leader {
 		st.walMu.Lock()
-		st.groupMu.Lock()
-		st.group = nil // later commits queue as the next group
-		st.groupMu.Unlock()
-		g.first, g.err = st.writeGroup(g.entries)
-		st.walMu.Unlock()
-		g.done.Done()
-	} else {
-		g.done.Wait()
+	} else if !st.walMu.TryLock() {
+		st.joinGroup(req)
+		return
 	}
-	if g.first == 0 {
-		return 0, g.err
-	}
-	return g.first + off, g.err
+	defer st.walMu.Unlock()
+	st.writeGroup(req)
 }
 
-// writeGroup appends a commit group to the WAL and publishes it. The
-// caller holds walMu, which is also what Close takes to set closed.
-func (st *Store) writeGroup(entries []walEntry) (int, error) {
-	if st.closed.Load() {
-		return 0, ErrClosed
+// joinGroup commits req as part of the open commit group, leading it
+// when there is none (see commit).
+func (st *Store) joinGroup(req *request) {
+	st.groupMu.Lock()
+	g := st.group
+	leader := g == nil
+	if leader {
+		g = &commitGroup{}
+		g.done.Add(1)
+		st.group = g
 	}
-	err := st.wal.append(entries)
-	return st.log.Append(logEntries(entries)), err
+	g.reqs = append(g.reqs, req)
+	st.groupMu.Unlock()
+	if !leader {
+		g.done.Wait()
+		return
+	}
+	st.walMu.Lock()
+	st.groupMu.Lock()
+	st.group = nil // later commits queue as the next group
+	st.groupMu.Unlock()
+	st.writeGroup(g.reqs...)
+	st.walMu.Unlock()
+	g.done.Done()
+}
+
+// writeGroup admits the requests' uploads in order, assigning indexes as
+// it goes, then publishes the accepted ones (see publish) and hands every
+// upload its result. The publish is unconditional, even when the WAL
+// write fails, except on a closed store, where nothing is admitted and
+// every upload gets ErrClosed. The caller holds walMu, which is also what
+// Close takes to set closed.
+func (st *Store) writeGroup(reqs ...*request) {
+	closed := st.closed.Load()
+	base := st.log.Len()
+	var entries []walEntry
+	for _, req := range reqs {
+		for i := range req.ups {
+			res := &req.res[i]
+			switch {
+			case res.Err != nil: // not a valid signature
+			case closed:
+				res.Err = ErrClosed
+			default:
+				var e walEntry
+				*res, e = st.admit(&req.ups[i], base+len(entries)+1)
+				if res.Added {
+					entries = append(entries, e)
+				}
+			}
+		}
+	}
+	if err := st.publish(entries); err != nil {
+		// Every upload at an index this append holds: the accepted ones
+		// and the duplicates of them.
+		for _, req := range reqs {
+			for i := range req.res {
+				if res := &req.res[i]; res.Index > base {
+					res.Err = err
+				}
+			}
+		}
+	}
+}
+
+// admit decides one upload in the test oracle's check order
+// (locked_test.go): duplicate, then budget, then adjacency. A duplicate
+// gets its original's index. An accepted upload is recorded at index
+// next and its WAL entry returned. The encoding is Upload.Data when set,
+// else sig.Encode's, computed only after every check has passed:
+// duplicates and rejected uploads (the DoS case the daily limit exists
+// for) never pay a marshal. The caller holds walMu.
+func (st *Store) admit(a *admission, next int) (AddResult, walEntry) {
+	if orig, dup := st.present[a.id]; dup {
+		return AddResult{Index: orig}, walEntry{}
+	}
+	today := a.unix / 86400
+	if err := st.userOf(a.User).check(a.tops, today, st.maxPerDay); err != nil {
+		return AddResult{Err: err}, walEntry{}
+	}
+	data := a.Data
+	if data == nil {
+		var err error
+		if data, err = sig.Encode(a.Sig); err != nil {
+			return AddResult{Err: fmt.Errorf("store: %w", err)}, walEntry{}
+		}
+	}
+	st.record(a.id, next, a.User, a.unix, a.tops, today)
+	return AddResult{Added: true, Index: next}, walEntry{user: a.User, unix: a.unix, data: data}
+}
+
+// publish appends recorded entries to the WAL, on a durable store, then
+// to the GET log. The log append happens even when the WAL write fails:
+// readers of this process see the entries, and the error only reports
+// lost durability. The caller holds walMu.
+func (st *Store) publish(entries []walEntry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	var err error
+	if st.wal != nil {
+		err = st.wal.append(entries)
+	}
+	batch := make([]Entry, len(entries))
+	for i, e := range entries {
+		batch[i] = Entry{User: e.user, Unix: e.unix, Data: e.data}
+	}
+	st.log.Append(batch)
+	return err
 }
 
 // decodeEntry decodes a signature read back from the WAL or received
@@ -562,79 +572,6 @@ func decodeEntry(data []byte) (*sig.Signature, []byte, error) {
 	}
 	data, err = sig.Encode(s)
 	return s, data, err
-}
-
-// logEntries converts WAL entries to the log's exported form.
-func logEntries(entries []walEntry) []Entry {
-	batch := make([]Entry, len(entries))
-	for i, e := range entries {
-		batch[i] = Entry{User: e.user, Unix: e.unix, Data: e.data}
-	}
-	return batch
-}
-
-// admit runs every ADD step except the commit: signature validation,
-// duplicate detection (sig shard), and rate-limit + adjacency checks
-// (user shard). On acceptance it marks the signature present and returns
-// the WAL entry (uploader, accept time, encoding) for the caller to
-// commit. The encoding is data when set (see Upload.Data), else
-// sig.Encode's.
-//
-// Between admit marking a signature present and the caller's commit
-// returning, a concurrent identical upload gets (false, nil), a
-// duplicate, while the original is neither published nor on the log.
-// The in-memory publish always lands, but durability may not: if the
-// WAL write fails, or the process dies before the original is durable
-// (on disk, or under -ack quorum on a majority of the cell), the
-// duplicate's uploader was told a signature is stored that is then
-// lost. ROADMAP.md's item "Acknowledge a duplicate only once its
-// original is safe" tracks the fix.
-func (st *Store) admit(user ids.UserID, s *sig.Signature, data json.RawMessage) (bool, walEntry, error) {
-	if err := s.Valid(); err != nil {
-		return false, walEntry{}, fmt.Errorf("store: %w", err)
-	}
-	id := s.ID()
-	tops := topKeys(s)
-	now := st.clock().UTC().Unix()
-	today := now / 86400
-
-	sh := st.sigShardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.present[id]; dup {
-		sh.mu.Unlock()
-		return false, walEntry{}, nil
-	}
-
-	us := st.userShardOf(user)
-	us.mu.Lock()
-	u, ok := us.users[user]
-	if !ok {
-		u = &userState{}
-		us.users[user] = u
-	}
-	if err := u.check(tops, today, st.maxPerDay); err != nil {
-		us.mu.Unlock()
-		sh.mu.Unlock()
-		return false, walEntry{}, err
-	}
-	// Encode only after every check has passed, in the test oracle's
-	// order (locked_test.go): duplicates and rejected uploads (the DoS
-	// case the daily limit exists for) never pay a marshal. The encode runs under the two shard locks, which only
-	// serializes it against same-shard traffic.
-	if data == nil {
-		var err error
-		if data, err = sig.Encode(s); err != nil {
-			us.mu.Unlock()
-			sh.mu.Unlock()
-			return false, walEntry{}, fmt.Errorf("store: %w", err)
-		}
-	}
-	u.commit(tops)
-	us.mu.Unlock()
-
-	sh.present[id] = struct{}{}
-	sh.mu.Unlock()
-	return true, walEntry{user: user, unix: now, data: data}, nil
 }
 
 // Get returns the pre-encoded signatures from 1-based index from, plus
@@ -668,14 +605,9 @@ func (st *Store) Len() int { return st.log.Len() }
 
 // Users returns how many distinct users have contributed.
 func (st *Store) Users() int {
-	total := 0
-	for i := range st.userShards {
-		us := &st.userShards[i]
-		us.mu.Lock()
-		total += len(us.users)
-		us.mu.Unlock()
-	}
-	return total
+	st.walMu.Lock()
+	defer st.walMu.Unlock()
+	return len(st.users)
 }
 
 // PersistStats reports the store's on-disk state. For an ephemeral store
@@ -724,15 +656,16 @@ func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 // ApplyReplicated applies a contiguous run of replicated entries whose
 // first element has global index from. Entries at or below the current
 // length are skipped (idempotent overlap, mirroring repo.Append); a gap
-// past the current length is an error. Every entry is validated before
-// any is applied: one that is not a valid signature (the frame decoder
-// only delimits them), and even a skipped one that is not JSON, fails
-// the run with nothing applied. Each new entry then rebuilds the
-// validation state exactly as recovery does — duplicate set, per-user
+// past the current length is an error. The whole run is checked before
+// any of it is applied: an entry that is not a valid signature (the
+// frame decoder only delimits them), even a skipped one that is not
+// JSON, or a new entry whose signature the store or the run already
+// holds fails the run and leaves no trace. The new entries are then
+// recorded exactly as recovery records them — duplicate set, per-user
 // adjacency tops, and the daily budget using the primary's commit
-// timestamps — and the batch commits through the WAL like any accepted
-// upload, so a follower's directory is recoverable and re-shippable like
-// a primary's. It returns how many entries were newly applied.
+// timestamps — and written through the WAL like any accepted upload, so
+// a follower's directory is recoverable and re-shippable like a
+// primary's. It returns how many entries were newly applied.
 func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if err := st.writable(); err != nil {
 		return 0, err
@@ -753,56 +686,44 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	sigs := make([]*sig.Signature, len(entries))
 	batch := make([]walEntry, len(entries))
+	keys := make([]string, len(entries))
+	tops := make([][]string, len(entries))
+	inRun := make(map[string]struct{}, len(entries))
 	for i, e := range entries {
 		s, data, err := decodeEntry(e.Data)
 		if err != nil {
 			return 0, fmt.Errorf("store: replicated entry: %w", err)
 		}
-		sigs[i] = s
+		keys[i], tops[i] = s.ID(), topKeys(s)
+		if _, dup := inRun[keys[i]]; dup {
+			return 0, fmt.Errorf("store: replicated duplicate %s", keys[i])
+		}
+		inRun[keys[i]] = struct{}{}
 		batch[i] = walEntry{user: e.User, unix: e.Unix, data: data}
 	}
 	today := st.clock().UTC().Unix() / 86400
-	for i, e := range entries {
-		s := sigs[i]
-		id := s.ID()
-		sh := st.sigShardOf(id)
-		sh.mu.Lock()
-		if _, dup := sh.present[id]; dup {
-			sh.mu.Unlock()
+	st.walMu.Lock()
+	defer st.walMu.Unlock()
+	if st.closed.Load() {
+		return 0, ErrClosed
+	}
+	for _, id := range keys {
+		if _, dup := st.present[id]; dup {
 			return 0, fmt.Errorf("store: replicated duplicate %s", id)
 		}
-		sh.present[id] = struct{}{}
-		sh.mu.Unlock()
-
-		us := st.userShardOf(e.User)
-		us.mu.Lock()
-		u, ok := us.users[e.User]
-		if !ok {
-			u = &userState{}
-			us.users[e.User] = u
-		}
-		u.tops = append(u.tops, topKeys(s))
-		if day := e.Unix / 86400; day == today {
-			if u.day != today {
-				u.day, u.used = today, 0
-			}
-			u.used++
-		}
-		us.mu.Unlock()
 	}
-	first, err := st.commit(batch)
-	if first == 0 {
-		return 0, err // nothing new, or the store closed first
+	first := st.log.Len() + 1
+	for i, e := range batch {
+		st.record(keys[i], first+i, e.user, e.unix, tops[i], today)
 	}
-	return len(batch), err
+	return len(batch), st.publish(batch)
 }
 
-// ResetReplica discards the store's entire contents — in-memory shards,
-// log, and (when durable) every WAL segment and legacy snapshot —
-// leaving an empty store at the same epoch, ready to re-replicate from
-// index 1.
+// ResetReplica discards the store's entire contents — duplicate set,
+// validation state, log, and (when durable) every WAL segment and legacy
+// snapshot — leaving an empty store at the same epoch, ready to
+// re-replicate from index 1.
 // Only a follower whose log is longer than its fence calls this; the
 // caller is responsible for making sure
 // no concurrent writers are active (a follower rejects ADDs, and the
@@ -813,23 +734,13 @@ func (st *Store) ResetReplica() error {
 	}
 	st.replMu.Lock()
 	defer st.replMu.Unlock()
-	for i := range st.sigShards {
-		sh := &st.sigShards[i]
-		sh.mu.Lock()
-		sh.present = make(map[string]struct{})
-		sh.mu.Unlock()
-	}
-	for i := range st.userShards {
-		us := &st.userShards[i]
-		us.mu.Lock()
-		us.users = make(map[ids.UserID]*userState)
-		us.mu.Unlock()
-	}
 	st.walMu.Lock()
 	defer st.walMu.Unlock()
 	if st.closed.Load() {
 		return ErrClosed
 	}
+	st.present = make(map[string]int)
+	st.users = make(map[ids.UserID]*userState)
 	st.log.Reset()
 	if st.wal == nil {
 		return nil
@@ -848,9 +759,10 @@ func (st *Store) ResetReplica() error {
 // decisions: adjacency is set-membership, not order) do not change the
 // digest. Budget state is normalized to the current UTC day: stale
 // windows count as a fresh budget, exactly as check() would treat them.
-// Call it on quiescent stores; it takes each shard lock in turn, not a
-// global snapshot.
+// Call it on quiescent stores.
 func (st *Store) StateDigest() string {
+	st.walMu.Lock()
+	defer st.walMu.Unlock()
 	h := sha256.New()
 	var num [8]byte
 
@@ -867,14 +779,9 @@ func (st *Store) StateDigest() string {
 	}
 
 	// Duplicate set, sorted.
-	var dups []string
-	for i := range st.sigShards {
-		sh := &st.sigShards[i]
-		sh.mu.Lock()
-		for id := range sh.present {
-			dups = append(dups, id)
-		}
-		sh.mu.Unlock()
+	dups := make([]string, 0, len(st.present))
+	for id := range st.present {
+		dups = append(dups, id)
 	}
 	sort.Strings(dups)
 	for _, id := range dups {
@@ -891,21 +798,16 @@ func (st *Store) StateDigest() string {
 		used int
 	}
 	var users []userDump
-	for i := range st.userShards {
-		us := &st.userShards[i]
-		us.mu.Lock()
-		for id, u := range us.users {
-			d := userDump{id: id}
-			for _, set := range u.tops {
-				d.tops = append(d.tops, joinFrames(set))
-			}
-			sort.Strings(d.tops)
-			if u.day == today {
-				d.used = u.used
-			}
-			users = append(users, d)
+	for id, u := range st.users {
+		d := userDump{id: id}
+		for _, set := range u.tops {
+			d.tops = append(d.tops, joinFrames(set))
 		}
-		us.mu.Unlock()
+		sort.Strings(d.tops)
+		if u.day == today {
+			d.used = u.used
+		}
+		users = append(users, d)
 	}
 	sort.Slice(users, func(i, j int) bool { return users[i].id < users[j].id })
 	for _, d := range users {
