@@ -61,7 +61,7 @@ var (
 )
 
 // Config parameterizes a channel-deadlock Runtime. The zero value is
-// usable: fresh in-memory history, RecoverNone policy, default depths.
+// usable: fresh in-memory history, RecoverNone policy.
 type Config struct {
 	// History is the deadlock history to avoid and extend — typically
 	// the same one the process's dimmunix runtime uses, so one pushed
@@ -72,31 +72,17 @@ type Config struct {
 	Policy dimmunix.RecoveryPolicy
 	// AvoidanceDisabled turns the yield discipline off (detection only).
 	AvoidanceDisabled bool
-	// DetectionDisabled turns the cycle detector off (avoidance only).
-	DetectionDisabled bool
 	// GraphDisabled bypasses the subsystem entirely: every Chan op is
 	// the raw native channel op, no capture, no bookkeeping, no
 	// detection, no avoidance. This is the lockstep differential
 	// reference arm: it proves detection soundness (scenarios that
-	// deadlock under it genuinely deadlock) and is the baseline the
-	// fast-path overhead gate in `-experiment runtime` compares against.
+	// deadlock under it genuinely deadlock).
 	GraphDisabled bool
 	// OnDeadlock, if set, is called synchronously after a communication
 	// deadlock is fingerprinted, with internal locks dropped. The
 	// communix facade routes it into the same plugin upload path as
 	// mutex deadlocks.
 	OnDeadlock func(dimmunix.Deadlock)
-	// StackDepth bounds native stack capture; default
-	// stacktrace.DefaultDepth.
-	StackDepth int
-	// ShallowCaptureDepth sets the first-phase frame count of the
-	// adaptive two-phase capture (PR 4); 0 means
-	// stacktrace.DefaultShallowDepth, negative disables the shallow
-	// phase.
-	ShallowCaptureDepth int
-	// Registry supplies code-unit hashes for native frames; nil
-	// allocates a fresh registry.
-	Registry *stacktrace.Registry
 }
 
 // Stats is a snapshot of runtime counters.
@@ -212,13 +198,10 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Policy == 0 {
 		cfg.Policy = dimmunix.RecoverNone
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = stacktrace.NewRegistry()
-	}
 	return &Runtime{
 		cfg:      cfg,
 		history:  cfg.History,
-		capture:  stacktrace.NewCache(cfg.Registry),
+		capture:  stacktrace.NewCache(stacktrace.NewRegistry()),
 		blocked:  make(map[uint64]*blockedOp),
 		yielders: make(map[uint64]*yielder),
 		closedCh: make(chan struct{}),
@@ -259,13 +242,6 @@ func (rt *Runtime) Waiting() int {
 	return len(rt.blocked) + len(rt.yielders)
 }
 
-func (rt *Runtime) stackDepth() int {
-	if rt.cfg.StackDepth > 0 {
-		return rt.cfg.StackDepth
-	}
-	return stacktrace.DefaultDepth
-}
-
 // kindFilter adapts the avoidance index to the capture-time top-site
 // probe: raw captures carry no kind — the op imposes one — so the probe
 // stamps the op's kind onto a copy of the resolved top frame before
@@ -288,12 +264,9 @@ func (f kindFilter) MinSafeCaptureDepth() int { return f.idx.MinSafeCaptureDepth
 // two-phase discipline, kind-aware. skip counts frames between the
 // user's call site and captureOp's caller (1 for a direct Chan method).
 func (rt *Runtime) captureOp(skip int, kind string) sig.Stack {
-	if rt.cfg.ShallowCaptureDepth < 0 {
-		return rt.capture.Capture(skip+1, rt.stackDepth())
-	}
 	idx := rt.history.Index()
 	return rt.capture.CaptureAdaptive(skip+1, kindFilter{idx: idx, kind: kind},
-		rt.cfg.ShallowCaptureDepth, rt.stackDepth())
+		stacktrace.DefaultShallowDepth, stacktrace.DefaultDepth)
 }
 
 // stampKind returns a copy of cs with the op kind on its top frame —
@@ -410,19 +383,16 @@ func (rt *Runtime) block(gid uint64, cs sig.Stack, kind string, cases ...opCase)
 	rt.blocked[gid] = op
 	rt.stats.Blocked++
 
-	var dl *dimmunix.Deadlock
-	if !rt.cfg.DetectionDisabled {
-		dl = rt.detectLocked(op)
-		if dl != nil {
-			rt.stats.Deadlocks++
-			if dl.Known {
-				rt.stats.KnownRecurrences++
-			} else {
-				rt.history.Add(dl.Signature)
-			}
-			if rt.cfg.Policy == dimmunix.RecoverBreak {
-				delete(rt.blocked, gid)
-			}
+	dl := rt.detectLocked(op)
+	if dl != nil {
+		rt.stats.Deadlocks++
+		if dl.Known {
+			rt.stats.KnownRecurrences++
+		} else {
+			rt.history.Add(dl.Signature)
+		}
+		if rt.cfg.Policy == dimmunix.RecoverBreak {
+			delete(rt.blocked, gid)
 		}
 	}
 	// This wait may have closed a mixed wait+yield cycle.

@@ -40,6 +40,10 @@ type diffRig struct {
 	refLocks  []*Lock
 	pending   map[ThreadID]*diffOp
 	held      map[ThreadID][]int // test-side model of granted holds
+	// refreshEveryStep checks both runtimes' refreshed positions against
+	// the from-scratch oracle at every quiescent step of a script, not
+	// only after hot-swaps.
+	refreshEveryStep bool
 }
 
 // newDiffRig builds the default rig: the full sharded fast path against
@@ -55,15 +59,6 @@ func newDiffRig(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
 // global-mutex matched path specifically.
 func newDiffRigGlobal(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
 	return newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.ShardedAvoidanceDisabled = true })
-}
-
-// newDiffRigFullRebuild builds the refresh rig: the incremental
-// delta-refresh runtime against one whose every history refresh is a
-// full rebuild (IncrementalRefreshDisabled) — both on the full sharded
-// fast path, so every decision taken after a hot-swap checks the delta
-// application against the rebuild-from-scratch reference.
-func newDiffRigFullRebuild(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
-	return newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.IncrementalRefreshDisabled = true })
 }
 
 func newDiffRigRef(t *testing.T, nLocks int, mutate func(*Config), refMutate func(*Config)) *diffRig {
@@ -516,8 +511,8 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 		return s
 	}()
 	// A same-outer variant (different inner stacks, so a different ID):
-	// Replace swaps one for the other in a single mutation, exercising
-	// the changelog's combined remove+add entries.
+	// Replace swaps one for the other in a single mutation, exercising a
+	// refresh that removes and adds at once.
 	extraSigAlt := func() *sig.Signature {
 		s := sig.New(
 			sig.ThreadSpec{Outer: stacks[0], Inner: mkStack("P0", "i0alt", 5)},
@@ -556,6 +551,10 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 	}
 
 	for i := 0; i < ops; i++ {
+		if r.refreshEveryStep && len(r.pending) == 0 {
+			checkRefresh(t, r.fast, fmt.Sprintf("fast runtime at op %d", i))
+			checkRefresh(t, r.ref, fmt.Sprintf("reference runtime at op %d", i))
+		}
 		if len(r.pending) > 0 {
 			var parkedTid ThreadID
 			for tid := range r.pending {
@@ -629,10 +628,13 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 			case ch.intn(2) == 0:
 				r.remove(extraSigs[extraCur].ID())
 				extraCur = -1
-			default: // one Replace mutation: one version bump, one delta entry
+			default: // one Replace mutation: one version bump
 				r.replace(extraSigs[extraCur].ID(), extraSigs[1-extraCur])
 				extraCur = 1 - extraCur
 			}
+			// Quiescent (nothing is parked): the refresh must register
+			// exactly what the from-scratch oracle does.
+			checkRefresh(t, r.fast, fmt.Sprintf("after hot-swap at op %d", i))
 		case 9: // stats comparison mid-script (also polls pending)
 			r.drainResolved()
 			if len(r.pending) == 0 {
@@ -710,26 +712,33 @@ func TestDifferentialShardedVsGlobal(t *testing.T) {
 }
 
 // TestDifferentialIncrementalVsFullRebuild replays the fuzzed scripts
-// with the full-rebuild runtime as the reference: every grant, yield,
-// and denial taken after an incremental delta refresh is compared
-// against the same decision under rebuild-from-scratch refreshes.
+// with the refresh checked at every quiescent step, on both runtimes:
+// the positions the incremental refresh leaves registered must equal a
+// full rebuild of the table from scratch (expectedDigest), computed by
+// the test from the runtime's holds, waits and published fast holds.
 func TestDifferentialIncrementalVsFullRebuild(t *testing.T) {
+	rigFn := func(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
+		r := newDiffRig(t, nLocks, mutate)
+		r.refreshEveryStep = true
+		return r
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runDifferentialScript(t, randChooser{rand.New(rand.NewSource(seed))}, 120, false, newDiffRigFullRebuild)
+			runDifferentialScript(t, randChooser{rand.New(rand.NewSource(seed))}, 120, false, rigFn)
 		})
 	}
 	t.Run("detection-disabled", func(t *testing.T) {
-		runDifferentialScript(t, randChooser{rand.New(rand.NewSource(44))}, 120, true, newDiffRigFullRebuild)
+		runDifferentialScript(t, randChooser{rand.New(rand.NewSource(44))}, 120, true, rigFn)
 	})
 }
 
 // FuzzDifferentialInterleavings lets the fuzzer drive the op selection
 // directly; any decision divergence between the fast-path and reference
-// runtimes fails the run. Input length mod 3 picks the reference:
-// 0 compares sharded vs the all-slow reference, 1 vs the global-mutex
-// matched path, 2 incremental refresh vs the full-rebuild refresh.
+// runtimes, or any refresh that disagrees with the from-scratch oracle
+// after a hot-swap, fails the run. Input length mod 2 picks the
+// reference: 0 compares sharded vs the all-slow reference, 1 vs the
+// global-mutex matched path.
 func FuzzDifferentialInterleavings(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 0, 9, 9, 9, 8, 8, 6, 6, 1, 3, 5, 7})
@@ -739,11 +748,8 @@ func FuzzDifferentialInterleavings(f *testing.F) {
 			t.Skip()
 		}
 		rigFn := newDiffRig
-		switch len(data) % 3 {
-		case 1:
+		if len(data)%2 == 1 {
 			rigFn = newDiffRigGlobal
-		case 2:
-			rigFn = newDiffRigFullRebuild
 		}
 		runDifferentialScript(t, &byteChooser{data: data}, 60, false, rigFn)
 	})

@@ -43,6 +43,11 @@ type SlotRef struct {
 // avoidance module matches against (§II-A). It is safe for concurrent
 // use; the Runtime reads it on every lock acquisition while the Communix
 // agent adds, merges, and removes signatures.
+//
+// Every mutation bumps the version once and marks the index dirty. The
+// Runtime's position refresh learns what changed by comparing the live
+// signature sets of the index it last applied and the current one
+// (indexDelta).
 type History struct {
 	mu      sync.RWMutex
 	sigs    map[string]*sig.Signature // by ID
@@ -58,186 +63,6 @@ type History struct {
 	// signature) stays O(S) instead of O(S²).
 	idx      atomic.Pointer[AvoidIndex]
 	idxDirty atomic.Bool
-
-	// deltaRing is the per-version changelog: one entry per mutation
-	// (version bump), recording exactly which signature instances the
-	// mutation added and removed. Consumers (the Runtime's position
-	// refresh) use DeltaSince to apply a version gap as a per-signature
-	// delta instead of a full rebuild. The ring is bounded at
-	// DeltaRingCap entries — a consumer further behind than the ring
-	// covers (bulk ingestion, a long-idle runtime) falls back to a full
-	// rebuild. Guarded by mu; every version++ records exactly one entry,
-	// so ring versions are consecutive.
-	deltaRing  []historyDelta
-	deltaHead  int // index of the oldest entry
-	deltaCount int
-
-	// Adaptive-cap bookkeeping. DeltaSince runs under mu.RLock, so its
-	// observations are atomics; resize decisions are applied by the next
-	// recordDeltaLocked, which holds mu for writing. deltaGrow is armed
-	// when a consumer misses because the ring wrapped past it (a push
-	// storm overran the cap); deltaHits/deltaMaxGap record how much of
-	// the cap successful consumers actually use, driving the shrink.
-	deltaGrow   atomic.Bool
-	deltaHits   atomic.Uint64
-	deltaMaxGap atomic.Uint64
-}
-
-// historyDelta is one mutation's signature churn. The recorded instances
-// are the history's own stable normalized instances (instance identity is
-// signature identity — the position-shard table is keyed by them).
-type historyDelta struct {
-	version uint64
-	added   []*sig.Signature
-	removed []*sig.Signature
-}
-
-// DeltaRingCap is the changelog ring's initial (and minimum) capacity.
-// 256 mutations of slack covers any consumer that refreshes at all
-// regularly (the runtime refreshes on every slow-path acquisition). The
-// cap is adaptive: an overrun miss — a long-idle runtime waking up after
-// a push storm wrapped the ring past it — arms a ×2 growth, applied by
-// the next mutation, up to DeltaRingMaxCap; sustained small gaps shrink
-// it back toward the minimum so an idle process doesn't pin storm-sized
-// churn (each entry pins its added/removed signature instances).
-const (
-	DeltaRingCap    = 256
-	DeltaRingMaxCap = 4096
-	// deltaShrinkStreak is how many consecutive covered DeltaSince
-	// calls — none using more than a quarter of the cap — it takes to
-	// halve a grown ring.
-	deltaShrinkStreak = 512
-)
-
-// recordDeltaLocked appends one changelog entry for the mutation that
-// just bumped h.version, applying any pending cap resize first. Caller
-// holds h.mu for writing.
-func (h *History) recordDeltaLocked(added, removed []*sig.Signature) {
-	if h.deltaRing == nil {
-		h.deltaRing = make([]historyDelta, DeltaRingCap)
-	}
-	h.resizeDeltaRingLocked()
-	ringCap := len(h.deltaRing)
-	d := historyDelta{version: h.version, added: added, removed: removed}
-	if h.deltaCount == ringCap {
-		h.deltaRing[h.deltaHead] = d
-		h.deltaHead = (h.deltaHead + 1) % ringCap
-		return
-	}
-	h.deltaRing[(h.deltaHead+h.deltaCount)%ringCap] = d
-	h.deltaCount++
-}
-
-// resizeDeltaRingLocked applies the adaptive-cap policy: grow ×2 when a
-// consumer overran the ring since the last mutation, shrink ÷2 when a
-// long streak of consumers used at most a quarter of the cap. Entries
-// are re-packed with the oldest at index 0; a shrink keeps the newest.
-// Caller holds h.mu for writing.
-func (h *History) resizeDeltaRingLocked() {
-	oldCap := len(h.deltaRing)
-	newCap := oldCap
-	if h.deltaGrow.Swap(false) {
-		if oldCap < DeltaRingMaxCap {
-			newCap = oldCap * 2
-			if newCap > DeltaRingMaxCap {
-				newCap = DeltaRingMaxCap
-			}
-		}
-	} else if oldCap > DeltaRingCap &&
-		h.deltaHits.Load() >= deltaShrinkStreak &&
-		h.deltaMaxGap.Load() <= uint64(oldCap/4) {
-		newCap = oldCap / 2
-		if newCap < DeltaRingCap {
-			newCap = DeltaRingCap
-		}
-	}
-	if newCap == oldCap {
-		return
-	}
-	ring := make([]historyDelta, newCap)
-	keep := h.deltaCount
-	skip := 0
-	if keep > newCap {
-		skip = keep - newCap // shrink: drop the oldest
-		keep = newCap
-	}
-	for i := 0; i < keep; i++ {
-		ring[i] = h.deltaRing[(h.deltaHead+skip+i)%oldCap]
-	}
-	h.deltaRing = ring
-	h.deltaHead = 0
-	h.deltaCount = keep
-	h.deltaHits.Store(0)
-	h.deltaMaxGap.Store(0)
-}
-
-// DeltaSince folds the changelog entries covering versions (from, to]
-// into net added/removed signature-instance sets. ok=false means the
-// ring no longer covers the gap (the consumer is too far behind, or the
-// gap includes bulk ingestion that overran the ring) and the consumer
-// must fall back to a full rebuild. A signature added and then removed
-// within the gap cancels out — the consumer never saw it, so nothing
-// needs touching; the reverse order cannot occur because a re-added
-// signature is always a fresh instance.
-func (h *History) DeltaSince(from, to uint64) (added, removed []*sig.Signature, ok bool) {
-	if from > to {
-		return nil, nil, false
-	}
-	if from == to {
-		return nil, nil, true
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.deltaCount == 0 {
-		return nil, nil, false
-	}
-	ringCap := len(h.deltaRing)
-	oldest := h.deltaRing[h.deltaHead].version
-	newest := oldest + uint64(h.deltaCount) - 1
-	if from+1 < oldest || to > newest {
-		// A wrapped ring that lost the consumer's gap is a capacity
-		// miss: arm a growth so the next storm of this size is covered.
-		// (to > newest is the consumer asking past the current version —
-		// no cap would help that.)
-		if from+1 < oldest && h.deltaCount == ringCap {
-			h.deltaGrow.Store(true)
-		}
-		return nil, nil, false
-	}
-	h.deltaHits.Add(1)
-	gap := to - from
-	for {
-		cur := h.deltaMaxGap.Load()
-		if gap <= cur || h.deltaMaxGap.CompareAndSwap(cur, gap) {
-			break
-		}
-	}
-	addSet := make(map[*sig.Signature]struct{}, 2)
-	var rem []*sig.Signature
-	for v := from + 1; v <= to; v++ {
-		d := &h.deltaRing[(h.deltaHead+int(v-oldest))%ringCap]
-		for _, s := range d.added {
-			addSet[s] = struct{}{}
-		}
-		for _, s := range d.removed {
-			if _, pending := addSet[s]; pending {
-				delete(addSet, s) // added and removed inside the gap: net no-op
-			} else {
-				rem = append(rem, s)
-			}
-		}
-	}
-	add := make([]*sig.Signature, 0, len(addSet))
-	for v := from + 1; v <= to; v++ { // deterministic order: ring order
-		d := &h.deltaRing[(h.deltaHead+int(v-oldest))%ringCap]
-		for _, s := range d.added {
-			if _, live := addSet[s]; live {
-				add = append(add, s)
-				delete(addSet, s)
-			}
-		}
-	}
-	return add, rem, true
 }
 
 // NewHistory returns an empty, in-memory history.
@@ -299,25 +124,25 @@ func (h *History) Add(s *sig.Signature) bool {
 }
 
 func (h *History) addLocked(s *sig.Signature) bool {
-	stored := h.insertLocked(s, s.ID())
-	if stored == nil {
+	if !h.insertLocked(s, s.ID()) {
 		return false
 	}
-	return h.commitLocked([]*sig.Signature{stored}, nil)
+	h.commitLocked()
+	return true
 }
 
 // insertLocked stores a normalized clone of s under id unless id is
-// already present, returning the stored instance (nil if it was a
-// duplicate). It does not bump the version — callers decide how the
-// insertion folds into a changelog entry.
-func (h *History) insertLocked(s *sig.Signature, id string) *sig.Signature {
+// already present, reporting whether it stored one. It does not bump
+// the version: a caller folding several changes into one mutation
+// commits once.
+func (h *History) insertLocked(s *sig.Signature, id string) bool {
 	if _, ok := h.sigs[id]; ok {
-		return nil
+		return false
 	}
 	s = s.Clone()
 	s.Normalize()
 	h.storeLocked(s, id, s.BugKey())
-	return s
+	return true
 }
 
 // storeLocked stores s itself under id and bug, which the caller
@@ -327,17 +152,11 @@ func (h *History) storeLocked(s *sig.Signature, id, bug string) {
 	h.byBug[bug] = append(h.byBug[bug], id)
 }
 
-// commitLocked folds one mutation — the instances it added and removed —
-// into one version bump and one changelog entry, reporting whether there
-// was anything to fold.
-func (h *History) commitLocked(added, removed []*sig.Signature) bool {
-	if added == nil && removed == nil {
-		return false
-	}
+// commitLocked publishes one mutation: one version bump, and the index
+// marked for a lazy rebuild.
+func (h *History) commitLocked() {
 	h.version++
 	h.idxDirty.Store(true)
-	h.recordDeltaLocked(added, removed)
-	return true
 }
 
 // rebuildIndexLocked publishes a fresh immutable avoidance index
@@ -403,16 +222,17 @@ func (h *History) Remove(id string) bool {
 		return false
 	}
 	h.deleteLocked(id, s.BugKey())
-	return h.commitLocked(nil, []*sig.Signature{s})
+	h.commitLocked()
+	return true
 }
 
 // Replace swaps an existing signature (by ID) for another in one step —
 // how generalization installs a merged signature in place of the old one.
 // If oldID is absent the new signature is still added. It reports whether
-// the history changed. The swap is one mutation: one version bump, one
-// changelog entry carrying both the removal and the addition, so delta
-// consumers apply it atomically (pure removal and pure addition — the
-// degenerate cases — also record exactly one entry).
+// the history changed. The swap is one mutation — one version bump — so
+// no index ever shows the history with neither signature or with both
+// (pure removal and pure addition, the degenerate cases, also bump the
+// version once).
 func (h *History) Replace(oldID string, s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
@@ -423,16 +243,18 @@ func (h *History) Replace(oldID string, s *sig.Signature) bool {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var removed []*sig.Signature
+	changed := false
 	if old, ok := h.sigs[oldID]; ok {
 		h.deleteLocked(oldID, old.BugKey())
-		removed = []*sig.Signature{old}
+		changed = true
 	}
-	var added []*sig.Signature
-	if stored := h.insertLocked(s, id); stored != nil {
-		added = []*sig.Signature{stored}
+	if h.insertLocked(s, id) {
+		changed = true
 	}
-	return h.commitLocked(added, removed)
+	if changed {
+		h.commitLocked()
+	}
+	return changed
 }
 
 // Generalize installs a validated signature into the history (§III-D):
@@ -468,12 +290,10 @@ func (h *History) Generalize(s *sig.Signature, p sig.MergePolicy) (added bool) {
 		}
 		// A merge keeps old's top frames, so it has old's bug key.
 		h.deleteLocked(oldID, bug)
-		var stored []*sig.Signature
 		if id := merged.ID(); h.sigs[id] == nil {
 			h.storeLocked(merged, id, bug)
-			stored = []*sig.Signature{merged}
 		}
-		h.commitLocked(stored, []*sig.Signature{old})
+		h.commitLocked()
 		return false
 	}
 	id := s.ID()
@@ -481,7 +301,8 @@ func (h *History) Generalize(s *sig.Signature, p sig.MergePolicy) (added bool) {
 		return false // identical signature already present
 	}
 	h.storeLocked(s, id, bug)
-	return h.commitLocked([]*sig.Signature{s}, nil)
+	h.commitLocked()
+	return true
 }
 
 // Get returns the signature with the given ID, or nil.
@@ -509,9 +330,8 @@ func (h *History) Len() int {
 	return len(h.sigs)
 }
 
-// Version increments on every mutation; the Runtime uses it to notice
-// agent updates and re-register held-lock positions. It goes through
-// Index() so pending mutations are reflected.
+// Version increments on every mutation. It goes through Index() so
+// pending mutations are reflected.
 func (h *History) Version() uint64 {
 	return h.Index().version
 }

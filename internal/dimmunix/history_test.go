@@ -1,7 +1,6 @@
 package dimmunix
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,6 +94,7 @@ func TestHistoryGeneralize(t *testing.T) {
 		t.Error("Generalize must store the signature it was handed")
 	}
 	v := h.Version()
+	before := h.Index()
 	if h.Generalize(s.Clone(), policy) || h.Version() != v {
 		t.Error("an identical signature must be subsumed without a mutation")
 	}
@@ -115,9 +115,9 @@ func TestHistoryGeneralize(t *testing.T) {
 	if h.Version() != v+1 || h.Len() != 1 || h.Get(s.ID()) != nil {
 		t.Fatalf("merge: version +%d, %d signatures; want one replacement", h.Version()-v, h.Len())
 	}
-	added, removed, ok := h.DeltaSince(v, v+1)
-	if !ok || len(added) != 1 || len(removed) != 1 || removed[0] != s {
-		t.Fatalf("merge delta = +%d/-%d ok=%v, want one swap removing s", len(added), len(removed), ok)
+	added, removed := indexDelta(before, h.Index())
+	if len(added) != 1 || len(removed) != 1 || removed[0] != s {
+		t.Fatalf("merge delta = +%d/-%d, want one swap removing s", len(added), len(removed))
 	}
 	if got := added[0].MinOuterDepth(); got != 5 || h.Get(added[0].ID()) != added[0] {
 		t.Errorf("stored merge has outer depth %d, want 5, or is not the delta's instance", got)
@@ -244,15 +244,12 @@ func deltaTestSig(tag string) *sig.Signature {
 
 func TestHistoryDeltaAddRemove(t *testing.T) {
 	h := NewHistory()
-	v0 := h.Version()
+	i0 := h.Index()
 	s := deltaTestSig("x")
 	h.Add(s)
-	v1 := h.Version()
+	i1 := h.Index()
 
-	added, removed, ok := h.DeltaSince(v0, v1)
-	if !ok {
-		t.Fatal("DeltaSince should cover a one-add gap")
-	}
+	added, removed := indexDelta(i0, i1)
 	if len(added) != 1 || len(removed) != 0 {
 		t.Fatalf("delta = +%d/-%d, want +1/-0", len(added), len(removed))
 	}
@@ -262,47 +259,51 @@ func TestHistoryDeltaAddRemove(t *testing.T) {
 
 	stored := h.Get(s.ID())
 	h.Remove(s.ID())
-	v2 := h.Version()
-	added, removed, ok = h.DeltaSince(v1, v2)
-	if !ok || len(added) != 0 || len(removed) != 1 || removed[0] != stored {
-		t.Fatalf("remove delta = +%d/-%d ok=%v, want the removed instance", len(added), len(removed), ok)
+	i2 := h.Index()
+	added, removed = indexDelta(i1, i2)
+	if len(added) != 0 || len(removed) != 1 || removed[0] != stored {
+		t.Fatalf("remove delta = +%d/-%d, want the removed instance", len(added), len(removed))
 	}
 
-	// Add-then-remove inside one gap cancels: the consumer never saw it.
-	added, removed, ok = h.DeltaSince(v0, v2)
-	if !ok || len(added) != 0 || len(removed) != 0 {
-		t.Errorf("add+remove gap = +%d/-%d ok=%v, want empty ok delta", len(added), len(removed), ok)
+	// Add-then-remove between two indexes cancels: the consumer never
+	// saw it.
+	added, removed = indexDelta(i0, i2)
+	if len(added) != 0 || len(removed) != 0 {
+		t.Errorf("add+remove gap = +%d/-%d, want empty delta", len(added), len(removed))
 	}
 
-	// Zero-length gap is trivially covered; a reversed gap is not.
-	if _, _, ok := h.DeltaSince(v2, v2); !ok {
-		t.Error("empty gap should be covered")
+	// Remove-then-re-add is a fresh instance: the old one goes, the new
+	// one comes.
+	h.Add(s)
+	i3 := h.Index()
+	added, removed = indexDelta(i1, i3)
+	if len(added) != 1 || len(removed) != 1 || removed[0] != stored || added[0] != h.Get(s.ID()) {
+		t.Errorf("re-add delta = +%d/-%d, want the new instance for the old", len(added), len(removed))
 	}
-	if _, _, ok := h.DeltaSince(v2, v1); ok {
-		t.Error("reversed gap should not be covered")
+
+	// An index compared with itself has no delta.
+	if added, removed := indexDelta(i3, i3); len(added)+len(removed) != 0 {
+		t.Error("an index must have no delta against itself")
 	}
 }
 
 func TestHistoryReplaceDeltaSemantics(t *testing.T) {
-	// Same-ID swap: one version bump, one changelog entry carrying both
-	// the removal and the addition.
+	// Same-ID swap: one version bump, one index carrying both the
+	// removal and the addition.
 	h := NewHistory()
 	old := deltaTestSig("old")
 	h.Add(old)
 	oldStored := h.Get(old.ID())
-	v1 := h.Version()
+	i1 := h.Index()
 	merged := deltaTestSig("merged")
 	if !h.Replace(old.ID(), merged) {
 		t.Fatal("swap should succeed")
 	}
-	v2 := h.Version()
-	if v2 != v1+1 {
-		t.Fatalf("swap bumped version by %d, want exactly 1", v2-v1)
+	i2 := h.Index()
+	if i2.Version() != i1.Version()+1 {
+		t.Fatalf("swap bumped version by %d, want exactly 1", i2.Version()-i1.Version())
 	}
-	added, removed, ok := h.DeltaSince(v1, v2)
-	if !ok {
-		t.Fatal("one-swap gap must be covered")
-	}
+	added, removed := indexDelta(i1, i2)
 	if len(added) != 1 || added[0] != h.Get(merged.ID()) {
 		t.Errorf("swap delta added = %d, want the stored merged instance", len(added))
 	}
@@ -310,75 +311,42 @@ func TestHistoryReplaceDeltaSemantics(t *testing.T) {
 		t.Errorf("swap delta removed = %d, want the old instance", len(removed))
 	}
 
-	// Pure addition: oldID absent — one entry, added only.
-	v2 = h.Version()
+	// Pure addition: oldID absent — one bump, added only.
 	fresh := deltaTestSig("fresh")
 	if !h.Replace("no-such-id", fresh) {
 		t.Fatal("replace with absent oldID should still add")
 	}
-	v3 := h.Version()
-	if v3 != v2+1 {
-		t.Fatalf("pure addition bumped version by %d, want exactly 1", v3-v2)
+	i3 := h.Index()
+	if i3.Version() != i2.Version()+1 {
+		t.Fatalf("pure addition bumped version by %d, want exactly 1", i3.Version()-i2.Version())
 	}
-	added, removed, ok = h.DeltaSince(v2, v3)
-	if !ok || len(added) != 1 || len(removed) != 0 {
-		t.Errorf("pure-addition delta = +%d/-%d ok=%v, want +1/-0", len(added), len(removed), ok)
+	added, removed = indexDelta(i2, i3)
+	if len(added) != 1 || len(removed) != 0 {
+		t.Errorf("pure-addition delta = +%d/-%d, want +1/-0", len(added), len(removed))
 	}
 
 	// Pure removal: the incoming signature is already present (a merge
-	// that collapses onto an existing one) — one entry, removed only.
-	// PR 3 pinned the version bump for this case; this pins the delta.
+	// that collapses onto an existing one) — one bump, removed only.
 	mergedStored := h.Get(merged.ID())
-	v3 = h.Version()
 	if !h.Replace(merged.ID(), fresh.Clone()) {
 		t.Fatal("replace collapsing onto an existing signature should still remove")
 	}
-	v4 := h.Version()
-	if v4 != v3+1 {
-		t.Fatalf("pure removal bumped version by %d, want exactly 1", v4-v3)
+	i4 := h.Index()
+	if i4.Version() != i3.Version()+1 {
+		t.Fatalf("pure removal bumped version by %d, want exactly 1", i4.Version()-i3.Version())
 	}
-	added, removed, ok = h.DeltaSince(v3, v4)
-	if !ok || len(added) != 0 || len(removed) != 1 || removed[0] != mergedStored {
-		t.Errorf("pure-removal delta = +%d/-%d ok=%v, want -1 (the collapsed instance)", len(added), len(removed), ok)
+	added, removed = indexDelta(i3, i4)
+	if len(added) != 0 || len(removed) != 1 || removed[0] != mergedStored {
+		t.Errorf("pure-removal delta = +%d/-%d, want -1 (the collapsed instance)", len(added), len(removed))
 	}
 
-	// True no-op: absent oldID and duplicate signature — no bump, no entry.
-	v4 = h.Version()
+	// True no-op: absent oldID and duplicate signature — no bump, and
+	// the same index stays published.
 	if h.Replace("still-no-such-id", fresh.Clone()) {
 		t.Error("no-op replace should report no change")
 	}
-	if h.Version() != v4 {
+	if h.Index() != i4 {
 		t.Error("no-op replace must not bump the version")
-	}
-}
-
-func TestHistoryDeltaRingBounded(t *testing.T) {
-	h := NewHistory()
-	n := DeltaRingCap*2 + 5
-	for i := 0; i < n; i++ {
-		if !h.Add(deltaTestSig(fmt.Sprintf("r%d", i))) {
-			t.Fatalf("add %d failed", i)
-		}
-	}
-	// The ring must stay bounded no matter how many mutations happened.
-	h.mu.RLock()
-	ringLen, count := len(h.deltaRing), h.deltaCount
-	h.mu.RUnlock()
-	if ringLen != DeltaRingCap || count != DeltaRingCap {
-		t.Fatalf("ring len=%d count=%d, want both %d", ringLen, count, DeltaRingCap)
-	}
-
-	v := h.Version()
-	// A consumer exactly DeltaRingCap behind is still covered…
-	if _, _, ok := h.DeltaSince(v-uint64(DeltaRingCap), v); !ok {
-		t.Error("gap of exactly DeltaRingCap should be covered")
-	}
-	// …one further back is not, forcing the full-rebuild fallback.
-	if _, _, ok := h.DeltaSince(v-uint64(DeltaRingCap)-1, v); ok {
-		t.Error("gap beyond the ring must report not covered")
-	}
-	if _, _, ok := h.DeltaSince(0, v); ok {
-		t.Error("from-scratch gap beyond the ring must report not covered")
 	}
 }
 

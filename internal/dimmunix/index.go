@@ -39,9 +39,8 @@ type AvoidIndex struct {
 	maxOuterDepth int
 	// live is the set of signature instances the index reflects (the
 	// history keeps one stable normalized instance per signature, so
-	// instance identity is signature identity); the runtime's
-	// position-shard table — keyed by instance — prunes shards of
-	// removed signatures against it.
+	// instance identity is signature identity). The runtime's position
+	// refresh diffs it against the index it last applied (indexDelta).
 	live map[*sig.Signature]struct{}
 	// filter is a 4096-bit presence filter over the indexed top sites,
 	// keyed by a hash that touches no string bytes (length, boundary
@@ -98,6 +97,26 @@ func buildIndex(version uint64, sigs map[string]*sig.Signature) *AvoidIndex {
 	return ix
 }
 
+// indexDelta returns the signature instances in to but not in from
+// (added) and in from but not in to (removed): exactly what changed
+// between the two indexes, however many mutations lie between them. A
+// signature added and removed in between is in neither set; one removed
+// and re-added is a fresh instance, so the old instance is removed and
+// the new one added.
+func indexDelta(from, to *AvoidIndex) (added, removed []*sig.Signature) {
+	for s := range to.live {
+		if _, ok := from.live[s]; !ok {
+			added = append(added, s)
+		}
+	}
+	for s := range from.live {
+		if _, ok := to.live[s]; !ok {
+			removed = append(removed, s)
+		}
+	}
+	return added, removed
+}
+
 // MinSafeCaptureDepth returns the shallow-capture floor for this index
 // (stacktrace.TopSiteFilter): a capture at least this deep loses no
 // suffix match against any indexed outer stack to truncation.
@@ -108,13 +127,6 @@ func (ix *AvoidIndex) Version() uint64 { return ix.version }
 
 // Len returns the number of distinct outer top sites indexed.
 func (ix *AvoidIndex) Len() int { return len(ix.byTop) }
-
-// HasSigInstance reports whether the index reflects this exact
-// signature instance (the history's normalized instance).
-func (ix *AvoidIndex) HasSigInstance(s *sig.Signature) bool {
-	_, ok := ix.live[s]
-	return ok
-}
 
 // MatchesTopSite reports whether some signature slot's outer stack ends
 // at the given site — i.e. whether a stack topped by f could possibly

@@ -27,28 +27,23 @@ func (rt *Runtime) NewMutex(name string) *Mutex {
 // stack. It returns ErrDeadlock when this acquisition closed a detected
 // deadlock cycle under RecoverBreak, or ErrClosed after runtime shutdown.
 // Stack capture goes through the runtime's memoization cache and is
-// adaptive: a shallow prefix (Config.ShallowCaptureDepth frames) is
+// adaptive: a shallow prefix (stacktrace.DefaultShallowDepth frames) is
 // captured first, and only when the avoidance index knows the top site —
-// a potential signature match — is the stack deepened to the full
-// Config.StackDepth. Repeated call paths skip frame symbolization either
-// way.
+// a potential signature match — is the stack deepened to
+// stacktrace.DefaultDepth. Repeated call paths skip frame symbolization
+// either way.
 func (m *Mutex) Lock() error {
 	tid := ThreadID(stacktrace.GoroutineID())
-	var cs sig.Stack
-	if m.rt.cfg.ShallowCaptureDepth < 0 {
-		cs = m.rt.capture.Capture(1, m.rt.stackDepth())
-	} else {
-		idx := m.rt.history.Index()
-		cs = m.rt.capture.CaptureAdaptive(1, idx, m.rt.cfg.ShallowCaptureDepth, m.rt.stackDepth())
-		// The shallow-depth decision is only trustworthy against the
-		// capture-time index (CaptureAdaptive floors the depth at its
-		// deepest matcher). If a newer index was published meanwhile — a
-		// concurrent install could carry a deeper matcher a truncated
-		// stack cannot suffix-match — recapture at full depth; the
-		// acquisition path re-validates against the same pointer.
-		if m.rt.history.idx.Load() != idx {
-			cs = m.rt.capture.Capture(1, m.rt.stackDepth())
-		}
+	idx := m.rt.history.Index()
+	cs := m.rt.capture.CaptureAdaptive(1, idx, stacktrace.DefaultShallowDepth, stacktrace.DefaultDepth)
+	// The shallow-depth decision is only trustworthy against the
+	// capture-time index (CaptureAdaptive floors the depth at its deepest
+	// matcher). If a newer index was published meanwhile — a concurrent
+	// install could carry a deeper matcher a truncated stack cannot
+	// suffix-match — recapture at full depth; the acquisition path
+	// re-validates against the same pointer.
+	if m.rt.history.idx.Load() != idx {
+		cs = m.rt.capture.Capture(1, stacktrace.DefaultDepth)
 	}
 	return m.rt.Acquire(tid, m.lock, cs)
 }
@@ -68,19 +63,4 @@ func (m *Mutex) Unlock() error {
 // UnlockAt releases the mutex on behalf of an explicit thread id.
 func (m *Mutex) UnlockAt(tid ThreadID) error {
 	return m.rt.Release(tid, m.lock)
-}
-
-// Registry returns the runtime's frame-hash registry (the configured one
-// or the default allocated at construction). It takes no lock: the
-// registry is fixed for the runtime's lifetime.
-func (rt *Runtime) Registry() *stacktrace.Registry {
-	return rt.reg
-}
-
-// stackDepth returns the configured native capture depth.
-func (rt *Runtime) stackDepth() int {
-	if rt.cfg.StackDepth > 0 {
-		return rt.cfg.StackDepth
-	}
-	return stacktrace.DefaultDepth
 }

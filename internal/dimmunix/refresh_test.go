@@ -11,9 +11,9 @@ import (
 	"communix/internal/sig"
 )
 
-// Tests for the incremental history refresh (delta application), the
-// matched fast path's yield carryover, the yielder re-home timeout, and
-// the lock registry's cold-slow-lock aging.
+// Tests for the history refresh (delta application), the matched fast
+// path's yield carryover, the yielder re-home timeout, and the lock
+// registry's cold-slow-lock aging.
 
 // shardDigest renders the runtime's registered position state in a
 // runtime-independent form: one line per (signature ID, slot, thread,
@@ -41,6 +41,57 @@ func (rt *Runtime) shardDigest() string {
 	return strings.Join(lines, "\n")
 }
 
+// expectedDigest is the from-scratch oracle for shardDigest: it matches
+// every slow-managed hold, every queued wait and every fast hold
+// published in the lock registry against the current index, as a
+// registration of all of them into empty shards would. The caller holds
+// rt.mu, with no fast acquisition or release in flight.
+func (rt *Runtime) expectedDigest() string {
+	idx := rt.history.Index()
+	set := make(map[string]struct{})
+	match := func(tid ThreadID, l *Lock, cs sig.Stack) {
+		for _, r := range idx.Match(cs) {
+			set[fmt.Sprintf("%s/%d/%d/%s", r.ID, r.Slot, tid, l.name)] = struct{}{}
+		}
+	}
+	for tid, ts := range rt.threads {
+		for _, h := range ts.held {
+			match(tid, h.lock, h.outer)
+		}
+		if ts.wait != nil {
+			match(tid, ts.wait.lock, ts.wait.stack)
+		}
+	}
+	rt.locksMu.Lock()
+	locks := rt.locks
+	rt.locksMu.Unlock()
+	for _, l := range locks {
+		if tid, outer, _, slow := l.fastSnapshot(); !slow && tid != 0 {
+			match(tid, l, outer)
+		}
+	}
+	lines := make([]string, 0, len(set))
+	for line := range set {
+		lines = append(lines, line)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// checkRefresh refreshes rt and demands that its registered positions
+// equal the from-scratch oracle's. rt must be quiescent: no acquisition
+// or release in flight.
+func checkRefresh(t *testing.T, rt *Runtime, when string) {
+	t.Helper()
+	rt.mu.Lock()
+	rt.refreshPositionsLocked()
+	got, want := rt.shardDigest(), rt.expectedDigest()
+	rt.mu.Unlock()
+	if got != want {
+		t.Fatalf("refreshed positions diverge from the oracle %s:\nregistered:\n%s\n\nexpected:\n%s", when, got, want)
+	}
+}
+
 // refreshTestSig builds a two-thread signature with outer stacks unique
 // to n. The digest fuzz only ever acquires with one of the two outer
 // stacks, so the other slot stays empty and no acquisition can ever be
@@ -60,13 +111,14 @@ func refreshTestSig(n int) *sig.Signature {
 	return s
 }
 
-// TestDifferentialIncrementalRefreshDigest drives an incremental-refresh
-// runtime and a full-rebuild reference (IncrementalRefreshDisabled)
-// through identical fuzzed interleavings of acquisitions, releases, and
-// history Add/Remove/Replace mutations, forcing a refresh and comparing
-// the full registered-position digest at every settle point. Any state
-// the delta application computes differently from a rebuild-from-scratch
-// shows up as a digest divergence.
+// TestDifferentialIncrementalRefreshDigest drives a runtime through
+// fuzzed interleavings of acquisitions, releases, and history
+// Add/Remove/Replace mutations, refreshing at settle points and
+// comparing the registered positions against the from-scratch oracle
+// (expectedDigest). Mutations sometimes accumulate across several
+// versions before a refresh, and a final bulk step adds more signatures
+// in one gap than any changelog of the history ever covered, then
+// removes them all, with fast holds waiting at their sites.
 func TestDifferentialIncrementalRefreshDigest(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -81,20 +133,19 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		nLocks   = 16
 		nThreads = 6
 		catalog  = 8
+		bulk     = 4096 + 32
 	)
 	type catSig struct {
 		s     *sig.Signature
 		outer sig.Stack // the one outer stack acquisitions use
-		in    bool      // currently installed in both histories
+		in    bool      // currently installed
 	}
-	inc := NewRuntime(Config{Policy: RecoverBreak})
-	ref := NewRuntime(Config{Policy: RecoverBreak, IncrementalRefreshDisabled: true})
-	defer inc.Close()
-	defer ref.Close()
-	var incLocks, refLocks []*Lock
+	rt := NewRuntime(Config{Policy: RecoverBreak})
+	defer rt.Close()
+	h := rt.History()
+	var locks []*Lock
 	for i := 0; i < nLocks; i++ {
-		incLocks = append(incLocks, inc.NewLock(fmt.Sprintf("L%d", i)))
-		refLocks = append(refLocks, ref.NewLock(fmt.Sprintf("L%d", i)))
+		locks = append(locks, rt.NewLock(fmt.Sprintf("L%d", i)))
 	}
 
 	next := 0
@@ -114,33 +165,14 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 	}
 
 	owner := make([]ThreadID, nLocks)
-	mustAcq := func(tid ThreadID, li int, cs sig.Stack) {
-		if err := inc.Acquire(tid, incLocks[li], cs); err != nil {
-			t.Fatalf("incremental acquire(t%d, L%d): %v", tid, li, err)
+	mustAcq := func(tid ThreadID, l *Lock, cs sig.Stack) {
+		if err := rt.Acquire(tid, l, cs); err != nil {
+			t.Fatalf("acquire(t%d, %s): %v", tid, l.name, err)
 		}
-		if err := ref.Acquire(tid, refLocks[li], cs); err != nil {
-			t.Fatalf("reference acquire(t%d, L%d): %v", tid, li, err)
-		}
-		owner[li] = tid
 	}
-	mustRel := func(li int) {
-		tid := owner[li]
-		if err := inc.Release(tid, incLocks[li]); err != nil {
-			t.Fatalf("incremental release(t%d, L%d): %v", tid, li, err)
-		}
-		if err := ref.Release(tid, refLocks[li]); err != nil {
-			t.Fatalf("reference release(t%d, L%d): %v", tid, li, err)
-		}
-		owner[li] = 0
-	}
-	compare := func(when string) {
-		for _, rt := range []*Runtime{inc, ref} {
-			rt.mu.Lock()
-			rt.refreshPositionsLocked()
-			rt.mu.Unlock()
-		}
-		if di, dr := inc.shardDigest(), ref.shardDigest(); di != dr {
-			t.Fatalf("digest divergence %s:\nincremental:\n%s\n\nfull-rebuild:\n%s", when, di, dr)
+	mustRel := func(tid ThreadID, l *Lock) {
+		if err := rt.Release(tid, l); err != nil {
+			t.Fatalf("release(t%d, %s): %v", tid, l.name, err)
 		}
 	}
 
@@ -156,36 +188,34 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if r.Intn(4) == 0 {
 				cs = unmatched[r.Intn(len(unmatched))]
 			}
-			mustAcq(tid, li, cs)
+			mustAcq(tid, locks[li], cs)
+			owner[li] = tid
 		case 5, 6: // release
 			li := r.Intn(nLocks)
 			if owner[li] == 0 {
 				continue
 			}
-			mustRel(li)
+			mustRel(owner[li], locks[li])
+			owner[li] = 0
 		case 7: // hot-swap: add
 			c := cats[r.Intn(catalog)]
 			if c.in {
 				continue
 			}
-			if inc.History().Add(c.s) != ref.History().Add(c.s) {
-				t.Fatal("add divergence")
-			}
+			h.Add(c.s)
 			c.in = true
 			if r.Intn(3) > 0 { // sometimes leave the gap to accumulate
-				compare(fmt.Sprintf("after add at op %d", i))
+				checkRefresh(t, rt, fmt.Sprintf("after add at op %d", i))
 			}
 		case 8: // hot-swap: remove
 			c := cats[r.Intn(catalog)]
 			if !c.in {
 				continue
 			}
-			if inc.History().Remove(c.s.ID()) != ref.History().Remove(c.s.ID()) {
-				t.Fatal("remove divergence")
-			}
+			h.Remove(c.s.ID())
 			c.in = false
 			if r.Intn(3) > 0 {
-				compare(fmt.Sprintf("after remove at op %d", i))
+				checkRefresh(t, rt, fmt.Sprintf("after remove at op %d", i))
 			}
 		case 9: // hot-swap: replace an installed signature with a fresh one
 			ci := r.Intn(catalog)
@@ -194,37 +224,46 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 				continue
 			}
 			fresh := newCat()
-			if inc.History().Replace(c.s.ID(), fresh.s) != ref.History().Replace(c.s.ID(), fresh.s) {
-				t.Fatal("replace divergence")
-			}
+			h.Replace(c.s.ID(), fresh.s)
 			fresh.in = true
 			cats[ci] = fresh
 			if r.Intn(3) > 0 {
-				compare(fmt.Sprintf("after replace at op %d", i))
+				checkRefresh(t, rt, fmt.Sprintf("after replace at op %d", i))
 			}
 		case 10, 11: // settle point
-			compare(fmt.Sprintf("at op %d", i))
+			checkRefresh(t, rt, fmt.Sprintf("at op %d", i))
 		}
 	}
 
-	// Bulk ingestion: overflow the changelog ring in one gap, forcing the
-	// incremental runtime through the full-rebuild fallback.
-	for k := 0; k < DeltaRingCap+32; k++ {
-		c := newCat()
-		inc.History().Add(c.s)
-		ref.History().Add(c.s)
+	// Bulk ingestion in one gap. A few fast holds already sit at bulk
+	// signatures' sites (unmatched when acquired), so the refresh must
+	// import them; then every bulk signature goes in one more gap.
+	sigs := make([]*sig.Signature, bulk)
+	for k := range sigs {
+		sigs[k] = newCat().s
 	}
-	compare("after bulk ingestion")
+	var bulkLocks []*Lock
+	for k := 0; k < 4; k++ {
+		l := rt.NewLock(fmt.Sprintf("B%d", k))
+		mustAcq(ThreadID(1+k), l, sigs[k*bulk/4].Threads[k%2].Outer)
+		bulkLocks = append(bulkLocks, l)
+	}
+	checkRefresh(t, rt, "with fast holds at bulk sites")
+	for _, s := range sigs {
+		h.Add(s)
+	}
+	checkRefresh(t, rt, "after bulk ingestion")
+	for _, s := range sigs {
+		h.Remove(s.ID())
+	}
+	checkRefresh(t, rt, "after bulk removal")
+	for k, l := range bulkLocks {
+		mustRel(ThreadID(1+k), l)
+	}
+	checkRefresh(t, rt, "after releasing the bulk holds")
 
-	delta, full := inc.RefreshCounts()
-	if delta == 0 {
-		t.Error("incremental runtime never took the delta path")
-	}
-	if full == 0 {
-		t.Error("incremental runtime never fell back to a full rebuild (bulk overflow should force one)")
-	}
-	if rd, _ := ref.RefreshCounts(); rd != 0 {
-		t.Errorf("reference runtime took %d delta refreshes with IncrementalRefreshDisabled", rd)
+	if n, full := rt.RefreshCounts(); n == 0 || full != 0 {
+		t.Errorf("RefreshCounts = (%d, %d), want (>0, 0)", n, full)
 	}
 }
 
@@ -295,12 +334,12 @@ func TestYieldCarryoverAdoption(t *testing.T) {
 }
 
 // TestYieldRehomeAfterSignatureRemoval covers the two ways a parked
-// yielder learns its signature is gone: the full rebuild drops its shard
-// without a wake (no future release could route one there) and the park
-// re-homes on its own timeout; the incremental delta wakes the removed
-// shard's yielders directly.
+// yielder learns its signature is gone: a refresh that applies the
+// removal wakes the removed shard's yielders directly; with nothing else
+// running, no refresh happens at all until the park re-homes on its own
+// timeout and refreshes itself.
 func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
-	park := func(t *testing.T, rt *Runtime) (a, b *Lock, done chan error) {
+	park := func(t *testing.T, rt *Runtime, refresh bool) (a, b *Lock, done chan error) {
 		t.Helper()
 		ps := newPairStacks()
 		rt.History().Add(ps.signature())
@@ -317,22 +356,25 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 			return parked
 		}, "thread 2 parked as a yielder")
 		rt.History().Remove(ps.signature().ID())
-		rt.mu.Lock()
-		rt.refreshPositionsLocked()
-		rt.mu.Unlock()
+		if refresh {
+			rt.mu.Lock()
+			rt.refreshPositionsLocked()
+			rt.mu.Unlock()
+		}
 		return a, b, done
 	}
 
-	t.Run("full-rebuild-rehome-timeout", func(t *testing.T) {
+	t.Run("unrefreshed-removal-rehome-timeout", func(t *testing.T) {
 		old := yieldRehomeNanos.Load()
 		yieldRehomeNanos.Store(int64(50 * time.Millisecond))
 		defer yieldRehomeNanos.Store(old)
 
-		rt := NewRuntime(Config{Policy: RecoverBreak, IncrementalRefreshDisabled: true})
+		rt := NewRuntime(Config{Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt)
-		// The rebuild dropped the yielder's only shard without waking it;
-		// the shortened re-home timeout must complete the acquisition.
+		a, b, done := park(t, rt, false)
+		// Nothing enters the slow path after the removal, so no refresh
+		// applies it and nothing wakes the yielder; the shortened re-home
+		// timeout must complete the acquisition.
 		if err := waitErr(t, done, "thread 2 re-homing after its signature vanished"); err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +395,7 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 
 		rt := NewRuntime(Config{Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt)
+		a, b, done := park(t, rt, true)
 		if err := waitErr(t, done, "thread 2 woken by the delta removal"); err != nil {
 			t.Fatal(err)
 		}

@@ -93,36 +93,17 @@ type Config struct {
 	// Clock injects time for the false-positive burst window; defaults to
 	// time.Now. Tests use a fake clock.
 	Clock func() time.Time
-	// StackDepth bounds native stack capture for Mutex; default
-	// stacktrace.DefaultDepth.
-	StackDepth int
-	// Registry supplies code-unit hashes for native frames; nil allocates
-	// a fresh registry on first use.
-	Registry *stacktrace.Registry
 	// FastPathDisabled forces every acquisition through the global-mutex
-	// slow path — the pre-fast-path reference semantics. Differential
-	// tests and the `-experiment runtime` benchmark compare both modes.
+	// slow path — the pre-fast-path reference semantics the differential
+	// tests compare the fast path against.
 	FastPathDisabled bool
 	// ShardedAvoidanceDisabled forces every acquisition whose stack
 	// matches the avoidance index through the global-mutex slow path, as
 	// before the per-signature position shards — the matched-path
-	// reference ("global" mode) the differential tests and `-experiment
-	// runtime` compare the sharded matched path against. Unmatched
-	// acquisitions keep the lock-free fast path.
+	// reference ("global" mode) the differential tests compare the
+	// sharded matched path against. Unmatched acquisitions keep the
+	// lock-free fast path.
 	ShardedAvoidanceDisabled bool
-	// ShallowCaptureDepth sets the first-phase frame count of the
-	// adaptive native stack capture (Mutex.Lock): the stack is captured
-	// this deep first, and deepened to StackDepth only when the
-	// avoidance index knows the shallow stack's top site (a potential
-	// match). 0 means stacktrace.DefaultShallowDepth; negative disables
-	// adaptive capture (every Lock captures StackDepth frames).
-	ShallowCaptureDepth int
-	// IncrementalRefreshDisabled forces every history refresh through the
-	// full rebuild (clear all shards, re-register all positions, sweep
-	// the whole registry) even when the changelog covers the version gap
-	// — the pre-delta reference semantics. Differential tests and the
-	// `-experiment runtime` hot-swap arms compare both modes.
-	IncrementalRefreshDisabled bool
 }
 
 // Runtime is one Dimmunix instance: a lock manager whose scheduling
@@ -131,7 +112,6 @@ type Config struct {
 type Runtime struct {
 	cfg     Config
 	history *History
-	reg     *stacktrace.Registry
 	capture *stacktrace.Cache
 
 	mu         sync.Mutex
@@ -139,12 +119,15 @@ type Runtime struct {
 	yielders   map[ThreadID]*yielder
 	nextLockID atomic.Uint64
 
-	// histVer is the history version the position table fully reflects.
-	// Written only at the *end* of refreshPositionsLocked (under rt.mu);
-	// read lock-free by the matched fast path, which may only trust the
-	// shards when histVer equals its claim-time index version — anything
-	// else means a refresh is pending or mid-flight and the slow path
-	// must run it first.
+	// applied is the index the position table reflects: every shard
+	// holds exactly the positions applied matches. Guarded by rt.mu;
+	// starts at emptyIndex.
+	applied *AvoidIndex
+	// histVer is applied's version. Written only at the *end* of
+	// refreshPositionsLocked (under rt.mu); read lock-free by the matched
+	// fast path, which may only trust the shards when histVer equals its
+	// claim-time index version — anything else means a refresh is
+	// pending or mid-flight and the slow path must run it first.
 	histVer atomic.Uint64
 
 	// shards is the per-signature position table (see shard.go): one
@@ -179,41 +162,18 @@ type Runtime struct {
 
 	stats counters
 
-	// refreshDelta / refreshFull count history refreshes served by the
-	// incremental delta path vs the full rebuild, and the *Nanos pair
-	// accumulates the time spent in each. Kept out of Stats — they
-	// describe the refresh implementation, not lock-manager events — and
-	// read via RefreshCounts/RefreshNanos by tests and the hot-swap
-	// benchmark.
-	refreshDelta      atomic.Uint64
-	refreshFull       atomic.Uint64
-	refreshDeltaNanos atomic.Int64
-	refreshFullNanos  atomic.Int64
-	// The *MinNanos pair tracks the fastest single refresh of each
-	// variant (0 = none yet): wall time under preemption makes cumulative
-	// means noisy on loaded machines, while the minimum is the
-	// uncontended cost of one refresh.
-	refreshDeltaMinNanos atomic.Int64
-	refreshFullMinNanos  atomic.Int64
+	// refreshes counts history refreshes and refreshNanos accumulates the
+	// time spent in them. Kept out of Stats — they describe the refresh,
+	// not lock-manager events — and read via RefreshCounts/RefreshNanos
+	// by tests and the benchmark.
+	refreshes    atomic.Uint64
+	refreshNanos atomic.Int64
 
 	// afterAvoidHook, when set by a test, runs in acquireSlow under rt.mu
 	// once avoidance has let the acquisition through and before it is
 	// granted or queued — the window the slot registration must not
 	// leave open.
 	afterAvoidHook func(tid ThreadID)
-}
-
-// storeMin lowers m to v unless a smaller nonzero value is already there.
-func storeMin(m *atomic.Int64, v int64) {
-	for {
-		cur := m.Load()
-		if cur != 0 && cur <= v {
-			return
-		}
-		if m.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Stats counts runtime events; retrieved via Runtime.Stats.
@@ -369,14 +329,11 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = stacktrace.NewRegistry()
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		history:  cfg.History,
-		reg:      cfg.Registry,
-		capture:  stacktrace.NewCache(cfg.Registry),
+		capture:  stacktrace.NewCache(stacktrace.NewRegistry()),
+		applied:  emptyIndex,
 		threads:  make(map[ThreadID]*threadState),
 		yielders: make(map[ThreadID]*yielder),
 	}
@@ -758,214 +715,76 @@ func (rt *Runtime) removeWaiterLocked(l *Lock, w *waiter) {
 // the application runs). It runs under rt.mu before every avoidance
 // decision, so no decision is ever made against a stale position table.
 //
-// When the history's changelog covers the version gap — the common case
-// post-PR 5 is a single pushed signature — the refresh applies a
-// per-signature delta (applyDeltaLocked): only the changed signatures'
-// shards are touched, everything else stays live with its yielders
-// parked. A gap the ring no longer covers (bulk ingestion, a long-idle
-// runtime) or Config.IncrementalRefreshDisabled falls back to the full
-// rebuild.
+// The refresh applies the difference between the index the table
+// reflects (rt.applied) and the current one: the signatures only the
+// current index holds are added, those only the applied one holds are
+// removed (applyDeltaLocked), and every other shard stays live with its
+// yielders parked. The same step serves every gap — the first attach of
+// a populated history, one pushed signature, a Replace, bulk ingestion,
+// a runtime idle through many mutations.
 //
-// Ordering matters for the matched fast path racing either variant: the
+// Ordering matters for the matched fast path racing a refresh: the
 // Index() call below publishes the rebuilt index pointer *before* any
 // shard is touched, and matchedFastAcquire re-reads that pointer inside
 // its shard critical section — so a matched claim either registered
 // before the refresh (its claiming CAS then precedes the lock sweep,
 // which imports the hold under the new index) or observes the new
-// pointer and retreats to the slow path. Both variants publish histVer
-// last, so the matched fast path trusts the shards only once every
-// refresh step is visible.
+// pointer and retreats to the slow path. histVer is published last, so
+// the matched fast path trusts the shards only once every refresh step
+// is visible.
 func (rt *Runtime) refreshPositionsLocked() {
 	idx := rt.history.Index()
-	from := rt.histVer.Load()
-	if idx.version == from {
+	if idx == rt.applied {
 		return
 	}
-	if !rt.cfg.IncrementalRefreshDisabled {
-		if added, removed, ok := rt.history.DeltaSince(from, idx.version); ok {
-			// Timed from here, not from DeltaSince: the fold can block on
-			// h.mu behind an in-flight index rebuild, and that wait is
-			// history contention, not refresh work.
-			t0 := time.Now()
-			rt.applyDeltaLocked(idx, added, removed)
-			d := time.Since(t0).Nanoseconds()
-			rt.refreshDelta.Add(1)
-			rt.refreshDeltaNanos.Add(d)
-			if len(added)+len(removed) > 0 {
-				// A gap whose mutations cancel out folds to empty sets and
-				// applies in ~no time; keep the min representative of a
-				// delta that actually changed the position table.
-				storeMin(&rt.refreshDeltaMinNanos, d)
-			}
-			rt.histVer.Store(idx.version)
-			return
-		}
-	}
 	t0 := time.Now()
-	rt.rebuildPositionsLocked(idx)
-	d := time.Since(t0).Nanoseconds()
-	rt.refreshFull.Add(1)
-	rt.refreshFullNanos.Add(d)
-	storeMin(&rt.refreshFullMinNanos, d)
+	added, removed := indexDelta(rt.applied, idx)
+	rt.applyDeltaLocked(idx, added, removed)
+	rt.refreshes.Add(1)
+	rt.refreshNanos.Add(time.Since(t0).Nanoseconds())
+	rt.applied = idx
 	rt.histVer.Store(idx.version)
 }
 
-// RefreshCounts reports how many history refreshes ran as incremental
-// delta applications vs full rebuilds.
+// RefreshCounts reports how many history refreshes ran. Every refresh
+// applies a delta, so full is always 0.
 func (rt *Runtime) RefreshCounts() (delta, full uint64) {
-	return rt.refreshDelta.Load(), rt.refreshFull.Load()
+	return rt.refreshes.Load(), 0
 }
 
-// RefreshNanos reports the cumulative time spent inside each refresh
-// variant — the direct measure of "refresh cost proportional to the
-// delta, not the history".
+// RefreshNanos reports the cumulative time spent refreshing, the set
+// difference included. full is always 0.
 func (rt *Runtime) RefreshNanos() (delta, full int64) {
-	return rt.refreshDeltaNanos.Load(), rt.refreshFullNanos.Load()
+	return rt.refreshNanos.Load(), 0
 }
 
-// RefreshMinNanos reports the fastest single refresh of each variant
-// (0 = none ran): the uncontended per-refresh cost, robust against
-// preemption landing inside a timed window on a loaded machine. Delta
-// refreshes whose folded change sets are empty (a gap's mutations
-// canceled out) are excluded — they apply in ~no time and would make
-// the minimum unrepresentative.
-func (rt *Runtime) RefreshMinNanos() (delta, full int64) {
-	return rt.refreshDeltaMinNanos.Load(), rt.refreshFullMinNanos.Load()
-}
-
-// ResetRefreshStats zeroes the refresh counters and timings. Benchmarks
-// call it after setup so the initial history attach — a full rebuild of
-// a not-yet-representative runtime — does not pollute the measured
-// refresh costs.
+// ResetRefreshStats zeroes the refresh counter and timing. Benchmarks
+// call it after setup so the initial history attach — every signature
+// added at once to a not-yet-representative runtime — does not pollute
+// the measured refresh costs.
 func (rt *Runtime) ResetRefreshStats() {
-	rt.refreshDelta.Store(0)
-	rt.refreshFull.Store(0)
-	rt.refreshDeltaNanos.Store(0)
-	rt.refreshFullNanos.Store(0)
-	rt.refreshDeltaMinNanos.Store(0)
-	rt.refreshFullMinNanos.Store(0)
+	rt.refreshes.Store(0)
+	rt.refreshNanos.Store(0)
 }
 
-// rebuildPositionsLocked is the full-rebuild refresh: every shard is
-// cleared, every slow-managed stack re-registered, the whole lock
-// registry swept. Caller holds rt.mu and publishes histVer afterwards.
-func (rt *Runtime) rebuildPositionsLocked(idx *AvoidIndex) {
-	// 1. Clear every shard's positions, dropping shards of removed
-	// signatures entirely. Yield registrations stay: parked threads in
-	// live shards are woken below and re-home themselves against the new
-	// index; a yielder left only in dropped shards re-homes on its own
-	// park timeout.
-	rt.shards.Range(func(key, value any) bool {
-		sh := value.(*sigShard)
-		sh.mu.Lock()
-		sh.slots = make(map[int]map[ThreadID]map[*Lock]struct{})
-		sh.mu.Unlock()
-		if !idx.HasSigInstance(key.(*sig.Signature)) {
-			rt.shards.Delete(key)
-		}
-		return true
-	})
-
-	// 2. Re-register every slow-managed hold and wait against the new
-	// index.
-	for tid, ts := range rt.threads {
-		for _, h := range ts.held {
-			h.slots = rt.registerPositions(tid, h.lock, h.outer)
-		}
-		if ts.wait != nil {
-			ts.wait.slots = rt.registerPositions(tid, ts.wait.lock, ts.wait.stack)
-		}
-	}
-
-	// 3. Sweep the lock registry: import live fast holds (their outer
-	// stacks may match the new index), and restore locks left free in
-	// slow mode — e.g. a lock revoked for an acquisition that then
-	// errored out — so the registry prune below can drop discarded ones
-	// instead of keeping every slow-parked lock forever.
-	rt.locksMu.Lock()
-	locks := rt.locks // append-only: the prefix we iterate is immutable
-	rt.locksMu.Unlock()
-	restored := 0
-	sweep := func(l *Lock, w uint64) {
-		switch {
-		case w != 0 && w&fastSlowBit == 0:
-			// A live fast hold. Its outer stack can only be read safely
-			// after revocation, so import it unconditionally; revokeLocked
-			// registers exactly the positions the new index matches, and
-			// the lock returns to the fast path at its next quiet release.
-			rt.revokeLocked(l)
-		case w == fastSlowBit:
-			// Slow-managed: if free with an empty queue, un-park it.
-			rt.maybeRestoreFastLocked(l)
-			if l.fast.Load() == 0 {
-				restored++
-			}
-		}
-	}
-	// Claims mid-publish are deferred to a second pass (revokeLocked
-	// would spin them out inline, parking this rebuild behind every
-	// runnable goroutine); by the time the rest of the registry has been
-	// swept their publish windows have closed.
-	var pendingLocks []*Lock
-	for _, l := range locks {
-		w := l.fast.Load()
-		if w&fastPendingBit != 0 && w&fastSlowBit == 0 {
-			pendingLocks = append(pendingLocks, l)
-			continue
-		}
-		sweep(l, w)
-	}
-	for _, l := range pendingLocks {
-		sweep(l, l.fast.Load())
-	}
-	if restored > 0 {
-		rt.locksMu.Lock()
-		if len(rt.locks) >= lockRegistryFloor {
-			rt.pruneLocksLocked()
-		}
-		rt.locksMu.Unlock()
-	}
-
-	// 4. Wake the yielders parked in live shards: their threats were
-	// evaluated against the old index, and the positions they were
-	// judged against were just rebuilt. A yielder registered under no
-	// live shard — every signature it matched was removed with no
-	// replacement at its top site — gets no wake here: no future release
-	// would ever have reached those dead shards either, so it re-homes on
-	// its own park timeout instead of taking a global broadcast.
-	rt.wakeLiveShardYieldersLocked()
-}
-
-// wakeLiveShardYieldersLocked wakes every yielder registered under a
-// shard still in the shard table. Caller holds rt.mu.
-func (rt *Runtime) wakeLiveShardYieldersLocked() {
-	rt.shards.Range(func(_, value any) bool {
-		sh := value.(*sigShard)
-		sh.mu.Lock()
-		sh.wakeYielders()
-		sh.mu.Unlock()
-		return true
-	})
-}
-
-// applyDeltaLocked is the incremental refresh: the version gap between
-// the position table and idx is exactly (added, removed) signature
-// instances, so only their state moves. Removed signatures' shards are
-// cleared, their yielders woken, and the shards unlinked; existing holds
-// and waits are registered against the added signatures only (an exact
-// top-site probe makes non-matching threads O(1)); and the registry
-// sweep imports only fast holds whose published top-site hash can match
-// an added signature. Every other shard stays live, its positions intact
-// and its yielders parked. Caller holds rt.mu and publishes histVer
-// afterwards.
+// applyDeltaLocked moves the position table from rt.applied to idx,
+// which differ by exactly the (added, removed) signature instances, so
+// only their state moves. Removed signatures' shards are cleared, their
+// yielders woken, and the shards unlinked; existing holds and waits are
+// registered against the added signatures only (an exact top-site probe
+// makes non-matching threads O(1)); and the registry sweep imports only
+// fast holds whose published top-site hash can match an added
+// signature. Every other shard stays live, its positions intact and its
+// yielders parked. Caller holds rt.mu and publishes histVer afterwards.
 //
-// Soundness relative to the full rebuild: signature updates commute —
-// positions of distinct signatures share no state, and a thread's match
-// set against unchanged signatures is unchanged — so registering the
-// same stacks against only the added signatures, and dropping only the
-// removed signatures' shards, reaches exactly the state a full rebuild
-// would, minus shards and wake broadcasts that would be rebuilt
-// identically.
+// Soundness: signature updates commute — positions of distinct
+// signatures share no state, and a thread's match set against unchanged
+// signatures is unchanged — so registering every hold and wait against
+// only the added signatures, and dropping only the removed signatures'
+// shards, reaches exactly the table a from-scratch registration against
+// idx would. The order of the instances in added and removed carries
+// nothing. TestDifferentialIncrementalRefreshDigest pins this against a
+// from-scratch oracle.
 func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signature) {
 	// 1. Removed signatures: clear and unlink their shards, waking the
 	// yielders parked against them — their threat may be gone, and no
@@ -1052,9 +871,9 @@ func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signa
 	// 3. Sweep the lock registry, filtered: only a fast hold whose
 	// published top-site hash appears among the added signatures' top
 	// sites can newly occupy a slot, so everything else is one atomic
-	// load. Free slow-mode locks are still restored unconditionally —
-	// restoration is what lets the prune drop discarded locks, and an
-	// added signature is exactly when the full path would have done it.
+	// load. Free slow-mode locks are restored unconditionally —
+	// restoration is what lets the prune drop discarded locks
+	// (TestRefreshRestoresAndPrunesFreeSlowLocks).
 	rt.locksMu.Lock()
 	locks := rt.locks // append-only: the prefix we iterate is immutable
 	rt.locksMu.Unlock()

@@ -48,8 +48,7 @@ type sigShard struct {
 	// (or waits for) with a stack matching that slot's outer stack. A set,
 	// not a single lock: one thread can hold several locks whose stacks
 	// match the same slot, and dropping one of them must not erase the
-	// others' positions (the full-rebuild-per-change era masked exactly
-	// that loss by re-registering everything on every history mutation).
+	// others' positions.
 	slots map[int]map[ThreadID]map[*Lock]struct{}
 	// yielders are the threads suspended by avoidance whose stacks match
 	// this signature; a matched fast release wakes them without touching
