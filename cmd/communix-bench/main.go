@@ -13,8 +13,11 @@
 // The default quick scale preserves every qualitative shape.
 //
 // The upload experiment is not part of the paper: it is the write load
-// of the chaos failover smoke test, a retrying ADD burst against a
-// replicated cell that exits non-zero if any upload never lands.
+// of the failover smoke tests, a burst of uploads through the
+// distribution client (internal/client: its rotation past dead or busy
+// members, NotPrimary redirects and busy retries), each retried until a
+// cell member acknowledges it; it exits non-zero if any upload never
+// lands.
 //
 // The system's performance benchmark is benchmark/run.sh, not this
 // tool.

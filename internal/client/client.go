@@ -4,10 +4,12 @@
 // waits on the network. It also provides the upload path the Communix
 // plugin uses to publish freshly detected signatures.
 //
-// All traffic rides one managed persistent connection (re-dialed
-// transparently when it dies): a session opened by HELLO, with
-// multiplexed request IDs. By default the client polls at the sync
-// interval; in Subscribe mode it SUBSCRIBEs and the server pushes
+// Traffic rides managed persistent sessions (re-dialed transparently
+// when they die), each opened by HELLO with multiplexed request IDs: one
+// rotated across the configured servers, and one to the primary a
+// follower redirected an upload to. One background loop keeps the
+// repository in sync: by default each cycle polls and sleeps the sync
+// interval; in Subscribe mode each cycle SUBSCRIBEs and the server pushes
 // signature deltas the moment other users contribute them, cutting
 // time-to-protection from poll-interval scale to sub-second, with
 // keepalive PINGs and jittered-backoff reconnects keeping the session
@@ -73,12 +75,13 @@ type Config struct {
 	// (without Subscribe) and the cap on reconnect backoff.
 	SyncInterval time.Duration
 	// RetryMin overrides DefaultRetryMin, the starting delay of the
-	// exponential backoff applied after consecutive sync failures (and,
-	// in Subscribe mode, after session drops). It is capped at
+	// exponential backoff applied after consecutive failed polls or
+	// subscription attempts; a subscription the server acknowledged is
+	// re-established RetryMin after it drops. It is capped at
 	// SyncInterval.
 	RetryMin time.Duration
-	// OnSync, if set, is called after every periodic sync attempt (and,
-	// in Subscribe mode, after failed connection/subscription attempts).
+	// OnSync, if set, is called after every poll (and, in Subscribe
+	// mode, after every subscription that ends in an error).
 	OnSync func(added int, err error)
 	// Subscribe switches Start from periodic polling to push delivery:
 	// the client holds one session open, SUBSCRIBEs, and appends pushed
@@ -119,31 +122,23 @@ type Client struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	// sess is the managed connection, dialed lazily and re-dialed when
-	// it dies; nil when no live session is cached. sessClosed (set by
-	// Close under sessMu, checked by getSession under the same lock)
-	// guarantees no session can be dialed-and-cached after Close tore
-	// the cached one down — a later dial would leak its connection and
-	// reader goroutine with nobody left to close them.
-	sessMu     sync.Mutex
-	sess       *session
-	sessClosed bool
-	// dialers is the read-path rotation (Addr/Dial first, then Peers);
-	// dialIdx is the rotation's sticky start — the last dialer that
-	// produced a working session — advanced only when that peer fails,
-	// so a healthy deployment keeps each client pinned to one server.
-	dialers []func() (net.Conn, error)
-	dialIdx int
+	// rotation is the read path's managed session, dialed across
+	// dialers (Addr/Dial first, then Peers). dialIdx, guarded by
+	// rotation's lock, is the rotation's sticky start — the last dialer
+	// that produced a working session — advanced only when that peer
+	// fails, so a healthy deployment keeps each client pinned to one
+	// server.
+	rotation managed
+	dialers  []func() (net.Conn, error)
+	dialIdx  int
 
-	// Upload-redirect state: one managed session to the primary a
-	// follower's StatusNotPrimary advertised, dialed lazily and re-dialed
-	// when the advertised address changes or the session dies.
-	leaderMu   sync.Mutex
-	leaderSess *session
-	leaderAddr string
+	// primary is the managed session to the primary a follower's
+	// StatusNotPrimary advertised (or a read-your-writes pin names),
+	// re-dialed when the address changes or the session dies.
+	primary managed
 
 	// Push delivery state: the session reader accumulates under pushMu
-	// and nudges pushNotify (cap 1); the subscribe loop drains and runs
+	// and nudges pushNotify (cap 1); the background loop drains and runs
 	// the user-visible work, keeping the reader fast.
 	pushMu      sync.Mutex
 	pushAdded   int
@@ -197,52 +192,29 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// getSession returns the cached managed session, dialing (and running
-// the HELLO handshake) when there is none or the cached one died.
-func (c *Client) getSession() (*session, error) {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	if c.sessClosed {
-		// Refuse to dial after Close: a fresh session would outlive the
-		// client with nobody left to tear it down. Dialing holds sessMu,
-		// so a dial already in flight completes and caches before Close
-		// can mark the client closed — and is then torn down by it.
-		return nil, errors.New("client: closed")
-	}
-	if c.sess != nil && c.sess.alive() {
-		return c.sess, nil
-	}
-	if c.sess != nil {
-		c.sess.close()
-		c.sess = nil
-	}
-	// Rotate across the peer set starting from the sticky index: the
-	// peer that last worked is retried first, and a failure (dial error,
-	// a refused or busy HELLO, or a server fenced out as stale) moves on
-	// to the next. If no peer admits us, a busy refusal outranks other
-	// errors whatever the rotation order, so Upload backs off and retries
-	// instead of failing on a dead peer listed after a busy one.
+// dialRotation opens the read rotation's session: it tries each peer
+// from the sticky index, so the peer that last worked is retried first,
+// and a failure (dial error, a refused or busy HELLO, or a server fenced
+// out as stale) moves on to the next. If no peer admits us, a busy
+// refusal outranks other errors whatever the rotation order, so Upload
+// backs off and retries instead of failing on a dead peer listed after
+// a busy one. It runs under the rotation's lock (managed.get).
+func (c *Client) dialRotation(string) (*session, error) {
 	var lastErr error
 	n := len(c.dialers)
 	for i := 0; i < n; i++ {
 		idx := (c.dialIdx + i) % n
 		s, err := dialSession(c.dialers[idx], c.handlePush, c.cfg.Repo.Epoch())
-		if err != nil {
-			if !errors.Is(lastErr, errServerBusy) {
-				lastErr = err
+		if err == nil {
+			if err = c.adoptSession(s); err == nil {
+				c.dialIdx = idx
+				return s, nil
 			}
-			continue
-		}
-		if err := c.adoptSession(s); err != nil {
 			s.close()
-			if !errors.Is(lastErr, errServerBusy) {
-				lastErr = err
-			}
-			continue
 		}
-		c.dialIdx = idx
-		c.sess = s
-		return s, nil
+		if !errors.Is(lastErr, errServerBusy) {
+			lastErr = err
+		}
 	}
 	return nil, lastErr
 }
@@ -269,57 +241,36 @@ func (c *Client) adoptSession(s *session) error {
 	return c.cfg.Repo.SetEpoch(s.epoch)
 }
 
-// invalidate discards a dead session (if it is still the cached one).
-func (c *Client) invalidate(s *session) {
-	c.sessMu.Lock()
-	if c.sess == s {
-		c.sess = nil
+// dialPrimary opens a session to the primary a follower advertised (or
+// a read pin names) at addr. A stale ex-primary still advertising itself
+// is refused: uploads committed there would be fenced away.
+func (c *Client) dialPrimary(addr string) (*session, error) {
+	s, err := dialSession(func() (net.Conn, error) { return c.cfg.DialAddr(addr) }, nil, c.cfg.Repo.Epoch())
+	if err != nil {
+		return nil, err
 	}
-	c.sessMu.Unlock()
-	s.close()
-}
-
-// failCachedSession kills whatever session is currently cached with
-// err, forcing the next operation (and the subscribe loop) to
-// reconnect. Safe to call from a session's own reader goroutine.
-func (c *Client) failCachedSession(err error) {
-	c.sessMu.Lock()
-	s := c.sess
-	c.sess = nil
-	c.sessMu.Unlock()
-	if s != nil {
-		s.fail(err)
-	}
-}
-
-// closeSession (Close only) drops whatever session is cached,
-// unblocking any round trips in flight on it, and bars future dials.
-func (c *Client) closeSession() {
-	c.sessMu.Lock()
-	c.sessClosed = true
-	s := c.sess
-	c.sess = nil
-	c.sessMu.Unlock()
-	if s != nil {
+	if s.epoch < c.cfg.Repo.Epoch() {
 		s.close()
+		return nil, fmt.Errorf("client: advertised primary %s is at stale epoch %d", addr, s.epoch)
 	}
+	return s, nil
 }
 
-// A pick returns the session a round trip should run on, and how to
-// discard that session if the round trip fails on it.
-type pick func() (*session, func(*session), error)
+// A pick returns the session a round trip should run on and the
+// managed session that discards it if the round trip fails on it.
+type pick func() (*managed, *session, error)
 
-// rotated picks the read rotation's managed session.
-func (c *Client) rotated() (*session, func(*session), error) {
-	s, err := c.getSession()
-	return s, c.invalidate, err
+// rotated picks the read rotation's session.
+func (c *Client) rotated() (*managed, *session, error) {
+	s, err := c.rotation.get("", c.dialRotation)
+	return &c.rotation, s, err
 }
 
-// leader picks the managed session to the primary at addr.
+// leader picks the session to the primary at addr.
 func (c *Client) leader(addr string) pick {
-	return func() (*session, func(*session), error) {
-		s, err := c.leaderSession(addr)
-		return s, c.invalidateLeader, err
+	return func() (*managed, *session, error) {
+		s, err := c.primary.get(addr, c.dialPrimary)
+		return &c.primary, s, err
 	}
 }
 
@@ -327,10 +278,10 @@ func (c *Client) leader(addr string) pick {
 // read-your-writes pin is live, the rotation otherwise — and also when
 // the pinned primary is unreachable, because availability beats the pin
 // mid-failover.
-func (c *Client) reader() (*session, func(*session), error) {
+func (c *Client) reader() (*managed, *session, error) {
 	if pinned := c.readPin(); pinned != "" {
-		if s, err := c.leaderSession(pinned); err == nil {
-			return s, c.invalidateLeader, nil
+		if m, s, err := c.leader(pinned)(); err == nil {
+			return m, s, nil
 		}
 	}
 	return c.rotated()
@@ -352,7 +303,7 @@ func (c *Client) reader() (*session, func(*session), error) {
 func (c *Client) do(p pick, req func() wire.Request) (wire.Response, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		s, discard, err := p()
+		m, s, err := p()
 		if err != nil {
 			return wire.Response{}, err
 		}
@@ -360,7 +311,7 @@ func (c *Client) do(p pick, req func() wire.Request) (wire.Response, error) {
 		if err == nil {
 			return resp, nil
 		}
-		discard(s)
+		m.discard(s)
 		lastErr = err
 	}
 	return wire.Response{}, lastErr
@@ -500,51 +451,6 @@ func (c *Client) Upload(s *sig.Signature) error {
 	}
 }
 
-// leaderSession returns the managed session to the advertised primary,
-// dialing when none is cached, the cached one died, or the advertised
-// address changed (a new promotion). Reuses the read path's closed
-// gate: after Close no leader session can be created either.
-func (c *Client) leaderSession(addr string) (*session, error) {
-	c.sessMu.Lock()
-	closed := c.sessClosed
-	c.sessMu.Unlock()
-	if closed {
-		return nil, errors.New("client: closed")
-	}
-	c.leaderMu.Lock()
-	defer c.leaderMu.Unlock()
-	if c.leaderSess != nil && c.leaderAddr == addr && c.leaderSess.alive() {
-		return c.leaderSess, nil
-	}
-	if c.leaderSess != nil {
-		c.leaderSess.close()
-		c.leaderSess = nil
-	}
-	s, err := dialSession(func() (net.Conn, error) { return c.cfg.DialAddr(addr) }, nil, c.cfg.Repo.Epoch())
-	if err != nil {
-		return nil, err
-	}
-	if s.epoch < c.cfg.Repo.Epoch() {
-		// A stale ex-primary still advertising itself: uploads committed
-		// there would be fenced away. Refuse.
-		s.close()
-		return nil, fmt.Errorf("client: advertised primary %s is at stale epoch %d", addr, s.epoch)
-	}
-	c.leaderSess = s
-	c.leaderAddr = addr
-	return s, nil
-}
-
-// invalidateLeader discards a dead leader session (if still cached).
-func (c *Client) invalidateLeader(s *session) {
-	c.leaderMu.Lock()
-	if c.leaderSess == s {
-		c.leaderSess = nil
-	}
-	c.leaderMu.Unlock()
-	s.close()
-}
-
 // Start launches the background distribution loop: push delivery when
 // Config.Subscribe is set (SUBSCRIBE + server pushes + keepalives, with
 // automatic reconnect), periodic polling otherwise. Either way the
@@ -561,12 +467,14 @@ func (c *Client) Start() {
 	go c.loop()
 }
 
+// loop is the background loop. Each cycle is one poll (SyncOnce, then
+// the callbacks) or, in Subscribe mode, one subscription, followed by a
+// jittered sleep: the sync interval after a successful poll, RetryMin
+// after a subscription the server acknowledged and later dropped (the
+// acknowledgement resets the failure count), and the doubling backoff
+// after consecutive failures.
 func (c *Client) loop() {
 	defer c.wg.Done()
-	if c.cfg.Subscribe {
-		c.subscribeLoop()
-		return
-	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	failures := 0
 	for {
@@ -577,27 +485,29 @@ func (c *Client) loop() {
 			return
 		default:
 		}
-		if !c.pollCycle(rng, &failures) {
+		added, err := 0, error(nil)
+		if c.cfg.Subscribe {
+			var acked bool
+			if acked, err = c.subscription(); err == nil {
+				return // Close fired
+			}
+			if acked {
+				failures = 0
+			}
+		} else {
+			added, err = c.SyncOnce()
+		}
+		c.notifySync(added, err)
+		c.landed(added)
+		if err != nil {
+			failures++
+		} else {
+			failures = 0
+		}
+		if !c.sleep(c.nextDelay(failures, rng.Float64())) {
 			return
 		}
 	}
-}
-
-// pollCycle performs one poll — SyncOnce, callbacks, failure
-// accounting — then sleeps the jittered cadence. It returns false when
-// Close fired during the sleep.
-func (c *Client) pollCycle(rng *rand.Rand, failures *int) bool {
-	added, err := c.SyncOnce()
-	c.notifySync(added, err)
-	if added > 0 && c.cfg.OnSignatures != nil {
-		c.cfg.OnSignatures(added)
-	}
-	if err != nil {
-		*failures++
-	} else {
-		*failures = 0
-	}
-	return c.sleep(c.nextDelay(*failures, rng.Float64()))
 }
 
 // sleep waits d, returning false when Close fired first.
@@ -612,75 +522,54 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// subscribeLoop keeps a subscription standing: establish a session,
-// SUBSCRIBE, service pushes and keepalives until the session dies, then
-// reconnect with the jittered failure backoff.
-func (c *Client) subscribeLoop() {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	failures := 0
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		s, err := c.getSession()
-		if err == nil {
-			if err = c.runSubscription(s); err == nil {
-				return // Close fired
-			}
-			c.invalidate(s)
-		}
-		c.notifySync(0, err)
-		failures++
-		if !c.sleep(c.nextDelay(failures, rng.Float64())) {
-			return
-		}
+// subscription drives one subscription on the rotation's session:
+// SUBSCRIBE from the repository's cursor, then service pushed deltas,
+// catch-up markers and keepalives until Close (returns nil) or the
+// session dies (returns why, after discarding it). acked reports whether
+// the server accepted the SUBSCRIBE.
+func (c *Client) subscription() (acked bool, err error) {
+	m, s, err := c.rotated()
+	if err != nil {
+		return false, err
 	}
-}
-
-// runSubscription drives one live subscription: SUBSCRIBE from the
-// repository's cursor, then service pushed deltas, catch-up downgrades,
-// and keepalives until Close (returns nil) or the session dies (returns
-// why).
-func (c *Client) runSubscription(s *session) error {
+	defer func() {
+		if err != nil {
+			m.discard(s)
+		}
+	}()
 	// The token rides along for servers enforcing per-user subscription
 	// quotas; servers without the quota ignore it.
 	resp, err := s.roundTrip(wire.NewSubscribeUser(0, c.cfg.Repo.Next(), c.cfg.Token), syncIOTimeout)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("client: subscribe: server said %s: %s", resp.Status, resp.Detail)
+		return false, fmt.Errorf("client: subscribe: server said %s: %s", resp.Status, resp.Detail)
 	}
 	keepalive := time.NewTicker(c.cfg.Keepalive)
 	defer keepalive.Stop()
 	for {
 		select {
 		case <-c.done:
-			return nil
+			return true, nil
 		case <-s.done:
-			return s.failErr()
+			return true, s.failErr()
 		case <-c.pushNotify:
 			added, catchup := c.takePush()
-			if added > 0 && c.cfg.OnSignatures != nil {
-				c.cfg.OnSignatures(added)
-			}
+			c.landed(added)
 			if catchup {
 				// The server downgraded us (we lagged past its push
 				// threshold): drain via paginated GETs. A complete GET
 				// reply re-arms pushing server-side.
 				added, err := c.SyncOnce()
-				if added > 0 && c.cfg.OnSignatures != nil {
-					c.cfg.OnSignatures(added)
-				}
+				c.landed(added)
 				if err != nil {
-					return err
+					return true, err
 				}
 			}
 		case <-keepalive.C:
 			if _, err := s.roundTrip(wire.NewPing(0), pingTimeout); err != nil {
-				return err
+				return true, err
 			}
 		}
 	}
@@ -688,7 +577,7 @@ func (c *Client) runSubscription(s *session) error {
 
 // handlePush runs on the session reader goroutine for every
 // server-initiated frame: append the delta to the repository (cheap,
-// idempotent) and hand the user-visible work to the subscribe loop.
+// idempotent) and hand the user-visible work to the background loop.
 func (c *Client) handlePush(resp wire.Response) {
 	if resp.Type != wire.MsgPush || resp.Status != wire.StatusOK {
 		return
@@ -702,7 +591,7 @@ func (c *Client) handlePush(resp wire.Response) {
 			// recovery is killing the session — the reconnect
 			// re-SUBSCRIBEs from the repository's true cursor and the
 			// page is re-delivered.
-			c.failCachedSession(fmt.Errorf("client: push append: %w", err))
+			c.rotation.fail(fmt.Errorf("client: push append: %w", err))
 			return
 		}
 		added = c.cfg.Repo.Len() - before
@@ -736,6 +625,14 @@ func (c *Client) notifySync(added int, err error) {
 	}
 }
 
+// landed hands a batch the background loop landed in the repository to
+// OnSignatures.
+func (c *Client) landed(added int) {
+	if added > 0 && c.cfg.OnSignatures != nil {
+		c.cfg.OnSignatures(added)
+	}
+}
+
 // nextDelay computes the wait before the next sync attempt: the sync
 // interval in steady state, or an exponential backoff from RetryMin
 // (doubling per consecutive failure, capped at the interval) after
@@ -761,8 +658,8 @@ func (c *Client) nextDelay(failures int, jit float64) time.Duration {
 	return d
 }
 
-// Close stops the background loop, tears the managed session down
-// (failing any round trips in flight on it immediately), and waits for
+// Close stops the background loop, tears both managed sessions down
+// (failing any round trips in flight on them immediately), and waits for
 // everything to exit.
 func (c *Client) Close() {
 	c.mu.Lock()
@@ -771,13 +668,7 @@ func (c *Client) Close() {
 		close(c.done)
 	}
 	c.mu.Unlock()
-	c.closeSession()
-	c.leaderMu.Lock()
-	ls := c.leaderSess
-	c.leaderSess = nil
-	c.leaderMu.Unlock()
-	if ls != nil {
-		ls.close()
-	}
+	c.rotation.close()
+	c.primary.close()
 	c.wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -206,49 +207,74 @@ func TestSyncsImmediatelyOnStart(t *testing.T) {
 	}
 }
 
+// Failed dials back off from RetryMin, doubling per consecutive
+// failure, in both modes; the loop keeps retrying until it recovers.
 func TestSyncBackoffRecovers(t *testing.T) {
-	_, addr, auth := testServer(t)
-	_, token := auth.Issue()
-	rp, _ := repo.Open("")
+	for _, mode := range []string{"poll", "subscribe"} {
+		t.Run(mode, func(t *testing.T) {
+			srv, addr, auth := testServer(t)
+			_, token := auth.Issue()
+			seedDirect(t, srv, token, 9, 1)
+			rp, _ := repo.Open("")
 
-	// Fail the first few dials, then let traffic through: the loop must
-	// keep retrying (backing off) and eventually sync successfully.
-	var dials atomic.Int32
-	var okSyncs atomic.Int32
-	errSyncs := int32(0)
-	c, err := New(Config{
-		Dial: func() (net.Conn, error) {
-			if dials.Add(1) <= 3 {
-				return nil, errMock
-			}
-			return net.Dial("tcp", addr)
-		},
-		Repo:         rp,
-		Token:        token,
-		SyncInterval: time.Hour,
-		RetryMin:     time.Millisecond,
-		OnSync: func(added int, err error) {
+			// Fail the first few dials, then let traffic through: the
+			// loop must keep retrying (backing off) and eventually land
+			// the seeded signature.
+			const retryMin = 20 * time.Millisecond
+			var mu sync.Mutex
+			var dialTimes []time.Time
+			var landed atomic.Int32
+			errSyncs := int32(0)
+			c, err := New(Config{
+				Dial: func() (net.Conn, error) {
+					mu.Lock()
+					dialTimes = append(dialTimes, time.Now())
+					n := len(dialTimes)
+					mu.Unlock()
+					if n <= 3 {
+						return nil, errMock
+					}
+					return net.Dial("tcp", addr)
+				},
+				Repo:         rp,
+				Token:        token,
+				Subscribe:    mode == "subscribe",
+				SyncInterval: time.Hour,
+				RetryMin:     retryMin,
+				OnSync: func(added int, err error) {
+					if err != nil {
+						atomic.AddInt32(&errSyncs, 1)
+					}
+				},
+				OnSignatures: func(added int) { landed.Add(int32(added)) },
+			})
 			if err != nil {
-				atomic.AddInt32(&errSyncs, 1)
-			} else {
-				okSyncs.Add(1)
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && okSyncs.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if okSyncs.Load() == 0 {
-		t.Fatal("sync never recovered after transient dial failures")
-	}
-	if got := atomic.LoadInt32(&errSyncs); got != 3 {
-		t.Errorf("failed syncs = %d, want 3 (one per failed dial)", got)
+			c.Start()
+			defer c.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) && landed.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if landed.Load() == 0 {
+				t.Fatal("sync never recovered after transient dial failures")
+			}
+			if got := atomic.LoadInt32(&errSyncs); got != 3 {
+				t.Errorf("failed syncs = %d, want 3 (one per failed dial)", got)
+			}
+			// Timers never fire early, so each gap is at least the
+			// jittered delay's floor: 0.9 × RetryMin × 2^(failures-1).
+			mu.Lock()
+			defer mu.Unlock()
+			for i := 1; i < 4; i++ {
+				gap := dialTimes[i].Sub(dialTimes[i-1])
+				floor := time.Duration(float64(retryMin<<(i-1)) * 0.9)
+				if gap < floor {
+					t.Errorf("gap after failed dial %d = %v, want >= %v (doubling backoff)", i, gap, floor)
+				}
+			}
+		})
 	}
 }
 

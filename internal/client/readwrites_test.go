@@ -36,7 +36,7 @@ func TestReadYourWritesPin(t *testing.T) {
 	var cut atomic.Bool
 	var connMu sync.Mutex
 	var conns []net.Conn
-	followDial := func() (net.Conn, error) {
+	followDial := func(string) (net.Conn, error) {
 		if cut.Load() {
 			return nil, errors.New("replication link cut")
 		}
@@ -50,8 +50,8 @@ func TestReadYourWritesPin(t *testing.T) {
 		return conn, nil
 	}
 	follower, fAddr, _ := startServerCfg(t, server.Config{
-		Follow:     "rw-primary",
-		FollowDial: followDial,
+		Follow:   "rw-primary",
+		PeerDial: followDial,
 	})
 	deadline := time.Now().Add(10 * time.Second)
 	for follower.Store().Len() != 5 {

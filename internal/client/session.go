@@ -3,7 +3,7 @@
 // a reader goroutine then matches responses to round trips by request
 // ID and hands server-initiated PUSH frames to the caller. A server that
 // refuses the HELLO fails the dial, so the caller's rotation moves on to
-// the next peer.
+// the next peer. A managed value caches one session and re-dials it.
 package client
 
 import (
@@ -18,6 +18,9 @@ import (
 
 // errSessionClosed reports use of a session after close or failure.
 var errSessionClosed = errors.New("client: session closed")
+
+// errClientClosed reports a session requested after Client.Close.
+var errClientClosed = errors.New("client: closed")
 
 // errServerBusy marks a HELLO the server refused with StatusBusy: it is
 // at its session cap. Upload treats it as a busy ADD.
@@ -185,5 +188,76 @@ func (s *session) roundTrip(req wire.Request, timeout time.Duration) (wire.Respo
 		err := fmt.Errorf("client: %s timed out after %v", req.Type, timeout)
 		s.fail(err)
 		return wire.Response{}, err
+	}
+}
+
+// managed caches one session — the client's read rotation or its
+// redirected primary — dialed lazily and re-dialed when the cached one
+// died or was dialed for another address. After close, get refuses: a
+// session dialed then would outlive the client with nobody left to tear
+// it down. get dials under the lock, so a dial in flight completes and
+// caches before close can run, and close then tears it down.
+type managed struct {
+	mu     sync.Mutex
+	s      *session
+	addr   string
+	closed bool
+}
+
+// get returns the cached session if it is alive and was dialed for addr;
+// otherwise it closes the cached one and caches what dial(addr) opens.
+func (m *managed) get(addr string, dial func(addr string) (*session, error)) (*session, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, errClientClosed
+	}
+	if m.s != nil && m.addr == addr && m.s.alive() {
+		return m.s, nil
+	}
+	if m.s != nil {
+		m.s.close()
+		m.s = nil
+	}
+	s, err := dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	m.s, m.addr = s, addr
+	return s, nil
+}
+
+// discard closes s, uncaching it if it is still the cached session.
+func (m *managed) discard(s *session) {
+	m.mu.Lock()
+	if m.s == s {
+		m.s = nil
+	}
+	m.mu.Unlock()
+	s.close()
+}
+
+// fail kills whatever session is cached with err, so the next get
+// re-dials. Safe to call from that session's own reader goroutine.
+func (m *managed) fail(err error) {
+	m.mu.Lock()
+	s := m.s
+	m.s = nil
+	m.mu.Unlock()
+	if s != nil {
+		s.fail(err)
+	}
+}
+
+// close tears the cached session down, unblocking any round trips in
+// flight on it, and bars future dials.
+func (m *managed) close() {
+	m.mu.Lock()
+	m.closed = true
+	s := m.s
+	m.s = nil
+	m.mu.Unlock()
+	if s != nil {
+		s.close()
 	}
 }

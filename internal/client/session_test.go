@@ -18,10 +18,13 @@ import (
 
 // busyServer is a minimal session server: HELLO is answered ok at
 // version 2, the first busyFirst ADDs busy and every later one ok, each
-// reply echoing its request's ID. It counts the connections it accepts.
+// reply echoing its request's ID; a SUBSCRIBE is answered ok and the
+// connection hung up 5 ms later. It counts the connections it accepts
+// and the subscriptions it acknowledges.
 type busyServer struct {
 	l         net.Listener
 	dials     atomic.Int32
+	subs      atomic.Int32
 	busyFirst atomic.Int32
 }
 
@@ -65,6 +68,13 @@ func (b *busyServer) handle(conn net.Conn) {
 			resp.Status, resp.Detail = wire.StatusBusy, "quorum ack timeout"
 		case req.Type == wire.MsgAdd:
 			resp.Next = 1
+		case req.Type == wire.MsgSubscribe:
+			if err := c.Send(resp); err != nil {
+				return
+			}
+			b.subs.Add(1)
+			time.Sleep(5 * time.Millisecond)
+			return
 		default:
 			resp.Status = wire.StatusError
 		}
@@ -310,6 +320,33 @@ func TestSubscribeReconnectsAfterServerRestart(t *testing.T) {
 	}
 	if rp.Len() != 1 {
 		t.Fatalf("repo len = %d after restart, want 1 (reconnect + re-subscribe)", rp.Len())
+	}
+}
+
+// A subscription the server acknowledged and later dropped is
+// re-established RetryMin after the drop, however many drops came
+// before: the acknowledgement resets the failure count. Were every drop
+// counted as a failure, the delays would double (1, 2, 4, … 1024 ms),
+// allowing only about 12 subscriptions in 3 s, and with the defaults a
+// long-lived subscriber would end up waiting the 24 h sync interval to
+// reconnect.
+func TestAckedSubscriptionReconnectsAtRetryMin(t *testing.T) {
+	b, addr := newBusyServer(t, 0)
+	rp, _ := repo.Open("")
+	c := newClient(t, addr, "", rp, func(cfg *Config) {
+		cfg.Subscribe = true
+		cfg.RetryMin = time.Millisecond
+		cfg.SyncInterval = time.Hour
+	})
+	c.Start()
+	defer c.Close()
+	const want = 60
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && b.subs.Load() < want {
+		time.Sleep(time.Millisecond)
+	}
+	if got := b.subs.Load(); got < want {
+		t.Fatalf("%d subscriptions stood within 3 s, want at least %d (drops of acknowledged subscriptions are backing off)", got, want)
 	}
 }
 

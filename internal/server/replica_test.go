@@ -514,9 +514,9 @@ func TestFollowerCatchUpFromAnyCursor(t *testing.T) {
 	var release chan struct{}
 	fcfg := follow(primary)
 	fcfg.DataDir, fcfg.Fsync = t.TempDir(), store.FsyncOff
-	fcfg.FollowDial = func() (net.Conn, error) {
+	fcfg.PeerDial = func(addr string) (net.Conn, error) {
 		<-release
-		return net.DialTimeout("tcp", primary.addr, 5*time.Second)
+		return net.DialTimeout("tcp", addr, 5*time.Second)
 	}
 	fcfg.Logf = func(format string, args ...any) {
 		logMu.Lock()

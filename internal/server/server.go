@@ -78,11 +78,6 @@ type Config struct {
 	// commit path, and serves GET/SUBSCRIBE to clients while answering
 	// ADDs with StatusNotPrimary (carrying this address). Empty = primary.
 	Follow string
-	// FollowDial overrides how the follower reaches its primary (tests
-	// and in-process benches dial over pipes). When set, the server is a
-	// follower even with Follow empty; Follow is still what
-	// StatusNotPrimary advertises.
-	FollowDial func() (net.Conn, error)
 	// Advertise is the address this server tells clients to upload to
 	// when it is (or becomes) the primary — the Primary field of its
 	// HELLO replies. Optional; without it clients fall back to trying
@@ -116,8 +111,9 @@ type Config struct {
 	// newer epoch steps down and rejoins as a follower. Majority is
 	// computed over len(Peers)+1.
 	Peers []string
-	// PeerDial overrides how this server reaches a cell peer (tests and
-	// in-process benches dial over pipes). nil uses TCP.
+	// PeerDial overrides how this server reaches a cell address — a
+	// peer, or the primary it follows (tests and in-process benches dial
+	// over pipes). nil uses TCP.
 	PeerDial func(addr string) (net.Conn, error)
 	// ElectionTimeout is the base failure-detection window: a follower
 	// suspects the primary after hearing nothing for a uniformly jittered
@@ -292,18 +288,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.maxSubsPerUser = cfg.MaxSubsPerUser
 	s.lastContact.Store(time.Now().UnixNano())
-	if cfg.Follow != "" || cfg.FollowDial != nil {
-		s.roleMu.Lock()
-		s.follower = true
-		s.primaryAddr = cfg.Follow
-		s.followDial = cfg.FollowDial
-		if s.followDial == nil {
-			s.followDial = s.dialTo(cfg.Follow)
-		}
-		s.followStop = make(chan struct{})
-		s.followWG.Add(1)
-		go s.followLoop(s.followStop)
-		s.roleMu.Unlock()
+	if cfg.Follow != "" {
+		s.startFollowing(cfg.Follow)
 	}
 	if len(s.peers) > 0 {
 		s.electStop = make(chan struct{})
