@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -40,8 +41,9 @@ type UploadBurstConfig struct {
 
 // UploadBurst uploads N distinct signatures, retrying each until some
 // cell member acknowledges it, and returns the acknowledged count
-// (equal to N unless it errors out at the deadline). A retried upload
-// is safe: the server answers an ADD it already holds "duplicate".
+// (equal to N unless it errors out at the deadline, or at once on an
+// upload the cell rejects). A retried upload is safe: the server
+// answers an ADD it already holds "duplicate".
 func UploadBurst(cfg UploadBurstConfig, out io.Writer) (int, error) {
 	if len(cfg.Addrs) == 0 {
 		return 0, fmt.Errorf("bench: upload: no addresses")
@@ -80,6 +82,9 @@ func UploadBurst(cfg UploadBurstConfig, out io.Writer) (int, error) {
 			err := c.Upload(s)
 			if err == nil {
 				break
+			}
+			if errors.Is(err, client.ErrRejected) {
+				return i, fmt.Errorf("bench: upload %d/%d: %w", i, cfg.N, err)
 			}
 			if time.Now().After(deadline) {
 				return i, fmt.Errorf("bench: upload %d/%d: no acknowledgement before deadline: %w", i, cfg.N, err)

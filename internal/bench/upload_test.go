@@ -2,11 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"communix/internal/client"
 	"communix/internal/ids"
 	"communix/internal/server"
 )
@@ -78,5 +81,25 @@ func TestUploadBurstFollowsRedirects(t *testing.T) {
 				t.Errorf("output %q, want %q", out.String(), want)
 			}
 		})
+	}
+}
+
+// A rejected upload ends the burst at once: retrying a refusal (here a
+// token the server cannot decrypt) cannot succeed, so the burst must
+// not wait out its timeout.
+func TestUploadBurstFailsFastOnRejection(t *testing.T) {
+	_, addr := serveCell(t, server.Config{})
+	start := time.Now()
+	acked, err := UploadBurst(UploadBurstConfig{
+		Addrs:      []string{addr},
+		Token:      "bogus-token",
+		N:          3,
+		TimeoutSec: 10,
+	}, io.Discard)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("rejected burst took %v, want well under 1s", elapsed)
+	}
+	if acked != 0 || !errors.Is(err, client.ErrRejected) {
+		t.Fatalf("UploadBurst = %d, %v; want 0 and a rejection", acked, err)
 	}
 }

@@ -59,6 +59,11 @@ const (
 	pingTimeout   = 30 * time.Second
 )
 
+// ErrRejected marks an upload the server refused outright (a rejected
+// or error reply): retrying the same upload cannot succeed, unlike a
+// dead peer or a busy server.
+var ErrRejected = errors.New("client: upload rejected")
+
 // Config parameterizes a Client.
 type Config struct {
 	// Addr is the server's TCP address ("host:port"). Ignored when Dial
@@ -377,15 +382,15 @@ const uploadBusyRetries = 3
 // Upload publishes one signature to the server with the client's
 // encrypted user id — the Communix plugin calls this right after
 // Dimmunix produces a signature (§III-B). The server's verdict is
-// returned: nil for accepted (or duplicate), an error describing the
-// rejection otherwise. A busy server (quorum not yet reached) is retried a
-// few times with short backoff on the same managed connection — an
-// overloaded server is the one peer that must not be greeted with extra
-// dial/teardown cycles per attempt. A server refusing the session
-// itself as busy gets the same backoff and budget. Signatures are rare
-// and small, so losing one to sustained overload only delays, and never
-// prevents, collective immunity — some other user's upload will carry
-// the same deadlock.
+// returned: nil for accepted (or duplicate), an error wrapping
+// ErrRejected for a refusal, another error otherwise. A busy server
+// (quorum not yet reached) is retried a few times with short backoff on
+// the same managed connection — an overloaded server is the one peer
+// that must not be greeted with extra dial/teardown cycles per attempt.
+// A server refusing the session itself as busy gets the same backoff
+// and budget. Signatures are rare and small, so losing one to sustained
+// overload only delays, and never prevents, collective immunity — some
+// other user's upload will carry the same deadlock.
 func (c *Client) Upload(s *sig.Signature) error {
 	req, err := wire.NewAdd(c.cfg.Token, s)
 	if err != nil {
@@ -446,7 +451,7 @@ func (c *Client) Upload(s *sig.Signature) error {
 			// latter.
 			return fmt.Errorf("client: upload: server busy after %d retries: %s", uploadBusyRetries, resp.Detail)
 		default:
-			return fmt.Errorf("client: upload rejected: %s", resp.Detail)
+			return fmt.Errorf("%w: %s", ErrRejected, resp.Detail)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package commdlk
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"communix/internal/dimmunix"
@@ -31,43 +33,27 @@ func matchOuter(idx *dimmunix.AvoidIndex, cs sig.Stack, kind string) []dimmunix.
 	return out
 }
 
-// avoid is the channel yield: called before an op engages its channel.
-// If the op's stack matches a history signature's outer slot and the
-// signature's other slots are occupied — distinct goroutines engaged on
-// distinct channels at the slots' sites — the op parks until the threat
-// dissolves, with the re-home timeout shared with dimmunix's mutex
-// yielders and a wait+yield cycle breaker that forces the smallest-id
-// yielder through. Returns ErrClosed if the runtime shuts down while
-// parked; nil once the op may proceed.
-func (rt *Runtime) avoid(gid uint64, cs sig.Stack, kind string) error {
+// avoidLocked is the channel yield, run under rt.mu before an op
+// engages its channel. If the op's stack matches a history signature's
+// outer slot and the signature's other slots are occupied — distinct
+// goroutines engaged on distinct channels at the slots' sites — the op
+// parks, releasing rt.mu, until the threat dissolves, with the re-home
+// timeout shared with dimmunix's mutex yielders and a wait+yield cycle
+// breaker that forces the smallest-id yielder through. It returns with
+// rt.mu held: nil once the op may engage, ErrClosed if the runtime shut
+// down while it was parked.
+func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 	if rt.cfg.AvoidanceDisabled {
 		return nil
 	}
 	idx := rt.history.Index()
-	matched := matchOuter(idx, cs, kind)
-	if len(matched) == 0 {
-		return nil
-	}
-	rt.mu.Lock()
 	yielded := false
-	for {
+	for matched := matchOuter(idx, cs, kind); len(matched) > 0; {
 		if rt.closed {
-			rt.mu.Unlock()
 			return ErrClosed
-		}
-		// Re-match against the current index each lap: a refresh may
-		// have removed or replaced the signature while we were parked.
-		if cur := rt.history.Index(); cur != idx {
-			idx = cur
-			matched = matchOuter(idx, cs, kind)
-			if len(matched) == 0 {
-				rt.mu.Unlock()
-				return nil
-			}
 		}
 		blockers := rt.threatLocked(matched, gid)
 		if blockers == nil {
-			rt.mu.Unlock()
 			return nil
 		}
 		if !yielded {
@@ -80,7 +66,6 @@ func (rt *Runtime) avoid(gid uint64, cs sig.Stack, kind string) error {
 		if y.proceed {
 			delete(rt.yielders, gid)
 			rt.stats.AvoidanceBreaks++
-			rt.mu.Unlock()
 			return nil
 		}
 		rt.mu.Unlock()
@@ -95,7 +80,13 @@ func (rt *Runtime) avoid(gid uint64, cs sig.Stack, kind string) error {
 
 		rt.mu.Lock()
 		delete(rt.yielders, gid)
+		// Re-match against the current index: a refresh may have
+		// removed or replaced the signature while we were parked.
+		if cur := rt.history.Index(); cur != idx {
+			idx, matched = cur, matchOuter(cur, cs, kind)
+		}
 	}
+	return nil
 }
 
 // threatLocked evaluates whether completing an engagement by gid at a
@@ -127,17 +118,17 @@ refs:
 // coverSlotLocked finds an engagement occupying one signature slot: a
 // live deposit or a blocked op, by a goroutine other than gid and not
 // already covering another slot, on a channel not already used, whose
-// stack matches the slot's outer stack (kind-aware). Deterministic:
-// cores in creation order, deposits in FIFO order, then blocked ops in
-// ascending goroutine order via the cores they wait on. On success the
-// chosen goroutine and channel are recorded in blockers/usedChan.
-// Caller holds rt.mu.
+// stack matches the slot's outer stack (kind-aware). Deposits come
+// first, walking only the channels that hold some (rt.filled, in
+// first-fill order, each FIFO), then blocked ops via the first channel
+// they wait on. On success the chosen goroutine and channel are
+// recorded in blockers/usedChan. Caller holds rt.mu.
 func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[uint64]struct{}, usedChan map[*chanCore]struct{}) bool {
 	if len(want) == 0 {
 		return false
 	}
 	kind := want[len(want)-1].Kind
-	for _, c := range rt.cores {
+	for _, c := range rt.filled {
 		if _, used := usedChan[c]; used {
 			continue
 		}
@@ -186,19 +177,8 @@ func (rt *Runtime) resolveYieldCyclesLocked() {
 	if len(rt.yielders) == 0 {
 		return
 	}
-	gids := make([]uint64, 0, len(rt.yielders))
-	for g := range rt.yielders {
-		gids = append(gids, g)
-	}
 	// Ascending id: force the smallest-id member of any cycle.
-	for i := 0; i < len(gids); i++ {
-		for j := i + 1; j < len(gids); j++ {
-			if gids[j] < gids[i] {
-				gids[i], gids[j] = gids[j], gids[i]
-			}
-		}
-	}
-	for _, g := range gids {
+	for _, g := range slices.Sorted(maps.Keys(rt.yielders)) {
 		y := rt.yielders[g]
 		if y.proceed {
 			continue

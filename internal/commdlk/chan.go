@@ -9,12 +9,13 @@ import (
 )
 
 // Chan is a native Go channel instrumented for communication-deadlock
-// immunity. Non-blocking completions stay on the fast path (one native
-// select plus bookkeeping); an op that would block first passes the
-// avoidance gate (it may park if completing would instantiate a known
-// signature), then registers in the waits-for graph, runs detection,
-// and performs the real native blocking op — releasable by
-// Runtime.Close.
+// immunity. Send, Recv and Select each run one critical section
+// (Runtime.enter) that passes the avoidance gate (it may park if
+// completing would instantiate a known signature), tries the native op
+// without blocking, and records the completion or registers the op's
+// wait in the waits-for graph and runs detection. A registered op then
+// performs the real native blocking op — releasable by Runtime.Close —
+// and withdraws its wait in a second one (Runtime.leave).
 //
 // Close semantics mirror native channels: Close closes the underlying
 // channel (double close panics, send on closed panics); Recv on a
@@ -27,9 +28,16 @@ type Chan[T any] struct {
 // NewChan builds an instrumented channel. name labels the channel in
 // diagnostics; capacity is the native buffer size.
 func NewChan[T any](rt *Runtime, name string, capacity int) *Chan[T] {
+	ch := make(chan T, capacity)
 	return &Chan[T]{
-		ch:   make(chan T, capacity),
-		core: rt.newCore(name, capacity),
+		ch: ch,
+		core: &chanCore{
+			rt:        rt,
+			name:      name,
+			buffered:  func() int { return len(ch) },
+			sendUsers: make(map[uint64]usage),
+			recvUsers: make(map[uint64]usage),
+		},
 	}
 }
 
@@ -37,7 +45,7 @@ func NewChan[T any](rt *Runtime, name string, capacity int) *Chan[T] {
 func (c *Chan[T]) Name() string { return c.core.name }
 
 // Cap returns the channel's buffer capacity.
-func (c *Chan[T]) Cap() int { return c.core.capacity }
+func (c *Chan[T]) Cap() int { return cap(c.ch) }
 
 // Len returns the number of buffered items.
 func (c *Chan[T]) Len() int { return len(c.ch) }
@@ -53,26 +61,23 @@ func (c *Chan[T]) Send(v T) error {
 	}
 	gid := stacktrace.GoroutineID()
 	cs := rt.captureOp(1, sig.KindChanSend)
-	if err := rt.avoid(gid, cs, sig.KindChanSend); err != nil {
+	op, _, err := rt.enter(gid, cs, sig.KindChanSend, []opCase{{c.core, dirSend}}, func() int {
+		select {
+		case c.ch <- v:
+			return 0
+		default:
+			return -1
+		}
+	})
+	if op == nil {
 		return err
 	}
 	select {
 	case c.ch <- v:
-		c.core.completeSend(gid, cs, sig.KindChanSend)
-		return nil
-	default:
-	}
-	op, err := rt.block(gid, cs, sig.KindChanSend, opCase{core: c.core, dir: dirSend})
-	if err != nil {
-		return err
-	}
-	select {
-	case c.ch <- v:
-		rt.unblock(op)
-		c.core.completeSend(gid, cs, sig.KindChanSend)
+		rt.leave(op, 0)
 		return nil
 	case <-rt.closedCh:
-		rt.unblock(op)
+		rt.leave(op, -1)
 		return ErrClosed
 	}
 }
@@ -89,26 +94,23 @@ func (c *Chan[T]) Recv() (v T, ok bool, err error) {
 	}
 	gid := stacktrace.GoroutineID()
 	cs := rt.captureOp(1, sig.KindChanRecv)
-	if err := rt.avoid(gid, cs, sig.KindChanRecv); err != nil {
-		return v, false, err
+	op, _, err := rt.enter(gid, cs, sig.KindChanRecv, []opCase{{c.core, dirRecv}}, func() int {
+		select {
+		case v, ok = <-c.ch:
+			return 0
+		default:
+			return -1
+		}
+	})
+	if op == nil {
+		return v, ok, err
 	}
 	select {
 	case v, ok = <-c.ch:
-		c.core.completeRecv(gid, cs, sig.KindChanRecv)
-		return v, ok, nil
-	default:
-	}
-	op, err := rt.block(gid, cs, sig.KindChanRecv, opCase{core: c.core, dir: dirRecv})
-	if err != nil {
-		return v, false, err
-	}
-	select {
-	case v, ok = <-c.ch:
-		rt.unblock(op)
-		c.core.completeRecv(gid, cs, sig.KindChanRecv)
+		rt.leave(op, 0)
 		return v, ok, nil
 	case <-rt.closedCh:
-		rt.unblock(op)
+		rt.leave(op, -1)
 		return v, false, ErrClosed
 	}
 }
@@ -117,62 +119,46 @@ func (c *Chan[T]) Recv() (v T, ok bool, err error) {
 // they skip the avoidance gate and the graph; they still record usage
 // so the detector learns the channel's senders.
 func (c *Chan[T]) TrySend(v T) bool {
-	rt := c.core.rt
-	if rt.cfg.GraphDisabled {
-		select {
-		case c.ch <- v:
-			return true
-		default:
-			return false
-		}
-	}
 	select {
 	case c.ch <- v:
-		gid := stacktrace.GoroutineID()
-		cs := rt.captureOp(1, sig.KindChanSend)
-		c.core.completeSend(gid, cs, sig.KindChanSend)
-		return true
 	default:
 		return false
 	}
+	if rt := c.core.rt; !rt.cfg.GraphDisabled {
+		rt.record(opCase{c.core, dirSend}, stacktrace.GoroutineID(), rt.captureOp(1, sig.KindChanSend), sig.KindChanSend)
+	}
+	return true
 }
 
 // TryRecv attempts a non-blocking receive. received reports whether a
 // value (or a closed-channel zero value, with ok=false) was taken.
 func (c *Chan[T]) TryRecv() (v T, ok bool, received bool) {
-	rt := c.core.rt
-	if rt.cfg.GraphDisabled {
-		select {
-		case v, ok = <-c.ch:
-			return v, ok, true
-		default:
-			return v, false, false
-		}
-	}
 	select {
 	case v, ok = <-c.ch:
-		gid := stacktrace.GoroutineID()
-		cs := rt.captureOp(1, sig.KindChanRecv)
-		c.core.completeRecv(gid, cs, sig.KindChanRecv)
-		return v, ok, true
 	default:
 		return v, false, false
 	}
+	if rt := c.core.rt; !rt.cfg.GraphDisabled {
+		rt.record(opCase{c.core, dirRecv}, stacktrace.GoroutineID(), rt.captureOp(1, sig.KindChanRecv), sig.KindChanRecv)
+	}
+	return v, ok, true
 }
 
 // Close closes the underlying channel, with native semantics: blocked
-// receivers drain and observe ok=false; a double close panics.
+// receivers drain and observe ok=false; a double close panics. Parked
+// yielders re-evaluate: recvs on a closed channel complete immediately.
 func (c *Chan[T]) Close() {
-	if !c.core.rt.cfg.GraphDisabled {
-		c.core.markClosed()
+	if rt := c.core.rt; !rt.cfg.GraphDisabled {
+		rt.mu.Lock()
+		rt.wakeAllLocked()
+		rt.mu.Unlock()
 	}
 	close(c.ch)
 }
 
 // SelectCase is one case of a Select: build with SendCase or RecvCase.
 type SelectCase struct {
-	core    *chanCore
-	dir     opDir
+	opCase
 	rcase   reflect.SelectCase
 	deliver func(v reflect.Value, ok bool)
 }
@@ -180,8 +166,7 @@ type SelectCase struct {
 // SendCase makes a Select case that sends v on c.
 func SendCase[T any](c *Chan[T], v T) SelectCase {
 	return SelectCase{
-		core: c.core,
-		dir:  dirSend,
+		opCase: opCase{c.core, dirSend},
 		rcase: reflect.SelectCase{
 			Dir:  reflect.SelectSend,
 			Chan: reflect.ValueOf(c.ch),
@@ -195,8 +180,7 @@ func SendCase[T any](c *Chan[T], v T) SelectCase {
 // channel is closed and drained.
 func RecvCase[T any](c *Chan[T], fn func(v T, ok bool)) SelectCase {
 	return SelectCase{
-		core: c.core,
-		dir:  dirRecv,
+		opCase: opCase{c.core, dirRecv},
 		rcase: reflect.SelectCase{
 			Dir:  reflect.SelectRecv,
 			Chan: reflect.ValueOf(c.ch),
@@ -211,14 +195,6 @@ func RecvCase[T any](c *Chan[T], fn func(v T, ok bool)) SelectCase {
 			}
 			fn(v, ok)
 		},
-	}
-}
-
-func (sc *SelectCase) complete(gid uint64, cs sig.Stack) {
-	if sc.dir == dirSend {
-		sc.core.completeSend(gid, cs, sig.KindChanSelect)
-	} else {
-		sc.core.completeRecv(gid, cs, sig.KindChanSelect)
 	}
 }
 
@@ -242,46 +218,42 @@ func Select(cases ...SelectCase) (int, error) {
 	for i := range cases {
 		scs[i] = cases[i].rcase
 	}
+	var (
+		chosen int
+		rv     reflect.Value
+		ok     bool
+		err    error
+	)
 	if rt.cfg.GraphDisabled {
-		chosen, rv, ok := reflect.Select(scs[:len(cases)])
-		if cases[chosen].deliver != nil {
-			cases[chosen].deliver(rv, ok)
+		chosen, rv, ok = reflect.Select(scs[:len(cases)])
+	} else {
+		gid := stacktrace.GoroutineID()
+		cs := rt.captureOp(1, sig.KindChanSelect)
+		ocs := make([]opCase, len(cases))
+		for i := range cases {
+			ocs[i] = cases[i].opCase
 		}
-		return chosen, nil
-	}
-	gid := stacktrace.GoroutineID()
-	cs := rt.captureOp(1, sig.KindChanSelect)
-	if err := rt.avoid(gid, cs, sig.KindChanSelect); err != nil {
-		return -1, err
-	}
-	// Non-blocking attempt.
-	scs[len(cases)] = reflect.SelectCase{Dir: reflect.SelectDefault}
-	if chosen, rv, ok := reflect.Select(scs); chosen < len(cases) {
-		cases[chosen].complete(gid, cs)
-		if cases[chosen].deliver != nil {
-			cases[chosen].deliver(rv, ok)
+		scs[len(cases)] = reflect.SelectCase{Dir: reflect.SelectDefault}
+		var op *blockedOp
+		op, chosen, err = rt.enter(gid, cs, sig.KindChanSelect, ocs, func() int {
+			var i int
+			if i, rv, ok = reflect.Select(scs); i == len(cases) {
+				return -1
+			}
+			return i
+		})
+		if op != nil {
+			// One disjunctive wait, released by any case or Close.
+			scs[len(cases)] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(rt.closedCh)}
+			if chosen, rv, ok = reflect.Select(scs); chosen == len(cases) {
+				chosen, err = -1, ErrClosed
+			}
+			rt.leave(op, chosen)
 		}
-		return chosen, nil
+		if chosen < 0 {
+			return -1, err
+		}
 	}
-	// Blocking path: one disjunctive graph node covering every case.
-	opCases := make([]opCase, len(cases))
-	for i := range cases {
-		opCases[i] = opCase{core: cases[i].core, dir: cases[i].dir}
-	}
-	op, err := rt.block(gid, cs, sig.KindChanSelect, opCases...)
-	if err != nil {
-		return -1, err
-	}
-	scs[len(cases)] = reflect.SelectCase{
-		Dir:  reflect.SelectRecv,
-		Chan: reflect.ValueOf(rt.closedCh),
-	}
-	chosen, rv, ok := reflect.Select(scs)
-	rt.unblock(op)
-	if chosen == len(cases) {
-		return -1, ErrClosed
-	}
-	cases[chosen].complete(gid, cs)
 	if cases[chosen].deliver != nil {
 		cases[chosen].deliver(rv, ok)
 	}

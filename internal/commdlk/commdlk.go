@@ -34,14 +34,17 @@
 // (dimmunix.YieldRehomeTimeout) and a combined wait+yield cycle breaker
 // that forces the smallest-id yielder through.
 //
-// All bookkeeping runs under one runtime mutex — the reference
-// discipline PR 1 established for new subsystems; the differential
-// GraphDisabled arm (raw channel ops, no bookkeeping) doubles as the
-// zero-overhead baseline the runtime bench compares against.
+// All bookkeeping runs under one runtime mutex, and each op decides
+// and engages in one hold of it (Runtime.enter): the threat check, the
+// native non-blocking attempt, and the recorded deposit or registered
+// wait. The differential GraphDisabled arm (raw channel ops, no
+// bookkeeping) doubles as the zero-overhead baseline the runtime bench
+// compares against.
 package commdlk
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"communix/internal/dimmunix"
@@ -138,9 +141,8 @@ type deposit struct {
 type chanCore struct {
 	rt       *Runtime
 	name     string
-	capacity int
+	buffered func() int // the native buffer's current length
 
-	closed    bool
 	deposits  []deposit
 	sendUsers map[uint64]usage
 	recvUsers map[uint64]usage
@@ -179,15 +181,22 @@ type Runtime struct {
 	history *dimmunix.History
 	capture *stacktrace.Cache
 
-	mu       sync.Mutex
-	closed   bool
-	cores    []*chanCore
+	mu     sync.Mutex
+	closed bool
+	// filled holds the channels that currently hold deposits, in
+	// first-fill order: the live engagements avoidance walks.
+	filled   []*chanCore
 	blocked  map[uint64]*blockedOp
 	yielders map[uint64]*yielder
 	stats    Stats
 
 	// closedCh releases every blocked op and parked yielder on Close.
 	closedCh chan struct{}
+
+	// afterAvoidHook, when set by a test, runs in enter under rt.mu once
+	// avoidance has let the op through and before its native attempt:
+	// the window the engagement's record must not leave open.
+	afterAvoidHook func(gid uint64)
 }
 
 // NewRuntime builds a channel-deadlock runtime.
@@ -301,60 +310,113 @@ func suffixMatches(cs sig.Stack, kind string, want sig.Stack) bool {
 	return true
 }
 
-// newCore registers a channel with the runtime.
-func (rt *Runtime) newCore(name string, capacity int) *chanCore {
-	c := &chanCore{
-		rt:        rt,
-		name:      name,
-		capacity:  capacity,
-		sendUsers: make(map[uint64]usage),
-		recvUsers: make(map[uint64]usage),
-	}
+// enter is a channel op's first critical section: one rt.mu hold for
+// the avoidance decision (parking while completing would instantiate a
+// history signature), the native non-blocking attempt try, and then
+// either the completion's record or the op's wait in the graph with
+// detection. Deciding and engaging in one hold is what keeps two ops
+// from both passing avoidance and filling both of a signature's slots.
+// try returns the index of the case it completed, or -1. A nil op
+// reports the outcome: case chosen completed, or err. A non-nil op is
+// the registered wait: the caller performs the native blocking op and
+// hands its outcome to leave. OnDeadlock runs once rt.mu is released,
+// and a panicking try (a send on a closed channel) releases it too.
+func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, try func() int) (op *blockedOp, chosen int, err error) {
+	var dl *dimmunix.Deadlock
 	rt.mu.Lock()
-	rt.cores = append(rt.cores, c)
-	rt.mu.Unlock()
-	return c
-}
-
-// completeSend records a successful send: usage, and — for a buffered
-// channel — a live deposit (the channel analogue of holding a lock).
-func (c *chanCore) completeSend(gid uint64, cs sig.Stack, kind string) {
-	rt := c.rt
-	rt.mu.Lock()
-	c.sendUsers[gid] = usage{stack: cs, kind: kind}
-	if c.capacity > 0 {
-		if len(c.deposits) >= c.capacity {
-			// A racing recv consumed items before its bookkeeping ran;
-			// keep the ledger bounded by the channel's own capacity.
-			c.deposits = c.deposits[1:]
+	defer func() {
+		rt.mu.Unlock()
+		if dl != nil && rt.cfg.OnDeadlock != nil {
+			rt.cfg.OnDeadlock(*dl)
 		}
-		c.deposits = append(c.deposits, deposit{gid: gid, stack: cs, kind: kind})
+	}()
+	if err := rt.avoidLocked(gid, cs, kind); err != nil {
+		return nil, -1, err
 	}
-	rt.mu.Unlock()
+	if rt.afterAvoidHook != nil {
+		rt.afterAvoidHook(gid)
+	}
+	if chosen = try(); chosen >= 0 {
+		rt.recordLocked(cases[chosen], gid, cs, kind)
+		return nil, chosen, nil
+	}
+	if rt.closed {
+		return nil, -1, ErrClosed
+	}
+	op = &blockedOp{gid: gid, cases: cases, stack: cs, kind: kind}
+	rt.blocked[gid] = op
+	rt.stats.Blocked++
+	if dl = rt.detectLocked(op); dl != nil {
+		rt.stats.Deadlocks++
+		if dl.Known {
+			rt.stats.KnownRecurrences++
+		} else {
+			rt.history.Add(dl.Signature)
+		}
+		if rt.cfg.Policy == dimmunix.RecoverBreak {
+			delete(rt.blocked, gid)
+			op, err = nil, ErrDeadlock
+		}
+	}
+	// This wait may have closed a mixed wait+yield cycle.
+	rt.resolveYieldCyclesLocked()
+	return op, -1, err
 }
 
-// completeRecv records a successful recv: usage, the FIFO deposit pop,
-// and a wake — removing an engagement may resolve a parked yielder's
-// threat.
-func (c *chanCore) completeRecv(gid uint64, cs sig.Stack, kind string) {
-	rt := c.rt
+// leave is a blocked op's second critical section, after its native
+// blocking op returned: it withdraws the wait and, unless the runtime
+// closed under it (chosen < 0), records the completion of case chosen.
+// Yielders re-evaluate: the graph lost a node.
+func (rt *Runtime) leave(op *blockedOp, chosen int) {
 	rt.mu.Lock()
-	c.recvUsers[gid] = usage{stack: cs, kind: kind}
-	if len(c.deposits) > 0 {
-		c.deposits = c.deposits[1:]
+	delete(rt.blocked, op.gid)
+	if chosen >= 0 {
+		rt.recordLocked(op.cases[chosen], op.gid, op.stack, op.kind)
 	}
 	rt.wakeAllLocked()
 	rt.mu.Unlock()
 }
 
-// markClosed flags the channel closed and wakes yielders (recvs on a
-// closed channel complete immediately, changing the threat picture).
-func (c *chanCore) markClosed() {
-	rt := c.rt
+// record records a completed try op (TrySend/TryRecv) in its own hold:
+// try ops cannot deadlock, so they skip avoidance and the graph.
+func (rt *Runtime) record(oc opCase, gid uint64, cs sig.Stack, kind string) {
 	rt.mu.Lock()
-	c.closed = true
-	rt.wakeAllLocked()
+	rt.recordLocked(oc, gid, cs, kind)
 	rt.mu.Unlock()
+}
+
+// recordLocked records gid's completed op on oc's channel: its usage,
+// a live deposit for a send (the channel analogue of holding a lock),
+// and for a recv a wake, since removing an engagement may resolve a
+// parked yielder's threat. The deposit ledger mirrors the native
+// buffer, which items leave oldest first: whenever the ledger is longer
+// than the buffer, its oldest entries are gone (received, or handed
+// straight to a receiver) and are dropped. Ops that complete natively
+// outside rt.mu (blocked and try ops) record afterwards, and this rule
+// converges the ledger once they have. A channel is in rt.filled
+// exactly while its ledger is non-empty. Caller holds rt.mu.
+func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string) {
+	c := oc.core
+	was, n := len(c.deposits), c.buffered()
+	if oc.dir == dirSend {
+		c.sendUsers[gid] = usage{stack: cs, kind: kind}
+		if n > 0 {
+			c.deposits = append(c.deposits, deposit{gid: gid, stack: cs, kind: kind})
+		}
+	} else {
+		c.recvUsers[gid] = usage{stack: cs, kind: kind}
+		rt.wakeAllLocked()
+	}
+	if len(c.deposits) > n {
+		c.deposits = c.deposits[len(c.deposits)-n:]
+	}
+	switch {
+	case was == 0 && len(c.deposits) > 0:
+		rt.filled = append(rt.filled, c)
+	case was > 0 && len(c.deposits) == 0:
+		c.deposits = nil
+		rt.filled = slices.DeleteFunc(rt.filled, func(f *chanCore) bool { return f == c })
+	}
 }
 
 // wakeAllLocked nudges every parked yielder to re-evaluate. Channel
@@ -367,56 +429,4 @@ func (rt *Runtime) wakeAllLocked() {
 		default:
 		}
 	}
-}
-
-// block publishes the caller's wait in the graph, runs detection, and
-// applies policy. On a RecoverBreak denial it returns (nil, ErrDeadlock)
-// with the wait withdrawn; otherwise the caller must perform the real
-// blocking op and then call unblock.
-func (rt *Runtime) block(gid uint64, cs sig.Stack, kind string, cases ...opCase) (*blockedOp, error) {
-	op := &blockedOp{gid: gid, cases: cases, stack: cs, kind: kind}
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil, ErrClosed
-	}
-	rt.blocked[gid] = op
-	rt.stats.Blocked++
-
-	dl := rt.detectLocked(op)
-	if dl != nil {
-		rt.stats.Deadlocks++
-		if dl.Known {
-			rt.stats.KnownRecurrences++
-		} else {
-			rt.history.Add(dl.Signature)
-		}
-		if rt.cfg.Policy == dimmunix.RecoverBreak {
-			delete(rt.blocked, gid)
-		}
-	}
-	// This wait may have closed a mixed wait+yield cycle.
-	rt.resolveYieldCyclesLocked()
-	rt.mu.Unlock()
-
-	if dl != nil {
-		if rt.cfg.OnDeadlock != nil {
-			rt.cfg.OnDeadlock(*dl)
-		}
-		if rt.cfg.Policy == dimmunix.RecoverBreak {
-			return nil, ErrDeadlock
-		}
-	}
-	return op, nil
-}
-
-// unblock withdraws a completed (or abandoned) wait and wakes yielders:
-// the graph lost a node and the channel state changed.
-func (rt *Runtime) unblock(op *blockedOp) {
-	rt.mu.Lock()
-	if rt.blocked[op.gid] == op {
-		delete(rt.blocked, op.gid)
-	}
-	rt.wakeAllLocked()
-	rt.mu.Unlock()
 }

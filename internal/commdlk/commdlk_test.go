@@ -2,6 +2,7 @@ package commdlk
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -589,5 +590,192 @@ func TestRingWorkloadRace(t *testing.T) {
 	<-forwarded
 	if st := rt.Stats(); st.Deadlocks != 0 {
 		t.Fatalf("ring workload produced %d false detections", st.Deadlocks)
+	}
+}
+
+// windowFillA and windowFillB are the two outer sites of the window
+// test's signature: each fills a capacity-1 channel.
+func windowFillA(c *Chan[int]) error { return c.Send(1) }
+func windowFillB(c *Chan[int]) error { return c.Send(2) }
+
+// windowSignature builds the semaphore-cycle signature over the two
+// fill sites: each thread holds its own channel (outer) and blocks
+// filling the other's (inner). Each stack keeps only the site's top
+// frame, so the sites match whichever goroutine calls them.
+func windowSignature(t *testing.T) *sig.Signature {
+	t.Helper()
+	rt := NewRuntime(Config{})
+	defer rt.Close()
+	a, b := NewChan[int](rt, "probe-a", 1), NewChan[int](rt, "probe-b", 1)
+	if windowFillA(a) != nil || windowFillB(b) != nil {
+		t.Fatal("probe fills failed")
+	}
+	top := func(c *Chan[int]) sig.Stack {
+		d := c.core.deposits[0]
+		return stampKind(d.stack[len(d.stack)-1:], d.kind)
+	}
+	sa, sb := top(a), top(b)
+	s := sig.New(sig.ThreadSpec{Outer: sa, Inner: sb}, sig.ThreadSpec{Outer: sb, Inner: sa})
+	if err := s.Valid(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestEnterClosesCheckRecordWindow: an op's engagement is recorded in
+// the critical section whose threat check found none. The hook runs in
+// that window — avoidance has let the fill of A through, its deposit is
+// not yet recorded — and starts a second goroutine's fill of B, the
+// signature's other outer slot, giving it time to get through. That
+// fill must end up parked behind A's deposit: were the deposit recorded
+// in a later lock hold, the fill of B would pass avoidance on an empty
+// ledger and both outer slots would be filled, the signature
+// instantiated.
+func TestEnterClosesCheckRecordWindow(t *testing.T) {
+	h := dimmunix.NewHistory()
+	h.Add(windowSignature(t))
+	rt := NewRuntime(Config{History: h})
+	defer rt.Close()
+	a, b := NewChan[int](rt, "win-a", 1), NewChan[int](rt, "win-b", 1)
+
+	hooked := false // written only by this goroutine, inside the hook
+	fillB := make(chan error, 1)
+	rt.afterAvoidHook = func(uint64) {
+		if hooked {
+			return
+		}
+		hooked = true
+		go func() { fillB <- windowFillB(b) }()
+		for deadline := time.Now().Add(200 * time.Millisecond); b.Len() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := windowFillA(a); err != nil {
+		t.Fatal(err)
+	}
+	if !hooked {
+		t.Fatal("the hook never ran")
+	}
+	if a.Len() == 1 && b.Len() == 1 {
+		t.Fatal("both outer slots filled: the fill of B passed avoidance between the fill of A's threat check and its deposit")
+	}
+	waitUntil(t, "the fill of B parked", func() bool { return rt.Waiting() == 1 })
+	if b.Len() != 0 {
+		t.Fatal("B filled while A's deposit stood")
+	}
+	if _, _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fillB; err != nil {
+		t.Fatalf("fill of B: %v", err)
+	}
+	if st := rt.Stats(); st.Yields < 1 || st.Deadlocks != 0 {
+		t.Fatalf("yields=%d deadlocks=%d, want >= 1 and 0", st.Yields, st.Deadlocks)
+	}
+}
+
+// TestSendOnClosedChanPanicsNatively: a Send on a closed Chan panics as
+// a native send does, from inside the op's critical section, and leaves
+// the runtime's lock free: the same runtime then completes a Send/Recv
+// pair.
+func TestSendOnClosedChanPanicsNatively(t *testing.T) {
+	rt := NewRuntime(Config{})
+	defer rt.Close()
+	c := NewChan[int](rt, "closed", 1)
+	c.Close()
+	func() {
+		defer func() {
+			r := recover()
+			if err, ok := r.(runtime.Error); !ok || err.Error() != "send on closed channel" {
+				t.Fatalf("Send on a closed Chan recovered %v, want the native send-on-closed panic", r)
+			}
+		}()
+		_ = c.Send(1)
+	}()
+
+	d := NewChan[int](rt, "after", 0)
+	sent := make(chan error, 1)
+	received := make(chan int, 1)
+	go func() { sent <- d.Send(7) }()
+	go func() {
+		v, _, _ := d.Recv()
+		received <- v
+	}()
+	select {
+	case v := <-received:
+		if err := <-sent; err != nil || v != 7 {
+			t.Fatalf("pair after the panic: sent %v, received %d", err, v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send/Recv pair never completed: the panic left the runtime locked")
+	}
+}
+
+// TestDrainedChanNotRetained: the runtime references a channel's
+// bookkeeping only while the channel holds deposits (or an op waits on
+// it), so a channel that was filled and drained is collected once the
+// program drops it.
+func TestDrainedChanNotRetained(t *testing.T) {
+	rt := NewRuntime(Config{})
+	defer rt.Close()
+	collected := make(chan struct{})
+	func() {
+		c := NewChan[int](rt, "transient", 1)
+		if err := c.Send(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(c.core, func(done chan struct{}) { close(done) }, collected)
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a drained channel was never collected: the runtime still references it")
+}
+
+// TestLedgerConvergesToTheBuffer: a blocked send records its deposit
+// after its native send, by which time a recv may already have taken
+// the item. Once every op has returned and the channel is empty, the
+// deposit ledger must be empty too, and the channel out of the
+// runtime's live-engagement list: a phantom deposit would keep the
+// channel referenced and pose as an engagement to avoidance.
+func TestLedgerConvergesToTheBuffer(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		rt := NewRuntime(Config{})
+		c := NewChan[int](rt, "contended", 1)
+		const perSender = 200
+		var wg sync.WaitGroup
+		for s := 0; s < 2; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					if err := c.Send(i); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 2*perSender; i++ {
+			if _, _, err := c.Recv(); err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+		}
+		wg.Wait()
+		rt.mu.Lock()
+		deposits, filled := len(c.core.deposits), len(rt.filled)
+		rt.mu.Unlock()
+		rt.Close()
+		if deposits != 0 || filled != 0 {
+			t.Fatalf("round %d: empty channel, but the ledger holds %d deposit(s) and %d channel(s) are listed as filled", round, deposits, filled)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package commdlk
 
 import (
-	"sort"
+	"slices"
 
 	"communix/internal/dimmunix"
 	"communix/internal/sig"
@@ -27,7 +27,7 @@ func (rt *Runtime) caseRescuersLocked(gid uint64, oc opCase) []uint64 {
 			out = append(out, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

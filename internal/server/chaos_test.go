@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -10,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"communix/internal/client"
 	"communix/internal/ids"
+	"communix/internal/repo"
+	"communix/internal/sig"
 	"communix/internal/sig/sigtest"
 	"communix/internal/wire"
 )
@@ -66,48 +70,23 @@ func cellListeners(t *testing.T, n int) ([]net.Listener, []string) {
 	return ls, addrs
 }
 
-// chaosUpload pushes one ADD until some cell member acknowledges it —
-// the client retry discipline (chase NotPrimary redirects, ride out
-// Busy and dead-connection windows) reduced to one ADD per session the
-// test controls.
-func chaosUpload(t *testing.T, addrs []string, req wire.Request, timeout time.Duration) {
+// chaosUpload uploads s through the real client until some cell member
+// acknowledges it: the client rotates past dead members and chases
+// NotPrimary redirects; transient failures (a dead peer, a busy or
+// mid-election cell) are retried here until the deadline, and a
+// rejection fails the test at once.
+func chaosUpload(t *testing.T, c *client.Client, s *sig.Signature, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	preferred := ""
 	for {
-		order := addrs
-		if preferred != "" {
-			order = append([]string{preferred}, addrs...)
-		}
-		for _, addr := range order {
-			conn, err := net.DialTimeout("tcp", addr, time.Second)
-			if err != nil {
-				continue
-			}
-			_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-			c := wire.NewConn(conn)
-			var resp wire.Response
-			if _, err = c.Hello(0, ""); err == nil {
-				req.ID = 2
-				if err = c.Send(req); err == nil {
-					err = c.Recv(&resp)
-				}
-			}
-			conn.Close()
-			if err != nil {
-				continue
-			}
-			switch resp.Status {
-			case wire.StatusOK:
-				return
-			case wire.StatusNotPrimary:
-				if resp.Primary != "" {
-					preferred = resp.Primary
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("upload never acknowledged by %v", addrs)
+		err := c.Upload(s)
+		switch {
+		case err == nil:
+			return
+		case errors.Is(err, client.ErrRejected):
+			t.Fatalf("upload rejected: %v", err)
+		case time.Now().After(deadline):
+			t.Fatalf("upload never acknowledged: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -233,19 +212,28 @@ func TestChaosAutoFailoverZeroLossZeroDup(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, token := auth.Issue()
+	rp, err := repo.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New(client.Config{Addr: addrs[0], Peers: addrs[1:], Repo: rp, Token: token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	const total, killAt = 40, 20
 	r := rand.New(rand.NewSource(42))
-	reqs := make([]wire.Request, total)
-	for i := range reqs {
-		reqs[i] = addReq(t, token, sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9))
+	sigs := make([]*sig.Signature, total)
+	for i := range sigs {
+		sigs[i] = sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9)
 	}
 
 	for i := 0; i < killAt; i++ {
-		chaosUpload(t, addrs, reqs[i], 20*time.Second)
+		chaosUpload(t, c, sigs[i], 20*time.Second)
 	}
 	n1.stop()
 	for i := killAt; i < total; i++ {
-		chaosUpload(t, addrs[1:], reqs[i], 30*time.Second)
+		chaosUpload(t, c, sigs[i], 30*time.Second)
 	}
 
 	// Exactly one survivor is primary (the uploads prove at least one).
