@@ -40,7 +40,7 @@ type Application interface {
 	// the unit is not loaded.
 	UnitHash(unit string) (hash string, ok bool)
 	// NestedSiteKeys returns the frame keys of sites proved to be nested
-	// synchronized blocks/methods.
+	// synchronized blocks/methods. The agent only reads the set.
 	NestedSiteKeys() map[string]struct{}
 }
 
@@ -189,9 +189,8 @@ func (a *Agent) OnClassesLoaded() (Report, error) {
 
 // nestedSites fetches the application's nested-site set once for a pass
 // over entries (nil when there are none): an implementation may build
-// the set per call (bytecode.View copies it), and a class load during
-// the pass can only add sites, which OnClassesLoaded's recheck of
-// pending signatures picks up.
+// the set per call, and a class load during the pass can only add sites,
+// which OnClassesLoaded's recheck of pending signatures picks up.
 func (a *Agent) nestedSites(entries []repo.Entry) map[string]struct{} {
 	if len(entries) == 0 {
 		return nil

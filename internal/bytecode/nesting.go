@@ -243,14 +243,11 @@ func computeMaySync(app *App) map[MethodRef]bool {
 }
 
 // NestedSiteKeys returns the frame keys of all sites proved nested — the
-// precomputed set the agent checks signature top frames against.
-func (a *Analysis) NestedSiteKeys() map[string]struct{} {
-	out := make(map[string]struct{}, len(a.nestedKeys))
-	for k := range a.nestedKeys {
-		out[k] = struct{}{}
-	}
-	return out
-}
+// precomputed set the agent checks signature top frames against. It is
+// the analysis's own set, not a copy: an Analysis never changes once
+// built (a View swaps in a new one), so the set is read-only and callers
+// must not modify it.
+func (a *Analysis) NestedSiteKeys() map[string]struct{} { return a.nestedKeys }
 
 // IsNested reports whether the frame key denotes a proved-nested site.
 func (a *Analysis) IsNested(frameKey string) bool {

@@ -250,6 +250,34 @@ func TestNestedSiteKeysMatchFrameKeys(t *testing.T) {
 	}
 }
 
+// TestNestedSiteKeysDoesNotCopy: reading the nested-site set costs the
+// same whatever its size — the analysis hands out its own set, and a
+// View its current analysis's.
+func TestNestedSiteKeysDoesNotCopy(t *testing.T) {
+	app, err := Generate(smallProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Analyze(app)
+	v := NewView(app)
+	for _, c := range app.Classes {
+		if err := v.Load(c.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(v.NestedSiteKeys()); n < 10 || n != len(a.NestedSiteKeys()) {
+		t.Fatalf("nested sets hold %d (view) and %d (analysis), want equal and at least 10", n, len(a.NestedSiteKeys()))
+	}
+	for name, read := range map[string]func() map[string]struct{}{
+		"analysis": a.NestedSiteKeys,
+		"view":     v.NestedSiteKeys,
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = read() }); allocs != 0 {
+			t.Errorf("%s: NestedSiteKeys allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestMethodValidate(t *testing.T) {
 	bad := &Method{Name: "m", Code: []Instr{{Op: OpGoto, Arg: 99}}}
 	if err := bad.Validate(); err == nil {

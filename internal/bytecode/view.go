@@ -110,7 +110,9 @@ func (v *View) UnitHash(class string) (hash string, ok bool) {
 }
 
 // NestedSiteKeys returns the frame keys of sites proved nested within the
-// loaded portion of the application.
+// loaded portion of the application: the current analysis's own set,
+// read-only (see Analysis.NestedSiteKeys). A later Load swaps in a new
+// set and leaves this one as it is.
 func (v *View) NestedSiteKeys() map[string]struct{} {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

@@ -15,7 +15,8 @@ import (
 // without blocking, and records the completion or registers the op's
 // wait in the waits-for graph and runs detection. A registered op then
 // performs the real native blocking op — releasable by Runtime.Close —
-// and withdraws its wait in a second one (Runtime.leave).
+// and withdraws its wait in a second one (Runtime.await), also when the
+// native op panics.
 //
 // Close semantics mirror native channels: Close closes the underlying
 // channel (double close panics, send on closed panics); Recv on a
@@ -72,14 +73,17 @@ func (c *Chan[T]) Send(v T) error {
 	if op == nil {
 		return err
 	}
-	select {
-	case c.ch <- v:
-		rt.leave(op, 0)
-		return nil
-	case <-rt.closedCh:
-		rt.leave(op, -1)
+	if rt.await(op, func() int {
+		select {
+		case c.ch <- v:
+			return 0
+		case <-rt.closedCh:
+			return -1
+		}
+	}) < 0 {
 		return ErrClosed
 	}
+	return nil
 }
 
 // Recv receives a value, blocking until one (or a close) is available.
@@ -105,14 +109,17 @@ func (c *Chan[T]) Recv() (v T, ok bool, err error) {
 	if op == nil {
 		return v, ok, err
 	}
-	select {
-	case v, ok = <-c.ch:
-		rt.leave(op, 0)
-		return v, ok, nil
-	case <-rt.closedCh:
-		rt.leave(op, -1)
+	if rt.await(op, func() int {
+		select {
+		case v, ok = <-c.ch:
+			return 0
+		case <-rt.closedCh:
+			return -1
+		}
+	}) < 0 {
 		return v, false, ErrClosed
 	}
+	return v, ok, nil
 }
 
 // TrySend attempts a non-blocking send. Try ops cannot deadlock, so
@@ -245,10 +252,15 @@ func Select(cases ...SelectCase) (int, error) {
 		if op != nil {
 			// One disjunctive wait, released by any case or Close.
 			scs[len(cases)] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(rt.closedCh)}
-			if chosen, rv, ok = reflect.Select(scs); chosen == len(cases) {
-				chosen, err = -1, ErrClosed
+			if chosen = rt.await(op, func() int {
+				var i int
+				if i, rv, ok = reflect.Select(scs); i == len(cases) {
+					return -1
+				}
+				return i
+			}); chosen < 0 {
+				err = ErrClosed
 			}
-			rt.leave(op, chosen)
 		}
 		if chosen < 0 {
 			return -1, err

@@ -318,9 +318,9 @@ func suffixMatches(cs sig.Stack, kind string, want sig.Stack) bool {
 // from both passing avoidance and filling both of a signature's slots.
 // try returns the index of the case it completed, or -1. A nil op
 // reports the outcome: case chosen completed, or err. A non-nil op is
-// the registered wait: the caller performs the native blocking op and
-// hands its outcome to leave. OnDeadlock runs once rt.mu is released,
-// and a panicking try (a send on a closed channel) releases it too.
+// the registered wait: the caller performs the native blocking op
+// through await. OnDeadlock runs once rt.mu is released, and a
+// panicking try (a send on a closed channel) releases it too.
 func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, try func() int) (op *blockedOp, chosen int, err error) {
 	var dl *dimmunix.Deadlock
 	rt.mu.Lock()
@@ -361,6 +361,16 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 	// This wait may have closed a mixed wait+yield cycle.
 	rt.resolveYieldCyclesLocked()
 	return op, -1, err
+}
+
+// await runs a blocked op's native blocking op, wait, which returns the
+// chosen case or -1 when the runtime closed under it, and then leaves
+// with that case. It leaves also when wait panics, as a native send does
+// on a channel closed while it blocked, so no wait outlives its op.
+func (rt *Runtime) await(op *blockedOp, wait func() int) (chosen int) {
+	chosen = -1
+	defer func() { rt.leave(op, chosen) }()
+	return wait()
 }
 
 // leave is a blocked op's second critical section, after its native

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"communix/internal/ids"
 	"communix/internal/sig/sigtest"
@@ -81,6 +82,64 @@ func BenchmarkGet(b *testing.B) {
 					b.Fatal("bad incremental")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkOpen measures recovery of a durable database of 2,048 and
+// 16,384 records layer by layer, each per record: read (file reads,
+// framing and checksums), prepare (decode, ID and top frames, spread
+// over GOMAXPROCS goroutines) and fold (duplicate set, validation state
+// and log, in log order). It drives the same steps as Open's replay, on
+// a read-only persister; ns/op is the whole recovery.
+func BenchmarkOpen(b *testing.B) {
+	for _, n := range []int{2048, 16384} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := Open(Config{DataDir: dir, Fsync: FsyncOff, MaxPerDay: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(4))
+			ups := make([]Upload, n)
+			for i := range ups {
+				ups[i] = Upload{User: ids.UserID(i + 1), Sig: sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9)}
+			}
+			for _, res := range st.AddBatch(ups) {
+				if !res.Added {
+					b.Fatalf("seed add: %+v", res)
+				}
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var total, prep, fold time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				st := New(Config{})
+				start := time.Now()
+				_, err := openPersister(persistConfig{dir: dir, readOnly: true}, func(run []walEntry) (int, error) {
+					t := time.Now()
+					keys, bad, err := prepare(run)
+					prep += time.Since(t)
+					t = time.Now()
+					if i := st.fold(run[:bad], keys, 0); i < bad {
+						return i, fmt.Errorf("duplicate record %s", keys[i].id)
+					}
+					st.publish(run[:bad])
+					fold += time.Since(t)
+					return bad, err
+				})
+				total += time.Since(start)
+				if err != nil || st.Len() != n {
+					b.Fatalf("recovered %d of %d: %v", st.Len(), n, err)
+				}
+			}
+			per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*n) }
+			b.ReportMetric(per(total-prep-fold), "read-ns/record")
+			b.ReportMetric(per(prep), "prepare-ns/record")
+			b.ReportMetric(per(fold), "fold-ns/record")
 		})
 	}
 }

@@ -713,7 +713,7 @@ func TestPersistCountersExact(t *testing.T) {
 			cfg := persistConfig{dir: t.TempDir(), policy: policy, segMax: int64(segHeaderSize) + 1}
 			open := func() *persister {
 				t.Helper()
-				p, err := openPersister(cfg, func(walEntry) error { return nil })
+				p, err := openPersister(cfg, func([]walEntry) (int, error) { return 0, nil })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -230,7 +231,9 @@ func New(cfg Config) *Store {
 // and replays it into the duplicate set, the per-user validation state,
 // and the GET log, so a restarted server serves the identical signature
 // sequence and still enforces duplicate, adjacency, and budget decisions
-// made before the restart.
+// made before the restart. Each file's records are prepared on up to
+// GOMAXPROCS goroutines and folded in log order (prepare, fold); the
+// first bad record in log order is the one reported.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	st := &Store{
@@ -257,31 +260,46 @@ func Open(cfg Config) (*Store, error) {
 	st.metaDir = cfg.DataDir
 
 	today := st.clock().UTC().Unix() / 86400
-	var recovered []Entry
 	wal, err := openPersister(persistConfig{
 		dir:      cfg.DataDir,
 		policy:   cfg.Fsync,
 		segMax:   cfg.segmentMaxBytes,
 		readOnly: cfg.ReadOnly,
-	}, func(e walEntry) error {
-		s, data, err := decodeEntry(e.data)
-		if err != nil {
-			return err
+	}, func(run []walEntry) (int, error) {
+		keys, bad, err := prepare(run)
+		if i := st.fold(run[:bad], keys, today); i < bad {
+			return i, fmt.Errorf("duplicate record %s", keys[i].id)
 		}
-		id := s.ID()
-		if _, dup := st.present[id]; dup {
-			return fmt.Errorf("duplicate record %s", id)
-		}
-		recovered = append(recovered, Entry{User: e.user, Unix: e.unix, Data: data})
-		st.record(id, len(recovered), e.user, e.unix, topKeys(s), today)
-		return nil
+		st.publish(run[:bad]) // the log only: st.wal is not set yet
+		return bad, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	st.wal = wal
-	st.log.Append(recovered)
 	return st, nil
+}
+
+// fold records a prepared run at the end of the log, in index order:
+// the duplicate set and the per-user validation state (see record). A run
+// holding a signature the store, or an earlier entry of the run, already
+// holds is refused whole: fold records nothing and returns that entry's
+// position. Otherwise it returns len(run). The caller publishes the run
+// next, and holds walMu or owns the store alone.
+func (st *Store) fold(run []walEntry, keys []prepared, today int64) int {
+	seen := make(map[string]struct{}, len(run))
+	for i := range run {
+		_, dup := st.present[keys[i].id]
+		if _, again := seen[keys[i].id]; dup || again {
+			return i
+		}
+		seen[keys[i].id] = struct{}{}
+	}
+	base := st.log.Len() + 1
+	for i, e := range run {
+		st.record(keys[i].id, base+i, e.user, e.unix, keys[i].tops, today)
+	}
+	return len(run)
 }
 
 // record enters a committed entry into the duplicate set, at its 1-based
@@ -560,6 +578,64 @@ func (st *Store) publish(entries []walEntry) error {
 	return err
 }
 
+// prepareChunk is how many entries prepare hands one goroutine at a
+// time. A run of one chunk or less, such as a follower's page of a few
+// entries, is prepared on the calling goroutine alone.
+const prepareChunk = 64
+
+// prepared is what prepare derives from one entry's signature.
+type prepared struct {
+	id   string
+	tops []string
+}
+
+// prepare is the half of recovery and replication that needs no store
+// state: it decodes each entry's signature, replaces its data with the
+// bytes the log keeps (decodeEntry), and derives its ID and top-frame
+// keys. The entries are independent, so the run is cut into chunks of
+// contiguous entries that up to GOMAXPROCS goroutines take in index
+// order, each taking the next chunk as it finishes one; the caller then
+// folds the results into the store in index order. It returns the
+// results and the position of the first entry that failed to decode,
+// with its error: len(run) and nil when none did. Results past that
+// position are unspecified.
+func prepare(run []walEntry) ([]prepared, int, error) {
+	n := len(run)
+	out := make([]prepared, n)
+	chunks := (n + prepareChunk - 1) / prepareChunk
+	bad, errs := make([]int, chunks), make([]error, chunks)
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			for i := c * prepareChunk; i < min((c+1)*prepareChunk, n); i++ {
+				s, data, err := decodeEntry(run[i].data)
+				if err != nil {
+					bad[c], errs[c] = i, err
+					break
+				}
+				run[i].data = data
+				out[i] = prepared{id: s.ID(), tops: topKeys(s)}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			return out, bad[c], err
+		}
+	}
+	return out, n, nil
+}
+
 // decodeEntry decodes a signature read back from the WAL or received
 // from the primary. It returns the bytes the log is to keep: data itself
 // (which the signature may share) when it is exactly what sig.Encode
@@ -661,9 +737,10 @@ func (st *Store) EntryPage(from, maxCount, maxBytes int) ([]Entry, int, bool) {
 // frame decoder only delimits them), even a skipped one that is not
 // JSON, or a new entry whose signature the store or the run already
 // holds fails the run and leaves no trace. The new entries are then
-// recorded exactly as recovery records them — duplicate set, per-user
-// adjacency tops, and the daily budget using the primary's commit
-// timestamps — and written through the WAL like any accepted upload, so
+// prepared and recorded exactly as recovery does it (prepare, fold) —
+// duplicate set, per-user adjacency tops, and the daily budget using
+// the primary's commit timestamps — and written through the WAL like
+// any accepted upload, so
 // a follower's directory is recoverable and re-shippable like a
 // primary's. It returns how many entries were newly applied.
 func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
@@ -687,20 +764,12 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 		return 0, nil
 	}
 	batch := make([]walEntry, len(entries))
-	keys := make([]string, len(entries))
-	tops := make([][]string, len(entries))
-	inRun := make(map[string]struct{}, len(entries))
 	for i, e := range entries {
-		s, data, err := decodeEntry(e.Data)
-		if err != nil {
-			return 0, fmt.Errorf("store: replicated entry: %w", err)
-		}
-		keys[i], tops[i] = s.ID(), topKeys(s)
-		if _, dup := inRun[keys[i]]; dup {
-			return 0, fmt.Errorf("store: replicated duplicate %s", keys[i])
-		}
-		inRun[keys[i]] = struct{}{}
-		batch[i] = walEntry{user: e.User, unix: e.Unix, data: data}
+		batch[i] = walEntry{user: e.User, unix: e.Unix, data: e.Data}
+	}
+	keys, _, err := prepare(batch)
+	if err != nil {
+		return 0, fmt.Errorf("store: replicated entry: %w", err)
 	}
 	today := st.clock().UTC().Unix() / 86400
 	st.walMu.Lock()
@@ -708,14 +777,8 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if st.closed.Load() {
 		return 0, ErrClosed
 	}
-	for _, id := range keys {
-		if _, dup := st.present[id]; dup {
-			return 0, fmt.Errorf("store: replicated duplicate %s", id)
-		}
-	}
-	first := st.log.Len() + 1
-	for i, e := range batch {
-		st.record(keys[i], first+i, e.user, e.unix, tops[i], today)
+	if i := st.fold(batch, keys, today); i < len(batch) {
+		return 0, fmt.Errorf("store: replicated duplicate %s", keys[i].id)
 	}
 	return len(batch), st.publish(batch)
 }

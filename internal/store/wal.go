@@ -17,8 +17,8 @@ import (
 
 // FsyncPolicy selects when the write-ahead log calls fsync. The policy
 // trades durability of the most recent batches against ingestion
-// throughput; see docs/ARCHITECTURE.md ("Persistence") for the
-// trade-offs and measured effect.
+// throughput; see docs/ARCHITECTURE.md ("Fsync policy") for the
+// trade-offs.
 type FsyncPolicy int
 
 // Fsync policies.
@@ -277,10 +277,11 @@ type PersistStats struct {
 
 // openPersister opens (creating if needed) the data directory, recovers
 // the durable record sequence — every record file in name order,
-// tolerating a torn record at the tail of the last segment — and
-// invokes apply for every recovered entry in log order. On return the
-// persister is ready to append (unless readOnly).
-func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, error) {
+// tolerating a torn record at the tail of the last segment — and hands
+// apply each file's recovered entries as one run, in log order (see
+// recoverFiles). On return the persister is ready to append (unless
+// readOnly).
+func openPersister(cfg persistConfig, apply applyFunc) (*persister, error) {
 	if !cfg.readOnly {
 		if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: data dir: %w", err)
@@ -340,19 +341,26 @@ func openPersister(cfg persistConfig, apply func(walEntry) error) (*persister, e
 	return p, nil
 }
 
+// applyFunc folds one run of recovered entries, in log order, into the
+// store. On failure it returns the position in the run of the entry at
+// fault, which recovery reports by its global index.
+type applyFunc func(run []walEntry) (int, error)
+
 // recoverFiles replays, in name order, every record with a global index
 // past those already recovered, enforcing contiguity. Legacy snapshots
 // sort before every segment and read as sealed segments whose first
 // record is 1; a record an earlier file already holds (an older
 // snapshot, or a folded segment, that a crashed fold left behind) is
-// skipped. The last segment tolerates a torn tail: the first short or
-// corrupt record ends recovery and (in read-write mode) the file is
-// truncated to the valid prefix. The same condition in any other file —
-// a legacy snapshot included, which its writer fsynced before renaming
-// it into place — is unrecoverable corruption. It returns the last
-// segment (recovery's candidate active segment), or nil when there is
-// none.
-func (p *persister) recoverFiles(names []string, apply func(walEntry) error) (*tailSeg, error) {
+// skipped. Each file's framing and checksums are checked first, then its
+// new records go to apply as one run. The last segment tolerates a torn
+// tail: the first short or corrupt record ends recovery and (in
+// read-write mode) the file is truncated to the valid prefix. The same
+// condition in any other file — a legacy snapshot included, which its
+// writer fsynced before renaming it into place — is unrecoverable
+// corruption; the records before it are applied first, so the first bad
+// record in log order is the one reported. It returns the last segment
+// (recovery's candidate active segment), or nil when there is none.
+func (p *persister) recoverFiles(names []string, apply applyFunc) (*tailSeg, error) {
 	var tail *tailSeg
 	for i, name := range names {
 		path := filepath.Join(p.cfg.dir, name)
@@ -386,29 +394,33 @@ func (p *persister) recoverFiles(names []string, apply func(walEntry) error) (*t
 		if first > p.next {
 			return nil, fmt.Errorf("store: %s: starts at record %d, want %d (missing segment)", path, first, p.next)
 		}
-		idx := first
+		idx, runFirst := first, p.next
 		valid := headerSize
 		rest := b[headerSize:]
+		var run []walEntry
+		var corrupt error
 		for len(rest) > 0 {
 			e, n, err := decodeRecord(rest)
 			if err != nil {
 				if !last {
-					return nil, fmt.Errorf("store: %s: record %d: %w", path, idx, err)
+					corrupt = fmt.Errorf("store: %s: record %d: %w", path, idx, err)
 				}
 				break // torn tail: keep the longest valid prefix
 			}
-			if idx >= p.next {
-				if idx != p.next {
-					return nil, fmt.Errorf("store: %s: record %d out of order (want %d)", path, idx, p.next)
-				}
-				if err := apply(e); err != nil {
-					return nil, fmt.Errorf("store: %s: record %d: %w", path, idx, err)
-				}
-				p.next = idx + 1
+			// idx never passes p.next: the file starts at or before it.
+			if idx == p.next {
+				run = append(run, e)
+				p.next++
 			}
 			idx++
 			valid += n
 			rest = rest[n:]
+		}
+		if bad, err := apply(run); err != nil {
+			return nil, fmt.Errorf("store: %s: record %d: %w", path, runFirst+uint64(bad), err)
+		}
+		if corrupt != nil {
+			return nil, corrupt
 		}
 		if snap {
 			// Compared, never allocated by: a corrupt count fails Open.
