@@ -1,10 +1,6 @@
 package commdlk
 
 import (
-	"maps"
-	"slices"
-	"time"
-
 	"communix/internal/dimmunix"
 	"communix/internal/sig"
 )
@@ -37,16 +33,17 @@ func matchOuter(idx *dimmunix.AvoidIndex, cs sig.Stack, kind string) []dimmunix.
 // engages its channel. If the op's stack matches a history signature's
 // outer slot and the signature's other slots are occupied — distinct
 // goroutines engaged on distinct channels at the slots' sites — the op
-// parks, releasing rt.mu, until the threat dissolves, with the re-home
-// timeout shared with dimmunix's mutex yielders and a wait+yield cycle
-// breaker that forces the smallest-id yielder through. It returns with
-// rt.mu held: nil once the op may engage, ErrClosed if the runtime shut
-// down while it was parked.
+// yields with dimmunix's discipline (dimmunix.Yielder): it parks,
+// releasing rt.mu, until the threat dissolves or the wait+yield cycle
+// breaker forces it through. It returns with rt.mu held: nil once the
+// op may engage, ErrClosed if the runtime shut down while it was
+// parked.
 func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 	if rt.cfg.AvoidanceDisabled {
 		return nil
 	}
 	idx := rt.history.Index()
+	tid := dimmunix.ThreadID(gid)
 	yielded := false
 	for matched := matchOuter(idx, cs, kind); len(matched) > 0; {
 		if rt.closed {
@@ -60,26 +57,22 @@ func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 			yielded = true
 			rt.stats.Yields++
 		}
-		y := &yielder{gid: gid, blockers: blockers, wake: make(chan struct{}, 1)}
-		rt.yielders[gid] = y
-		rt.resolveYieldCyclesLocked()
-		if y.proceed {
-			delete(rt.yielders, gid)
+		y := dimmunix.NewYielder(tid, blockers)
+		rt.yielders[tid] = y
+		dimmunix.BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
+		if !y.Forced {
+			rt.mu.Unlock()
+			y.Park()
+			rt.mu.Lock()
+		}
+		delete(rt.yielders, tid)
+		if rt.closed {
+			return ErrClosed
+		}
+		if y.Forced {
 			rt.stats.AvoidanceBreaks++
 			return nil
 		}
-		rt.mu.Unlock()
-
-		rehome := time.NewTimer(dimmunix.YieldRehomeTimeout())
-		select {
-		case <-y.wake:
-		case <-rehome.C:
-		case <-rt.closedCh:
-		}
-		rehome.Stop()
-
-		rt.mu.Lock()
-		delete(rt.yielders, gid)
 		// Re-match against the current index: a refresh may have
 		// removed or replaced the signature while we were parked.
 		if cur := rt.history.Index(); cur != idx {
@@ -89,16 +82,33 @@ func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 	return nil
 }
 
+// waitsOnLocked is the wait edge of the yield graph: the goroutines
+// that could rescue g's blocked op, over all its cases. Caller holds
+// rt.mu.
+func (rt *Runtime) waitsOnLocked(g dimmunix.ThreadID) []dimmunix.ThreadID {
+	op, ok := rt.blocked[uint64(g)]
+	if !ok {
+		return nil
+	}
+	var out []dimmunix.ThreadID
+	for _, oc := range op.cases {
+		for _, r := range rt.caseRescuersLocked(op.gid, oc) {
+			out = append(out, dimmunix.ThreadID(r))
+		}
+	}
+	return out
+}
+
 // threatLocked evaluates whether completing an engagement by gid at a
 // matched signature slot would instantiate the signature: every other
 // slot must be occupied by a distinct goroutine's engagement on a
 // distinct channel. Returns the occupying goroutines of the first
 // threatening signature in ref order (the index's deterministic order),
 // or nil. Caller holds rt.mu.
-func (rt *Runtime) threatLocked(matched []dimmunix.SlotRef, gid uint64) map[uint64]struct{} {
+func (rt *Runtime) threatLocked(matched []dimmunix.SlotRef, gid uint64) map[dimmunix.ThreadID]struct{} {
 refs:
 	for _, ref := range matched {
-		blockers := make(map[uint64]struct{}, len(ref.Sig.Threads)-1)
+		blockers := make(map[dimmunix.ThreadID]struct{}, len(ref.Sig.Threads)-1)
 		usedChan := make(map[*chanCore]struct{}, len(ref.Sig.Threads)-1)
 		for slot := range ref.Sig.Threads {
 			if slot == ref.Slot {
@@ -123,7 +133,7 @@ refs:
 // first-fill order, each FIFO), then blocked ops via the first channel
 // they wait on. On success the chosen goroutine and channel are
 // recorded in blockers/usedChan. Caller holds rt.mu.
-func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[uint64]struct{}, usedChan map[*chanCore]struct{}) bool {
+func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[dimmunix.ThreadID]struct{}, usedChan map[*chanCore]struct{}) bool {
 	if len(want) == 0 {
 		return false
 	}
@@ -136,11 +146,11 @@ func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[uint
 			if d.gid == gid || d.kind != kind {
 				continue
 			}
-			if _, used := blockers[d.gid]; used {
+			if _, used := blockers[dimmunix.ThreadID(d.gid)]; used {
 				continue
 			}
 			if suffixMatches(d.stack, d.kind, want) {
-				blockers[d.gid] = struct{}{}
+				blockers[dimmunix.ThreadID(d.gid)] = struct{}{}
 				usedChan[c] = struct{}{}
 				return true
 			}
@@ -150,7 +160,7 @@ func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[uint
 		if g == gid || op.kind != kind {
 			continue
 		}
-		if _, used := blockers[g]; used {
+		if _, used := blockers[dimmunix.ThreadID(g)]; used {
 			continue
 		}
 		core := op.cases[0].core
@@ -158,69 +168,9 @@ func (rt *Runtime) coverSlotLocked(want sig.Stack, gid uint64, blockers map[uint
 			continue
 		}
 		if suffixMatches(op.stack, op.kind, want) {
-			blockers[g] = struct{}{}
+			blockers[dimmunix.ThreadID(g)] = struct{}{}
 			usedChan[core] = struct{}{}
 			return true
-		}
-	}
-	return false
-}
-
-// resolveYieldCyclesLocked breaks combined wait+yield cycles: a parked
-// yielder whose blockers — followed transitively through other
-// yielders' blockers and blocked ops' rescuer sets — lead back to
-// itself would otherwise park forever (nothing will release the
-// engagements it waits out). The smallest-id such yielder is forced
-// through, mirroring dimmunix's avoidance-cycle breaker. Caller holds
-// rt.mu.
-func (rt *Runtime) resolveYieldCyclesLocked() {
-	if len(rt.yielders) == 0 {
-		return
-	}
-	// Ascending id: force the smallest-id member of any cycle.
-	for _, g := range slices.Sorted(maps.Keys(rt.yielders)) {
-		y := rt.yielders[g]
-		if y.proceed {
-			continue
-		}
-		if rt.reachesYielderLocked(y.blockers, g, make(map[uint64]bool)) {
-			y.proceed = true
-			select {
-			case y.wake <- struct{}{}:
-			default:
-			}
-			return
-		}
-	}
-}
-
-// reachesYielderLocked reports whether any of the given goroutines can
-// reach target by following blocker/rescuer edges. Caller holds rt.mu.
-func (rt *Runtime) reachesYielderLocked(from map[uint64]struct{}, target uint64, visited map[uint64]bool) bool {
-	for g := range from {
-		if g == target {
-			return true
-		}
-		if visited[g] {
-			continue
-		}
-		visited[g] = true
-		if y, ok := rt.yielders[g]; ok && !y.proceed {
-			if rt.reachesYielderLocked(y.blockers, target, visited) {
-				return true
-			}
-		}
-		if op, ok := rt.blocked[g]; ok {
-			for _, oc := range op.cases {
-				rs := rt.caseRescuersLocked(g, oc)
-				set := make(map[uint64]struct{}, len(rs))
-				for _, r := range rs {
-					set[r] = struct{}{}
-				}
-				if rt.reachesYielderLocked(set, target, visited) {
-					return true
-				}
-			}
 		}
 	}
 	return false

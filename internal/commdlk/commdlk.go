@@ -26,13 +26,12 @@
 // byte-for-byte unchanged, while a channel site can never suffix-match
 // a mutex signature or vice versa.
 //
-// Avoidance is the same yield discipline as the mutex runtime: an op
-// whose call stack suffix-matches a history signature's outer stack,
-// while the signature's other slots are occupied by distinct
-// goroutines' engagements on distinct channels, parks before engaging —
-// with the re-home timeout shared with dimmunix's yielders
-// (dimmunix.YieldRehomeTimeout) and a combined wait+yield cycle breaker
-// that forces the smallest-id yielder through.
+// Avoidance is the mutex runtime's yield discipline (dimmunix.Yielder,
+// dimmunix.BreakYieldCycles): an op whose call stack suffix-matches a
+// history signature's outer stack, while the signature's other slots
+// are occupied by distinct goroutines' engagements on distinct
+// channels, parks before engaging, and a wait+yield cycle forces its
+// smallest-id yielder through.
 //
 // All bookkeeping runs under one runtime mutex, and each op decides
 // and engages in one hold of it (Runtime.enter): the threat check, the
@@ -163,17 +162,6 @@ type blockedOp struct {
 	kind  string
 }
 
-// yielder is a parked channel op: avoidance decided that completing it
-// would instantiate a known signature. blockers are the goroutines
-// whose engagements occupy the signature's other slots — the edges the
-// wait+yield cycle breaker follows.
-type yielder struct {
-	gid      uint64
-	blockers map[uint64]struct{}
-	wake     chan struct{}
-	proceed  bool
-}
-
 // Runtime maintains the process's channel waits-for graph, detector,
 // and avoidance state.
 type Runtime struct {
@@ -187,10 +175,10 @@ type Runtime struct {
 	// first-fill order: the live engagements avoidance walks.
 	filled   []*chanCore
 	blocked  map[uint64]*blockedOp
-	yielders map[uint64]*yielder
+	yielders map[dimmunix.ThreadID]*dimmunix.Yielder
 	stats    Stats
 
-	// closedCh releases every blocked op and parked yielder on Close.
+	// closedCh releases every blocked op on Close.
 	closedCh chan struct{}
 
 	// afterAvoidHook, when set by a test, runs in enter under rt.mu once
@@ -212,7 +200,7 @@ func NewRuntime(cfg Config) *Runtime {
 		history:  cfg.History,
 		capture:  stacktrace.NewCache(stacktrace.NewRegistry()),
 		blocked:  make(map[uint64]*blockedOp),
-		yielders: make(map[uint64]*yielder),
+		yielders: make(map[dimmunix.ThreadID]*dimmunix.Yielder),
 		closedCh: make(chan struct{}),
 	}
 }
@@ -359,7 +347,7 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 		}
 	}
 	// This wait may have closed a mixed wait+yield cycle.
-	rt.resolveYieldCyclesLocked()
+	dimmunix.BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
 	return op, -1, err
 }
 
@@ -434,9 +422,6 @@ func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string
 // dimmunix's per-signature shards and bounded by the same cardinality.
 func (rt *Runtime) wakeAllLocked() {
 	for _, y := range rt.yielders {
-		select {
-		case y.wake <- struct{}{}:
-		default:
-		}
+		y.Wake()
 	}
 }

@@ -674,6 +674,83 @@ func TestEnterClosesCheckRecordWindow(t *testing.T) {
 	}
 }
 
+// TestChanWaitYieldCycleBroken: a parked channel yielder whose blocker
+// is itself blocked on an op only the yielder can rescue closes a
+// wait+yield cycle. The re-home timeout is a minute, so only the cycle
+// breaker can free the yielder: it must force it through exactly once,
+// after which every goroutine finishes and nothing waits.
+func TestChanWaitYieldCycleBroken(t *testing.T) {
+	dimmunix.SetYieldRehomeTimeout(time.Minute)
+	defer dimmunix.SetYieldRehomeTimeout(time.Second)
+
+	h := dimmunix.NewHistory()
+	h.Add(windowSignature(t))
+	rt := NewRuntime(Config{History: h})
+	defer rt.Close()
+	a, b := NewChan[int](rt, "cyc-a", 1), NewChan[int](rt, "cyc-b", 1)
+	rescue := NewChan[int](rt, "cyc-rescue", 1)
+
+	var (
+		warm      = make(chan struct{})
+		fillA     = make(chan struct{})
+		recvNow   = make(chan struct{})
+		yielder   = make(chan error, 1)
+		blocker   = make(chan error, 1)
+		blockerIn = make(chan error, 1)
+	)
+	go func() {
+		// One warmup send makes this goroutine rescue's only known
+		// sender: the one goroutine that can rescue a recv on it.
+		if err := rescue.Send(0); err != nil {
+			yielder <- err
+			return
+		}
+		close(warm)
+		<-fillA
+		if err := windowFillA(a); err != nil { // parks behind the fill of B
+			yielder <- err
+			return
+		}
+		yielder <- rescue.Send(1)
+	}()
+	<-warm
+	if _, _, err := rescue.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		blockerIn <- windowFillB(b)
+		<-recvNow
+		_, _, err := rescue.Recv() // closes the cycle
+		blocker <- err
+	}()
+	if err := <-blockerIn; err != nil {
+		t.Fatal(err)
+	}
+	close(fillA)
+	waitUntil(t, "the fill of A parked", func() bool { return rt.Waiting() == 1 })
+	close(recvNow)
+	for name, done := range map[string]chan error{"yielder": yielder, "blocker": blocker} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished: the wait+yield cycle was not broken", name)
+		}
+	}
+	st := rt.Stats()
+	if st.AvoidanceBreaks != 1 || st.Yields != 1 || st.Deadlocks != 0 {
+		t.Fatalf("breaks=%d yields=%d deadlocks=%d, want 1, 1 and 0", st.AvoidanceBreaks, st.Yields, st.Deadlocks)
+	}
+	if n := rt.Waiting(); n != 0 {
+		t.Fatalf("Waiting() = %d after every op returned, want 0", n)
+	}
+	if a.Len() != 1 || b.Len() != 1 {
+		t.Fatalf("a holds %d and b %d items, want one each", a.Len(), b.Len())
+	}
+}
+
 // TestSendOnClosedChanPanicsNatively: a Send on a closed Chan panics as
 // a native send does, from inside the op's critical section, and leaves
 // the runtime's lock free: the same runtime then completes a Send/Recv

@@ -11,20 +11,19 @@ import (
 // prefix from tid is the cycle (in wait order).
 func (rt *Runtime) findCycleLocked(tid ThreadID) []ThreadID {
 	var chain []ThreadID
-	seen := make(map[ThreadID]int, 8)
+	seen := make(map[ThreadID]struct{}, 8)
 	cur := tid
 	for {
-		if idx, dup := seen[cur]; dup {
+		if _, dup := seen[cur]; dup {
 			if cur != tid {
 				// The chase converged on a pre-existing cycle that does
 				// not include tid: tid merely waits on a deadlocked
 				// thread. Only the cycle's own closer fingerprints it.
-				_ = idx
 				return nil
 			}
 			return chain
 		}
-		seen[cur] = len(chain)
+		seen[cur] = struct{}{}
 		chain = append(chain, cur)
 		ts, ok := rt.threads[cur]
 		if !ok || ts.wait == nil {

@@ -133,7 +133,7 @@ func parked(rt *Runtime, tid ThreadID) bool {
 		return !ts.wait.notified
 	}
 	if y, ok := rt.yielders[tid]; ok {
-		return !y.proceed && !y.woken.Load()
+		return !y.Forced && !y.woken.Load()
 	}
 	return false
 }
@@ -537,7 +537,7 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 			}
 		}
 		if y, ok := r.ref.yielders[parkedTid]; ok {
-			for b := range y.blockers {
+			for b := range y.Blockers {
 				blockers[b] = struct{}{}
 			}
 		}

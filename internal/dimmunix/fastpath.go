@@ -99,19 +99,17 @@ func fastWordRec(w uint64) uint64   { return (w >> fastRecShift) & fastRecMax }
 
 // fastAcquire tries to complete the acquisition without rt.mu. It
 // reports whether the lock was granted; false means the caller must take
-// the slow path (contention, index match, slow-managed lock, shutdown,
-// or an unrepresentable thread id). A false return may carry the matched
-// path's already-evaluated threat (threatCarry, with its yielder
-// registered in the matched shards) for the slow path to adopt instead
-// of re-evaluating; the caller must pass it to acquireSlow.
-func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *threatCarry) {
+// the slow path (contention, a live threat or an index match the
+// matched path may not take, slow-managed lock, shutdown, or an
+// unrepresentable thread id).
+func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) bool {
 	if uint64(tid) > fastTidMax {
-		return false, nil
+		return false
 	}
 	for {
 		w := l.fast.Load()
 		if w&fastSlowBit != 0 {
-			return false, nil
+			return false
 		}
 		if w&fastPendingBit != 0 {
 			// Another acquirer is two instructions from publishing — unless
@@ -121,22 +119,22 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 			continue
 		}
 		if rt.closed.Load() {
-			return false, nil
+			return false
 		}
 		if w != 0 {
 			if fastWordTid(w) != tid {
 				// Fast-held by another thread: contention. The slow path
 				// revokes and queues.
-				return false, nil
+				return false
 			}
 			// Reentrant hold. Like the slow path's reentrant branch this
 			// bypasses avoidance and registers nothing: the hold's outer
 			// stack was vetted when it was first granted.
 			if fastWordRec(w) == fastRecMax {
-				return false, nil // counter exhausted: continue in slow mode
+				return false // counter exhausted: continue in slow mode
 			}
 			if l.fast.CompareAndSwap(w, w+fastRecUnit) {
-				return true, nil
+				return true
 			}
 			continue // raced with revocation; retry
 		}
@@ -146,7 +144,7 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 			// sweep must be able to find it — so take the slow path once;
 			// maybeRestoreFastLocked re-registers the lock before making
 			// it fast-eligible again.
-			return false, nil
+			return false
 		}
 		idx := rt.history.Index()
 		// Match the stack against the index without allocating in the
@@ -179,7 +177,7 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 			// Matched, with the sharded matched path switched off: the
 			// stack occupies a signature slot and the global-mutex path
 			// must see it.
-			return false, nil
+			return false
 		}
 		if !l.fast.CompareAndSwap(0, uint64(tid)|fastPendingBit) {
 			continue // lost to another acquirer or a revocation; re-evaluate
@@ -195,21 +193,19 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 		// and keep the lock; flag clear — assume pruned and retreat.
 		if !l.registered.Load() {
 			l.fast.Store(0)
-			return false, nil
+			return false
 		}
 		if len(refs) != 0 {
 			// Matched: evaluate the threat and register positions under
 			// only the matched signatures' shard locks (shard.go). Failure
 			// — a live threat, or the index moved — aborts the claim and
-			// retreats to the slow path, which adopts the carried threat
-			// (or re-evaluates, if the index moved) under rt.mu and yields
-			// if it persists.
-			ok, carry := rt.matchedFastAcquire(tid, l, cs, idx, refs)
-			if !ok {
+			// retreats to the slow path, which re-evaluates under rt.mu
+			// and yields if the threat persists.
+			if !rt.matchedFastAcquire(tid, l, cs, idx, refs) {
 				l.fast.Store(0)
-				return false, carry
+				return false
 			}
-			return true, nil
+			return true
 		}
 		// Index: a signature matching cs may have been installed since
 		// the check above, and the refresh sweep may already have run
@@ -229,14 +225,14 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 		// will import the published hold.
 		if idx2 := rt.history.idx.Load(); idx2 != idx && idx2.Matches(cs) {
 			l.fast.Store(0)
-			return false, nil
+			return false
 		}
 		l.fastOuter = cs
 		l.fastSlots = l.fastSlots[:0] // unmatched holds occupy no slots
 		l.fastTop.Store(stackTopHash(cs))
 		l.fast.Store(uint64(tid))
 		rt.stats.acquisitions.Add(1)
-		return true, nil
+		return true
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"communix/internal/sig"
 )
 
-// Tests for the history refresh (delta application), the matched fast
-// path's yield carryover, the yielder re-home timeout, and the lock
-// registry's cold-slow-lock aging.
+// Tests for the history refresh (delta application), the wake of a
+// yielder retreating from the matched fast path, the yielder re-home
+// timeout, and the lock registry's cold-slow-lock aging.
 
 // shardDigest renders the runtime's registered position state in a
 // runtime-independent form: one line per (signature ID, slot, thread,
@@ -267,12 +267,17 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 	}
 }
 
-// TestYieldCarryoverAdoption pins the matched fast path's threat
-// carryover: the fast attempt that detects the threat registers its
-// yielder in the matched shards, the slow path adopts it (one yield, no
-// re-evaluation), and the blocker's lock-free release wakes it through
-// the shard.
-func TestYieldCarryoverAdoption(t *testing.T) {
+// TestMatchedThreatWakesThroughShard pins the retreat of a threatened
+// matched fast attempt: the attempt aborts its claim, the slow path
+// re-evaluates and yields once, registering its yielder in the matched
+// shard, and the blocker's lock-free release wakes it through that
+// shard. The re-home timeout is a minute, so a wake lost between the
+// fast abort and the slow park would hang the test.
+func TestMatchedThreatWakesThroughShard(t *testing.T) {
+	old := yieldRehomeNanos.Load()
+	yieldRehomeNanos.Store(int64(time.Minute))
+	defer yieldRehomeNanos.Store(old)
+
 	rt := NewRuntime(Config{Policy: RecoverBreak})
 	defer rt.Close()
 	ps := newPairStacks()
@@ -291,10 +296,10 @@ func TestYieldCarryoverAdoption(t *testing.T) {
 		return parked
 	}, "thread 2 parked as a yielder")
 	if y := rt.Stats().Yields; y != 1 {
-		t.Fatalf("yields = %d, want exactly 1 (carried threat must not be re-counted)", y)
+		t.Fatalf("yields = %d, want exactly 1 (the aborted fast attempt must not count one)", y)
 	}
-	// The carried yielder is registered in the matched signature's shard,
-	// where the blocker's matched fast release will find it.
+	// The yielder is registered in the matched signature's shard, where
+	// the blocker's matched fast release will find it.
 	inShard := 0
 	rt.shards.Range(func(_, v any) bool {
 		sh := v.(*sigShard)
@@ -306,7 +311,7 @@ func TestYieldCarryoverAdoption(t *testing.T) {
 		return true
 	})
 	if inShard == 0 {
-		t.Fatal("carried yielder not registered in any shard")
+		t.Fatal("yielder not registered in any shard")
 	}
 
 	// Thread 1's release is a matched fast release: it never takes rt.mu,

@@ -116,7 +116,7 @@ type Runtime struct {
 
 	mu         sync.Mutex
 	threads    map[ThreadID]*threadState
-	yielders   map[ThreadID]*yielder
+	yielders   map[ThreadID]*Yielder
 	nextLockID atomic.Uint64
 
 	// applied is the index the position table reflects: every shard
@@ -242,37 +242,6 @@ func notifyLocked(w *waiter, err error) bool {
 	return true
 }
 
-// yielder is a thread suspended by the avoidance module. It is
-// registered both in rt.yielders (cycle resolution, global wakes,
-// Close) and in the shard of every signature its stack matches (so a
-// matched fast release can wake it without rt.mu).
-type yielder struct {
-	thread ThreadID
-	// blockers are the threads occupying the other slots of the
-	// signature(s) whose instantiation this thread would complete.
-	blockers map[ThreadID]struct{}
-	wake     chan struct{} // buffered(1)
-	// proceed forces the thread past avoidance (avoidance-cycle breaker).
-	// Written and read under rt.mu only.
-	proceed bool
-	// woken records that a wake was delivered: the yielder is
-	// re-evaluating, not durably parked. Atomic because wakers run under
-	// rt.mu or under a shard lock while readers (test instrumentation)
-	// hold rt.mu only. A thread that yields again does so under a fresh
-	// yielder value.
-	woken atomic.Bool
-}
-
-// wakeYielder delivers a wake to y exactly once per park. Callers hold
-// rt.mu or the shard lock y is registered under.
-func wakeYielder(y *yielder) {
-	y.woken.Store(true)
-	select {
-	case y.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Lock is a mutex managed by a Runtime. Create with NewLock; acquire and
 // release through the Runtime (or wrap in a Mutex for native use). Locks
 // are reentrant, like Java monitors.
@@ -335,7 +304,7 @@ func NewRuntime(cfg Config) *Runtime {
 		capture:  stacktrace.NewCache(stacktrace.NewRegistry()),
 		applied:  emptyIndex,
 		threads:  make(map[ThreadID]*threadState),
-		yielders: make(map[ThreadID]*yielder),
+		yielders: make(map[ThreadID]*Yielder),
 	}
 	rt.fp = newFPDetector(cfg.Clock, cfg.OnFalsePositive)
 	return rt
@@ -455,9 +424,7 @@ func (rt *Runtime) Close() {
 			notifyLocked(ts.wait, ErrClosed)
 		}
 	}
-	for _, y := range rt.yielders {
-		wakeYielder(y)
-	}
+	rt.wakeYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -490,26 +457,20 @@ func (rt *Runtime) Acquire(tid ThreadID, l *Lock, cs sig.Stack) error {
 	// (malformed) callers off the fast path so they fail the same way
 	// they always did.
 	if tid != 0 && !rt.cfg.FastPathDisabled {
-		granted, carry := rt.fastAcquire(tid, l, cs)
-		if granted {
+		if rt.fastAcquire(tid, l, cs) {
 			return nil
 		}
-		return rt.acquireSlow(tid, l, cs, carry)
 	}
-	return rt.acquireSlow(tid, l, cs, nil)
+	return rt.acquireSlow(tid, l, cs)
 }
 
 // acquireSlow is the original global-mutex acquisition path: avoidance,
 // queueing, and detection under rt.mu. It also serves as the semantic
 // reference the fast path is differentially tested against
-// (Config.FastPathDisabled). carry, when non-nil, is a threat evaluation
-// the matched fast path already performed (with its yielder registered
-// in the matched shards); avoidLocked adopts it if still valid, and any
-// exit that cannot reach avoidLocked must drop it.
-func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threatCarry) error {
+// (Config.FastPathDisabled).
+func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 	rt.mu.Lock()
 	if rt.closed.Load() {
-		rt.dropCarriedYielder(tid, carry)
 		rt.mu.Unlock()
 		return ErrClosed
 	}
@@ -520,7 +481,6 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 
 	// Reentrant fast path.
 	if l.owner == tid {
-		rt.dropCarriedYielder(tid, carry)
 		l.recursion++
 		rt.mu.Unlock()
 		return nil
@@ -532,11 +492,10 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 	// rt.mu critical section.
 	var keys []slotKey
 	if rt.cfg.AvoidanceDisabled {
-		rt.dropCarriedYielder(tid, carry)
 		keys = rt.registerPositions(tid, l, cs)
 	} else {
 		var err error
-		if keys, err = rt.avoidLocked(tid, l, cs, carry); err != nil {
+		if keys, err = rt.avoidLocked(tid, l, cs); err != nil {
 			rt.mu.Unlock()
 			return err
 		}
@@ -588,7 +547,7 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack, carry *threa
 	}
 	// This wait may also have closed a mixed wait+yield cycle; break it by
 	// forcing a yielder through.
-	rt.resolveAvoidanceCyclesLocked()
+	BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
 	rt.mu.Unlock()
 	if dl != nil && rt.cfg.OnDeadlock != nil {
 		rt.cfg.OnDeadlock(*dl)

@@ -54,13 +54,13 @@ type sigShard struct {
 	// this signature; a matched fast release wakes them without touching
 	// rt.mu. Every yielder is also in rt.yielders (for cycle resolution,
 	// global wakes, and Close).
-	yielders map[ThreadID]*yielder
+	yielders map[ThreadID]*Yielder
 }
 
 func newSigShard() *sigShard {
 	return &sigShard{
 		slots:    make(map[int]map[ThreadID]map[*Lock]struct{}),
-		yielders: make(map[ThreadID]*yielder),
+		yielders: make(map[ThreadID]*Yielder),
 	}
 }
 
@@ -103,7 +103,7 @@ func (sh *sigShard) drop(slot int, tid ThreadID, l *Lock) bool {
 // re-evaluate. Caller holds sh.mu.
 func (sh *sigShard) wakeYielders() {
 	for _, y := range sh.yielders {
-		wakeYielder(y)
+		y.Wake()
 	}
 }
 
@@ -299,17 +299,11 @@ func (sh *sigShard) matchSlots(r SlotRef, tid ThreadID, l *Lock) map[ThreadID]*L
 // and — when there is none — registers the hold's positions and
 // publishes the word. It reports whether the grant was published; false
 // means the caller must abort the claim and take the slow path (a threat
-// exists, or the index moved under the claim).
-//
-// When the threat is live, the evaluation is not thrown away: a
-// threatCarry is returned holding the computed blocker set inside a
-// yielder already registered in the matched shards — registered under
-// the same shard critical section that evaluated the threat, so a
-// position release resolving it before the slow path parks cannot be
-// missed (the wake buffers in the yielder's channel). avoidLocked adopts
-// the carry if the index is still current, skipping the rt.mu-side
-// re-match and re-evaluation.
-func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *AvoidIndex, refs []SlotRef) (bool, *threatCarry) {
+// exists, or the index moved under the claim). A threatened attempt
+// registers nothing: the slow path re-evaluates under rt.mu and the same
+// shard locks and registers its yielder in those shards before releasing
+// them, so no release that resolves the threat can miss it.
+func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *AvoidIndex, refs []SlotRef) bool {
 	// Pre-validate before resolving shards: appendShards creates missing
 	// shard objects, and a claim working off a superseded index would
 	// resurrect just-pruned shards for removed signatures. This check
@@ -317,7 +311,7 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 	// created in the remaining window is empty (the claim aborts below)
 	// and is unlinked by the next refresh that touches the signature.
 	if rt.histVer.Load() != idx.version || rt.history.idx.Load() != idx {
-		return false, nil
+		return false
 	}
 	var sbuf [4]*sigShard // stacks match 1 signature almost always
 	shards := rt.appendShards(sbuf[:0], refs)
@@ -343,27 +337,11 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 	// published hold under the new index.
 	if rt.histVer.Load() != idx.version || rt.history.idx.Load() != idx {
 		unlockShards(shards)
-		return false, nil
+		return false
 	}
-	if sigID, blockers := rt.instantiationThreat(refs, shards, tid, l); sigID != "" {
-		y := &yielder{
-			thread:   tid,
-			blockers: blockers,
-			wake:     make(chan struct{}, 1),
-		}
-		for _, sh := range shards {
-			sh.yielders[tid] = y
-		}
-		// Copy the shard list off the stack buffer only on this rare
-		// path, so the no-threat fast path stays allocation-free.
-		carry := &threatCarry{
-			idx:    idx,
-			shards: append([]*sigShard(nil), shards...),
-			sigID:  sigID,
-			y:      y,
-		}
+	if sigID, _ := rt.instantiationThreat(refs, shards, tid, l); sigID != "" {
 		unlockShards(shards)
-		return false, carry
+		return false
 	}
 	keys := putPositions(l.fastSlots[:0], refs, shards, tid, l) // reuse the backing array across holds
 	unlockShards(shards)
@@ -372,7 +350,7 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 	l.fastTop.Store(stackTopHash(cs))
 	l.fast.Store(uint64(tid))
 	rt.stats.acquisitions.Add(1)
-	return true, nil
+	return true
 }
 
 // unregisterFastHold drops a published matched hold's positions and

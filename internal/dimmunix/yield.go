@@ -1,0 +1,151 @@
+package dimmunix
+
+import (
+	"sync/atomic"
+	"time"
+)
+
+// The yield discipline, shared by the mutex runtime here and the channel
+// runtime in internal/commdlk.
+//
+// Avoidance (§II-A) parks a thread whose next step would instantiate a
+// history signature: it becomes a Yielder, registered in its runtime's
+// yielder table under the runtime's mutex, with the threads occupying the
+// signature's other slots as its blockers. Anything that may dissolve the
+// threat wakes it (Wake), and the woken thread re-evaluates. Parking
+// can itself close a cycle — a yielder's blocker waits, directly or
+// through other yielders, on the yielder — and BreakYieldCycles forces
+// one yielder of every such cycle through.
+
+// yieldRehomeNanos is how long a parked yielder sleeps before
+// re-evaluating on its own, in nanoseconds (atomic so tests can shorten
+// it without racing live runtimes). A wake normally arrives from a
+// release that dissolves the threat; the timeout only matters for a
+// yielder no future wake can reach (a mutex yielder whose every
+// registered shard was unlinked by a refresh with no replacement), so
+// the park re-homes itself against the current index. One spurious
+// re-evaluation per interval is the cost ceiling.
+var yieldRehomeNanos atomic.Int64
+
+func init() { yieldRehomeNanos.Store(int64(time.Second)) }
+
+// SetYieldRehomeTimeout adjusts the park re-home interval of every
+// yielder in the process, mutex and channel alike. Intervals ≤ 0 are
+// ignored. Intended for tests and benchmarks.
+func SetYieldRehomeTimeout(d time.Duration) {
+	if d > 0 {
+		yieldRehomeNanos.Store(int64(d))
+	}
+}
+
+// Yielder is one thread parked by avoidance. A thread that yields again
+// does so under a fresh Yielder.
+type Yielder struct {
+	// Thread is the parked thread (a goroutine id for channel ops).
+	Thread ThreadID
+	// Blockers are the threads occupying the other slots of the
+	// signature whose instantiation Thread would complete: its yield
+	// edges.
+	Blockers map[ThreadID]struct{}
+	// Forced is set by BreakYieldCycles: the thread must proceed past
+	// avoidance despite the threat. Guarded by the owning runtime's
+	// mutex.
+	Forced bool
+
+	wake chan struct{} // buffered(1)
+	// woken records that a wake was delivered: the yielder is
+	// re-evaluating, not durably parked. Atomic because a mutex
+	// yielder's wakers may hold only a shard lock.
+	woken atomic.Bool
+}
+
+// NewYielder returns a Yielder for thread, blocked by blockers.
+func NewYielder(thread ThreadID, blockers map[ThreadID]struct{}) *Yielder {
+	return &Yielder{Thread: thread, Blockers: blockers, wake: make(chan struct{}, 1)}
+}
+
+// Wake prompts the parked thread to re-evaluate. It never blocks, and a
+// wake delivered before Park is not lost. Callers hold a lock the yielder
+// is registered under.
+func (y *Yielder) Wake() {
+	y.woken.Store(true)
+	select {
+	case y.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Park waits for a wake or the re-home timeout, whichever comes first,
+// and reports whether the yielder was woken (a wake that raced the
+// timeout counts). It is called with the runtime's mutex released;
+// shutdown needs no channel of its own, since Close wakes every
+// registered yielder.
+func (y *Yielder) Park() bool {
+	rehome := time.NewTimer(time.Duration(yieldRehomeNanos.Load()))
+	select {
+	case <-y.wake:
+	case <-rehome.C:
+	}
+	rehome.Stop()
+	return y.woken.Load()
+}
+
+// BreakYieldCycles breaks the cycles of the combined wait+yield graph
+// that pass through a yielder. Edges leave a thread toward the threads
+// waitsOn names (its wait edges) and, if it is an unforced yielder,
+// toward its Blockers. While some unforced yielder can reach itself, the
+// smallest-id such yielder is forced through and woken. It returns how
+// many it forced. Pure wait cycles are real deadlocks and are left to
+// detection. The caller holds the runtime's mutex, which guards
+// yielders and everything waitsOn reads. With no yielders it returns at
+// once, without allocating.
+func BreakYieldCycles(yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []ThreadID) int {
+	forced := 0
+	for len(yielders) > 0 {
+		var best *Yielder
+		for _, y := range yielders {
+			if !y.Forced && (best == nil || y.Thread < best.Thread) && onYieldCycle(y, yielders, waitsOn) {
+				best = y
+			}
+		}
+		if best == nil {
+			break
+		}
+		best.Forced = true
+		best.Wake()
+		forced++
+	}
+	return forced
+}
+
+// onYieldCycle reports whether y reaches itself over wait and yield
+// edges.
+func onYieldCycle(y *Yielder, yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []ThreadID) bool {
+	seen := make(map[ThreadID]struct{}, 8)
+	var stack []ThreadID
+	push := func(t ThreadID) {
+		if _, dup := seen[t]; !dup {
+			seen[t] = struct{}{}
+			stack = append(stack, t)
+		}
+	}
+	// Seed with y's successors, so that reaching y takes a real cycle.
+	cur := y.Thread
+	for {
+		for _, next := range waitsOn(cur) {
+			push(next)
+		}
+		if cy, ok := yielders[cur]; ok && !cy.Forced {
+			for b := range cy.Blockers {
+				push(b)
+			}
+		}
+		if len(stack) == 0 {
+			return false
+		}
+		cur, stack = stack[len(stack)-1], stack[:len(stack)-1]
+		if cur == y.Thread {
+			return true
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,9 +200,11 @@ func TestTruncationRecoversLongestValidPrefix(t *testing.T) {
 
 	// Kill-mid-write simulation: truncate the file at EVERY byte offset
 	// and assert recovery keeps exactly the longest prefix of complete
-	// records — and that the store stays writable afterwards.
-	crash := t.TempDir()
-	for off := 0; off < len(full); off++ {
+	// records — and that the store stays writable afterwards. Each check
+	// mostly waits on the disk, so a small pool of workers spreads the
+	// offsets, each in its own crash directory.
+	extra := distinctSig(r, 1000)
+	check := func(cdir string, off int) error {
 		expect := 0
 		for _, b := range bounds {
 			if b <= off {
@@ -213,44 +216,88 @@ func TestTruncationRecoversLongestValidPrefix(t *testing.T) {
 			expect = 0 // torn inside the header: no record was ever acked
 		}
 
-		cdir := filepath.Join(crash, "d")
 		if err := os.RemoveAll(cdir); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := os.MkdirAll(cdir, 0o755); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(cdir, segmentName(1)), full[:off], 0o644); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		re, err := Open(persistCfg(cdir, clock))
 		if err != nil {
-			t.Fatalf("offset %d: %v", off, err)
+			return err
 		}
-		got := getAll(t, re)
-		if len(got) != expect {
-			t.Fatalf("offset %d: recovered %d records, want %d", off, len(got), expect)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("offset %d: record %d differs", off, i+1)
+		err = func() error {
+			got, _ := re.Get(1)
+			if len(got) != expect {
+				return fmt.Errorf("recovered %d records, want %d", len(got), expect)
 			}
+			for i := range got {
+				if string(got[i]) != want[i] {
+					return fmt.Errorf("record %d differs", i+1)
+				}
+			}
+			// The torn tail was truncated away; the store accepts new
+			// signatures and a clean reopen sees them.
+			if ok, err := re.Add(99, extra); !ok || err != nil {
+				return fmt.Errorf("Add after recovery: ok=%v err=%v", ok, err)
+			}
+			return nil
+		}()
+		if cerr := re.Close(); err == nil {
+			err = cerr
 		}
-		// The torn tail was truncated away; the store accepts new
-		// signatures and a clean reopen sees them.
-		mustAdd(t, re, 99, distinctSig(r, 1000))
-		if err := re.Close(); err != nil {
-			t.Fatalf("offset %d: %v", off, err)
+		if err != nil {
+			return err
 		}
 		re2, err := Open(persistCfg(cdir, clock))
 		if err != nil {
-			t.Fatalf("offset %d reopen: %v", off, err)
+			return fmt.Errorf("reopen: %v", err)
 		}
-		if re2.Len() != expect+1 {
-			t.Fatalf("offset %d reopen: Len=%d, want %d", off, re2.Len(), expect+1)
-		}
+		n := re2.Len()
 		re2.Close()
+		if n != expect+1 {
+			return fmt.Errorf("reopen: Len=%d, want %d", n, expect+1)
+		}
+		return nil
 	}
+
+	const workers = 4
+	crash := t.TempDir()
+	offsets := make(chan int)
+	var (
+		wg     sync.WaitGroup
+		failMu sync.Mutex
+		failed bool
+	)
+	for w := 0; w < workers; w++ {
+		cdir := filepath.Join(crash, fmt.Sprint(w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for off := range offsets {
+				if err := check(cdir, off); err != nil {
+					failMu.Lock()
+					failed = true
+					failMu.Unlock()
+					t.Errorf("offset %d: %v", off, err)
+				}
+			}
+		}()
+	}
+	for off := 0; off < len(full); off++ {
+		failMu.Lock()
+		stop := failed
+		failMu.Unlock()
+		if stop {
+			break
+		}
+		offsets <- off
+	}
+	close(offsets)
+	wg.Wait()
 }
 
 // TestSegmentRollAndMultiSegmentReopen: with small segments the WAL
