@@ -419,17 +419,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		OnDeadlock:        pluginHook,
 		OnFalsePositive:   cfg.OnFalsePositive,
 	})
-	// The channel runtime shares the same history and deadlock hook, so
-	// one signature set — local or community-pushed — immunizes lock
-	// sites and channel sites alike, and channel signatures ride the
-	// same upload path.
-	n.chans = commdlk.NewRuntime(commdlk.Config{
-		History:           history,
-		Policy:            cfg.Policy,
-		AvoidanceDisabled: cfg.DisableAvoidance,
-		GraphDisabled:     cfg.DisableChannelGraph,
-		OnDeadlock:        pluginHook,
-	})
+	// The channel runtime is built on the node's runtime. They share one
+	// history and deadlock hook: one signature set — local or
+	// community-pushed — immunizes lock sites and channel sites alike,
+	// and channel signatures ride the same upload path. They share one
+	// lock, yielder table and yield graph: a wait+yield cycle through
+	// mutexes and channels is broken like one through either.
+	n.chans = commdlk.NewRuntime(n.runtime, commdlk.Config{GraphDisabled: cfg.DisableChannelGraph})
 
 	if n.client != nil {
 		n.client.Start()

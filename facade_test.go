@@ -7,11 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"communix"
 	"communix/internal/bytecode"
+	"communix/internal/dimmunix"
 	"communix/internal/sig"
 	"communix/internal/sig/sigtest"
+	"communix/internal/stacktrace"
 	"communix/internal/wire"
 )
 
@@ -81,6 +84,100 @@ func TestNodeMutexLifecycle(t *testing.T) {
 	}
 	// Close is idempotent.
 	node.Close()
+}
+
+// TestMixedMutexYieldChanWaitCycleBroken pins NewNode's wiring: a node's
+// mutexes and channels share one yield graph. A mutex yielder parks
+// behind a lock its blocker holds; the blocker then waits on a recv only
+// the yielder can rescue. Only the node's one cycle breaker can see that
+// cycle (the re-home timeout is a minute), and it must force the yielder
+// through exactly once.
+func TestMixedMutexYieldChanWaitCycleBroken(t *testing.T) {
+	dimmunix.SetYieldRehomeTimeout(time.Minute)
+	defer dimmunix.SetYieldRehomeTimeout(time.Second)
+
+	node, err := communix.NewNode(communix.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	site := func(name string) communix.Stack {
+		return communix.Stack{{Class: "app/Mixed", Method: "run", Line: 10}, {Class: "app/Sites", Method: name, Line: 100}}
+	}
+	outer1, outer2 := site("lock1"), site("lock2")
+	node.History().Add(buildSig(outer1, site("lock1then2"), outer2, site("lock2then1")))
+	l1, l2 := node.NewMutex("mixed-1"), node.NewMutex("mixed-2")
+	rescue := communix.NewChan[int](node, "mixed-rescue", 1)
+
+	warm, lockNow, recvNow := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	yielder, blocker, blockerIn := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() {
+		tid := dimmunix.ThreadID(stacktrace.GoroutineID())
+		// The warmup send makes this goroutine rescue's one known sender.
+		if err := rescue.Send(0); err != nil {
+			yielder <- err
+			return
+		}
+		close(warm)
+		<-lockNow
+		if err := l1.LockAt(tid, outer1); err != nil { // parks behind l2's hold
+			yielder <- err
+			return
+		}
+		err := rescue.Send(1)
+		if uerr := l1.UnlockAt(tid); err == nil {
+			err = uerr
+		}
+		yielder <- err
+	}()
+	<-warm
+	if _, _, err := rescue.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		tid := dimmunix.ThreadID(stacktrace.GoroutineID())
+		if err := l2.LockAt(tid, outer2); err != nil {
+			blockerIn <- err
+			return
+		}
+		blockerIn <- nil
+		<-recvNow
+		_, _, err := rescue.Recv() // closes the cycle
+		if uerr := l2.UnlockAt(tid); err == nil {
+			err = uerr
+		}
+		blocker <- err
+	}()
+	if err := <-blockerIn; err != nil {
+		t.Fatal(err)
+	}
+	close(lockNow)
+	for deadline := time.Now().Add(10 * time.Second); node.Runtime().Stats().Yields != 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the lock of l1 never parked")
+		}
+	}
+	close(recvNow)
+	for name, done := range map[string]chan error{"yielder": yielder, "blocker": blocker} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished: the wait+yield cycle was not broken", name)
+		}
+	}
+	st, cs := node.Runtime().Stats(), node.ChanRuntime().Stats()
+	if st.AvoidanceBreak != 1 || st.Yields != 1 || cs.AvoidanceBreaks != 0 {
+		t.Fatalf("mutex breaks=%d yields=%d, channel breaks=%d; want 1, 1 and 0", st.AvoidanceBreak, st.Yields, cs.AvoidanceBreaks)
+	}
+	if st.Deadlocks != 0 || cs.Deadlocks != 0 {
+		t.Fatalf("deadlocks: mutex %d, channel %d, want 0", st.Deadlocks, cs.Deadlocks)
+	}
+	if n := node.ChanRuntime().Waiting(); n != 0 {
+		t.Fatalf("Waiting() = %d after every op returned, want 0", n)
+	}
 }
 
 // TestServerDurableRestart is the acceptance path of the durable server:

@@ -33,16 +33,16 @@ func matchOuter(idx *dimmunix.AvoidIndex, cs sig.Stack, kind string) []dimmunix.
 // engages its channel. If the op's stack matches a history signature's
 // outer slot and the signature's other slots are occupied — distinct
 // goroutines engaged on distinct channels at the slots' sites — the op
-// yields with dimmunix's discipline (dimmunix.Yielder): it parks,
-// releasing rt.mu, until the threat dissolves or the wait+yield cycle
-// breaker forces it through. It returns with rt.mu held: nil once the
-// op may engage, ErrClosed if the runtime shut down while it was
+// yields in the host's yielder table (dimmunix.Runtime.ParkLocked): it
+// parks, releasing rt.mu, until the threat dissolves or the wait+yield
+// cycle breaker forces it through. It returns with rt.mu held: nil once
+// the op may engage, ErrClosed if the runtime shut down while it was
 // parked.
 func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
-	if rt.cfg.AvoidanceDisabled {
+	if rt.shared.AvoidanceDisabled {
 		return nil
 	}
-	idx := rt.history.Index()
+	idx := rt.shared.History.Index()
 	tid := dimmunix.ThreadID(gid)
 	yielded := false
 	for matched := matchOuter(idx, cs, kind); len(matched) > 0; {
@@ -58,14 +58,9 @@ func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 			rt.stats.Yields++
 		}
 		y := dimmunix.NewYielder(tid, blockers)
-		rt.yielders[tid] = y
-		dimmunix.BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
-		if !y.Forced {
-			rt.mu.Unlock()
-			y.Park()
-			rt.mu.Lock()
-		}
-		delete(rt.yielders, tid)
+		rt.parked++
+		rt.host.ParkLocked(y)
+		rt.parked--
 		if rt.closed {
 			return ErrClosed
 		}
@@ -75,16 +70,16 @@ func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 		}
 		// Re-match against the current index: a refresh may have
 		// removed or replaced the signature while we were parked.
-		if cur := rt.history.Index(); cur != idx {
+		if cur := rt.shared.History.Index(); cur != idx {
 			idx, matched = cur, matchOuter(cur, cs, kind)
 		}
 	}
 	return nil
 }
 
-// waitsOnLocked is the wait edge of the yield graph: the goroutines
-// that could rescue g's blocked op, over all its cases. Caller holds
-// rt.mu.
+// waitsOnLocked is the channel wait edge of the host's yield graph
+// (dimmunix.Runtime.ShareGraph): the goroutines that could rescue g's
+// blocked op, over all its cases. Caller holds rt.mu.
 func (rt *Runtime) waitsOnLocked(g dimmunix.ThreadID) []dimmunix.ThreadID {
 	op, ok := rt.blocked[uint64(g)]
 	if !ok {

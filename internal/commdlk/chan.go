@@ -157,7 +157,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool, received bool) {
 func (c *Chan[T]) Close() {
 	if rt := c.core.rt; !rt.cfg.GraphDisabled {
 		rt.mu.Lock()
-		rt.wakeAllLocked()
+		rt.host.WakeChanYieldersLocked()
 		rt.mu.Unlock()
 	}
 	close(c.ch)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"communix/internal/dimmunix"
 )
 
 // This file holds tests that close a channel while a send blocks on it.
@@ -24,7 +26,7 @@ func TestBlockedSendWithdrawnOnClose(t *testing.T) {
 		"select": func(c *Chan[int]) error { _, err := Select(SendCase(c, 2)); return err },
 	} {
 		t.Run(name, func(t *testing.T) {
-			rt := NewRuntime(Config{})
+			rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 			defer rt.Close()
 			c := NewChan[int](rt, "full", 1)
 			if err := c.Send(1); err != nil {

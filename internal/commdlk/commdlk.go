@@ -26,15 +26,17 @@
 // byte-for-byte unchanged, while a channel site can never suffix-match
 // a mutex signature or vice versa.
 //
-// Avoidance is the mutex runtime's yield discipline (dimmunix.Yielder,
-// dimmunix.BreakYieldCycles): an op whose call stack suffix-matches a
-// history signature's outer stack, while the signature's other slots
-// are occupied by distinct goroutines' engagements on distinct
-// channels, parks before engaging, and a wait+yield cycle forces its
-// smallest-id yielder through.
+// A Runtime is the channel half of a dimmunix.Runtime, its host, and
+// yields in the host's yielder table (dimmunix.Runtime.ParkLocked): an
+// op whose call stack suffix-matches a history signature's outer stack,
+// while the signature's other slots are occupied by distinct goroutines'
+// engagements on distinct channels, parks before engaging. A blocked
+// op's rescuers are its wait edges in the host's one yield graph, beside
+// mutex waiters' lock owners, so a wait+yield cycle forces its
+// smallest-id yielder through whichever primitives it crosses.
 //
-// All bookkeeping runs under one runtime mutex, and each op decides
-// and engages in one hold of it (Runtime.enter): the threat check, the
+// All bookkeeping runs under the host's mutex, and each op decides and
+// engages in one hold of it (Runtime.enter): the threat check, the
 // native non-blocking attempt, and the recorded deposit or registered
 // wait. The differential GraphDisabled arm (raw channel ops, no
 // bookkeeping) doubles as the zero-overhead baseline the runtime bench
@@ -62,29 +64,15 @@ var (
 	ErrClosed = errors.New("commdlk: runtime closed")
 )
 
-// Config parameterizes a channel-deadlock Runtime. The zero value is
-// usable: fresh in-memory history, RecoverNone policy.
+// Config parameterizes a channel-deadlock Runtime beyond what it shares
+// with its host. The zero value is usable.
 type Config struct {
-	// History is the deadlock history to avoid and extend — typically
-	// the same one the process's dimmunix runtime uses, so one pushed
-	// signature set protects both lock and channel sites.
-	History *dimmunix.History
-	// Policy selects deadlock recovery; default RecoverNone (threads
-	// stay blocked, as a real deadlocked program would, until Close).
-	Policy dimmunix.RecoveryPolicy
-	// AvoidanceDisabled turns the yield discipline off (detection only).
-	AvoidanceDisabled bool
 	// GraphDisabled bypasses the subsystem entirely: every Chan op is
 	// the raw native channel op, no capture, no bookkeeping, no
 	// detection, no avoidance. This is the lockstep differential
 	// reference arm: it proves detection soundness (scenarios that
 	// deadlock under it genuinely deadlock).
 	GraphDisabled bool
-	// OnDeadlock, if set, is called synchronously after a communication
-	// deadlock is fingerprinted, with internal locks dropped. The
-	// communix facade routes it into the same plugin upload path as
-	// mutex deadlocks.
-	OnDeadlock func(dimmunix.Deadlock)
 }
 
 // Stats is a snapshot of runtime counters.
@@ -136,7 +124,7 @@ type deposit struct {
 
 // chanCore is the per-channel bookkeeping shared by every Chan[T]
 // instantiation. All fields past the immutable header are guarded by
-// rt.mu.
+// rt.mu, the host's mutex.
 type chanCore struct {
 	rt       *Runtime
 	name     string
@@ -162,21 +150,25 @@ type blockedOp struct {
 	kind  string
 }
 
-// Runtime maintains the process's channel waits-for graph, detector,
-// and avoidance state.
+// Runtime maintains a node's channel waits-for graph, detector and
+// avoidance state: the channel half of its host dimmunix runtime.
 type Runtime struct {
-	cfg     Config
-	history *dimmunix.History
+	cfg  Config
+	host *dimmunix.Runtime
+	// mu, shared and capture are the host's lock (over both halves'
+	// graph state and the yielder table), configuration and capture
+	// cache.
+	mu      *sync.Mutex
+	shared  dimmunix.Config
 	capture *stacktrace.Cache
 
-	mu     sync.Mutex
 	closed bool
 	// filled holds the channels that currently hold deposits, in
 	// first-fill order: the live engagements avoidance walks.
-	filled   []*chanCore
-	blocked  map[uint64]*blockedOp
-	yielders map[dimmunix.ThreadID]*dimmunix.Yielder
-	stats    Stats
+	filled  []*chanCore
+	blocked map[uint64]*blockedOp
+	parked  int // channel ops parked in the host's yielder table
+	stats   Stats
 
 	// closedCh releases every blocked op on Close.
 	closedCh chan struct{}
@@ -187,29 +179,25 @@ type Runtime struct {
 	afterAvoidHook func(gid uint64)
 }
 
-// NewRuntime builds a channel-deadlock runtime.
-func NewRuntime(cfg Config) *Runtime {
-	if cfg.History == nil {
-		cfg.History = dimmunix.NewHistory()
-	}
-	if cfg.Policy == 0 {
-		cfg.Policy = dimmunix.RecoverNone
-	}
-	return &Runtime{
+// NewRuntime builds the channel half of host, at most one per host. Its
+// channels share host's lock, yielder table and yield graph, history,
+// recovery policy, avoidance switch, OnDeadlock hook and capture cache.
+// The graph names channel waiters by goroutine id, so from now on the
+// thread ids passed to host's Acquire and Mutex.LockAt must be
+// goroutine ids too.
+func NewRuntime(host *dimmunix.Runtime, cfg Config) *Runtime {
+	rt := &Runtime{
 		cfg:      cfg,
-		history:  cfg.History,
-		capture:  stacktrace.NewCache(stacktrace.NewRegistry()),
+		host:     host,
 		blocked:  make(map[uint64]*blockedOp),
-		yielders: make(map[dimmunix.ThreadID]*dimmunix.Yielder),
 		closedCh: make(chan struct{}),
 	}
+	rt.mu, rt.shared, rt.capture = host.ShareGraph(rt.waitsOnLocked)
+	return rt
 }
 
-// History returns the runtime's deadlock history.
-func (rt *Runtime) History() *dimmunix.History { return rt.history }
-
-// Close shuts the runtime down: every blocked op and parked yielder
-// returns ErrClosed. Idempotent.
+// Close shuts the channel half down: every blocked op and parked
+// yielder returns ErrClosed. The host stays open. Idempotent.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed {
@@ -218,7 +206,7 @@ func (rt *Runtime) Close() {
 	}
 	rt.closed = true
 	close(rt.closedCh)
-	rt.wakeAllLocked()
+	rt.host.WakeChanYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -236,7 +224,7 @@ func (rt *Runtime) Stats() Stats {
 func (rt *Runtime) Waiting() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.blocked) + len(rt.yielders)
+	return len(rt.blocked) + rt.parked
 }
 
 // kindFilter adapts the avoidance index to the capture-time top-site
@@ -261,7 +249,7 @@ func (f kindFilter) MinSafeCaptureDepth() int { return f.idx.MinSafeCaptureDepth
 // two-phase discipline, kind-aware. skip counts frames between the
 // user's call site and captureOp's caller (1 for a direct Chan method).
 func (rt *Runtime) captureOp(skip int, kind string) sig.Stack {
-	idx := rt.history.Index()
+	idx := rt.shared.History.Index()
 	return rt.capture.CaptureAdaptive(skip+1, kindFilter{idx: idx, kind: kind},
 		stacktrace.DefaultShallowDepth, stacktrace.DefaultDepth)
 }
@@ -314,8 +302,8 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 	rt.mu.Lock()
 	defer func() {
 		rt.mu.Unlock()
-		if dl != nil && rt.cfg.OnDeadlock != nil {
-			rt.cfg.OnDeadlock(*dl)
+		if dl != nil && rt.shared.OnDeadlock != nil {
+			rt.shared.OnDeadlock(*dl)
 		}
 	}()
 	if err := rt.avoidLocked(gid, cs, kind); err != nil {
@@ -339,15 +327,16 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 		if dl.Known {
 			rt.stats.KnownRecurrences++
 		} else {
-			rt.history.Add(dl.Signature)
+			rt.shared.History.Add(dl.Signature)
 		}
-		if rt.cfg.Policy == dimmunix.RecoverBreak {
+		if rt.shared.Policy == dimmunix.RecoverBreak {
 			delete(rt.blocked, gid)
 			op, err = nil, ErrDeadlock
 		}
 	}
-	// This wait may have closed a mixed wait+yield cycle.
-	dimmunix.BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
+	// This wait may have closed a wait+yield cycle, through channels,
+	// mutexes or both.
+	rt.host.BreakYieldCyclesLocked()
 	return op, -1, err
 }
 
@@ -371,7 +360,7 @@ func (rt *Runtime) leave(op *blockedOp, chosen int) {
 	if chosen >= 0 {
 		rt.recordLocked(op.cases[chosen], op.gid, op.stack, op.kind)
 	}
-	rt.wakeAllLocked()
+	rt.host.WakeChanYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -403,7 +392,7 @@ func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string
 		}
 	} else {
 		c.recvUsers[gid] = usage{stack: cs, kind: kind}
-		rt.wakeAllLocked()
+		rt.host.WakeChanYieldersLocked()
 	}
 	if len(c.deposits) > n {
 		c.deposits = c.deposits[len(c.deposits)-n:]
@@ -414,14 +403,5 @@ func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string
 	case was > 0 && len(c.deposits) == 0:
 		c.deposits = nil
 		rt.filled = slices.DeleteFunc(rt.filled, func(f *chanCore) bool { return f == c })
-	}
-}
-
-// wakeAllLocked nudges every parked yielder to re-evaluate. Channel
-// yielders are few (one per threatened op); a broadcast is simpler than
-// dimmunix's per-signature shards and bounded by the same cardinality.
-func (rt *Runtime) wakeAllLocked() {
-	for _, y := range rt.yielders {
-		y.Wake()
 	}
 }

@@ -141,17 +141,16 @@ func runSemTrap(t *testing.T, rt *Runtime, s *sem) (g1err, g2err error) {
 
 func TestSemaphoreCycleDetection(t *testing.T) {
 	h := dimmunix.NewHistory()
-	rt := NewRuntime(Config{History: h, Policy: dimmunix.RecoverBreak})
-	defer rt.Close()
-	s := newSem(rt)
-
 	var detected []dimmunix.Deadlock
 	var mu sync.Mutex
-	rt.cfg.OnDeadlock = func(d dimmunix.Deadlock) {
+	onDeadlock := func(d dimmunix.Deadlock) {
 		mu.Lock()
 		detected = append(detected, d)
 		mu.Unlock()
 	}
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak, OnDeadlock: onDeadlock}), Config{})
+	defer rt.Close()
+	s := newSem(rt)
 
 	e1, e2 := runSemTrap(t, rt, s)
 	if (e1 == nil) == (e2 == nil) {
@@ -210,7 +209,7 @@ func TestSemaphoreCycleAvoidance(t *testing.T) {
 
 	// First process: detect the cycle.
 	h := dimmunix.NewHistory()
-	rt1 := NewRuntime(Config{History: h, Policy: dimmunix.RecoverBreak})
+	rt1 := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak}), Config{})
 	s1 := newSem(rt1)
 	runSemTrap(t, rt1, s1)
 	rt1.Close()
@@ -221,7 +220,7 @@ func TestSemaphoreCycleAvoidance(t *testing.T) {
 	// Fresh runtime sharing the history (as a fresh process with the
 	// pushed signature would): the same schedule must complete without
 	// deadlocking, with at least one fill parked.
-	rt2 := NewRuntime(Config{History: h, Policy: dimmunix.RecoverBreak})
+	rt2 := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak}), Config{})
 	defer rt2.Close()
 	s2 := newSem(rt2)
 	e1, e2 := runSemTrap(t, rt2, s2)
@@ -337,7 +336,7 @@ func TestSelectCycleDetectionAndAvoidance(t *testing.T) {
 	defer dimmunix.SetYieldRehomeTimeout(time.Second)
 
 	h := dimmunix.NewHistory()
-	rt1 := NewRuntime(Config{History: h, Policy: dimmunix.RecoverBreak})
+	rt1 := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak}), Config{})
 	s1 := newSelSem(rt1)
 	e1, e2 := runSelSemTrap(t, rt1, s1)
 	rt1.Close()
@@ -361,7 +360,7 @@ func TestSelectCycleDetectionAndAvoidance(t *testing.T) {
 		}
 	}
 
-	rt2 := NewRuntime(Config{History: h, Policy: dimmunix.RecoverBreak})
+	rt2 := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak}), Config{})
 	defer rt2.Close()
 	s2 := newSelSem(rt2)
 	e1, e2 = runSelSemTrap(t, rt2, s2)
@@ -377,7 +376,7 @@ func TestSelectCycleDetectionAndAvoidance(t *testing.T) {
 // raw-channel reference: the exact trap schedule the detector flags
 // really does leave both goroutines stuck when run on bare channels.
 func TestDifferentialGraphDisabled(t *testing.T) {
-	rt := NewRuntime(Config{GraphDisabled: true})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{GraphDisabled: true})
 	defer rt.Close()
 	s := newSem(rt)
 
@@ -429,7 +428,7 @@ func TestDifferentialGraphDisabled(t *testing.T) {
 // usage history must never be declared deadlocked — the rescuer model
 // is conservative about unknown parties.
 func TestColdChannelsNoFalseDetection(t *testing.T) {
-	rt := NewRuntime(Config{Policy: dimmunix.RecoverBreak})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{Policy: dimmunix.RecoverBreak}), Config{})
 	x := NewChan[int](rt, "cold-x", 0)
 	y := NewChan[int](rt, "cold-y", 0)
 
@@ -450,7 +449,7 @@ func TestColdChannelsNoFalseDetection(t *testing.T) {
 }
 
 func TestFastPathAndCloseSemantics(t *testing.T) {
-	rt := NewRuntime(Config{})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
 	c := NewChan[string](rt, "fast", 2)
 
@@ -485,7 +484,7 @@ func TestFastPathAndCloseSemantics(t *testing.T) {
 }
 
 func TestSelectBasics(t *testing.T) {
-	rt := NewRuntime(Config{})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
 	a := NewChan[int](rt, "sel-a", 1)
 	b := NewChan[int](rt, "sel-b", 1)
@@ -537,7 +536,7 @@ func TestSelectBasics(t *testing.T) {
 // TestRingWorkloadRace is the -race exercise: producers, consumers, and
 // a select-storm forwarder hammer shared channels through every op.
 func TestRingWorkloadRace(t *testing.T) {
-	rt := NewRuntime(Config{Policy: dimmunix.RecoverBreak})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{Policy: dimmunix.RecoverBreak}), Config{})
 	defer rt.Close()
 	in := NewChan[int](rt, "ring-in", 8)
 	out := NewChan[int](rt, "ring-out", 8)
@@ -604,7 +603,7 @@ func windowFillB(c *Chan[int]) error { return c.Send(2) }
 // frame, so the sites match whichever goroutine calls them.
 func windowSignature(t *testing.T) *sig.Signature {
 	t.Helper()
-	rt := NewRuntime(Config{})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
 	a, b := NewChan[int](rt, "probe-a", 1), NewChan[int](rt, "probe-b", 1)
 	if windowFillA(a) != nil || windowFillB(b) != nil {
@@ -634,7 +633,7 @@ func windowSignature(t *testing.T) *sig.Signature {
 func TestEnterClosesCheckRecordWindow(t *testing.T) {
 	h := dimmunix.NewHistory()
 	h.Add(windowSignature(t))
-	rt := NewRuntime(Config{History: h})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h}), Config{})
 	defer rt.Close()
 	a, b := NewChan[int](rt, "win-a", 1), NewChan[int](rt, "win-b", 1)
 
@@ -685,7 +684,7 @@ func TestChanWaitYieldCycleBroken(t *testing.T) {
 
 	h := dimmunix.NewHistory()
 	h.Add(windowSignature(t))
-	rt := NewRuntime(Config{History: h})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h}), Config{})
 	defer rt.Close()
 	a, b := NewChan[int](rt, "cyc-a", 1), NewChan[int](rt, "cyc-b", 1)
 	rescue := NewChan[int](rt, "cyc-rescue", 1)
@@ -756,7 +755,7 @@ func TestChanWaitYieldCycleBroken(t *testing.T) {
 // the runtime's lock free: the same runtime then completes a Send/Recv
 // pair.
 func TestSendOnClosedChanPanicsNatively(t *testing.T) {
-	rt := NewRuntime(Config{})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
 	c := NewChan[int](rt, "closed", 1)
 	c.Close()
@@ -793,7 +792,7 @@ func TestSendOnClosedChanPanicsNatively(t *testing.T) {
 // it), so a channel that was filled and drained is collected once the
 // program drops it.
 func TestDrainedChanNotRetained(t *testing.T) {
-	rt := NewRuntime(Config{})
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
 	collected := make(chan struct{})
 	func() {
@@ -825,7 +824,7 @@ func TestDrainedChanNotRetained(t *testing.T) {
 // channel referenced and pose as an engagement to avoidance.
 func TestLedgerConvergesToTheBuffer(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		rt := NewRuntime(Config{})
+		rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 		c := NewChan[int](rt, "contended", 1)
 		const perSender = 200
 		var wg sync.WaitGroup

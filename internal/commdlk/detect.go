@@ -165,7 +165,7 @@ func (rt *Runtime) detectLocked(self *blockedOp) *dimmunix.Deadlock {
 	return &dimmunix.Deadlock{
 		Signature: s,
 		Threads:   threads,
-		Known:     rt.history.Get(s.ID()) != nil,
+		Known:     rt.shared.History.Get(s.ID()) != nil,
 	}
 }
 

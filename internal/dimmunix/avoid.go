@@ -1,6 +1,8 @@
 package dimmunix
 
 import (
+	"slices"
+
 	"communix/internal/sig"
 )
 
@@ -49,6 +51,7 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 			return keys, nil
 		}
 		y := NewYielder(tid, blockers)
+		y.mutex = true
 		// Register the yielder in every matched shard *before* releasing
 		// the shard locks: any position release that could resolve the
 		// threat must touch one of these shards, and doing so after this
@@ -68,29 +71,35 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 		// so it adds no false-positive evidence and no yield count.
 		var warning *FalsePositiveWarning
 		if !timedOut || sigID != lastSigID {
-			tp := l.owner != 0 && l.owner != tid && rt.reachesThreadLocked(l.owner, tid)
+			tp := false
+			if o := l.owner; o != 0 && o != tid {
+				chain, _ := rt.waitChainLocked(o)
+				tp = slices.Contains(chain, tid)
+			}
 			warning = rt.fp.recordInstantiation(sigID, tp)
 			rt.stats.yields.Add(1)
 		}
 		lastSigID = sigID
 
+		// In the table before the warning's callback drops rt.mu, so a
+		// release meanwhile wakes y.
 		rt.yielders[tid] = y
-		BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
-		if !y.Forced && !rt.closed.Load() {
-			rt.mu.Unlock()
-			rt.fireWarningUnlocked(warning)
-			warning = nil
-			timedOut = !y.Park()
-			rt.mu.Lock()
+		rt.fireWarning(warning)
+		timedOut = !rt.ParkLocked(y)
+		// Shards unlinked meanwhile (signature removed) are dead objects
+		// to delete from harmlessly.
+		for _, sh := range shards {
+			sh.mu.Lock()
+			if sh.yielders[tid] == y {
+				delete(sh.yielders, tid)
+			}
+			sh.mu.Unlock()
 		}
-		rt.removeYielderLocked(tid, y, shards)
 		if rt.closed.Load() {
-			rt.fireWarning(warning)
 			return nil, ErrClosed
 		}
 		if y.Forced {
 			rt.stats.avoidanceBreak.Add(1)
-			rt.fireWarning(warning)
 			// Forced through: the slots are occupied despite the threat.
 			return rt.registerPositions(tid, l, cs), nil
 		}
@@ -101,27 +110,17 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 }
 
 // waitsOnLocked is the wait edge of the yield graph: the owner of the
-// lock tid queues for, if any. Caller holds rt.mu.
+// lock tid queues for, or else the goroutines that could rescue tid's
+// blocked channel op (ShareGraph). A thread waits on one primitive at a
+// time, so this is the union of both edges. Caller holds rt.mu.
 func (rt *Runtime) waitsOnLocked(tid ThreadID) []ThreadID {
 	if ts, ok := rt.threads[tid]; ok && ts.wait != nil && ts.wait.lock.owner != 0 {
 		return []ThreadID{ts.wait.lock.owner}
 	}
-	return nil
-}
-
-// removeYielderLocked drops y from the global yielder table and from the
-// shard wake lists it was parked under. Caller holds rt.mu; shards may
-// meanwhile have been unlinked from the shard table (signature removed),
-// in which case deleting from the dead object is harmless.
-func (rt *Runtime) removeYielderLocked(tid ThreadID, y *Yielder, shards []*sigShard) {
-	delete(rt.yielders, tid)
-	for _, sh := range shards {
-		sh.mu.Lock()
-		if sh.yielders[tid] == y {
-			delete(sh.yielders, tid)
-		}
-		sh.mu.Unlock()
+	if rt.chanWaitsOn != nil {
+		return rt.chanWaitsOn(tid)
 	}
+	return nil
 }
 
 // fireWarning emits a false-positive warning while holding rt.mu: it
@@ -133,47 +132,4 @@ func (rt *Runtime) fireWarning(w *FalsePositiveWarning) {
 	rt.mu.Unlock()
 	rt.cfg.OnFalsePositive(*w)
 	rt.mu.Lock()
-}
-
-// fireWarningUnlocked emits a warning with rt.mu already released.
-func (rt *Runtime) fireWarningUnlocked(w *FalsePositiveWarning) {
-	if w == nil || rt.cfg.OnFalsePositive == nil {
-		return
-	}
-	rt.cfg.OnFalsePositive(*w)
-}
-
-// wakeYieldersLocked prompts every suspended yielder to re-evaluate its
-// threat; called whenever positions shrink under rt.mu (release, denied
-// waiter) and after a history refresh. Matched fast releases wake the
-// affected shards' yielders directly instead (shard.go).
-func (rt *Runtime) wakeYieldersLocked() {
-	for _, y := range rt.yielders {
-		y.Wake()
-	}
-}
-
-// reachesThreadLocked reports whether target is reachable from start over
-// real wait edges only (start's wait chain).
-func (rt *Runtime) reachesThreadLocked(start, target ThreadID) bool {
-	cur := start
-	seen := make(map[ThreadID]struct{}, 8)
-	for {
-		if cur == target {
-			return true
-		}
-		if _, dup := seen[cur]; dup {
-			return false
-		}
-		seen[cur] = struct{}{}
-		ts, ok := rt.threads[cur]
-		if !ok || ts.wait == nil {
-			return false
-		}
-		next := ts.wait.lock.owner
-		if next == 0 {
-			return false
-		}
-		cur = next
-	}
 }

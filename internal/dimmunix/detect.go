@@ -4,36 +4,27 @@ import (
 	"communix/internal/sig"
 )
 
-// findCycleLocked reports the wait-for cycle through tid, if tid's
-// enqueue closed one. Each thread waits for at most one lock, so the
-// wait-for graph is functional and a pointer chase suffices: follow
-// tid → owner(wait lock) → …; if the chase returns to tid, the visited
-// prefix from tid is the cycle (in wait order).
-func (rt *Runtime) findCycleLocked(tid ThreadID) []ThreadID {
-	var chain []ThreadID
+// waitChainLocked follows start's wait chain — start, the owner of the
+// lock it queues for, that owner's wait lock's owner, … — each thread
+// once. Each thread waits for at most one lock, so the wait-for graph is
+// functional and a pointer chase suffices. cycle reports that the chase
+// returned to start: the chain is then the wait-for cycle start's
+// enqueue closed, in wait order. A chase that converges on a cycle
+// without start (start merely waits on a deadlocked thread) is none:
+// only the cycle's own closer fingerprints it.
+func (rt *Runtime) waitChainLocked(start ThreadID) (chain []ThreadID, cycle bool) {
 	seen := make(map[ThreadID]struct{}, 8)
-	cur := tid
-	for {
+	for cur := start; ; {
 		if _, dup := seen[cur]; dup {
-			if cur != tid {
-				// The chase converged on a pre-existing cycle that does
-				// not include tid: tid merely waits on a deadlocked
-				// thread. Only the cycle's own closer fingerprints it.
-				return nil
-			}
-			return chain
+			return chain, cur == start
 		}
 		seen[cur] = struct{}{}
 		chain = append(chain, cur)
 		ts, ok := rt.threads[cur]
-		if !ok || ts.wait == nil {
-			return nil
+		if !ok || ts.wait == nil || ts.wait.lock.owner == 0 {
+			return chain, false
 		}
-		owner := ts.wait.lock.owner
-		if owner == 0 {
-			return nil
-		}
-		cur = owner
+		cur = ts.wait.lock.owner
 	}
 }
 

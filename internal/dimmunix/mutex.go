@@ -49,7 +49,8 @@ func (m *Mutex) Lock() error {
 }
 
 // LockAt acquires the mutex with an explicit call stack, for callers that
-// construct stacks themselves (simulated workloads).
+// construct stacks themselves (simulated workloads). tid must be the
+// caller's goroutine id once channels run on the runtime (Runtime.Acquire).
 func (m *Mutex) LockAt(tid ThreadID, cs sig.Stack) error {
 	return m.rt.Acquire(tid, m.lock, cs)
 }
@@ -60,7 +61,7 @@ func (m *Mutex) Unlock() error {
 	return m.rt.Release(tid, m.lock)
 }
 
-// UnlockAt releases the mutex on behalf of an explicit thread id.
+// UnlockAt releases the mutex on behalf of the thread id LockAt took.
 func (m *Mutex) UnlockAt(tid ThreadID) error {
 	return m.rt.Release(tid, m.lock)
 }

@@ -118,6 +118,8 @@ type Runtime struct {
 	threads    map[ThreadID]*threadState
 	yielders   map[ThreadID]*Yielder
 	nextLockID atomic.Uint64
+	// chanWaitsOn is the channel half's wait edge (ShareGraph), or nil.
+	chanWaitsOn func(ThreadID) []ThreadID
 
 	// applied is the index the position table reflects: every shard
 	// holds exactly the positions applied matches. Guarded by rt.mu;
@@ -412,6 +414,7 @@ func (rt *Runtime) pruneLocksLocked() {
 
 // Close shuts the runtime down: every blocked or yielding thread is
 // released with ErrClosed, and future acquisitions fail with ErrClosed.
+// A channel runtime built on rt (ShareGraph) closes on its own.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed.Load() {
@@ -424,7 +427,7 @@ func (rt *Runtime) Close() {
 			notifyLocked(ts.wait, ErrClosed)
 		}
 	}
-	rt.wakeYieldersLocked()
+	rt.wakeYieldersLocked(true)
 	rt.mu.Unlock()
 }
 
@@ -449,6 +452,10 @@ func (rt *Runtime) thread(tid ThreadID) *threadState {
 // that is free (or already fast-held by tid), completes on the lock-free
 // fast path; everything else — contention, an avoidance-index match,
 // shutdown — takes the global-mutex slow path below.
+//
+// Once a channel runtime is built on rt (ShareGraph), its graph names
+// channel waiters by goroutine id, so tid must be the caller's goroutine
+// id; without one (LockSim), any nonzero id will do.
 func (rt *Runtime) Acquire(tid ThreadID, l *Lock, cs sig.Stack) error {
 	if l == nil {
 		return fmt.Errorf("dimmunix: acquire nil lock")
@@ -532,7 +539,7 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 	// Detection: does this wait close a cycle?
 	var dl *Deadlock
 	if !rt.cfg.DetectionDisabled {
-		if cycle := rt.findCycleLocked(tid); cycle != nil {
+		if cycle, closed := rt.waitChainLocked(tid); closed {
 			dl = rt.buildDeadlockLocked(cycle)
 			if dl != nil {
 				rt.stats.deadlocks.Add(1)
@@ -545,9 +552,9 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 			}
 		}
 	}
-	// This wait may also have closed a mixed wait+yield cycle; break it by
+	// This wait may also have closed a wait+yield cycle; break it by
 	// forcing a yielder through.
-	BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
+	rt.BreakYieldCyclesLocked()
 	rt.mu.Unlock()
 	if dl != nil && rt.cfg.OnDeadlock != nil {
 		rt.cfg.OnDeadlock(*dl)
@@ -562,7 +569,7 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 		// drop the waiter's slot registrations.
 		rt.removeWaiterLocked(l, w)
 		rt.unregisterPositions(tid, l, w.slots)
-		rt.wakeYieldersLocked()
+		rt.wakeYieldersLocked(true)
 		rt.maybeRestoreFastLocked(l)
 	}
 	rt.reapThreadLocked(ts)
@@ -581,7 +588,7 @@ func (rt *Runtime) reapThreadLocked(ts *threadState) {
 
 // Release releases lock l held by tid. Reentrant holds unwind before the
 // lock is handed to the next waiter. A fast-path hold is released with a
-// single CAS; slow-managed locks go through rt.mu.
+// single CAS; slow-managed locks go through rt.mu. tid is as in Acquire.
 func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	if l == nil {
 		return fmt.Errorf("dimmunix: release nil lock")
@@ -621,7 +628,7 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	rt.promoteLocked(l)
 	rt.maybeRestoreFastLocked(l)
 	// State changed: yielding threads re-evaluate.
-	rt.wakeYieldersLocked()
+	rt.wakeYieldersLocked(true)
 	rt.reapThreadLocked(ts)
 	rt.mu.Unlock()
 	return nil

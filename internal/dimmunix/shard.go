@@ -103,7 +103,7 @@ func (sh *sigShard) drop(slot int, tid ThreadID, l *Lock) bool {
 // re-evaluate. Caller holds sh.mu.
 func (sh *sigShard) wakeYielders() {
 	for _, y := range sh.yielders {
-		y.Wake()
+		y.wake()
 	}
 }
 

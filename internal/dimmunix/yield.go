@@ -1,21 +1,24 @@
 package dimmunix
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"communix/internal/stacktrace"
 )
 
-// The yield discipline, shared by the mutex runtime here and the channel
-// runtime in internal/commdlk.
+// The yield discipline of a runtime's mutexes and of the channels built
+// on it (internal/commdlk, via ShareGraph).
 //
 // Avoidance (§II-A) parks a thread whose next step would instantiate a
-// history signature: it becomes a Yielder, registered in its runtime's
-// yielder table under the runtime's mutex, with the threads occupying the
-// signature's other slots as its blockers. Anything that may dissolve the
-// threat wakes it (Wake), and the woken thread re-evaluates. Parking
-// can itself close a cycle — a yielder's blocker waits, directly or
-// through other yielders, on the yielder — and BreakYieldCycles forces
-// one yielder of every such cycle through.
+// history signature: it becomes a Yielder, registered in the runtime's
+// one yielder table under the runtime's mutex, with the threads occupying
+// the signature's other slots as its blockers. Anything that may dissolve
+// the threat wakes it, and the woken thread re-evaluates. Parking can
+// itself close a cycle — a yielder's blocker waits, on a lock or a
+// channel, directly or through other yielders, on the yielder — and
+// BreakYieldCycles forces one yielder of every such cycle through.
 
 // yieldRehomeNanos is how long a parked yielder sleeps before
 // re-evaluating on its own, in nanoseconds (atomic so tests can shorten
@@ -51,8 +54,11 @@ type Yielder struct {
 	// avoidance despite the threat. Guarded by the owning runtime's
 	// mutex.
 	Forced bool
+	// mutex marks a yielder of the mutex half (avoidLocked); the others
+	// are channel yielders.
+	mutex bool
 
-	wake chan struct{} // buffered(1)
+	signal chan struct{} // buffered(1)
 	// woken records that a wake was delivered: the yielder is
 	// re-evaluating, not durably parked. Atomic because a mutex
 	// yielder's wakers may hold only a shard lock.
@@ -61,34 +67,91 @@ type Yielder struct {
 
 // NewYielder returns a Yielder for thread, blocked by blockers.
 func NewYielder(thread ThreadID, blockers map[ThreadID]struct{}) *Yielder {
-	return &Yielder{Thread: thread, Blockers: blockers, wake: make(chan struct{}, 1)}
+	return &Yielder{Thread: thread, Blockers: blockers, signal: make(chan struct{}, 1)}
 }
 
-// Wake prompts the parked thread to re-evaluate. It never blocks, and a
-// wake delivered before Park is not lost. Callers hold a lock the yielder
+// wake prompts the parked thread to re-evaluate. It never blocks, and a
+// wake delivered before park is not lost. Callers hold a lock the yielder
 // is registered under.
-func (y *Yielder) Wake() {
+func (y *Yielder) wake() {
 	y.woken.Store(true)
 	select {
-	case y.wake <- struct{}{}:
+	case y.signal <- struct{}{}:
 	default:
 	}
 }
 
-// Park waits for a wake or the re-home timeout, whichever comes first,
+// park waits for a wake or the re-home timeout, whichever comes first,
 // and reports whether the yielder was woken (a wake that raced the
 // timeout counts). It is called with the runtime's mutex released;
-// shutdown needs no channel of its own, since Close wakes every
-// registered yielder.
-func (y *Yielder) Park() bool {
+// shutdown needs no channel of its own, since each half's Close wakes
+// its registered yielders.
+func (y *Yielder) park() bool {
 	rehome := time.NewTimer(time.Duration(yieldRehomeNanos.Load()))
 	select {
-	case <-y.wake:
+	case <-y.signal:
 	case <-rehome.C:
 	}
 	rehome.Stop()
 	return y.woken.Load()
 }
+
+// ShareGraph builds a channel runtime (internal/commdlk) on rt, at most
+// one: waitsOn, the goroutines that could rescue a thread's blocked
+// channel op, joins the lock-owner edge in rt's one yield graph, and the
+// channel half shares rt's mutex (which guards the graph, the yielder
+// table and all waitsOn reads), configuration and capture cache. From
+// then on Acquire's thread ids must be goroutine ids.
+func (rt *Runtime) ShareGraph(waitsOn func(ThreadID) []ThreadID) (*sync.Mutex, Config, *stacktrace.Cache) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.chanWaitsOn != nil {
+		panic("dimmunix: runtime already carries a channel runtime")
+	}
+	rt.chanWaitsOn = waitsOn
+	return &rt.mu, rt.cfg, rt.capture
+}
+
+// ParkLocked enters y in the yielder table, breaks the cycles that
+// closes, and unless y was forced through, parks it with rt.mu released.
+// It returns with rt.mu held and y out of the table, reporting whether y
+// was woken.
+func (rt *Runtime) ParkLocked(y *Yielder) (woken bool) {
+	rt.yielders[y.Thread] = y
+	rt.BreakYieldCyclesLocked()
+	if !y.Forced {
+		rt.mu.Unlock()
+		woken = y.park()
+		rt.mu.Lock()
+	}
+	delete(rt.yielders, y.Thread)
+	return woken
+}
+
+// BreakYieldCyclesLocked runs the cycle breaker over the yielder table
+// and both kinds of wait edge, after every new wait. Caller holds rt.mu.
+func (rt *Runtime) BreakYieldCyclesLocked() {
+	BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
+}
+
+// wakeYieldersLocked prompts one half's parked yielders to re-evaluate.
+// Only lock events can dissolve a mutex yielder's threat and only
+// channel events a channel yielder's, so each half wakes its own; the
+// cycle breaker wakes whichever it forces. Matched fast releases wake
+// the affected shards' yielders directly instead (shard.go). Caller
+// holds rt.mu.
+func (rt *Runtime) wakeYieldersLocked(mutex bool) {
+	for _, y := range rt.yielders {
+		if y.mutex == mutex {
+			y.wake()
+		}
+	}
+}
+
+// WakeChanYieldersLocked prompts the parked channel yielders to
+// re-evaluate, after a channel engagement shrinks or the channel half
+// closes. Caller holds rt.mu.
+func (rt *Runtime) WakeChanYieldersLocked() { rt.wakeYieldersLocked(false) }
 
 // BreakYieldCycles breaks the cycles of the combined wait+yield graph
 // that pass through a yielder. Edges leave a thread toward the threads
@@ -112,7 +175,7 @@ func BreakYieldCycles(yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []T
 			break
 		}
 		best.Forced = true
-		best.Wake()
+		best.wake()
 		forced++
 	}
 	return forced

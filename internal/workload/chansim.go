@@ -83,28 +83,29 @@ func NewChanSim(cfg ChanSimConfig) (*ChanSim, error) {
 	return &ChanSim{cfg: cfg}, nil
 }
 
-// Run executes the workload against a fresh channel runtime using the
-// given history (nil for an empty one). With an empty history the cycle
-// scenarios deterministically reproduce their deadlock (detected,
-// fingerprinted, and broken via RecoverBreak); with the detected
-// signature already in the history the same schedule completes
-// deadlock-free by parking the threatening fill.
+// Run executes the workload against a fresh channel runtime, built on a
+// fresh dimmunix runtime, using the given history (nil for an empty
+// one). With an empty history the cycle scenarios deterministically
+// reproduce their deadlock (detected, fingerprinted, and broken via
+// RecoverBreak); with the detected signature already in the history the
+// same schedule completes deadlock-free by parking the threatening fill.
 func (s *ChanSim) Run(history *dimmunix.History) (ChanSimResult, error) {
 	if history == nil {
 		history = dimmunix.NewHistory()
 	}
 	var res ChanSimResult
 	var mu sync.Mutex
-	rt := commdlk.NewRuntime(commdlk.Config{
-		History:       history,
-		Policy:        dimmunix.RecoverBreak,
-		GraphDisabled: s.cfg.GraphDisabled,
+	host := dimmunix.NewRuntime(dimmunix.Config{
+		History: history,
+		Policy:  dimmunix.RecoverBreak,
 		OnDeadlock: func(d dimmunix.Deadlock) {
 			mu.Lock()
 			res.Detected = append(res.Detected, d.Signature)
 			mu.Unlock()
 		},
 	})
+	defer host.Close()
+	rt := commdlk.NewRuntime(host, commdlk.Config{GraphDisabled: s.cfg.GraphDisabled})
 	defer rt.Close()
 
 	start := time.Now()
