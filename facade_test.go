@@ -2,9 +2,11 @@ package communix_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,111 @@ func TestMixedMutexYieldChanWaitCycleBroken(t *testing.T) {
 	}
 	if n := node.ChanRuntime().Waiting(); n != 0 {
 		t.Fatalf("Waiting() = %d after every op returned, want 0", n)
+	}
+}
+
+// TestMixedDeadlockDetectedThroughNode pins NewNode's wiring of the one
+// detector: a node's mutexes and channels share one waits-for graph. The
+// holder of a node mutex blocks on a recv whose one known sender then
+// locks that mutex, closing the cycle. The node records one signature
+// pairing lock and channel stacks, reports it to OnDeadlock, and refuses
+// the closing Lock; the sender then rescues the holder.
+func TestMixedDeadlockDetectedThroughNode(t *testing.T) {
+	found := make(chan communix.Deadlock, 2) // room for an unexpected second report
+	node, err := communix.NewNode(communix.NodeConfig{
+		Policy:     communix.RecoverBreak,
+		OnDeadlock: func(d communix.Deadlock) { found <- d },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	mu := node.NewMutex("knot-mu")
+	ch := communix.NewChan[int](node, "knot-ch", 1)
+
+	warm, lockNow := make(chan struct{}), make(chan struct{})
+	holder, sender := make(chan error, 1), make(chan error, 1)
+	holderID, senderID := make(chan dimmunix.ThreadID, 1), make(chan dimmunix.ThreadID, 1)
+	go func() {
+		holderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		<-warm
+		if _, _, err := ch.Recv(); err != nil { // the warmup item
+			holder <- err
+			return
+		}
+		if err := mu.Lock(); err != nil {
+			holder <- err
+			return
+		}
+		_, _, err := ch.Recv() // only the sender can rescue it
+		if uerr := mu.Unlock(); err == nil {
+			err = uerr
+		}
+		holder <- err
+	}()
+	go func() {
+		senderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		if err := ch.Send(0); err != nil {
+			sender <- err
+			return
+		}
+		close(warm)
+		<-lockNow
+		if err := mu.Lock(); !errors.Is(err, communix.ErrDeadlock) { // closes the cycle
+			sender <- fmt.Errorf("closing Lock = %v, want ErrDeadlock", err)
+			return
+		}
+		sender <- ch.Send(1)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); node.ChanRuntime().Waiting() != 1 || ch.Len() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the holder never blocked on its recv")
+		}
+	}
+	close(lockNow)
+	for name, done := range map[string]chan error{"holder": holder, "sender": sender} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished", name)
+		}
+	}
+	if n := node.Runtime().Stats().Deadlocks + node.ChanRuntime().Stats().Deadlocks; n != 1 {
+		t.Fatalf("deadlocks over both halves = %d, want 1", n)
+	}
+	var d communix.Deadlock
+	select {
+	case d = <-found:
+	default:
+		t.Fatal("OnDeadlock never fired")
+	}
+	if want := []dimmunix.ThreadID{<-senderID, <-holderID}; !slices.Equal(d.Threads, want) {
+		t.Fatalf("cycle = %v, want %v (the closing sender first)", d.Threads, want)
+	}
+	kinds := map[[2]string]bool{}
+	for _, th := range d.Signature.Threads {
+		kinds[[2]string{th.Outer.Top().Kind, th.Inner.Top().Kind}] = true
+	}
+	holderKinds, senderKinds := [2]string{sig.KindLock, sig.KindChanRecv}, [2]string{sig.KindChanSend, sig.KindLock}
+	if len(d.Signature.Threads) != 2 || !kinds[holderKinds] || !kinds[senderKinds] {
+		t.Fatalf("member (outer, inner) kinds = %v, want %v and %v", kinds, holderKinds, senderKinds)
+	}
+	if node.History().Get(d.Signature.ID()) == nil {
+		t.Error("the mixed signature is not in the node's history")
+	}
+	data, err := sig.Encode(d.Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := sig.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ID() != d.Signature.ID() {
+		t.Error("codec round trip changed the signature ID")
 	}
 }
 

@@ -77,23 +77,6 @@ func (rt *Runtime) avoidLocked(gid uint64, cs sig.Stack, kind string) error {
 	return nil
 }
 
-// waitsOnLocked is the channel wait edge of the host's yield graph
-// (dimmunix.Runtime.ShareGraph): the goroutines that could rescue g's
-// blocked op, over all its cases. Caller holds rt.mu.
-func (rt *Runtime) waitsOnLocked(g dimmunix.ThreadID) []dimmunix.ThreadID {
-	op, ok := rt.blocked[uint64(g)]
-	if !ok {
-		return nil
-	}
-	var out []dimmunix.ThreadID
-	for _, oc := range op.cases {
-		for _, r := range rt.caseRescuersLocked(op.gid, oc) {
-			out = append(out, dimmunix.ThreadID(r))
-		}
-	}
-	return out
-}
-
 // threatLocked evaluates whether completing an engagement by gid at a
 // matched signature slot would instantiate the signature: every other
 // slot must be occupied by a distinct goroutine's engagement on a

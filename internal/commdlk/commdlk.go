@@ -4,43 +4,43 @@
 // real-world deadlock class in Go.
 //
 // The model mirrors Dimmunix's, transposed to channels. Every blocking
-// channel operation registers a node in a per-process waits-for graph
-// (goroutine → channel-op edges; a select contributes one disjunctive
-// node covering all its cases). On block, a detector computes the stuck
-// set — the greatest fixed point of "every goroutine that could rescue
-// me is itself stuck" — over rescuer sets derived from observed channel
-// usage: a blocked send can only be rescued by a goroutine known to
-// receive on that channel, a blocked recv by a known sender. Goroutines
-// with no known rescuer are conservatively treated as rescuable (an
-// unknown party may yet act), so detection has no false positives on
-// cold channels; it fires once both sides of a cycle have a usage
-// history, which any warmed-up workload provides.
+// channel operation registers a node in its host's one waits-for graph
+// (a select contributes one node with a case per channel it waits on),
+// beside the host's lock waits, and the host's one detector
+// (dimmunix.ChanGraph) runs on it. A case's rescuers are derived from
+// observed channel usage: a blocked send can only be rescued by a
+// goroutine known to receive on that channel, a blocked recv by a known
+// sender. A case with no known rescuer escapes (an unknown party may yet
+// act), so detection has no false positives on cold channels; it fires
+// once both sides of a cycle have a usage history, which any warmed-up
+// workload provides. A cycle may run through channels and mutexes
+// alike.
 //
-// A detected communication deadlock becomes an ordinary signature in
-// the internal/sig suffix format: each cycle member contributes an
-// outer stack (where it engaged the channel its predecessor waits on —
-// its live deposit into a buffered channel, or its recorded usage site)
-// and an inner stack (where it blocks). Channel frames carry their own
-// frame kind (sig.KindChanSend/Recv/Select), so the codec, merge,
-// store, WAL, replication, and push distribution pipelines carry them
-// byte-for-byte unchanged, while a channel site can never suffix-match
-// a mutex signature or vice versa.
+// A detected deadlock becomes an ordinary signature in the internal/sig
+// suffix format: each cycle member contributes an outer stack (where it
+// engaged the primitive its predecessor waits on — for a channel, its
+// live deposit into a buffered channel or its recorded usage site) and
+// an inner stack (where it blocks). Channel frames carry their own frame
+// kind (sig.KindChanSend/Recv/Select), so the codec, merge, store, WAL,
+// replication, and push distribution pipelines carry them byte-for-byte
+// unchanged, while a channel site can never suffix-match a mutex site or
+// vice versa.
 //
 // A Runtime is the channel half of a dimmunix.Runtime, its host, and
 // yields in the host's yielder table (dimmunix.Runtime.ParkLocked): an
 // op whose call stack suffix-matches a history signature's outer stack,
 // while the signature's other slots are occupied by distinct goroutines'
 // engagements on distinct channels, parks before engaging. A blocked
-// op's rescuers are its wait edges in the host's one yield graph, beside
-// mutex waiters' lock owners, so a wait+yield cycle forces its
-// smallest-id yielder through whichever primitives it crosses.
+// op's rescuers are its wait edges in the host's one graph, beside mutex
+// waiters' lock owners, so a wait+yield cycle forces its smallest-id
+// yielder through whichever primitives it crosses.
 //
 // All bookkeeping runs under the host's mutex, and each op decides and
 // engages in one hold of it (Runtime.enter): the threat check, the
 // native non-blocking attempt, and the recorded deposit or registered
-// wait. The differential GraphDisabled arm (raw channel ops, no
-// bookkeeping) doubles as the zero-overhead baseline the runtime bench
-// compares against.
+// wait with detection. The differential GraphDisabled arm (raw channel
+// ops, no bookkeeping) doubles as the zero-overhead baseline the runtime
+// bench compares against.
 package commdlk
 
 import (
@@ -77,11 +77,8 @@ type Config struct {
 
 // Stats is a snapshot of runtime counters.
 type Stats struct {
-	// Deadlocks counts detected communication deadlocks.
+	// Deadlocks counts deadlocks whose cycle a channel op's wait closed.
 	Deadlocks uint64
-	// KnownRecurrences counts detections whose signature was already in
-	// the history.
-	KnownRecurrences uint64
 	// Yields counts channel ops that parked at least once.
 	Yields uint64
 	// AvoidanceBreaks counts yielders forced through to break a
@@ -133,6 +130,9 @@ type chanCore struct {
 	deposits  []deposit
 	sendUsers map[uint64]usage
 	recvUsers map[uint64]usage
+	// waiting counts the ops blocked on the channel per direction
+	// (indexed by opDir).
+	waiting [2]int
 }
 
 // opCase is one (channel, direction) a blocked op waits on.
@@ -180,8 +180,9 @@ type Runtime struct {
 }
 
 // NewRuntime builds the channel half of host, at most one per host. Its
-// channels share host's lock, yielder table and yield graph, history,
-// recovery policy, avoidance switch, OnDeadlock hook and capture cache.
+// channels share host's lock, yielder table, waits-for graph and
+// detector, history, recovery policy, avoidance and detection switches,
+// OnDeadlock hook and capture cache.
 // The graph names channel waiters by goroutine id, so from now on the
 // thread ids passed to host's Acquire and Mutex.LockAt must be
 // goroutine ids too.
@@ -192,7 +193,7 @@ func NewRuntime(host *dimmunix.Runtime, cfg Config) *Runtime {
 		blocked:  make(map[uint64]*blockedOp),
 		closedCh: make(chan struct{}),
 	}
-	rt.mu, rt.shared, rt.capture = host.ShareGraph(rt.waitsOnLocked)
+	rt.mu, rt.shared, rt.capture = host.ShareGraph((*graph)(rt))
 	return rt
 }
 
@@ -320,24 +321,32 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 		return nil, -1, ErrClosed
 	}
 	op = &blockedOp{gid: gid, cases: cases, stack: cs, kind: kind}
-	rt.blocked[gid] = op
+	rt.blockLocked(op, 1)
 	rt.stats.Blocked++
-	if dl = rt.detectLocked(op); dl != nil {
+	// The host's detector and yield-cycle breaker, over channels and
+	// mutexes alike.
+	if dl = rt.host.NewWaitLocked(dimmunix.ThreadID(gid)); dl != nil {
 		rt.stats.Deadlocks++
-		if dl.Known {
-			rt.stats.KnownRecurrences++
-		} else {
-			rt.shared.History.Add(dl.Signature)
-		}
 		if rt.shared.Policy == dimmunix.RecoverBreak {
-			delete(rt.blocked, gid)
+			rt.blockLocked(op, -1)
 			op, err = nil, ErrDeadlock
 		}
 	}
-	// This wait may have closed a wait+yield cycle, through channels,
-	// mutexes or both.
-	rt.host.BreakYieldCyclesLocked()
 	return op, -1, err
+}
+
+// blockLocked enters op's wait in the graph (delta 1) or withdraws it
+// (delta -1), keeping its channels' per-direction counts. Caller holds
+// rt.mu.
+func (rt *Runtime) blockLocked(op *blockedOp, delta int) {
+	if delta > 0 {
+		rt.blocked[op.gid] = op
+	} else {
+		delete(rt.blocked, op.gid)
+	}
+	for _, oc := range op.cases {
+		oc.core.waiting[oc.dir] += delta
+	}
 }
 
 // await runs a blocked op's native blocking op, wait, which returns the
@@ -356,7 +365,7 @@ func (rt *Runtime) await(op *blockedOp, wait func() int) (chosen int) {
 // Yielders re-evaluate: the graph lost a node.
 func (rt *Runtime) leave(op *blockedOp, chosen int) {
 	rt.mu.Lock()
-	delete(rt.blocked, op.gid)
+	rt.blockLocked(op, -1)
 	if chosen >= 0 {
 		rt.recordLocked(op.cases[chosen], op.gid, op.stack, op.kind)
 	}

@@ -2,8 +2,10 @@ package commdlk
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -445,6 +447,112 @@ func TestColdChannelsNoFalseDetection(t *testing.T) {
 	wg.Wait()
 	if !errors.Is(e1, ErrClosed) || !errors.Is(e2, ErrClosed) {
 		t.Fatalf("close did not release blocked sends: %v %v", e1, e2)
+	}
+}
+
+// until polls cond for up to 10 s, for goroutines that may not fail the
+// test themselves.
+func until(what string, cond func() bool) error {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+	}
+	return nil
+}
+
+// semKnot drives the semaphore trap with no backing out: after one
+// sequenced warmup lap each, g1 holds A and blocks filling B, then g2
+// holds B and blocks filling A. It returns once both fills are blocked;
+// done receives each goroutine's final error.
+func semKnot(t *testing.T, rt *Runtime, s *sem) (done chan error) {
+	t.Helper()
+	done = make(chan error, 2)
+	g1warm, g2warm := make(chan struct{}), make(chan struct{})
+	go func() {
+		err := s.g1cycle(nil)
+		close(g1warm)
+		if err == nil {
+			<-g2warm
+			err = s.a.Send(1)
+		}
+		if err == nil {
+			err = until("g2 filling B", func() bool { return s.b.Len() == 1 })
+		}
+		if err == nil {
+			err = s.b.Send(1)
+		}
+		done <- err
+	}()
+	go func() {
+		<-g1warm
+		err := s.g2cycle(nil, nil)
+		close(g2warm)
+		if err == nil {
+			err = until("g1 filling A", func() bool { return s.a.Len() == 1 })
+		}
+		if err == nil {
+			err = s.b.Send(1)
+		}
+		if err == nil {
+			err = until("g1 waiting on B", func() bool { return rt.Waiting() == 1 })
+		}
+		if err == nil {
+			err = s.a.Send(1) // closes the cycle
+		}
+		done <- err
+	}()
+	waitUntil(t, "both cross-fills blocked", func() bool { return rt.Waiting() == 2 })
+	return done
+}
+
+// TestDetectChanWaiterOutsideCycleDoesNotFingerprint: only the op that
+// closes a cycle fingerprints it. Under RecoverNone the semaphore knot
+// stays blocked; a third goroutine then blocks filling A, whose known
+// receivers are both in the knot. It is stuck too, but on no cycle
+// through itself, so nothing more is recorded.
+func TestDetectChanWaiterOutsideCycleDoesNotFingerprint(t *testing.T) {
+	var found atomic.Int32
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{
+		Policy:     dimmunix.RecoverNone,
+		OnDeadlock: func(dimmunix.Deadlock) { found.Add(1) },
+	}), Config{})
+	s := newSem(rt)
+	done := semKnot(t, rt, s)
+	waitUntil(t, "the knot detected", func() bool { return found.Load() == 1 })
+
+	outsider := make(chan error, 1)
+	go func() { outsider <- s.a.Send(3) }()
+	waitUntil(t, "the outsider blocked", func() bool { return rt.Waiting() == 3 })
+	if n, st := found.Load(), rt.Stats(); n != 1 || st.Deadlocks != 1 {
+		t.Fatalf("OnDeadlock fired %d times, %d deadlocks counted; want 1 and 1 (the outsider must not re-fingerprint)", n, st.Deadlocks)
+	}
+	rt.Close()
+	for _, ch := range []chan error{done, done, outsider} {
+		if err := <-ch; !errors.Is(err, ErrClosed) {
+			t.Fatalf("after Close: %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestDetectionDisabledCoversChannels: the host's DetectionDisabled
+// switches detection off for its channels too. The semaphore knot
+// closes under RecoverBreak, and nothing is recorded or refused; Close
+// releases both fills.
+func TestDetectionDisabledCoversChannels(t *testing.T) {
+	h := dimmunix.NewHistory()
+	host := dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak, DetectionDisabled: true})
+	defer host.Close()
+	rt := NewRuntime(host, Config{})
+	done := semKnot(t, rt, newSem(rt))
+	if st := rt.Stats(); st.Deadlocks != 0 || h.Len() != 0 {
+		t.Fatalf("deadlocks = %d, history = %d signatures; want 0 and 0", st.Deadlocks, h.Len())
+	}
+	rt.Close()
+	for i := 0; i < 2; i++ {
+		if err := <-done; !errors.Is(err, ErrClosed) {
+			t.Fatalf("after Close: %v, want ErrClosed", err)
+		}
 	}
 }
 

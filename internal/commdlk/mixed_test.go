@@ -1,6 +1,8 @@
 package commdlk
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,11 +11,11 @@ import (
 	"communix/internal/stacktrace"
 )
 
-// The tests in this file close wait+yield cycles that cross from a
-// channel to a mutex of the same host runtime. Each half alone sees no
-// cycle, so only the host's one yield graph can break them. The
-// re-home timeout is a minute: only the cycle breaker can free the
-// yielder in time.
+// The tests in this file close cycles that cross from a channel to a
+// mutex of the same host runtime. Each half alone sees no cycle, so only
+// the host's one graph can break a wait+yield cycle or detect a
+// wait-for cycle. In the yield tests the re-home timeout is a minute:
+// only the cycle breaker can free the yielder in time.
 
 // awaitAll fails the test unless every named goroutine reports nil
 // within 10 s.
@@ -26,7 +28,7 @@ func awaitAll(t *testing.T, done map[string]chan error) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s never finished: the wait+yield cycle was not broken", name)
+			t.Fatalf("%s never finished within 10 s", name)
 		}
 	}
 }
@@ -199,7 +201,7 @@ func TestMutexYieldChanWaitCycleBroken(t *testing.T) {
 }
 
 // TestHostCarriesOneChannelRuntime: a second channel runtime on one host
-// would replace the first's wait edges in the host's yield graph, so
+// would replace the first's side of the host's waits-for graph, so
 // NewRuntime refuses it.
 func TestHostCarriesOneChannelRuntime(t *testing.T) {
 	host := dimmunix.NewRuntime(dimmunix.Config{})
@@ -211,4 +213,202 @@ func TestHostCarriesOneChannelRuntime(t *testing.T) {
 		}
 	}()
 	NewRuntime(host, Config{})
+}
+
+// mixedKnot is the smallest mutex+channel deadlock: one goroutine holds
+// mu and blocks receiving on ch, whose one known sender then waits for
+// mu. The sender's warmup send happens before either wait, so the
+// receiver's one rescuer is the sender, and the sender's one rescuer is
+// mu's owner.
+type mixedKnot struct {
+	host *dimmunix.Runtime
+	rt   *Runtime
+	mu   *dimmunix.Mutex
+	ch   *Chan[int]
+	// found receives every detected deadlock, buffered so that a second,
+	// unexpected report reaches check instead of blocking its detector.
+	found chan dimmunix.Deadlock
+}
+
+func newMixedKnot(t *testing.T) *mixedKnot {
+	t.Helper()
+	k := &mixedKnot{found: make(chan dimmunix.Deadlock, 2)}
+	k.host = dimmunix.NewRuntime(dimmunix.Config{
+		Policy:     dimmunix.RecoverBreak,
+		OnDeadlock: func(d dimmunix.Deadlock) { k.found <- d },
+	})
+	t.Cleanup(k.host.Close)
+	k.rt = NewRuntime(k.host, Config{})
+	t.Cleanup(k.rt.Close)
+	k.mu = k.host.NewMutex("knot-mu")
+	k.ch = NewChan[int](k.rt, "knot-ch", 1)
+	return k
+}
+
+// check asserts the one deadlock the knot produced: closer's wait closed
+// the cycle, the other member is other, and each member pairs a lock
+// stack with a channel stack — mu's holder held it (lock outer) and
+// blocks receiving (chan-recv inner), the sender sent (chan-send outer)
+// and blocks on mu (lock inner).
+func (k *mixedKnot) check(t *testing.T, closer, other dimmunix.ThreadID) {
+	t.Helper()
+	if n := k.host.Stats().Deadlocks + k.rt.Stats().Deadlocks; n != 1 {
+		t.Fatalf("deadlocks over both halves = %d, want 1", n)
+	}
+	var d dimmunix.Deadlock
+	select {
+	case d = <-k.found:
+	default:
+		t.Fatal("OnDeadlock never fired")
+	}
+	if len(d.Threads) != 2 || d.Threads[0] != closer || d.Threads[1] != other {
+		t.Fatalf("cycle = %v, want [%d %d]", d.Threads, closer, other)
+	}
+	if d.Known {
+		t.Error("first detection reported Known")
+	}
+	s := d.Signature
+	if s == nil || len(s.Threads) != 2 {
+		t.Fatalf("signature = %v, want two threads", s)
+	}
+	kinds := map[[2]string]bool{}
+	for _, th := range s.Threads {
+		kinds[[2]string{th.Outer.Top().Kind, th.Inner.Top().Kind}] = true
+	}
+	holder, sender := [2]string{sig.KindLock, sig.KindChanRecv}, [2]string{sig.KindChanSend, sig.KindLock}
+	if len(kinds) != 2 || !kinds[holder] || !kinds[sender] {
+		t.Fatalf("member (outer, inner) kinds = %v, want %v and %v", kinds, holder, sender)
+	}
+	if k.host.History().Get(s.ID()) == nil {
+		t.Error("the mixed signature is not in the history")
+	}
+	data, err := sig.Encode(s)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := sig.Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if back.ID() != s.ID() {
+		t.Error("codec round trip changed the signature ID")
+	}
+	select {
+	case d := <-k.found:
+		t.Fatalf("a second deadlock was reported: %v", d.Threads)
+	default:
+	}
+}
+
+// TestMixedLockWaitClosesDeadlock: the holder of mu blocks on a recv
+// only the sender can rescue, and the sender's lock of mu closes the
+// cycle. The host's detector follows the lock edge into the channel
+// half and back; the sender's Lock gets the mutex half's ErrDeadlock,
+// and the sender then rescues the holder.
+func TestMixedLockWaitClosesDeadlock(t *testing.T) {
+	k := newMixedKnot(t)
+	var (
+		holderID, senderID = make(chan dimmunix.ThreadID, 1), make(chan dimmunix.ThreadID, 1)
+		warm, lockNow      = make(chan struct{}), make(chan struct{})
+		holder, sender     = make(chan error, 1), make(chan error, 1)
+	)
+	go func() {
+		holderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		<-warm
+		if _, _, err := k.ch.Recv(); err != nil {
+			holder <- err
+			return
+		}
+		if err := k.mu.Lock(); err != nil {
+			holder <- err
+			return
+		}
+		_, _, err := k.ch.Recv() // blocks: only the sender can rescue it
+		if uerr := k.mu.Unlock(); err == nil {
+			err = uerr
+		}
+		holder <- err
+	}()
+	go func() {
+		senderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		if err := k.ch.Send(0); err != nil {
+			sender <- err
+			return
+		}
+		close(warm)
+		<-lockNow
+		if err := k.mu.Lock(); !errors.Is(err, dimmunix.ErrDeadlock) { // closes the cycle
+			sender <- fmt.Errorf("closing Lock = %v, want ErrDeadlock", err)
+			return
+		}
+		sender <- k.ch.Send(1)
+	}()
+	waitUntil(t, "the holder blocked on its recv", func() bool { return k.rt.Waiting() == 1 && k.ch.Len() == 0 })
+	close(lockNow)
+	awaitAll(t, map[string]chan error{"holder": holder, "sender": sender})
+	if n := k.host.Stats().Deadlocks; n != 1 {
+		t.Fatalf("mutex half deadlocks = %d, want 1", n)
+	}
+	k.check(t, <-senderID, <-holderID)
+}
+
+// TestMixedChanWaitClosesDeadlock: the sender waits for mu first, and
+// the holder's recv, which only the sender can rescue, closes the cycle.
+// The holder's Recv gets the channel half's ErrDeadlock and unlocks mu,
+// which lets the sender through.
+func TestMixedChanWaitClosesDeadlock(t *testing.T) {
+	k := newMixedKnot(t)
+	var (
+		holderID, senderID = make(chan dimmunix.ThreadID, 1), make(chan dimmunix.ThreadID, 1)
+		warm, lockNow      = make(chan struct{}), make(chan struct{})
+		locked, recvNow    = make(chan struct{}), make(chan struct{})
+		holder, sender     = make(chan error, 1), make(chan error, 1)
+	)
+	go func() {
+		holderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		<-warm
+		if _, _, err := k.ch.Recv(); err != nil {
+			holder <- err
+			return
+		}
+		if err := k.mu.Lock(); err != nil {
+			holder <- err
+			return
+		}
+		close(locked)
+		<-recvNow
+		_, _, err := k.ch.Recv() // closes the cycle
+		if !errors.Is(err, ErrDeadlock) {
+			err = fmt.Errorf("closing Recv = %v, want ErrDeadlock", err)
+		} else {
+			err = nil
+		}
+		if uerr := k.mu.Unlock(); err == nil {
+			err = uerr
+		}
+		holder <- err
+	}()
+	go func() {
+		senderID <- dimmunix.ThreadID(stacktrace.GoroutineID())
+		if err := k.ch.Send(0); err != nil {
+			sender <- err
+			return
+		}
+		close(warm)
+		<-lockNow
+		err := k.mu.Lock() // waits for the holder
+		if err == nil {
+			err = k.mu.Unlock()
+		}
+		sender <- err
+	}()
+	<-locked
+	close(lockNow)
+	waitUntil(t, "the sender queued on mu", func() bool { return k.host.Stats().Contended == 1 })
+	close(recvNow)
+	awaitAll(t, map[string]chan error{"holder": holder, "sender": sender})
+	if n := k.rt.Stats().Deadlocks; n != 1 {
+		t.Fatalf("channel half deadlocks = %d, want 1", n)
+	}
+	k.check(t, <-holderID, <-senderID)
 }

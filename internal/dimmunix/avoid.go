@@ -1,8 +1,6 @@
 package dimmunix
 
 import (
-	"slices"
-
 	"communix/internal/sig"
 )
 
@@ -73,8 +71,7 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 		if !timedOut || sigID != lastSigID {
 			tp := false
 			if o := l.owner; o != 0 && o != tid {
-				chain, _ := rt.waitChainLocked(o)
-				tp = slices.Contains(chain, tid)
+				tp = rt.cycleLocked(tid, [][]ThreadID{{o}}) != nil
 			}
 			warning = rt.fp.recordInstantiation(sigID, tp)
 			rt.stats.yields.Add(1)
@@ -107,20 +104,6 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 		// slept.
 		rt.refreshPositionsLocked()
 	}
-}
-
-// waitsOnLocked is the wait edge of the yield graph: the owner of the
-// lock tid queues for, or else the goroutines that could rescue tid's
-// blocked channel op (ShareGraph). A thread waits on one primitive at a
-// time, so this is the union of both edges. Caller holds rt.mu.
-func (rt *Runtime) waitsOnLocked(tid ThreadID) []ThreadID {
-	if ts, ok := rt.threads[tid]; ok && ts.wait != nil && ts.wait.lock.owner != 0 {
-		return []ThreadID{ts.wait.lock.owner}
-	}
-	if rt.chanWaitsOn != nil {
-		return rt.chanWaitsOn(tid)
-	}
-	return nil
 }
 
 // fireWarning emits a false-positive warning while holding rt.mu: it

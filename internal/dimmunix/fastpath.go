@@ -53,7 +53,7 @@ import (
 //     (matchedFastAcquire).
 //   - fast release:  CAS tid → 0 (or recursion decrement), owner only;
 //     a matched hold first unregisters its shard positions and wakes
-//     the affected shards' yielders (unregisterFastHold), still while
+//     the affected shards' yielders (unregisterPositions), still while
 //     owning the word.
 //   - revocation:    CAS published word → slow bit, only under rt.mu
 //     (revokeLocked); an interrupted fast release retries, observes the
@@ -268,15 +268,16 @@ func (rt *Runtime) fastRelease(tid ThreadID, l *Lock) bool {
 			// A matched hold: drop its signature positions and wake the
 			// affected shards' yielders *before* freeing the word, so no
 			// later acquisition can observe the lock free while the
-			// positions still (or again) name this thread. Idempotent: it
-			// clears l.fastSlots, so a retry after a mid-release
-			// revocation skips it, and the revocation's import + the slow
-			// path's release keep the books consistent either way.
-			rt.unregisterFastHold(tid, l)
+			// positions still (or again) name this thread. Clearing
+			// l.fastSlots makes a retry after a mid-release revocation
+			// skip this, and the revocation's import + the slow path's
+			// release keep the books consistent either way.
+			rt.unregisterPositions(tid, l, l.fastSlots)
+			l.fastSlots = l.fastSlots[:0]
 		}
 		if l.fast.CompareAndSwap(w, 0) {
-			// No waiters to promote and no rt.mu-side yielders to wake:
-			// both require the lock to be slow-managed first.
+			// No waiters to promote: that requires the lock to be
+			// slow-managed first.
 			return true
 		}
 		// Revoked between load and CAS; next iteration sees the slow bit.

@@ -118,8 +118,9 @@ type Runtime struct {
 	threads    map[ThreadID]*threadState
 	yielders   map[ThreadID]*Yielder
 	nextLockID atomic.Uint64
-	// chanWaitsOn is the channel half's wait edge (ShareGraph), or nil.
-	chanWaitsOn func(ThreadID) []ThreadID
+	// chans is the channel side of the waits-for graph (ShareGraph), or
+	// nil.
+	chans ChanGraph
 
 	// applied is the index the position table reflects: every shard
 	// holds exactly the positions applied matches. Guarded by rt.mu;
@@ -536,25 +537,15 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 	ts.wait = w
 	rt.stats.contended.Add(1)
 
-	// Detection: does this wait close a cycle?
-	var dl *Deadlock
-	if !rt.cfg.DetectionDisabled {
-		if cycle, closed := rt.waitChainLocked(tid); closed {
-			dl = rt.buildDeadlockLocked(cycle)
-			if dl != nil {
-				rt.stats.deadlocks.Add(1)
-				if !dl.Known {
-					rt.history.Add(dl.Signature)
-				}
-				if rt.cfg.Policy == RecoverBreak {
-					notifyLocked(w, ErrDeadlock)
-				}
-			}
+	// Detection: does this wait close a cycle, through locks, channels or
+	// both?
+	dl := rt.NewWaitLocked(tid)
+	if dl != nil {
+		rt.stats.deadlocks.Add(1)
+		if rt.cfg.Policy == RecoverBreak {
+			notifyLocked(w, ErrDeadlock)
 		}
 	}
-	// This wait may also have closed a wait+yield cycle; break it by
-	// forcing a yielder through.
-	rt.BreakYieldCyclesLocked()
 	rt.mu.Unlock()
 	if dl != nil && rt.cfg.OnDeadlock != nil {
 		rt.cfg.OnDeadlock(*dl)
@@ -569,7 +560,6 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 		// drop the waiter's slot registrations.
 		rt.removeWaiterLocked(l, w)
 		rt.unregisterPositions(tid, l, w.slots)
-		rt.wakeYieldersLocked(true)
 		rt.maybeRestoreFastLocked(l)
 	}
 	rt.reapThreadLocked(ts)
@@ -612,7 +602,8 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	}
 
 	ts := rt.thread(tid)
-	// Drop the hold record and its slot registrations.
+	// Drop the hold record and its slot registrations, waking the
+	// yielders whose threat that may dissolve.
 	for i, h := range ts.held {
 		if h.lock == l {
 			rt.unregisterPositions(tid, l, h.slots)
@@ -627,8 +618,6 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	// waiters returns to the fast path.
 	rt.promoteLocked(l)
 	rt.maybeRestoreFastLocked(l)
-	// State changed: yielding threads re-evaluate.
-	rt.wakeYieldersLocked(true)
 	rt.reapThreadLocked(ts)
 	rt.mu.Unlock()
 	return nil

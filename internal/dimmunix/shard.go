@@ -51,9 +51,9 @@ type sigShard struct {
 	// others' positions.
 	slots map[int]map[ThreadID]map[*Lock]struct{}
 	// yielders are the threads suspended by avoidance whose stacks match
-	// this signature; a matched fast release wakes them without touching
-	// rt.mu. Every yielder is also in rt.yielders (for cycle resolution,
-	// global wakes, and Close).
+	// this signature; a release that drops one of its positions wakes
+	// them (unregisterPositions). Every yielder is also in rt.yielders
+	// (for cycle resolution and Close).
 	yielders map[ThreadID]*Yielder
 }
 
@@ -192,16 +192,20 @@ func putPositions(dst []slotKey, refs []SlotRef, shards []*sigShard, tid ThreadI
 }
 
 // unregisterPositions removes (tid, l) from the given slots — l is the
-// lock the hold or wait the keys belong to was for. The keys carry
-// their shard pointers, so no table probe is needed; a key whose shard
-// was meanwhile pruned (signature removed) drops from the dead object —
-// a harmless no-op, since the refresh cleared it. Slow-path callers
-// (rt.mu held) follow up with wakeYieldersLocked, which covers every
-// shard's yielders, so no per-shard wake is needed here.
+// lock the hold or wait the keys belong to was for — and wakes the
+// yielders of every shard it dropped an entry from: only a dropped
+// position can dissolve a threat, so yielders elsewhere sleep on. The
+// keys carry their shard pointers, so no table probe is needed; a key
+// whose shard was meanwhile pruned (signature removed) drops from the
+// dead object — a harmless no-op, since the refresh cleared it and woke
+// its yielders. It takes no rt.mu: a matched fast release calls it
+// while still owning the word.
 func (rt *Runtime) unregisterPositions(tid ThreadID, l *Lock, keys []slotKey) {
 	for _, key := range keys {
 		key.shard.mu.Lock()
-		key.shard.drop(key.slot, tid, l)
+		if key.shard.drop(key.slot, tid, l) {
+			key.shard.wakeYielders()
+		}
 		key.shard.mu.Unlock()
 	}
 }
@@ -351,35 +355,4 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 	l.fast.Store(uint64(tid))
 	rt.stats.acquisitions.Add(1)
 	return true
-}
-
-// unregisterFastHold drops a published matched hold's positions and
-// wakes the yielders of every affected signature — the only cross-thread
-// signal a matched release owes, delivered without rt.mu. It runs while
-// the releasing thread still owns the word, so no new hold can register
-// the same (signature, slot, thread) entries concurrently; clearing
-// l.fastSlots to length zero makes a rerun (release retrying after a
-// mid-flight revocation) a no-op.
-func (rt *Runtime) unregisterFastHold(tid ThreadID, l *Lock) {
-	keys := l.fastSlots
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j].shard == keys[i].shard {
-			j++
-		}
-		sh := keys[i].shard
-		sh.mu.Lock()
-		removed := false
-		for _, k := range keys[i:j] {
-			if sh.drop(k.slot, tid, l) {
-				removed = true
-			}
-		}
-		if removed {
-			sh.wakeYielders()
-		}
-		sh.mu.Unlock()
-		i = j
-	}
-	l.fastSlots = keys[:0]
 }

@@ -97,18 +97,19 @@ func (y *Yielder) park() bool {
 }
 
 // ShareGraph builds a channel runtime (internal/commdlk) on rt, at most
-// one: waitsOn, the goroutines that could rescue a thread's blocked
-// channel op, joins the lock-owner edge in rt's one yield graph, and the
-// channel half shares rt's mutex (which guards the graph, the yielder
-// table and all waitsOn reads), configuration and capture cache. From
-// then on Acquire's thread ids must be goroutine ids.
-func (rt *Runtime) ShareGraph(waitsOn func(ThreadID) []ThreadID) (*sync.Mutex, Config, *stacktrace.Cache) {
+// one: g, the channel side of the waits-for graph, joins the lock waits
+// in rt's one graph, which the detector, the yield-cycle breaker and the
+// true-positive check all read. The channel half shares rt's mutex
+// (which guards the graph, the yielder table and every read of g),
+// configuration and capture cache. From then on Acquire's thread ids
+// must be goroutine ids.
+func (rt *Runtime) ShareGraph(g ChanGraph) (*sync.Mutex, Config, *stacktrace.Cache) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.chanWaitsOn != nil {
+	if rt.chans != nil {
 		panic("dimmunix: runtime already carries a channel runtime")
 	}
-	rt.chanWaitsOn = waitsOn
+	rt.chans = g
 	return &rt.mu, rt.cfg, rt.capture
 }
 
@@ -118,7 +119,7 @@ func (rt *Runtime) ShareGraph(waitsOn func(ThreadID) []ThreadID) (*sync.Mutex, C
 // was woken.
 func (rt *Runtime) ParkLocked(y *Yielder) (woken bool) {
 	rt.yielders[y.Thread] = y
-	rt.BreakYieldCyclesLocked()
+	BreakYieldCycles(rt.yielders, rt.casesLocked)
 	if !y.Forced {
 		rt.mu.Unlock()
 		woken = y.park()
@@ -128,18 +129,12 @@ func (rt *Runtime) ParkLocked(y *Yielder) (woken bool) {
 	return woken
 }
 
-// BreakYieldCyclesLocked runs the cycle breaker over the yielder table
-// and both kinds of wait edge, after every new wait. Caller holds rt.mu.
-func (rt *Runtime) BreakYieldCyclesLocked() {
-	BreakYieldCycles(rt.yielders, rt.waitsOnLocked)
-}
-
 // wakeYieldersLocked prompts one half's parked yielders to re-evaluate.
 // Only lock events can dissolve a mutex yielder's threat and only
 // channel events a channel yielder's, so each half wakes its own; the
-// cycle breaker wakes whichever it forces. Matched fast releases wake
-// the affected shards' yielders directly instead (shard.go). Caller
-// holds rt.mu.
+// cycle breaker wakes whichever it forces. Lock releases wake only the
+// yielders of the shards they drop positions from (unregisterPositions),
+// so this wakes the mutex half only on Close. Caller holds rt.mu.
 func (rt *Runtime) wakeYieldersLocked(mutex bool) {
 	for _, y := range rt.yielders {
 		if y.mutex == mutex {
@@ -154,20 +149,20 @@ func (rt *Runtime) wakeYieldersLocked(mutex bool) {
 func (rt *Runtime) WakeChanYieldersLocked() { rt.wakeYieldersLocked(false) }
 
 // BreakYieldCycles breaks the cycles of the combined wait+yield graph
-// that pass through a yielder. Edges leave a thread toward the threads
-// waitsOn names (its wait edges) and, if it is an unforced yielder,
-// toward its Blockers. While some unforced yielder can reach itself, the
-// smallest-id such yielder is forced through and woken. It returns how
-// many it forced. Pure wait cycles are real deadlocks and are left to
-// detection. The caller holds the runtime's mutex, which guards
-// yielders and everything waitsOn reads. With no yielders it returns at
-// once, without allocating.
-func BreakYieldCycles(yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []ThreadID) int {
+// that pass through a yielder. Edges leave a thread toward the rescuers
+// of its cases (its wait edges, as the deadlock detector reads them)
+// and, if it is an unforced yielder, toward its Blockers. While some
+// unforced yielder can reach itself, the smallest-id such yielder is
+// forced through and woken. It returns how many it forced. Pure wait
+// cycles are real deadlocks and are left to detection. The caller holds
+// the runtime's mutex, which guards yielders and everything cases
+// reads. With no yielders it returns at once, without allocating.
+func BreakYieldCycles(yielders map[ThreadID]*Yielder, cases func(ThreadID) [][]ThreadID) int {
 	forced := 0
 	for len(yielders) > 0 {
 		var best *Yielder
 		for _, y := range yielders {
-			if !y.Forced && (best == nil || y.Thread < best.Thread) && onYieldCycle(y, yielders, waitsOn) {
+			if !y.Forced && (best == nil || y.Thread < best.Thread) && onYieldCycle(y, yielders, cases) {
 				best = y
 			}
 		}
@@ -183,7 +178,7 @@ func BreakYieldCycles(yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []T
 
 // onYieldCycle reports whether y reaches itself over wait and yield
 // edges.
-func onYieldCycle(y *Yielder, yielders map[ThreadID]*Yielder, waitsOn func(ThreadID) []ThreadID) bool {
+func onYieldCycle(y *Yielder, yielders map[ThreadID]*Yielder, cases func(ThreadID) [][]ThreadID) bool {
 	seen := make(map[ThreadID]struct{}, 8)
 	var stack []ThreadID
 	push := func(t ThreadID) {
@@ -195,8 +190,10 @@ func onYieldCycle(y *Yielder, yielders map[ThreadID]*Yielder, waitsOn func(Threa
 	// Seed with y's successors, so that reaching y takes a real cycle.
 	cur := y.Thread
 	for {
-		for _, next := range waitsOn(cur) {
-			push(next)
+		for _, rs := range cases(cur) {
+			for _, next := range rs {
+				push(next)
+			}
 		}
 		if cy, ok := yielders[cur]; ok && !cy.Forced {
 			for b := range cy.Blockers {

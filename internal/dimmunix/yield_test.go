@@ -2,12 +2,14 @@ package dimmunix
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBreakYieldCycles runs the shared wait+yield cycle breaker on
 // synthetic graphs: yield edges come from each yielder's blockers, wait
-// edges from a fixed successor table.
+// edges from a fixed successor table (one case per waiting thread).
 func TestBreakYieldCycles(t *testing.T) {
 	type yielderSpec struct {
 		blockers []ThreadID
@@ -71,7 +73,7 @@ func TestBreakYieldCycles(t *testing.T) {
 				y.Forced = spec.forced
 				yielders[id] = y
 			}
-			n := BreakYieldCycles(yielders, func(id ThreadID) []ThreadID { return tc.waits[id] })
+			n := BreakYieldCycles(yielders, func(id ThreadID) [][]ThreadID { return [][]ThreadID{tc.waits[id]} })
 			var got []ThreadID
 			for id, y := range yielders {
 				if y.Forced && !tc.yielders[id].forced {
@@ -97,7 +99,7 @@ func TestBreakYieldCyclesIdleAllocatesNothing(t *testing.T) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if allocs := testing.AllocsPerRun(100, func() {
-		if BreakYieldCycles(rt.yielders, rt.waitsOnLocked) != 0 {
+		if BreakYieldCycles(rt.yielders, rt.casesLocked) != 0 {
 			t.Fatal("forced a yielder with none parked")
 		}
 	}); allocs != 0 {
@@ -129,4 +131,66 @@ func TestWakesStayInTheirHalf(t *testing.T) {
 	}
 	delete(rt.yielders, mu.Thread)
 	delete(rt.yielders, ch.Thread)
+}
+
+// TestUnrelatedLockTrafficWakesNoYielder: a lock release wakes only the
+// yielders of the signatures whose positions it drops. One thread parks
+// on the pair signature; then 200 rounds of contended traffic on an
+// unrelated lock X — each round thread 4 queues behind thread 3, so both
+// releases take the slow path — must leave it parked. A woken yielder
+// whose threat still stands re-parks and counts another yield and
+// another §III-C1 instantiation, so Yields stays 1 and no false-positive
+// warning fires.
+func TestUnrelatedLockTrafficWakesNoYielder(t *testing.T) {
+	ps := newPairStacks()
+	h := NewHistory()
+	h.Add(ps.signature())
+	var warnings atomic.Int32
+	rt := NewRuntime(Config{History: h, OnFalsePositive: func(FalsePositiveWarning) { warnings.Add(1) }})
+	defer rt.Close()
+	a, b, x := rt.NewLock("A"), rt.NewLock("B"), rt.NewLock("X")
+	if err := rt.Acquire(1, a, ps.outerA); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		err := rt.Acquire(2, b, ps.outerB)
+		if err == nil {
+			err = rt.Release(2, b)
+		}
+		parked <- err
+	}()
+	eventually(t, func() bool { return rt.Stats().Yields == 1 }, "thread 2 parked")
+
+	cs3, cs4 := mkStack("T3", "siteX", 6), mkStack("T4", "siteX", 6)
+	for i := uint64(1); i <= 200; i++ {
+		if err := rt.Acquire(3, x, cs3); err != nil {
+			t.Fatal(err)
+		}
+		queued := make(chan error, 1)
+		go func() {
+			err := rt.Acquire(4, x, cs4)
+			if err == nil {
+				err = rt.Release(4, x)
+			}
+			queued <- err
+		}()
+		eventually(t, func() bool { return rt.Stats().Contended == i }, "thread 4 queued on X")
+		if err := rt.Release(3, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitErr(t, queued, "thread 4"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a woken yielder to re-park
+	if y, n := rt.Stats().Yields, warnings.Load(); y != 1 || n != 0 {
+		t.Fatalf("after unrelated traffic: %d yields and %d false-positive warnings, want 1 and 0", y, n)
+	}
+	if err := rt.Release(1, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitErr(t, parked, "thread 2"); err != nil {
+		t.Fatal(err)
+	}
 }
