@@ -357,8 +357,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			OnSignatures: func(added int) {
 				if cfg.Subscribe && n.agent != nil {
 					n.valMu.Lock()
+					before := n.history.Mutations()
 					if _, err := n.agent.RunStartup(); err == nil {
-						_ = n.history.Save()
+						_ = n.saveIfChanged(before)
 					}
 					n.valMu.Unlock()
 				}
@@ -541,11 +542,12 @@ func (n *Node) ValidateRepository() (AgentReport, error) {
 	}
 	n.valMu.Lock()
 	defer n.valMu.Unlock()
+	before := n.history.Mutations()
 	rep, err := n.agent.RunStartup()
 	if err != nil {
 		return rep, err
 	}
-	return rep, n.history.Save()
+	return rep, n.saveIfChanged(before)
 }
 
 // RecheckNesting re-validates signatures that previously failed only the
@@ -556,11 +558,22 @@ func (n *Node) RecheckNesting() (AgentReport, error) {
 	}
 	n.valMu.Lock()
 	defer n.valMu.Unlock()
+	before := n.history.Mutations()
 	rep, err := n.agent.OnClassesLoaded()
 	if err != nil {
 		return rep, err
 	}
-	return rep, n.history.Save()
+	return rep, n.saveIfChanged(before)
+}
+
+// saveIfChanged persists the history if it changed since it counted
+// mutations. Saving re-encodes every stored signature, so a pass that
+// installed nothing — most pushed batches — leaves the file alone.
+func (n *Node) saveIfChanged(mutations uint64) error {
+	if n.history.Mutations() == mutations {
+		return nil
+	}
+	return n.history.Save()
 }
 
 // Close shuts the node down: pending uploads drain (while the client

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -389,6 +390,61 @@ func TestMaliciousSignatureContainment(t *testing.T) {
 	}
 	if victimNode.History().Len() != 0 {
 		t.Error("attack signature entered the victim's history")
+	}
+}
+
+// TestPassThatInstallsNothingLeavesHistoryFile: saving a history
+// re-encodes every signature it stores, so a node saves after a
+// validation pass only when the pass changed the history. The file is
+// deleted after the first save; a pass whose only signature the agent
+// rejects, and a class-load recheck with nothing pending, must not
+// write it again.
+func TestPassThatInstallsNothingLeavesHistoryFile(t *testing.T) {
+	addr, auth := startServer(t)
+	app, view, p1, p2 := appView(t)
+	_, first := auth.Issue()
+	_, second := auth.Issue()
+	histPath := filepath.Join(t.TempDir(), "history.json")
+	node, err := communix.NewNode(communix.NodeConfig{
+		ServerAddr: addr, App: view, AppKey: app.Name, HistoryPath: histPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	pass := func(upload communix.Token, s *communix.Signature) communix.AgentReport {
+		t.Helper()
+		uploadDirect(t, addr, upload, s)
+		if _, err := node.SyncNow(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := node.ValidateRepository()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	thread := func(p bytecode.LockPath, depth int) sig.ThreadSpec {
+		return sig.ThreadSpec{Outer: stamp(app, p.Outer).Suffix(depth), Inner: stamp(app, p.Inner).Suffix(depth)}
+	}
+
+	if rep := pass(first, sig.New(thread(p1, 64), thread(p2, 64))); rep.Added != 1 {
+		t.Fatalf("first pass: %+v, want one signature added", rep)
+	}
+	if _, err := os.Stat(histPath); err != nil {
+		t.Fatalf("the pass that added a signature saved no history: %v", err)
+	}
+	if err := os.Remove(histPath); err != nil {
+		t.Fatal(err)
+	}
+	if rep := pass(second, sig.New(thread(p1, 1), thread(p2, 1))); rep.Inspected != 1 || rep.RejectedDepth != 1 {
+		t.Fatalf("second pass: %+v, want one signature inspected and rejected", rep)
+	}
+	if _, err := node.RecheckNesting(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(histPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("passes that installed nothing wrote the history file (stat: %v)", err)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"communix/internal/chunk"
 	"communix/internal/dimmunix"
 	"communix/internal/repo"
 	"communix/internal/sig"
@@ -34,7 +35,8 @@ import (
 
 // Application is the agent's view of the running program: per-code-unit
 // hashes for loaded units, and the precomputed nested-site set.
-// bytecode.View implements it for modelled applications.
+// bytecode.View implements it for modelled applications. A pass calls
+// UnitHash from several goroutines at once.
 type Application interface {
 	// UnitHash returns the hash of a loaded code unit; ok is false when
 	// the unit is not loaded.
@@ -135,18 +137,16 @@ func New(cfg Config) (*Agent, error) {
 // signature is analyzed once (§III-B).
 func (a *Agent) RunStartup() (Report, error) {
 	entries := a.cfg.Repo.NewSince(a.cfg.AppKey)
-	nested := a.nestedSites(entries)
 	var rep Report
 	var pending []int
 	through := 0
-	for _, e := range entries {
-		verdict := a.inspect(e.Sig, nested, &rep)
-		if verdict == VerdictPendingNesting {
-			pending = append(pending, e.Index)
+	for i, v := range a.pass(entries, &rep) {
+		if v == VerdictPendingNesting {
+			rep.PendingNesting++
+			pending = append(pending, entries[i].Index)
 		}
-		if e.Index+1 > through {
-			through = e.Index + 1
-		}
+		countRejection(v, &rep)
+		through = max(through, entries[i].Index+1)
 	}
 	rep.Inspected = len(entries)
 	if err := a.cfg.Repo.MarkInspected(a.cfg.AppKey, through, pending); err != nil {
@@ -161,30 +161,84 @@ func (a *Agent) RunStartup() (Report, error) {
 // look).
 func (a *Agent) OnClassesLoaded() (Report, error) {
 	entries := a.cfg.Repo.PendingNesting(a.cfg.AppKey)
-	nested := a.nestedSites(entries)
 	var rep Report
 	var resolved []int
-	for _, e := range entries {
-		// Hash and depth were already validated; only nesting pends.
-		trimmed, verdict := a.validate(e.Sig, nested)
-		if verdict == VerdictPendingNesting {
+	for i, v := range a.pass(entries, &rep) {
+		if v == VerdictPendingNesting {
 			continue // still unproven; keep pending
 		}
-		resolved = append(resolved, e.Index)
-		if verdict == VerdictAccepted {
-			a.install(trimmed, &rep)
-			rep.Accepted++
-		} else {
-			// Hash or depth regressed (e.g. site went out of scope);
-			// count and drop.
-			countRejection(verdict, &rep)
-		}
+		// Accepted, or hash or depth regressed (e.g. site went out of
+		// scope): count and drop.
+		resolved = append(resolved, entries[i].Index)
+		countRejection(v, &rep)
 	}
 	rep.Inspected = len(entries)
 	if err := a.cfg.Repo.ResolvePending(a.cfg.AppKey, resolved); err != nil {
 		return rep, fmt.Errorf("agent: class-load recheck: %w", err)
 	}
 	return rep, nil
+}
+
+// pass is the validation pass both entry points share. Validating one
+// signature depends only on it and the application, so the entries are
+// prepared — validated, and given their bug keys — on up to GOMAXPROCS
+// goroutines; generalizing depends on the history's contents, so the
+// accepted ones are folded into the history in repository order, one
+// chunk per history lock hold, each as soon as it and every chunk before
+// it are prepared (chunk.Run). It returns each entry's verdict and
+// counts the accepted ones into rep; the caller counts the rest.
+func (a *Agent) pass(entries []repo.Entry, rep *Report) []Verdict {
+	p := a.newPass(entries, rep)
+	chunk.Run(len(entries), p.prepare, p.fold)
+	return p.verdicts
+}
+
+// passState is one pass's prepared results: each entry's verdict, and
+// each chunk's accepted candidates packed at the start of its span.
+type passState struct {
+	a        *Agent
+	entries  []repo.Entry
+	nested   map[string]struct{}
+	rep      *Report
+	verdicts []Verdict
+	cands    []dimmunix.Candidate
+	accepted []int // per chunk
+}
+
+func (a *Agent) newPass(entries []repo.Entry, rep *Report) *passState {
+	return &passState{
+		a:        a,
+		entries:  entries,
+		nested:   a.nestedSites(entries),
+		rep:      rep,
+		verdicts: make([]Verdict, len(entries)),
+		cands:    make([]dimmunix.Candidate, len(entries)),
+		accepted: make([]int, (len(entries)+chunk.Size-1)/chunk.Size),
+	}
+}
+
+// prepare validates the entries of one chunk.
+func (p *passState) prepare(lo, hi int) {
+	k := lo
+	for i := lo; i < hi; i++ {
+		s, v := p.a.validate(p.entries[i].Sig, p.nested)
+		p.verdicts[i] = v
+		if v == VerdictAccepted {
+			p.cands[k] = dimmunix.Candidate{Sig: s, Bug: s.BugKey()}
+			k++
+		}
+	}
+	p.accepted[lo/chunk.Size] = k - lo
+}
+
+// fold generalizes one prepared chunk's accepted signatures into the
+// history.
+func (p *passState) fold(lo, _ int) {
+	batch := p.cands[lo : lo+p.accepted[lo/chunk.Size]]
+	added := p.a.cfg.History.GeneralizeBatch(batch, p.a.policy)
+	p.rep.Accepted += len(batch)
+	p.rep.Added += added
+	p.rep.Merged += len(batch) - added
 }
 
 // nestedSites fetches the application's nested-site set once for a pass
@@ -196,22 +250,6 @@ func (a *Agent) nestedSites(entries []repo.Entry) map[string]struct{} {
 		return nil
 	}
 	return a.cfg.App.NestedSiteKeys()
-}
-
-// inspect validates one signature against the pass's nested-site set and
-// installs it if accepted, updating the report.
-func (a *Agent) inspect(s *sig.Signature, nested map[string]struct{}, rep *Report) Verdict {
-	trimmed, verdict := a.validate(s, nested)
-	switch verdict {
-	case VerdictAccepted:
-		a.install(trimmed, rep)
-		rep.Accepted++
-	case VerdictPendingNesting:
-		rep.PendingNesting++
-	default:
-		countRejection(verdict, rep)
-	}
-	return verdict
 }
 
 func countRejection(v Verdict, rep *Report) {
@@ -281,15 +319,4 @@ func (a *Agent) validateStack(cs sig.Stack) (sig.Stack, bool) {
 		keep++
 	}
 	return cs.Suffix(keep), true
-}
-
-// install generalizes the validated signature into the history, which
-// takes it over: merged with an existing same-bug signature when the
-// policy allows, added otherwise (§III-D).
-func (a *Agent) install(s *sig.Signature, rep *Report) {
-	if a.cfg.History.Generalize(s, a.policy) {
-		rep.Added++
-	} else {
-		rep.Merged++
-	}
 }

@@ -450,22 +450,3 @@ func TestGeneralizeMatchesInstallModel(t *testing.T) {
 	}
 	t.Logf("%d subsumed, %d replaced, %d merges refused", total.subsumed, total.replaced, total.refused)
 }
-
-// BenchmarkRunStartup times one startup pass over a 2048-signature
-// corpus repository into a history holding the corpus's local
-// signatures. Each iteration inspects the repository afresh under its
-// own application key.
-func BenchmarkRunStartup(b *testing.B) {
-	c := buildCorpus(b, 7, 2048)
-	rp := corpusRepo(b, c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := newCorpusAgent(b, c, rp, fmt.Sprintf("app%d", i))
-		b.StartTimer()
-		if _, err := a.RunStartup(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

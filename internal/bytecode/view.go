@@ -2,8 +2,10 @@ package bytecode
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // View is the running application as the Communix agent sees it: the set
@@ -12,14 +14,22 @@ import (
 // classes can only uncover new nested sites (the paper's monotonicity
 // argument), so re-analysis after loading grows the nested set.
 //
-// View is safe for concurrent use.
+// View is safe for concurrent use. Readers take no lock: every Load
+// publishes a new immutable snapshot (hashes and analysis) with one
+// atomic store, and each read sees the latest one, so the agent's
+// validation pass can hash-check frames on every core at once.
 type View struct {
 	app *App
 
-	mu       sync.RWMutex
-	loaded   map[string]bool
-	hashes   map[string]string
-	analysis *Analysis
+	mu   sync.Mutex // serializes Load
+	snap atomic.Pointer[viewSnapshot]
+}
+
+// viewSnapshot is one published state of a View. Nothing writes to it
+// once it is published.
+type viewSnapshot struct {
+	hashes   map[string]string // loaded class -> hash
+	analysis *Analysis         // nil before the first Load
 	// analyses counts how many times the nesting analysis ran (first run
 	// plus once per load batch that added classes) — Fig. 4's agent cost
 	// depends on it.
@@ -28,11 +38,9 @@ type View struct {
 
 // NewView returns a view with no classes loaded.
 func NewView(app *App) *View {
-	return &View{
-		app:    app,
-		loaded: make(map[string]bool, len(app.Classes)),
-		hashes: make(map[string]string, len(app.Classes)),
-	}
+	v := &View{app: app}
+	v.snap.Store(&viewSnapshot{hashes: map[string]string{}})
+	return v
 }
 
 // App returns the underlying application.
@@ -49,17 +57,19 @@ func (v *View) Load(classNames ...string) error {
 			return fmt.Errorf("view %s: unknown class %q", v.app.Name, name)
 		}
 	}
-	added := false
+	old := v.snap.Load()
+	var hashes map[string]string
 	for _, name := range classNames {
-		if v.loaded[name] {
+		if _, ok := old.hashes[name]; ok {
 			continue
 		}
-		v.loaded[name] = true
-		v.hashes[name] = v.app.Class(name).Hash()
-		added = true
+		if hashes == nil {
+			hashes = maps.Clone(old.hashes)
+		}
+		hashes[name] = v.app.Class(name).Hash()
 	}
-	if added {
-		v.reanalyzeLocked()
+	if hashes != nil {
+		v.snap.Store(&viewSnapshot{hashes: hashes, analysis: v.analyze(hashes), analyses: old.analyses + 1})
 	}
 	return nil
 }
@@ -74,13 +84,13 @@ func (v *View) LoadAll() {
 	_ = v.Load(names...)
 }
 
-// reanalyzeLocked rebuilds the analysis over the loaded classes. Calls
-// into unloaded classes resolve to nothing, so nesting evidence is limited
-// to what is loaded — exactly the paper's incremental behaviour.
-func (v *View) reanalyzeLocked() {
-	classes := make([]*Class, 0, len(v.loaded))
+// analyze runs the analysis over the loaded classes. Calls into unloaded
+// classes resolve to nothing, so nesting evidence is limited to what is
+// loaded — exactly the paper's incremental behaviour.
+func (v *View) analyze(loaded map[string]string) *Analysis {
+	classes := make([]*Class, 0, len(loaded))
 	for _, c := range v.app.Classes {
-		if v.loaded[c.Name] {
+		if _, ok := loaded[c.Name]; ok {
 			classes = append(classes, c)
 		}
 	}
@@ -96,16 +106,13 @@ func (v *View) reanalyzeLocked() {
 			sub.methods[m.Ref()] = m
 		}
 	}
-	v.analysis = analyzeClasses(sub, classes)
-	v.analyses++
+	return analyzeClasses(sub, classes)
 }
 
 // UnitHash returns the hash of a loaded class; ok is false when the class
 // is not loaded (or unknown).
 func (v *View) UnitHash(class string) (hash string, ok bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	h, ok := v.hashes[class]
+	h, ok := v.snap.Load().hashes[class]
 	return h, ok
 }
 
@@ -114,36 +121,19 @@ func (v *View) UnitHash(class string) (hash string, ok bool) {
 // read-only (see Analysis.NestedSiteKeys). A later Load swaps in a new
 // set and leaves this one as it is.
 func (v *View) NestedSiteKeys() map[string]struct{} {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.analysis == nil {
-		return map[string]struct{}{}
+	if a := v.snap.Load().analysis; a != nil {
+		return a.NestedSiteKeys()
 	}
-	return v.analysis.NestedSiteKeys()
+	return map[string]struct{}{}
 }
 
 // LoadedCount returns how many classes are loaded.
-func (v *View) LoadedCount() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.loaded)
-}
+func (v *View) LoadedCount() int { return len(v.snap.Load().hashes) }
 
 // AnalysisRuns returns how many times the nesting analysis has run.
-func (v *View) AnalysisRuns() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.analyses
-}
+func (v *View) AnalysisRuns() int { return v.snap.Load().analyses }
 
 // LoadedClassNames returns the loaded class names in sorted order.
 func (v *View) LoadedClassNames() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	names := make([]string, 0, len(v.loaded))
-	for n := range v.loaded {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(v.snap.Load().hashes))
 }

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"communix/internal/chunk"
 	"communix/internal/sig"
 )
 
@@ -257,37 +258,62 @@ func (h *History) Replace(oldID string, s *sig.Signature) bool {
 	return changed
 }
 
-// Generalize installs a validated signature into the history (§III-D):
-// it merges s into the first same-bug signature the policy lets it merge
-// with — replacing that signature by the merge in one mutation, as
-// Replace does, or changing nothing when the merge is that signature
-// already (s is subsumed) — and adds s when no merge applies. It reports
-// whether s became a new entry; false means s was merged, was already
-// present, or is invalid.
+// Candidate is a validated signature for GeneralizeBatch.
+type Candidate struct {
+	// Sig is valid and canonical.
+	Sig *sig.Signature
+	// Bug is Sig.BugKey().
+	Bug string
+}
+
+// GeneralizeBatch installs validated signatures into the history, in
+// order (§III-D): each one merges into the first same-bug signature the
+// policy lets it merge with — replacing that signature by the merge in
+// one mutation, as Replace does, or changing nothing when the merge is
+// that signature already (it is subsumed) — and is added when no merge
+// applies. It returns how many became new entries.
 //
-// Generalize takes ownership of s, which must be canonical: it may store
-// s itself, so the caller must neither modify s afterwards nor hand it
-// to the history again. The stacks of s may be shared with other
-// read-only signatures (the agent's trimmed signatures alias the
-// repository's), since the history never writes to a signature it
-// stores. The step runs under one hold of the lock, computes the bug key
-// once, and hashes only the signature it stores.
-func (h *History) Generalize(s *sig.Signature, p sig.MergePolicy) (added bool) {
-	if err := s.Valid(); err != nil {
-		return false
+// The history takes each candidate's signature over and may store it as
+// it is, so the caller must neither modify it afterwards nor hand it to
+// the history again. Its stacks may be shared with other read-only
+// signatures (the agent's trimmed signatures alias the repository's),
+// since the history never writes to a signature it stores. The batch
+// trusts each candidate's validity and bug key, which the agent derives
+// while validating, on every core, so the fold that must run in order
+// does no more than merge. It holds the lock for at most chunk.Size
+// candidates at a time: an application thread that must rebuild the
+// avoidance index waits behind one chunk of the fold, never behind a
+// whole repository.
+func (h *History) GeneralizeBatch(batch []Candidate, p sig.MergePolicy) (added int) {
+	for len(batch) > 0 {
+		n := min(len(batch), chunk.Size)
+		h.mu.Lock()
+		for _, c := range batch[:n] {
+			if h.generalizeLocked(c.Sig, c.Bug, p) {
+				added++
+			}
+		}
+		h.mu.Unlock()
+		batch = batch[n:]
 	}
-	bug := s.BugKey()
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	return added
+}
+
+// generalizeLocked is one GeneralizeBatch step for s, whose bug key is
+// bug. It tells a subsumed s by MergePolicy.Covers, building a merge
+// only when one changes the history, and hashes only the signature it
+// stores.
+func (h *History) generalizeLocked(s *sig.Signature, bug string, p sig.MergePolicy) bool {
 	for _, oldID := range h.byBug[bug] {
 		old := h.sigs[oldID]
-		merged, ok := p.Merge(old, s)
+		ok, covered := p.Covers(old, s)
 		if !ok {
 			continue
 		}
-		if merged.Equal(old) {
+		if covered {
 			return false // subsumed: old already covers s
 		}
+		merged, _ := p.Merge(old, s)
 		// A merge keeps old's top frames, so it has old's bug key.
 		h.deleteLocked(oldID, bug)
 		if id := merged.ID(); h.sigs[id] == nil {
@@ -334,6 +360,15 @@ func (h *History) Len() int {
 // pending mutations are reflected.
 func (h *History) Version() uint64 {
 	return h.Index().version
+}
+
+// Mutations returns how many mutations the history has seen: Version
+// without the index rebuild, for a caller that only asks whether
+// something changed (say, whether a pass left anything to save).
+func (h *History) Mutations() uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.version
 }
 
 // MatchOuter returns every signature slot whose outer call stack is a

@@ -1,11 +1,15 @@
 package dimmunix
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"communix/internal/chunk"
 	"communix/internal/sig"
+	"communix/internal/sig/sigtest"
 )
 
 func TestHistoryAddDeduplicates(t *testing.T) {
@@ -79,7 +83,12 @@ func TestHistoryReplace(t *testing.T) {
 	}
 }
 
-// TestHistoryGeneralize: the signature Generalize adds is stored as
+// generalize hands the history one signature, as a one-candidate batch.
+func generalize(h *History, s *sig.Signature, p sig.MergePolicy) bool {
+	return h.GeneralizeBatch([]Candidate{{Sig: s, Bug: s.BugKey()}}, p) == 1
+}
+
+// TestHistoryGeneralize: the signature GeneralizeBatch adds is stored as
 // handed over, not copied; a signature the history already covers
 // changes nothing; a merge replaces its candidate in one mutation.
 func TestHistoryGeneralize(t *testing.T) {
@@ -87,19 +96,16 @@ func TestHistoryGeneralize(t *testing.T) {
 	ps := newPairStacks()
 	s := ps.signature()
 	var policy sig.MergePolicy
-	if !h.Generalize(s, policy) {
+	if !generalize(h, s, policy) {
 		t.Fatal("a fresh signature should be added")
 	}
 	if h.Get(s.ID()) != s {
-		t.Error("Generalize must store the signature it was handed")
+		t.Error("GeneralizeBatch must store the signature it was handed")
 	}
 	v := h.Version()
 	before := h.Index()
-	if h.Generalize(s.Clone(), policy) || h.Version() != v {
+	if generalize(h, s.Clone(), policy) || h.Version() != v {
 		t.Error("an identical signature must be subsumed without a mutation")
-	}
-	if h.Generalize(&sig.Signature{}, policy) || h.Version() != v {
-		t.Error("an invalid signature must change nothing")
 	}
 
 	// Another manifestation: every outer stack differs in its bottom
@@ -109,7 +115,7 @@ func TestHistoryGeneralize(t *testing.T) {
 		m.Threads[i].Outer[0].Method = "otherCaller"
 	}
 	m.Origin = sig.OriginRemote
-	if h.Generalize(m, policy) {
+	if generalize(h, m, policy) {
 		t.Fatal("a mergeable manifestation must not be added")
 	}
 	if h.Version() != v+1 || h.Len() != 1 || h.Get(s.ID()) != nil {
@@ -121,6 +127,53 @@ func TestHistoryGeneralize(t *testing.T) {
 	}
 	if got := added[0].MinOuterDepth(); got != 5 || h.Get(added[0].ID()) != added[0] {
 		t.Errorf("stored merge has outer depth %d, want 5, or is not the delta's instance", got)
+	}
+}
+
+// TestHistoryGeneralizeBatchMatchesOneAtATime: folding a run of
+// manifestations — several chunks' worth, so the batch takes the lock
+// more than once — leaves the history, its mutation count and the added
+// count where handing the history one signature at a time leaves them.
+func TestHistoryGeneralizeBatchMatchesOneAtATime(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	v := sigtest.Vocabulary{Classes: 8, Methods: 3, Lines: 6}
+	bases := make([]*sig.Signature, 12)
+	for i := range bases {
+		bases[i] = sigtest.Signature(r, v, 5, 9)
+	}
+	var run []*sig.Signature
+	for range 3*chunk.Size + 5 {
+		s := sigtest.Manifestation(r, v, bases[r.Intn(len(bases))], 1+r.Intn(4))
+		s.Origin = sig.Origin(1 + r.Intn(2))
+		run = append(run, s)
+	}
+	policy := sig.MergePolicy{}
+	one, batch := NewHistory(), NewHistory()
+	wantAdded := 0
+	cands := make([]Candidate, len(run))
+	for i, s := range run {
+		if generalize(one, s.Clone(), policy) {
+			wantAdded++
+		}
+		c := s.Clone()
+		cands[i] = Candidate{Sig: c, Bug: c.BugKey()}
+	}
+	if got := batch.GeneralizeBatch(cands, policy); got != wantAdded {
+		t.Fatalf("one batch added %d, one signature at a time %d", got, wantAdded)
+	}
+	if got, want := batch.Mutations(), one.Mutations(); got != want || wantAdded == 0 || int(want) == wantAdded {
+		t.Fatalf("%d mutations, one at a time %d, of which %d adds: want equal counts and some merges", got, want, wantAdded)
+	}
+	ids := func(h *History) []string {
+		var out []string
+		for _, s := range h.All() {
+			out = append(out, s.ID()+s.Origin.String())
+		}
+		slices.Sort(out)
+		return out
+	}
+	if !slices.Equal(ids(batch), ids(one)) {
+		t.Fatal("the batch left other signatures than one signature at a time")
 	}
 }
 

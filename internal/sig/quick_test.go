@@ -189,3 +189,80 @@ func TestQuickIDAgreesWithEqual(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// qPair is a canonical signature and another manifestation of its bug —
+// each stack keeping some of its top frames over other lower frames, the
+// threads in any order — or, now and then, an unrelated signature; the
+// two are local or remote at random, and the policy's floor is random.
+// A third of the signatures have two threads with the same top frames,
+// which Merge aligns greedily.
+type qPair struct {
+	A, B *Signature
+	P    MergePolicy
+}
+
+// Generate implements quick.Generator.
+func (qPair) Generate(r *rand.Rand, _ int) reflect.Value {
+	threads := make([]ThreadSpec, 2+r.Intn(2))
+	for i := range threads {
+		threads[i] = ThreadSpec{Outer: genStack(r, 1, 8), Inner: genStack(r, 1, 8)}
+	}
+	if r.Intn(3) == 0 {
+		threads[1].Outer[len(threads[1].Outer)-1] = threads[0].Outer.Top()
+		threads[1].Inner[len(threads[1].Inner)-1] = threads[0].Inner.Top()
+	}
+	a := New(threads...)
+	variant := func(s Stack) Stack {
+		keep := s
+		if r.Intn(3) == 0 {
+			keep = s.Suffix(1 + r.Intn(len(s)))
+		}
+		return append(genStack(r, 0, 4), keep...)
+	}
+	others := make([]ThreadSpec, len(threads))
+	for i, t := range threads {
+		others[i] = ThreadSpec{Outer: variant(t.Outer), Inner: variant(t.Inner)}
+	}
+	r.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
+	b := New(others...)
+	if r.Intn(10) == 0 {
+		b = qSig{}.Generate(r, 0).Interface().(qSig).S
+	}
+	origin := func() Origin { return Origin(1 + r.Intn(2)) }
+	a.Origin, b.Origin = origin(), origin()
+	return reflect.ValueOf(qPair{A: a, B: b, P: MergePolicy{MinDepth: r.Intn(7)}})
+}
+
+// TestQuickCoversAgreesWithMerge: Covers gives what Merge followed by
+// Equal gives — which pairs merge, depth floor included, and which
+// merges leave the first signature as it is — without building the
+// merge.
+func TestQuickCoversAgreesWithMerge(t *testing.T) {
+	// floorCovered counts pairs the floor refuses although b is covered:
+	// a check that skipped the floor would call them subsumed.
+	var merged, covered, refused, floorCovered int
+	prop := func(q qPair) bool {
+		ok, cov := q.P.Covers(q.A, q.B)
+		m, mok := q.P.Merge(q.A, q.B)
+		switch {
+		case mok && m.Equal(q.A):
+			covered++
+		case mok:
+			merged++
+		default:
+			refused++
+			if m1, ok1 := (MergePolicy{MinDepth: 1}).Merge(q.A, q.B); ok1 && m1.Equal(q.A) {
+				floorCovered++
+			}
+		}
+		return ok == mok && cov == (mok && m.Equal(q.A))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(43))}); err != nil {
+		t.Fatal(err)
+	}
+	if merged == 0 || covered == 0 || refused == 0 || floorCovered == 0 {
+		t.Fatalf("pairs never reached a case: %d merged, %d covered, %d refused (%d of them covered but for the floor)",
+			merged, covered, refused, floorCovered)
+	}
+	t.Logf("%d merged, %d covered, %d refused (%d of them covered but for the floor)", merged, covered, refused, floorCovered)
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,9 +100,7 @@ func New(threads ...ThreadSpec) *Signature {
 // and decoders normalize; code that mutates Threads directly must call it
 // again.
 func (s *Signature) Normalize() {
-	sort.Slice(s.Threads, func(i, j int) bool {
-		return s.Threads[i].compare(s.Threads[j]) < 0
-	})
+	slices.SortFunc(s.Threads, ThreadSpec.compare)
 }
 
 // normalized reports whether the thread specs are already in canonical

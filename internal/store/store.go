@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -36,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"communix/internal/chunk"
 	"communix/internal/ids"
 	"communix/internal/sig"
 )
@@ -581,7 +581,7 @@ func (st *Store) publish(entries []walEntry) error {
 // prepareChunk is how many entries prepare hands one goroutine at a
 // time. A run of one chunk or less, such as a follower's page of a few
 // entries, is prepared on the calling goroutine alone.
-const prepareChunk = 64
+const prepareChunk = chunk.Size
 
 // prepared is what prepare derives from one entry's signature.
 type prepared struct {
@@ -592,42 +592,27 @@ type prepared struct {
 // prepare is the half of recovery and replication that needs no store
 // state: it decodes each entry's signature, replaces its data with the
 // bytes the log keeps (decodeEntry), and derives its ID and top-frame
-// keys. The entries are independent, so the run is cut into chunks of
-// contiguous entries that up to GOMAXPROCS goroutines take in index
-// order, each taking the next chunk as it finishes one; the caller then
-// folds the results into the store in index order. It returns the
-// results and the position of the first entry that failed to decode,
-// with its error: len(run) and nil when none did. Results past that
-// position are unspecified.
+// keys. The entries are independent, so chunk.Run prepares them on up
+// to GOMAXPROCS goroutines; the caller then folds the results into the
+// store in index order. It returns the results and the position of the
+// first entry that failed to decode, with its error: len(run) and nil
+// when none did. Results past that position are unspecified.
 func prepare(run []walEntry) ([]prepared, int, error) {
 	n := len(run)
 	out := make([]prepared, n)
 	chunks := (n + prepareChunk - 1) / prepareChunk
 	bad, errs := make([]int, chunks), make([]error, chunks)
-	var next atomic.Int64
-	work := func() {
-		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
-			for i := c * prepareChunk; i < min((c+1)*prepareChunk, n); i++ {
-				s, data, err := decodeEntry(run[i].data)
-				if err != nil {
-					bad[c], errs[c] = i, err
-					break
-				}
-				run[i].data = data
-				out[i] = prepared{id: s.ID(), tops: topKeys(s)}
+	chunk.Run(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s, data, err := decodeEntry(run[i].data)
+			if err != nil {
+				bad[lo/prepareChunk], errs[lo/prepareChunk] = i, err
+				return
 			}
+			run[i].data = data
+			out[i] = prepared{id: s.ID(), tops: topKeys(s)}
 		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	}, nil)
 	for c, err := range errs {
 		if err != nil {
 			return out, bad[c], err
