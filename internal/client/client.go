@@ -229,9 +229,11 @@ func (c *Client) dialRotation(string) (*session, error) {
 // epoch is behind the repository's is a stale primary that came back
 // after a failover — reading from it could serve a divergent tail, so
 // it is refused and the rotation moves on. A server ahead of us means
-// we missed promotions: the repository survives iff its length is at
-// or below the fence (the minimum log length promoted over the missed
-// epochs); past it, the repository resets and re-downloads from 1.
+// we missed promotions: the repository survives iff what it has read
+// of the server's log — up to its cursor, Next()-1, which also counts
+// entries it skipped as invalid — is at or below the fence (the minimum
+// log length promoted over the missed epochs); past it, the repository
+// resets and re-downloads from 1.
 func (c *Client) adoptSession(s *session) error {
 	repoEpoch := c.cfg.Repo.Epoch()
 	switch {
@@ -240,7 +242,7 @@ func (c *Client) adoptSession(s *session) error {
 	case s.epoch < repoEpoch:
 		return fmt.Errorf("client: server at stale epoch %d, repository already at %d", s.epoch, repoEpoch)
 	}
-	if c.cfg.Repo.Len() > s.fence {
+	if c.cfg.Repo.Next()-1 > s.fence {
 		return c.cfg.Repo.Reset(s.epoch)
 	}
 	return c.cfg.Repo.SetEpoch(s.epoch)

@@ -1,9 +1,11 @@
 package client
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"communix/internal/ids"
 	"communix/internal/repo"
 	"communix/internal/server"
+	"communix/internal/sig"
 	"communix/internal/sig/sigtest"
 	"communix/internal/store"
 	"communix/internal/wire"
@@ -232,6 +235,43 @@ func TestFailoverFenceResetsRepo(t *testing.T) {
 	}
 	if rp.Len() != 10 || rp.Next() != 11 || rp.Epoch() != 2 {
 		t.Fatalf("post-failover repo: len=%d next=%d epoch=%d, want 10/11/2", rp.Len(), rp.Next(), rp.Epoch())
+	}
+}
+
+// TestFenceCountsSkippedEntries: a repository that skipped an invalid
+// page entry holds fewer signatures than it has read of the server's
+// log. A promotion whose fence lies between the two resets it, since
+// its last entry may be past the fence; one whose fence covers the
+// cursor keeps it.
+func TestFenceCountsSkippedEntries(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var page []json.RawMessage
+	for i := 0; i < 2; i++ {
+		data, err := sig.Encode(sigtest.DistinctTops(r, sigtest.DefaultVocabulary, i, 6, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		page = append(page, data)
+	}
+	page = slices.Insert(page, 1, json.RawMessage(`{"threads":[]}`))
+	for _, tc := range []struct {
+		fence int
+		reset bool
+	}{{2, true}, {3, false}} {
+		rp, err := repo.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Append(page, 4); err != nil || rp.Len() != 2 || rp.Next() != 4 {
+			t.Fatalf("Append: %v; len %d, next %d; want 2, 4", err, rp.Len(), rp.Next())
+		}
+		c := &Client{cfg: Config{Repo: rp}}
+		if err := c.adoptSession(&session{epoch: 2, fence: tc.fence}); err != nil {
+			t.Fatal(err)
+		}
+		if reset := rp.Next() == 1; reset != tc.reset || rp.Epoch() != 2 {
+			t.Fatalf("fence %d: len %d, next %d, epoch %d; want reset %v at epoch 2", tc.fence, rp.Len(), rp.Next(), rp.Epoch(), tc.reset)
+		}
 	}
 }
 

@@ -112,8 +112,11 @@ func Open(path string) (*Repo, error) {
 // delimited and decoded here. The whole page is checked before any of
 // it is kept. A value that is not JSON rejects the page, leaving the
 // repository unchanged; a JSON value that is not a valid signature is
-// skipped (the server is not trusted blindly). Duplicates by content
-// are kept — positions must stay aligned with server indexes.
+// skipped (the server is not trusted blindly), while the cursor still
+// moves past it. Positions therefore follow server indexes only up to
+// the first skipped entry; the server cursor (Next), not Len, says how
+// much of the server's log the repository has read. Duplicates by
+// content are kept.
 //
 // The repository keeps the raw slices, and its decoded signatures share
 // their bytes: the caller must not modify them afterwards. Each kept

@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"communix/internal/ids"
-	"communix/internal/sig"
 	"communix/internal/store"
 	"communix/internal/wire"
 )
@@ -361,31 +361,23 @@ func (s *Server) Process(req wire.Request) wire.Response {
 }
 
 // processAdd runs the ADD gates — the encrypted sender id must verify
-// under the predefined key (§III-C2) and the signature must decode —
-// then commits the upload and maps the outcome to its reply. The frame
-// decoder only delimits req.Sig, so DecodeVerbatim is its one
-// validation: a sig that is not JSON is answered StatusError like any
-// malformed signature. The store
-// groups concurrent commits into one WAL append; a closed store refuses
-// the commit, which answers StatusError. Upload bytes that are already
-// the canonical encoding are stored as a copy; only others are
-// re-encoded.
+// under the predefined key (§III-C2) — then hands the upload's bytes to
+// the store, which decodes them once, and maps the outcome to its
+// reply. The frame decoder only delimits req.Sig, so the store's decode
+// is its one validation: a sig that is not a valid signature, JSON or
+// not, is answered StatusError as malformed. The store groups
+// concurrent commits into one WAL append; a closed store refuses the
+// commit, which answers StatusError. The store keeps the copy it is
+// handed when those bytes are already the canonical encoding, and
+// re-encodes any others.
 func (s *Server) processAdd(req wire.Request) wire.Response {
 	user, err := s.codec.Verify(req.Token)
 	if err != nil {
 		return wire.Response{Status: wire.StatusRejected, Detail: "invalid user token"}
 	}
-	uploaded, exact, err := sig.DecodeVerbatim(req.Sig)
-	if err != nil {
-		return wire.Response{Status: wire.StatusError, Detail: fmt.Sprintf("malformed signature: %v", err)}
-	}
-	up := store.Upload{User: user, Sig: uploaded}
-	if exact {
-		// A copy: req.Sig may share its array with the rest of the
-		// request frame, which the stored entry must not keep alive.
-		up.Data = bytes.Clone(req.Sig)
-	}
-	res := s.db.AddBatch([]store.Upload{up})[0]
+	// A copy: req.Sig may share its array with the rest of the request
+	// frame, which the stored entry must not keep alive.
+	res := s.db.AddBatch([]store.Upload{{User: user, Data: bytes.Clone(req.Sig)}})[0]
 	if res.Added {
 		s.wakeSubscribers()
 	}
@@ -413,6 +405,8 @@ func (s *Server) addVerdict(added bool, err error, index int) wire.Response {
 			detail = "duplicate; server durability degraded"
 		}
 		return wire.Response{Status: wire.StatusOK, Next: index, Detail: detail}
+	case errors.Is(err, store.ErrMalformed):
+		return wire.Response{Status: wire.StatusError, Detail: strings.TrimPrefix(err.Error(), "store: ")}
 	case errors.Is(err, store.ErrRateLimited):
 		return wire.Response{Status: wire.StatusRejected, Detail: "daily signature limit reached"}
 	case errors.Is(err, store.ErrAdjacent):

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,13 +96,53 @@ func TestProcessRejectsForeignKeyToken(t *testing.T) {
 func TestProcessMalformedSignature(t *testing.T) {
 	srv, auth := newTestServer(t)
 	_, token := auth.Issue()
-	resp := srv.Process(wire.Request{Type: wire.MsgAdd, Token: token, Sig: []byte("{bad")})
+	for _, raw := range []string{"{bad", "", `{"threads":[]}`} {
+		resp := srv.Process(wire.Request{Type: wire.MsgAdd, Token: token, Sig: []byte(raw)})
+		if resp.Status != wire.StatusError || !strings.HasPrefix(resp.Detail, "malformed signature: decode signature: ") {
+			t.Errorf("malformed signature %q: %+v", raw, resp)
+		}
+	}
+	if srv.Store().Len() != 0 {
+		t.Error("a malformed signature was stored")
+	}
+	resp := srv.Process(wire.Request{Type: wire.MsgAdd, Token: token})
 	if resp.Status != wire.StatusError {
-		t.Errorf("malformed signature: %+v", resp)
+		t.Errorf("missing signature: %+v", resp)
 	}
 	resp = srv.Process(wire.Request{Type: wire.MsgType(42)})
 	if resp.Status != wire.StatusError {
 		t.Errorf("unknown type: %+v", resp)
+	}
+}
+
+// TestProcessAddStoresEqualIDSignatures: two distinct signatures with
+// equal IDs (sigtest.IDTwins) are both accepted, whichever comes first,
+// GET serves both, and an upload of either is answered a duplicate at
+// its own index.
+func TestProcessAddStoresEqualIDSignatures(t *testing.T) {
+	srv, auth := newTestServer(t)
+	a, b := sigtest.IDTwins()
+	for i, s := range []*sig.Signature{a, b} {
+		_, token := auth.Issue()
+		if resp := srv.Process(addReq(t, token, s)); resp.Status != wire.StatusOK || resp.Next != i+1 || resp.Detail != "" {
+			t.Fatalf("ADD of signature %d: %+v, want accepted at %d", i+1, resp, i+1)
+		}
+	}
+	resp := srv.Process(wire.NewGet(1))
+	if resp.Status != wire.StatusOK || len(resp.Sigs) != 2 {
+		t.Fatalf("GET: %+v", resp)
+	}
+	for i, want := range []*sig.Signature{a, b} {
+		if got, err := sig.Decode(resp.Sigs[i]); err != nil || !got.Equal(want) {
+			t.Fatalf("GET signature %d = %v, %v; want %v", i+1, got, err, want)
+		}
+	}
+	_, token := auth.Issue()
+	for i, s := range []*sig.Signature{b, a} {
+		want := 2 - i
+		if resp := srv.Process(addReq(t, token, s)); resp.Status != wire.StatusOK || resp.Next != want || resp.Detail != "duplicate" {
+			t.Fatalf("repeat ADD: %+v, want a duplicate at %d", resp, want)
+		}
 	}
 }
 

@@ -213,26 +213,54 @@ func DecodeVerbatim(data []byte) (s *Signature, exact bool, err error) {
 	return decode(data, true)
 }
 
-func decode(data []byte, shared bool) (*Signature, bool, error) {
+// DecodeInPlace decodes data as DecodeVerbatim does and lends the
+// result to use, with DecodeVerbatim's exactness verdict; it returns
+// DecodeVerbatim's error and calls use only when there is none. The
+// signature is the decoder's pooled scratch: it, its threads and its
+// stacks are valid only until use returns, and use must not modify
+// them. Its strings are substrings of data. It suits a caller that keeps
+// only what it derives from the signature — the store keeps the
+// canonical bytes, top-frame keys and a duplicate key — and so needs no
+// Signature of its own: input in the canonical subset allocates none,
+// nor a frame array. Other input takes the encoding/json fallback, whose
+// signature is allocated as Decode's is.
+func DecodeInPlace(data []byte, use func(s *Signature, exact bool)) error {
+	return decodeWith(data, true, true, use)
+}
+
+func decode(data []byte, shared bool) (s *Signature, exact bool, err error) {
+	err = decodeWith(data, shared, false, func(t *Signature, e bool) { s, exact = t, e })
+	return s, exact, err
+}
+
+// decodeWith is every whole-input decoder: the canonical parser, the
+// encoding/json fallback for anything outside its subset, the MaxEncodedSize
+// bound, Valid and normalization; it calls use with the result. lend
+// leaves a canonical result in the pooled decoder's scratch, which is
+// released once use returns; otherwise the result is use's to keep.
+func decodeWith(data []byte, shared, lend bool, use func(*Signature, bool)) error {
 	if len(data) > MaxEncodedSize {
-		return nil, false, fmt.Errorf("decode signature: %d bytes exceeds limit %d", len(data), MaxEncodedSize)
+		return fmt.Errorf("decode signature: %d bytes exceeds limit %d", len(data), MaxEncodedSize)
 	}
-	s, ok, exact := decodeCanonical(data, shared)
-	if !ok { // exact is false too
+	d := newDecoder(data, shared)
+	defer d.release()
+	s, exact := d.whole(lend)
+	if s == nil { // exact is false too
 		var err error
 		if s, err = decodeStrict(data); err != nil {
-			return nil, false, fmt.Errorf("decode signature: %w", err)
+			return fmt.Errorf("decode signature: %w", err)
 		}
 	}
 	if err := s.Valid(); err != nil {
-		return nil, false, fmt.Errorf("decode signature: %w", err)
+		return fmt.Errorf("decode signature: %w", err)
 	}
 	if !s.normalized() {
 		// Encode writes the threads in canonical order.
 		exact = false
 		s.Normalize()
 	}
-	return s, exact, nil
+	use(s, exact)
+	return nil
 }
 
 // decodeStrict is the reference decoder: encoding/json with unknown
@@ -257,8 +285,8 @@ func decodeStrict(data []byte) (*Signature, error) {
 // known yet — the frame decoder's, which finds each page signature's
 // end by decoding it — and applies DecodeShared's checks: the
 // MaxEncodedSize bound, Valid, and normalization. It decodes only the
-// canonical subset (decodeCanonical), and reports nil for anything
-// else, valid or not; such a value is for its consumer to decode.
+// canonical subset (parse), and reports nil for anything else, valid
+// or not; such a value is for its consumer to decode.
 //
 // The result is DecodeShared(data[:end])'s, strings taken from data.
 func DecodePrefix(data []byte) (s *Signature, end int) {
@@ -266,85 +294,82 @@ func DecodePrefix(data []byte) (s *Signature, end int) {
 		// A signature past the bound cannot close inside it.
 		data = data[:MaxEncodedSize]
 	}
-	s, end, _ = canonicalPrefix(data, true)
-	if s == nil || s.Valid() != nil {
+	d := newDecoder(data, true)
+	defer d.release()
+	if !d.parse() {
+		return nil, 0
+	}
+	if s = d.signature(false); s.Valid() != nil {
 		return nil, 0
 	}
 	if !s.normalized() {
 		s.Normalize()
 	}
-	return s, end
-}
-
-// decodeCanonical decodes the canonical subset of the wire form in one
-// pass: exact lowercase keys, each at most once per object; strings of
-// printable ASCII without escapes; line numbers as plain non-negative
-// integers of at most 18 digits; no null. JSON whitespace may appear
-// between tokens. It reports ok false for anything outside the subset —
-// never an error of its own — and the caller falls back to decodeStrict,
-// which produces the identical value for every input this accepts.
-//
-// exact reports that data is what encodeCanonical writes for the
-// result: no whitespace; keys in struct order, each present except an
-// empty hash or kind, which must be omitted; no '<', '>' or '&', which
-// Encode escapes. Thread order is left to the caller.
-//
-// It is canonicalPrefix plus the check that only whitespace follows the
-// object.
-func decodeCanonical(data []byte, shared bool) (s *Signature, ok, exact bool) {
-	s, end, exact := canonicalPrefix(data, shared)
-	if s == nil {
-		return nil, false, false
-	}
-	i := end
-	for i < len(data) && isSpace(data[i]) {
-		i++
-	}
-	if i != len(data) {
-		return nil, false, false
-	}
-	return s, true, exact && i == end // Encode writes no whitespace
+	return s, d.pos
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// canonicalPrefix is the canonical subset's one parser. It decodes the
-// object at the start of data, after optional whitespace, and returns
-// it with the index just past its closing brace, or nil for anything
-// outside the subset. exact is decodeCanonical's, for the object alone.
-//
-// Each frame is first matched against the exact layout Encode writes
-// (exactFrame); only a frame laid out any other way takes the generic
-// member loop. All strings of the result are substrings of one copy of
-// data (of data itself when shared), and all frames share one array, so
-// a decode allocates the signature, its threads, its frames and, unless
-// shared, the copy.
-func canonicalPrefix(data []byte, shared bool) (s *Signature, end int, exact bool) {
+// newDecoder takes a decoder from the pool, set to read data: data
+// itself when shared, else a copy of it.
+func newDecoder(data []byte, shared bool) *canonDecoder {
 	d := decoders.Get().(*canonDecoder)
-	defer d.release()
 	if shared {
 		d.src = unsafe.String(unsafe.SliceData(data), len(data))
 	} else {
 		d.src = string(data)
 	}
-	s = new(Signature)
-	var seen bool
+	return d
+}
+
+// parse is the one parser of the wire form's canonical subset: exact
+// lowercase keys, each at most once per object; strings of printable
+// ASCII without escapes; line numbers as plain non-negative integers of
+// at most 18 digits; no null. JSON whitespace may appear between tokens.
+// It reads the object at the cursor, after optional whitespace, into
+// d.frames and d.spans, leaving the cursor just past its closing brace,
+// and reports false for anything outside the subset — never an error of
+// its own: the caller falls back to decodeStrict, which produces the
+// identical value for every input this accepts.
+//
+// d.inexact stays clear only if the object is what encodeCanonical
+// writes for the result: no whitespace; keys in struct order, each
+// present except an empty hash or kind, which must be omitted; no '<',
+// '>' or '&', which Encode escapes. Thread order is left to the caller.
+//
+// Each frame is first matched against the exact layout Encode writes
+// (exactFrame); only a frame laid out any other way takes the generic
+// member loop. All strings of the frames are substrings of d.src.
+func (d *canonDecoder) parse() bool {
 	ok := d.object(func(key string) bool {
-		if key != "threads" || seen {
+		if key != "threads" || d.hasThreads {
 			return false
 		}
-		seen = true
-		s.Threads = make([]ThreadSpec, 0, 2)
+		d.hasThreads = true
 		return d.array(func() bool {
-			s.Threads = append(s.Threads, ThreadSpec{})
-			return d.thread(len(s.Threads) - 1)
+			d.threads++
+			return d.thread(d.threads - 1)
 		})
 	})
-	if !ok {
-		return nil, 0, false
+	d.inexact = d.inexact || !d.hasThreads
+	return ok
+}
+
+// whole is parse, then the check that only whitespace follows the
+// object. It returns the signature (see signature) and its exactness,
+// or nil for anything outside the subset.
+func (d *canonDecoder) whole(lend bool) (*Signature, bool) {
+	if !d.parse() {
+		return nil, false
 	}
-	d.attach(s)
-	return s, d.pos, seen && !d.inexact
+	end := d.pos
+	for d.pos < len(d.src) && isSpace(d.src[d.pos]) {
+		d.pos++
+	}
+	if d.pos != len(d.src) {
+		return nil, false
+	}
+	return d.signature(lend), !d.inexact && d.pos == end // Encode writes no whitespace
 }
 
 // decoders holds canonDecoders between decodes, so the frame scratch is
@@ -352,13 +377,18 @@ func canonicalPrefix(data []byte, shared bool) (s *Signature, end int, exact boo
 var decoders = sync.Pool{New: func() any { return new(canonDecoder) }}
 
 // maxPooledFrames bounds the scratch a pooled decoder keeps: a decode of
-// more frames than this drops its scratch instead of pinning it.
+// more frames, or more threads, than this drops its scratch instead of
+// pinning it.
 const maxPooledFrames = 1 << 12
 
-// canonDecoder is decodeCanonical's cursor over the input.
+// canonDecoder is the canonical parser's cursor over the input.
 type canonDecoder struct {
 	src string
 	pos int
+	// threads counts the decoded threads; hasThreads records that the
+	// "threads" member was there.
+	threads    int
+	hasThreads bool
 	// frames holds every frame decoded so far, in input order; spans
 	// says which thread's stack each run of them is.
 	frames []Frame
@@ -366,6 +396,10 @@ type canonDecoder struct {
 	// inexact is set on the first byte Encode would have written
 	// differently.
 	inexact bool
+	// lent and specs are the signature and threads signature(true)
+	// lends, kept between decodes.
+	lent  Signature
+	specs []ThreadSpec
 }
 
 // span places one decoded stack: frames[start:end] are the outer or
@@ -379,20 +413,39 @@ type span struct {
 // pool.
 func (d *canonDecoder) release() {
 	clear(d.frames)
-	frames, spans := d.frames[:0], d.spans[:0]
-	if cap(frames) > maxPooledFrames {
-		frames, spans = nil, nil
+	clear(d.specs)
+	frames, spans, specs := d.frames[:0], d.spans[:0], d.specs[:0]
+	if cap(frames) > maxPooledFrames || cap(specs) > maxPooledFrames {
+		frames, spans, specs = nil, nil, nil
 	}
-	*d = canonDecoder{frames: frames, spans: spans}
+	*d = canonDecoder{frames: frames, spans: spans, specs: specs}
 	decoders.Put(d)
 }
 
-// attach gives s's threads their stacks. One array holds every frame;
-// each stack is a slice of it whose capacity ends with the stack, so an
-// append to one stack never writes into the next.
-func (d *canonDecoder) attach(s *Signature) {
-	frames := make([]Frame, len(d.frames))
-	copy(frames, d.frames)
+// signature returns the parsed signature. Each stack is a slice of one
+// frame array whose capacity ends with the stack, so an append to one
+// stack never writes into the next. Unless lend, the signature, its
+// threads and that array are allocated for the caller, who may keep
+// them; with lend they are d's own scratch, valid until release.
+func (d *canonDecoder) signature(lend bool) *Signature {
+	var s *Signature
+	frames := d.frames
+	if lend {
+		if cap(d.specs) < d.threads {
+			d.specs = make([]ThreadSpec, d.threads)
+		}
+		d.specs = d.specs[:d.threads]
+		clear(d.specs)
+		d.lent = Signature{Threads: d.specs}
+		s = &d.lent
+	} else {
+		frames = make([]Frame, len(d.frames))
+		copy(frames, d.frames)
+		s = &Signature{Threads: make([]ThreadSpec, d.threads)}
+	}
+	if !d.hasThreads {
+		s.Threads = nil
+	}
 	for _, sp := range d.spans {
 		st := Stack(frames[sp.start:sp.end:sp.end])
 		if t := &s.Threads[sp.thread]; sp.inner {
@@ -401,6 +454,7 @@ func (d *canonDecoder) attach(s *Signature) {
 			t.Outer = st
 		}
 	}
+	return s
 }
 
 func (d *canonDecoder) skipSpace() {

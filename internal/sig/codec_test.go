@@ -301,3 +301,32 @@ func TestIDAllocs(t *testing.T) {
 		t.Errorf("ID allocates %.1f times per call, want at most 2", n)
 	}
 }
+
+// TestDecodeInPlaceAllocs: a canonical signature is parsed into the
+// pooled decoder's scratch, so lending it allocates nothing once the
+// pool is warm; the same input through DecodeVerbatim allocates the
+// signature, its threads and its frame array.
+func TestDecodeInPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop decoders")
+	}
+	data, err := Encode(protectSig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := func(s *Signature, exact bool) {
+		if !exact || len(s.Threads) != 2 {
+			t.Fatalf("lent %v, exact %v", s, exact)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := DecodeInPlace(data, use); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeInPlace allocates %.1f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _, _ = DecodeVerbatim(data) }); n < 3 {
+		t.Errorf("DecodeVerbatim allocates %.1f times per call; the baseline is at least 3", n)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Frame kinds. The zero value ("") is a lock statement — the only kind
@@ -62,18 +63,26 @@ type Frame struct {
 // frames keep the historical key form so existing bug keys, adjacency
 // sets, and server-side dedup state are unaffected.
 func (f Frame) Key() string {
-	var b strings.Builder
-	b.Grow(len(f.Class) + len(f.Method) + len(f.Kind) + 9)
-	b.WriteString(f.Class)
-	b.WriteByte('.')
-	b.WriteString(f.Method)
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(f.Line))
+	n := len(f.Class) + len(f.Method) + decimalLen(f.Line) + 2
 	if f.Kind != "" {
-		b.WriteByte('@')
-		b.WriteString(f.Kind)
+		n += len(f.Kind) + 1
 	}
-	return b.String()
+	b := f.AppendKey(make([]byte, 0, n))
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendKey appends f.Key() to b.
+func (f Frame) AppendKey(b []byte) []byte {
+	b = append(b, f.Class...)
+	b = append(b, '.')
+	b = append(b, f.Method...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(f.Line), 10)
+	if f.Kind != "" {
+		b = append(b, '@')
+		b = append(b, f.Kind...)
+	}
+	return b
 }
 
 // SameSite reports whether f and g denote the same program location and

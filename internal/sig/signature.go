@@ -225,14 +225,22 @@ func (s *Signature) MinOuterDepth() int {
 const MinRemoteOuterDepth = 5
 
 // ID returns a stable content hash of the signature (hex-encoded
-// SHA-256). The server and client repositories use it for duplicate
-// suppression.
+// SHA-256). The client side keys its history by it.
 //
 // The hashed bytes are, per thread, the outer stack, 0xFE, the inner
 // stack, 0xFF; per frame "class\x00method\x00line\x00hash", then
 // "\x02kind" if the kind is set, then 0x01. They are built in one pooled
 // buffer and hashed once, so the returned string is ID's only
 // allocation once the pool is warm.
+//
+// The ID is not injective: a string holding bytes 0x00–0x02 can shift
+// the separators, so distinct signatures can share an ID (one frame
+// whose method spells out the fields of a second frame hashes like the
+// two frames). It is therefore not the server's duplicate key: the
+// store compares canonical encodings. The client history still keys by
+// it. A twin whose merged frame joins frames of two code units carries
+// one unit's class with the other's hash, and fails the agent's hash
+// check.
 func (s *Signature) ID() string {
 	n := 0
 	for _, t := range s.Threads {

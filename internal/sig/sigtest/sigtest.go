@@ -132,3 +132,25 @@ func saltedFrame(r *rand.Rand, salt int) sig.Frame {
 		Hash:   HashForClass(class),
 	}
 }
+
+// IDTwins returns two valid signatures that are not Equal but have
+// equal IDs. Signature.ID joins a frame's fields with bytes 0x00–0x02,
+// which a string may hold, so the one frame {C, "m\x005\x00h\x01D\x00n",
+// 6, g} hashes exactly like the two frames C.m:5#h, D.n:6#g. The twin
+// that spells out frames is a; both share their second thread.
+func IDTwins() (a, b *sig.Signature) {
+	shared := sig.ThreadSpec{
+		Outer: sig.Stack{{Class: "E", Method: "o", Line: 1, Hash: "x"}},
+		Inner: sig.Stack{{Class: "E", Method: "p", Line: 2, Hash: "x"}},
+	}
+	inner := sig.Stack{{Class: "C", Method: "q", Line: 7, Hash: "h"}}
+	a = sig.New(sig.ThreadSpec{
+		Outer: sig.Stack{{Class: "C", Method: "m\x005\x00h\x01D\x00n", Line: 6, Hash: "g"}},
+		Inner: inner,
+	}, shared)
+	b = sig.New(sig.ThreadSpec{
+		Outer: sig.Stack{{Class: "C", Method: "m", Line: 5, Hash: "h"}, {Class: "D", Method: "n", Line: 6, Hash: "g"}},
+		Inner: inner,
+	}, shared)
+	return a, b
+}

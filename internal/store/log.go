@@ -99,6 +99,11 @@ func (l *appendLog) Len() int {
 	return l.hdr.Load().n
 }
 
+// at returns the published entry at 1-based index i.
+func (l *appendLog) at(i int) Entry {
+	return l.hdr.Load().chunks[(i-1)/logChunkSize][(i-1)%logChunkSize]
+}
+
 // ReadFrom returns a copy of the entries' signature encodings from
 // 1-based index from, plus the next index to request (published length
 // + 1). It never blocks appenders.

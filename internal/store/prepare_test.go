@@ -67,9 +67,10 @@ func prepareRun(t *testing.T, n int, spaced ...int) []walEntry {
 }
 
 // TestPrepareMatchesInline: however a run is split across goroutines,
-// prepare derives for every entry what decodeEntry, Signature.ID and
-// topKeys derive one entry at a time, and the first undecodable entry
-// is the one it reports.
+// prepare derives for every entry what sig.DecodeVerbatim, sig.Encode,
+// entryKey and topKeys derive one entry at a time — the canonical bytes,
+// their key and the top frames — and the first undecodable entry is the
+// one it reports.
 func TestPrepareMatchesInline(t *testing.T) {
 	for _, n := range []int{0, 1, prepareChunk - 1, 2 * prepareChunk, 2*prepareChunk + 1, 7*prepareChunk + 3} {
 		for _, procs := range []int{1, 4} {
@@ -78,12 +79,18 @@ func TestPrepareMatchesInline(t *testing.T) {
 				want := make([]walEntry, n)
 				keys := make([]prepared, n)
 				for i, e := range run {
-					s, data, err := decodeEntry(e.data)
+					s, exact, err := sig.DecodeVerbatim(e.data)
 					if err != nil {
 						t.Fatal(err)
 					}
+					data := e.data
+					if !exact {
+						if data, err = sig.Encode(s); err != nil {
+							t.Fatal(err)
+						}
+					}
 					want[i] = walEntry{user: e.user, unix: e.unix, data: data}
-					keys[i] = prepared{id: s.ID(), tops: topKeys(s)}
+					keys[i] = prepared{key: entryKey(data), tops: topKeys(s)}
 				}
 				withProcs(procs, func() {
 					got, bad, err := prepare(run)

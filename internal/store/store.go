@@ -22,18 +22,21 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"communix/internal/chunk"
 	"communix/internal/ids"
@@ -51,6 +54,9 @@ var (
 	// ErrAdjacent: the user already submitted a signature sharing some
 	// (but not all) top frames with this one.
 	ErrAdjacent = errors.New("store: adjacent signature from same user")
+	// ErrMalformed: an upload's bytes (Upload.Data) are not a valid
+	// signature.
+	ErrMalformed = errors.New("store: malformed signature")
 )
 
 // Config parameterizes a Store.
@@ -126,11 +132,28 @@ func (u *userState) check(tops []string, today int64, maxPerDay int) error {
 }
 
 // topKeys returns the signature's top-frame set (sig.Signature.TopFrames)
-// as a sorted slice without duplicates.
+// as a sorted slice without duplicates. The keys share one buffer.
 func topKeys(s *sig.Signature) []string {
-	keys := make([]string, 0, 2*len(s.Threads))
+	n := 0
 	for _, t := range s.Threads {
-		keys = append(keys, t.Outer.Top().Key(), t.Inner.Top().Key())
+		for _, f := range [2]sig.Frame{t.Outer.Top(), t.Inner.Top()} {
+			n += len(f.Class) + len(f.Method) + len(f.Kind) + 8
+		}
+	}
+	buf := make([]byte, 0, n)
+	var endsBuf [8]int
+	ends := endsBuf[:0]
+	for _, t := range s.Threads {
+		buf = t.Outer.Top().AppendKey(buf)
+		ends = append(ends, len(buf))
+		buf = t.Inner.Top().AppendKey(buf)
+		ends = append(ends, len(buf))
+	}
+	all := unsafe.String(unsafe.SliceData(buf), len(buf))
+	keys := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
 	}
 	slices.Sort(keys)
 	return slices.Compact(keys)
@@ -177,14 +200,18 @@ type Store struct {
 	readOnly  bool
 	log       *appendLog
 
-	// walMu guards present and users, assigns log indexes, serializes
-	// committed batches through the persister, and keeps the on-disk
-	// record order identical to the in-memory index order. nil wal =
-	// ephemeral store, commits go straight to the log.
+	// walMu guards present, collided and users, assigns log indexes,
+	// serializes committed batches through the persister, and keeps the
+	// on-disk record order identical to the in-memory index order. nil
+	// wal = ephemeral store, commits go straight to the log.
 	walMu sync.Mutex
-	// present is the duplicate set: every committed signature's ID,
-	// mapped to its 1-based log index.
-	present map[string]int
+	// present is the duplicate set: the 1-based log index of every
+	// committed signature, keyed by entryKey of its canonical bytes. A
+	// key is only a hint; a duplicate is an entry with equal bytes (see
+	// lookup). When distinct signatures share a key, present maps it to
+	// the first and collided holds the later ones' indexes, in log order.
+	present  map[uint64]int
+	collided map[uint64][]int
 	// users is the per-user validation state.
 	users map[ids.UserID]*userState
 	wal   *persister
@@ -241,7 +268,7 @@ func Open(cfg Config) (*Store, error) {
 		clock:     cfg.Clock,
 		readOnly:  cfg.ReadOnly,
 		log:       newAppendLog(),
-		present:   make(map[string]int),
+		present:   make(map[uint64]int),
 		users:     make(map[ids.UserID]*userState),
 	}
 	st.epoch = epochStart
@@ -267,8 +294,8 @@ func Open(cfg Config) (*Store, error) {
 		readOnly: cfg.ReadOnly,
 	}, func(run []walEntry) (int, error) {
 		keys, bad, err := prepare(run)
-		if i := st.fold(run[:bad], keys, today); i < bad {
-			return i, fmt.Errorf("duplicate record %s", keys[i].id)
+		if i, orig := st.fold(run[:bad], keys, today); i < bad {
+			return i, fmt.Errorf("duplicate record: the signature of record %d", orig)
 		}
 		st.publish(run[:bad]) // the log only: st.wal is not set yet
 		return bad, err
@@ -284,31 +311,84 @@ func Open(cfg Config) (*Store, error) {
 // the duplicate set and the per-user validation state (see record). A run
 // holding a signature the store, or an earlier entry of the run, already
 // holds is refused whole: fold records nothing and returns that entry's
-// position. Otherwise it returns len(run). The caller publishes the run
-// next, and holds walMu or owns the store alone.
-func (st *Store) fold(run []walEntry, keys []prepared, today int64) int {
-	seen := make(map[string]struct{}, len(run))
-	for i := range run {
-		_, dup := st.present[keys[i].id]
-		if _, again := seen[keys[i].id]; dup || again {
-			return i
-		}
-		seen[keys[i].id] = struct{}{}
-	}
+// position and its original's index. Otherwise it returns len(run). The
+// caller publishes the run next, and holds walMu or owns the store alone.
+func (st *Store) fold(run []walEntry, keys []prepared, today int64) (int, int) {
 	base := st.log.Len() + 1
 	for i, e := range run {
-		st.record(keys[i].id, base+i, e.user, e.unix, keys[i].tops, today)
+		if orig, dup := st.lookup(keys[i].key, e.data, run); dup {
+			for j := i - 1; j >= 0; j-- {
+				st.unmark(keys[j].key)
+			}
+			return i, orig
+		}
+		st.mark(keys[i].key, base+i)
 	}
-	return len(run)
+	for i, e := range run {
+		st.record(e.user, e.unix, keys[i].tops, today)
+	}
+	return len(run), 0
 }
 
-// record enters a committed entry into the duplicate set, at its 1-based
-// log index, and into its uploader's validation state: its top frames
-// for adjacency and, when it was accepted on day today, one unit of that
-// day's budget. Admission, Open's replay and ApplyReplicated all record
-// through it. The caller holds walMu, or owns the store alone.
-func (st *Store) record(id string, index int, user ids.UserID, unix int64, tops []string, today int64) {
-	st.present[id] = index
+// lookup returns the index of the committed signature whose canonical
+// bytes are data, whose key is key. Entries past the published log are
+// pending's, which holds them from the log's end on. The caller holds
+// walMu, or owns the store alone.
+func (st *Store) lookup(key uint64, data []byte, pending []walEntry) (int, bool) {
+	i, ok := st.present[key]
+	if !ok {
+		return 0, false
+	}
+	n := st.log.Len()
+	at := func(i int) []byte {
+		if i > n {
+			return pending[i-n-1].data
+		}
+		return st.log.at(i).Data
+	}
+	if bytes.Equal(at(i), data) {
+		return i, true
+	}
+	for _, i := range st.collided[key] {
+		if bytes.Equal(at(i), data) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// mark enters the signature committed at index, whose key is key, into
+// the duplicate set; unmark takes the latest index marked under key back
+// out.
+func (st *Store) mark(key uint64, index int) {
+	if _, taken := st.present[key]; !taken {
+		st.present[key] = index
+		return
+	}
+	if st.collided == nil {
+		st.collided = make(map[uint64][]int)
+	}
+	st.collided[key] = append(st.collided[key], index)
+}
+
+func (st *Store) unmark(key uint64) {
+	more := st.collided[key]
+	switch {
+	case len(more) > 1:
+		st.collided[key] = more[:len(more)-1]
+	case len(more) == 1:
+		delete(st.collided, key)
+	default:
+		delete(st.present, key)
+	}
+}
+
+// record enters a committed entry into its uploader's validation state:
+// its top frames for adjacency and, when it was accepted on day today,
+// one unit of that day's budget. Admission, Open's replay and
+// ApplyReplicated all record through it. The caller holds walMu, or owns
+// the store alone.
+func (st *Store) record(user ids.UserID, unix int64, tops []string, today int64) {
 	u := st.userOf(user)
 	u.tops = append(u.tops, tops)
 	if unix/86400 == today {
@@ -357,15 +437,15 @@ func (st *Store) writable() error {
 type Upload struct {
 	// User is the authenticated uploader.
 	User ids.UserID
-	// Sig is the uploaded signature.
+	// Sig is the uploaded signature, which the store encodes; it is not
+	// looked at when Data is set.
 	Sig *sig.Signature
-	// Data, when set, is Sig's canonical encoding — byte for byte what
-	// sig.Encode writes for it, which the caller vouches for (the server
-	// passes a copy of upload bytes sig.DecodeVerbatim reported exact).
-	// An accepted upload stores and serves Data itself, keeping its whole
-	// backing array alive, so the caller must not modify it afterwards
-	// and should not pass a slice of a larger buffer. Nil makes the store
-	// encode Sig.
+	// Data, when set or when Sig is nil, is the upload as its sender
+	// encoded it — the server passes a copy of the ADD's bytes. The store
+	// decodes it (a failure is ErrMalformed) and stores Data itself when
+	// it is exactly what sig.Encode writes, keeping its whole backing
+	// array alive, so the caller must not modify it afterwards and should
+	// not pass a slice of a larger buffer; other bytes are re-encoded.
 	Data json.RawMessage
 }
 
@@ -387,39 +467,54 @@ type AddResult struct {
 
 // AddBatch validates and stores a batch of uploads, committing every
 // accepted signature to the WAL and the log as one contiguous run.
-// Results are positional. Signature validation, IDs and top frames are
-// computed first, without any lock; the batch then makes one commit,
-// which admits its uploads in order (see commit). A WAL write failure is
-// reported on every accepted upload of the batch, with Added still true
-// (see Add); a store that closed before the commit reports ErrClosed
-// with Added false.
+// Results are positional. Each upload's canonical bytes, top frames and
+// duplicate key are derived first, without any lock (see admission);
+// the batch then makes one commit, which admits its uploads in order
+// (see commit). A WAL write failure is reported on every accepted upload
+// of the batch, with Added still true (see Add); a store that is
+// read-only, or closed before the commit, reports ErrReadOnly or
+// ErrClosed with Added false on every upload that derived.
 func (st *Store) AddBatch(batch []Upload) []AddResult {
 	results := make([]AddResult, len(batch))
-	if err := st.writable(); err != nil {
-		for i := range results {
-			results[i] = AddResult{Err: err}
-		}
-		return results
-	}
 	now := st.clock().UTC().Unix()
 	req := &request{ups: make([]admission, len(batch)), res: results}
+	refused := st.writable()
 	for i, up := range batch {
-		if err := up.Sig.Valid(); err != nil {
-			results[i].Err = fmt.Errorf("store: %w", err)
-			continue
+		var err error
+		if req.ups[i], err = prepareUpload(up, now); err != nil {
+			results[i].Err = err
+		} else if refused != nil {
+			results[i].Err = refused
 		}
-		req.ups[i] = admission{Upload: up, id: up.Sig.ID(), tops: topKeys(up.Sig), unix: now}
 	}
-	st.commit(req)
+	if refused == nil {
+		st.commit(req)
+	}
 	return results
 }
 
 // admission is one upload prepared for admit outside walMu.
 type admission struct {
-	Upload
-	id   string
-	tops []string
-	unix int64 // accept time
+	prepared
+	user ids.UserID
+	unix int64  // accept time
+	data []byte // canonical encoding
+}
+
+// prepareUpload derives what admit needs of one upload accepted at unix
+// time now: Sig's encoding, or Data's canonical bytes (derive).
+func prepareUpload(up Upload, now int64) (admission, error) {
+	a := admission{user: up.User, unix: now}
+	var err error
+	if up.Sig != nil && up.Data == nil {
+		if a.data, err = sig.Encode(up.Sig); err != nil {
+			return a, fmt.Errorf("store: %w", err)
+		}
+		a.prepared = prepared{key: entryKey(a.data), tops: topKeys(up.Sig)}
+	} else if a.data, a.prepared, err = derive(up.Data); err != nil {
+		return a, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return a, nil
 }
 
 // request is one AddBatch call on its way through commit: its uploads
@@ -512,7 +607,7 @@ func (st *Store) writeGroup(reqs ...*request) {
 				res.Err = ErrClosed
 			default:
 				var e walEntry
-				*res, e = st.admit(&req.ups[i], base+len(entries)+1)
+				*res, e = st.admit(&req.ups[i], base+len(entries)+1, entries)
 				if res.Added {
 					entries = append(entries, e)
 				}
@@ -534,28 +629,21 @@ func (st *Store) writeGroup(reqs ...*request) {
 
 // admit decides one upload in the test oracle's check order
 // (locked_test.go): duplicate, then budget, then adjacency. A duplicate
-// gets its original's index. An accepted upload is recorded at index
-// next and its WAL entry returned. The encoding is Upload.Data when set,
-// else sig.Encode's, computed only after every check has passed:
-// duplicates and rejected uploads (the DoS case the daily limit exists
-// for) never pay a marshal. The caller holds walMu.
-func (st *Store) admit(a *admission, next int) (AddResult, walEntry) {
-	if orig, dup := st.present[a.id]; dup {
+// gets its original's index; pending holds the entries this commit has
+// accepted so far, which a duplicate may be of. An accepted upload is
+// recorded at index next and its WAL entry returned. The caller holds
+// walMu.
+func (st *Store) admit(a *admission, next int, pending []walEntry) (AddResult, walEntry) {
+	if orig, dup := st.lookup(a.key, a.data, pending); dup {
 		return AddResult{Index: orig}, walEntry{}
 	}
 	today := a.unix / 86400
-	if err := st.userOf(a.User).check(a.tops, today, st.maxPerDay); err != nil {
+	if err := st.userOf(a.user).check(a.tops, today, st.maxPerDay); err != nil {
 		return AddResult{Err: err}, walEntry{}
 	}
-	data := a.Data
-	if data == nil {
-		var err error
-		if data, err = sig.Encode(a.Sig); err != nil {
-			return AddResult{Err: fmt.Errorf("store: %w", err)}, walEntry{}
-		}
-	}
-	st.record(a.id, next, a.User, a.unix, a.tops, today)
-	return AddResult{Added: true, Index: next}, walEntry{user: a.User, unix: a.unix, data: data}
+	st.mark(a.key, next)
+	st.record(a.user, a.unix, a.tops, today)
+	return AddResult{Added: true, Index: next}, walEntry{user: a.user, unix: a.unix, data: a.data}
 }
 
 // publish appends recorded entries to the WAL, on a durable store, then
@@ -583,20 +671,22 @@ func (st *Store) publish(entries []walEntry) error {
 // entries, is prepared on the calling goroutine alone.
 const prepareChunk = chunk.Size
 
-// prepared is what prepare derives from one entry's signature.
+// prepared is what the store keeps of a signature besides its bytes:
+// its duplicate key (entryKey of the canonical bytes) and its top-frame
+// keys (topKeys).
 type prepared struct {
-	id   string
+	key  uint64
 	tops []string
 }
 
 // prepare is the half of recovery and replication that needs no store
-// state: it decodes each entry's signature, replaces its data with the
-// bytes the log keeps (decodeEntry), and derives its ID and top-frame
-// keys. The entries are independent, so chunk.Run prepares them on up
-// to GOMAXPROCS goroutines; the caller then folds the results into the
-// store in index order. It returns the results and the position of the
-// first entry that failed to decode, with its error: len(run) and nil
-// when none did. Results past that position are unspecified.
+// state: it derives each entry's canonical bytes, which replace its
+// data, duplicate key and top-frame keys (derive). The entries are
+// independent, so chunk.Run prepares them on up to GOMAXPROCS
+// goroutines; the caller then folds the results into the store in index
+// order. It returns the results and the position of the first entry
+// that failed to decode, with its error: len(run) and nil when none did.
+// Results past that position are unspecified.
 func prepare(run []walEntry) ([]prepared, int, error) {
 	n := len(run)
 	out := make([]prepared, n)
@@ -604,13 +694,12 @@ func prepare(run []walEntry) ([]prepared, int, error) {
 	bad, errs := make([]int, chunks), make([]error, chunks)
 	chunk.Run(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s, data, err := decodeEntry(run[i].data)
+			data, p, err := derive(run[i].data)
 			if err != nil {
 				bad[lo/prepareChunk], errs[lo/prepareChunk] = i, err
 				return
 			}
-			run[i].data = data
-			out[i] = prepared{id: s.ID(), tops: topKeys(s)}
+			run[i].data, out[i] = data, p
 		}
 	}, nil)
 	for c, err := range errs {
@@ -621,19 +710,37 @@ func prepare(run []walEntry) ([]prepared, int, error) {
 	return out, n, nil
 }
 
-// decodeEntry decodes a signature read back from the WAL or received
-// from the primary. It returns the bytes the log is to keep: data itself
-// (which the signature may share) when it is exactly what sig.Encode
-// writes, else sig.Encode's bytes. With admit storing only canonical
-// bytes, the log holds nothing else (see Get).
-func decodeEntry(data []byte) (*sig.Signature, []byte, error) {
-	s, exact, err := sig.DecodeVerbatim(data)
-	if err != nil || exact {
-		return s, data, err
+// derive decodes a signature encoding — an upload, a WAL record or a
+// replicated entry — in place, and returns what the store keeps of it:
+// the bytes the log is to keep, data itself when it is exactly what
+// sig.Encode writes, else sig.Encode's bytes, with their duplicate key
+// and the signature's top-frame keys. With the log holding only such
+// bytes (see Get), equal signatures have equal bytes.
+func derive(data []byte) ([]byte, prepared, error) {
+	var p prepared
+	var encErr error
+	err := sig.DecodeInPlace(data, func(s *sig.Signature, exact bool) {
+		if !exact {
+			data, encErr = sig.Encode(s)
+		}
+		p.tops = topKeys(s)
+	})
+	if err == nil {
+		err = encErr
 	}
-	data, err = sig.Encode(s)
-	return s, data, err
+	if err != nil {
+		return nil, prepared{}, err
+	}
+	p.key = entryKey(data)
+	return data, p, nil
 }
+
+// keySeed seeds entryKey for the life of the process.
+var keySeed = maphash.MakeSeed()
+
+// entryKey is the duplicate-set key of a signature's canonical bytes.
+// Tests replace it to force keys to collide.
+var entryKey = func(data []byte) uint64 { return maphash.Bytes(keySeed, data) }
 
 // Get returns the pre-encoded signatures from 1-based index from, plus
 // the next index a client should request (database size + 1). from < 1 is
@@ -762,8 +869,8 @@ func (st *Store) ApplyReplicated(from int, entries []Entry) (int, error) {
 	if st.closed.Load() {
 		return 0, ErrClosed
 	}
-	if i := st.fold(batch, keys, today); i < len(batch) {
-		return 0, fmt.Errorf("store: replicated duplicate %s", keys[i].id)
+	if i, orig := st.fold(batch, keys, today); i < len(batch) {
+		return 0, fmt.Errorf("store: replicated entry %d duplicates entry %d", from+skip+i, orig)
 	}
 	return len(batch), st.publish(batch)
 }
@@ -787,7 +894,7 @@ func (st *Store) ResetReplica() error {
 	if st.closed.Load() {
 		return ErrClosed
 	}
-	st.present = make(map[string]int)
+	st.present, st.collided = make(map[uint64]int), nil
 	st.users = make(map[ids.UserID]*userState)
 	st.log.Reset()
 	if st.wal == nil {
@@ -826,10 +933,12 @@ func (st *Store) StateDigest() string {
 		h.Write(e.Data)
 	}
 
-	// Duplicate set, sorted.
-	dups := make([]string, 0, len(st.present))
-	for id := range st.present {
-		dups = append(dups, id)
+	// Duplicate set, sorted: the ID of every logged signature, derived
+	// here (the set itself is keyed by canonical bytes). Every logged
+	// signature decodes.
+	dups := make([]string, 0, len(entries))
+	for _, e := range entries {
+		_ = sig.DecodeInPlace(e.Data, func(s *sig.Signature, _ bool) { dups = append(dups, s.ID()) })
 	}
 	sort.Strings(dups)
 	for _, id := range dups {
