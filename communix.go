@@ -296,7 +296,10 @@ type NodeConfig struct {
 	OnSignatures func(added int)
 	// Policy selects deadlock recovery (default RecoverNone).
 	Policy dimmunix.RecoveryPolicy
-	// OnDeadlock observes detected deadlocks (after the plugin).
+	// OnDeadlock observes detected deadlocks (after the plugin, which
+	// only queued the upload). It runs on the thread that closed the
+	// cycle. The Deadlock's Signature is the node history's own
+	// instance: read it, or Clone it to change it, but never modify it.
 	OnDeadlock func(Deadlock)
 	// OnFalsePositive observes §III-C1 false-positive warnings.
 	OnFalsePositive func(FalsePositiveWarning)

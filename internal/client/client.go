@@ -19,7 +19,7 @@ package client
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -482,7 +482,6 @@ func (c *Client) Start() {
 // after consecutive failures.
 func (c *Client) loop() {
 	defer c.wg.Done()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	failures := 0
 	for {
 		// A Close racing Start should not have to wait out a sync against
@@ -511,7 +510,9 @@ func (c *Client) loop() {
 		} else {
 			failures = 0
 		}
-		if !c.sleep(c.nextDelay(failures, rng.Float64())) {
+		// The jitter comes from the shared generator: a client keeps no
+		// source of its own.
+		if !c.sleep(c.nextDelay(failures, rand.Float64())) {
 			return
 		}
 	}

@@ -150,6 +150,11 @@ func (rt *Runtime) cycleLocked(start ThreadID, startCases [][]ThreadID) []member
 // cycle (§II-A): each member's outer stack is its engagement on the
 // primitive its predecessor waits on, and its inner stack is where it
 // blocks. A member with no engagement to show yields no fingerprint.
+//
+// The fingerprint is copied once (sig.New) and ID'd once, and the
+// history takes a new one over as it is: the Deadlock carries the
+// history's own instance, read-only from here on. A fingerprint Equal
+// to a stored signature is Known and carries the stored instance.
 // Caller holds rt.mu.
 func (rt *Runtime) fingerprintLocked(cycle []member) *Deadlock {
 	n := len(cycle)
@@ -165,7 +170,12 @@ func (rt *Runtime) fingerprintLocked(cycle []member) *Deadlock {
 	}
 	s := sig.New(specs...)
 	s.Origin = sig.OriginLocal
-	return &Deadlock{Signature: s, Threads: threads, Known: rt.history.Get(s.ID()) != nil}
+	dl := &Deadlock{Signature: s, Threads: threads}
+	if s.Valid() == nil {
+		held, added := rt.history.adopt(s, s.ID())
+		dl.Signature, dl.Known = held, !added
+	}
+	return dl
 }
 
 // engagementLocked returns t's outer stack on the primitive pred waits
@@ -193,18 +203,16 @@ func (rt *Runtime) innerLocked(t ThreadID) sig.Stack {
 
 // NewWaitLocked runs after tid registered a new wait, on a lock or a
 // channel (ShareGraph). Unless detection is disabled, it looks for the
-// wait-for cycle the wait closed and adds a new fingerprint to the
-// history; then the yield-cycle breaker runs, since the wait may have
-// closed a wait+yield cycle too. The caller counts a returned deadlock,
-// applies the recovery policy to its own wait, and calls OnDeadlock once
-// rt.mu is released. Caller holds rt.mu.
+// wait-for cycle the wait closed and hands a new fingerprint to the
+// history (fingerprintLocked); then the yield-cycle breaker runs, since
+// the wait may have closed a wait+yield cycle too. The caller counts a
+// returned deadlock, applies the recovery policy to its own wait, and
+// calls OnDeadlock once rt.mu is released. Caller holds rt.mu.
 func (rt *Runtime) NewWaitLocked(tid ThreadID) *Deadlock {
 	var dl *Deadlock
 	if !rt.cfg.DetectionDisabled {
 		if cycle := rt.cycleLocked(tid, rt.casesLocked(tid)); cycle != nil {
-			if dl = rt.fingerprintLocked(cycle); dl != nil && !dl.Known {
-				rt.history.Add(dl.Signature)
-			}
+			dl = rt.fingerprintLocked(cycle)
 		}
 	}
 	BreakYieldCycles(rt.yielders, rt.casesLocked)

@@ -101,6 +101,53 @@ func TestDetectReoccurrenceIsKnown(t *testing.T) {
 	}
 }
 
+// TestDetectionHistoryHoldsFingerprint: the history takes the
+// detector's fingerprint over, so OnDeadlock receives the very instance
+// the history stores; a recurrence is Known and leaves the history as
+// it was.
+func TestDetectionHistoryHoldsFingerprint(t *testing.T) {
+	var mu sync.Mutex
+	var events []Deadlock
+	rt := NewRuntime(Config{
+		Policy:            RecoverBreak,
+		AvoidanceDisabled: true,
+		OnDeadlock: func(d Deadlock) {
+			mu.Lock()
+			events = append(events, d)
+			mu.Unlock()
+		},
+	})
+	defer rt.Close()
+	h := rt.History()
+	ps := newPairStacks()
+	a, b := rt.NewLock("A"), rt.NewLock("B")
+
+	deadlockPair(t, rt, a, b, ps)
+	mu.Lock()
+	first := events[0]
+	mu.Unlock()
+	if first.Known || !first.Signature.Equal(ps.signature()) {
+		t.Fatalf("first detection: Known %v, signature %v", first.Known, first.Signature)
+	}
+	if got := h.Get(first.Signature.ID()); got != first.Signature || h.Len() != 1 {
+		t.Fatalf("history holds %p (%d signatures), want the fingerprint %p alone", got, h.Len(), first.Signature)
+	}
+
+	muts := h.Mutations()
+	deadlockPair(t, rt, a, b, ps)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 2 {
+		t.Fatalf("deadlock events = %d, want 2", len(events))
+	}
+	if again := events[1]; !again.Known || again.Signature != first.Signature {
+		t.Errorf("recurrence: Known %v, signature %p; want Known with the stored %p", again.Known, again.Signature, first.Signature)
+	}
+	if h.Len() != 1 || h.Mutations() != muts {
+		t.Errorf("recurrence changed the history: %d signatures, %d mutations (was %d)", h.Len(), h.Mutations(), muts)
+	}
+}
+
 func TestDetectThreeThreadCycle(t *testing.T) {
 	var mu sync.Mutex
 	var events []Deadlock

@@ -21,6 +21,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,9 +36,10 @@ type SlotRef struct {
 	Sig *sig.Signature
 	// Slot indexes Sig.Threads.
 	Slot int
-	// ID is Sig.ID(), precomputed at insertion: the avoidance hot path
-	// keys its position index by it on every matched acquisition, and
-	// recomputing the content hash there dominates runtime.
+	// ID is the key the history stores Sig under (see History): its
+	// ID, or a twin's ID plus a suffix, so no two signatures share one.
+	// The index sorts refs by it, which is also the multi-shard lock
+	// order. It is computed once, at insertion, never on the hot path.
 	ID string
 }
 
@@ -49,10 +52,22 @@ type SlotRef struct {
 // Runtime's position refresh learns what changed by comparing the live
 // signature sets of the index it last applied and the current one
 // (indexDelta).
+//
+// Each signature is stored under a key: its ID. sig.ID is not injective
+// (a string holding its separator bytes can shift them), so a twin — a
+// signature with the ID of a stored one but not Equal to it — is stored
+// under the ID plus "#n", the smallest free n ≥ 1, and every ID hit is
+// confirmed with Equal. Keys are unique and a stored signature keeps
+// its key, so the index's sort by key (the multi-shard lock order)
+// stays total and depends only on the order of mutations. Get, Remove
+// and Replace take a key: given an ID, they act on the signature stored
+// first under it (a later twin takes the plain ID only once it is free
+// again).
 type History struct {
 	mu      sync.RWMutex
-	sigs    map[string]*sig.Signature // by ID
-	byBug   map[string][]string       // bug key -> IDs (generalization lookups)
+	sigs    map[string]*sig.Signature // by key
+	byBug   map[string][]string       // bug key -> keys (generalization lookups)
+	twins   map[string][]string       // ID -> keys of its stored twins
 	version uint64
 	path    string // "" = in-memory only
 
@@ -71,6 +86,7 @@ func NewHistory() *History {
 	h := &History{
 		sigs:  make(map[string]*sig.Signature),
 		byBug: make(map[string][]string),
+		twins: make(map[string][]string),
 	}
 	h.idx.Store(emptyIndex)
 	return h
@@ -102,7 +118,7 @@ func LoadHistory(path string) (*History, error) {
 		if i < len(file.Origins) && file.Origins[i] == "remote" {
 			s.Origin = sig.OriginRemote
 		}
-		h.addLocked(s)
+		h.adopt(s, s.ID())
 	}
 	return h, nil
 }
@@ -113,44 +129,75 @@ type historyFile struct {
 	Origins    []string          `json:"origins"`
 }
 
-// Add inserts a signature unless an identical one is present. It returns
-// true when the history changed.
+// Add inserts a normalized copy of a signature unless an identical one
+// is present. It returns true when the history changed.
 func (h *History) Add(s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.addLocked(s)
+	s = owned(s)
+	_, added := h.adopt(s, s.ID())
+	return added
 }
 
-func (h *History) addLocked(s *sig.Signature) bool {
-	if !h.insertLocked(s, s.ID()) {
-		return false
-	}
-	h.commitLocked()
-	return true
-}
-
-// insertLocked stores a normalized clone of s under id unless id is
-// already present, reporting whether it stored one. It does not bump
-// the version: a caller folding several changes into one mutation
-// commits once.
-func (h *History) insertLocked(s *sig.Signature, id string) bool {
-	if _, ok := h.sigs[id]; ok {
-		return false
-	}
+// owned returns a normalized copy of s for the history to take over.
+func owned(s *sig.Signature) *sig.Signature {
 	s = s.Clone()
 	s.Normalize()
-	h.storeLocked(s, id, s.BugKey())
-	return true
+	return s
 }
 
-// storeLocked stores s itself under id and bug, which the caller
-// computed from it and checked absent.
-func (h *History) storeLocked(s *sig.Signature, id, bug string) {
-	h.sigs[id] = s
-	h.byBug[bug] = append(h.byBug[bug], id)
+// adopt stores s itself — valid, normalized, with ID id — unless an
+// Equal signature is present: the history takes s over, and the caller
+// must not modify it afterwards. It returns the instance the history
+// holds (s when it was stored) and whether s was stored.
+func (h *History) adopt(s *sig.Signature, id string) (held *sig.Signature, added bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	key, found := h.findLocked(s, id)
+	if found {
+		return h.sigs[key], false
+	}
+	h.storeLocked(s, id, key, s.BugKey())
+	h.commitLocked()
+	return s, true
+}
+
+// findLocked returns the key of the stored signature Equal to s, whose
+// ID is id, and true; or the key s would be stored under and false.
+func (h *History) findLocked(s *sig.Signature, id string) (key string, found bool) {
+	first, ok := h.sigs[id]
+	twins := h.twins[id]
+	if !ok && len(twins) == 0 {
+		return id, false
+	}
+	if ok && first.Equal(s) {
+		return id, true
+	}
+	for _, k := range twins {
+		if h.sigs[k].Equal(s) {
+			return k, true
+		}
+	}
+	if !ok {
+		return id, false
+	}
+	for n := 1; ; n++ {
+		if k := id + "#" + strconv.Itoa(n); h.sigs[k] == nil {
+			return k, false
+		}
+	}
+}
+
+// storeLocked stores s itself under key (from findLocked for id, s's
+// ID) and bug, s's bug key. It does not bump the version: a caller
+// folding several changes into one mutation commits once.
+func (h *History) storeLocked(s *sig.Signature, id, key, bug string) {
+	h.sigs[key] = s
+	h.byBug[bug] = append(h.byBug[bug], key)
+	if key != id {
+		h.twins[id] = append(h.twins[id], key)
+	}
 }
 
 // commitLocked publishes one mutation: one version bump, and the index
@@ -194,62 +241,73 @@ func (h *History) Index() *AvoidIndex {
 	return h.idx.Load()
 }
 
-// deleteLocked removes the signature stored under id, whose bug key is
-// bug, from the signature map and the bug index.
-func (h *History) deleteLocked(id, bug string) {
-	delete(h.sigs, id)
-	ids := h.byBug[bug]
-	out := ids[:0]
-	for _, other := range ids {
-		if other != id {
-			out = append(out, other)
-		}
-	}
-	if len(out) == 0 {
+// deleteLocked removes the signature stored under key, whose bug key is
+// bug, from the signature map, the bug index and its ID's twins.
+func (h *History) deleteLocked(key, bug string) {
+	delete(h.sigs, key)
+	h.byBug[bug] = without(h.byBug[bug], key)
+	if len(h.byBug[bug]) == 0 {
 		delete(h.byBug, bug)
-	} else {
-		h.byBug[bug] = out
+	}
+	if id, _, ok := strings.Cut(key, "#"); ok {
+		if h.twins[id] = without(h.twins[id], key); len(h.twins[id]) == 0 {
+			delete(h.twins, id)
+		}
 	}
 }
 
-// Remove deletes the signature with the given ID, returning whether it
-// was present. The false-positive mechanism (§III-C1) uses it when the
-// user decides to drop a warned signature.
-func (h *History) Remove(id string) bool {
+// without removes key from keys in place.
+func without(keys []string, key string) []string {
+	out := keys[:0]
+	for _, k := range keys {
+		if k != key {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// Remove deletes the signature stored under the given key, returning
+// whether it was present. The false-positive mechanism (§III-C1) uses
+// it when the user decides to drop a warned signature.
+func (h *History) Remove(key string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s, ok := h.sigs[id]
+	s, ok := h.sigs[key]
 	if !ok {
 		return false
 	}
-	h.deleteLocked(id, s.BugKey())
+	h.deleteLocked(key, s.BugKey())
 	h.commitLocked()
 	return true
 }
 
-// Replace swaps an existing signature (by ID) for another in one step —
-// how generalization installs a merged signature in place of the old one.
-// If oldID is absent the new signature is still added. It reports whether
-// the history changed. The swap is one mutation — one version bump — so
-// no index ever shows the history with neither signature or with both
-// (pure removal and pure addition, the degenerate cases, also bump the
-// version once).
-func (h *History) Replace(oldID string, s *sig.Signature) bool {
+// Replace swaps an existing signature (by key) for a normalized copy of
+// another in one step — how generalization installs a merged signature
+// in place of the old one. If oldKey is absent the new signature is
+// still added; if it holds the new signature already, nothing changes.
+// It reports whether the history changed. The swap is one mutation —
+// one version bump — so no index ever shows the history with neither
+// signature or with both (pure removal and pure addition, the
+// degenerate cases, also bump the version once).
+func (h *History) Replace(oldKey string, s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
 	}
+	s = owned(s)
 	id := s.ID()
-	if id == oldID {
-		return false
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	changed := false
-	if old, ok := h.sigs[oldID]; ok {
-		h.deleteLocked(oldID, old.BugKey())
+	if old, ok := h.sigs[oldKey]; ok {
+		if old.Equal(s) {
+			return false
+		}
+		h.deleteLocked(oldKey, old.BugKey())
 		changed = true
 	}
-	if h.insertLocked(s, id) {
+	if key, found := h.findLocked(s, id); !found {
+		h.storeLocked(s, id, key, s.BugKey())
 		changed = true
 	}
 	if changed {
@@ -304,8 +362,8 @@ func (h *History) GeneralizeBatch(batch []Candidate, p sig.MergePolicy) (added i
 // only when one changes the history, and hashes only the signature it
 // stores.
 func (h *History) generalizeLocked(s *sig.Signature, bug string, p sig.MergePolicy) bool {
-	for _, oldID := range h.byBug[bug] {
-		old := h.sigs[oldID]
+	for _, oldKey := range h.byBug[bug] {
+		old := h.sigs[oldKey]
 		ok, covered := p.Covers(old, s)
 		if !ok {
 			continue
@@ -315,27 +373,30 @@ func (h *History) generalizeLocked(s *sig.Signature, bug string, p sig.MergePoli
 		}
 		merged, _ := p.Merge(old, s)
 		// A merge keeps old's top frames, so it has old's bug key.
-		h.deleteLocked(oldID, bug)
-		if id := merged.ID(); h.sigs[id] == nil {
-			h.storeLocked(merged, id, bug)
+		h.deleteLocked(oldKey, bug)
+		id := merged.ID()
+		if key, found := h.findLocked(merged, id); !found {
+			h.storeLocked(merged, id, key, bug)
 		}
 		h.commitLocked()
 		return false
 	}
 	id := s.ID()
-	if h.sigs[id] != nil {
+	key, found := h.findLocked(s, id)
+	if found {
 		return false // identical signature already present
 	}
-	h.storeLocked(s, id, bug)
+	h.storeLocked(s, id, key, bug)
 	h.commitLocked()
 	return true
 }
 
-// Get returns the signature with the given ID, or nil.
-func (h *History) Get(id string) *sig.Signature {
+// Get returns the signature stored under the given key, or nil. The
+// history never modifies it; neither may the caller.
+func (h *History) Get(key string) *sig.Signature {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.sigs[id]
+	return h.sigs[key]
 }
 
 // All returns a snapshot of the signatures (clones, in unspecified order).

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"communix/internal/chunk"
@@ -27,6 +28,113 @@ func TestHistoryAddDeduplicates(t *testing.T) {
 	if h.Get(s.ID()) == nil {
 		t.Error("Get should find the signature")
 	}
+}
+
+// TestHistoryKeepsIDTwins: sig.ID is not injective, so a history that
+// holds one of two twins (sigtest.IDTwins) must still store the other —
+// through Add, GeneralizeBatch and detection — and give it a key of its
+// own, so the index's order (the multi-shard lock order) stays total.
+func TestHistoryKeepsIDTwins(t *testing.T) {
+	a, b := sigtest.IDTwins()
+	id := a.ID()
+	if b.ID() != id || a.Equal(b) {
+		t.Fatal("sigtest.IDTwins are not twins")
+	}
+	// keysUnique fails unless every indexed signature has a key no other
+	// one shares.
+	keysUnique := func(t *testing.T, h *History) {
+		t.Helper()
+		owner := make(map[string]*sig.Signature)
+		for _, refs := range h.Index().byTop {
+			for _, r := range refs {
+				if o, ok := owner[r.ID]; ok && o != r.Sig {
+					t.Fatalf("two signatures share the key %q", r.ID)
+				}
+				owner[r.ID] = r.Sig
+			}
+		}
+		if len(owner) != h.Len() {
+			t.Fatalf("%d keys for %d signatures", len(owner), h.Len())
+		}
+	}
+
+	t.Run("Add", func(t *testing.T) {
+		for _, pair := range [][2]*sig.Signature{{a, b}, {b, a}} {
+			first, second := pair[0], pair[1]
+			h := NewHistory()
+			if !h.Add(first) || !h.Add(second) {
+				t.Fatal("both twins must be added")
+			}
+			if h.Add(first.Clone()) || h.Add(second.Clone()) || h.Len() != 2 {
+				t.Fatalf("re-adding a twin changed the history (%d signatures)", h.Len())
+			}
+			if !h.Get(id).Equal(first) {
+				t.Error("Get by ID must return the twin stored first")
+			}
+			keysUnique(t, h)
+			// Remove by ID drops the first; the second keeps its key.
+			if !h.Remove(id) || h.Len() != 1 || h.Add(second.Clone()) {
+				t.Fatal("Remove by ID must drop only the twin stored first")
+			}
+			if !h.Add(first) || !h.Get(id).Equal(first) || h.Len() != 2 {
+				t.Fatal("a removed twin must come back under its ID")
+			}
+			keysUnique(t, h)
+			// Replace by ID with the second twin drops the first and
+			// keeps the second, stored already, once.
+			if !h.Replace(id, second) || h.Len() != 1 || !h.All()[0].Equal(second) {
+				t.Fatalf("Replace by ID: %d signatures", h.Len())
+			}
+		}
+	})
+
+	t.Run("GeneralizeBatch", func(t *testing.T) {
+		h := NewHistory()
+		batch := []Candidate{
+			{Sig: a.Clone(), Bug: a.BugKey()},
+			{Sig: b.Clone(), Bug: b.BugKey()},
+			{Sig: b.Clone(), Bug: b.BugKey()},
+			{Sig: a.Clone(), Bug: a.BugKey()},
+		}
+		if added := h.GeneralizeBatch(batch, sig.MergePolicy{}); added != 2 || h.Len() != 2 {
+			t.Fatalf("GeneralizeBatch added %d (%d signatures), want both twins once", added, h.Len())
+		}
+		keysUnique(t, h)
+	})
+
+	t.Run("Detect", func(t *testing.T) {
+		for _, pair := range [][2]*sig.Signature{{a, b}, {b, a}} {
+			held, fingerprint := pair[0], pair[1]
+			h := NewHistory()
+			h.Add(held)
+			var mu sync.Mutex
+			var events []Deadlock
+			rt := NewRuntime(Config{
+				History:           h,
+				Policy:            RecoverBreak,
+				AvoidanceDisabled: true,
+				OnDeadlock: func(d Deadlock) {
+					mu.Lock()
+					events = append(events, d)
+					mu.Unlock()
+				},
+			})
+			// The fingerprint's two thread specs, in deadlockPair's roles.
+			t1, t2 := fingerprint.Threads[0], fingerprint.Threads[1]
+			ps := pairStacks{outerA: t1.Outer, innerAB: t1.Inner, outerB: t2.Outer, innerBA: t2.Inner}
+			deadlockPair(t, rt, rt.NewLock("A"), rt.NewLock("B"), ps)
+			rt.Close()
+			mu.Lock()
+			if len(events) != 1 || events[0].Known || !events[0].Signature.Equal(fingerprint) {
+				t.Fatalf("detections %v: want one new fingerprint, the held twin's imitation", events)
+			}
+			mu.Unlock()
+			if h.Len() != 2 || !h.Get(id).Equal(held) {
+				t.Fatalf("history holds %d signatures; want the held twin under its ID and the fingerprint", h.Len())
+			}
+			keysUnique(t, h)
+		}
+	})
 }
 
 func TestHistoryAddRejectsInvalid(t *testing.T) {

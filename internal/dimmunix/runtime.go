@@ -50,7 +50,10 @@ const (
 
 // Deadlock describes one detected deadlock.
 type Deadlock struct {
-	// Signature is the extracted fingerprint (outer + inner stacks).
+	// Signature is the extracted fingerprint (outer + inner stacks): the
+	// history's own instance when the fingerprint is valid, so it is
+	// read-only. A consumer that must change it (say, to stamp code-unit
+	// hashes before an upload) works on a Clone.
 	Signature *sig.Signature
 	// Threads are the deadlocked threads, in cycle order.
 	Threads []ThreadID
@@ -66,6 +69,8 @@ type Deadlock struct {
 // instantiations. The user (or embedding application) may then remove
 // the signature from the history.
 type FalsePositiveWarning struct {
+	// SigID is the key the history stores the signature under, which
+	// History.Remove takes: its ID, or a twin's ID plus a suffix.
 	SigID          string
 	Instantiations uint64
 }
@@ -85,7 +90,9 @@ type Config struct {
 	// OnDeadlock, if set, is called synchronously after a deadlock is
 	// fingerprinted, before recovery applies. It runs with internal locks
 	// dropped; implementations may call back into the History but must
-	// not call Acquire/Release from the same goroutine.
+	// not call Acquire/Release from the same goroutine. The Deadlock's
+	// Signature is the history's instance and is read-only; it runs on
+	// the thread that closed the cycle, so slow work belongs elsewhere.
 	OnDeadlock func(Deadlock)
 	// OnFalsePositive, if set, is called when a signature trips the
 	// false-positive heuristic (once per signature per flagging).

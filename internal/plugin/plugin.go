@@ -5,7 +5,8 @@
 //
 // Uploads happen on a dedicated worker goroutine so that the deadlocking
 // application thread (whose Acquire triggered detection) never blocks on
-// the network.
+// the network. That thread only queues the detector's signature; the
+// worker copies it, stamps the copy and uploads it.
 package plugin
 
 import (
@@ -73,35 +74,37 @@ func New(cfg Config) (*Plugin, error) {
 }
 
 // HandleDeadlock is wired as (or called from) dimmunix.Config.OnDeadlock:
-// it stamps hashes onto the new signature and enqueues it for upload.
-// Reoccurrences of known signatures are not re-uploaded.
+// it queues the new signature for upload and returns. It runs on the
+// thread that closed the cycle, so it neither copies nor modifies
+// d.Signature, which is the history's read-only instance: the worker
+// stamps a copy. Reoccurrences of known signatures are not re-uploaded.
 func (p *Plugin) HandleDeadlock(d dimmunix.Deadlock) {
 	if d.Known || d.Signature == nil {
 		return
 	}
-	s := d.Signature.Clone()
-	p.stamp(s)
-
+	err := ErrClosed
 	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		p.report(s, ErrClosed)
-		return
+	if !p.closed {
+		select {
+		case p.queue <- d.Signature:
+			err = nil
+		default:
+			err = ErrQueueFull
+		}
 	}
-	select {
-	case p.queue <- s:
-	default:
-		p.report(s, ErrQueueFull)
+	p.mu.Unlock()
+	if err != nil {
+		p.report(p.stamped(d.Signature), err)
 	}
 }
 
-// stamp attaches code-unit hashes to frames that lack them (§III-C: "the
-// plugin attaches to each call stack frame the hash of the class bytecode
-// containing that frame").
-func (p *Plugin) stamp(s *sig.Signature) {
+// stamped returns a copy of s with code-unit hashes attached to the
+// frames that lack them (§III-C: "the plugin attaches to each call stack
+// frame the hash of the class bytecode containing that frame").
+func (p *Plugin) stamped(s *sig.Signature) *sig.Signature {
+	s = s.Clone()
 	if p.cfg.Hasher == nil {
-		return
+		return s
 	}
 	fill := func(cs sig.Stack) {
 		for i := range cs {
@@ -118,11 +121,13 @@ func (p *Plugin) stamp(s *sig.Signature) {
 		fill(s.Threads[i].Inner)
 	}
 	s.Normalize()
+	return s
 }
 
 func (p *Plugin) worker() {
 	defer p.wg.Done()
 	for s := range p.queue {
+		s = p.stamped(s)
 		p.report(s, p.cfg.Uploader.Upload(s))
 	}
 }

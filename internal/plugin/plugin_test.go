@@ -12,13 +12,17 @@ import (
 
 // captureUploader records uploads; optionally fails or blocks.
 type captureUploader struct {
-	mu    sync.Mutex
-	sigs  []*sig.Signature
-	err   error
-	block chan struct{} // non-nil: uploads wait until closed
+	mu      sync.Mutex
+	sigs    []*sig.Signature
+	err     error
+	block   chan struct{} // non-nil: uploads wait until closed
+	entered chan struct{} // non-nil: told when an upload starts
 }
 
 func (u *captureUploader) Upload(s *sig.Signature) error {
+	if u.entered != nil {
+		u.entered <- struct{}{}
+	}
 	if u.block != nil {
 		<-u.block
 	}
@@ -106,6 +110,57 @@ func TestPluginStampsHashes(t *testing.T) {
 			want := map[string]string{"u/A": "hashA", "u/B": "hashB"}[f.Class]
 			if f.Hash != want {
 				t.Errorf("frame %v: hash %q, want %q", f, f.Hash, want)
+			}
+		}
+	}
+}
+
+// TestPluginQueuesWithoutCopying: HandleDeadlock runs on the thread that
+// closed the cycle and only queues the detector's signature, which is
+// the history's read-only instance: no copy, no allocation, no write.
+// The worker uploads a stamped copy.
+func TestPluginQueuesWithoutCopying(t *testing.T) {
+	const runs = 100
+	up := &captureUploader{block: make(chan struct{}), entered: make(chan struct{}, runs+2)}
+	p, err := New(Config{
+		Uploader:  up,
+		Hasher:    mapHasher{"u/A": "hashA", "u/B": "hashB"},
+		QueueSize: runs + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSig()
+	want := s.Clone()
+	d := dimmunix.Deadlock{Signature: s}
+	// The worker takes the first signature and blocks in Upload, so it
+	// allocates nothing while HandleDeadlock is measured.
+	p.HandleDeadlock(d)
+	<-up.entered
+	// AllocsPerRun calls once more to warm up: runs+1 queued in all.
+	allocs := testing.AllocsPerRun(runs, func() { p.HandleDeadlock(d) })
+	close(up.block)
+	p.Close()
+	if allocs != 0 {
+		t.Errorf("HandleDeadlock allocates %.1f times per call, want 0 (a queue push)", allocs)
+	}
+	if !s.Equal(want) {
+		t.Errorf("HandleDeadlock modified the detector's signature: %v", s)
+	}
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	if len(up.sigs) != runs+2 {
+		t.Fatalf("uploads = %d, want %d", len(up.sigs), runs+2)
+	}
+	for _, got := range up.sigs {
+		if got == s {
+			t.Fatal("the detector's instance was uploaded, not a copy")
+		}
+		for _, th := range got.Threads {
+			for _, f := range append(th.Outer.Clone(), th.Inner...) {
+				if want := map[string]string{"u/A": "hashA", "u/B": "hashB"}[f.Class]; f.Hash != want {
+					t.Fatalf("uploaded frame %v: hash %q, want %q", f, f.Hash, want)
+				}
 			}
 		}
 	}
