@@ -181,7 +181,7 @@ func (a *Agent) OnClassesLoaded() (Report, error) {
 
 // pass is the validation pass both entry points share. Validating one
 // signature depends only on it and the application, so the entries are
-// prepared — validated, and given their bug keys — on up to GOMAXPROCS
+// prepared — validated, and given their bug hashes — on up to GOMAXPROCS
 // goroutines; generalizing depends on the history's contents, so the
 // accepted ones are folded into the history in repository order, one
 // chunk per history lock hold, each as soon as it and every chunk before
@@ -224,7 +224,7 @@ func (p *passState) prepare(lo, hi int) {
 		s, v := p.a.validate(p.entries[i].Sig, p.nested)
 		p.verdicts[i] = v
 		if v == VerdictAccepted {
-			p.cands[k] = dimmunix.Candidate{Sig: s, Bug: s.BugKey()}
+			p.cands[k] = dimmunix.Candidate{Sig: s, Bug: s.BugHash()}
 			k++
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // creates without releasing rt.mu, or unregisters them if it grants
 // nothing.
 func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, error) {
-	lastSigID := ""
+	var lastSeq uint64
 	timedOut := false
 	for {
 		// The lock may have been restored to fast mode (and fast-acquired)
@@ -36,8 +36,8 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 		}
 		shards := rt.shardsForRefs(refs)
 		lockShards(shards)
-		sigID, blockers := rt.instantiationThreat(refs, shards, tid, l)
-		if sigID == "" {
+		threat, blockers := rt.instantiationThreat(refs, shards, tid, l)
+		if blockers == nil {
 			// No threat: occupy the slots inside the critical section
 			// that found them free. Registering after the shards are
 			// released would let a matched fast acquisition (which never
@@ -68,15 +68,17 @@ func (rt *Runtime) avoidLocked(tid ThreadID, l *Lock, cs sig.Stack) ([]slotKey, 
 		// threat is not a new instantiation — the schedule did not move —
 		// so it adds no false-positive evidence and no yield count.
 		var warning *FalsePositiveWarning
-		if !timedOut || sigID != lastSigID {
+		if !timedOut || threat.Seq != lastSeq {
 			tp := false
 			if o := l.owner; o != 0 && o != tid {
 				tp = rt.cycleLocked(tid, [][]ThreadID{{o}}) != nil
 			}
-			warning = rt.fp.recordInstantiation(sigID, tp)
+			if warning = rt.fp.recordInstantiation(threat.Seq, tp); warning != nil {
+				warning.SigID = rt.history.nameOf(threat.Sig)
+			}
 			rt.stats.yields.Add(1)
 		}
-		lastSigID = sigID
+		lastSeq = threat.Seq
 
 		// In the table before the warning's callback drops rt.mu, so a
 		// release meanwhile wakes y.

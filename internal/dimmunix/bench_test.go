@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"communix/internal/sig"
+	"communix/internal/sig/sigtest"
 )
 
 // benchModes runs the sub-benchmarks across the three runtime modes:
@@ -362,4 +364,46 @@ func BenchmarkDetect(b *testing.B) {
 	}
 	b.ReportMetric(float64(nanos)/float64(b.N), "detect-ns")
 	b.ReportMetric(float64(allocs)/float64(b.N), "detect-allocs")
+}
+
+// BenchmarkGeneralizeBatch folds 2,048 validated remote signatures into
+// an empty history, as the agent's startup pass does: 1,024 bugs and
+// 1,024 manifestations of random ones among them, shuffled, with
+// 64-hex code-unit hashes like catchup's. Candidates carry their bug
+// hashes, which the agent derives while validating. It reports ns/sig.
+func BenchmarkGeneralizeBatch(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	v := sigtest.DefaultVocabulary
+	const bugs = 1024
+	sigs := make([]*sig.Signature, 0, 2*bugs)
+	for i := range bugs {
+		sigs = append(sigs, sigtest.DistinctTops(r, v, i, 5, 9))
+	}
+	for range bugs {
+		sigs = append(sigs, sigtest.Manifestation(r, v, sigs[r.Intn(bugs)], 1+r.Intn(4)))
+	}
+	r.Shuffle(len(sigs), func(i, j int) { sigs[i], sigs[j] = sigs[j], sigs[i] })
+	cands := make([]Candidate, len(sigs))
+	for i, s := range sigs {
+		for _, t := range s.Threads {
+			for _, st := range []sig.Stack{t.Outer, t.Inner} {
+				for k := range st {
+					sum := sha256.Sum256([]byte(st[k].Class))
+					st[k].Hash = hex.EncodeToString(sum[:])
+				}
+			}
+		}
+		s.Normalize()
+		s.Origin = sig.OriginRemote
+		cands[i] = Candidate{Sig: s, Bug: s.BugHash()}
+	}
+	var policy sig.MergePolicy
+	n := 0
+	// Each iteration's history is new, so handing it the same signatures
+	// again is allowed: no history writes to a signature it stores.
+	for b.Loop() {
+		NewHistory().GeneralizeBatch(cands, policy)
+		n++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*len(cands)), "ns/sig")
 }

@@ -151,8 +151,9 @@ func (rt *Runtime) cycleLocked(start ThreadID, startCases [][]ThreadID) []member
 // primitive its predecessor waits on, and its inner stack is where it
 // blocks. A member with no engagement to show yields no fingerprint.
 //
-// The fingerprint is copied once (sig.New) and ID'd once, and the
-// history takes a new one over as it is: the Deadlock carries the
+// The fingerprint is copied once (sig.New) and never hashed whole (the
+// history looks for a duplicate in its bug's bucket), and the history
+// takes a new one over as it is: the Deadlock carries the
 // history's own instance, read-only from here on. A fingerprint Equal
 // to a stored signature is Known and carries the stored instance.
 // Caller holds rt.mu.
@@ -172,7 +173,7 @@ func (rt *Runtime) fingerprintLocked(cycle []member) *Deadlock {
 	s.Origin = sig.OriginLocal
 	dl := &Deadlock{Signature: s, Threads: threads}
 	if s.Valid() == nil {
-		held, added := rt.history.adopt(s, s.ID())
+		held, added := rt.history.adopt(s)
 		dl.Signature, dl.Known = held, !added
 	}
 	return dl

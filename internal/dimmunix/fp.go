@@ -23,7 +23,7 @@ type fpDetector struct {
 	onWarn func(FalsePositiveWarning)
 
 	mu    sync.Mutex
-	stats map[string]*fpStat
+	stats map[uint64]*fpStat // by history insertion number
 }
 
 type fpStat struct {
@@ -38,21 +38,22 @@ func newFPDetector(clock func() time.Time, onWarn func(FalsePositiveWarning)) *f
 	return &fpDetector{
 		clock:  clock,
 		onWarn: onWarn,
-		stats:  make(map[string]*fpStat),
+		stats:  make(map[uint64]*fpStat),
 	}
 }
 
-// recordInstantiation notes one avoidance suspension attributed to sigID;
-// tp marks it a true positive (the suspension averted an actual wait-for
-// cycle). When the warning condition first becomes true, a warning is
-// returned for the caller to deliver once locks are dropped.
-func (d *fpDetector) recordInstantiation(sigID string, tp bool) *FalsePositiveWarning {
+// recordInstantiation notes one avoidance suspension attributed to the
+// signature with history insertion number seq; tp marks it a true
+// positive (the suspension averted an actual wait-for cycle). When the
+// warning condition first becomes true, a warning is returned for the
+// caller to name (SigID) and deliver once locks are dropped.
+func (d *fpDetector) recordInstantiation(seq uint64, tp bool) *FalsePositiveWarning {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.stats[sigID]
+	st, ok := d.stats[seq]
 	if !ok {
 		st = &fpStat{}
-		d.stats[sigID] = st
+		d.stats[seq] = st
 	}
 	st.instantiations++
 	if tp {
@@ -77,17 +78,17 @@ func (d *fpDetector) recordInstantiation(sigID string, tp bool) *FalsePositiveWa
 		st.truePositives == 0 &&
 		st.burstMax > fpBurstThreshold {
 		st.warned = true
-		return &FalsePositiveWarning{SigID: sigID, Instantiations: st.instantiations}
+		return &FalsePositiveWarning{Instantiations: st.instantiations}
 	}
 	return nil
 }
 
 // snapshot returns (instantiations, truePositives, warned) for a
 // signature; zeros when untracked.
-func (d *fpDetector) snapshot(sigID string) (uint64, uint64, bool) {
+func (d *fpDetector) snapshot(seq uint64) (uint64, uint64, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.stats[sigID]
+	st, ok := d.stats[seq]
 	if !ok {
 		return 0, 0, false
 	}
@@ -97,7 +98,12 @@ func (d *fpDetector) snapshot(sigID string) (uint64, uint64, bool) {
 // SignatureStats reports how often a signature's instantiation was
 // avoided and how often that avoidance was a true positive — the §III-C1
 // bookkeeping, exposed for tests and for the embedding application's
-// telemetry.
+// telemetry. sigID names the signature holding it (see History); a
+// signature no longer stored has no stats.
 func (rt *Runtime) SignatureStats(sigID string) (instantiations, truePositives uint64, warned bool) {
-	return rt.fp.snapshot(sigID)
+	e := rt.history.lookup(sigID)
+	if e == nil {
+		return 0, 0, false
+	}
+	return rt.fp.snapshot(e.seq)
 }

@@ -36,13 +36,13 @@ func TestFPWarnsAfterBurstAndNoTruePositives(t *testing.T) {
 	// 89 slow instantiations (spread out, no burst), then a burst of 11
 	// within one second to cross both thresholds.
 	for i := 0; i < fpMinInstantiations-11; i++ {
-		if w := d.recordInstantiation("sig1", false); w != nil {
+		if w := d.recordInstantiation(1, false); w != nil {
 			t.Fatalf("premature warning at %d", i)
 		}
 		clock.Advance(2 * time.Second)
 	}
 	for i := 0; i < 11; i++ {
-		if w := d.recordInstantiation("sig1", false); w != nil {
+		if w := d.recordInstantiation(1, false); w != nil {
 			warned = append(warned, *w)
 		}
 		clock.Advance(10 * time.Millisecond)
@@ -50,12 +50,14 @@ func TestFPWarnsAfterBurstAndNoTruePositives(t *testing.T) {
 	if len(warned) != 1 {
 		t.Fatalf("warnings = %d, want exactly 1", len(warned))
 	}
-	if warned[0].SigID != "sig1" || warned[0].Instantiations != fpMinInstantiations {
+	// The detector counts by insertion number; its caller names the
+	// signature.
+	if warned[0].SigID != "" || warned[0].Instantiations != fpMinInstantiations {
 		t.Errorf("warning = %+v", warned[0])
 	}
 
 	// No duplicate warning on further instantiations.
-	if w := d.recordInstantiation("sig1", false); w != nil {
+	if w := d.recordInstantiation(1, false); w != nil {
 		t.Error("warning should fire only once")
 	}
 }
@@ -64,7 +66,7 @@ func TestFPNoWarningWithoutBurst(t *testing.T) {
 	clock := newFakeClock()
 	d := newFPDetector(clock.Now, nil)
 	for i := 0; i < 3*fpMinInstantiations; i++ {
-		if w := d.recordInstantiation("sig1", false); w != nil {
+		if w := d.recordInstantiation(1, false); w != nil {
 			t.Fatal("no burst ever exceeded 10/s; warning is wrong")
 		}
 		clock.Advance(200 * time.Millisecond) // 5 per second
@@ -77,12 +79,12 @@ func TestFPTruePositiveSuppressesWarning(t *testing.T) {
 	// One true positive among the burst: the signature is earning its keep.
 	for i := 0; i < 2*fpMinInstantiations; i++ {
 		tp := i == 7
-		if w := d.recordInstantiation("sig1", tp); w != nil {
+		if w := d.recordInstantiation(1, tp); w != nil {
 			t.Fatal("signature with a true positive must not be warned about")
 		}
 		clock.Advance(time.Millisecond)
 	}
-	inst, tps, warned := d.snapshot("sig1")
+	inst, tps, warned := d.snapshot(1)
 	if inst != 2*fpMinInstantiations || tps != 1 || warned {
 		t.Errorf("snapshot = (%d, %d, %v)", inst, tps, warned)
 	}
@@ -93,16 +95,16 @@ func TestFPSignaturesTrackedIndependently(t *testing.T) {
 	d := newFPDetector(clock.Now, nil)
 	warnings := 0
 	for i := 0; i < fpMinInstantiations; i++ {
-		if w := d.recordInstantiation("bad", false); w != nil {
+		if w := d.recordInstantiation(1, false); w != nil {
 			warnings++
 		}
-		d.recordInstantiation("good", true)
+		d.recordInstantiation(2, true)
 		clock.Advance(time.Millisecond)
 	}
 	if warnings != 1 {
 		t.Errorf("bad signature warnings = %d, want 1", warnings)
 	}
-	if _, _, warned := d.snapshot("good"); warned {
+	if _, _, warned := d.snapshot(2); warned {
 		t.Error("good signature must not be warned about")
 	}
 }
@@ -159,6 +161,12 @@ func TestFPRuntimeIntegration(t *testing.T) {
 	case w := <-warnCh:
 		if w.Instantiations < fpMinInstantiations {
 			t.Errorf("warned at %d instantiations, want >= %d", w.Instantiations, fpMinInstantiations)
+		}
+		if want := ps.signature().ID(); w.SigID != want {
+			t.Errorf("warning names %s, want %s", w.SigID, want)
+		}
+		if inst, _, warned := rt.SignatureStats(w.SigID); inst < w.Instantiations || !warned {
+			t.Errorf("SignatureStats(%s) = %d, %v; want at least the warning's %d, warned", w.SigID, inst, warned, w.Instantiations)
 		}
 	default:
 		t.Error("expected a false-positive warning from the runtime")

@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,11 +34,9 @@ type SlotRef struct {
 	Sig *sig.Signature
 	// Slot indexes Sig.Threads.
 	Slot int
-	// ID is the key the history stores Sig under (see History): its
-	// ID, or a twin's ID plus a suffix, so no two signatures share one.
-	// The index sorts refs by it, which is also the multi-shard lock
-	// order. It is computed once, at insertion, never on the hot path.
-	ID string
+	// Seq is Sig's insertion number in the history (see History). The
+	// index sorts refs by it, which is also the multi-shard lock order.
+	Seq uint64
 }
 
 // History is the persistent deadlock history: the set of signatures the
@@ -53,40 +49,49 @@ type SlotRef struct {
 // signature sets of the index it last applied and the current one
 // (indexDelta).
 //
-// Each signature is stored under a key: its ID. sig.ID is not injective
-// (a string holding its separator bytes can shift them), so a twin — a
-// signature with the ID of a stored one but not Equal to it — is stored
-// under the ID plus "#n", the smallest free n ≥ 1, and every ID hit is
-// confirmed with Equal. Keys are unique and a stored signature keeps
-// its key, so the index's sort by key (the multi-shard lock order)
-// stays total and depends only on the order of mutations. Get, Remove
-// and Replace take a key: given an ID, they act on the signature stored
-// first under it (a later twin takes the plain ID only once it is free
-// again).
+// Each stored signature gets an insertion number, never reused. The
+// index sorts by it, so its order (the multi-shard lock order) is total
+// and depends only on the order of mutations; SaveTo writes in it too.
+// Equal signatures share a bug (sig.BugHash), so duplicates are looked
+// for in the bug's bucket and confirmed with Equal. sig.ID is computed
+// only to name a signature — for Get, Remove and Replace, which take an
+// ID, and for false-positive warnings — once per stored signature. It is
+// not injective: an ID names the signature stored first under it, and a
+// twin (same ID, not Equal) stored while that one is present never takes
+// the ID over.
 type History struct {
 	mu      sync.RWMutex
-	sigs    map[string]*sig.Signature // by key
-	byBug   map[string][]string       // bug key -> keys (generalization lookups)
-	twins   map[string][]string       // ID -> keys of its stored twins
+	order   []*entry            // in insertion order; removed ones linger until deleteLocked drops them
+	live    int                 // entries in order not removed
+	byBug   map[uint64][]*entry // bug hash -> entries, in insertion order
+	byID    map[string]*entry   // ID -> its holder among the named entries
+	named   uint64              // entries up to this insertion number are named
+	seq     uint64              // the last insertion number handed out
 	version uint64
 	path    string // "" = in-memory only
 
 	// idx is the immutable avoidance index, swapped with one atomic
-	// store. Readers (the acquisition hot path) load it without taking
-	// mu. Rebuilds are lazy: mutations only mark idxDirty, and the next
-	// Index() call rebuilds once — so bulk ingestion (the agent
-	// validating a large community repository at startup, one Add per
-	// signature) stays O(S) instead of O(S²).
+	// store; the acquisition hot path loads it without taking mu.
+	// Mutations only mark idxDirty, and the next Index() call rebuilds
+	// once, so bulk ingestion stays O(S) instead of O(S²).
 	idx      atomic.Pointer[AvoidIndex]
 	idxDirty atomic.Bool
+}
+
+// entry is one signature the history stores (or stored, once removed).
+type entry struct {
+	sig     *sig.Signature
+	seq     uint64
+	bug     uint64 // sig.BugHash()
+	id      string // sig.ID(), memoized by the first path that names it
+	removed bool
 }
 
 // NewHistory returns an empty, in-memory history.
 func NewHistory() *History {
 	h := &History{
-		sigs:  make(map[string]*sig.Signature),
-		byBug: make(map[string][]string),
-		twins: make(map[string][]string),
+		byBug: make(map[uint64][]*entry),
+		byID:  make(map[string]*entry),
 	}
 	h.idx.Store(emptyIndex)
 	return h
@@ -94,7 +99,7 @@ func NewHistory() *History {
 
 // LoadHistory opens (or initializes) a history persisted at path. A
 // missing file yields an empty history bound to the path; a corrupt file
-// is an error.
+// is an error. Signatures are stored in file order.
 func LoadHistory(path string) (*History, error) {
 	h := NewHistory()
 	h.path = path
@@ -118,7 +123,7 @@ func LoadHistory(path string) (*History, error) {
 		if i < len(file.Origins) && file.Origins[i] == "remote" {
 			s.Origin = sig.OriginRemote
 		}
-		h.adopt(s, s.ID())
+		h.adopt(s)
 	}
 	return h, nil
 }
@@ -135,8 +140,7 @@ func (h *History) Add(s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
 	}
-	s = owned(s)
-	_, added := h.adopt(s, s.ID())
+	_, added := h.adopt(owned(s))
 	return added
 }
 
@@ -147,57 +151,105 @@ func owned(s *sig.Signature) *sig.Signature {
 	return s
 }
 
-// adopt stores s itself — valid, normalized, with ID id — unless an
-// Equal signature is present: the history takes s over, and the caller
-// must not modify it afterwards. It returns the instance the history
-// holds (s when it was stored) and whether s was stored.
-func (h *History) adopt(s *sig.Signature, id string) (held *sig.Signature, added bool) {
+// adopt stores s itself — valid and normalized — unless an Equal
+// signature is present: the history takes s over, and the caller must
+// not modify it afterwards. It returns the instance the history holds (s
+// when it was stored) and whether s was stored.
+func (h *History) adopt(s *sig.Signature) (held *sig.Signature, added bool) {
+	bug := s.BugHash()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key, found := h.findLocked(s, id)
-	if found {
-		return h.sigs[key], false
+	e, added := h.storeLocked(s, bug)
+	if added {
+		h.commitLocked()
 	}
-	h.storeLocked(s, id, key, s.BugKey())
-	h.commitLocked()
-	return s, true
+	return e.sig, added
 }
 
-// findLocked returns the key of the stored signature Equal to s, whose
-// ID is id, and true; or the key s would be stored under and false.
-func (h *History) findLocked(s *sig.Signature, id string) (key string, found bool) {
-	first, ok := h.sigs[id]
-	twins := h.twins[id]
-	if !ok && len(twins) == 0 {
-		return id, false
-	}
-	if ok && first.Equal(s) {
-		return id, true
-	}
-	for _, k := range twins {
-		if h.sigs[k].Equal(s) {
-			return k, true
+// storeLocked stores s itself, whose bug hash is bug, under the next
+// insertion number, unless an Equal signature — one of the bug's — is
+// present. It returns the entry holding s's equal and whether it is s's.
+// It does not bump the version: a caller folding several changes into
+// one mutation commits once.
+func (h *History) storeLocked(s *sig.Signature, bug uint64) (*entry, bool) {
+	for _, e := range h.byBug[bug] {
+		if e.sig.Equal(s) {
+			return e, false
 		}
 	}
-	if !ok {
-		return id, false
+	h.seq++
+	e := &entry{sig: s, seq: h.seq, bug: bug}
+	h.order = append(h.order, e)
+	h.live++
+	h.byBug[bug] = append(h.byBug[bug], e)
+	return e, true
+}
+
+// deleteLocked removes e from the history.
+func (h *History) deleteLocked(e *entry) {
+	e.removed = true
+	h.live--
+	if h.byBug[e.bug] = slices.DeleteFunc(h.byBug[e.bug], isRemoved); len(h.byBug[e.bug]) == 0 {
+		delete(h.byBug, e.bug)
 	}
-	for n := 1; ; n++ {
-		if k := id + "#" + strconv.Itoa(n); h.sigs[k] == nil {
-			return k, false
-		}
+	if h.byID[e.id] == e {
+		delete(h.byID, e.id)
+	}
+	// Once removed entries are the majority of h.order, drop them: each
+	// removal pays O(1) for it.
+	if len(h.order) > 2*h.live {
+		h.order = slices.DeleteFunc(h.order, isRemoved)
 	}
 }
 
-// storeLocked stores s itself under key (from findLocked for id, s's
-// ID) and bug, s's bug key. It does not bump the version: a caller
-// folding several changes into one mutation commits once.
-func (h *History) storeLocked(s *sig.Signature, id, key, bug string) {
-	h.sigs[key] = s
-	h.byBug[bug] = append(h.byBug[bug], key)
-	if key != id {
-		h.twins[id] = append(h.twins[id], key)
+func isRemoved(e *entry) bool { return e.removed }
+
+// lookupLocked returns the entry holding the given ID, or nil. It
+// names the entries stored since the last lookup first, so each entry's
+// ID is computed once and a lookup costs amortized O(1).
+func (h *History) lookupLocked(id string) *entry {
+	i := len(h.order)
+	for i > 0 && h.order[i-1].seq > h.named {
+		i--
 	}
+	for _, e := range h.order[i:] {
+		if e.removed {
+			continue
+		}
+		if e.id == "" {
+			e.id = e.sig.ID()
+		}
+		if h.byID[e.id] == nil {
+			h.byID[e.id] = e
+		}
+	}
+	h.named = h.seq
+	return h.byID[id]
+}
+
+// nameOf returns the ID of s, which the history stores or stored: the
+// stored signature's memoized ID.
+func (h *History) nameOf(s *sig.Signature) string {
+	bug := s.BugHash()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, e := range h.byBug[bug] {
+		if e.sig != s {
+			continue
+		}
+		if e.id == "" {
+			e.id = s.ID()
+		}
+		return e.id
+	}
+	return s.ID() // removed meanwhile
+}
+
+// lookup returns the entry holding the given ID, or nil.
+func (h *History) lookup(id string) *entry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lookupLocked(id)
 }
 
 // commitLocked publishes one mutation: one version bump, and the index
@@ -205,25 +257,6 @@ func (h *History) storeLocked(s *sig.Signature, id, key, bug string) {
 func (h *History) commitLocked() {
 	h.version++
 	h.idxDirty.Store(true)
-}
-
-// rebuildIndexLocked publishes a fresh immutable avoidance index
-// reflecting the current signature set. Caller holds h.mu for writing.
-// Slot references under each top site are sorted for deterministic
-// matching order (map iteration would otherwise make avoidance's
-// first-threat selection run-dependent).
-func (h *History) rebuildIndexLocked() {
-	ix := buildIndex(h.version, h.sigs)
-	for _, refs := range ix.byTop {
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].ID != refs[j].ID {
-				return refs[i].ID < refs[j].ID
-			}
-			return refs[i].Slot < refs[j].Slot
-		})
-	}
-	h.idx.Store(ix)
-	h.idxDirty.Store(false)
 }
 
 // Index returns the current immutable avoidance index, rebuilding it
@@ -234,80 +267,54 @@ func (h *History) Index() *AvoidIndex {
 	if h.idxDirty.Load() {
 		h.mu.Lock()
 		if h.idxDirty.Load() {
-			h.rebuildIndexLocked()
+			h.idx.Store(buildIndex(h.version, h.order))
+			h.idxDirty.Store(false)
 		}
 		h.mu.Unlock()
 	}
 	return h.idx.Load()
 }
 
-// deleteLocked removes the signature stored under key, whose bug key is
-// bug, from the signature map, the bug index and its ID's twins.
-func (h *History) deleteLocked(key, bug string) {
-	delete(h.sigs, key)
-	h.byBug[bug] = without(h.byBug[bug], key)
-	if len(h.byBug[bug]) == 0 {
-		delete(h.byBug, bug)
-	}
-	if id, _, ok := strings.Cut(key, "#"); ok {
-		if h.twins[id] = without(h.twins[id], key); len(h.twins[id]) == 0 {
-			delete(h.twins, id)
-		}
-	}
-}
-
-// without removes key from keys in place.
-func without(keys []string, key string) []string {
-	out := keys[:0]
-	for _, k := range keys {
-		if k != key {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// Remove deletes the signature stored under the given key, returning
-// whether it was present. The false-positive mechanism (§III-C1) uses
-// it when the user decides to drop a warned signature.
-func (h *History) Remove(key string) bool {
+// Remove deletes the signature holding the given ID, returning whether
+// one was present. The false-positive mechanism (§III-C1) uses it when
+// the user decides to drop a warned signature.
+func (h *History) Remove(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s, ok := h.sigs[key]
-	if !ok {
+	e := h.lookupLocked(id)
+	if e == nil {
 		return false
 	}
-	h.deleteLocked(key, s.BugKey())
+	h.deleteLocked(e)
 	h.commitLocked()
 	return true
 }
 
-// Replace swaps an existing signature (by key) for a normalized copy of
-// another in one step — how generalization installs a merged signature
-// in place of the old one. If oldKey is absent the new signature is
-// still added; if it holds the new signature already, nothing changes.
-// It reports whether the history changed. The swap is one mutation —
-// one version bump — so no index ever shows the history with neither
-// signature or with both (pure removal and pure addition, the
-// degenerate cases, also bump the version once).
-func (h *History) Replace(oldKey string, s *sig.Signature) bool {
+// Replace swaps an existing signature (the one holding oldID) for a
+// normalized copy of another in one step — how generalization installs
+// a merged signature in place of the old one. If oldID names none the
+// new signature is still added; if it names the new signature already,
+// nothing changes. It reports whether the history changed. The swap is
+// one mutation — one version bump — so no index ever shows the history
+// with neither signature or with both (pure removal and pure addition,
+// the degenerate cases, also bump the version once).
+func (h *History) Replace(oldID string, s *sig.Signature) bool {
 	if err := s.Valid(); err != nil {
 		return false
 	}
 	s = owned(s)
-	id := s.ID()
+	bug := s.BugHash()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	changed := false
-	if old, ok := h.sigs[oldKey]; ok {
-		if old.Equal(s) {
+	if old := h.lookupLocked(oldID); old != nil {
+		if old.sig.Equal(s) {
 			return false
 		}
-		h.deleteLocked(oldKey, old.BugKey())
+		h.deleteLocked(old)
 		changed = true
 	}
-	if key, found := h.findLocked(s, id); !found {
-		h.storeLocked(s, id, key, s.BugKey())
+	if _, added := h.storeLocked(s, bug); added {
 		changed = true
 	}
 	if changed {
@@ -320,8 +327,8 @@ func (h *History) Replace(oldKey string, s *sig.Signature) bool {
 type Candidate struct {
 	// Sig is valid and canonical.
 	Sig *sig.Signature
-	// Bug is Sig.BugKey().
-	Bug string
+	// Bug is Sig.BugHash().
+	Bug uint64
 }
 
 // GeneralizeBatch installs validated signatures into the history, in
@@ -336,7 +343,7 @@ type Candidate struct {
 // the history again. Its stacks may be shared with other read-only
 // signatures (the agent's trimmed signatures alias the repository's),
 // since the history never writes to a signature it stores. The batch
-// trusts each candidate's validity and bug key, which the agent derives
+// trusts each candidate's validity and bug hash, which the agent derives
 // while validating, on every core, so the fold that must run in order
 // does no more than merge. It holds the lock for at most chunk.Size
 // candidates at a time: an application thread that must rebuild the
@@ -357,55 +364,51 @@ func (h *History) GeneralizeBatch(batch []Candidate, p sig.MergePolicy) (added i
 	return added
 }
 
-// generalizeLocked is one GeneralizeBatch step for s, whose bug key is
+// generalizeLocked is one GeneralizeBatch step for s, whose bug hash is
 // bug. It tells a subsumed s by MergePolicy.Covers, building a merge
-// only when one changes the history, and hashes only the signature it
-// stores.
-func (h *History) generalizeLocked(s *sig.Signature, bug string, p sig.MergePolicy) bool {
-	for _, oldKey := range h.byBug[bug] {
-		old := h.sigs[oldKey]
-		ok, covered := p.Covers(old, s)
+// only when one changes the history, and looks no further than the
+// bug's bucket.
+func (h *History) generalizeLocked(s *sig.Signature, bug uint64, p sig.MergePolicy) bool {
+	for _, old := range h.byBug[bug] {
+		ok, covered := p.Covers(old.sig, s)
 		if !ok {
 			continue
 		}
 		if covered {
 			return false // subsumed: old already covers s
 		}
-		merged, _ := p.Merge(old, s)
-		// A merge keeps old's top frames, so it has old's bug key.
-		h.deleteLocked(oldKey, bug)
-		id := merged.ID()
-		if key, found := h.findLocked(merged, id); !found {
-			h.storeLocked(merged, id, key, bug)
-		}
+		merged, _ := p.Merge(old.sig, s)
+		// A merge keeps old's top frames, so it has old's bug hash.
+		h.deleteLocked(old)
+		h.storeLocked(merged, bug)
 		h.commitLocked()
 		return false
 	}
-	id := s.ID()
-	key, found := h.findLocked(s, id)
-	if found {
-		return false // identical signature already present
+	_, added := h.storeLocked(s, bug) // not when an identical one is present
+	if added {
+		h.commitLocked()
 	}
-	h.storeLocked(s, id, key, bug)
-	h.commitLocked()
-	return true
+	return added
 }
 
-// Get returns the signature stored under the given key, or nil. The
-// history never modifies it; neither may the caller.
-func (h *History) Get(key string) *sig.Signature {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.sigs[key]
+// Get returns the signature holding the given ID, or nil.
+// The history never modifies it; neither may the caller.
+func (h *History) Get(id string) *sig.Signature {
+	if e := h.lookup(id); e != nil {
+		return e.sig
+	}
+	return nil
 }
 
-// All returns a snapshot of the signatures (clones, in unspecified order).
+// All returns a snapshot of the signatures (clones, in insertion order).
 func (h *History) All() []*sig.Signature {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]*sig.Signature, 0, len(h.sigs))
-	for _, s := range h.sigs {
-		out = append(out, s.Clone())
+	out := make([]*sig.Signature, 0, h.live)
+	for _, e := range h.order {
+		if !e.removed {
+			out = append(out, e.sig.Clone())
+		}
 	}
 	return out
 }
@@ -414,7 +417,7 @@ func (h *History) All() []*sig.Signature {
 func (h *History) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.sigs)
+	return h.live
 }
 
 // Version increments on every mutation. It goes through Index() so
@@ -452,35 +455,30 @@ func (h *History) Save() error {
 	return h.SaveTo(path)
 }
 
-// SaveTo persists the history to an explicit path.
+// SaveTo persists the history to an explicit path, in insertion order:
+// a reloaded history keeps its index order and its lock order.
 func (h *History) SaveTo(path string) error {
 	h.mu.RLock()
 	file := historyFile{
-		Signatures: make([]json.RawMessage, 0, len(h.sigs)),
-		Origins:    make([]string, 0, len(h.sigs)),
+		Signatures: make([]json.RawMessage, 0, h.live),
+		Origins:    make([]string, 0, h.live),
 	}
-	ids := make([]string, 0, len(h.sigs))
-	for id := range h.sigs {
-		ids = append(ids, id)
-	}
-	// Deterministic output order.
-	sort.Strings(ids)
-	var encodeErr error
-	for _, id := range ids {
-		s := h.sigs[id]
-		data, err := sig.Encode(s)
-		if err != nil {
-			encodeErr = err
+	var err error
+	for _, e := range h.order {
+		var data []byte
+		if e.removed {
+			continue
+		}
+		if data, err = sig.Encode(e.sig); err != nil {
 			break
 		}
 		file.Signatures = append(file.Signatures, data)
-		file.Origins = append(file.Origins, s.Origin.String())
+		file.Origins = append(file.Origins, e.sig.Origin.String())
 	}
 	h.mu.RUnlock()
-	if encodeErr != nil {
-		return fmt.Errorf("dimmunix: save history: %w", encodeErr)
+	if err != nil {
+		return fmt.Errorf("dimmunix: save history: %w", err)
 	}
-
 	data, err := json.MarshalIndent(file, "", " ")
 	if err != nil {
 		return fmt.Errorf("dimmunix: save history: %w", err)
@@ -489,18 +487,15 @@ func (h *History) SaveTo(path string) error {
 	if err != nil {
 		return fmt.Errorf("dimmunix: save history: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("dimmunix: save history: %w", err)
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("dimmunix: save history: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err != nil {
 		return fmt.Errorf("dimmunix: save history: %w", err)
 	}
 	return nil

@@ -44,13 +44,13 @@ func TestHistoryKeepsIDTwins(t *testing.T) {
 	// one shares.
 	keysUnique := func(t *testing.T, h *History) {
 		t.Helper()
-		owner := make(map[string]*sig.Signature)
+		owner := make(map[uint64]*sig.Signature)
 		for _, refs := range h.Index().byTop {
 			for _, r := range refs {
-				if o, ok := owner[r.ID]; ok && o != r.Sig {
-					t.Fatalf("two signatures share the key %q", r.ID)
+				if o, ok := owner[r.Seq]; ok && o != r.Sig {
+					t.Fatalf("two signatures share the key %d", r.Seq)
 				}
-				owner[r.ID] = r.Sig
+				owner[r.Seq] = r.Sig
 			}
 		}
 		if len(owner) != h.Len() {
@@ -91,10 +91,10 @@ func TestHistoryKeepsIDTwins(t *testing.T) {
 	t.Run("GeneralizeBatch", func(t *testing.T) {
 		h := NewHistory()
 		batch := []Candidate{
-			{Sig: a.Clone(), Bug: a.BugKey()},
-			{Sig: b.Clone(), Bug: b.BugKey()},
-			{Sig: b.Clone(), Bug: b.BugKey()},
-			{Sig: a.Clone(), Bug: a.BugKey()},
+			{Sig: a.Clone(), Bug: a.BugHash()},
+			{Sig: b.Clone(), Bug: b.BugHash()},
+			{Sig: b.Clone(), Bug: b.BugHash()},
+			{Sig: a.Clone(), Bug: a.BugHash()},
 		}
 		if added := h.GeneralizeBatch(batch, sig.MergePolicy{}); added != 2 || h.Len() != 2 {
 			t.Fatalf("GeneralizeBatch added %d (%d signatures), want both twins once", added, h.Len())
@@ -193,7 +193,7 @@ func TestHistoryReplace(t *testing.T) {
 
 // generalize hands the history one signature, as a one-candidate batch.
 func generalize(h *History, s *sig.Signature, p sig.MergePolicy) bool {
-	return h.GeneralizeBatch([]Candidate{{Sig: s, Bug: s.BugKey()}}, p) == 1
+	return h.GeneralizeBatch([]Candidate{{Sig: s, Bug: s.BugHash()}}, p) == 1
 }
 
 // TestHistoryGeneralize: the signature GeneralizeBatch adds is stored as
@@ -264,7 +264,7 @@ func TestHistoryGeneralizeBatchMatchesOneAtATime(t *testing.T) {
 			wantAdded++
 		}
 		c := s.Clone()
-		cands[i] = Candidate{Sig: c, Bug: c.BugKey()}
+		cands[i] = Candidate{Sig: c, Bug: c.BugHash()}
 	}
 	if got := batch.GeneralizeBatch(cands, policy); got != wantAdded {
 		t.Fatalf("one batch added %d, one signature at a time %d", got, wantAdded)

@@ -71,22 +71,26 @@ func frameFilterKey(f *sig.Frame) uint64 {
 // emptyIndex is what a fresh history publishes before any mutation.
 var emptyIndex = &AvoidIndex{}
 
-// buildIndex snapshots the history's matcher state. Caller holds h.mu.
-func buildIndex(version uint64, sigs map[string]*sig.Signature) *AvoidIndex {
-	if len(sigs) == 0 {
-		return &AvoidIndex{version: version}
-	}
+// buildIndex snapshots the history's matcher state from its entries, in
+// insertion order, so every top site's refs come sorted by insertion
+// number, then slot: deterministic matching order and the multi-shard
+// lock order. Caller holds h.mu.
+func buildIndex(version uint64, order []*entry) *AvoidIndex {
 	ix := &AvoidIndex{
 		version: version,
 		byTop:   make(map[topKey][]SlotRef),
-		live:    make(map[*sig.Signature]struct{}, len(sigs)),
+		live:    make(map[*sig.Signature]struct{}, len(order)),
 	}
-	for id, s := range sigs {
+	for _, e := range order {
+		if e.removed {
+			continue
+		}
+		s := e.sig
 		ix.live[s] = struct{}{}
 		for slot, t := range s.Threads {
 			top := t.Outer.Top()
 			key := topKeyOf(top)
-			ix.byTop[key] = append(ix.byTop[key], SlotRef{Sig: s, Slot: slot, ID: id})
+			ix.byTop[key] = append(ix.byTop[key], SlotRef{Sig: s, Slot: slot, Seq: e.seq})
 			h := frameFilterKey(&top)
 			ix.filter[(h>>6)&63] |= 1 << (h & 63)
 			if d := t.Outer.Depth(); d > ix.maxOuterDepth {

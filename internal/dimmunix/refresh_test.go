@@ -51,7 +51,7 @@ func (rt *Runtime) expectedDigest() string {
 	set := make(map[string]struct{})
 	match := func(tid ThreadID, l *Lock, cs sig.Stack) {
 		for _, r := range idx.Match(cs) {
-			set[fmt.Sprintf("%s/%d/%d/%s", r.ID, r.Slot, tid, l.name)] = struct{}{}
+			set[fmt.Sprintf("%s/%d/%d/%s", r.Sig.ID(), r.Slot, tid, l.name)] = struct{}{}
 		}
 	}
 	for tid, ts := range rt.threads {

@@ -69,8 +69,9 @@ type Deadlock struct {
 // instantiations. The user (or embedding application) may then remove
 // the signature from the history.
 type FalsePositiveWarning struct {
-	// SigID is the key the history stores the signature under, which
-	// History.Remove takes: its ID, or a twin's ID plus a suffix.
+	// SigID is the signature's ID (sig.ID), which History.Remove takes.
+	// An ID names one signature (see History), so a warning about a
+	// twin of it (same ID, not Equal) names the ID's holder.
 	SigID          string
 	Instantiations uint64
 }

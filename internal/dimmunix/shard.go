@@ -11,23 +11,24 @@ import (
 // Threat evaluation (§II-A) asks "would granting (thread, lock, stack)
 // complete an instantiation of some history signature?" — and answering
 // it for one signature only ever joins the positions of that signature's
-// own slots. Position state therefore shards cleanly by signature ID:
+// own slots. Position state therefore shards cleanly by signature:
 // each sigShard owns one signature's slot→thread position maps plus the
 // wake list of the threads currently yielding against that signature,
 // guarded by its own mutex.
 //
 // Lock hierarchy (outermost first):
 //
-//	lock fast word  →  sig shards (ascending signature ID)
-//	rt.mu           →  sig shards (ascending signature ID)
+//	lock fast word  →  sig shards (ascending insertion number)
+//	rt.mu           →  sig shards (ascending insertion number)
 //
 // (The shard table itself is a lockless sync.Map.) The two chains never
 // join: a shard critical section takes no other lock and never blocks,
 // so holding shards while rt.mu is held (the slow path) or while a
 // lock's pending claim is outstanding (the matched fast path) cannot
-// deadlock. A matched acquisition whose stack matches
-// several signatures locks their shards simultaneously in ascending ID
-// order — the avoidance index yields refs already sorted that way.
+// deadlock. A matched acquisition whose stack matches several
+// signatures locks their shards simultaneously in ascending order of
+// the signatures' history insertion numbers — the avoidance index
+// yields refs already sorted that way.
 //
 // Consistency argument: evaluation and registration for one signature
 // are atomic under that signature's shard lock, so two threads racing to
@@ -120,8 +121,8 @@ func (rt *Runtime) shardFor(s *sig.Signature) *sigShard {
 }
 
 // appendShards maps refs — as the avoidance index produces them: one
-// top-site group, sorted by signature ID — to their distinct shards,
-// preserving the ascending-ID order that doubles as the multi-shard lock
+// top-site group, sorted by insertion number — to their distinct shards,
+// preserving the ascending order that doubles as the multi-shard lock
 // order. Results are appended to dst so hot callers can pass a
 // stack-backed buffer.
 func (rt *Runtime) appendShards(dst []*sigShard, refs []SlotRef) []*sigShard {
@@ -139,8 +140,8 @@ func (rt *Runtime) shardsForRefs(refs []SlotRef) []*sigShard {
 	return rt.appendShards(make([]*sigShard, 0, len(refs)), refs)
 }
 
-// lockShards locks every shard in ss, which must be in ascending ID
-// order (shardsForRefs output).
+// lockShards locks every shard in ss, which must be in ascending
+// insertion-number order (shardsForRefs output).
 func lockShards(ss []*sigShard) {
 	for _, sh := range ss {
 		sh.mu.Lock()
@@ -211,11 +212,11 @@ func (rt *Runtime) unregisterPositions(tid ThreadID, l *Lock, keys []slotKey) {
 }
 
 // instantiationThreat reports whether granting (tid, l) would complete
-// an instantiation of some signature in refs: it returns the signature's
-// ID and the set of threads occupying the other slots. An empty ID means
-// no threat. shards must be shardsForRefs(refs), and the caller must
-// hold every shard's lock.
-func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid ThreadID, l *Lock) (string, map[ThreadID]struct{}) {
+// an instantiation of some signature in refs: it returns that
+// signature's ref and the set of threads occupying the other slots. A
+// nil blocker set means no threat. shards must be shardsForRefs(refs),
+// and the caller must hold every shard's lock.
+func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid ThreadID, l *Lock) (SlotRef, map[ThreadID]struct{}) {
 	si := 0
 	for i, r := range refs {
 		if i > 0 && refs[i-1].Sig != r.Sig {
@@ -229,9 +230,9 @@ func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid T
 		for t := range assignment {
 			blockers[t] = struct{}{}
 		}
-		return r.ID, blockers
+		return r, blockers
 	}
-	return "", nil
+	return SlotRef{}, nil
 }
 
 // matchSlots tries to occupy every slot of r.Sig other than r.Slot with
@@ -343,7 +344,7 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 		unlockShards(shards)
 		return false
 	}
-	if sigID, _ := rt.instantiationThreat(refs, shards, tid, l); sigID != "" {
+	if _, blockers := rt.instantiationThreat(refs, shards, tid, l); blockers != nil {
 		unlockShards(shards)
 		return false
 	}

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -172,6 +174,47 @@ func (s *Signature) BugKey() string {
 	return strings.Join(keys, "||")
 }
 
+// BugHash is BugKey as a 64-bit hash, built without strings: a hash of
+// the sorted per-thread (outer top, inner top) site pairs. Signatures
+// with equal bug keys — manifestations of one bug, and every Equal
+// pair — have equal bug hashes within a process, so the client history
+// and the agent key same-bug lookups by it. A collision between two bugs
+// only puts a signature of the other bug into a lookup's bucket, where
+// alignment by top sites (Merge, Covers) and Equal refuse it.
+func (s *Signature) BugHash() uint64 {
+	var small [4]uint64
+	pairs := small[:0]
+	if len(s.Threads) > len(small) {
+		pairs = make([]uint64, 0, len(s.Threads))
+	}
+	for i := range s.Threads {
+		t := &s.Threads[i]
+		pairs = append(pairs, mix64(siteHash(t.Outer.Top()), siteHash(t.Inner.Top())))
+	}
+	slices.Sort(pairs)
+	h := uint64(len(pairs))
+	for _, p := range pairs {
+		h = mix64(h, p)
+	}
+	return h
+}
+
+// bugSeed seeds BugHash's string hashes; bug hashes never leave the
+// process.
+var bugSeed = maphash.MakeSeed()
+
+// siteHash hashes the fields SameSite compares.
+func siteHash(f Frame) uint64 {
+	h := mix64(maphash.String(bugSeed, f.Class), maphash.String(bugSeed, f.Method))
+	return mix64(mix64(h, uint64(f.Line)), maphash.String(bugSeed, f.Kind))
+}
+
+// mix64 folds b into a, order-sensitively.
+func mix64(a, b uint64) uint64 {
+	h := (bits.RotateLeft64(a, 31) ^ b) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
+}
+
 // TopFrames returns the set of top-frame sites of the signature — every
 // outer and inner lock statement. This is the set the server's adjacency
 // check compares (§III-C2).
@@ -225,7 +268,7 @@ func (s *Signature) MinOuterDepth() int {
 const MinRemoteOuterDepth = 5
 
 // ID returns a stable content hash of the signature (hex-encoded
-// SHA-256). The client side keys its history by it.
+// SHA-256): the name a user or an application gives a signature.
 //
 // The hashed bytes are, per thread, the outer stack, 0xFE, the inner
 // stack, 0xFF; per frame "class\x00method\x00line\x00hash", then
@@ -237,10 +280,11 @@ const MinRemoteOuterDepth = 5
 // the separators, so distinct signatures can share an ID (one frame
 // whose method spells out the fields of a second frame hashes like the
 // two frames). It is therefore not the server's duplicate key: the
-// store compares canonical encodings. The client history still keys by
-// it. A twin whose merged frame joins frames of two code units carries
-// one unit's class with the other's hash, and fails the agent's hash
-// check.
+// store compares canonical encodings, and the client history finds
+// duplicates with Equal in the bug's bucket (BugHash); given an ID, it
+// acts on the signature it stored first under it. A twin whose merged
+// frame joins frames of two code units carries one unit's class with the
+// other's hash, and fails the agent's hash check.
 func (s *Signature) ID() string {
 	n := 0
 	for _, t := range s.Threads {
