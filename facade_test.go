@@ -287,6 +287,125 @@ func TestMixedDeadlockDetectedThroughNode(t *testing.T) {
 	}
 }
 
+// nodeKnot is the mixed knot on a node: g1 holds mu and then sends on
+// the capacity-1 channel ch, g2 holds ch's deposit and then locks mu.
+type nodeKnot struct {
+	node *communix.Node
+	mu   *communix.Mutex
+	ch   *communix.Chan[int]
+}
+
+// lap1 locks mu, sends on ch, unlocks and receives one item; gate runs
+// before the Lock.
+func (k nodeKnot) lap1(gate func()) error {
+	gate()
+	if err := k.mu.Lock(); err != nil {
+		return err
+	}
+	err := k.ch.Send(1)
+	if uerr := k.mu.Unlock(); err == nil {
+		err = uerr
+	}
+	if _, _, rerr := k.ch.Recv(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// lap2 sends on ch, locks and unlocks mu (gate runs before the Lock) and
+// receives one item, also after a Lock refused as a deadlock.
+func (k nodeKnot) lap2(gate func()) error {
+	if err := k.ch.Send(2); err != nil {
+		return err
+	}
+	gate()
+	err := k.mu.Lock()
+	if err == nil {
+		err = k.mu.Unlock()
+	}
+	if _, _, rerr := k.ch.Recv(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// runNodeKnot makes one lap of each goroutine apart, which makes each a
+// known receiver of ch, and then the knot's schedule: g2 fills ch, g1
+// locks, and g2 locks once g1 is blocked on its send or parked at its
+// Lock. Without avoidance g2's Lock closes the cycle.
+func runNodeKnot(t *testing.T, node *communix.Node) (e1, e2 error) {
+	t.Helper()
+	k := nodeKnot{node: node, mu: node.NewMutex("knot-mu"), ch: communix.NewChan[int](node, "knot-ch", 1)}
+	poll := func(cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond() && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	warm1, warm2 := make(chan struct{}), make(chan struct{})
+	d1, d2 := make(chan error, 1), make(chan error, 1)
+	go func() {
+		err := k.lap1(func() {})
+		close(warm1)
+		if err == nil {
+			<-warm2
+			err = k.lap1(func() { poll(func() bool { return k.ch.Len() == 1 }) })
+		}
+		d1 <- err
+	}()
+	go func() {
+		<-warm1
+		err := k.lap2(func() {})
+		close(warm2)
+		if err == nil {
+			err = k.lap2(func() {
+				poll(func() bool { return node.ChanRuntime().Waiting() == 1 || node.Runtime().Stats().Yields > 0 })
+			})
+		}
+		d2 <- err
+	}()
+	return recvErr(t, d1), recvErr(t, d2)
+}
+
+// TestMixedKnotImmunityAcrossNodes is collaborative immunity for a
+// deadlock through a mutex and a channel: node A hits the knot, detects
+// it and uploads the signature, which pairs a lock site with a channel
+// site; node B downloads and installs it and runs the same schedule, in
+// which g1's Lock yields behind g2's deposit instead of deadlocking.
+func TestMixedKnotImmunityAcrossNodes(t *testing.T) {
+	addr, auth := startServer(t)
+	_, tokenA := auth.Issue()
+	_, tokenB := auth.Issue()
+
+	nodeA, err := communix.NewNode(communix.NodeConfig{ServerAddr: addr, Token: tokenA, Policy: communix.RecoverBreak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1, e2 := runNodeKnot(t, nodeA); e1 != nil || !errors.Is(e2, communix.ErrDeadlock) {
+		nodeA.Close()
+		t.Fatalf("node A: g1 %v, g2 %v; want nil and ErrDeadlock", e1, e2)
+	}
+	nodeA.Close() // drains the upload queue
+
+	nodeB, err := communix.NewNode(communix.NodeConfig{ServerAddr: addr, Token: tokenB, Policy: communix.RecoverBreak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	if _, err := nodeB.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nodeB.InstallRepository(); err != nil || n != 1 {
+		t.Fatalf("InstallRepository = %d, %v; want the one mixed signature", n, err)
+	}
+	if e1, e2 := runNodeKnot(t, nodeB); e1 != nil || e2 != nil {
+		t.Fatalf("node B: g1 %v, g2 %v", e1, e2)
+	}
+	st, cs := nodeB.Runtime().Stats(), nodeB.ChanRuntime().Stats()
+	if st.Deadlocks != 0 || cs.Deadlocks != 0 || st.Yields == 0 {
+		t.Fatalf("node B: deadlocks mutex %d, channel %d; %d mutex yields; want 0, 0 and >= 1", st.Deadlocks, cs.Deadlocks, st.Yields)
+	}
+}
+
 // TestServerDurableRestart is the acceptance path of the durable server:
 // a server with a data directory is shut down and rebuilt over the same
 // directory, and the successor serves the byte-identical signature

@@ -10,7 +10,7 @@ import (
 
 // Chan is a native Go channel instrumented for communication-deadlock
 // immunity. Send, Recv and Select each run one critical section
-// (Runtime.enter) that passes the avoidance gate (it may park if
+// (Runtime.enter) that passes the host's avoidance gate (it may park if
 // completing would instantiate a known signature), tries the native op
 // without blocking, and records the completion or registers the op's
 // wait in the waits-for graph and runs detection. A registered op then
@@ -35,6 +35,7 @@ func NewChan[T any](rt *Runtime, name string, capacity int) *Chan[T] {
 		core: &chanCore{
 			rt:        rt,
 			name:      name,
+			capacity:  capacity,
 			buffered:  func() int { return len(ch) },
 			sendUsers: make(map[uint64]usage),
 			recvUsers: make(map[uint64]usage),
@@ -152,16 +153,8 @@ func (c *Chan[T]) TryRecv() (v T, ok bool, received bool) {
 }
 
 // Close closes the underlying channel, with native semantics: blocked
-// receivers drain and observe ok=false; a double close panics. Parked
-// yielders re-evaluate: recvs on a closed channel complete immediately.
-func (c *Chan[T]) Close() {
-	if rt := c.core.rt; !rt.cfg.GraphDisabled {
-		rt.mu.Lock()
-		rt.host.WakeChanYieldersLocked()
-		rt.mu.Unlock()
-	}
-	close(c.ch)
-}
+// receivers drain and observe ok=false; a double close panics.
+func (c *Chan[T]) Close() { close(c.ch) }
 
 // SelectCase is one case of a Select: build with SendCase or RecvCase.
 type SelectCase struct {

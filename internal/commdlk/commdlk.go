@@ -27,20 +27,26 @@
 // vice versa.
 //
 // A Runtime is the channel half of a dimmunix.Runtime, its host, and
-// yields in the host's yielder table (dimmunix.Runtime.ParkLocked): an
-// op whose call stack suffix-matches a history signature's outer stack,
-// while the signature's other slots are occupied by distinct goroutines'
-// engagements on distinct channels, parks before engaging. A blocked
-// op's rescuers are its wait edges in the host's one graph, beside mutex
+// avoids through the host's one threat check
+// (dimmunix.Runtime.AvoidLocked): a channel engagement — a live deposit,
+// or a blocked op on its first case's channel — is a position in the
+// host's per-signature shards beside lock holds and waits, so an op
+// whose kind-stamped stack suffix-matches a history signature's outer
+// stack parks while distinct goroutines occupy the signature's other
+// slots on distinct resources, locks and channels alike, and a lock
+// acquisition parks behind channel engagements the same way. Dropping
+// an engagement wakes the yielders of its shards only. A blocked op's
+// rescuers are its wait edges in the host's one graph, beside mutex
 // waiters' lock owners, so a wait+yield cycle forces its smallest-id
 // yielder through whichever primitives it crosses.
 //
 // All bookkeeping runs under the host's mutex, and each op decides and
 // engages in one hold of it (Runtime.enter): the threat check, the
 // native non-blocking attempt, and the recorded deposit or registered
-// wait with detection. The differential GraphDisabled arm (raw channel
-// ops, no bookkeeping) doubles as the zero-overhead baseline the runtime
-// bench compares against.
+// wait with detection, which takes over the slots the check occupied.
+// The differential GraphDisabled arm (raw channel ops, no bookkeeping)
+// doubles as the zero-overhead baseline the runtime bench compares
+// against.
 package commdlk
 
 import (
@@ -79,7 +85,8 @@ type Config struct {
 type Stats struct {
 	// Deadlocks counts deadlocks whose cycle a channel op's wait closed.
 	Deadlocks uint64
-	// Yields counts channel ops that parked at least once.
+	// Yields counts avoidance suspensions of channel ops, as the mutex
+	// half's Stats.Yields counts lock acquisitions'.
 	Yields uint64
 	// AvoidanceBreaks counts yielders forced through to break a
 	// wait+yield cycle.
@@ -117,14 +124,18 @@ type deposit struct {
 	gid   uint64
 	stack sig.Stack
 	kind  string
+	slots dimmunix.Slots // the signature slots it occupies
 }
 
 // chanCore is the per-channel bookkeeping shared by every Chan[T]
 // instantiation. All fields past the immutable header are guarded by
 // rt.mu, the host's mutex.
 type chanCore struct {
+	// Resource is what the channel's engagements are on.
+	dimmunix.Resource
 	rt       *Runtime
 	name     string
+	capacity int
 	buffered func() int // the native buffer's current length
 
 	deposits  []deposit
@@ -148,6 +159,7 @@ type blockedOp struct {
 	cases []opCase
 	stack sig.Stack
 	kind  string
+	slots dimmunix.Slots // occupied on its first case's channel
 }
 
 // Runtime maintains a node's channel waits-for graph, detector and
@@ -162,12 +174,12 @@ type Runtime struct {
 	shared  dimmunix.Config
 	capture *stacktrace.Cache
 
-	closed bool
+	// half counts the channel ops' yields and breaks and closes them.
+	half dimmunix.Half
 	// filled holds the channels that currently hold deposits, in
-	// first-fill order: the live engagements avoidance walks.
+	// first-fill order: the live deposits a position refresh walks.
 	filled  []*chanCore
 	blocked map[uint64]*blockedOp
-	parked  int // channel ops parked in the host's yielder table
 	stats   Stats
 
 	// closedCh releases every blocked op on Close.
@@ -201,13 +213,13 @@ func NewRuntime(host *dimmunix.Runtime, cfg Config) *Runtime {
 // yielder returns ErrClosed. The host stays open. Idempotent.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
-	if rt.closed {
+	if rt.half.Closed.Load() {
 		rt.mu.Unlock()
 		return
 	}
-	rt.closed = true
+	rt.half.Closed.Store(true)
 	close(rt.closedCh)
-	rt.host.WakeChanYieldersLocked()
+	rt.host.WakeYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -215,7 +227,9 @@ func (rt *Runtime) Close() {
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.stats
+	st := rt.stats
+	st.Yields, st.AvoidanceBreaks = rt.half.Yields.Load(), rt.half.Breaks.Load()
+	return st
 }
 
 // Waiting returns how many goroutines are currently blocked in the
@@ -225,7 +239,7 @@ func (rt *Runtime) Stats() Stats {
 func (rt *Runtime) Waiting() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.blocked) + rt.parked
+	return len(rt.blocked) + rt.half.Parked
 }
 
 // kindFilter adapts the avoidance index to the capture-time top-site
@@ -265,33 +279,24 @@ func stampKind(cs sig.Stack, kind string) sig.Stack {
 	return out
 }
 
-// suffixMatches reports whether the raw captured stack cs, performing
-// an op of the given kind, suffix-matches the signature outer stack
-// want (whose top frame carries a kind). Lower frames compare by plain
-// site; the top frame additionally requires the kinds to agree.
-func suffixMatches(cs sig.Stack, kind string, want sig.Stack) bool {
-	n := len(want)
-	if n == 0 || len(cs) < n {
-		return false
+// matchable returns cs stamped with the op's kind when some history
+// signature's outer stack ends at its site, else nil. Only such an op
+// can occupy a signature slot, so only it is checked for a threat and
+// copied.
+func (rt *Runtime) matchable(cs sig.Stack, kind string) sig.Stack {
+	if len(cs) == 0 || !(kindFilter{idx: rt.shared.History.Index(), kind: kind}).MatchesTopSite(&cs[len(cs)-1]) {
+		return nil
 	}
-	wt := want[n-1]
-	ct := cs[len(cs)-1]
-	if wt.Kind != kind || wt.Line != ct.Line || wt.Class != ct.Class || wt.Method != ct.Method {
-		return false
-	}
-	for i := 1; i < n; i++ {
-		if !cs[len(cs)-1-i].SameSite(want[n-1-i]) {
-			return false
-		}
-	}
-	return true
+	return stampKind(cs, kind)
 }
 
 // enter is a channel op's first critical section: one rt.mu hold for
-// the avoidance decision (parking while completing would instantiate a
-// history signature), the native non-blocking attempt try, and then
-// either the completion's record or the op's wait in the graph with
-// detection. Deciding and engaging in one hold is what keeps two ops
+// the avoidance decision (the host's threat check, which parks the op
+// while completing would instantiate a history signature), the native
+// non-blocking attempt try, and then either the completion's record or
+// the op's wait in the graph with detection. The slots the check
+// occupied pass to the deposit or the blocked op the op creates, or are
+// given back. Deciding and engaging in one hold is what keeps two ops
 // from both passing avoidance and filling both of a signature's slots.
 // try returns the index of the case it completed, or -1. A nil op
 // reports the outcome: case chosen completed, or err. A non-nil op is
@@ -299,28 +304,38 @@ func suffixMatches(cs sig.Stack, kind string, want sig.Stack) bool {
 // through await. OnDeadlock runs once rt.mu is released, and a
 // panicking try (a send on a closed channel) releases it too.
 func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, try func() int) (op *blockedOp, chosen int, err error) {
-	var dl *dimmunix.Deadlock
+	var (
+		dl    *dimmunix.Deadlock
+		first = cases[0].core
+		slots dimmunix.Slots // occupied, not yet taken by an engagement
+	)
 	rt.mu.Lock()
 	defer func() {
+		rt.releaseLocked(first, gid, slots)
 		rt.mu.Unlock()
 		if dl != nil && rt.shared.OnDeadlock != nil {
 			rt.shared.OnDeadlock(*dl)
 		}
 	}()
-	if err := rt.avoidLocked(gid, cs, kind); err != nil {
-		return nil, -1, err
+	if ks := rt.matchable(cs, kind); ks != nil {
+		wait := func() [][]dimmunix.ThreadID { return rt.waitCasesLocked(gid, cases) }
+		if slots, err = rt.host.AvoidLocked(&rt.half, dimmunix.ThreadID(gid), &first.Resource, ks, wait); err != nil {
+			return nil, -1, ErrClosed
+		}
 	}
 	if rt.afterAvoidHook != nil {
 		rt.afterAvoidHook(gid)
 	}
 	if chosen = try(); chosen >= 0 {
-		rt.recordLocked(cases[chosen], gid, cs, kind)
+		rt.recordLocked(cases[chosen], gid, cs, kind, first, slots)
+		slots = nil
 		return nil, chosen, nil
 	}
-	if rt.closed {
+	if rt.half.Closed.Load() {
 		return nil, -1, ErrClosed
 	}
-	op = &blockedOp{gid: gid, cases: cases, stack: cs, kind: kind}
+	op = &blockedOp{gid: gid, cases: cases, stack: cs, kind: kind, slots: slots}
+	slots = nil
 	rt.blockLocked(op, 1)
 	rt.stats.Blocked++
 	// The host's detector and yield-cycle breaker, over channels and
@@ -329,10 +344,30 @@ func (rt *Runtime) enter(gid uint64, cs sig.Stack, kind string, cases []opCase, 
 		rt.stats.Deadlocks++
 		if rt.shared.Policy == dimmunix.RecoverBreak {
 			rt.blockLocked(op, -1)
+			slots = op.slots
 			op, err = nil, ErrDeadlock
 		}
 	}
 	return op, -1, err
+}
+
+// waitCasesLocked returns the rescuer sets an op on cases would wait on
+// were it to block now, as Cases would report them, or nil when one of
+// its cases can complete at once: room in the buffer or a blocked recv
+// for a send, an item or a blocked send for a recv. A yield is a true
+// positive when the op it holds back would close a wait-for cycle.
+// Caller holds rt.mu.
+func (rt *Runtime) waitCasesLocked(gid uint64, cases []opCase) [][]dimmunix.ThreadID {
+	out := make([][]dimmunix.ThreadID, len(cases))
+	for i, oc := range cases {
+		c, n := oc.core, oc.core.buffered()
+		if oc.dir == dirSend && (n < c.capacity || c.waiting[dirRecv] > 0) ||
+			oc.dir == dirRecv && (n > 0 || c.waiting[dirSend] > 0) {
+			return nil
+		}
+		out[i] = c.rescuers(oc.dir, dimmunix.ThreadID(gid))
+	}
+	return out
 }
 
 // blockLocked enters op's wait in the graph (delta 1) or withdraws it
@@ -361,15 +396,16 @@ func (rt *Runtime) await(op *blockedOp, wait func() int) (chosen int) {
 
 // leave is a blocked op's second critical section, after its native
 // blocking op returned: it withdraws the wait and, unless the runtime
-// closed under it (chosen < 0), records the completion of case chosen.
-// Yielders re-evaluate: the graph lost a node.
+// closed under it (chosen < 0), records the completion of case chosen,
+// to which the wait's slots pass.
 func (rt *Runtime) leave(op *blockedOp, chosen int) {
 	rt.mu.Lock()
 	rt.blockLocked(op, -1)
 	if chosen >= 0 {
-		rt.recordLocked(op.cases[chosen], op.gid, op.stack, op.kind)
+		rt.recordLocked(op.cases[chosen], op.gid, op.stack, op.kind, op.cases[0].core, op.slots)
+	} else {
+		rt.releaseLocked(op.cases[0].core, op.gid, op.slots)
 	}
-	rt.host.WakeChanYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -377,34 +413,44 @@ func (rt *Runtime) leave(op *blockedOp, chosen int) {
 // try ops cannot deadlock, so they skip avoidance and the graph.
 func (rt *Runtime) record(oc opCase, gid uint64, cs sig.Stack, kind string) {
 	rt.mu.Lock()
-	rt.recordLocked(oc, gid, cs, kind)
+	rt.recordLocked(oc, gid, cs, kind, oc.core, nil)
 	rt.mu.Unlock()
 }
 
-// recordLocked records gid's completed op on oc's channel: its usage,
-// a live deposit for a send (the channel analogue of holding a lock),
-// and for a recv a wake, since removing an engagement may resolve a
-// parked yielder's threat. The deposit ledger mirrors the native
-// buffer, which items leave oldest first: whenever the ledger is longer
-// than the buffer, its oldest entries are gone (received, or handed
-// straight to a receiver) and are dropped. Ops that complete natively
-// outside rt.mu (blocked and try ops) record afterwards, and this rule
-// converges the ledger once they have. A channel is in rt.filled
-// exactly while its ledger is non-empty. Caller holds rt.mu.
-func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string) {
+// recordLocked records gid's completed op on oc's channel: its usage
+// and, for a send, a live deposit (the channel analogue of holding a
+// lock). The deposit takes over slots, which the op occupied on from's
+// channel; a select that deposited into another of its channels
+// occupies its slots there afresh. The deposit ledger mirrors the
+// native buffer, which items leave oldest first: whenever the ledger is
+// longer than the buffer, its oldest entries are gone (received, or
+// handed straight to a receiver) and are dropped, giving their slots
+// back, which wakes the yielders they held back. Ops that complete
+// natively outside rt.mu (blocked and try ops) record afterwards, and
+// this rule converges the ledger once they have. A channel is in
+// rt.filled exactly while its ledger is non-empty. Caller holds rt.mu.
+func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string, from *chanCore, slots dimmunix.Slots) {
 	c := oc.core
 	was, n := len(c.deposits), c.buffered()
 	if oc.dir == dirSend {
 		c.sendUsers[gid] = usage{stack: cs, kind: kind}
 		if n > 0 {
-			c.deposits = append(c.deposits, deposit{gid: gid, stack: cs, kind: kind})
+			d := deposit{gid: gid, stack: cs, kind: kind}
+			if from == c {
+				d.slots, slots = slots, nil
+			} else if len(slots) > 0 {
+				d.slots = rt.host.RegisterPositions(dimmunix.ThreadID(gid), &c.Resource, stampKind(cs, kind))
+			}
+			c.deposits = append(c.deposits, d)
 		}
 	} else {
 		c.recvUsers[gid] = usage{stack: cs, kind: kind}
-		rt.host.WakeChanYieldersLocked()
 	}
-	if len(c.deposits) > n {
-		c.deposits = c.deposits[len(c.deposits)-n:]
+	rt.releaseLocked(from, gid, slots)
+	for len(c.deposits) > n {
+		d := c.deposits[0]
+		c.deposits = c.deposits[1:]
+		rt.releaseLocked(c, d.gid, d.slots)
 	}
 	switch {
 	case was == 0 && len(c.deposits) > 0:
@@ -413,4 +459,29 @@ func (rt *Runtime) recordLocked(oc opCase, gid uint64, cs sig.Stack, kind string
 		c.deposits = nil
 		rt.filled = slices.DeleteFunc(rt.filled, func(f *chanCore) bool { return f == c })
 	}
+}
+
+// releaseLocked gives back the slots an engagement of gid on c
+// occupied, which it hands over with the engagement, but for those
+// another live engagement of gid on c still occupies: a position names
+// a goroutine and a channel, so it lasts as long as the last of them.
+// Each dropped position wakes its shard's yielders. Caller holds rt.mu.
+func (rt *Runtime) releaseLocked(c *chanCore, gid uint64, slots dimmunix.Slots) {
+	if len(slots) == 0 {
+		return
+	}
+	gone := slots[:0]
+	for _, k := range slots {
+		kept := false
+		for _, d := range c.deposits {
+			kept = kept || d.gid == gid && slices.Contains(d.slots, k)
+		}
+		if op := rt.blocked[gid]; op != nil && op.cases[0].core == c {
+			kept = kept || slices.Contains(op.slots, k)
+		}
+		if !kept {
+			gone = append(gone, k)
+		}
+	}
+	rt.host.UnregisterPositions(dimmunix.ThreadID(gid), &c.Resource, gone)
 }

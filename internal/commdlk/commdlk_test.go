@@ -709,7 +709,7 @@ func windowFillB(c *Chan[int]) error { return c.Send(2) }
 // fill sites: each thread holds its own channel (outer) and blocks
 // filling the other's (inner). Each stack keeps only the site's top
 // frame, so the sites match whichever goroutine calls them.
-func windowSignature(t *testing.T) *sig.Signature {
+func windowSignature(t testing.TB) *sig.Signature {
 	t.Helper()
 	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
 	defer rt.Close()
@@ -962,4 +962,246 @@ func TestLedgerConvergesToTheBuffer(t *testing.T) {
 			t.Fatalf("round %d: empty channel, but the ledger holds %d deposit(s) and %d channel(s) are listed as filled", round, deposits, filled)
 		}
 	}
+}
+
+// actor runs the steps it is handed, one at a time, on one goroutine of
+// its own, so a test can script several goroutines op by op.
+type actor struct {
+	steps chan func() error
+	done  chan error
+}
+
+func newActor(t *testing.T) *actor {
+	a := &actor{steps: make(chan func() error), done: make(chan error, 1)}
+	go func() {
+		for step := range a.steps {
+			a.done <- step()
+		}
+	}()
+	t.Cleanup(func() { close(a.steps) })
+	return a
+}
+
+// start hands the actor a step without waiting for it.
+func (a *actor) start(step func() error) { a.steps <- step }
+
+// do runs a step on the actor and fails the test on its error.
+func (a *actor) do(t *testing.T, step func() error) {
+	t.Helper()
+	a.start(step)
+	a.wait(t)
+}
+
+// wait fails the test unless the step in flight returns nil within 10 s.
+func (a *actor) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case err := <-a.done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an actor's step never finished")
+	}
+}
+
+func sendOn(c *Chan[int], v int) func() error { return func() error { return c.Send(v) } }
+
+func recvOn(c *Chan[int]) func() error {
+	return func() error {
+		_, _, err := c.Recv()
+		return err
+	}
+}
+
+// TestChanYieldTruePositive pins the §III-C1 evidence of a channel
+// yield. A yield is a true positive when the op it holds back would
+// block right now and its wait would close a wait-for cycle: the send
+// would find its channel full with no blocked recv, and each of its
+// rescuers, the goroutines known to receive there, would be stuck too.
+// g3's deposit in a fills the signature's first slot throughout; g2's
+// fill of b, its second slot, yields twice. The first time b has room,
+// so the yield counts no true positive; the second time b is full and
+// its one known receiver, g1, is blocked on a recv only g2 sends to, so
+// it counts one.
+func TestChanYieldTruePositive(t *testing.T) {
+	h := dimmunix.NewHistory()
+	s := windowSignature(t)
+	h.Add(s)
+	host := dimmunix.NewRuntime(dimmunix.Config{History: h})
+	defer host.Close()
+	rt := NewRuntime(host, Config{})
+	defer rt.Close()
+	a, b, r := NewChan[int](rt, "tp-a", 1), NewChan[int](rt, "tp-b", 1), NewChan[int](rt, "tp-r", 1)
+	g1, g2, g3 := newActor(t), newActor(t), newActor(t)
+	stats := func(wantInst, wantTP uint64) {
+		t.Helper()
+		if inst, tp, _ := host.SignatureStats(s.ID()); inst != wantInst || tp != wantTP {
+			t.Fatalf("signature stats: %d instantiations, %d true positives; want %d and %d", inst, tp, wantInst, wantTP)
+		}
+	}
+
+	g2.do(t, sendOn(r, 0)) // g2 is r's one known sender
+	g1.do(t, recvOn(r))
+	g1.do(t, func() error { // and g1 b's one known receiver
+		b.TrySend(0)
+		b.TryRecv()
+		return nil
+	})
+	g3.do(t, func() error { return windowFillA(a) })
+
+	g2.start(func() error { return windowFillB(b) })
+	waitUntil(t, "the fill of B parked", func() bool { return rt.Stats().Yields == 1 })
+	stats(1, 0)
+	g1.do(t, recvOn(a)) // drains g3's deposit: the fill of B goes through
+	g2.wait(t)
+	g1.do(t, recvOn(b))
+	g3.do(t, func() error { return windowFillA(a) })
+
+	g1.do(t, func() error {
+		b.TrySend(1)
+		return nil
+	})
+	g1.start(recvOn(r)) // blocks: only g2 sends on r
+	waitUntil(t, "g1 blocked on r", func() bool { return rt.Waiting() == 1 })
+	g2.start(func() error { return windowFillB(b) })
+	waitUntil(t, "the fill of B parked again", func() bool { return rt.Stats().Yields == 2 })
+	stats(2, 1)
+
+	g3.do(t, sendOn(r, 1)) // rescues g1
+	g1.wait(t)
+	g1.do(t, recvOn(b))
+	g1.do(t, recvOn(a))
+	g2.wait(t)
+	if st := rt.Stats(); st.Deadlocks != 0 || st.AvoidanceBreaks != 0 {
+		t.Fatalf("deadlocks=%d breaks=%d, want 0 and 0", st.Deadlocks, st.AvoidanceBreaks)
+	}
+}
+
+// TestUnrelatedChanTrafficWakesNoYielder: dropping a channel engagement
+// wakes only the yielders of the signatures whose positions it drops, as
+// a lock release does (TestUnrelatedLockTrafficWakesNoYielder in
+// internal/dimmunix). The fill of B parks behind the fill of A; then 200
+// rounds on an unrelated channel x — a recv blocks and a send completes
+// it, so every round records a recv and withdraws a blocked op — must
+// leave it parked. A woken yielder whose threat still stands re-parks
+// and counts another yield and another §III-C1 instantiation, so Yields
+// stays 1 and no false-positive warning fires.
+func TestUnrelatedChanTrafficWakesNoYielder(t *testing.T) {
+	var warnings atomic.Int32
+	h := dimmunix.NewHistory()
+	h.Add(windowSignature(t))
+	host := dimmunix.NewRuntime(dimmunix.Config{History: h, OnFalsePositive: func(dimmunix.FalsePositiveWarning) { warnings.Add(1) }})
+	defer host.Close()
+	rt := NewRuntime(host, Config{})
+	defer rt.Close()
+	a, b, x := NewChan[int](rt, "quiet-a", 1), NewChan[int](rt, "quiet-b", 1), NewChan[int](rt, "quiet-x", 1)
+	filler, parked, receiver := newActor(t), newActor(t), newActor(t)
+
+	filler.do(t, func() error { return windowFillA(a) })
+	parked.start(func() error { return windowFillB(b) })
+	waitUntil(t, "the fill of B parked", func() bool { return rt.Stats().Yields == 1 })
+	for i := 0; i < 200; i++ {
+		receiver.start(recvOn(x))
+		waitUntil(t, "the recv on x blocked", func() bool { return rt.Waiting() == 2 })
+		if err := x.Send(i); err != nil {
+			t.Fatal(err)
+		}
+		receiver.wait(t)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a woken yielder to re-park
+	if y, n := rt.Stats().Yields, warnings.Load(); y != 1 || n != 0 {
+		t.Fatalf("after unrelated traffic: %d yields and %d false-positive warnings, want 1 and 0", y, n)
+	}
+	if _, _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	parked.wait(t)
+}
+
+// TestPositionLastsWhileAnyDepositStands: a goroutine's two deposits
+// from one signature site into one channel occupy one position, which
+// must outlast the first deposit's drain. The fill of B parks behind
+// both fills of A, stays parked when a recv takes the first, and goes
+// through only when a recv takes the second.
+func TestPositionLastsWhileAnyDepositStands(t *testing.T) {
+	dimmunix.SetYieldRehomeTimeout(time.Minute)
+	defer dimmunix.SetYieldRehomeTimeout(time.Second)
+
+	h := dimmunix.NewHistory()
+	h.Add(windowSignature(t))
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h}), Config{})
+	defer rt.Close()
+	a, b := NewChan[int](rt, "twice-a", 2), NewChan[int](rt, "twice-b", 1)
+	filler, parked := newActor(t), newActor(t)
+
+	filler.do(t, func() error {
+		if err := windowFillA(a); err != nil {
+			return err
+		}
+		return windowFillA(a)
+	})
+	parked.start(func() error { return windowFillB(b) })
+	waitUntil(t, "the fill of B parked", func() bool { return rt.Waiting() == 1 })
+	if _, _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a wrongly woken fill to go through
+	if b.Len() != 0 || rt.Waiting() != 1 {
+		t.Fatal("the fill of B went through while a fill of A still stood")
+	}
+	if _, _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	parked.wait(t)
+	if st := rt.Stats(); st.Yields != 1 {
+		t.Fatalf("yields = %d, want 1", st.Yields)
+	}
+}
+
+// selectFill is a signature site for the select test: a select that
+// fills whichever of first and second has room, first if both do.
+func selectFill(first, second *Chan[int]) error {
+	_, err := Select(SendCase(first, 1), SendCase(second, 1))
+	return err
+}
+
+// TestSelectDepositOccupiesItsChannel: a select is checked and admitted
+// on its first case's channel, but may deposit into another; the
+// deposit then occupies the signature slot there, so the recv that
+// drains that channel frees the slot and wakes the op parked behind it.
+// The re-home timeout is a minute: a position left on the first
+// channel would never be dropped and would keep the fill of B parked.
+func TestSelectDepositOccupiesItsChannel(t *testing.T) {
+	dimmunix.SetYieldRehomeTimeout(time.Minute)
+	defer dimmunix.SetYieldRehomeTimeout(time.Second)
+
+	probe := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{}), Config{})
+	full, x := NewChan[int](probe, "probe-full", 1), NewChan[int](probe, "probe-x", 1)
+	full.TrySend(0)
+	if err := selectFill(full, x); err != nil {
+		t.Fatal(err)
+	}
+	d := x.core.deposits[0]
+	sel := stampKind(d.stack[len(d.stack)-1:], d.kind)
+	probe.Close()
+	fillB := windowSignature(t).Threads[1].Outer
+	h := dimmunix.NewHistory()
+	h.Add(sig.New(sig.ThreadSpec{Outer: sel, Inner: fillB}, sig.ThreadSpec{Outer: fillB, Inner: sel}))
+	rt := NewRuntime(dimmunix.NewRuntime(dimmunix.Config{History: h}), Config{})
+	defer rt.Close()
+	a, c, b := NewChan[int](rt, "sel-a", 1), NewChan[int](rt, "sel-c", 1), NewChan[int](rt, "sel-b", 1)
+	filler, parked := newActor(t), newActor(t)
+
+	a.TrySend(0)
+	filler.do(t, func() error { return selectFill(a, c) })
+	if c.Len() != 1 {
+		t.Fatal("the select did not fill its second channel")
+	}
+	parked.start(func() error { return windowFillB(b) })
+	waitUntil(t, "the fill of B parked", func() bool { return rt.Waiting() == 1 })
+	if _, _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	parked.wait(t)
 }

@@ -28,21 +28,30 @@ func (g *graph) Cases(t dimmunix.ThreadID) [][]dimmunix.ThreadID {
 	}
 	cases := make([][]dimmunix.ThreadID, len(op.cases))
 	for i, oc := range op.cases {
-		if oc.core.waiting[dirSend] > 0 && oc.core.waiting[dirRecv] > 0 {
-			continue
-		}
-		users := oc.core.sendUsers
-		if oc.dir == dirSend {
-			users = oc.core.recvUsers
-		}
-		for u := range users {
-			if r := dimmunix.ThreadID(u); r != t {
-				cases[i] = append(cases[i], r)
-			}
-		}
-		slices.Sort(cases[i])
+		cases[i] = oc.core.rescuers(oc.dir, t)
 	}
 	return cases
+}
+
+// rescuers returns the goroutines known to use c in the direction
+// opposite to dir, but t, ascending: the rescuers of an op of direction
+// dir blocked on c. None while c has blocked ops in both directions.
+func (c *chanCore) rescuers(dir opDir, t dimmunix.ThreadID) []dimmunix.ThreadID {
+	if c.waiting[dirSend] > 0 && c.waiting[dirRecv] > 0 {
+		return nil
+	}
+	users := c.sendUsers
+	if dir == dirSend {
+		users = c.recvUsers
+	}
+	var rs []dimmunix.ThreadID
+	for u := range users {
+		if r := dimmunix.ThreadID(u); r != t {
+			rs = append(rs, r)
+		}
+	}
+	slices.Sort(rs)
+	return rs
 }
 
 // Engagement returns t's kind-stamped stack on the channel of case c of
@@ -70,4 +79,18 @@ func (g *graph) Engagement(t, pred dimmunix.ThreadID, c int) sig.Stack {
 func (g *graph) Inner(t dimmunix.ThreadID) sig.Stack {
 	op := g.blocked[uint64(t)]
 	return stampKind(op.stack, op.kind)
+}
+
+// Engagements hands the live deposits, channel by channel, and then the
+// blocked ops, each on its first case's channel, to f.
+func (g *graph) Engagements(f func(t dimmunix.ThreadID, r *dimmunix.Resource, cs sig.Stack, slots dimmunix.Slots) dimmunix.Slots) {
+	for _, c := range g.filled {
+		for i := range c.deposits {
+			d := &c.deposits[i]
+			d.slots = f(dimmunix.ThreadID(d.gid), &c.Resource, stampKind(d.stack, d.kind), d.slots)
+		}
+	}
+	for _, op := range g.blocked {
+		op.slots = f(dimmunix.ThreadID(op.gid), &op.cases[0].core.Resource, stampKind(op.stack, op.kind), op.slots)
+	}
 }

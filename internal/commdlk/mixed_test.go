@@ -412,3 +412,265 @@ func TestMixedChanWaitClosesDeadlock(t *testing.T) {
 	}
 	k.check(t, <-holderID, <-senderID)
 }
+
+// knot is the mixed knot of the avoidance tests: g1 holds mu and then
+// sends on the capacity-1 channel ch, while g2 holds ch's deposit and
+// then locks mu. Once both have emptied ch once, each is the other's
+// one rescuer: g1's send waits for g2 to receive, g2's Lock for g1 to
+// unlock. Its signature pairs g1's lock site (outer) and send (inner)
+// with g2's deposit (outer) and Lock (inner), so a lock slot and a
+// channel slot must both be filled for it to instantiate.
+type knot struct {
+	host *dimmunix.Runtime
+	rt   *Runtime
+	mu   *dimmunix.Mutex
+	ch   *Chan[int]
+}
+
+func newKnot(t *testing.T, h *dimmunix.History) *knot {
+	t.Helper()
+	host := dimmunix.NewRuntime(dimmunix.Config{History: h, Policy: dimmunix.RecoverBreak})
+	t.Cleanup(host.Close)
+	rt := NewRuntime(host, Config{})
+	t.Cleanup(rt.Close)
+	return &knot{host: host, rt: rt, mu: host.NewMutex("knot-mu"), ch: NewChan[int](rt, "knot-ch", 1)}
+}
+
+// await reports whether cond held within 10 s; a goroutine of the
+// schedule turns a miss into its error.
+func await(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// gate returns a step that waits for cond, or fails as what.
+func gate(what string, cond func() bool) func() error {
+	return func() error {
+		if !await(cond) {
+			return fmt.Errorf("timed out waiting for %s", what)
+		}
+		return nil
+	}
+}
+
+func nop() error { return nil }
+
+// g1 locks mu, sends on ch, unlocks and receives one item.
+func (k *knot) g1(beforeLock, beforeSend func() error) error {
+	if err := beforeLock(); err != nil {
+		return err
+	}
+	if err := k.mu.Lock(); err != nil {
+		return err
+	}
+	err := beforeSend()
+	if err == nil {
+		err = k.ch.Send(1)
+	}
+	if uerr := k.mu.Unlock(); err == nil {
+		err = uerr
+	}
+	if _, _, rerr := k.ch.Recv(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// g2 sends on ch, locks and unlocks mu, and receives one item, also
+// after a Lock refused as a deadlock: that receive lets g1 finish.
+func (k *knot) g2(beforeSend, beforeLock func() error) error {
+	if err := beforeSend(); err != nil {
+		return err
+	}
+	if err := k.ch.Send(2); err != nil {
+		return err
+	}
+	err := beforeLock()
+	if err == nil {
+		if err = k.mu.Lock(); err == nil {
+			err = k.mu.Unlock()
+		}
+	}
+	if _, _, rerr := k.ch.Recv(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// run makes one lap of g1 and then one of g2, apart, which makes each a
+// known receiver of ch, and then runs the knot's schedule on the same
+// two goroutines. With g2First, g2 fills ch, g1 locks (after beforeLock,
+// which may install a signature), and g2 locks once g1 is blocked on its
+// send or parked at its Lock: without avoidance g2's Lock closes the
+// cycle. Otherwise g1 locks first, g2 then sends, and g1 sends once g2
+// deposited or parked at its send: without avoidance g1's send and g2's
+// Lock close it.
+func (k *knot) run(g2First bool, beforeLock func() error) (e1, e2 error) {
+	var (
+		g1warm, g2warm = make(chan struct{}), make(chan struct{})
+		locked         = make(chan struct{})
+		d1, d2         = make(chan error, 1), make(chan error, 1)
+		yields         = func() uint64 { return k.host.Stats().Yields + k.rt.Stats().Yields }
+	)
+	// Each goroutine makes its knot lap from one call site, so that both
+	// schedules, and the detection and avoidance runs, engage with the
+	// same call stacks.
+	g1Lock, g1Send := func() error {
+		if err := gate("g2 filling ch", func() bool { return k.ch.Len() == 1 })(); err != nil {
+			return err
+		}
+		return beforeLock()
+	}, nop
+	g2Send, g2Lock := nop, gate("g1 blocked or parked", func() bool { return k.rt.Waiting() == 1 || yields() > 0 })
+	if !g2First {
+		g1Lock, g1Send = nop, func() error {
+			close(locked)
+			return gate("g2 engaging ch", func() bool { return k.ch.Len() == 1 || k.rt.Waiting() == 1 })()
+		}
+		g2Send, g2Lock = func() error { <-locked; return nil }, nop
+	}
+	go func() {
+		err := k.g1(nop, nop)
+		close(g1warm)
+		if err == nil {
+			<-g2warm
+			err = k.g1(g1Lock, g1Send)
+		}
+		d1 <- err
+	}()
+	go func() {
+		<-g1warm
+		err := k.g2(nop, nop)
+		close(g2warm)
+		if err == nil {
+			err = k.g2(g2Send, g2Lock)
+		}
+		d2 <- err
+	}()
+	wait := func(d chan error) error {
+		select {
+		case err := <-d:
+			return err
+		case <-time.After(20 * time.Second):
+			return errors.New("never finished")
+		}
+	}
+	return wait(d1), wait(d2)
+}
+
+// detectKnot runs the knot once on a fresh runtime and returns the
+// mixed signature its detection recorded in h.
+func detectKnot(t *testing.T, h *dimmunix.History) *sig.Signature {
+	t.Helper()
+	k := newKnot(t, h)
+	e1, e2 := k.run(true, nop)
+	if e1 != nil || !errors.Is(e2, dimmunix.ErrDeadlock) {
+		t.Fatalf("detection run: g1 %v, g2 %v; want nil and ErrDeadlock", e1, e2)
+	}
+	if n := k.host.Stats().Deadlocks; n != 1 || h.Len() != 1 {
+		t.Fatalf("detection run: %d deadlocks, %d signatures; want 1 and 1", n, h.Len())
+	}
+	return h.All()[0]
+}
+
+// TestMixedSignatureAvoided: a knot detected once is avoided by a second
+// runtime sharing the history, whichever of its two engagements comes
+// first. When g2 fills ch first, g1's Lock yields behind the deposit:
+// the matched fast path, which takes no runtime lock, sees the channel
+// position in the signature's shard and retreats, and the slow path
+// parks it. When g1 holds mu first, g2's Send yields behind the lock
+// hold. Each half counts its own op's yield.
+func TestMixedSignatureAvoided(t *testing.T) {
+	h := dimmunix.NewHistory()
+	detectKnot(t, h)
+	for _, tc := range []struct {
+		name    string
+		g2First bool
+	}{{"g2-fills-first", true}, {"g1-locks-first", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKnot(t, h)
+			if e1, e2 := k.run(tc.g2First, nop); e1 != nil || e2 != nil {
+				t.Fatalf("g1 %v, g2 %v", e1, e2)
+			}
+			hs, cs := k.host.Stats(), k.rt.Stats()
+			if hs.Deadlocks != 0 || cs.Deadlocks != 0 {
+				t.Fatalf("deadlocks: mutex %d, channel %d; want 0", hs.Deadlocks, cs.Deadlocks)
+			}
+			lockYields, sendYields := hs.Yields, cs.Yields
+			if !tc.g2First {
+				lockYields, sendYields = sendYields, lockYields
+			}
+			if lockYields == 0 || sendYields != 0 {
+				t.Fatalf("mutex half %d yields, channel half %d; want the op that came second to yield", hs.Yields, cs.Yields)
+			}
+		})
+	}
+}
+
+// TestMixedSignatureInstalledUnderLiveDeposit: the signature arrives
+// while g2's matching deposit is already in ch, recorded against no
+// signature. The refresh that applies it registers the deposit, so g1's
+// next matching Lock yields.
+func TestMixedSignatureInstalledUnderLiveDeposit(t *testing.T) {
+	s := detectKnot(t, dimmunix.NewHistory())
+	h := dimmunix.NewHistory()
+	k := newKnot(t, h)
+	e1, e2 := k.run(true, func() error {
+		if !h.Add(s) {
+			return errors.New("the signature was not installed")
+		}
+		return nil
+	})
+	if e1 != nil || e2 != nil {
+		t.Fatalf("g1 %v, g2 %v", e1, e2)
+	}
+	if hs := k.host.Stats(); hs.Deadlocks != 0 || hs.Yields == 0 {
+		t.Fatalf("mutex half: %d deadlocks, %d yields; want 0 and >= 1", hs.Deadlocks, hs.Yields)
+	}
+}
+
+// TestMutexYielderWokenByDrainingRecv: a mutex yielder parked behind a
+// deposit is woken by the recv that drains the deposit, which drops the
+// signature's channel position. The re-home timeout is a minute, so only
+// that wake can free it in time, and it yields once.
+func TestMutexYielderWokenByDrainingRecv(t *testing.T) {
+	dimmunix.SetYieldRehomeTimeout(time.Minute)
+	defer dimmunix.SetYieldRehomeTimeout(time.Second)
+
+	fill := windowSignature(t).Threads[0].Outer // the fill of A's site
+	lock := inversionStack("lock")
+	h := dimmunix.NewHistory()
+	h.Add(sig.New(sig.ThreadSpec{Outer: fill, Inner: lock}, sig.ThreadSpec{Outer: lock, Inner: fill}))
+	host := dimmunix.NewRuntime(dimmunix.Config{History: h})
+	defer host.Close()
+	rt := NewRuntime(host, Config{})
+	defer rt.Close()
+	a, mu := NewChan[int](rt, "wake-a", 1), host.NewMutex("wake-mu")
+
+	filled := make(chan error, 1)
+	go func() { filled <- windowFillA(a) }()
+	if err := <-filled; err != nil {
+		t.Fatal(err)
+	}
+	locked := make(chan error, 1)
+	go func() {
+		tid := dimmunix.ThreadID(stacktrace.GoroutineID())
+		err := mu.LockAt(tid, lock)
+		if err == nil {
+			err = mu.UnlockAt(tid)
+		}
+		locked <- err
+	}()
+	waitUntil(t, "the lock parked behind the deposit", func() bool { return host.Stats().Yields == 1 })
+	if _, _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	awaitAll(t, map[string]chan error{"lock": locked})
+	if y := host.Stats().Yields; y != 1 {
+		t.Fatalf("mutex half yields = %d, want 1", y)
+	}
+}

@@ -39,6 +39,12 @@ type ChanGraph interface {
 	// Inner returns the stack of t's blocked channel op, with the op's
 	// kind on its top frame.
 	Inner(t ThreadID) sig.Stack
+	// Engagements hands every live channel engagement — a deposit, or a
+	// blocked op on its first case's channel — to f with its thread,
+	// channel, kind-stamped stack and slots, and keeps the slots f
+	// returns: how a position refresh registers them against added
+	// signatures.
+	Engagements(f func(t ThreadID, r *Resource, cs sig.Stack, slots Slots) Slots)
 }
 
 // casesLocked returns t's cases: a lock wait's one case, its owner, else

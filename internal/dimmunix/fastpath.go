@@ -53,7 +53,7 @@ import (
 //     (matchedFastAcquire).
 //   - fast release:  CAS tid → 0 (or recursion decrement), owner only;
 //     a matched hold first unregisters its shard positions and wakes
-//     the affected shards' yielders (unregisterPositions), still while
+//     the affected shards' yielders (UnregisterPositions), still while
 //     owning the word.
 //   - revocation:    CAS published word → slow bit, only under rt.mu
 //     (revokeLocked); an interrupted fast release retries, observes the
@@ -272,7 +272,7 @@ func (rt *Runtime) fastRelease(tid ThreadID, l *Lock) bool {
 			// l.fastSlots makes a retry after a mid-release revocation
 			// skip this, and the revocation's import + the slow path's
 			// release keep the books consistent either way.
-			rt.unregisterPositions(tid, l, l.fastSlots)
+			rt.UnregisterPositions(tid, &l.Resource, l.fastSlots)
 			l.fastSlots = l.fastSlots[:0]
 		}
 		if l.fast.CompareAndSwap(w, 0) {
@@ -325,7 +325,7 @@ func (rt *Runtime) revokeLocked(l *Lock) {
 		// them in place) or were cleared by a refresh (this re-registers
 		// under the new index). Either way the shard state ends exactly
 		// as if the hold had been slow-granted now.
-		h.slots = rt.registerPositions(tid, l, h.outer)
+		h.slots = rt.RegisterPositions(tid, &l.Resource, h.outer)
 		ts.held = append(ts.held, h)
 		l.owner = tid
 		l.ownerHold = h

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"communix/internal/sig/sigtest"
 )
 
 // fakeClock is a controllable clock for the burst window.
@@ -170,5 +172,70 @@ func TestFPRuntimeIntegration(t *testing.T) {
 		}
 	default:
 		t.Error("expected a false-positive warning from the runtime")
+	}
+}
+
+// TestFalsePositiveWarningReachesIDTwin: a warning carries the warned
+// signature itself, so acting on a warning about a twin of an ID's
+// holder (sigtest.IDTwins) removes the twin and keeps the holder, which
+// the warning's ID names. Thread 1 holds a lock at the twin's own outer
+// site, and thread 2's acquisitions at the outer site the twins share
+// yield against the twin only, until the §III-C1 heuristic fires.
+func TestFalsePositiveWarningReachesIDTwin(t *testing.T) {
+	holder, twin := sigtest.IDTwins()
+	h := NewHistory()
+	if !h.Add(holder) || !h.Add(twin) {
+		t.Fatal("the twins were not both stored")
+	}
+	own, shared := twin.Threads[0].Outer, twin.Threads[1].Outer
+	if holder.Threads[1].Outer.HasSuffix(own) || !holder.Threads[1].Outer.HasSuffix(shared) {
+		t.Fatal("sigtest.IDTwins no longer shares exactly one outer site")
+	}
+	clock := newFakeClock()
+	warnCh := make(chan FalsePositiveWarning, 1)
+	rt := NewRuntime(Config{History: h, Clock: clock.Now, OnFalsePositive: func(w FalsePositiveWarning) { warnCh <- w }})
+	defer rt.Close()
+	a, b := rt.NewLock("A"), rt.NewLock("B")
+	if err := rt.Acquire(1, a, own); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fpMinInstantiations; i++ {
+		done := make(chan error, 1)
+		go func() {
+			err := rt.Acquire(2, b, shared)
+			if err == nil {
+				err = rt.Release(2, b)
+			}
+			done <- err
+		}()
+		eventually(t, func() bool { return rt.Stats().Yields > uint64(i) }, "yield")
+		if err := rt.Release(1, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitErr(t, done, "thread 2"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Acquire(1, a, own); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Millisecond)
+	}
+	var w FalsePositiveWarning
+	select {
+	case w = <-warnCh:
+	default:
+		t.Fatal("no false-positive warning")
+	}
+	if w.SigID != holder.ID() || w.Signature == nil || !w.Signature.Equal(twin) {
+		t.Fatalf("warning names %s and carries %v; want the shared ID and the twin", w.SigID, w.Signature)
+	}
+	if !h.RemoveSignature(w.Signature) || h.RemoveSignature(w.Signature) {
+		t.Fatal("RemoveSignature did not remove the warned signature exactly once")
+	}
+	if kept := h.Get(holder.ID()); h.Len() != 1 || kept == nil || !kept.Equal(holder) {
+		t.Fatalf("after the removal the history holds %d signatures; want the ID's holder alone", h.Len())
+	}
+	if err := rt.Release(1, a); err != nil {
+		t.Fatal(err)
 	}
 }

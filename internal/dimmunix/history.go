@@ -227,22 +227,29 @@ func (h *History) lookupLocked(id string) *entry {
 	return h.byID[id]
 }
 
+// holderLocked returns the entry storing s itself, or nil.
+func (h *History) holderLocked(s *sig.Signature) *entry {
+	for _, e := range h.byBug[s.BugHash()] {
+		if e.sig == s {
+			return e
+		}
+	}
+	return nil
+}
+
 // nameOf returns the ID of s, which the history stores or stored: the
 // stored signature's memoized ID.
 func (h *History) nameOf(s *sig.Signature) string {
-	bug := s.BugHash()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, e := range h.byBug[bug] {
-		if e.sig != s {
-			continue
-		}
-		if e.id == "" {
-			e.id = s.ID()
-		}
-		return e.id
+	e := h.holderLocked(s)
+	if e == nil {
+		return s.ID() // removed meanwhile
 	}
-	return s.ID() // removed meanwhile
+	if e.id == "" {
+		e.id = s.ID()
+	}
+	return e.id
 }
 
 // lookup returns the entry holding the given ID, or nil.
@@ -282,6 +289,21 @@ func (h *History) Remove(id string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.lookupLocked(id)
+	if e == nil {
+		return false
+	}
+	h.deleteLocked(e)
+	h.commitLocked()
+	return true
+}
+
+// RemoveSignature deletes s, the history's own instance (as a
+// Deadlock or a FalsePositiveWarning carries it), returning whether it
+// was still stored. Unlike Remove it reaches a twin of an ID's holder.
+func (h *History) RemoveSignature(s *sig.Signature) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	e := h.holderLocked(s)
 	if e == nil {
 		return false
 	}

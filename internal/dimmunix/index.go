@@ -150,22 +150,6 @@ func (ix *AvoidIndex) MatchesTopSite(f *sig.Frame) bool {
 	return ok
 }
 
-// CandidatesAt returns the slot refs whose outer stacks end at the given
-// top frame, probed explicitly rather than from a captured stack. The
-// channel runtime uses it to probe with a kind-stamped copy of its raw
-// captured top frame (captures carry no kind; the op imposes one). The
-// returned slice is the index's own backing array — read-only.
-func (ix *AvoidIndex) CandidatesAt(f *sig.Frame) []SlotRef {
-	if len(ix.byTop) == 0 {
-		return nil
-	}
-	h := frameFilterKey(f)
-	if ix.filter[(h>>6)&63]&(1<<(h&63)) == 0 {
-		return nil
-	}
-	return ix.byTop[topKeyOf(*f)]
-}
-
 // Candidates returns the index's slot refs whose outer stacks end at
 // cs's top site — a superset of Match(cs) that shares the index's own
 // backing slice, so the matched acquisition path can iterate candidates

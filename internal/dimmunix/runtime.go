@@ -69,10 +69,13 @@ type Deadlock struct {
 // instantiations. The user (or embedding application) may then remove
 // the signature from the history.
 type FalsePositiveWarning struct {
-	// SigID is the signature's ID (sig.ID), which History.Remove takes.
-	// An ID names one signature (see History), so a warning about a
-	// twin of it (same ID, not Equal) names the ID's holder.
-	SigID          string
+	// SigID is the signature's ID (sig.ID). An ID names one signature
+	// (see History), so for a twin of it (same ID, not Equal) it names
+	// the ID's holder: act on Signature instead.
+	SigID string
+	// Signature is the warned signature: the history's own instance, so
+	// it is read-only. History.RemoveSignature takes it.
+	Signature      *sig.Signature
 	Instantiations uint64
 }
 
@@ -172,6 +175,9 @@ type Runtime struct {
 	fp *fpDetector
 
 	stats counters
+	// mutexes is the lock half's avoidance state; the channel half
+	// (ShareGraph) keeps its own.
+	mutexes Half
 
 	// refreshes counts history refreshes and refreshNanos accumulates the
 	// time spent in them. Kept out of Stats — they describe the refresh,
@@ -200,14 +206,20 @@ type Stats struct {
 // the fast path increments without rt.mu, and Stats() reads without
 // blocking the lock manager.
 type counters struct {
-	acquisitions   atomic.Uint64
-	contended      atomic.Uint64
-	yields         atomic.Uint64
-	deadlocks      atomic.Uint64
-	avoidanceBreak atomic.Uint64
+	acquisitions atomic.Uint64
+	contended    atomic.Uint64
+	deadlocks    atomic.Uint64
 }
 
-// slotKey names one signature slot a hold or wait occupies, carrying
+// Resource is what an engagement is on: a Lock, or a channel of the
+// channel half (ShareGraph). A signature instantiates only over distinct
+// resources, so avoidance tells them apart, by address; the zero value
+// is ready to use.
+type Resource struct {
+	name string
+}
+
+// slotKey names one signature slot an engagement occupies, carrying
 // the owning shard directly so unregistration needs no table probe. A
 // key can outlive its shard's table membership (signature removed); the
 // dead shard object stays valid and empty, so late drops are no-ops.
@@ -215,6 +227,11 @@ type slotKey struct {
 	shard *sigShard
 	slot  int
 }
+
+// Slots are the signature slots one engagement occupies: AvoidLocked
+// and RegisterPositions hand them out, UnregisterPositions takes them
+// back.
+type Slots []slotKey
 
 // threadState tracks one thread's held locks and blocking state.
 type threadState struct {
@@ -228,7 +245,7 @@ type threadState struct {
 type heldLock struct {
 	lock  *Lock
 	outer sig.Stack
-	slots []slotKey // signature slots this hold occupies
+	slots Slots // signature slots this hold occupies
 }
 
 // waiter is a thread queued on a lock.
@@ -236,7 +253,7 @@ type waiter struct {
 	thread ThreadID
 	lock   *Lock
 	stack  sig.Stack
-	slots  []slotKey
+	slots  Slots
 	grant  chan error // buffered(1): grant or denial
 	// notified guards against double notification (grant racing a
 	// deadlock denial or Close); set under rt.mu before the single send.
@@ -257,8 +274,8 @@ func notifyLocked(w *waiter, err error) bool {
 // release through the Runtime (or wrap in a Mutex for native use). Locks
 // are reentrant, like Java monitors.
 type Lock struct {
-	id   LockID
-	name string
+	Resource
+	id LockID
 
 	// fast is the lock-free fast-path word, fastOuter the published
 	// hold's outer stack, and fastSlots the signature slots a published
@@ -271,7 +288,7 @@ type Lock struct {
 	// slow bit.
 	fast      atomic.Uint64
 	fastOuter sig.Stack
-	fastSlots []slotKey
+	fastSlots Slots
 	// fastTop is frameFilterKey of the published hold's outer top frame
 	// (0 for an empty stack), stored between the claiming CAS and the
 	// publishing store. The incremental refresh sweep reads it atomically
@@ -331,15 +348,15 @@ func (rt *Runtime) Stats() Stats {
 	return Stats{
 		Acquisitions:   rt.stats.acquisitions.Load(),
 		Contended:      rt.stats.contended.Load(),
-		Yields:         rt.stats.yields.Load(),
+		Yields:         rt.mutexes.Yields.Load(),
 		Deadlocks:      rt.stats.deadlocks.Load(),
-		AvoidanceBreak: rt.stats.avoidanceBreak.Load(),
+		AvoidanceBreak: rt.mutexes.Breaks.Load(),
 	}
 }
 
 // NewLock creates a lock. The name is used in diagnostics only.
 func (rt *Runtime) NewLock(name string) *Lock {
-	l := &Lock{id: LockID(rt.nextLockID.Add(1)), name: name}
+	l := &Lock{Resource: Resource{name: name}, id: LockID(rt.nextLockID.Add(1))}
 	rt.registerLock(l)
 	return l
 }
@@ -436,7 +453,7 @@ func (rt *Runtime) Close() {
 			notifyLocked(ts.wait, ErrClosed)
 		}
 	}
-	rt.wakeYieldersLocked(true)
+	rt.WakeYieldersLocked()
 	rt.mu.Unlock()
 }
 
@@ -490,7 +507,6 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 		rt.mu.Unlock()
 		return ErrClosed
 	}
-	rt.refreshPositionsLocked()
 	// The slow path owns the lock's queue and owner fields: pull the lock
 	// out of fast mode, importing any fast hold, before reading them.
 	rt.revokeLocked(l)
@@ -505,28 +521,32 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 	// Avoidance: suspend while granting would let a history signature
 	// instantiate. From here on (tid, l, cs) occupies its signature slots
 	// (keys), which pass to the hold or the waiter below under this same
-	// rt.mu critical section.
-	var keys []slotKey
-	if rt.cfg.AvoidanceDisabled {
-		keys = rt.registerPositions(tid, l, cs)
-	} else {
-		var err error
-		if keys, err = rt.avoidLocked(tid, l, cs); err != nil {
-			rt.mu.Unlock()
-			return err
-		}
-		if rt.afterAvoidHook != nil {
-			rt.afterAvoidHook(tid)
-		}
-		if rt.closed.Load() {
-			rt.unregisterPositions(tid, l, keys)
-			rt.mu.Unlock()
-			return ErrClosed
-		}
-		// avoidLocked may have released rt.mu while yielding; the lock can
-		// have been restored to fast mode by a release in that window.
+	// rt.mu critical section. A suspension is a true positive when the
+	// lock's owner is, through the graph, waiting on tid.
+	keys, err := rt.AvoidLocked(&rt.mutexes, tid, &l.Resource, cs, func() [][]ThreadID {
+		// The lock may have been restored to fast mode (and fast-acquired)
+		// while this thread yielded; import it, so the owner is current.
 		rt.revokeLocked(l)
+		if o := l.owner; o != 0 && o != tid {
+			return [][]ThreadID{{o}}
+		}
+		return nil
+	})
+	if err != nil {
+		rt.mu.Unlock()
+		return err
 	}
+	if rt.afterAvoidHook != nil {
+		rt.afterAvoidHook(tid)
+	}
+	if rt.closed.Load() {
+		rt.UnregisterPositions(tid, &l.Resource, keys)
+		rt.mu.Unlock()
+		return ErrClosed
+	}
+	// AvoidLocked may have released rt.mu while yielding; the lock can
+	// have been restored to fast mode by a release in that window.
+	rt.revokeLocked(l)
 
 	ts := rt.thread(tid)
 
@@ -559,7 +579,7 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 		rt.cfg.OnDeadlock(*dl)
 	}
 
-	err := <-w.grant
+	err = <-w.grant
 
 	rt.mu.Lock()
 	ts.wait = nil
@@ -567,7 +587,7 @@ func (rt *Runtime) acquireSlow(tid ThreadID, l *Lock, cs sig.Stack) error {
 		// Denied (deadlock break or close): withdraw from the queue and
 		// drop the waiter's slot registrations.
 		rt.removeWaiterLocked(l, w)
-		rt.unregisterPositions(tid, l, w.slots)
+		rt.UnregisterPositions(tid, &l.Resource, w.slots)
 		rt.maybeRestoreFastLocked(l)
 	}
 	rt.reapThreadLocked(ts)
@@ -614,7 +634,7 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 	// yielders whose threat that may dissolve.
 	for i, h := range ts.held {
 		if h.lock == l {
-			rt.unregisterPositions(tid, l, h.slots)
+			rt.UnregisterPositions(tid, &l.Resource, h.slots)
 			ts.held = append(ts.held[:i], ts.held[i+1:]...)
 			break
 		}
@@ -633,7 +653,7 @@ func (rt *Runtime) Release(tid ThreadID, l *Lock) error {
 
 // grantLocked makes tid the owner of l with outer stack cs, whose
 // signature slots keys are already registered.
-func (rt *Runtime) grantLocked(ts *threadState, l *Lock, cs sig.Stack, keys []slotKey) {
+func (rt *Runtime) grantLocked(ts *threadState, l *Lock, cs sig.Stack, keys Slots) {
 	h := &heldLock{lock: l, outer: cs, slots: keys}
 	ts.held = append(ts.held, h)
 	l.owner = ts.id
@@ -733,9 +753,10 @@ func (rt *Runtime) ResetRefreshStats() {
 // applyDeltaLocked moves the position table from rt.applied to idx,
 // which differ by exactly the (added, removed) signature instances, so
 // only their state moves. Removed signatures' shards are cleared, their
-// yielders woken, and the shards unlinked; existing holds and waits are
-// registered against the added signatures only (an exact top-site probe
-// makes non-matching threads O(1)); and the registry sweep imports only
+// yielders woken, and the shards unlinked; existing holds and waits, and
+// the channel half's live engagements, are registered against the added
+// signatures only (an exact top-site probe makes non-matching ones
+// O(1)); and the registry sweep imports only
 // fast holds whose published top-site hash can match an added
 // signature. Every other shard stays live, its positions intact and its
 // yielders parked. Caller holds rt.mu and publishes histVer afterwards.
@@ -760,7 +781,7 @@ func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signa
 		if v, ok := rt.shards.Load(s); ok {
 			sh := v.(*sigShard)
 			sh.mu.Lock()
-			sh.slots = make(map[int]map[ThreadID]map[*Lock]struct{})
+			sh.slots = make(map[int]map[ThreadID]map[*Resource]struct{})
 			sh.wakeYielders()
 			sh.mu.Unlock()
 			rt.shards.Delete(s)
@@ -775,10 +796,11 @@ func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signa
 	}
 
 	// 2. Added signatures: register existing slow-managed holds and
-	// waits against them. addedSet identifies the new refs inside the
-	// index's candidate groups; addedTops (exact top sites) rejects
-	// non-matching stacks with one map probe, and addedTopHashes is the
-	// atomic-read form the registry sweep below filters fast holds with.
+	// waits, and channel engagements, against them. addedSet identifies
+	// the new refs inside the index's candidate groups; addedTops (exact
+	// top sites) rejects non-matching stacks with one map probe, and
+	// addedTopHashes is the atomic-read form the registry sweep below
+	// filters fast holds with.
 	addedSet := make(map[*sig.Signature]struct{}, len(added))
 	addedTops := make(map[topKey]struct{}, len(added)*2)
 	addedTopHashes := make(map[uint64]struct{}, len(added)*2)
@@ -790,7 +812,7 @@ func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signa
 			addedTopHashes[frameFilterKey(&top)] = struct{}{}
 		}
 	}
-	appendAdded := func(tid ThreadID, l *Lock, cs sig.Stack, slots []slotKey) []slotKey {
+	appendAdded := func(tid ThreadID, r *Resource, cs sig.Stack, slots Slots) Slots {
 		if len(dead) != 0 {
 			kept := slots[:0]
 			for _, k := range slots {
@@ -807,28 +829,31 @@ func (rt *Runtime) applyDeltaLocked(idx *AvoidIndex, added, removed []*sig.Signa
 		if _, hit := addedTops[topKeyOf(top)]; !hit {
 			return slots
 		}
-		for _, r := range idx.Candidates(cs) {
-			if _, isNew := addedSet[r.Sig]; !isNew {
+		for _, ref := range idx.Candidates(cs) {
+			if _, isNew := addedSet[ref.Sig]; !isNew {
 				continue
 			}
-			if !cs.HasSuffix(r.Sig.Threads[r.Slot].Outer) {
+			if !cs.HasSuffix(ref.Sig.Threads[ref.Slot].Outer) {
 				continue
 			}
-			sh := rt.shardFor(r.Sig)
+			sh := rt.shardFor(ref.Sig)
 			sh.mu.Lock()
-			sh.put(r.Slot, tid, l)
+			sh.put(ref.Slot, tid, r)
 			sh.mu.Unlock()
-			slots = append(slots, slotKey{shard: sh, slot: r.Slot})
+			slots = append(slots, slotKey{shard: sh, slot: ref.Slot})
 		}
 		return slots
 	}
 	for tid, ts := range rt.threads {
 		for _, h := range ts.held {
-			h.slots = appendAdded(tid, h.lock, h.outer, h.slots)
+			h.slots = appendAdded(tid, &h.lock.Resource, h.outer, h.slots)
 		}
 		if ts.wait != nil {
-			ts.wait.slots = appendAdded(tid, ts.wait.lock, ts.wait.stack, ts.wait.slots)
+			ts.wait.slots = appendAdded(tid, &ts.wait.lock.Resource, ts.wait.stack, ts.wait.slots)
 		}
+	}
+	if rt.chans != nil {
+		rt.chans.Engagements(appendAdded)
 	}
 
 	// 3. Sweep the lock registry, filtered: only a fast hold whose

@@ -8,10 +8,11 @@ import (
 
 // Sharded avoidance state.
 //
-// Threat evaluation (§II-A) asks "would granting (thread, lock, stack)
-// complete an instantiation of some history signature?" — and answering
-// it for one signature only ever joins the positions of that signature's
-// own slots. Position state therefore shards cleanly by signature:
+// Threat evaluation (§II-A) asks "would engaging (thread, resource,
+// stack) complete an instantiation of some history signature?", for a
+// lock acquisition and a channel op alike — and answering it for one
+// signature only ever joins the positions of that signature's own
+// slots. Position state therefore shards cleanly by signature:
 // each sigShard owns one signature's slot→thread position maps plus the
 // wake list of the threads currently yielding against that signature,
 // guarded by its own mutex.
@@ -45,55 +46,56 @@ import (
 // probe at all.
 type sigShard struct {
 	mu sync.Mutex
-	// slots maps slot index → thread → the set of locks that thread holds
-	// (or waits for) with a stack matching that slot's outer stack. A set,
-	// not a single lock: one thread can hold several locks whose stacks
-	// match the same slot, and dropping one of them must not erase the
-	// others' positions.
-	slots map[int]map[ThreadID]map[*Lock]struct{}
+	// slots maps slot index → thread → the set of resources that thread
+	// is engaged on (holds or waits for a lock, holds a deposit in or
+	// blocks on a channel) with a stack matching that slot's outer stack.
+	// A set, not a single resource: one thread can hold several locks
+	// whose stacks match the same slot, and dropping one of them must not
+	// erase the others' positions.
+	slots map[int]map[ThreadID]map[*Resource]struct{}
 	// yielders are the threads suspended by avoidance whose stacks match
 	// this signature; a release that drops one of its positions wakes
-	// them (unregisterPositions). Every yielder is also in rt.yielders
+	// them (UnregisterPositions). Every yielder is also in rt.yielders
 	// (for cycle resolution and Close).
 	yielders map[ThreadID]*Yielder
 }
 
 func newSigShard() *sigShard {
 	return &sigShard{
-		slots:    make(map[int]map[ThreadID]map[*Lock]struct{}),
+		slots:    make(map[int]map[ThreadID]map[*Resource]struct{}),
 		yielders: make(map[ThreadID]*Yielder),
 	}
 }
 
-// put records (tid, l) in the slot's position map; idempotent, so a
+// put records (tid, r) in the slot's position map; idempotent, so a
 // revocation re-registering a fast hold's slots changes nothing. Caller
 // holds sh.mu.
-func (sh *sigShard) put(slot int, tid ThreadID, l *Lock) {
+func (sh *sigShard) put(slot int, tid ThreadID, r *Resource) {
 	m := sh.slots[slot]
 	if m == nil {
-		m = make(map[ThreadID]map[*Lock]struct{})
+		m = make(map[ThreadID]map[*Resource]struct{})
 		sh.slots[slot] = m
 	}
 	ls := m[tid]
 	if ls == nil {
-		ls = make(map[*Lock]struct{}, 1)
+		ls = make(map[*Resource]struct{}, 1)
 		m[tid] = ls
 	}
-	ls[l] = struct{}{}
+	ls[r] = struct{}{}
 }
 
-// drop removes (tid, l) from the slot's position map, reporting whether
+// drop removes (tid, r) from the slot's position map, reporting whether
 // an entry was removed. Caller holds sh.mu.
-func (sh *sigShard) drop(slot int, tid ThreadID, l *Lock) bool {
+func (sh *sigShard) drop(slot int, tid ThreadID, r *Resource) bool {
 	m := sh.slots[slot]
 	if m == nil {
 		return false
 	}
 	ls := m[tid]
-	if _, ok := ls[l]; !ok {
+	if _, ok := ls[r]; !ok {
 		return false
 	}
-	delete(ls, l)
+	delete(ls, r)
 	if len(ls) == 0 {
 		delete(m, tid)
 	}
@@ -135,13 +137,8 @@ func (rt *Runtime) appendShards(dst []*sigShard, refs []SlotRef) []*sigShard {
 	return dst
 }
 
-// shardsForRefs is appendShards with a fresh slice.
-func (rt *Runtime) shardsForRefs(refs []SlotRef) []*sigShard {
-	return rt.appendShards(make([]*sigShard, 0, len(refs)), refs)
-}
-
 // lockShards locks every shard in ss, which must be in ascending
-// insertion-number order (shardsForRefs output).
+// insertion-number order (appendShards output).
 func lockShards(ss []*sigShard) {
 	for _, sh := range ss {
 		sh.mu.Lock()
@@ -155,74 +152,74 @@ func unlockShards(ss []*sigShard) {
 	}
 }
 
-// registerPositions records which signature slots (tid, l, cs) matches
-// and returns the slot keys for later unregistration. Shards are locked
-// one at a time: threat evaluation never joins positions across
-// signatures, so per-signature atomicity suffices for registration.
-// Callers hold rt.mu (the slow path's bookkeeping).
-func (rt *Runtime) registerPositions(tid ThreadID, l *Lock, cs sig.Stack) []slotKey {
+// RegisterPositions records which signature slots (tid, r, cs) matches
+// and returns the slot keys for later unregistration, checking no
+// threat: the engagement was admitted already. Shards are locked one at
+// a time: threat evaluation never joins positions across signatures, so
+// per-signature atomicity suffices for registration. Caller holds rt.mu.
+func (rt *Runtime) RegisterPositions(tid ThreadID, r *Resource, cs sig.Stack) Slots {
 	refs := rt.history.MatchOuter(cs)
 	if len(refs) == 0 {
 		return nil
 	}
-	keys := make([]slotKey, 0, len(refs))
-	for _, r := range refs {
-		sh := rt.shardFor(r.Sig)
+	keys := make(Slots, 0, len(refs))
+	for _, ref := range refs {
+		sh := rt.shardFor(ref.Sig)
 		sh.mu.Lock()
-		sh.put(r.Slot, tid, l)
+		sh.put(ref.Slot, tid, r)
 		sh.mu.Unlock()
-		keys = append(keys, slotKey{shard: sh, slot: r.Slot})
+		keys = append(keys, slotKey{shard: sh, slot: ref.Slot})
 	}
 	return keys
 }
 
-// putPositions records (tid, l) in every slot of refs and appends the
+// putPositions records (tid, r) in every slot of refs and appends the
 // slot keys to dst. shards must be appendShards(refs), all held by the
 // caller — the same critical section that evaluated the threat, so no
-// other acquisition can find these slots free in between.
-func putPositions(dst []slotKey, refs []SlotRef, shards []*sigShard, tid ThreadID, l *Lock) []slotKey {
+// other engagement can find these slots free in between.
+func putPositions(dst Slots, refs []SlotRef, shards []*sigShard, tid ThreadID, r *Resource) Slots {
 	si := 0
-	for i, r := range refs {
-		if i > 0 && refs[i-1].Sig != r.Sig {
+	for i, ref := range refs {
+		if i > 0 && refs[i-1].Sig != ref.Sig {
 			si++
 		}
-		shards[si].put(r.Slot, tid, l)
-		dst = append(dst, slotKey{shard: shards[si], slot: r.Slot})
+		shards[si].put(ref.Slot, tid, r)
+		dst = append(dst, slotKey{shard: shards[si], slot: ref.Slot})
 	}
 	return dst
 }
 
-// unregisterPositions removes (tid, l) from the given slots — l is the
-// lock the hold or wait the keys belong to was for — and wakes the
-// yielders of every shard it dropped an entry from: only a dropped
-// position can dissolve a threat, so yielders elsewhere sleep on. The
-// keys carry their shard pointers, so no table probe is needed; a key
-// whose shard was meanwhile pruned (signature removed) drops from the
-// dead object — a harmless no-op, since the refresh cleared it and woke
-// its yielders. It takes no rt.mu: a matched fast release calls it
-// while still owning the word.
-func (rt *Runtime) unregisterPositions(tid ThreadID, l *Lock, keys []slotKey) {
+// UnregisterPositions removes (tid, r) from the given slots — r is the
+// resource of the engagement the keys belong to — and wakes the yielders
+// of every shard it dropped an entry from: only a dropped position can
+// dissolve a threat, so yielders elsewhere sleep on. The keys carry
+// their shard pointers, so no table probe is needed; a key whose shard
+// was meanwhile pruned (signature removed) drops from the dead object —
+// a harmless no-op, since the refresh cleared it and woke its yielders.
+// It takes no rt.mu: a matched fast release calls it while still owning
+// the word.
+func (rt *Runtime) UnregisterPositions(tid ThreadID, r *Resource, keys Slots) {
 	for _, key := range keys {
 		key.shard.mu.Lock()
-		if key.shard.drop(key.slot, tid, l) {
+		if key.shard.drop(key.slot, tid, r) {
 			key.shard.wakeYielders()
 		}
 		key.shard.mu.Unlock()
 	}
 }
 
-// instantiationThreat reports whether granting (tid, l) would complete
-// an instantiation of some signature in refs: it returns that
+// instantiationThreat reports whether engaging tid on res would
+// complete an instantiation of some signature in refs: it returns that
 // signature's ref and the set of threads occupying the other slots. A
-// nil blocker set means no threat. shards must be shardsForRefs(refs),
+// nil blocker set means no threat. shards must be appendShards(refs),
 // and the caller must hold every shard's lock.
-func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid ThreadID, l *Lock) (SlotRef, map[ThreadID]struct{}) {
+func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid ThreadID, res *Resource) (SlotRef, map[ThreadID]struct{}) {
 	si := 0
 	for i, r := range refs {
 		if i > 0 && refs[i-1].Sig != r.Sig {
 			si++
 		}
-		assignment := shards[si].matchSlots(r, tid, l)
+		assignment := shards[si].matchSlots(r, tid, res)
 		if assignment == nil {
 			continue
 		}
@@ -237,22 +234,23 @@ func (rt *Runtime) instantiationThreat(refs []SlotRef, shards []*sigShard, tid T
 
 // matchSlots tries to occupy every slot of r.Sig other than r.Slot with
 // distinct current positions: distinct threads (none equal to tid)
-// holding or waiting for distinct locks (none equal to l). It returns
-// the thread→lock assignment, or nil if impossible. Caller holds sh.mu.
+// engaged on distinct resources (none equal to res), whatever mix of
+// locks and channels they are. It returns the thread→resource
+// assignment, or nil if impossible. Caller holds sh.mu.
 //
 // Two-thread signatures — the overwhelmingly common shape (a deadlock
 // cycle of two) — take an allocation-free scan of the single other
 // slot; wider signatures fall back to general backtracking.
-func (sh *sigShard) matchSlots(r SlotRef, tid ThreadID, l *Lock) map[ThreadID]*Lock {
+func (sh *sigShard) matchSlots(r SlotRef, tid ThreadID, res *Resource) map[ThreadID]*Resource {
 	n := len(r.Sig.Threads)
 	if n == 2 {
-		for t, locks := range sh.slots[1-r.Slot] {
+		for t, held := range sh.slots[1-r.Slot] {
 			if t == tid {
 				continue
 			}
-			for held := range locks {
-				if held != l {
-					return map[ThreadID]*Lock{t: held}
+			for h := range held {
+				if h != res {
+					return map[ThreadID]*Resource{t: h}
 				}
 			}
 		}
@@ -264,29 +262,29 @@ func (sh *sigShard) matchSlots(r SlotRef, tid ThreadID, l *Lock) map[ThreadID]*L
 			slots = append(slots, i)
 		}
 	}
-	usedThreads := map[ThreadID]*Lock{tid: nil}
-	usedLocks := map[*Lock]struct{}{l: {}}
+	usedThreads := map[ThreadID]*Resource{tid: nil}
+	usedResources := map[*Resource]struct{}{res: {}}
 
 	var assign func(k int) bool
 	assign = func(k int) bool {
 		if k == len(slots) {
 			return true
 		}
-		for t, locks := range sh.slots[slots[k]] {
+		for t, held := range sh.slots[slots[k]] {
 			if _, taken := usedThreads[t]; taken {
 				continue
 			}
-			for held := range locks {
-				if _, taken := usedLocks[held]; taken {
+			for h := range held {
+				if _, taken := usedResources[h]; taken {
 					continue
 				}
-				usedThreads[t] = held
-				usedLocks[held] = struct{}{}
+				usedThreads[t] = h
+				usedResources[h] = struct{}{}
 				if assign(k + 1) {
 					return true
 				}
 				delete(usedThreads, t)
-				delete(usedLocks, held)
+				delete(usedResources, h)
 			}
 		}
 		return false
@@ -344,11 +342,11 @@ func (rt *Runtime) matchedFastAcquire(tid ThreadID, l *Lock, cs sig.Stack, idx *
 		unlockShards(shards)
 		return false
 	}
-	if _, blockers := rt.instantiationThreat(refs, shards, tid, l); blockers != nil {
+	if _, blockers := rt.instantiationThreat(refs, shards, tid, &l.Resource); blockers != nil {
 		unlockShards(shards)
 		return false
 	}
-	keys := putPositions(l.fastSlots[:0], refs, shards, tid, l) // reuse the backing array across holds
+	keys := putPositions(l.fastSlots[:0], refs, shards, tid, &l.Resource) // reuse the backing array across holds
 	unlockShards(shards)
 	l.fastOuter = cs
 	l.fastSlots = keys

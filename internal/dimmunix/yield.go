@@ -24,8 +24,8 @@ import (
 // re-evaluating on its own, in nanoseconds (atomic so tests can shorten
 // it without racing live runtimes). A wake normally arrives from a
 // release that dissolves the threat; the timeout only matters for a
-// yielder no future wake can reach (a mutex yielder whose every
-// registered shard was unlinked by a refresh with no replacement), so
+// yielder no future wake can reach (one whose every registered shard
+// was unlinked by a refresh with no replacement), so
 // the park re-homes itself against the current index. One spurious
 // re-evaluation per interval is the cost ceiling.
 var yieldRehomeNanos atomic.Int64
@@ -41,6 +41,23 @@ func SetYieldRehomeTimeout(d time.Duration) {
 	}
 }
 
+// Half is what avoidance keeps apart for each kind of primitive of a
+// runtime: its mutexes, and the channels built on it (ShareGraph). Each
+// counts its own ops' yields and forced breaks, and closes on its own.
+type Half struct {
+	// Yields counts avoidance suspensions of the half's ops.
+	Yields atomic.Uint64
+	// Breaks counts the half's yielders forced through to break a
+	// wait+yield cycle.
+	Breaks atomic.Uint64
+	// Closed, once set, sends the half's parked ops home with ErrClosed
+	// at their next wake, as the runtime's Close does every half's.
+	Closed atomic.Bool
+	// Parked counts the half's ops parked right now; guarded by the
+	// runtime's mutex.
+	Parked int
+}
+
 // Yielder is one thread parked by avoidance. A thread that yields again
 // does so under a fresh Yielder.
 type Yielder struct {
@@ -54,14 +71,11 @@ type Yielder struct {
 	// avoidance despite the threat. Guarded by the owning runtime's
 	// mutex.
 	Forced bool
-	// mutex marks a yielder of the mutex half (avoidLocked); the others
-	// are channel yielders.
-	mutex bool
 
 	signal chan struct{} // buffered(1)
 	// woken records that a wake was delivered: the yielder is
-	// re-evaluating, not durably parked. Atomic because a mutex
-	// yielder's wakers may hold only a shard lock.
+	// re-evaluating, not durably parked. Atomic because its wakers may
+	// hold only a shard lock.
 	woken atomic.Bool
 }
 
@@ -113,11 +127,11 @@ func (rt *Runtime) ShareGraph(g ChanGraph) (*sync.Mutex, Config, *stacktrace.Cac
 	return &rt.mu, rt.cfg, rt.capture
 }
 
-// ParkLocked enters y in the yielder table, breaks the cycles that
+// parkLocked enters y in the yielder table, breaks the cycles that
 // closes, and unless y was forced through, parks it with rt.mu released.
 // It returns with rt.mu held and y out of the table, reporting whether y
 // was woken.
-func (rt *Runtime) ParkLocked(y *Yielder) (woken bool) {
+func (rt *Runtime) parkLocked(y *Yielder) (woken bool) {
 	rt.yielders[y.Thread] = y
 	BreakYieldCycles(rt.yielders, rt.casesLocked)
 	if !y.Forced {
@@ -129,24 +143,16 @@ func (rt *Runtime) ParkLocked(y *Yielder) (woken bool) {
 	return woken
 }
 
-// wakeYieldersLocked prompts one half's parked yielders to re-evaluate.
-// Only lock events can dissolve a mutex yielder's threat and only
-// channel events a channel yielder's, so each half wakes its own; the
-// cycle breaker wakes whichever it forces. Lock releases wake only the
-// yielders of the shards they drop positions from (unregisterPositions),
-// so this wakes the mutex half only on Close. Caller holds rt.mu.
-func (rt *Runtime) wakeYieldersLocked(mutex bool) {
+// WakeYieldersLocked prompts every parked yielder to re-evaluate: a
+// Close's wake, for the yielders of the half that closed. Everything
+// else wakes only the yielders its change concerns: a dropped position
+// those of its shard (UnregisterPositions), a removed signature those
+// of its shard, the cycle breaker the one it forces. Caller holds rt.mu.
+func (rt *Runtime) WakeYieldersLocked() {
 	for _, y := range rt.yielders {
-		if y.mutex == mutex {
-			y.wake()
-		}
+		y.wake()
 	}
 }
-
-// WakeChanYieldersLocked prompts the parked channel yielders to
-// re-evaluate, after a channel engagement shrinks or the channel half
-// closes. Caller holds rt.mu.
-func (rt *Runtime) WakeChanYieldersLocked() { rt.wakeYieldersLocked(false) }
 
 // BreakYieldCycles breaks the cycles of the combined wait+yield graph
 // that pass through a yielder. Edges leave a thread toward the rescuers

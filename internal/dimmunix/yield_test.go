@@ -107,32 +107,6 @@ func TestBreakYieldCyclesIdleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWakesStayInTheirHalf: channel events cannot dissolve a mutex
-// yielder's threat, nor lock events a channel yielder's, so each half's
-// wake leaves the other half's yielders parked. A woken mutex yielder
-// that re-parks counts another yield and another false-positive
-// instantiation, so channel traffic must not wake it.
-func TestWakesStayInTheirHalf(t *testing.T) {
-	rt := NewRuntime(Config{})
-	defer rt.Close()
-	mu, ch := NewYielder(1, nil), NewYielder(2, nil)
-	mu.mutex = true
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.yielders[mu.Thread], rt.yielders[ch.Thread] = mu, ch
-	rt.WakeChanYieldersLocked()
-	if mu.woken.Load() || !ch.woken.Load() {
-		t.Fatalf("channel wake: mutex yielder woken %v, channel yielder woken %v; want false, true", mu.woken.Load(), ch.woken.Load())
-	}
-	ch.woken.Store(false)
-	rt.wakeYieldersLocked(true)
-	if !mu.woken.Load() || ch.woken.Load() {
-		t.Fatalf("mutex wake: mutex yielder woken %v, channel yielder woken %v; want true, false", mu.woken.Load(), ch.woken.Load())
-	}
-	delete(rt.yielders, mu.Thread)
-	delete(rt.yielders, ch.Thread)
-}
-
 // TestUnrelatedLockTrafficWakesNoYielder: a lock release wakes only the
 // yielders of the signatures whose positions it drops. One thread parks
 // on the pair signature; then 200 rounds of contended traffic on an
